@@ -27,7 +27,7 @@ from .harness import (
     runtime_distribution,
 )
 from .io import build_report, emit_report, emit_scenario, parse_aslib_runs, parse_runs
-from .metrics import METRICS, MetricParams
+from .metrics import METRICS, MetricParams, threshold_ms
 from .scenario import InstanceKind, Scenario
 from .synthkit import SolverSpec, constant, generate, thorough_vs_fast_spec, uniform
 
@@ -64,7 +64,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 def _add_metric_param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=10.0,
                    help="penalty factor for unsolved runs in par scores (default 10)")
-    p.add_argument("--delta", type=float, default=0.0,
+    p.add_argument("--delta", type=_delta, default=0.0,
                    help="time equivalence threshold in seconds for pairwise scores")
     p.add_argument("--alpha", type=float, default=0.25,
                    help="bounded reward floor for unsolved runs with a solution")
@@ -100,19 +100,22 @@ def _metric_params(args: argparse.Namespace) -> MetricParams:
     )
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(float(piece))
-        except ValueError:
-            raise CliUsageError(f"cannot parse {what} value {piece!r}") from None
-    if not out:
-        raise CliUsageError(f"{what} list is empty")
-    return out
+def _delta(text: str) -> float:
+    """argparse type for a tie threshold in seconds: a finite number >= 0."""
+    try:
+        value = float(text)
+        threshold_ms(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return value
+
+
+def _deltas(text: str) -> list[float]:
+    """argparse type for a comma-separated threshold list, sorted and deduplicated."""
+    values = [_delta(piece.strip()) for piece in text.split(",") if piece.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("list is empty")
+    return sorted(set(values))
 
 
 def _two_solvers(text: str, flag: str) -> tuple[str, str]:
@@ -199,17 +202,15 @@ def cmd_head2head(args: argparse.Namespace) -> int:
 
 def cmd_sweep_delta(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    deltas = sorted(set(_parse_float_list(args.deltas, "--deltas")))
-    if deltas[0] < 0:
-        raise CliUsageError("--deltas values must be non-negative")
+    deltas = args.deltas
     solvers = None
     if args.solvers:
         solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    table = delta_sweep(scenario, deltas, solvers)
     flip = None
     if args.flip:
         a, b = _two_solvers(args.flip, "--flip")
         flip = {"solver_a": a, "solver_b": b, "delta": find_flip_delta(scenario, a, b)}
+    table = delta_sweep(scenario, deltas, solvers)
     if args.format == "json":
         payload = {
             "scenario": scenario.id,
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-delta", help="pairwise scores across tie thresholds")
     _add_input_args(p)
-    p.add_argument("--deltas", default=_DEFAULT_DELTAS, metavar="D1,D2,...",
+    p.add_argument("--deltas", type=_deltas, default=_DEFAULT_DELTAS, metavar="D1,D2,...",
                    help=f"thresholds in seconds (default {_DEFAULT_DELTAS})")
     p.add_argument("--solvers", default=None, metavar="A,B,...",
                    help="restrict reporting to these solvers")

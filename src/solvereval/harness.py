@@ -15,6 +15,8 @@ from .errors import (
     EmptyInput,
     MixedMetrics,
     NonPositiveForGeomean,
+    SameSolver,
+    SingleSolverScenario,
     UnknownSolver,
     UnsupportedMetricForFolds,
 )
@@ -25,10 +27,11 @@ from .metrics import (
     bounded_reward_score,
     closed_gap,
     metric_info,
-    mznc_pair,
-    mznc_score,
+    pair_columns,
+    pair_values,
     par_instance,
     ratio_score,
+    threshold_ms,
 )
 from .rng import SplitMix64
 from .scenario import (
@@ -239,15 +242,14 @@ def score_scenario(
             raise UnsupportedMetricForFolds(
                 "pairwise scoring needs at least two solvers in the scenario"
             )
-        vals = {
-            (s, i): math.fsum(
-                mznc_pair(evaluation, i, s, other, params.delta)
-                for other in evaluation.solvers
-                if other != s
-            )
-            for s in evaluation.solvers
-            for i in evaluation.instance_ids
-        }
+        delta_ms = threshold_ms(params.delta)
+        columns = pair_columns(evaluation, evaluation.solvers)
+        width = len(evaluation.solvers) - 1
+        vals = {}
+        for s in evaluation.solvers:
+            values = pair_values(columns[s], delta_ms)
+            for n, i in enumerate(evaluation.instance_ids):
+                vals[(s, i)] = math.fsum(values[n * width : (n + 1) * width])
         table = ScoreTable(
             "mznc",
             {"delta": params.delta},
@@ -471,6 +473,12 @@ def rank(tables: Sequence[ScoreTable], direction: Direction | None = None) -> li
     ]
 
 
+def _require_solvers(scenario: Scenario, solvers: Sequence[str]) -> None:
+    for s in solvers:
+        if s not in scenario.solvers:
+            raise UnknownSolver(f"solver {s!r} is not part of scenario {scenario.id!r}")
+
+
 @dataclass(frozen=True)
 class HeadToHead:
     solver_a: str
@@ -482,9 +490,7 @@ class HeadToHead:
 
 def head_to_head(scenario: Scenario, solver_a: str, solver_b: str) -> HeadToHead:
     """Count instances each solver finished strictly faster; equal times tie."""
-    for s in (solver_a, solver_b):
-        if s not in scenario.solvers:
-            raise UnknownSolver(f"solver {s!r} is not part of scenario {scenario.id!r}")
+    _require_solvers(scenario, (solver_a, solver_b))
     a = b = ties = 0
     for i in scenario.instance_ids:
         ta = time_to_ms(scenario.time(i, solver_a))
@@ -504,18 +510,29 @@ def delta_sweep(
     solvers: Sequence[str] | None = None,
 ) -> dict[float, dict[str, float]]:
     """Pairwise scores of the chosen solvers at each time-equivalence threshold."""
-    if any(d < 0 for d in deltas):
-        raise ValueError("deltas must be non-negative")
+    deltas_ms = [threshold_ms(d) for d in deltas]
     if list(deltas) != sorted(deltas):
         raise ValueError("deltas must be sorted ascending")
     chosen = tuple(solvers) if solvers is not None else scenario.solvers
-    for s in chosen:
-        if s not in scenario.solvers:
-            raise UnknownSolver(f"solver {s!r} is not part of scenario {scenario.id!r}")
+    _require_solvers(scenario, chosen)
+    if len(scenario.solvers) < 2:
+        raise SingleSolverScenario("pairwise scoring needs at least two solvers")
+    columns = pair_columns(scenario, chosen)
     return {
-        float(d): {s: mznc_score(scenario, s, d) for s in chosen}
-        for d in deltas
+        float(d): {s: math.fsum(pair_values(columns[s], d_ms)) for s in chosen}
+        for d, d_ms in zip(deltas, deltas_ms)
     }
+
+
+# Every finite double is an integer multiple of 2**-1074, so sums kept as ints
+# in that unit are exact, and int true division rounds them correctly: the
+# same float math.fsum returns for the same values.
+_EXACT_UNIT = 1 << 1074
+
+
+def _exact(x: float) -> int:
+    n, d = x.as_integer_ratio()
+    return n * (_EXACT_UNIT // d)
 
 
 def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float | None:
@@ -524,19 +541,46 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
     Pairwise scores only change at thresholds equal to some per-instance time
     difference, so scanning those breakpoints is exhaustive. Returns None if
     solver_a never stays ahead.
+
+    The scan walks the breakpoints downward. Both scores start with every
+    tie-eligible pair in the tie branch and are updated exactly as pairs whose
+    time difference exceeds the threshold leave it; each comparison rounds the
+    exact sums, so it sees the same scores as mznc_score.
     """
+    if solver_a == solver_b:
+        raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
+    _require_solvers(scenario, (solver_a, solver_b))
     diffs_ms = {0}
     for i in scenario.instance_ids:
+        ms = {s: time_to_ms(scenario.time(i, s)) for s in scenario.solvers}
         for s in (solver_a, solver_b):
-            ts = time_to_ms(scenario.time(i, s))
-            for other in scenario.solvers:
-                if other == s:
-                    continue
-                diffs_ms.add(abs(ts - time_to_ms(scenario.time(i, other))))
+            diffs_ms.update(abs(ms[s] - t) for other, t in ms.items() if other != s)
     candidates = [d / 1000.0 for d in sorted(diffs_ms)]
+
+    columns = pair_columns(scenario, (solver_a, solver_b))
+    half = _exact(0.5)
+    totals = []
+    leaving = []  # (time difference, solver index, change when leaving the tie)
+    for idx, s in enumerate((solver_a, solver_b)):
+        total = 0
+        for value, diff in columns[s]:
+            if diff is None:
+                total += _exact(value)
+            else:
+                total += half
+                leaving.append((diff, idx, _exact(value) - half))
+        totals.append(total)
+    leaving.sort(key=lambda e: e[0], reverse=True)
+
     flip: float | None = None
+    pos = 0
     for d in reversed(candidates):
-        if mznc_score(scenario, solver_a, d) > mznc_score(scenario, solver_b, d):
+        d_ms = threshold_ms(d)
+        while pos < len(leaving) and leaving[pos][0] > d_ms:
+            _, idx, change = leaving[pos]
+            totals[idx] += change
+            pos += 1
+        if totals[0] / _EXACT_UNIT > totals[1] / _EXACT_UNIT:
             flip = d
         else:
             break
@@ -545,8 +589,7 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
 
 def runtime_distribution(scenario: Scenario, solver: str) -> list[float]:
     """Ascending runtimes of the instances the solver actually solved."""
-    if solver not in scenario.solvers:
-        raise UnknownSolver(f"solver {solver!r} is not part of scenario {scenario.id!r}")
+    _require_solvers(scenario, (solver,))
     times = [
         scenario.time(i, solver)
         for i in scenario.instance_ids

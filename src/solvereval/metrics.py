@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import (
     BadAlphaBeta,
@@ -51,11 +51,14 @@ __all__ = [
     "mznc_pair",
     "mznc_score",
     "normalized_runtime_score",
+    "pair_columns",
+    "pair_values",
     "par_instance",
     "par_score",
     "ratio_score",
     "solved_ranking",
     "speedup_score",
+    "threshold_ms",
 ]
 
 
@@ -148,21 +151,70 @@ def solved_ranking(scenario: Scenario) -> list[SolvedRank]:
     return entries
 
 
-def _is_unknown(scenario: Scenario, instance_id: str, solver: str) -> bool:
+def threshold_ms(delta: float) -> int:
+    """The tie threshold on the millisecond grid; rejects negative and non-finite values."""
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta}")
+    return round(delta * 1000.0)
+
+
+def _pair_entries(
+    decision: bool,
+    timeout_s: float,
+    t: float,
+    obj: float,
+    opponents: Sequence[tuple[float, float]],
+) -> list[tuple[float, int | None]]:
+    """Pairwise entries of run (t, obj) against each opponent run (t2, obj2).
+
+    An entry is the value outside the tie branch plus, for a tie-eligible
+    pair (past the first two branches, objectives equal), the absolute time
+    difference in milliseconds; otherwise None.
+    """
     # A solver knows nothing about a decision instance it timed out on, or an
     # optimization instance it found no solution for.
-    if scenario.instance(instance_id).kind is InstanceKind.DECISION:
-        return scenario.time(instance_id, solver) >= scenario.timeout_s
-    return math.isinf(scenario.obj(instance_id, solver))
+    if (t >= timeout_s) if decision else math.isinf(obj):
+        return [(0.0, None)] * len(opponents)
+    t_ms = time_to_ms(t)
+    entries: list[tuple[float, int | None]] = []
+    for t2, obj2 in opponents:
+        # Strictly better: finished while the other side hit the timeout, or
+        # found a strictly better objective value.
+        if (t2 < t and t == timeout_s) or obj2 < obj:
+            entries.append((0.0, None))
+        elif (t < t2 and t2 == timeout_s) or obj < obj2:
+            entries.append((1.0, None))
+        else:
+            denom = t + t2
+            value = 0.5 if denom == 0.0 else t2 / denom
+            entries.append((value, abs(t_ms - time_to_ms(t2)) if obj == obj2 else None))
+    return entries
 
 
-def _is_better(scenario: Scenario, instance_id: str, solver: str, other: str) -> bool:
-    # Strictly better: finished while the opponent hit the timeout, or found a
-    # strictly better objective value.
-    t, t2 = scenario.time(instance_id, solver), scenario.time(instance_id, other)
-    if t < t2 and t2 == scenario.timeout_s:
-        return True
-    return scenario.obj(instance_id, solver) < scenario.obj(instance_id, other)
+def pair_columns(
+    scenario: Scenario, solvers: Sequence[str]
+) -> dict[str, list[tuple[float, int | None]]]:
+    """Pairwise entries of each given solver, in (instance, opponent) order.
+
+    Only the tie branch depends on delta, so one table serves every
+    threshold; see _pair_entries for what an entry holds.
+    """
+    tau = scenario.timeout_s
+    order = scenario.solvers
+    picked = [order.index(s) for s in solvers]
+    columns: dict[str, list[tuple[float, int | None]]] = {s: [] for s in solvers}
+    for inst in scenario.instances:
+        decision = inst.kind is InstanceKind.DECISION
+        runs = [(r.time_s, r.obj) for r in (scenario.outcomes[(inst.id, s)] for s in order)]
+        for s, k in zip(solvers, picked):
+            t, obj = runs[k]
+            columns[s].extend(_pair_entries(decision, tau, t, obj, runs[:k] + runs[k + 1 :]))
+    return columns
+
+
+def pair_values(column: list[tuple[float, int | None]], delta_ms: int) -> list[float]:
+    """Entry values at a tie threshold given in integer milliseconds."""
+    return [0.5 if d is not None and d <= delta_ms else v for v, d in column]
 
 
 def mznc_pair(
@@ -184,24 +236,13 @@ def mznc_pair(
         raise SameSolver("a solver cannot be scored against itself")
     _check_solver(scenario, solver)
     _check_solver(scenario, opponent)
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    scenario.instance(instance_id)
-
-    if _is_unknown(scenario, instance_id, solver) or _is_better(scenario, instance_id, opponent, solver):
-        return 0.0
-    if _is_better(scenario, instance_id, solver, opponent):
-        return 1.0
-    t, t2 = scenario.time(instance_id, solver), scenario.time(instance_id, opponent)
-    diff_ms = abs(time_to_ms(t) - time_to_ms(t2))
-    if diff_ms <= round(delta * 1000.0) and scenario.obj(instance_id, solver) == scenario.obj(
-        instance_id, opponent
-    ):
-        return 0.5
-    denom = t + t2
-    if denom == 0.0:
-        return 0.5
-    return t2 / denom
+    delta_ms = threshold_ms(delta)
+    decision = scenario.instance(instance_id).kind is InstanceKind.DECISION
+    run, other = scenario.outcome(instance_id, solver), scenario.outcome(instance_id, opponent)
+    entries = _pair_entries(
+        decision, scenario.timeout_s, run.time_s, run.obj, [(other.time_s, other.obj)]
+    )
+    return pair_values(entries, delta_ms)[0]
 
 
 def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
@@ -209,12 +250,8 @@ def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
     if len(scenario.solvers) < 2:
         raise SingleSolverScenario("pairwise scoring needs at least two solvers")
     _check_solver(scenario, solver)
-    return math.fsum(
-        mznc_pair(scenario, i, solver, other, delta)
-        for i in scenario.instance_ids
-        for other in scenario.solvers
-        if other != solver
-    )
+    delta_ms = threshold_ms(delta)
+    return math.fsum(pair_values(pair_columns(scenario, [solver])[solver], delta_ms))
 
 
 def normalized_runtime_score(scenario: Scenario, solver: str) -> float:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import solvereval
 import solvereval.cli as cli
 from solvereval.cli import main
 
@@ -165,6 +168,30 @@ class TestSweepDelta:
         assert main(["sweep-delta", str(runs_file), "--timeout", "100",
                      "--deltas", "-1,0"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-delta", "--deltas", "0,-1"],
+        ["sweep-delta", "--deltas", "0,inf"],
+        ["sweep-delta", "--deltas", "nan"],
+        ["rank", "--metric", "mznc", "--delta", "-1"],
+        ["rank", "--metric", "mznc", "--delta", "inf"],
+        ["score", "--metric", "mznc", "--delta", "nan"],
+    ])
+    def test_bad_delta_rejected_before_loading(self, tmp_path, capsys, argv):
+        command, *flags = argv
+        absent = str(tmp_path / "absent.csv")
+        assert main([command, absent, "--timeout", "100", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flags[-2]}:" in err
+        assert "absent.csv" not in err
+
+    @pytest.mark.parametrize("pair, named", [("a,zzz", "'zzz'"), ("a,a", "'a'")])
+    def test_bad_flip_pair_rejected(self, runs_file, capsys, pair, named):
+        assert main(["sweep-delta", str(runs_file), "--timeout", "100",
+                     "--flip", pair]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err
+
 
 class TestRuntimeDist:
     def test_text(self, runs_file, capsys):
@@ -235,9 +262,12 @@ class TestGen:
 
 class TestEntryPoint:
     def test_installed_script(self):
+        # the child imports the package under test, wherever pytest found it
+        src = str(Path(solvereval.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "solvereval.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "solvereval" in proc.stdout

@@ -15,6 +15,7 @@ from solvereval import (
     EmptyInput,
     MixedMetrics,
     NonPositiveForGeomean,
+    SameSolver,
     SbsPolicy,
     ScoreTable,
     Trajectory,
@@ -330,6 +331,9 @@ class TestDeltaSweep:
             delta_sweep(sc, [1.0, 0.5])
         with pytest.raises(UnknownSolver):
             delta_sweep(sc, [0.0], solvers=["zzz"])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                delta_sweep(sc, [0.0, bad])
 
     def test_flip_delta_found_at_breakpoint(self):
         sc = self._sc()
@@ -342,6 +346,13 @@ class TestDeltaSweep:
     def test_flip_delta_zero_when_always_ahead(self):
         sc = decision_scenario({"i1": {"a": 1.0, "b": None}})
         assert find_flip_delta(sc, "a", "b") == 0.0
+
+    def test_flip_delta_rejects_unknown_and_same_solver(self):
+        sc = self._sc()
+        with pytest.raises(UnknownSolver, match="zzz"):
+            find_flip_delta(sc, "a", "zzz")
+        with pytest.raises(SameSolver, match="'a'"):
+            find_flip_delta(sc, "a", "a")
 
 
 class TestRuntimeDistribution:

@@ -14,6 +14,7 @@ from solvereval import (
     DegenerateGap,
     Instance,
     InstanceKind,
+    MetricParams,
     MissingTrajectory,
     NonDecomposableMetric,
     NonPositiveObjective,
@@ -35,6 +36,7 @@ from solvereval import (
     par_instance,
     par_score,
     ratio_score,
+    score_scenario,
     solved_ranking,
     speedup_score,
 )
@@ -170,6 +172,16 @@ class TestPairwise:
         sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
         with pytest.raises(ValueError):
             mznc_pair(sc, "i1", "a", "b", delta=-0.5)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_non_finite_delta_rejected(self, delta):
+        sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
+        with pytest.raises(ValueError):
+            mznc_pair(sc, "i1", "a", "b", delta=delta)
+        with pytest.raises(ValueError):
+            mznc_score(sc, "a", delta)
+        with pytest.raises(ValueError):
+            score_scenario(sc, "mznc", MetricParams(delta=delta))
 
     def test_score_sums_instances_and_opponents(self):
         sc = decision_scenario({

@@ -205,7 +205,7 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
     deltas = args.deltas
     solvers = None
     if args.solvers:
-        solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+        solvers = list(dict.fromkeys(s.strip() for s in args.solvers.split(",") if s.strip()))
     flip = None
     if args.flip:
         a, b = _two_solvers(args.flip, "--flip")

@@ -27,11 +27,10 @@ from .metrics import (
     bounded_reward_score,
     closed_gap,
     metric_info,
-    pair_columns,
-    pair_values,
+    mznc_instance_values,
+    mznc_scores,
     par_instance,
     ratio_score,
-    threshold_ms,
 )
 from .rng import SplitMix64
 from .scenario import (
@@ -242,14 +241,7 @@ def score_scenario(
             raise UnsupportedMetricForFolds(
                 "pairwise scoring needs at least two solvers in the scenario"
             )
-        delta_ms = threshold_ms(params.delta)
-        columns = pair_columns(evaluation, evaluation.solvers)
-        width = len(evaluation.solvers) - 1
-        vals = {}
-        for s in evaluation.solvers:
-            values = pair_values(columns[s], delta_ms)
-            for n, i in enumerate(evaluation.instance_ids):
-                vals[(s, i)] = math.fsum(values[n * width : (n + 1) * width])
+        vals = mznc_instance_values(evaluation, params.delta)
         table = ScoreTable(
             "mznc",
             {"delta": params.delta},
@@ -510,29 +502,14 @@ def delta_sweep(
     solvers: Sequence[str] | None = None,
 ) -> dict[float, dict[str, float]]:
     """Pairwise scores of the chosen solvers at each time-equivalence threshold."""
-    deltas_ms = [threshold_ms(d) for d in deltas]
     if list(deltas) != sorted(deltas):
         raise ValueError("deltas must be sorted ascending")
-    chosen = tuple(solvers) if solvers is not None else scenario.solvers
+    chosen = tuple(dict.fromkeys(solvers)) if solvers is not None else scenario.solvers
     _require_solvers(scenario, chosen)
     if len(scenario.solvers) < 2:
         raise SingleSolverScenario("pairwise scoring needs at least two solvers")
-    columns = pair_columns(scenario, chosen)
-    return {
-        float(d): {s: math.fsum(pair_values(columns[s], d_ms)) for s in chosen}
-        for d, d_ms in zip(deltas, deltas_ms)
-    }
-
-
-# Every finite double is an integer multiple of 2**-1074, so sums kept as ints
-# in that unit are exact, and int true division rounds them correctly: the
-# same float math.fsum returns for the same values.
-_EXACT_UNIT = 1 << 1074
-
-
-def _exact(x: float) -> int:
-    n, d = x.as_integer_ratio()
-    return n * (_EXACT_UNIT // d)
+    scores = mznc_scores(scenario, chosen, deltas)
+    return {float(d): {s: scores[s][n] for s in chosen} for n, d in enumerate(deltas)}
 
 
 def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float | None:
@@ -541,11 +518,6 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
     Pairwise scores only change at thresholds equal to some per-instance time
     difference, so scanning those breakpoints is exhaustive. Returns None if
     solver_a never stays ahead.
-
-    The scan walks the breakpoints downward. Both scores start with every
-    tie-eligible pair in the tie branch and are updated exactly as pairs whose
-    time difference exceeds the threshold leave it; each comparison rounds the
-    exact sums, so it sees the same scores as mznc_score.
     """
     if solver_a == solver_b:
         raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
@@ -556,31 +528,10 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
         for s in (solver_a, solver_b):
             diffs_ms.update(abs(ms[s] - t) for other, t in ms.items() if other != s)
     candidates = [d / 1000.0 for d in sorted(diffs_ms)]
-
-    columns = pair_columns(scenario, (solver_a, solver_b))
-    half = _exact(0.5)
-    totals = []
-    leaving = []  # (time difference, solver index, change when leaving the tie)
-    for idx, s in enumerate((solver_a, solver_b)):
-        total = 0
-        for value, diff in columns[s]:
-            if diff is None:
-                total += _exact(value)
-            else:
-                total += half
-                leaving.append((diff, idx, _exact(value) - half))
-        totals.append(total)
-    leaving.sort(key=lambda e: e[0], reverse=True)
-
+    scores = mznc_scores(scenario, (solver_a, solver_b), candidates)
     flip: float | None = None
-    pos = 0
-    for d in reversed(candidates):
-        d_ms = threshold_ms(d)
-        while pos < len(leaving) and leaving[pos][0] > d_ms:
-            _, idx, change = leaving[pos]
-            totals[idx] += change
-            pos += 1
-        if totals[0] / _EXACT_UNIT > totals[1] / _EXACT_UNIT:
+    for d, a, b in reversed(list(zip(candidates, scores[solver_a], scores[solver_b]))):
+        if a > b:
             flip = d
         else:
             break

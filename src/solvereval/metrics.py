@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     BadAlphaBeta,
@@ -51,14 +51,11 @@ __all__ = [
     "mznc_pair",
     "mznc_score",
     "normalized_runtime_score",
-    "pair_columns",
-    "pair_values",
     "par_instance",
     "par_score",
     "ratio_score",
     "solved_ranking",
     "speedup_score",
-    "threshold_ms",
 ]
 
 
@@ -191,30 +188,47 @@ def _pair_entries(
     return entries
 
 
-def pair_columns(
-    scenario: Scenario, solvers: Sequence[str]
-) -> dict[str, list[tuple[float, int | None]]]:
-    """Pairwise entries of each given solver, in (instance, opponent) order.
+def _run_table(scenario: Scenario) -> list[tuple[bool, list[tuple[float, float]]]]:
+    """Per instance: whether it is a decision instance, and each solver's (time, objective)."""
+    order = scenario.solvers
+    return [
+        (
+            inst.kind is InstanceKind.DECISION,
+            [(r.time_s, r.obj) for r in (scenario.outcomes[(inst.id, s)] for s in order)],
+        )
+        for inst in scenario.instances
+    ]
 
-    Only the tie branch depends on delta, so one table serves every
-    threshold; see _pair_entries for what an entry holds.
+
+def _pair_rows(
+    scenario: Scenario, table: list[tuple[bool, list[tuple[float, float]]]], solver: str
+) -> Iterator[list[tuple[float, int | None]]]:
+    """The solver's pair entries, one list per instance, made one at a time.
+
+    Rows follow the scenario's instance order, and entries its solver order
+    without the solver itself. Only the tie branch depends on delta, so the
+    rows serve every threshold; see _pair_entries for what an entry holds.
     """
     tau = scenario.timeout_s
-    order = scenario.solvers
-    picked = [order.index(s) for s in solvers]
-    columns: dict[str, list[tuple[float, int | None]]] = {s: [] for s in solvers}
-    for inst in scenario.instances:
-        decision = inst.kind is InstanceKind.DECISION
-        runs = [(r.time_s, r.obj) for r in (scenario.outcomes[(inst.id, s)] for s in order)]
-        for s, k in zip(solvers, picked):
-            t, obj = runs[k]
-            columns[s].extend(_pair_entries(decision, tau, t, obj, runs[:k] + runs[k + 1 :]))
-    return columns
+    k = scenario.solvers.index(solver)
+    for decision, runs in table:
+        yield _pair_entries(decision, tau, *runs[k], runs[:k] + runs[k + 1 :])
 
 
-def pair_values(column: list[tuple[float, int | None]], delta_ms: int) -> list[float]:
+def _pair_values(entries: Sequence[tuple[float, int | None]], delta_ms: int) -> list[float]:
     """Entry values at a tie threshold given in integer milliseconds."""
-    return [0.5 if d is not None and d <= delta_ms else v for v, d in column]
+    return [0.5 if d is not None and d <= delta_ms else v for v, d in entries]
+
+
+# Every finite double is an integer multiple of 2**-1074, so sums kept as ints
+# in that unit are exact, and int true division rounds them correctly: the
+# same float math.fsum returns for the same values.
+_EXACT_UNIT = 1 << 1074
+
+
+def _exact(x: float) -> int:
+    n, d = x.as_integer_ratio()  # d is a power of two
+    return n << (1075 - d.bit_length())
 
 
 def mznc_pair(
@@ -242,7 +256,7 @@ def mznc_pair(
     entries = _pair_entries(
         decision, scenario.timeout_s, run.time_s, run.obj, [(other.time_s, other.obj)]
     )
-    return pair_values(entries, delta_ms)[0]
+    return _pair_values(entries, delta_ms)[0]
 
 
 def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
@@ -251,7 +265,56 @@ def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
         raise SingleSolverScenario("pairwise scoring needs at least two solvers")
     _check_solver(scenario, solver)
     delta_ms = threshold_ms(delta)
-    return math.fsum(pair_values(pair_columns(scenario, [solver])[solver], delta_ms))
+    rows = _pair_rows(scenario, _run_table(scenario), solver)
+    return math.fsum(v for row in rows for v in _pair_values(row, delta_ms))
+
+
+def mznc_instance_values(scenario: Scenario, delta: float) -> dict[tuple[str, str], float]:
+    """Pairwise score of every (solver, instance): its sum over the opponents."""
+    delta_ms = threshold_ms(delta)
+    table = _run_table(scenario)
+    return {
+        (s, i): math.fsum(_pair_values(row, delta_ms))
+        for s in scenario.solvers
+        for i, row in zip(scenario.instance_ids, _pair_rows(scenario, table, s))
+    }
+
+
+def mznc_scores(
+    scenario: Scenario, solvers: Sequence[str], deltas: Sequence[float]
+) -> dict[str, list[float]]:
+    """mznc_score of each solver at each threshold of deltas, bit for bit.
+
+    One pass per solver: every tie-eligible pair starts in the tie branch,
+    and walking the thresholds downward, a pair leaves it once its time
+    difference exceeds the threshold. The total is kept exact (see
+    _EXACT_UNIT) and rounded once per threshold.
+    """
+    deltas_ms = [threshold_ms(d) for d in deltas]
+    descending = sorted(range(len(deltas_ms)), key=deltas_ms.__getitem__, reverse=True)
+    half = _exact(0.5)
+    table = _run_table(scenario)
+    scores: dict[str, list[float]] = {}
+    for s in solvers:
+        total = 0
+        leaving = []  # (time difference, value outside the tie)
+        for row in _pair_rows(scenario, table, s):
+            for value, diff in row:
+                if diff is None:
+                    total += _exact(value)
+                else:
+                    total += half
+                    leaving.append((diff, value))
+        leaving.sort(reverse=True)
+        at = [0.0] * len(deltas_ms)
+        pos = 0
+        for n in descending:
+            while pos < len(leaving) and leaving[pos][0] > deltas_ms[n]:
+                total += _exact(leaving[pos][1]) - half
+                pos += 1
+            at[n] = total / _EXACT_UNIT
+        scores[s] = at
+    return scores
 
 
 def normalized_runtime_score(scenario: Scenario, solver: str) -> float:

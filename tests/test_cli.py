@@ -164,6 +164,16 @@ class TestSweepDelta:
         assert payload["flip"]["solver_a"] == "b"
         assert payload["flip"]["solver_b"] == "a"
 
+    def test_repeated_solver_reported_once(self, runs_file, capsys):
+        args = ["sweep-delta", str(runs_file), "--timeout", "100", "--deltas", "0,1"]
+        assert main([*args, "--solvers", "a", "--format", "json"]) == 0
+        once = json.loads(capsys.readouterr().out)
+        assert main([*args, "--solvers", "a,a", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == once
+        assert main([*args, "--solvers", "a,a"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+
     def test_negative_delta_rejected(self, runs_file, capsys):
         assert main(["sweep-delta", str(runs_file), "--timeout", "100",
                      "--deltas", "-1,0"]) == 1

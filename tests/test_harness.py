@@ -323,6 +323,13 @@ class TestDeltaSweep:
         assert set(only_a[0.0]) == {"a"}
         assert only_a[0.0]["a"] == full[0.0]["a"]
 
+    def test_repeated_solver_counted_once(self):
+        sc = self._sc()
+        sweep = delta_sweep(sc, [0.0, 49.0], solvers=["a", "b", "a"])
+        assert list(sweep[0.0]) == ["a", "b"]
+        for d in (0.0, 49.0):
+            assert sweep[d]["a"] == mznc_score(sc, "a", d)
+
     def test_input_validation(self):
         sc = self._sc()
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from solvereval import (
     time_to_ms,
     uniform,
 )
-from solvereval.harness import _EXACT_UNIT, _exact
+from solvereval.metrics import _EXACT_UNIT, _exact
 from solvereval.synthkit import ArchetypeSpec
 
 

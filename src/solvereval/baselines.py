@@ -11,17 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import MissingFoldContext
-from .metrics import base_instance_values
-from .scenario import Scenario, restrict
+from .metrics import Columns, base_columns, valued
+from .scenario import Scenario, positions
 
 __all__ = [
     "BaselineReport",
     "FoldContext",
     "SbsPolicy",
     "baseline_report",
+    "cell_baselines",
     "select_sbs",
     "solver_totals",
     "vbs_values",
@@ -56,37 +57,80 @@ class BaselineReport:
     warnings: tuple[str, ...] = ()
 
 
-def vbs_values(scenario: Scenario, base_metric: str, lam: float = 10.0) -> dict[str, float]:
-    """Per-instance value the virtual best solver achieves."""
-    values = base_instance_values(scenario, base_metric, lam)
-    out: dict[str, float] = {}
-    for i in scenario.instance_ids:
-        candidates = [values[(s, i)] for s in scenario.solvers if (s, i) in values]
-        if candidates:
-            out[i] = min(candidates)
-    return out
+def _totals(columns: Columns, at: Sequence[int]) -> dict[str, float]:
+    return {s: math.fsum([column[p] for p in at]) for s, column in columns.items()}
 
 
-def solver_totals(scenario: Scenario, base_metric: str, lam: float = 10.0) -> dict[str, float]:
-    """Base metric total per solver over the scenario's instances."""
-    values = base_instance_values(scenario, base_metric, lam)
-    return {
-        s: math.fsum(v for (sid, _), v in values.items() if sid == s)
-        for s in scenario.solvers
-    }
-
-
-def _selection_scenario(
+def _selection(
     scenario: Scenario, policy: SbsPolicy, fold_context: FoldContext | None
-) -> Scenario:
+) -> Sequence[int]:
     if policy is SbsPolicy.FULL_DATASET:
-        return scenario
+        return range(len(scenario.instances))
     if fold_context is None:
         raise MissingFoldContext(
             f"policy {policy.value} needs a fold context with train/test splits"
         )
     split = fold_context.train if policy is SbsPolicy.TRAIN_SPLIT else fold_context.test
-    return restrict(scenario, split)
+    return positions(scenario, split)
+
+
+def _sbs(columns: Columns, selection: Sequence[int]) -> str:
+    totals = _totals(columns, valued(columns, selection))
+    return min(columns, key=lambda s: (totals[s], s))
+
+
+def cell_baselines(
+    scenario: Scenario,
+    columns: Columns,
+    base_metric: str,
+    policy: SbsPolicy,
+    fold_context: FoldContext | None,
+    evaluation: Sequence[int],
+    low_resolution_threshold: float = LOW_RESOLUTION_THRESHOLD,
+) -> tuple[BaselineReport, dict[str, float]]:
+    """Both baselines of one cell, read off the base metric's columns (base_columns).
+
+    The SBS is picked on the policy's selection set; both m_vbs and m_sbs are
+    then measured at the evaluation positions (ascending). Also returns every
+    solver's base total there, which is what its closed gap compares.
+    """
+    sbs = _sbs(columns, _selection(scenario, policy, fold_context))
+    evaluation = valued(columns, evaluation)
+    totals = _totals(columns, evaluation)
+    ids = scenario.instance_ids
+    per_instance = {ids[p]: min(column[p] for column in columns.values()) for p in evaluation}
+    m_vbs = math.fsum(per_instance.values())
+    m_sbs = totals[sbs]
+    gap_ratio = 0.0 if m_sbs == 0.0 else (m_sbs - m_vbs) / m_sbs
+    warnings = []
+    if gap_ratio < low_resolution_threshold:
+        warnings.append(
+            f"low resolution: the single best solver is within "
+            f"{gap_ratio:.4%} of the virtual best on the evaluation set; "
+            "closed-gap values will be noisy"
+        )
+    report = BaselineReport(
+        base_metric_id=base_metric,
+        sbs_id=sbs,
+        sbs_policy=policy,
+        vbs_per_instance=per_instance,
+        m_vbs=m_vbs,
+        m_sbs=m_sbs,
+        gap_ratio=gap_ratio,
+        warnings=tuple(warnings),
+    )
+    return report, totals
+
+
+def vbs_values(scenario: Scenario, base_metric: str, lam: float = 10.0) -> dict[str, float]:
+    """Per-instance value the virtual best solver achieves."""
+    return dict(baseline_report(scenario, base_metric, lam).vbs_per_instance)
+
+
+def solver_totals(scenario: Scenario, base_metric: str, lam: float = 10.0) -> dict[str, float]:
+    """Base metric total per solver over the scenario's instances."""
+    columns = base_columns(scenario, base_metric, lam)
+    return _totals(columns, valued(columns, range(len(scenario.instances))))
 
 
 def select_sbs(
@@ -97,9 +141,8 @@ def select_sbs(
     fold_context: FoldContext | None = None,
 ) -> str:
     """Pick the single best solver on the policy's selection set; ties go lexicographically."""
-    selection = _selection_scenario(scenario, SbsPolicy(policy), fold_context)
-    totals = solver_totals(selection, base_metric, lam)
-    return min(scenario.solvers, key=lambda s: (totals[s], s))
+    selection = _selection(scenario, SbsPolicy(policy), fold_context)
+    return _sbs(base_columns(scenario, base_metric, lam), selection)
 
 
 def baseline_report(
@@ -116,28 +159,12 @@ def baseline_report(
     then measured on the evaluation set (the test split when a fold context is
     given, the whole scenario otherwise).
     """
-    policy = SbsPolicy(policy)
-    sbs = select_sbs(scenario, base_metric, lam, policy, fold_context)
-    evaluation = restrict(scenario, fold_context.test) if fold_context is not None else scenario
-    per_instance = vbs_values(evaluation, base_metric, lam)
-    m_vbs = math.fsum(per_instance.values())
-    eval_totals = solver_totals(evaluation, base_metric, lam)
-    m_sbs = eval_totals[sbs]
-    gap_ratio = 0.0 if m_sbs == 0.0 else (m_sbs - m_vbs) / m_sbs
-    warnings = []
-    if gap_ratio < low_resolution_threshold:
-        warnings.append(
-            f"low resolution: the single best solver is within "
-            f"{gap_ratio:.4%} of the virtual best on the evaluation set; "
-            "closed-gap values will be noisy"
-        )
-    return BaselineReport(
-        base_metric_id=base_metric,
-        sbs_id=sbs,
-        sbs_policy=policy,
-        vbs_per_instance=per_instance,
-        m_vbs=m_vbs,
-        m_sbs=m_sbs,
-        gap_ratio=gap_ratio,
-        warnings=tuple(warnings),
+    evaluation = (
+        positions(scenario, fold_context.test) if fold_context is not None
+        else range(len(scenario.instances))
     )
+    report, _ = cell_baselines(
+        scenario, base_columns(scenario, base_metric, lam), base_metric,
+        SbsPolicy(policy), fold_context, evaluation, low_resolution_threshold,
+    )
+    return report

@@ -137,8 +137,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     policy = _POLICY[args.sbs_policy] if args.sbs_policy else None
     agg = _AGG[args.agg] if args.agg else None
     evaluations = [
-        evaluate(scenario, m, params, fold_plan=plan, sbs_policy=policy,
-                 aggregation=agg, n_jobs=args.jobs)
+        evaluate(scenario, m, params, fold_plan=plan, sbs_policy=policy, aggregation=agg)
         for m in metrics
     ]
     report = build_report(
@@ -377,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="fold shuffling seed (default 0)")
     p.add_argument("--agg", choices=sorted(_AGG), default=None,
                    help="how per-fold scores merge (default mean)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for fold cells")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_score)

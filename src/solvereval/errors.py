@@ -58,10 +58,6 @@ class SameSolver(SolverEvalError):
     pass
 
 
-class SingleSolverScenario(SolverEvalError):
-    pass
-
-
 class DegenerateGap(SolverEvalError):
     pass
 
@@ -98,6 +94,10 @@ class BadK(SolverEvalError):
 
 class UnsupportedMetricForFolds(SolverEvalError):
     pass
+
+
+class SingleSolverScenario(UnsupportedMetricForFolds):
+    """Pairwise scoring of a scenario with fewer than two solvers."""
 
 
 class EmptyInput(SolverEvalError):

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .baselines import BaselineReport, FoldContext, SbsPolicy, baseline_report
+from .baselines import BaselineReport, FoldContext, SbsPolicy, cell_baselines
 from .errors import (
     BadK,
     EmptyInput,
@@ -18,19 +17,16 @@ from .errors import (
     SameSolver,
     SingleSolverScenario,
     UnknownSolver,
-    UnsupportedMetricForFolds,
 )
 from .metrics import (
+    Columns,
     MetricParams,
-    area_instance_values,
-    base_instance_values,
-    bounded_reward_score,
+    base_columns,
     closed_gap,
+    instance_columns,
     metric_info,
-    mznc_instance_values,
     mznc_scores,
-    par_instance,
-    ratio_score,
+    valued,
 )
 from .rng import SplitMix64
 from .scenario import (
@@ -38,9 +34,7 @@ from .scenario import (
     RunStatus,
     Scenario,
     ScoreTable,
-    obj_pool,
-    resolve_best_known,
-    restrict,
+    positions,
     time_to_ms,
 )
 
@@ -133,22 +127,29 @@ def make_fold_plan(
 
 
 DEFAULT_MERGE = Aggregation.ARITHMETIC_MEAN
+# Metrics whose per-solver score is the sum over instances; the rest take the mean.
+_SUMMED = ("solved-count", "mznc")
 
 
-def _mean(values: Mapping[str, list[float]]) -> dict[str, float]:
-    return {k: math.fsum(v) / len(v) for k, v in values.items()}
+def _columns(scenario: Scenario, metric_id: str, params: MetricParams) -> Columns:
+    if metric_id == "closed-gap":
+        return base_columns(scenario, params.base_metric, params.lam)
+    return instance_columns(scenario, metric_id, params)
 
 
-def _per_solver_from_instances(
-    scenario: Scenario,
-    values: Mapping[tuple[str, str], float],
-    how: Aggregation,
-) -> dict[str, float]:
-    out = {}
-    for s in scenario.solvers:
-        vs = [v for (sid, _), v in values.items() if sid == s]
-        out[s] = aggregate(vs, how)
-    return out
+def _table_params(metric_id: str, params: MetricParams, policy: SbsPolicy) -> dict[str, object]:
+    if metric_id == "par":
+        return {"lambda": params.lam}
+    if metric_id == "mznc":
+        return {"delta": params.delta}
+    if metric_id == "bounded-reward":
+        return {"alpha": params.alpha, "beta": params.beta}
+    if metric_id == "closed-gap":
+        out = {"base_metric": params.base_metric, "sbs_policy": policy.value}
+        if params.base_metric == "par":
+            out["lambda"] = params.lam
+        return out
+    return {}
 
 
 def score_scenario(
@@ -157,189 +158,55 @@ def score_scenario(
     params: MetricParams | None = None,
     sbs_policy: SbsPolicy | str | None = None,
     fold_context: FoldContext | None = None,
+    *,
+    columns: Columns | None = None,
 ) -> tuple[ScoreTable, BaselineReport | None]:
     """Score every solver under one metric.
 
     When a fold context is given, scores are computed on its test split;
     baseline selection for the closed gap follows sbs_policy. Returns the
     score table and, for the closed gap, the baseline report used.
+
+    Scores read the metric's per-instance columns over the whole scenario
+    (instance_columns, or base_columns for the closed gap) at the split's
+    positions. columns passes ones already built for this scenario, metric
+    and params, as evaluate does for every cell.
     """
     params = params or MetricParams()
-    metric_info(metric_id)
+    info = metric_info(metric_id)
     policy = SbsPolicy(sbs_policy) if sbs_policy is not None else (
         SbsPolicy.TRAIN_SPLIT if fold_context is not None else SbsPolicy.FULL_DATASET
     )
-    evaluation = restrict(scenario, fold_context.test) if fold_context is not None else scenario
-    tau = evaluation.timeout_s
-
-    if metric_id == "par":
-        vals = {
-            (s, i): par_instance(evaluation.outcome(i, s), params.lam, tau)
-            for s in evaluation.solvers
-            for i in evaluation.instance_ids
-        }
-        table = ScoreTable(
-            "par",
-            {"lambda": params.lam},
-            _per_solver_from_instances(evaluation, vals, Aggregation.ARITHMETIC_MEAN),
-            Direction.LOWER,
-            vals,
-            Aggregation.ARITHMETIC_MEAN.value,
-        )
-        return table, None
-
-    if metric_id == "runtime":
-        vals = {
-            (s, i): evaluation.time(i, s)
-            for s in evaluation.solvers
-            for i in evaluation.instance_ids
-        }
-        table = ScoreTable(
-            "runtime",
-            {},
-            _per_solver_from_instances(evaluation, vals, Aggregation.ARITHMETIC_MEAN),
-            Direction.LOWER,
-            vals,
-            Aggregation.ARITHMETIC_MEAN.value,
-        )
-        return table, None
-
-    if metric_id == "solved-count":
-        vals = {
-            (s, i): 1.0 if evaluation.outcome(i, s).status is RunStatus.SOLVED else 0.0
-            for s in evaluation.solvers
-            for i in evaluation.instance_ids
-        }
-        table = ScoreTable(
-            "solved-count",
-            {},
-            _per_solver_from_instances(evaluation, vals, Aggregation.SUM),
-            Direction.HIGHER,
-            vals,
-            Aggregation.SUM.value,
-        )
-        return table, None
-
-    if metric_id == "normalized-runtime":
-        vals = {
-            (s, i): 1.0 - evaluation.time(i, s) / tau
-            for s in evaluation.solvers
-            for i in evaluation.instance_ids
-        }
-        table = ScoreTable(
-            "normalized-runtime",
-            {},
-            _per_solver_from_instances(evaluation, vals, Aggregation.ARITHMETIC_MEAN),
-            Direction.HIGHER,
-            vals,
-            Aggregation.ARITHMETIC_MEAN.value,
-        )
-        return table, None
-
-    if metric_id == "mznc":
-        if len(evaluation.solvers) < 2:
-            raise UnsupportedMetricForFolds(
-                "pairwise scoring needs at least two solvers in the scenario"
-            )
-        vals = mznc_instance_values(evaluation, params.delta)
-        table = ScoreTable(
-            "mznc",
-            {"delta": params.delta},
-            _per_solver_from_instances(evaluation, vals, Aggregation.SUM),
-            Direction.HIGHER,
-            vals,
-            Aggregation.SUM.value,
-        )
-        return table, None
-
-    if metric_id == "speedup":
-        vbs_times = {
-            i: min(evaluation.time(i, s) for s in evaluation.solvers)
-            for i in evaluation.instance_ids
-        }
-        vals = {}
-        for s in evaluation.solvers:
-            for i in evaluation.instance_ids:
-                t = evaluation.time(i, s)
-                vals[(s, i)] = 1.0 if t == 0.0 else vbs_times[i] / t
-        table = ScoreTable(
-            "speedup",
-            {},
-            _per_solver_from_instances(evaluation, vals, Aggregation.ARITHMETIC_MEAN),
-            Direction.HIGHER,
-            vals,
-            Aggregation.ARITHMETIC_MEAN.value,
-        )
-        return table, None
+    test = (
+        positions(scenario, fold_context.test) if fold_context is not None
+        else range(len(scenario.instances))
+    )
+    if columns is None:
+        columns = _columns(scenario, metric_id, params)
+    table_params = _table_params(metric_id, params, policy)
+    solvers = scenario.solvers
 
     if metric_id == "closed-gap":
-        report = baseline_report(
-            scenario,
-            base_metric=params.base_metric,
-            lam=params.lam,
-            policy=policy,
-            fold_context=fold_context,
+        report, totals = cell_baselines(
+            scenario, columns, params.base_metric, policy, fold_context, test
         )
-        base_vals = base_instance_values(evaluation, params.base_metric, params.lam)
-        per_solver = {}
-        for s in evaluation.solvers:
-            m_s = math.fsum(v for (sid, _), v in base_vals.items() if sid == s)
-            per_solver[s] = closed_gap(m_s, report.m_sbs, report.m_vbs)
-        table_params = {
-            "base_metric": params.base_metric,
-            "sbs_policy": policy.value,
-        }
-        if params.base_metric == "par":
-            table_params["lambda"] = params.lam
-        table = ScoreTable("closed-gap", table_params, per_solver, Direction.HIGHER)
-        return table, report
+        per_solver = {s: closed_gap(totals[s], report.m_sbs, report.m_vbs) for s in solvers}
+        return ScoreTable(metric_id, table_params, per_solver, info.direction), report
 
-    if metric_id in ("ratio", "area", "bounded-reward"):
-        opt_ids = evaluation.optimization_ids
-        if not opt_ids:
-            raise EmptyInput(f"{metric_id} needs optimization instances")
-        if metric_id == "area":
-            vals = area_instance_values(evaluation)
-            table = ScoreTable(
-                "area",
-                {},
-                _per_solver_from_instances(evaluation, vals, Aggregation.ARITHMETIC_MEAN),
-                Direction.LOWER,
-                vals,
-                Aggregation.ARITHMETIC_MEAN.value,
-            )
-            return table, None
-        vals = {}
-        for iid in opt_ids:
-            inst = evaluation.instance(iid)
-            pool = obj_pool(evaluation, iid)
-            best = resolve_best_known(evaluation, iid)
-            for s in evaluation.solvers:
-                out = evaluation.outcome(iid, s)
-                if metric_id == "ratio":
-                    if best is None:
-                        vals[(s, iid)] = 0.0
-                    else:
-                        vals[(s, iid)] = ratio_score(_replace(inst, best_known_obj=best), out)
-                else:
-                    if pool is None:
-                        vals[(s, iid)] = 0.0
-                    else:
-                        vals[(s, iid)] = bounded_reward_score(
-                            inst, out, pool[0], pool[1], params.alpha, params.beta
-                        )
-        table_params = {} if metric_id == "ratio" else {"alpha": params.alpha, "beta": params.beta}
-        table = ScoreTable(
-            metric_id,
-            table_params,
-            _per_solver_from_instances(evaluation, vals, Aggregation.ARITHMETIC_MEAN),
-            Direction.HIGHER,
-            vals,
-            Aggregation.ARITHMETIC_MEAN.value,
-        )
-        return table, None
-
-    raise ValueError(f"unknown metric {metric_id!r}")
+    cell = valued(columns, test)
+    if not cell:
+        raise EmptyInput(f"{metric_id} needs optimization instances")
+    ids = scenario.instance_ids
+    if info.optimization_only:
+        per_instance = {(s, ids[p]): columns[s][p] for p in cell for s in solvers}
+    else:
+        per_instance = {(s, ids[p]): columns[s][p] for s in solvers for p in cell}
+    how = Aggregation.SUM if metric_id in _SUMMED else Aggregation.ARITHMETIC_MEAN
+    per_solver = {s: aggregate([columns[s][p] for p in cell], how) for s in solvers}
+    table = ScoreTable(
+        metric_id, table_params, per_solver, info.direction, per_instance, how.value
+    )
+    return table, None
 
 
 @dataclass(frozen=True)
@@ -370,22 +237,18 @@ def evaluate(
     fold_plan: FoldPlan | None = None,
     sbs_policy: SbsPolicy | str | None = None,
     aggregation: Aggregation | str | None = None,
-    n_jobs: int = 1,
 ) -> EvaluationResult:
     """Run one metric over a scenario, optionally per cross-validation cell.
 
     Without a fold plan this is a single evaluation over all instances. With
     one, the metric is scored on each test fold (baselines resolved per
     sbs_policy against that cell's splits) and the per-cell scores are merged
-    with the chosen aggregation, arithmetic mean by default.
+    with the chosen aggregation, arithmetic mean by default. The metric's
+    per-instance columns are built once, and every cell reads them.
     """
     params = params or MetricParams()
     metric_info(metric_id)
     merge = Aggregation(aggregation) if aggregation is not None else DEFAULT_MERGE
-    if metric_id == "mznc" and len(scenario.solvers) < 2:
-        raise UnsupportedMetricForFolds(
-            "pairwise scoring needs at least two solvers in the scenario"
-        )
 
     if fold_plan is None:
         policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.FULL_DATASET
@@ -398,23 +261,17 @@ def evaluate(
     if set(fold_plan.instance_ids) != set(scenario.instance_ids):
         raise ValueError("fold plan does not cover exactly the scenario's instances")
     policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.TRAIN_SPLIT
+    columns = _columns(scenario, metric_id, params)
 
-    jobs = []
+    cells = []
     for r, folds in enumerate(fold_plan.assignment):
         for f, test in enumerate(folds):
             train = tuple(i for g, fold in enumerate(folds) if g != f for i in fold)
-            jobs.append((r, f, FoldContext(train=train, test=test)))
-
-    def run(job):
-        r, f, ctx = job
-        table, report = score_scenario(scenario, metric_id, params, policy, ctx)
-        return FoldCell(r, f, ctx.test, table, report)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            cells = tuple(pool.map(run, jobs))
-    else:
-        cells = tuple(run(job) for job in jobs)
+            table, report = score_scenario(
+                scenario, metric_id, params, policy, FoldContext(train=train, test=test),
+                columns=columns,
+            )
+            cells.append(FoldCell(r, f, test, table, report))
 
     merged_scores = {
         s: aggregate([c.table.per_solver[s] for c in cells], merge)
@@ -424,7 +281,7 @@ def evaluate(
         metric_id, cells[0].table.params, merged_scores, cells[0].table.direction
     )
     return EvaluationResult(
-        scenario.id, metric_id, merged.params, cells, merged, fold_plan, policy, merge
+        scenario.id, metric_id, merged.params, tuple(cells), merged, fold_plan, policy, merge
     )
 
 

@@ -10,8 +10,8 @@ optimization-quality scores (ratio, area, bounded reward).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadAlphaBeta,
@@ -39,14 +39,17 @@ from .scenario import (
 )
 
 __all__ = [
+    "Columns",
     "MetricInfo",
     "MetricParams",
     "METRICS",
     "area_instance_values",
     "area_score",
+    "base_columns",
     "base_instance_values",
     "bounded_reward_score",
     "closed_gap",
+    "instance_columns",
     "metric_info",
     "mznc_pair",
     "mznc_score",
@@ -56,6 +59,7 @@ __all__ = [
     "ratio_score",
     "solved_ranking",
     "speedup_score",
+    "valued",
 ]
 
 
@@ -269,17 +273,6 @@ def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
     return math.fsum(v for row in rows for v in _pair_values(row, delta_ms))
 
 
-def mznc_instance_values(scenario: Scenario, delta: float) -> dict[tuple[str, str], float]:
-    """Pairwise score of every (solver, instance): its sum over the opponents."""
-    delta_ms = threshold_ms(delta)
-    table = _run_table(scenario)
-    return {
-        (s, i): math.fsum(_pair_values(row, delta_ms))
-        for s in scenario.solvers
-        for i, row in zip(scenario.instance_ids, _pair_rows(scenario, table, s))
-    }
-
-
 def mznc_scores(
     scenario: Scenario, solvers: Sequence[str], deltas: Sequence[float]
 ) -> dict[str, list[float]]:
@@ -444,59 +437,164 @@ def bounded_reward_score(
     return alpha + (beta - alpha) * min(1.0, max(0.0, frac))
 
 
+def _area_row(
+    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
+) -> list[float]:
+    # No objective scale to integrate against when nobody found a solution.
+    best = resolve_best_known(scenario, inst.id)
+    pool = obj_pool(scenario, inst.id)
+    if best is None or pool is None:
+        return [0.0] * len(runs)
+    bounds = (min(best, pool[0]), pool[1])
+    row = []
+    for s, out in zip(scenario.solvers, runs):
+        traj = scenario.trajectory(inst.id, s)
+        if traj is None:
+            if not math.isinf(out.obj):
+                raise MissingTrajectory(
+                    f"area needs a trajectory for ({inst.id}, {s}); none was recorded"
+                )
+            traj = Trajectory()
+        row.append(area_score(inst, traj, bounds, scenario.timeout_s))
+    return row
+
+
+def _ratio_row(
+    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
+) -> list[float]:
+    best = resolve_best_known(scenario, inst.id)
+    if best is None:
+        return [0.0] * len(runs)
+    resolved = replace(inst, best_known_obj=best)
+    return [ratio_score(resolved, out) for out in runs]
+
+
+def _reward_row(
+    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
+) -> list[float]:
+    pool = obj_pool(scenario, inst.id)
+    if pool is None:
+        return [0.0] * len(runs)
+    return [
+        bounded_reward_score(inst, out, pool[0], pool[1], params.alpha, params.beta)
+        for out in runs
+    ]
+
+
+def _mznc_row(
+    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
+) -> list[float]:
+    # Each solver's pairwise score on the instance: its sum over the opponents.
+    delta_ms = threshold_ms(params.delta)
+    decision = inst.kind is InstanceKind.DECISION
+    pairs = [(out.time_s, out.obj) for out in runs]
+    rows = (
+        _pair_entries(decision, scenario.timeout_s, *pairs[k], pairs[:k] + pairs[k + 1 :])
+        for k in range(len(pairs))
+    )
+    return [math.fsum(_pair_values(row, delta_ms)) for row in rows]
+
+
+def _speedup_row(
+    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
+) -> list[float]:
+    vbs = min(out.time_s for out in runs)
+    return [1.0 if out.time_s == 0.0 else vbs / out.time_s for out in runs]
+
+
+# Per-instance value of every solver, from that instance's runs alone.
+_ROWS = {
+    "par": lambda sc, inst, runs, p: [par_instance(out, p.lam, sc.timeout_s) for out in runs],
+    "runtime": lambda sc, inst, runs, p: [out.time_s for out in runs],
+    "solved-count": lambda sc, inst, runs, p: [
+        1.0 if out.status is RunStatus.SOLVED else 0.0 for out in runs
+    ],
+    "normalized-runtime": lambda sc, inst, runs, p: [
+        1.0 - out.time_s / sc.timeout_s for out in runs
+    ],
+    "speedup": _speedup_row,
+    "mznc": _mznc_row,
+    "ratio": _ratio_row,
+    "area": _area_row,
+    "bounded-reward": _reward_row,
+}
+
+
+# One column per solver, indexed by instance position; see instance_columns.
+Columns = dict[str, tuple[float | None, ...]]
+
+
+def instance_columns(
+    scenario: Scenario, metric_id: str, params: MetricParams | None = None
+) -> Columns:
+    """Per-instance values of a metric, one column per solver.
+
+    Entry p of a column is the solver's value on the instance at position p
+    of the scenario's instance order; metrics that need optimization data
+    hold None at decision instances. Every value depends on its own
+    instance's runs only, so the values of any subset of instances (a fold)
+    are the ones a copy of the scenario restricted to it would give. Closed
+    gap has no per-instance values; its baselines read base_columns.
+    """
+    params = params or MetricParams()
+    info = metric_info(metric_id)
+    if metric_id == "closed-gap":
+        raise NonDecomposableMetric("closed gap is scored from its base metric's columns")
+    if metric_id == "mznc" and len(scenario.solvers) < 2:
+        raise SingleSolverScenario("pairwise scoring needs at least two solvers")
+    row = _ROWS[metric_id]
+    solvers, outcomes = scenario.solvers, scenario.outcomes
+    skip = (None,) * len(solvers)
+    rows = [
+        skip
+        if info.optimization_only and inst.kind is InstanceKind.DECISION
+        else row(scenario, inst, [outcomes[(inst.id, s)] for s in solvers], params)
+        for inst in scenario.instances
+    ]
+    return dict(zip(solvers, zip(*rows)))
+
+
+def valued(columns: Columns, at: Iterable[int]) -> list[int]:
+    """The positions of at where the columns hold a value."""
+    first = next(iter(columns.values()))
+    return [p for p in at if first[p] is not None]
+
+
+def base_columns(scenario: Scenario, base_metric: str, lam: float = 10.0) -> Columns:
+    """instance_columns of a metric that can anchor virtual/single best baselines.
+
+    Only per-instance, lower-is-better metrics can: par, raw runtime, and area.
+    """
+    info = METRICS.get(base_metric)
+    if info is None or not info.decomposable_base:
+        raise NonDecomposableMetric(
+            f"{base_metric!r} cannot anchor baselines; it has no per-instance, "
+            "lower-is-better decomposition"
+        )
+    return instance_columns(scenario, base_metric, MetricParams(lam=lam))
+
+
 def area_instance_values(scenario: Scenario) -> dict[tuple[str, str], float]:
     """Area score per (solver, optimization instance).
 
     Instances where no solver found any solution score 0 for everyone, since
     there is no objective scale to integrate against.
     """
-    values: dict[tuple[str, str], float] = {}
-    for iid in scenario.optimization_ids:
-        inst = scenario.instance(iid)
-        best = resolve_best_known(scenario, iid)
-        pool = obj_pool(scenario, iid)
-        if best is None or pool is None:
-            for s in scenario.solvers:
-                values[(s, iid)] = 0.0
-            continue
-        bounds = (min(best, pool[0]), pool[1])
-        for s in scenario.solvers:
-            out = scenario.outcome(iid, s)
-            traj = scenario.trajectory(iid, s)
-            if traj is None:
-                if math.isinf(out.obj):
-                    traj = Trajectory()
-                else:
-                    raise MissingTrajectory(
-                        f"area needs a trajectory for ({iid}, {s}); none was recorded"
-                    )
-            values[(s, iid)] = area_score(inst, traj, bounds, scenario.timeout_s)
-    return values
+    columns = instance_columns(scenario, "area")
+    return {
+        (s, iid): columns[s][scenario.position_map[iid]]
+        for iid in scenario.optimization_ids
+        for s in scenario.solvers
+    }
 
 
 def base_instance_values(
     scenario: Scenario, base_metric: str, lam: float = 10.0
 ) -> dict[tuple[str, str], float]:
-    """Per-(solver, instance) values of a per-instance, lower-is-better metric.
-
-    Only such metrics can anchor virtual/single best baselines: par, raw
-    runtime, and area.
-    """
-    if base_metric == "par":
-        return {
-            (s, i): par_instance(scenario.outcome(i, s), lam, scenario.timeout_s)
-            for s in scenario.solvers
-            for i in scenario.instance_ids
-        }
-    if base_metric == "runtime":
-        return {
-            (s, i): scenario.time(i, s)
-            for s in scenario.solvers
-            for i in scenario.instance_ids
-        }
-    if base_metric == "area":
-        return area_instance_values(scenario)
-    raise NonDecomposableMetric(
-        f"{base_metric!r} cannot anchor baselines; it has no per-instance, "
-        "lower-is-better decomposition"
-    )
+    """Per-(solver, instance) values of a metric that can anchor baselines (base_columns)."""
+    return {
+        (s, iid): v
+        for s, column in base_columns(scenario, base_metric, lam).items()
+        for iid, v in zip(scenario.instance_ids, column)
+        if v is not None
+    }

@@ -11,14 +11,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    """One SplitMix64 finalizer step over a 64-bit value."""
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 class SplitMix64:
     """Sequential SplitMix64 stream."""
 

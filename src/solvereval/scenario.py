@@ -28,6 +28,7 @@ __all__ = [
     "Trajectory",
     "build_scenario",
     "obj_pool",
+    "positions",
     "quantize_ms",
     "resolve_best_known",
     "restrict",
@@ -124,6 +125,10 @@ class Scenario:
     @cached_property
     def instance_map(self) -> dict[str, Instance]:
         return {inst.id: inst for inst in self.instances}
+
+    @cached_property
+    def position_map(self) -> dict[str, int]:
+        return {inst.id: p for p, inst in enumerate(self.instances)}
 
     @cached_property
     def instance_ids(self) -> tuple[str, ...]:
@@ -372,19 +377,28 @@ def build_scenario(
     )
 
 
+def positions(scenario: Scenario, instance_ids: Iterable[str]) -> tuple[int, ...]:
+    """Positions of a subset of the scenario's instances, in the scenario's order.
+
+    A cross-validation fold is such a subset: scoring reads per-instance
+    values at these positions, where restrict copies the runs.
+    """
+    wanted = set(instance_ids)
+    if not wanted:
+        raise EmptyRestriction("restriction needs at least one instance")
+    index = scenario.position_map
+    missing = sorted(wanted.difference(index))
+    if missing:
+        raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
+    return tuple(sorted(index[i] for i in wanted))
+
+
 def restrict(scenario: Scenario, instance_ids: Sequence[str]) -> Scenario:
     """Project a scenario onto a subset of its instances.
 
     Keeps the scenario's instance order; solvers and timeout are unchanged.
     """
-    wanted = set(instance_ids)
-    if not wanted:
-        raise EmptyRestriction("restriction needs at least one instance")
-    known = set(scenario.instance_ids)
-    missing = sorted(wanted - known)
-    if missing:
-        raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
-    kept = tuple(inst for inst in scenario.instances if inst.id in wanted)
+    kept = tuple(scenario.instances[p] for p in positions(scenario, instance_ids))
     kept_ids = {inst.id for inst in kept}
     outcomes = {k: v for k, v in scenario.outcomes.items() if k[0] in kept_ids}
     trajectories = {k: v for k, v in scenario.trajectories.items() if k[0] in kept_ids}

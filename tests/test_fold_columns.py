@@ -1,0 +1,391 @@
+"""Fold cells read from per-solver columns, against the per-cell copies they replaced.
+
+The reference functions below are the evaluation loop as it was before
+cells became index subsets: every cell scores a copy of the scenario
+restricted to the cell (ref_restrict, the old restrict), and the
+closed-gap baselines recompute their base values on fresh copies of the
+selection and evaluation splits. Results are compared with ==, including
+key order where it reaches a report, since the columns promise
+bit-identical results; errors are compared by type.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import pytest
+from helpers import decision_scenario
+from hypothesis import given
+from hypothesis import strategies as st
+from test_pairwise_kernel import ref_per_instance
+from test_properties import scenarios
+
+from solvereval import (
+    Aggregation,
+    BaselineReport,
+    DegenerateGap,
+    EmptyInput,
+    EmptyRestriction,
+    EvaluationResult,
+    FoldCell,
+    FoldContext,
+    FoldPlan,
+    InstanceKind,
+    MetricParams,
+    MissingFoldContext,
+    MissingTrajectory,
+    NonDecomposableMetric,
+    RunStatus,
+    SbsPolicy,
+    ScoreTable,
+    SingleSolverScenario,
+    SolverEvalError,
+    SolverSpec,
+    Trajectory,
+    UnknownInstance,
+    aggregate,
+    area_score,
+    bounded_reward_score,
+    closed_gap,
+    evaluate,
+    generate,
+    make_fold_plan,
+    metric_info,
+    obj_pool,
+    par_instance,
+    ratio_score,
+    resolve_best_known,
+    score_scenario,
+    thorough_vs_fast_spec,
+    uniform,
+)
+from solvereval.synthkit import ArchetypeSpec
+
+METRIC_IDS = (
+    "par", "runtime", "solved-count", "normalized-runtime", "speedup", "mznc",
+    "closed-gap", "ratio", "area", "bounded-reward",
+)
+
+
+def ref_restrict(sc, instance_ids):
+    wanted = set(instance_ids)
+    if not wanted:
+        raise EmptyRestriction("empty")
+    missing = sorted(wanted - set(sc.instance_ids))
+    if missing:
+        raise UnknownInstance(", ".join(missing))
+    kept = tuple(inst for inst in sc.instances if inst.id in wanted)
+    return replace(
+        sc,
+        instances=kept,
+        outcomes={k: v for k, v in sc.outcomes.items() if k[0] in wanted},
+        trajectories={k: v for k, v in sc.trajectories.items() if k[0] in wanted},
+    )
+
+
+def ref_area_values(sc):
+    values = {}
+    for iid in sc.optimization_ids:
+        inst = sc.instance(iid)
+        best = resolve_best_known(sc, iid)
+        pool = obj_pool(sc, iid)
+        if best is None or pool is None:
+            for s in sc.solvers:
+                values[(s, iid)] = 0.0
+            continue
+        bounds = (min(best, pool[0]), pool[1])
+        for s in sc.solvers:
+            traj = sc.trajectory(iid, s)
+            if traj is None:
+                if not math.isinf(sc.obj(iid, s)):
+                    raise MissingTrajectory(f"({iid}, {s})")
+                traj = Trajectory()
+            values[(s, iid)] = area_score(inst, traj, bounds, sc.timeout_s)
+    return values
+
+
+def ref_base_values(sc, base_metric, lam):
+    if base_metric == "par":
+        return {
+            (s, i): par_instance(sc.outcome(i, s), lam, sc.timeout_s)
+            for s in sc.solvers for i in sc.instance_ids
+        }
+    if base_metric == "runtime":
+        return {(s, i): sc.time(i, s) for s in sc.solvers for i in sc.instance_ids}
+    if base_metric == "area":
+        return ref_area_values(sc)
+    raise NonDecomposableMetric(base_metric)
+
+
+def ref_totals(sc, base_metric, lam):
+    values = ref_base_values(sc, base_metric, lam)
+    return {s: math.fsum(v for (sid, _), v in values.items() if sid == s) for s in sc.solvers}
+
+
+def ref_baseline_report(sc, base_metric, lam, policy, ctx):
+    if policy is SbsPolicy.FULL_DATASET:
+        selection = sc
+    elif ctx is None:
+        raise MissingFoldContext(policy.value)
+    else:
+        selection = ref_restrict(sc, ctx.train if policy is SbsPolicy.TRAIN_SPLIT else ctx.test)
+    totals = ref_totals(selection, base_metric, lam)
+    sbs = min(sc.solvers, key=lambda s: (totals[s], s))
+    evaluation = ref_restrict(sc, ctx.test) if ctx is not None else sc
+    values = ref_base_values(evaluation, base_metric, lam)
+    per_instance = {}
+    for i in evaluation.instance_ids:
+        candidates = [values[(s, i)] for s in evaluation.solvers if (s, i) in values]
+        if candidates:
+            per_instance[i] = min(candidates)
+    m_vbs = math.fsum(per_instance.values())
+    m_sbs = ref_totals(evaluation, base_metric, lam)[sbs]
+    gap_ratio = 0.0 if m_sbs == 0.0 else (m_sbs - m_vbs) / m_sbs
+    warnings = ()
+    if gap_ratio < 0.01:
+        warnings = (
+            f"low resolution: the single best solver is within "
+            f"{gap_ratio:.4%} of the virtual best on the evaluation set; "
+            "closed-gap values will be noisy",
+        )
+    return BaselineReport(base_metric, sbs, policy, per_instance, m_vbs, m_sbs, gap_ratio, warnings)
+
+
+def ref_instance_values(ev, metric_id, params):
+    tau = ev.timeout_s
+    pairs = [(s, i) for s in ev.solvers for i in ev.instance_ids]
+    if metric_id == "par":
+        return {(s, i): par_instance(ev.outcome(i, s), params.lam, tau) for s, i in pairs}
+    if metric_id == "runtime":
+        return {(s, i): ev.time(i, s) for s, i in pairs}
+    if metric_id == "solved-count":
+        return {(s, i): float(ev.outcome(i, s).status is RunStatus.SOLVED) for s, i in pairs}
+    if metric_id == "normalized-runtime":
+        return {(s, i): 1.0 - ev.time(i, s) / tau for s, i in pairs}
+    if metric_id == "speedup":
+        vbs = {i: min(ev.time(i, s) for s in ev.solvers) for i in ev.instance_ids}
+        return {
+            (s, i): 1.0 if ev.time(i, s) == 0.0 else vbs[i] / ev.time(i, s) for s, i in pairs
+        }
+    if metric_id == "mznc":
+        return ref_per_instance(ev, params.delta)
+    if not ev.optimization_ids:
+        raise EmptyInput(metric_id)
+    if metric_id == "area":
+        return ref_area_values(ev)
+    values = {}
+    for iid in ev.optimization_ids:
+        inst, best, pool = ev.instance(iid), resolve_best_known(ev, iid), obj_pool(ev, iid)
+        for s in ev.solvers:
+            out = ev.outcome(iid, s)
+            if metric_id == "ratio":
+                v = 0.0 if best is None else ratio_score(replace(inst, best_known_obj=best), out)
+            else:
+                v = 0.0 if pool is None else bounded_reward_score(
+                    inst, out, pool[0], pool[1], params.alpha, params.beta
+                )
+            values[(s, iid)] = v
+    return values
+
+
+def ref_score(sc, metric_id, params, policy, ctx):
+    ev = ref_restrict(sc, ctx.test) if ctx is not None else sc
+    direction = metric_info(metric_id).direction
+    if metric_id == "closed-gap":
+        report = ref_baseline_report(sc, params.base_metric, params.lam, policy, ctx)
+        totals = ref_totals(ev, params.base_metric, params.lam)
+        per_solver = {s: closed_gap(totals[s], report.m_sbs, report.m_vbs) for s in sc.solvers}
+        table_params = {"base_metric": params.base_metric, "sbs_policy": policy.value}
+        if params.base_metric == "par":
+            table_params["lambda"] = params.lam
+        return ScoreTable(metric_id, table_params, per_solver, direction), report
+    if metric_id == "mznc" and len(ev.solvers) < 2:
+        raise SingleSolverScenario(metric_id)
+    values = ref_instance_values(ev, metric_id, params)
+    how = Aggregation.SUM if metric_id in ("solved-count", "mznc") else Aggregation.ARITHMETIC_MEAN
+    per_solver = {
+        s: aggregate([v for (sid, _), v in values.items() if sid == s], how) for s in ev.solvers
+    }
+    table_params = {
+        "par": {"lambda": params.lam},
+        "mznc": {"delta": params.delta},
+        "bounded-reward": {"alpha": params.alpha, "beta": params.beta},
+    }.get(metric_id, {})
+    return ScoreTable(metric_id, table_params, per_solver, direction, values, how.value), None
+
+
+def ref_evaluate(sc, metric_id, params, plan, sbs_policy, aggregation):
+    merge = aggregation or Aggregation.ARITHMETIC_MEAN
+    if plan is None:
+        policy = sbs_policy or SbsPolicy.FULL_DATASET
+        table, report = ref_score(sc, metric_id, params, policy, None)
+        cell = FoldCell(0, 0, sc.instance_ids, table, report)
+        return EvaluationResult(sc.id, metric_id, table.params, (cell,), table, None, policy, merge)
+    policy = sbs_policy or SbsPolicy.TRAIN_SPLIT
+    cells = []
+    for r, folds in enumerate(plan.assignment):
+        for f, test in enumerate(folds):
+            train = tuple(i for g, fold in enumerate(folds) if g != f for i in fold)
+            table, report = ref_score(sc, metric_id, params, policy, FoldContext(train, test))
+            cells.append(FoldCell(r, f, test, table, report))
+    merged = ScoreTable(
+        metric_id,
+        cells[0].table.params,
+        {s: aggregate([c.table.per_solver[s] for c in cells], merge) for s in sc.solvers},
+        cells[0].table.direction,
+    )
+    return EvaluationResult(
+        sc.id, metric_id, merged.params, tuple(cells), merged, plan, policy, merge
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the package error it raised."""
+    try:
+        return fn(*args)
+    except SolverEvalError as e:
+        return type(e)
+
+
+def key_orders(result):
+    """Every key order a cell carries: per-solver scores, per-instance values, VBS values."""
+    return [
+        (
+            list(c.table.per_solver),
+            list(c.table.per_instance or ()),
+            list(c.baseline.vbs_per_instance) if c.baseline is not None else None,
+        )
+        for c in result.cells
+    ]
+
+
+def assert_same_evaluation(sc, metric_id, params, plan, policy, aggregation):
+    args = (sc, metric_id, params, plan, policy, aggregation)
+    got, want = outcome(evaluate, *args), outcome(ref_evaluate, *args)
+    assert got == want
+    if isinstance(want, EvaluationResult):
+        assert key_orders(got) == key_orders(want)
+        assert list(got.merged.per_solver) == list(want.merged.per_solver)
+
+
+def assert_same_cells(sc, metric_id, params, plan, policy):
+    """score_scenario on each cell's split gives the reference result, or raises the same error."""
+    for folds in plan.assignment:
+        for f, test in enumerate(folds):
+            train = tuple(i for g, fold in enumerate(folds) if g != f for i in fold)
+            args = (sc, metric_id, params, policy, FoldContext(train, test))
+            assert outcome(score_scenario, *args) == outcome(ref_score, *args), (metric_id, f)
+
+
+def bench_family_spec(seed, n_instances, n_solvers, opt_fraction):
+    return ArchetypeSpec(
+        seed=seed, n_instances=n_instances, timeout_s=100.0, opt_fraction=opt_fraction,
+        solvers=tuple(
+            SolverSpec(0.5 + 0.08 * (j % 5), uniform(1 + j % 10, 40 + 5 * (j % 10)),
+                       uniform(0, 5), name=f"s{j:02d}")
+            for j in range(n_solvers)
+        ),
+    )
+
+
+@st.composite
+def generated(draw):
+    """A generate() scenario of the bench solver family, often with both instance kinds."""
+    spec = bench_family_spec(
+        draw(st.integers(0, 10_000)),
+        draw(st.integers(4, 24)),
+        draw(st.integers(2, 5)),
+        draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])),
+    )
+    return generate(spec)
+
+
+PARAMS = st.builds(
+    MetricParams,
+    lam=st.sampled_from([1.0, 10.0]),
+    delta=st.sampled_from([0.0, 1.0]),
+    base_metric=st.sampled_from(["par", "runtime", "area"]),
+)
+POLICIES = st.sampled_from([None, *SbsPolicy])
+AGGREGATIONS = st.sampled_from([None, *Aggregation])
+
+
+@st.composite
+def plans(draw, sc):
+    n = len(sc.instance_ids)
+    if n < 2 or draw(st.integers(0, 4)) == 0:
+        return None
+    return make_fold_plan(
+        sc.instance_ids, draw(st.integers(2, min(n, 5))),
+        repeats=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)),
+    )
+
+
+class TestAgainstPerCellCopies:
+    @given(generated(), st.data())
+    def test_generated_mixed_kinds(self, sc, data):
+        plan = data.draw(plans(sc))
+        for metric_id in METRIC_IDS:
+            assert_same_evaluation(
+                sc, metric_id, data.draw(PARAMS), plan, data.draw(POLICIES),
+                data.draw(AGGREGATIONS),
+            )
+
+    @given(scenarios(), st.data())
+    def test_property_scenarios(self, sc, data):
+        # No trajectories here, so area is left to the generated scenarios.
+        plan = data.draw(plans(sc))
+        params = data.draw(PARAMS.filter(lambda p: p.base_metric != "area"))
+        for metric_id in METRIC_IDS:
+            if metric_id != "area":
+                assert_same_evaluation(
+                    sc, metric_id, params, plan, data.draw(POLICIES), data.draw(AGGREGATIONS)
+                )
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("policy", list(SbsPolicy))
+    def test_bench_family(self, seed, policy):
+        sc = generate(bench_family_spec(seed, 40, 6, 0.5))
+        plan = make_fold_plan(sc.instance_ids, 4, repeats=2, seed=seed)
+        cases = [(m, MetricParams()) for m in METRIC_IDS] + [
+            ("closed-gap", MetricParams(base_metric=b, lam=1.5)) for b in ("runtime", "area")
+        ]
+        for metric_id, params in cases:
+            assert_same_cells(sc, metric_id, params, plan, policy)
+            for aggregation in Aggregation:
+                assert_same_evaluation(sc, metric_id, params, plan, policy, aggregation)
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("metric_id", ["ratio", "area", "bounded-reward"])
+    def test_fold_without_optimization_instances(self, metric_id):
+        # 2 optimization instances out of 30: most of the 10 folds have none.
+        sc = generate(replace(thorough_vs_fast_spec(seed=3, n_instances=30), opt_fraction=0.1))
+        assert len(sc.optimization_ids) == 2
+        plan = make_fold_plan(sc.instance_ids, 10)
+        assert_same_cells(sc, metric_id, MetricParams(), plan, SbsPolicy.TRAIN_SPLIT)
+        assert outcome(evaluate, sc, metric_id, MetricParams(), plan) is EmptyInput
+        assert outcome(ref_evaluate, sc, metric_id, MetricParams(), plan, None, None) is EmptyInput
+        scored = [
+            f for f, test in enumerate(plan.assignment[0])
+            if any(sc.instance(i).kind is InstanceKind.OPTIMIZATION for i in test)
+        ]
+        assert 0 < len(scored) < 10
+
+    @pytest.mark.parametrize("policy", list(SbsPolicy))
+    def test_degenerate_closed_gap_cell(self, policy):
+        # Both solvers take the same time on every instance of the second fold.
+        sc = decision_scenario({
+            "i1": {"a": 1.0, "b": 5.0},
+            "i2": {"a": 6.0, "b": 2.0},
+            "i3": {"a": 5.0, "b": 5.0},
+            "i4": {"a": 7.0, "b": 7.0},
+        })
+        plan = FoldPlan(seed=0, k=2, repeats=1, assignment=((("i1", "i2"), ("i3", "i4")),))
+        first = FoldContext(train=("i3", "i4"), test=("i1", "i2"))
+        second = FoldContext(train=("i1", "i2"), test=("i3", "i4"))
+        assert isinstance(outcome(score_scenario, sc, "closed-gap", None, policy, first), tuple)
+        assert outcome(score_scenario, sc, "closed-gap", None, policy, second) is DegenerateGap
+        assert_same_cells(sc, "closed-gap", MetricParams(), plan, policy)
+        assert outcome(evaluate, sc, "closed-gap", None, plan, policy) is DegenerateGap

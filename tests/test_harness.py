@@ -13,11 +13,13 @@ from solvereval import (
     DEFAULT_MERGE,
     Direction,
     EmptyInput,
+    FoldContext,
     MixedMetrics,
     NonPositiveForGeomean,
     SameSolver,
     SbsPolicy,
     ScoreTable,
+    SingleSolverScenario,
     Trajectory,
     UnknownSolver,
     UnsupportedMetricForFolds,
@@ -215,19 +217,25 @@ class TestEvaluate:
         with pytest.raises(UnsupportedMetricForFolds):
             evaluate(sc, "mznc")
 
+    def test_single_solver_pairwise_same_error_everywhere(self):
+        sc = decision_scenario({"i1": {"a": 1.0}, "i2": {"a": 2.0}})
+        plan = make_fold_plan(sc.instance_ids, 2)
+        for call in (
+            lambda: score_scenario(sc, "mznc"),
+            lambda: score_scenario(sc, "mznc", fold_context=FoldContext(("i1",), ("i2",))),
+            lambda: evaluate(sc, "mznc"),
+            lambda: evaluate(sc, "mznc", fold_plan=plan),
+            lambda: mznc_score(sc, "a"),
+            lambda: delta_sweep(sc, [0.0]),
+        ):
+            with pytest.raises(SingleSolverScenario):
+                call()
+
     def test_fold_plan_must_match_instances(self):
         sc = self._sc()
         plan = make_fold_plan(["x1", "x2"], 2)
         with pytest.raises(ValueError):
             evaluate(sc, "par", fold_plan=plan)
-
-    def test_parallel_matches_serial(self):
-        sc = self._sc()
-        plan = make_fold_plan(sc.instance_ids, 2, repeats=2, seed=3)
-        serial = evaluate(sc, "mznc", fold_plan=plan, n_jobs=1)
-        threaded = evaluate(sc, "mznc", fold_plan=plan, n_jobs=4)
-        assert serial.merged == threaded.merged
-        assert serial.cells == threaded.cells
 
 
 class TestRank:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +36,6 @@ from .scenario import (
     Scenario,
     ScoreTable,
     positions,
-    time_to_ms,
 )
 
 __all__ = [
@@ -340,17 +340,9 @@ class HeadToHead:
 def head_to_head(scenario: Scenario, solver_a: str, solver_b: str) -> HeadToHead:
     """Count instances each solver finished strictly faster; equal times tie."""
     _require_solvers(scenario, (solver_a, solver_b))
-    a = b = ties = 0
-    for i in scenario.instance_ids:
-        ta = time_to_ms(scenario.time(i, solver_a))
-        tb = time_to_ms(scenario.time(i, solver_b))
-        if ta < tb:
-            a += 1
-        elif tb < ta:
-            b += 1
-        else:
-            ties += 1
-    return HeadToHead(solver_a, solver_b, a, b, ties)
+    ta, tb = scenario.time_columns[solver_a], scenario.time_columns[solver_b]
+    a, b = sum(map(operator.lt, ta, tb)), sum(map(operator.lt, tb, ta))
+    return HeadToHead(solver_a, solver_b, a, b, len(ta) - a - b)
 
 
 def delta_sweep(
@@ -379,11 +371,12 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
     if solver_a == solver_b:
         raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
     _require_solvers(scenario, (solver_a, solver_b))
+    cols = scenario.time_columns
     diffs_ms = {0}
-    for i in scenario.instance_ids:
-        ms = {s: time_to_ms(scenario.time(i, s)) for s in scenario.solvers}
-        for s in (solver_a, solver_b):
-            diffs_ms.update(abs(ms[s] - t) for other, t in ms.items() if other != s)
+    for s in (solver_a, solver_b):
+        for other in scenario.solvers:
+            if other != s:
+                diffs_ms.update(map(abs, map(operator.sub, cols[s], cols[other])))
     candidates = [d / 1000.0 for d in sorted(diffs_ms)]
     scores = mznc_scores(scenario, (solver_a, solver_b), candidates)
     flip: float | None = None
@@ -398,9 +391,9 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
 def runtime_distribution(scenario: Scenario, solver: str) -> list[float]:
     """Ascending runtimes of the instances the solver actually solved."""
     _require_solvers(scenario, (solver,))
-    times = [
-        scenario.time(i, solver)
-        for i in scenario.instance_ids
-        if scenario.outcome(i, solver).status is RunStatus.SOLVED
-    ]
-    return sorted(times)
+    outcomes = scenario.outcomes
+    return sorted(
+        ms / 1000.0
+        for i, ms in zip(scenario.instance_ids, scenario.time_columns[solver])
+        if outcomes[(i, solver)].status is RunStatus.SOLVED
+    )

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import __version__
 from .baselines import BaselineReport
-from .errors import RowError, SchemaError, UnsupportedAttribute
+from .errors import RowError, SchemaError, UnsupportedAttribute, Violation
 from .harness import EvaluationResult, RankEntry, rank
 from .scenario import (
     Instance,
@@ -28,8 +28,10 @@ from .scenario import (
     RunStatus,
     Scenario,
     Trajectory,
+    assemble_scenario,
+    check_run,
+    check_timeout,
     quantize_ms,
-    validate_scenario,
 )
 
 __all__ = [
@@ -56,26 +58,35 @@ def trajectories_path_for(runs_path: str | Path) -> Path:
     return p.with_name(p.stem + "_trajectories" + p.suffix)
 
 
-def _parse_time(cell: str, line_no: int) -> float:
+def _parse_float(cell: str | None, what: str, line_no: int) -> float:
     try:
-        t = float(cell)
+        return float(cell)
     except (TypeError, ValueError):
-        raise RowError(line_no, f"unparseable time_s {cell!r}") from None
+        raise RowError(line_no, f"unparseable {what} {cell!r}") from None
+
+
+def _parse_time(cell: str, line_no: int) -> float:
+    t = _parse_float(cell, "time_s", line_no)
     if math.isnan(t) or math.isinf(t):
         raise RowError(line_no, f"time_s must be finite, got {cell!r}")
     return t
 
 
-def _parse_obj(cell: str | None, line_no: int) -> float:
-    if cell is None or not cell.strip():
-        return math.inf
+def _checked_run(status: RunStatus, t: float, obj: float, timeout_s: float,
+                 line_no: int, unsolved_at_timeout: bool = False) -> RunOutcome:
     try:
-        v = float(cell)
-    except ValueError:
-        raise RowError(line_no, f"unparseable obj {cell!r}") from None
-    if math.isnan(v) or v == -math.inf:
-        raise RowError(line_no, f"obj must be a number or +inf, got {cell!r}")
-    return v
+        return check_run(status, t, obj, timeout_s, unsolved_at_timeout)
+    except ValueError as exc:
+        raise RowError(line_no, str(exc)) from None
+
+
+def _rows(reader, width: int):
+    """(line number, row) for each non-blank CSV row, checked to have width cells."""
+    for row in reader:
+        if row:
+            if len(row) < width:
+                raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
+            yield reader.line_num, row
 
 
 def parse_runs(
@@ -90,79 +101,72 @@ def parse_runs(
     any of its rows carries a non-empty obj cell. Unsolved rows have their
     recorded time replaced by the timeout. Rows with time_s beyond the
     timeout, unknown statuses, or duplicate (instance, solver) pairs are
-    rejected with their line number.
+    rejected with their line number. Each row is checked once, by
+    scenario.check_run; the checks that span rows follow the last row.
     """
     path = Path(path)
+    timeout_s = check_timeout(timeout_s)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file, expected a runs CSV header")
-        fields = [f.strip() for f in reader.fieldnames]
-        has_obj = "obj" in fields
-        expected = set(_RUN_FIELDS) | ({"obj"} if has_obj else set())
+        fields = [f.strip() for f in header]
         missing = set(_RUN_FIELDS) - set(fields)
-        extra = set(fields) - expected
+        extra = set(fields) - set(_RUN_FIELDS) - {"obj"}
         if missing or extra:
             raise SchemaError(
                 f"{path}: header must be instance_id,solver_id,status,time_s[,obj];"
                 f" missing {sorted(missing)}, unexpected {sorted(extra)}"
             )
+        c_inst, c_solver, c_status, c_time = (fields.index(f) for f in _RUN_FIELDS)
+        c_obj = fields.index("obj") if "obj" in fields else None
 
-        instance_order: list[str] = []
-        solver_order: list[str] = []
-        is_opt: dict[str, bool] = {}
+        is_opt: dict[str, bool] = {}  # instances in file order
+        solver_order: dict[str, None] = {}
         outcomes: dict[tuple[str, str], RunOutcome] = {}
-        for line_no, row in enumerate(reader, start=2):
-            iid = (row["instance_id"] or "").strip()
-            sid = (row["solver_id"] or "").strip()
+        unproven: list[tuple[str, str]] = []  # solved runs without a finite obj
+        for line_no, row in _rows(reader, len(fields)):
+            iid = row[c_inst].strip()
+            sid = row[c_solver].strip()
             if not iid or not sid:
                 raise RowError(line_no, "instance_id and solver_id must be non-empty")
-            status_raw = (row["status"] or "").strip().lower()
-            if status_raw not in _STATUS_IN:
+            status_raw = row[c_status].strip().lower()
+            status = _STATUS_IN.get(status_raw)
+            if status is None:
                 raise RowError(
-                    line_no,
-                    f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}",
+                    line_no, f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}"
                 )
-            status = _STATUS_IN[status_raw]
-            t = _parse_time(row["time_s"], line_no)
-            if t < 0:
-                raise RowError(line_no, f"time_s must be >= 0, got {t}")
-            if quantize_ms(t) > timeout_s:
-                raise RowError(line_no, f"time_s {t} exceeds the timeout {timeout_s}")
-            if status is RunStatus.SOLVED:
-                t = quantize_ms(t)
-                if t >= timeout_s:
-                    raise RowError(line_no, "a solved run must finish strictly before the timeout")
-            else:
-                t = timeout_s
-            obj = _parse_obj(row.get("obj"), line_no) if has_obj else math.inf
-            obj_present = has_obj and bool((row.get("obj") or "").strip())
+            t = _parse_float(row[c_time], "time_s", line_no)
+            obj_cell = row[c_obj].strip() if c_obj is not None else ""
+            obj = _parse_float(obj_cell, "obj", line_no) if obj_cell else math.inf
+            run = _checked_run(status, t, obj, timeout_s, line_no, unsolved_at_timeout=True)
 
-            if iid not in is_opt:
-                instance_order.append(iid)
-                is_opt[iid] = False
-            if obj_present:
+            if obj_cell:
                 is_opt[iid] = True
-            if sid not in solver_order:
-                solver_order.append(sid)
+            else:
+                is_opt.setdefault(iid, False)
+            if status is RunStatus.SOLVED and run.obj == math.inf:
+                unproven.append((iid, sid))
+            solver_order[sid] = None
             if (iid, sid) in outcomes:
                 raise RowError(line_no, f"duplicate row for ({iid}, {sid})")
-            outcomes[(iid, sid)] = RunOutcome(t, status, obj)
+            outcomes[(iid, sid)] = run
 
-    trajectories = _read_trajectories(path, trajectories_path, outcomes, is_opt)
-    instances = tuple(
-        Instance(i, InstanceKind.OPTIMIZATION if is_opt[i] else InstanceKind.DECISION)
-        for i in instance_order
-    )
-    return validate_scenario(
-        Scenario(
-            id=scenario_id or path.stem,
-            instances=instances,
-            solvers=tuple(solver_order),
-            timeout_s=timeout_s,
-            outcomes=outcomes,
-            trajectories=trajectories,
-        )
+    violations = [
+        Violation("BadOutcome", "solved optimization run must have a finite obj", f"({i}, {s})")
+        for i, s in unproven
+        if is_opt[i]
+    ]
+    return assemble_scenario(
+        scenario_id or path.stem,
+        tuple(Instance(i, InstanceKind.OPTIMIZATION if opt else InstanceKind.DECISION)
+              for i, opt in is_opt.items()),
+        tuple(solver_order),
+        timeout_s,
+        outcomes,
+        _read_trajectories(path, trajectories_path, outcomes, is_opt),
+        violations,
     )
 
 
@@ -179,23 +183,22 @@ def _read_trajectories(
         trajectories_path = candidate
     events: dict[tuple[str, str], list[tuple[float, float]]] = {}
     with open(trajectories_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             return {}
-        fields = [f.strip() for f in reader.fieldnames]
+        fields = [f.strip() for f in header]
         if set(fields) != set(_TRAJ_FIELDS):
             raise SchemaError(
                 f"{trajectories_path}: header must be instance_id,solver_id,t_s,obj"
             )
-        for line_no, row in enumerate(reader, start=2):
-            key = ((row["instance_id"] or "").strip(), (row["solver_id"] or "").strip())
+        c_inst, c_solver, c_time, c_obj = (fields.index(f) for f in _TRAJ_FIELDS)
+        for line_no, row in _rows(reader, len(fields)):
+            key = (row[c_inst].strip(), row[c_solver].strip())
             if key not in outcomes:
                 raise RowError(line_no, f"trajectory row for unknown pair {key!r}")
-            t = _parse_time(row["t_s"], line_no)
-            try:
-                v = float(row["obj"])
-            except (TypeError, ValueError):
-                raise RowError(line_no, f"unparseable obj {row['obj']!r}") from None
+            t = _parse_time(row[c_time], line_no)
+            v = _parse_float(row[c_obj], "obj", line_no)
             events.setdefault(key, []).append((t, v))
     out: dict[tuple[str, str], Trajectory] = {}
     for key, evs in events.items():
@@ -261,6 +264,7 @@ def parse_aslib_runs(
     timeout; unsolved runs are scored at the timeout.
     """
     path = Path(path)
+    timeout_s = check_timeout(timeout_s)
     attrs: list[str] = []
     rows: list[tuple[int, list[str]]] = []
     in_data = False
@@ -293,8 +297,8 @@ def parse_aslib_runs(
         raise UnsupportedAttribute(f"{path}: unsupported attributes {extra}")
     col = {a: attrs.index(a) for a in required}
 
-    instance_order: list[str] = []
-    solver_order: list[str] = []
+    instance_order: dict[str, None] = {}
+    solver_order: dict[str, None] = {}
     outcomes: dict[tuple[str, str], RunOutcome] = {}
     skipped_repetitions = 0
     for line_no, cells in rows:
@@ -303,7 +307,7 @@ def parse_aslib_runs(
         cells = [c.strip().strip("'\"") for c in cells]
         try:
             repetition = int(float(cells[col["repetition"]]))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise RowError(line_no, f"unparseable repetition {cells[col['repetition']]!r}") from None
         if repetition != 1:
             skipped_repetitions += 1
@@ -312,23 +316,17 @@ def parse_aslib_runs(
         sid = cells[col["algorithm"]]
         runstatus = cells[col["runstatus"]].lower()
         t = _parse_time(cells[col["runtime"]], line_no)
-        if runstatus == "ok":
-            t = quantize_ms(t)
-            if t >= timeout_s:
-                status, t = RunStatus.TIMEOUT, timeout_s
-            else:
-                status = RunStatus.SOLVED
-        elif runstatus in ("memout", "crash"):
-            status, t = RunStatus.ERROR, timeout_s
+        if runstatus == "ok" and quantize_ms(t) < timeout_s:
+            status = RunStatus.SOLVED
         else:
-            status, t = RunStatus.TIMEOUT, timeout_s
-        if iid not in instance_order:
-            instance_order.append(iid)
-        if sid not in solver_order:
-            solver_order.append(sid)
+            status = RunStatus.ERROR if runstatus in ("memout", "crash") else RunStatus.TIMEOUT
+            t = timeout_s
+        run = _checked_run(status, t, math.inf, timeout_s, line_no)
+        instance_order[iid] = None
+        solver_order[sid] = None
         if (iid, sid) in outcomes:
             raise RowError(line_no, f"duplicate row for ({iid}, {sid})")
-        outcomes[(iid, sid)] = RunOutcome(t, status)
+        outcomes[(iid, sid)] = run
 
     if skipped_repetitions:
         _warnings.warn(
@@ -336,14 +334,14 @@ def parse_aslib_runs(
             UserWarning,
             stacklevel=2,
         )
-    return validate_scenario(
-        Scenario(
-            id=scenario_id or path.stem,
-            instances=tuple(Instance(i) for i in instance_order),
-            solvers=tuple(solver_order),
-            timeout_s=timeout_s,
-            outcomes=outcomes,
-        )
+    return assemble_scenario(
+        scenario_id or path.stem,
+        tuple(Instance(i) for i in instance_order),
+        tuple(solver_order),
+        timeout_s,
+        outcomes,
+        {},
+        [],
     )
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import EmptyRestriction, UnknownInstance, ValidationError, Violation
 
@@ -26,7 +26,10 @@ __all__ = [
     "Scenario",
     "ScoreTable",
     "Trajectory",
+    "assemble_scenario",
     "build_scenario",
+    "check_run",
+    "check_timeout",
     "obj_pool",
     "positions",
     "quantize_ms",
@@ -131,6 +134,12 @@ class Scenario:
         return {inst.id: p for p, inst in enumerate(self.instances)}
 
     @cached_property
+    def time_columns(self) -> dict[str, tuple[int, ...]]:
+        """Each solver's run times in integer milliseconds, in instance order."""
+        ids, outcomes = self.instance_ids, self.outcomes
+        return {s: tuple([time_to_ms(outcomes[(i, s)].time_s) for i in ids]) for s in self.solvers}
+
+    @cached_property
     def instance_ids(self) -> tuple[str, ...]:
         return tuple(inst.id for inst in self.instances)
 
@@ -195,24 +204,72 @@ def _coerce_instance(item: object) -> Instance:
     return Instance(str(item))
 
 
+def _snap(t: object) -> float:
+    """A time on the millisecond grid; a non-finite one is left to the range checks."""
+    t = float(t)
+    return quantize_ms(t) if math.isfinite(t) else t
+
+
+def check_timeout(timeout_s: object) -> float:
+    """The timeout as a float; a ValidationError naming it unless finite and positive."""
+    if isinstance(timeout_s, (int, float)) and math.isfinite(timeout_s) and timeout_s > 0:
+        return float(timeout_s)
+    message = f"timeout_s must be a finite positive number, got {timeout_s!r}"
+    raise ValidationError([Violation("BadTimeout", message)])
+
+
+def check_run(status: object, time_s: object, obj: object, timeout_s: float,
+              unsolved_at_timeout: bool = False) -> RunOutcome:
+    """The per-run invariants, shared by validate_scenario and the file readers.
+
+    A known status; a finite time_s >= 0, at most the timeout once snapped
+    to the millisecond grid; a solved run strictly before the timeout
+    (stored snapped); an unsolved run at the timeout (or stored there, with
+    unsolved_at_timeout); obj a number or +inf (None reads as +inf).
+    Returns the normalized run; raises ValueError naming what is broken.
+    """
+    try:
+        status = RunStatus(status)
+    except ValueError:
+        raise ValueError(f"unknown status {status!r}") from None
+    if not isinstance(time_s, (int, float)) or not math.isfinite(time_s):
+        raise ValueError(f"time_s must be a finite number, got {time_s!r}")
+    if time_s < 0:
+        raise ValueError(f"time_s must be >= 0, got {time_s}")
+    t = quantize_ms(time_s)
+    if t > timeout_s:
+        raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
+    if status is RunStatus.SOLVED:
+        if t >= timeout_s:
+            raise ValueError(f"a solved run must finish strictly before the timeout, got {t}")
+    elif unsolved_at_timeout or time_s == timeout_s:
+        t = timeout_s
+    else:
+        raise ValueError(f"{status.value} run must record time_s == timeout, got {time_s}")
+    obj = math.inf if obj is None else float(obj)
+    if math.isnan(obj) or obj == -math.inf:
+        raise ValueError(f"obj must be finite or +inf, got {obj!r}")
+    return RunOutcome(t, status, obj)
+
+
 def validate_scenario(raw: Scenario) -> Scenario:
     """Check every model invariant and return a normalized scenario.
 
     Normalization: ids to str, statuses and kinds to enums, solved run times
     and trajectory times snapped to the millisecond grid, containers to
-    tuples/dicts. Raises ValidationError carrying all violations found.
+    tuples/dicts. Raises ValidationError carrying all violations found; a
+    bad timeout skips the run and trajectory checks, which need it.
     """
     violations: list[Violation] = []
 
     def flag(code: str, message: str, where: str | None = None) -> None:
         violations.append(Violation(code, message, where))
 
-    timeout = raw.timeout_s
-    timeout_ok = isinstance(timeout, (int, float)) and math.isfinite(timeout) and timeout > 0
-    if not timeout_ok:
-        flag("BadTimeout", f"timeout_s must be a finite positive number, got {timeout!r}")
-        timeout = float("nan")
-    timeout = float(timeout)
+    timeout, timeout_ok = math.nan, False
+    try:
+        timeout, timeout_ok = check_timeout(raw.timeout_s), True
+    except ValidationError as exc:
+        violations += exc.violations
 
     instances: list[Instance] = []
     for item in raw.instances:
@@ -228,129 +285,126 @@ def validate_scenario(raw: Scenario) -> Scenario:
                 flag("BadInstance", "best_known_obj must be finite", inst.id)
         instances.append(inst)
 
-    instance_ids = [inst.id for inst in instances]
-    if not instance_ids:
-        flag("EmptyScenario", "scenario has no instances")
-    seen: set[str] = set()
-    for iid in instance_ids:
-        if iid in seen:
-            flag("DuplicateId", f"duplicate instance id {iid!r}")
-        seen.add(iid)
-
     solvers = [str(s) for s in raw.solvers]
-    if not solvers:
-        flag("EmptyScenario", "scenario has no solvers")
-    seen = set()
-    for sid in solvers:
-        if sid in seen:
-            flag("DuplicateId", f"duplicate solver id {sid!r}")
-        seen.add(sid)
+    for what, ids in (("instance", [inst.id for inst in instances]), ("solver", solvers)):
+        seen: set[str] = set()
+        for x in ids:
+            if x in seen:
+                flag("DuplicateId", f"duplicate {what} id {x!r}")
+            seen.add(x)
 
     kind_of = {inst.id: inst.kind for inst in instances}
-    known_pairs = {(i, s) for i in instance_ids for s in solvers}
-
+    solver_set = set(solvers)
     outcomes: dict[tuple[str, str], RunOutcome] = {}
+    rejected: set[tuple[str, str]] = set()
     for key, out in raw.outcomes.items():
         i, s = str(key[0]), str(key[1])
-        where = f"({i}, {s})"
-        if (i, s) not in known_pairs:
-            flag("UnknownId", "outcome recorded for a pair outside the scenario", where)
+        kind = kind_of.get(i)
+        if kind is None or s not in solver_set:
+            flag("UnknownId", "outcome recorded for a pair outside the scenario", f"({i}, {s})")
+            continue
+        if not timeout_ok:
+            outcomes[(i, s)] = out
             continue
         try:
-            status = RunStatus(out.status)
-        except ValueError:
-            flag("BadOutcome", f"unknown status {out.status!r}", where)
+            run = check_run(out.status, out.time_s, out.obj, timeout)
+        except ValueError as exc:
+            flag("BadOutcome", str(exc), f"({i}, {s})")
+            rejected.add((i, s))
             continue
-        t = out.time_s
-        if not isinstance(t, (int, float)) or math.isnan(t):
-            flag("BadOutcome", f"time_s must be a number, got {t!r}", where)
-            continue
-        t = float(t)
-        obj = math.inf if out.obj is None else float(out.obj)
-        if math.isnan(obj) or obj == -math.inf:
-            flag("BadOutcome", f"obj must be finite or +inf, got {obj!r}", where)
-            continue
-        if timeout_ok:
-            if status is RunStatus.SOLVED:
-                t = quantize_ms(t)
-                if not 0.0 <= t < timeout:
-                    flag("BadOutcome", f"solved run needs 0 <= time_s < timeout, got {t}", where)
-            else:
-                if t != timeout:
-                    flag("BadOutcome", f"{status.value} run must record time_s == timeout, got {t}", where)
-        kind = kind_of.get(i)
-        if kind is InstanceKind.DECISION and obj != math.inf:
-            flag("BadOutcome", "decision instance outcomes must have obj = +inf", where)
-        if kind is InstanceKind.OPTIMIZATION and status is RunStatus.SOLVED and not math.isfinite(obj):
-            flag("BadOutcome", "solved optimization run must have a finite obj", where)
-        outcomes[(i, s)] = RunOutcome(t, status, obj)
+        if kind is InstanceKind.DECISION and run.obj != math.inf:
+            flag("BadOutcome", "decision instance outcomes must have obj = +inf", f"({i}, {s})")
+        elif (kind is InstanceKind.OPTIMIZATION and run.status is RunStatus.SOLVED
+              and run.obj == math.inf):
+            flag("BadOutcome", "solved optimization run must have a finite obj", f"({i}, {s})")
+        outcomes[(i, s)] = run
 
-    for i in instance_ids:
-        for s in solvers:
-            if (i, s) not in outcomes:
-                flag("MissingOutcome", "no recorded run for this pair", f"({i}, {s})")
+    return assemble_scenario(
+        str(raw.id), tuple(instances), tuple(solvers), timeout, outcomes,
+        (raw.trajectories or {}) if timeout_ok else {}, violations, rejected,
+    )
 
+
+def assemble_scenario(
+    scenario_id: str, instances: tuple[Instance, ...], solvers: tuple[str, ...],
+    timeout_s: float, outcomes: dict[tuple[str, str], RunOutcome],
+    raw_trajectories: Mapping[tuple[str, str], Trajectory], violations: list[Violation],
+    rejected: Collection[tuple[str, str]] = (),
+) -> Scenario:
+    """Run the cross-row checks on checked runs and build the scenario.
+
+    The scenario needs an instance and a solver, and every (instance,
+    solver) pair needs a run; a pair whose run was rejected is not reported
+    missing as well. Trajectories are snapped to the millisecond grid and
+    checked against their runs. Raises ValidationError with the given
+    violations followed by these.
+    """
+
+    def flag(code: str, message: str, where: str | None = None) -> None:
+        violations.append(Violation(code, message, where))
+
+    if not instances:
+        flag("EmptyScenario", "scenario has no instances")
+    if not solvers:
+        flag("EmptyScenario", "scenario has no solvers")
+    if len(outcomes) + len(rejected) != len(instances) * len(solvers):
+        for inst in instances:
+            for s in solvers:
+                if (inst.id, s) not in outcomes and (inst.id, s) not in rejected:
+                    flag("MissingOutcome", "no recorded run for this pair", f"({inst.id}, {s})")
+
+    kind_of = {inst.id: inst.kind for inst in instances}
+    solver_set = set(solvers)
     trajectories: dict[tuple[str, str], Trajectory] = {}
-    raw_trajectories = raw.trajectories or {}
     for key, traj in raw_trajectories.items():
         i, s = str(key[0]), str(key[1])
-        where = f"({i}, {s})"
-        if (i, s) not in known_pairs:
-            flag("UnknownId", "trajectory recorded for a pair outside the scenario", where)
+        kind = kind_of.get(i)
+        if kind is None or s not in solver_set:
+            flag("UnknownId", "trajectory recorded for a pair outside the scenario", f"({i}, {s})")
             continue
-        if kind_of.get(i) is not InstanceKind.OPTIMIZATION:
-            flag("InconsistentTrajectory", "trajectory recorded for a decision instance", where)
+        if kind is not InstanceKind.OPTIMIZATION:
+            flag("InconsistentTrajectory", "trajectory recorded for a decision instance", f"({i}, {s})")
             continue
-        events = []
-        ok = True
-        for t, v in traj.events:
-            t = quantize_ms(float(t))
-            v = float(v)
-            if not (timeout_ok and 0.0 <= t < timeout):
-                flag("InconsistentTrajectory", f"event time {t} outside [0, timeout)", where)
-                ok = False
+        problems = []
+        events = [(_snap(t), float(v)) for t, v in traj.events]
+        for t, v in events:
+            if not 0.0 <= t < timeout_s:
+                problems.append(f"event time {t} outside [0, timeout)")
             if not math.isfinite(v):
-                flag("InconsistentTrajectory", "event objectives must be finite", where)
-                ok = False
-            events.append((t, v))
+                problems.append("event objectives must be finite")
         for (t1, v1), (t2, v2) in zip(events, events[1:]):
             if not t1 < t2:
-                flag("InconsistentTrajectory", "event times must be strictly increasing", where)
-                ok = False
+                problems.append("event times must be strictly increasing")
             if not v1 > v2:
-                flag("InconsistentTrajectory", "event objectives must be strictly decreasing", where)
-                ok = False
+                problems.append("event objectives must be strictly decreasing")
         proved = traj.proved_optimal_at
         if proved is not None:
-            proved = quantize_ms(float(proved))
-            if not (timeout_ok and 0.0 <= proved < timeout):
-                flag("InconsistentTrajectory", "proved_optimal_at outside [0, timeout)", where)
-                ok = False
+            proved = _snap(proved)
+            if not 0.0 <= proved < timeout_s:
+                problems.append("proved_optimal_at outside [0, timeout)")
             if events and proved < events[-1][0]:
-                flag("InconsistentTrajectory", "proved_optimal_at precedes the last event", where)
-                ok = False
+                problems.append("proved_optimal_at precedes the last event")
         out = outcomes.get((i, s))
         if out is not None:
             if events and events[-1][1] != out.obj:
-                flag("InconsistentTrajectory", "last event objective differs from the run outcome", where)
-                ok = False
+                problems.append("last event objective differs from the run outcome")
             if not events and math.isfinite(out.obj):
-                flag("InconsistentTrajectory", "run found a solution but the trajectory is empty", where)
-                ok = False
+                problems.append("run found a solution but the trajectory is empty")
             if proved is not None and out.status is not RunStatus.SOLVED:
-                flag("InconsistentTrajectory", "optimality proof recorded on an unsolved run", where)
-                ok = False
-        if ok:
+                problems.append("optimality proof recorded on an unsolved run")
+        for message in problems:
+            flag("InconsistentTrajectory", message, f"({i}, {s})")
+        if not problems:
             trajectories[(i, s)] = Trajectory(tuple(events), proved)
 
     if violations:
         raise ValidationError(violations)
 
     return Scenario(
-        id=str(raw.id),
-        instances=tuple(instances),
-        solvers=tuple(solvers),
-        timeout_s=timeout,
+        id=scenario_id,
+        instances=instances,
+        solvers=solvers,
+        timeout_s=timeout_s,
         outcomes=outcomes,
         trajectories=trajectories,
     )

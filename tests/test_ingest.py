@@ -1,0 +1,283 @@
+"""Ingest checks each run once: the shared row checker and the cross-row checks.
+
+Error parity: every bad input below raises the exception type it raised
+when parse_runs ran validate_scenario over its own output, and names the
+same line (RowError) or the same violations, by code and pair
+(ValidationError). The exceptions are the bad timeouts, which are now
+rejected with one BadTimeout before any row is read, the physical line
+number of a row after a blank line, and a negative ok runtime in an
+attribute-relation table, which is now a RowError instead of a
+ValidationError, and an infinite repetition, which is now a RowError
+instead of an OverflowError.
+"""
+
+from __future__ import annotations
+
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from test_fold_columns import generated
+from test_properties import scenarios
+
+from solvereval import (
+    Instance,
+    InstanceKind,
+    RowError,
+    RunOutcome,
+    RunStatus,
+    Scenario,
+    Trajectory,
+    ValidationError,
+    emit_scenario,
+    parse_aslib_runs,
+    parse_runs,
+    validate_scenario,
+)
+from solvereval.cli import main
+from solvereval.scenario import check_run
+
+RUNS = "instance_id,solver_id,status,time_s,obj\n"
+TRAJ = "instance_id,solver_id,t_s,obj\n"
+ARFF = (
+    "@relation r\n"
+    "@attribute instance_id string\n"
+    "@attribute repetition numeric\n"
+    "@attribute algorithm string\n"
+    "@attribute runtime numeric\n"
+    "@attribute runstatus {ok,timeout,memout,crash}\n"
+    "@data\n"
+)
+
+
+def _load(tmp_path, runs, timeout=100.0, traj=None):
+    if runs.startswith("@relation"):
+        p = tmp_path / "r.arff"
+        p.write_text(runs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return parse_aslib_runs(p, timeout)
+    p = tmp_path / "r.csv"
+    p.write_text(runs)
+    if traj is not None:
+        (tmp_path / "r_trajectories.csv").write_text(traj)
+    return parse_runs(p, timeout)
+
+
+# (runs text, trajectory text, line of the RowError)
+ROW_ERRORS = {
+    "unknown status": (RUNS + "i1,a,weird,1.0,\n", None, 2),
+    "unparseable time": (RUNS + "i1,a,ok,abc,\n", None, 2),
+    "negative time": (RUNS + "i1,a,ok,-1.0,\n", None, 2),
+    "solved at the timeout": (RUNS + "i1,a,ok,100.0,\n", None, 2),
+    "solved beyond the timeout": (RUNS + "i1,a,ok,140.0,\n", None, 2),
+    "unsolved beyond the timeout": (RUNS + "i1,a,timeout,140.0,\n", None, 2),
+    "negative unsolved time": (RUNS + "i1,a,timeout,-1.0,\n", None, 2),
+    "nan time": (RUNS + "i1,a,ok,nan,\n", None, 2),
+    "empty id": (RUNS + ",a,ok,1.0,\n", None, 2),
+    "short row": (RUNS + "i1,a\n", None, 2),
+    "-inf obj": (RUNS + "o1,a,timeout,100.0,-inf\n", None, 2),
+    "nan obj": (RUNS + "o1,a,timeout,100.0,nan\n", None, 2),
+    "junk obj": (RUNS + "o1,a,timeout,100.0,junk\n", None, 2),
+    "duplicate pair": (RUNS + "i1,a,ok,1.0,\ni1,b,ok,1.0,\ni1,a,ok,2.0,\n", None, 4),
+    "bad row after good ones": (RUNS + "i1,a,ok,1.0,\ni1,b,ok,1.0,\ni2,a,ok,200,\n", None, 4),
+    "trajectory for an unknown pair": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "ghost,a,1.0,5.0\n", 2),
+    "nan trajectory time": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "o1,a,nan,5.0\n", 2),
+    "unparseable trajectory obj": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "o1,a,1.0,x\n", 2),
+    "arff short row": (ARFF + "i1,1,a,1.0,ok\ni1,1,b\n", None, 9),
+    "arff duplicate": (ARFF + "i1,1,a,1.0,ok\ni1,1,b,2.0,ok\ni1,1,a,3.0,ok\n", None, 10),
+    "arff nan runtime": (ARFF + "i1,1,a,nan,ok\n", None, 8),
+    "arff repetition": (ARFF + "i1,x,a,1.0,ok\n", None, 8),
+    "arff infinite repetition": (ARFF + "i1,inf,a,1.0,ok\n", None, 8),
+}
+
+# (runs text, trajectory text, violations as (code, where))
+VIOLATIONS = {
+    "solved optimization run with an empty obj cell": (
+        RUNS + "o1,a,ok,10.0,\no1,b,ok,20.0,5.0\n", None,
+        [("BadOutcome", "(o1, a)")],
+    ),
+    "solved optimization run with an inf obj": (
+        RUNS + "o1,a,ok,10.0,inf\no1,b,ok,20.0,5.0\ni1,a,ok,1.0,\ni1,b,ok,1.0,\n", None,
+        [("BadOutcome", "(o1, a)")],
+    ),
+    "missing pair": (
+        RUNS + "i1,a,ok,1.0,\ni1,b,ok,2.0,\ni2,a,ok,3.0,\n", None,
+        [("MissingOutcome", "(i2, b)")],
+    ),
+    "missing pairs in a diagonal": (
+        RUNS + "i1,a,ok,1.0,\ni2,b,ok,2.0,\n", None,
+        [("MissingOutcome", "(i1, b)"), ("MissingOutcome", "(i2, a)")],
+    ),
+    "header only": (
+        RUNS, None,
+        [("EmptyScenario", None), ("EmptyScenario", None)],
+    ),
+    "last event differs from the run": (
+        RUNS + "o1,a,timeout,100,5.0\n", TRAJ + "o1,a,2.0,6.0\n",
+        [("InconsistentTrajectory", "(o1, a)")],
+    ),
+    "events out of order": (
+        RUNS + "o1,a,timeout,100,5.0\n", TRAJ + "o1,a,9.0,6.0\no1,a,2.0,5.0\n",
+        [("InconsistentTrajectory", "(o1, a)")],
+    ),
+    "trajectory on a decision instance": (
+        RUNS + "i1,a,ok,1.0,\no1,a,ok,1.0,4\n", TRAJ + "i1,a,0.5,3.0\no1,a,0.5,4.0\n",
+        [("InconsistentTrajectory", "(i1, a)")],
+    ),
+    "arff missing pair": (
+        ARFF + "i1,1,a,1.0,ok\ni2,1,b,2.0,ok\n", None,
+        [("MissingOutcome", "(i1, b)"), ("MissingOutcome", "(i2, a)")],
+    ),
+    "arff no data": (
+        ARFF, None,
+        [("EmptyScenario", None), ("EmptyScenario", None)],
+    ),
+}
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("name", sorted(ROW_ERRORS))
+    def test_row_errors_name_the_line(self, tmp_path, name):
+        runs, traj, line = ROW_ERRORS[name]
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, runs, traj=traj)
+        assert e.value.line_no == line
+        assert str(e.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("name", sorted(VIOLATIONS))
+    def test_cross_row_violations_name_the_pair(self, tmp_path, name):
+        runs, traj, expected = VIOLATIONS[name]
+        with pytest.raises(ValidationError) as e:
+            _load(tmp_path, runs, traj=traj)
+        assert [(v.code, v.where) for v in e.value.violations] == expected
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, RUNS + "i1,a,ok,1.0,\n\ni1,b,weird,1.0,\n")
+        assert e.value.line_no == 4
+
+    def test_negative_ok_runtime_in_arff_names_the_line(self, tmp_path):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, ARFF + "i1,1,a,-1.0,ok\n")
+        assert e.value.line_no == 8
+        assert ">= 0" in str(e.value)
+
+
+BAD_TIMEOUTS = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+class TestTimeoutCheckedFirst:
+    @pytest.mark.parametrize("timeout", BAD_TIMEOUTS)
+    @pytest.mark.parametrize("runs", [
+        RUNS + "i1,a,ok,1.0,\ni1,b,timeout,100,\n",
+        RUNS + "i1,a,ok,1.0,\ni1,b,weird,1.0,\n",  # a bad row is never reached
+        ARFF + "i1,1,a,1.0,ok\ni1,1,b,100,timeout\n",
+    ])
+    def test_one_bad_timeout_violation(self, tmp_path, runs, timeout):
+        with pytest.raises(ValidationError) as e:
+            _load(tmp_path, runs, timeout=timeout)
+        (violation,) = e.value.violations
+        assert violation.code == "BadTimeout"
+        assert repr(timeout) in violation.message
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_cli_validate_names_the_timeout(self, tmp_path, capsys, timeout):
+        p = tmp_path / "t.csv"
+        p.write_text(RUNS + "i1,a,ok,1.0,\n")
+        assert main(["validate", str(p), "--timeout", timeout]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: 1 violation(s)\n")
+        assert "BadTimeout" in err and "line" not in err
+
+    @pytest.mark.parametrize("timeout", BAD_TIMEOUTS)
+    def test_validate_scenario_reports_only_structure(self, timeout):
+        raw = Scenario("x", (Instance("i1"), Instance("i2")), ("a",), timeout,
+                       {("i1", "a"): RunOutcome(1.0, RunStatus.SOLVED)})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.where) for v in e.value.violations] == [
+            ("BadTimeout", None), ("MissingOutcome", "(i2, a)"),
+        ]
+
+
+class TestValidateScenario:
+    def test_rejected_run_is_not_also_missing(self):
+        raw = Scenario("x", (Instance("i1"),), ("a",), 100.0,
+                       {("i1", "a"): RunOutcome(1.0, "weird")})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.where) for v in e.value.violations] == [("BadOutcome", "(i1, a)")]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trajectory_times_are_violations(self, bad):
+        for traj in (Trajectory(((bad, 5.0),)), Trajectory(((1.0, 5.0),), proved_optimal_at=bad)):
+            raw = Scenario("x", (Instance("o1", InstanceKind.OPTIMIZATION),), ("a",), 100.0,
+                           {("o1", "a"): RunOutcome(100.0, RunStatus.TIMEOUT, 5.0)},
+                           {("o1", "a"): traj})
+            with pytest.raises(ValidationError) as e:
+                validate_scenario(raw)
+            assert {(v.code, v.where) for v in e.value.violations} == {
+                ("InconsistentTrajectory", "(o1, a)"),
+            }
+
+
+class TestCheckRun:
+    def test_solved_time_snapped(self):
+        assert check_run(RunStatus.SOLVED, 1.0004, None, 10.0) == RunOutcome(1.0, RunStatus.SOLVED)
+
+    def test_status_from_its_value(self):
+        assert check_run("timeout", 10.0, 5.0, 10.0) == RunOutcome(10.0, RunStatus.TIMEOUT, 5.0)
+
+    def test_unsolved_stored_at_the_timeout_on_request(self):
+        with pytest.raises(ValueError, match="time_s == timeout"):
+            check_run(RunStatus.ERROR, 3.0, None, 10.0)
+        out = check_run(RunStatus.ERROR, 3.0, None, 10.0, unsolved_at_timeout=True)
+        assert out == RunOutcome(10.0, RunStatus.ERROR)
+
+    @pytest.mark.parametrize("status,time_s,obj,fragment", [
+        ("weird", 1.0, None, "unknown status"),
+        (RunStatus.SOLVED, "1.0", None, "finite number"),
+        (RunStatus.SOLVED, math.nan, None, "finite number"),
+        (RunStatus.SOLVED, math.inf, None, "finite number"),
+        (RunStatus.SOLVED, -0.5, None, ">= 0"),
+        (RunStatus.TIMEOUT, 12.0, None, "exceeds the timeout"),
+        (RunStatus.SOLVED, 9.9996, None, "strictly before"),
+        (RunStatus.SOLVED, 1.0, math.nan, "finite or +inf"),
+        (RunStatus.SOLVED, 1.0, -math.inf, "finite or +inf"),
+    ])
+    def test_each_invariant(self, status, time_s, obj, fragment):
+        with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):
+            check_run(status, time_s, obj, 10.0, unsolved_at_timeout=True)
+
+
+def _round_trip(sc):
+    with tempfile.TemporaryDirectory() as d:
+        runs = Path(d) / "rt.csv"
+        emit_scenario(sc, runs)
+        parsed = parse_runs(runs, sc.timeout_s, scenario_id=sc.id)
+    assert parsed == sc
+    assert validate_scenario(parsed) == parsed
+
+
+class TestRoundTrip:
+    @given(generated())
+    def test_mixed_kinds_with_trajectories(self, sc):
+        _round_trip(sc)
+
+    @given(scenarios())
+    def test_property_scenarios(self, sc):
+        _round_trip(sc)
+
+
+class TestAslibOrder:
+    def test_first_appearance_order_with_interleaved_rows(self, tmp_path):
+        rows = "".join(
+            f"i{i},1,s{s},{1 + i + s}.0,ok\n" for s in (2, 0, 1) for i in (3, 1, 2)
+        )
+        sc = _load(tmp_path, ARFF + rows)
+        assert sc.instance_ids == ("i3", "i1", "i2")
+        assert sc.solvers == ("s2", "s0", "s1")

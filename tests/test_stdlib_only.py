@@ -1,0 +1,38 @@
+"""The package has no runtime dependencies: every import is relative or stdlib."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import solvereval
+
+PACKAGE = Path(solvereval.__file__).parent
+
+
+def _third_party(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names
+                  if n.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_every_module_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    offenders = {p.name: bad for p in modules if (bad := _third_party(p))}
+    assert offenders == {}
+
+
+def test_the_check_sees_a_third_party_import(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("import json\nfrom . import io\nimport numpy as np\nfrom scipy.stats import norm\n")
+    assert _third_party(p) == ["line 3: numpy", "line 4: scipy.stats"]

@@ -1,0 +1,115 @@
+"""Head-to-head counts and runtime distributions read per-solver time columns.
+
+The reference functions below are the per-instance loops as they were
+before both read ``Scenario.time_columns``: one outcome lookup and one
+``time_to_ms`` per instance and solver. Every comparison is exact (==).
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from helpers import decision_scenario
+from hypothesis import given
+from hypothesis import strategies as st
+from test_fold_columns import generated
+from test_properties import scenarios
+
+from solvereval import (
+    HeadToHead,
+    RunOutcome,
+    RunStatus,
+    build_scenario,
+    head_to_head,
+    runtime_distribution,
+    time_to_ms,
+)
+
+
+def ref_head_to_head(sc, solver_a, solver_b):
+    a = b = ties = 0
+    for i in sc.instance_ids:
+        ta = time_to_ms(sc.time(i, solver_a))
+        tb = time_to_ms(sc.time(i, solver_b))
+        if ta < tb:
+            a += 1
+        elif tb < ta:
+            b += 1
+        else:
+            ties += 1
+    return HeadToHead(solver_a, solver_b, a, b, ties)
+
+
+def ref_runtime_distribution(sc, solver):
+    return sorted(
+        sc.time(i, solver)
+        for i in sc.instance_ids
+        if sc.outcome(i, solver).status is RunStatus.SOLVED
+    )
+
+
+def snapped(sc, grid_ms):
+    """The scenario with every solved time moved onto a coarse grid, zero included.
+
+    Few distinct times make ties frequent, and the grid's first point is 0.
+    """
+    outcomes = {}
+    for key, out in sc.outcomes.items():
+        if out.status is RunStatus.SOLVED:
+            ms = min(time_to_ms(out.time_s) // grid_ms * grid_ms, time_to_ms(sc.timeout_s) - 1)
+            out = replace(out, time_s=ms / 1000.0)
+        outcomes[key] = out
+    return build_scenario(sc.id, sc.instances, sc.solvers, sc.timeout_s, outcomes, sc.trajectories)
+
+
+def assert_same_as_reference(sc):
+    for a in sc.solvers:
+        assert runtime_distribution(sc, a) == ref_runtime_distribution(sc, a)
+        for b in sc.solvers:
+            assert head_to_head(sc, a, b) == ref_head_to_head(sc, a, b)
+
+
+class TestAgainstReference:
+    @given(scenarios())
+    def test_property_scenarios(self, sc):
+        assert_same_as_reference(sc)
+
+    @given(scenarios(), st.sampled_from([1, 250, 2500, 10_000]))
+    def test_ties_and_zero_times(self, sc, grid_ms):
+        assert_same_as_reference(snapped(sc, grid_ms))
+
+    @given(generated())
+    def test_generated_mixed_kinds(self, sc):
+        assert_same_as_reference(sc)
+
+    def test_timeout_off_the_millisecond_grid(self):
+        # 10.0004 s rounds to 10000 ms, like a solved 10.000 s run: a tie.
+        sc = build_scenario(
+            "off-grid", ["i1", "i2"], ["a", "b"], 10.0004,
+            {
+                ("i1", "a"): RunOutcome(10.0, RunStatus.SOLVED),
+                ("i1", "b"): RunOutcome(10.0004, RunStatus.TIMEOUT),
+                ("i2", "a"): RunOutcome(0.0, RunStatus.SOLVED),
+                ("i2", "b"): RunOutcome(10.0004, RunStatus.ERROR),
+            },
+        )
+        assert head_to_head(sc, "a", "b") == HeadToHead("a", "b", 1, 0, 1)
+        assert runtime_distribution(sc, "a") == [0.0, 10.0]
+        assert runtime_distribution(sc, "b") == []
+        assert_same_as_reference(sc)
+
+
+class TestTimeColumns:
+    def test_columns_in_instance_order(self):
+        sc = decision_scenario({"i1": {"a": 1.5, "b": None}, "i2": {"a": 0.0, "b": 2.25}})
+        assert sc.time_columns == {"a": (1500, 0), "b": (100_000, 2250)}
+
+    def test_columns_built_once(self):
+        sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
+        assert sc.time_columns is sc.time_columns
+
+    def test_columns_do_not_enter_equality(self):
+        sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
+        other = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
+        sc.time_columns
+        assert sc == other

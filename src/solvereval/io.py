@@ -27,7 +27,6 @@ from .scenario import (
     RunOutcome,
     RunStatus,
     Scenario,
-    Trajectory,
     assemble_scenario,
     check_run,
     check_timeout,
@@ -72,23 +71,6 @@ def _parse_time(cell: str, line_no: int) -> float:
     return t
 
 
-def _checked_run(status: RunStatus, t: float, obj: float, timeout_s: float,
-                 line_no: int, unsolved_at_timeout: bool = False) -> RunOutcome:
-    try:
-        return check_run(status, t, obj, timeout_s, unsolved_at_timeout)
-    except ValueError as exc:
-        raise RowError(line_no, str(exc)) from None
-
-
-def _rows(reader, width: int):
-    """(line number, row) for each non-blank CSV row, checked to have width cells."""
-    for row in reader:
-        if row:
-            if len(row) < width:
-                raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
-            yield reader.line_num, row
-
-
 def parse_runs(
     path: str | Path,
     timeout_s: float,
@@ -97,11 +79,12 @@ def parse_runs(
 ) -> Scenario:
     """Load a runs CSV (plus optional trajectory sibling) into a scenario.
 
-    Instances appear in file order; an instance counts as optimization when
-    any of its rows carries a non-empty obj cell. Unsolved rows have their
-    recorded time replaced by the timeout. Rows with time_s beyond the
-    timeout, unknown statuses, or duplicate (instance, solver) pairs are
-    rejected with their line number. Each row is checked once, by
+    Instances appear in file order, solvers in order of first appearance;
+    an instance counts as optimization when any of its rows carries a
+    non-empty obj cell. Unsolved rows have their recorded time replaced by
+    the timeout. Rows with other than the header's number of cells, time_s
+    beyond the timeout, unknown statuses, or duplicate (instance, solver)
+    pairs are rejected with their line number. Each row is checked once, by
     scenario.check_run; the checks that span rows follow the last row.
     """
     path = Path(path)
@@ -122,36 +105,40 @@ def parse_runs(
         c_inst, c_solver, c_status, c_time = (fields.index(f) for f in _RUN_FIELDS)
         c_obj = fields.index("obj") if "obj" in fields else None
 
+        width = len(fields)
         is_opt: dict[str, bool] = {}  # instances in file order
         solver_order: dict[str, None] = {}
         outcomes: dict[tuple[str, str], RunOutcome] = {}
         unproven: list[tuple[str, str]] = []  # solved runs without a finite obj
-        for line_no, row in _rows(reader, len(fields)):
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
             iid = row[c_inst].strip()
             sid = row[c_solver].strip()
             if not iid or not sid:
-                raise RowError(line_no, "instance_id and solver_id must be non-empty")
+                raise RowError(reader.line_num, "instance_id and solver_id must be non-empty")
             status_raw = row[c_status].strip().lower()
             status = _STATUS_IN.get(status_raw)
             if status is None:
-                raise RowError(
-                    line_no, f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}"
-                )
-            t = _parse_float(row[c_time], "time_s", line_no)
+                raise RowError(reader.line_num,
+                               f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}")
+            t = _parse_float(row[c_time], "time_s", reader.line_num)
             obj_cell = row[c_obj].strip() if c_obj is not None else ""
-            obj = _parse_float(obj_cell, "obj", line_no) if obj_cell else math.inf
-            run = _checked_run(status, t, obj, timeout_s, line_no, unsolved_at_timeout=True)
+            obj = _parse_float(obj_cell, "obj", reader.line_num) if obj_cell else math.inf
+            try:
+                run = check_run(status, t, obj, timeout_s, unsolved_at_timeout=True)
+            except ValueError as exc:
+                raise RowError(reader.line_num, str(exc)) from None
 
-            if obj_cell:
-                is_opt[iid] = True
-            else:
-                is_opt.setdefault(iid, False)
-            if status is RunStatus.SOLVED and run.obj == math.inf:
+            if obj_cell or iid not in is_opt:
+                is_opt[iid] = bool(obj_cell)
+            if status is RunStatus.SOLVED and obj == math.inf:
                 unproven.append((iid, sid))
             solver_order[sid] = None
-            if (iid, sid) in outcomes:
-                raise RowError(line_no, f"duplicate row for ({iid}, {sid})")
-            outcomes[(iid, sid)] = run
+            if outcomes.setdefault((iid, sid), run) is not run:
+                raise RowError(reader.line_num, f"duplicate row for ({iid}, {sid})")
 
     violations = [
         Violation("BadOutcome", "solved optimization run must have a finite obj", f"({i}, {s})")
@@ -165,7 +152,7 @@ def parse_runs(
         tuple(solver_order),
         timeout_s,
         outcomes,
-        _read_trajectories(path, trajectories_path, outcomes, is_opt),
+        _read_trajectories(path, trajectories_path, outcomes),
         violations,
     )
 
@@ -174,8 +161,8 @@ def _read_trajectories(
     runs_path: Path,
     trajectories_path: str | Path | None,
     outcomes: Mapping[tuple[str, str], RunOutcome],
-    is_opt: Mapping[str, bool],
-) -> dict[tuple[str, str], Trajectory]:
+) -> dict[tuple[str, str], list[tuple[float, float]]]:
+    """The (t, obj) events of each pair in the trajectory file, unchecked beyond their cells."""
     if trajectories_path is None:
         candidate = trajectories_path_for(runs_path)
         if not candidate.exists():
@@ -193,19 +180,18 @@ def _read_trajectories(
                 f"{trajectories_path}: header must be instance_id,solver_id,t_s,obj"
             )
         c_inst, c_solver, c_time, c_obj = (fields.index(f) for f in _TRAJ_FIELDS)
-        for line_no, row in _rows(reader, len(fields)):
+        width = len(fields)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
             key = (row[c_inst].strip(), row[c_solver].strip())
             if key not in outcomes:
-                raise RowError(line_no, f"trajectory row for unknown pair {key!r}")
-            t = _parse_time(row[c_time], line_no)
-            v = _parse_float(row[c_obj], "obj", line_no)
-            events.setdefault(key, []).append((t, v))
-    out: dict[tuple[str, str], Trajectory] = {}
-    for key, evs in events.items():
-        run = outcomes[key]
-        proved = run.time_s if (run.status is RunStatus.SOLVED and is_opt.get(key[0])) else None
-        out[key] = Trajectory(tuple(evs), proved)
-    return out
+                raise RowError(reader.line_num, f"trajectory row for unknown pair {key!r}")
+            t = _parse_time(row[c_time], reader.line_num)
+            events.setdefault(key, []).append((t, _parse_float(row[c_obj], "obj", reader.line_num)))
+    return events
 
 
 def emit_scenario(
@@ -219,36 +205,45 @@ def emit_scenario(
     reproduces the scenario field for field.
     """
     runs_path = Path(runs_path)
+    _write_csv(runs_path, _run_rows(scenario))
+    if not scenario.trajectories:
+        return [runs_path]
+    tpath = Path(trajectories_path) if trajectories_path else trajectories_path_for(runs_path)
+    _write_csv(tpath, _trajectory_rows(scenario))
+    return [runs_path, tpath]
+
+
+def _write_csv(path: Path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _run_rows(scenario: Scenario):
+    # csv writes a float cell as its repr, so an obj of +inf reads back as inf.
     has_opt = any(i.kind is InstanceKind.OPTIMIZATION for i in scenario.instances)
-    written = [runs_path]
-    with open(runs_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(_RUN_FIELDS) + (["obj"] if has_opt else [])
-        writer.writerow(header)
-        for inst in scenario.instances:
-            for s in scenario.solvers:
-                out = scenario.outcome(inst.id, s)
-                row = [inst.id, s, _STATUS_OUT[out.status], f"{out.time_s:.3f}"]
-                if has_opt:
-                    if inst.kind is InstanceKind.DECISION:
-                        row.append("")
-                    else:
-                        row.append("inf" if math.isinf(out.obj) else repr(out.obj))
-                writer.writerow(row)
-    if scenario.trajectories:
-        tpath = Path(trajectories_path) if trajectories_path else trajectories_path_for(runs_path)
-        with open(tpath, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_TRAJ_FIELDS)
-            for inst in scenario.instances:
-                for s in scenario.solvers:
-                    traj = scenario.trajectory(inst.id, s)
-                    if traj is None:
-                        continue
-                    for t, v in traj.events:
-                        writer.writerow([inst.id, s, f"{t:.3f}", repr(v)])
-        written.append(tpath)
-    return written
+    yield (*_RUN_FIELDS, "obj") if has_opt else _RUN_FIELDS
+    outcomes = scenario.outcomes
+    for inst in scenario.instances:
+        iid = inst.id
+        decision = inst.kind is InstanceKind.DECISION
+        for s in scenario.solvers:
+            out = outcomes[iid, s]
+            if has_opt:
+                yield iid, s, _STATUS_OUT[out.status], f"{out.time_s:.3f}", "" if decision else out.obj
+            else:
+                yield iid, s, _STATUS_OUT[out.status], f"{out.time_s:.3f}"
+
+
+def _trajectory_rows(scenario: Scenario):
+    yield _TRAJ_FIELDS
+    trajectories = scenario.trajectories
+    for inst in scenario.instances:
+        iid = inst.id
+        for s in scenario.solvers:
+            traj = trajectories.get((iid, s))
+            if traj is not None:
+                for t, v in traj.events:
+                    yield iid, s, f"{t:.3f}", v
 
 
 def parse_aslib_runs(
@@ -321,7 +316,10 @@ def parse_aslib_runs(
         else:
             status = RunStatus.ERROR if runstatus in ("memout", "crash") else RunStatus.TIMEOUT
             t = timeout_s
-        run = _checked_run(status, t, math.inf, timeout_s, line_no)
+        try:
+            run = check_run(status, t, math.inf, timeout_s)
+        except ValueError as exc:
+            raise RowError(line_no, str(exc)) from None
         instance_order[iid] = None
         solver_order[sid] = None
         if (iid, sid) in outcomes:

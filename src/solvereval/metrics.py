@@ -80,22 +80,21 @@ class MetricInfo:
     direction: Direction
     decomposable_base: bool
     optimization_only: bool
-    relative: bool
 
 
 METRICS: dict[str, MetricInfo] = {
     m.metric_id: m
     for m in (
-        MetricInfo("par", Direction.LOWER, True, False, False),
-        MetricInfo("runtime", Direction.LOWER, True, False, False),
-        MetricInfo("solved-count", Direction.HIGHER, False, False, False),
-        MetricInfo("mznc", Direction.HIGHER, False, False, True),
-        MetricInfo("normalized-runtime", Direction.HIGHER, False, False, False),
-        MetricInfo("speedup", Direction.HIGHER, False, False, True),
-        MetricInfo("closed-gap", Direction.HIGHER, False, False, True),
-        MetricInfo("ratio", Direction.HIGHER, False, True, False),
-        MetricInfo("area", Direction.LOWER, True, True, False),
-        MetricInfo("bounded-reward", Direction.HIGHER, False, True, False),
+        MetricInfo("par", Direction.LOWER, True, False),
+        MetricInfo("runtime", Direction.LOWER, True, False),
+        MetricInfo("solved-count", Direction.HIGHER, False, False),
+        MetricInfo("mznc", Direction.HIGHER, False, False),
+        MetricInfo("normalized-runtime", Direction.HIGHER, False, False),
+        MetricInfo("speedup", Direction.HIGHER, False, False),
+        MetricInfo("closed-gap", Direction.HIGHER, False, False),
+        MetricInfo("ratio", Direction.HIGHER, False, True),
+        MetricInfo("area", Direction.LOWER, True, True),
+        MetricInfo("bounded-reward", Direction.HIGHER, False, True),
     )
 }
 

@@ -67,14 +67,14 @@ def time_to_ms(t: float) -> int:
     return round(t * 1000.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     id: str
     kind: InstanceKind = InstanceKind.DECISION
     best_known_obj: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunOutcome:
     """One recorded run. obj is +inf when no solution was found.
 
@@ -87,7 +87,7 @@ class RunOutcome:
     obj: float = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """Incumbent objective values over time, as (time_s, obj) events.
 
@@ -176,12 +176,8 @@ def resolve_best_known(scenario: Scenario, instance_id: str) -> float | None:
     inst = scenario.instance(instance_id)
     if inst.best_known_obj is not None:
         return inst.best_known_obj
-    finite = [
-        scenario.obj(instance_id, s)
-        for s in scenario.solvers
-        if math.isfinite(scenario.obj(instance_id, s))
-    ]
-    return min(finite) if finite else None
+    pool = obj_pool(scenario, instance_id)
+    return pool[0] if pool else None
 
 
 def obj_pool(scenario: Scenario, instance_id: str) -> tuple[float, float] | None:
@@ -218,38 +214,48 @@ def check_timeout(timeout_s: object) -> float:
     raise ValidationError([Violation("BadTimeout", message)])
 
 
+# Each status by its value and by the member itself.
+_STATUS = {k: st for st in RunStatus for k in (st.value, st)}
+
+
 def check_run(status: object, time_s: object, obj: object, timeout_s: float,
-              unsolved_at_timeout: bool = False) -> RunOutcome:
+              unsolved_at_timeout: bool = False, run: RunOutcome | None = None) -> RunOutcome:
     """The per-run invariants, shared by validate_scenario and the file readers.
 
     A known status; a finite time_s >= 0, at most the timeout once snapped
     to the millisecond grid; a solved run strictly before the timeout
     (stored snapped); an unsolved run at the timeout (or stored there, with
     unsolved_at_timeout); obj a number or +inf (None reads as +inf).
-    Returns the normalized run; raises ValueError naming what is broken.
+    Returns the normalized run (run itself when it was already normalized);
+    raises ValueError naming what is broken.
     """
     try:
-        status = RunStatus(status)
-    except ValueError:
+        member = _STATUS[status]
+    except (KeyError, TypeError):
         raise ValueError(f"unknown status {status!r}") from None
     if not isinstance(time_s, (int, float)) or not math.isfinite(time_s):
         raise ValueError(f"time_s must be a finite number, got {time_s!r}")
     if time_s < 0:
         raise ValueError(f"time_s must be >= 0, got {time_s}")
-    t = quantize_ms(time_s)
+    t = round(time_s * 1000.0) / 1000.0
     if t > timeout_s:
         raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
-    if status is RunStatus.SOLVED:
+    if member is RunStatus.SOLVED:
         if t >= timeout_s:
             raise ValueError(f"a solved run must finish strictly before the timeout, got {t}")
     elif unsolved_at_timeout or time_s == timeout_s:
         t = timeout_s
     else:
-        raise ValueError(f"{status.value} run must record time_s == timeout, got {time_s}")
-    obj = math.inf if obj is None else float(obj)
-    if math.isnan(obj) or obj == -math.inf:
+        raise ValueError(f"{member.value} run must record time_s == timeout, got {time_s}")
+    if obj.__class__ is not float:
+        obj = math.inf if obj is None else float(obj)
+        run = None  # a converted obj: the caller's run is not normalized
+    if obj != obj or obj == -math.inf:
         raise ValueError(f"obj must be finite or +inf, got {obj!r}")
-    return RunOutcome(t, status, obj)
+    if (run.__class__ is RunOutcome and status is member and time_s.__class__ is float
+            and time_s == t and math.copysign(1.0, time_s) > 0):  # -0.0 is stored as 0.0
+        return run
+    return RunOutcome(t, member, obj)
 
 
 def validate_scenario(raw: Scenario) -> Scenario:
@@ -307,7 +313,7 @@ def validate_scenario(raw: Scenario) -> Scenario:
             outcomes[(i, s)] = out
             continue
         try:
-            run = check_run(out.status, out.time_s, out.obj, timeout)
+            run = check_run(out.status, out.time_s, out.obj, timeout, run=out)
         except ValueError as exc:
             flag("BadOutcome", str(exc), f"({i}, {s})")
             rejected.add((i, s))
@@ -328,15 +334,16 @@ def validate_scenario(raw: Scenario) -> Scenario:
 def assemble_scenario(
     scenario_id: str, instances: tuple[Instance, ...], solvers: tuple[str, ...],
     timeout_s: float, outcomes: dict[tuple[str, str], RunOutcome],
-    raw_trajectories: Mapping[tuple[str, str], Trajectory], violations: list[Violation],
-    rejected: Collection[tuple[str, str]] = (),
+    raw_trajectories: Mapping[tuple[str, str], Trajectory | Sequence[tuple[float, float]]],
+    violations: list[Violation], rejected: Collection[tuple[str, str]] = (),
 ) -> Scenario:
     """Run the cross-row checks on checked runs and build the scenario.
 
     The scenario needs an instance and a solver, and every (instance,
     solver) pair needs a run; a pair whose run was rejected is not reported
-    missing as well. Trajectories are snapped to the millisecond grid and
-    checked against their runs. Raises ValidationError with the given
+    missing as well. A raw trajectory is a Trajectory or the (t, obj) events
+    read from a file; each is snapped to the millisecond grid, checked
+    against its run and built once. Raises ValidationError with the given
     violations followed by these.
     """
 
@@ -355,6 +362,7 @@ def assemble_scenario(
 
     kind_of = {inst.id: inst.kind for inst in instances}
     solver_set = set(solvers)
+    isfinite = math.isfinite
     trajectories: dict[tuple[str, str], Trajectory] = {}
     for key, traj in raw_trajectories.items():
         i, s = str(key[0]), str(key[1])
@@ -365,37 +373,43 @@ def assemble_scenario(
         if kind is not InstanceKind.OPTIMIZATION:
             flag("InconsistentTrajectory", "trajectory recorded for a decision instance", f"({i}, {s})")
             continue
-        problems = []
-        events = [(_snap(t), float(v)) for t, v in traj.events]
-        for t, v in events:
+        key = (i, s)
+        out = outcomes.get(key)
+        if isinstance(traj, Trajectory):
+            raw_events, proved = traj.events, traj.proved_optimal_at
+        else:  # events read from a file: proved optimal when the run is solved
+            raw_events, proved = traj, out.time_s if out.status is RunStatus.SOLVED else None
+        problems, events = [], []
+        for t, v in raw_events:
+            t = round(t * 1000.0) / 1000.0 if t.__class__ is float and isfinite(t) else _snap(t)
+            v = float(v)
             if not 0.0 <= t < timeout_s:
                 problems.append(f"event time {t} outside [0, timeout)")
-            if not math.isfinite(v):
+            if not isfinite(v):
                 problems.append("event objectives must be finite")
+            events.append((t, v))
         for (t1, v1), (t2, v2) in zip(events, events[1:]):
             if not t1 < t2:
                 problems.append("event times must be strictly increasing")
             if not v1 > v2:
                 problems.append("event objectives must be strictly decreasing")
-        proved = traj.proved_optimal_at
         if proved is not None:
             proved = _snap(proved)
             if not 0.0 <= proved < timeout_s:
                 problems.append("proved_optimal_at outside [0, timeout)")
             if events and proved < events[-1][0]:
                 problems.append("proved_optimal_at precedes the last event")
-        out = outcomes.get((i, s))
         if out is not None:
             if events and events[-1][1] != out.obj:
                 problems.append("last event objective differs from the run outcome")
-            if not events and math.isfinite(out.obj):
+            if not events and isfinite(out.obj):
                 problems.append("run found a solution but the trajectory is empty")
             if proved is not None and out.status is not RunStatus.SOLVED:
                 problems.append("optimality proof recorded on an unsolved run")
         for message in problems:
             flag("InconsistentTrajectory", message, f"({i}, {s})")
         if not problems:
-            trajectories[(i, s)] = Trajectory(tuple(events), proved)
+            trajectories[key] = Trajectory(tuple(events), proved)
 
     if violations:
         raise ValidationError(violations)
@@ -454,15 +468,10 @@ def restrict(scenario: Scenario, instance_ids: Sequence[str]) -> Scenario:
     """
     kept = tuple(scenario.instances[p] for p in positions(scenario, instance_ids))
     kept_ids = {inst.id for inst in kept}
-    outcomes = {k: v for k, v in scenario.outcomes.items() if k[0] in kept_ids}
-    trajectories = {k: v for k, v in scenario.trajectories.items() if k[0] in kept_ids}
-    return Scenario(
-        id=scenario.id,
-        instances=kept,
-        solvers=scenario.solvers,
-        timeout_s=scenario.timeout_s,
-        outcomes=outcomes,
-        trajectories=trajectories,
+    return replace(
+        scenario, instances=kept,
+        outcomes={k: v for k, v in scenario.outcomes.items() if k[0] in kept_ids},
+        trajectories={k: v for k, v in scenario.trajectories.items() if k[0] in kept_ids},
     )
 
 

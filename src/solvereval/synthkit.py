@@ -21,8 +21,8 @@ from .scenario import (
     RunStatus,
     Scenario,
     Trajectory,
+    build_scenario,
     quantize_ms,
-    validate_scenario,
 )
 
 __all__ = [
@@ -132,7 +132,7 @@ def generate(spec: ArchetypeSpec) -> Scenario:
     """Produce the scenario a spec describes; same spec, same scenario."""
     _check_spec(spec)
     rng = SplitMix64(spec.seed)
-    tau = spec.timeout_s
+    tau = float(spec.timeout_s)  # a float, so validation keeps the runs built here
     names = _solver_names(spec)
     width = max(3, len(str(spec.n_instances - 1)))
 
@@ -194,17 +194,8 @@ def generate(spec: ArchetypeSpec) -> Scenario:
             else:
                 outcomes[key] = RunOutcome(tau, RunStatus.TIMEOUT)
 
-    scenario_id = spec.scenario_id or f"synth-{spec.seed}"
-    return validate_scenario(
-        Scenario(
-            id=scenario_id,
-            instances=tuple(instances),
-            solvers=tuple(names),
-            timeout_s=tau,
-            outcomes=outcomes,
-            trajectories=trajectories,
-        )
-    )
+    return build_scenario(spec.scenario_id or f"synth-{spec.seed}", instances, names, tau,
+                          outcomes, trajectories)
 
 
 def thorough_vs_fast_spec(

@@ -13,7 +13,9 @@ instead of an OverflowError.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import tempfile
 import warnings
 from pathlib import Path
@@ -39,6 +41,7 @@ from solvereval import (
 )
 from solvereval.cli import main
 from solvereval.scenario import check_run
+from solvereval.synthkit import ArchetypeSpec, SolverSpec, generate, uniform
 
 RUNS = "instance_id,solver_id,status,time_s,obj\n"
 TRAJ = "instance_id,solver_id,t_s,obj\n"
@@ -281,3 +284,70 @@ class TestAslibOrder:
         sc = _load(tmp_path, ARFF + rows)
         assert sc.instance_ids == ("i3", "i1", "i2")
         assert sc.solvers == ("s2", "s0", "s1")
+
+
+class TestRowWidth:
+    """A row must have exactly as many cells as its header; extra cells are not dropped."""
+
+    @pytest.mark.parametrize("runs,traj,width,got", [
+        ("instance_id,solver_id,status,time_s\ni1,a,ok,1.0,extra,cells\n", None, 4, 6),
+        (RUNS + "i1,a,ok,1.0,,extra\n", None, 5, 6),
+        (RUNS + "o1,a,timeout,100,5\n", TRAJ + "o1,a,1.0,5.0,extra\n", 4, 5),
+        (RUNS + "o1,a,timeout,100,5\n", TRAJ + "o1,a,1.0\n", 4, 3),
+    ], ids=["runs, four columns", "runs, five columns", "trajectories, long", "trajectories, short"])
+    def test_wrong_width_names_the_line(self, tmp_path, runs, traj, width, got):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, runs, traj=traj)
+        assert str(e.value) == f"line 2: expected {width} fields, got {got}"
+
+
+def _spec(timeout_s=50.0):
+    return ArchetypeSpec(
+        seed=3, n_instances=30, timeout_s=timeout_s, opt_fraction=0.5,
+        solvers=(SolverSpec(0.7, uniform(0.0, 20.0), uniform(0.0, 5.0), name="a"),
+                 SolverSpec(0.5, uniform(1.0, 40.0), name="b")),
+    )
+
+
+class TestValueTypes:
+    def test_slotted_types_have_no_instance_dict(self):
+        for value in (Instance("i1"), RunOutcome(1.0, RunStatus.SOLVED), Trajectory()):
+            assert not hasattr(value, "__dict__")
+
+    def test_pickle_and_replace_round_trip(self, tmp_path):
+        sc = _load(tmp_path, RUNS + "o1,a,ok,3.0,5.0\no1,b,timeout,100,7.5\n",
+                   traj=TRAJ + "o1,a,1.0,6.0\no1,a,2.5,5.0\no1,b,4.0,7.5\n")
+        assert sc.trajectories
+        values = [sc, *sc.instances, *sc.outcomes.values(), *sc.trajectories.values()]
+        for value in values:
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert dataclasses.replace(value) == value
+        assert dataclasses.replace(sc.outcome("o1", "a"), obj=4.0).obj == 4.0
+
+
+class TestRunReuse:
+    def test_raw_statuses_and_times_are_normalized(self):
+        raw = Scenario("x", (Instance("i1"),), ("a", "b"), 10,
+                       {("i1", "a"): RunOutcome(3, "solved"), ("i1", "b"): RunOutcome(10, "timeout")})
+        sc = validate_scenario(raw)
+        for key, run in sc.outcomes.items():
+            assert run is not raw.outcomes[key]
+            assert type(run.status) is RunStatus and type(run.time_s) is float
+        assert sc.outcome("i1", "a") == RunOutcome(3.0, RunStatus.SOLVED)
+        assert sc.outcome("i1", "b") == RunOutcome(10.0, RunStatus.TIMEOUT)
+
+    @pytest.mark.parametrize("timeout_s", [50.0, 50])
+    def test_validation_keeps_the_generated_runs(self, timeout_s):
+        sc = generate(_spec(timeout_s))
+        again = validate_scenario(sc)
+        assert again == sc
+        assert all(again.outcomes[k] is run for k, run in sc.outcomes.items())
+
+    def test_unsnapped_or_negative_zero_times_are_rebuilt(self):
+        runs = {("i1", "a"): RunOutcome(1.0004, RunStatus.SOLVED),
+                ("i1", "b"): RunOutcome(-0.0, RunStatus.SOLVED),
+                ("i1", "c"): RunOutcome(2.0, RunStatus.SOLVED)}
+        sc = validate_scenario(Scenario("x", (Instance("i1"),), ("a", "b", "c"), 10.0, runs))
+        assert sc.outcome("i1", "a").time_s == 1.0
+        assert math.copysign(1.0, sc.outcome("i1", "b").time_s) == 1.0
+        assert sc.outcome("i1", "c") is runs[("i1", "c")]

@@ -1,10 +1,15 @@
-"""The package has no runtime dependencies: every import is relative or stdlib."""
+"""The package has no runtime dependencies: every import is relative or stdlib.
+
+It also parses on the oldest Python that pyproject.toml declares.
+"""
 
 from __future__ import annotations
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import solvereval
 
@@ -36,3 +41,22 @@ def test_the_check_sees_a_third_party_import(tmp_path):
     p = tmp_path / "m.py"
     p.write_text("import json\nfrom . import io\nimport numpy as np\nfrom scipy.stats import norm\n")
     assert _third_party(p) == ["line 3: numpy", "line 4: scipy.stats"]
+
+
+FLOOR = (3, 10)  # dataclass(slots=True) needs 3.10
+
+
+def test_pyproject_declares_the_floor():
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+
+
+def test_every_module_parses_on_the_python_floor():
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
+
+
+def test_the_floor_check_sees_newer_syntax():
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # exception groups are 3.11
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(newer, feature_version=FLOOR)

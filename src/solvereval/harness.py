@@ -32,6 +32,7 @@ from .metrics import (
 from .rng import SplitMix64
 from .scenario import (
     Direction,
+    InstanceValues,
     RunStatus,
     Scenario,
     ScoreTable,
@@ -169,8 +170,9 @@ def score_scenario(
 
     Scores read the metric's per-instance columns over the whole scenario
     (instance_columns, or base_columns for the closed gap) at the split's
-    positions. columns passes ones already built for this scenario, metric
-    and params, as evaluate does for every cell.
+    positions, and the table's per_instance is a view of them. columns
+    passes ones already built for this scenario, metric and params, as
+    evaluate does for every cell.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
@@ -196,11 +198,7 @@ def score_scenario(
     cell = valued(columns, test)
     if not cell:
         raise EmptyInput(f"{metric_id} needs optimization instances")
-    ids = scenario.instance_ids
-    if info.optimization_only:
-        per_instance = {(s, ids[p]): columns[s][p] for p in cell for s in solvers}
-    else:
-        per_instance = {(s, ids[p]): columns[s][p] for s in solvers for p in cell}
+    per_instance = InstanceValues(columns, scenario.instance_ids, cell, info.optimization_only)
     how = Aggregation.SUM if metric_id in _SUMMED else Aggregation.ARITHMETIC_MEAN
     per_solver = {s: aggregate([columns[s][p] for p in cell], how) for s in solvers}
     table = ScoreTable(
@@ -263,10 +261,12 @@ def evaluate(
     policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.TRAIN_SPLIT
     columns = _columns(scenario, metric_id, params)
 
+    # Only a closed-gap SBS picked on the training split reads a cell's train ids.
+    needs_train = metric_id == "closed-gap" and policy is SbsPolicy.TRAIN_SPLIT
     cells = []
     for r, folds in enumerate(fold_plan.assignment):
         for f, test in enumerate(folds):
-            train = tuple(i for g, fold in enumerate(folds) if g != f for i in fold)
+            train = tuple(i for g, fold in enumerate(folds) if g != f and needs_train for i in fold)
             table, report = score_scenario(
                 scenario, metric_id, params, policy, FoldContext(train=train, test=test),
                 columns=columns,

@@ -10,7 +10,7 @@ optimization-quality scores (ratio, area, bounded reward).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -29,12 +29,11 @@ from .scenario import (
     Direction,
     Instance,
     InstanceKind,
+    InstanceValues,
     RunOutcome,
     RunStatus,
     Scenario,
     Trajectory,
-    obj_pool,
-    resolve_best_known,
     time_to_ms,
 )
 
@@ -74,6 +73,10 @@ class MetricParams:
     base_metric: str = "par"
 
 
+# One column per solver, indexed by instance position; see instance_columns.
+Columns = dict[str, Sequence[float | None]]
+
+
 @dataclass(frozen=True)
 class MetricInfo:
     metric_id: str
@@ -111,22 +114,23 @@ def _check_solver(scenario: Scenario, solver: str) -> None:
         raise UnknownSolver(f"solver {solver!r} is not part of scenario {scenario.id!r}")
 
 
-def par_instance(outcome: RunOutcome, lam: float, timeout_s: float) -> float:
-    """Penalized runtime of one run: the time if it beat the timeout, else lam * timeout."""
+def _par_column(times: Iterable[float], lam: float, timeout_s: float) -> list[float]:
+    """Penalized runtimes: each time that beat the timeout, else lam * timeout."""
     if not lam >= 1.0:
         raise BadLambda(f"penalty factor must be >= 1, got {lam}")
-    if outcome.time_s < timeout_s:
-        return outcome.time_s
-    return lam * timeout_s
+    penalty = lam * timeout_s
+    return [t if t < timeout_s else penalty for t in times]
+
+
+def par_instance(outcome: RunOutcome, lam: float, timeout_s: float) -> float:
+    """Penalized runtime of one run: the time if it beat the timeout, else lam * timeout."""
+    return _par_column((outcome.time_s,), lam, timeout_s)[0]
 
 
 def par_score(scenario: Scenario, solver: str, lam: float) -> float:
     """Mean penalized runtime of one solver over all instances."""
     _check_solver(scenario, solver)
-    total = math.fsum(
-        par_instance(scenario.outcome(i, solver), lam, scenario.timeout_s)
-        for i in scenario.instance_ids
-    )
+    total = math.fsum(_par_column(scenario.run_columns[0][solver], lam, scenario.timeout_s))
     return total / len(scenario.instance_ids)
 
 
@@ -140,11 +144,7 @@ class SolvedRank:
 def solved_ranking(scenario: Scenario) -> list[SolvedRank]:
     """Solvers ordered by solved count, then mean runtime, then id."""
     entries = [
-        SolvedRank(
-            s,
-            sum(1 for i in scenario.instance_ids if scenario.outcome(i, s).status is RunStatus.SOLVED),
-            par_score(scenario, s, 1.0),
-        )
+        SolvedRank(s, sum(scenario.run_columns[1][s]), par_score(scenario, s, 1.0))
         for s in scenario.solvers
     ]
     entries.sort(key=lambda e: (-e.solved, e.par1, e.solver_id))
@@ -193,13 +193,11 @@ def _pair_entries(
 
 def _run_table(scenario: Scenario) -> list[tuple[bool, list[tuple[float, float]]]]:
     """Per instance: whether it is a decision instance, and each solver's (time, objective)."""
-    order = scenario.solvers
+    times, _, objs = scenario.run_columns
+    rows = zip(*[zip(times[s], objs[s]) for s in scenario.solvers])
     return [
-        (
-            inst.kind is InstanceKind.DECISION,
-            [(r.time_s, r.obj) for r in (scenario.outcomes[(inst.id, s)] for s in order)],
-        )
-        for inst in scenario.instances
+        (inst.kind is InstanceKind.DECISION, list(row))
+        for inst, row in zip(scenario.instances, rows)
     ]
 
 
@@ -312,9 +310,7 @@ def mznc_scores(
 def normalized_runtime_score(scenario: Scenario, solver: str) -> float:
     """One minus the mean fraction of the timeout the solver consumed."""
     _check_solver(scenario, solver)
-    used = math.fsum(
-        scenario.time(i, solver) / scenario.timeout_s for i in scenario.instance_ids
-    )
+    used = math.fsum([t / scenario.timeout_s for t in scenario.run_columns[0][solver]])
     return 1.0 - used / len(scenario.instance_ids)
 
 
@@ -361,19 +357,26 @@ def ratio_score(instance: Instance, outcome: RunOutcome) -> float:
         raise ValueError("ratio_score applies to optimization instances only")
     if instance.best_known_obj is None:
         raise ValueError("ratio_score needs a resolved best_known_obj")
-    if math.isinf(outcome.obj):
-        return 0.0
-    if instance.best_known_obj <= 0 or outcome.obj <= 0:
-        raise NonPositiveObjective(
+    return _ratio_column((True,), (outcome.obj,), (instance.best_known_obj,))[0]
+
+
+def _fail(error: Exception) -> float:
+    """Raise error, from inside an expression."""
+    raise error
+
+
+def _ratio_column(
+    opt: Iterable[bool], objs: Iterable[float], bests: Iterable[float | None]
+) -> list[float | None]:
+    """ratio_score per position: None where opt is false, 0 where no best is known."""
+    isinf = math.isinf
+    return [
+        None if not o else 0.0 if b is None or isinf(v)
+        else _fail(NonPositiveObjective(
             "ratio_score needs strictly positive objectives; shift the objective scale"
-        )
-    return min(1.0, instance.best_known_obj / outcome.obj)
-
-
-def _norm_obj(v: float, best: float, worst: float) -> float:
-    if worst == best:
-        return 0.0 if v <= best else 1.0
-    return min(1.0, max(0.0, (v - best) / (worst - best)))
+        )) if b <= 0 or v <= 0 else min(1.0, b / v)
+        for o, v, b in zip(opt, objs, bests)
+    ]
 
 
 def area_score(
@@ -393,17 +396,38 @@ def area_score(
     best, worst = bounds
     if not (math.isfinite(best) and math.isfinite(worst) and best <= worst):
         raise BadBounds(f"bounds must be finite with best <= worst, got {bounds!r}")
-    if not trajectory.events:
+    return _area(trajectory, best, worst, timeout_s)
+
+
+def _area(trajectory: Trajectory, best: float, worst: float, timeout_s: float) -> float:
+    """area_score with bounds (best, worst) already checked."""
+    events = trajectory.events
+    if not events:
         return 1.0
-    pieces = []
-    first_t = trajectory.events[0][0]
-    pieces.append(first_t * 1.0)
-    end = trajectory.proved_optimal_at if trajectory.proved_optimal_at is not None else timeout_s
-    for idx, (t, v) in enumerate(trajectory.events):
-        nxt = trajectory.events[idx + 1][0] if idx + 1 < len(trajectory.events) else end
-        pieces.append((nxt - t) * _norm_obj(v, best, worst))
+    end = trajectory.proved_optimal_at
+    pieces = [events[0][0] * 1.0]
+    last = len(events) - 1
+    for idx, (t, v) in enumerate(events):
+        nxt = events[idx + 1][0] if idx < last else timeout_s if end is None else end
+        # The incumbent, scaled into [0, 1] by the bounds.
+        quality = (0.0 if v <= best else 1.0) if worst == best else (
+            min(1.0, max(0.0, (v - best) / (worst - best)))
+        )
+        pieces.append((nxt - t) * quality)
     # The proven-optimal stretch contributes zero area.
     return math.fsum(pieces) / timeout_s
+
+
+_UNTRACED = Trajectory()
+
+
+def _untraced(instance_id: str, solver: str, obj: float) -> Trajectory:
+    """The empty trajectory of a run without a solution; a run with one needs its own."""
+    if not math.isinf(obj):
+        raise MissingTrajectory(
+            f"area needs a trajectory for ({instance_id}, {solver}); none was recorded"
+        )
+    return _UNTRACED
 
 
 def bounded_reward_score(
@@ -420,107 +444,30 @@ def bounded_reward_score(
     linear interpolation between alpha (pool-worst objective) and beta
     (pool-best objective).
     """
-    if not (0.0 <= alpha <= beta <= 1.0):
-        raise BadAlphaBeta(f"need 0 <= alpha <= beta <= 1, got alpha={alpha}, beta={beta}")
     if instance.kind is not InstanceKind.OPTIMIZATION:
         raise ValueError("bounded_reward_score applies to optimization instances only")
     if not pool_best <= pool_worst:
         raise ValueError("pool_best must not exceed pool_worst")
-    if math.isinf(outcome.obj):
-        return 0.0
-    if outcome.status is RunStatus.SOLVED:
-        return 1.0
-    if pool_best == pool_worst:
-        return beta
-    frac = (pool_worst - outcome.obj) / (pool_worst - pool_best)
-    return alpha + (beta - alpha) * min(1.0, max(0.0, frac))
+    return _reward_column(
+        (True,), (outcome.obj,), (outcome.status is RunStatus.SOLVED,),
+        ((pool_best, pool_worst),), alpha, beta,
+    )[0]
 
 
-def _area_row(
-    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
-) -> list[float]:
-    # No objective scale to integrate against when nobody found a solution.
-    best = resolve_best_known(scenario, inst.id)
-    pool = obj_pool(scenario, inst.id)
-    if best is None or pool is None:
-        return [0.0] * len(runs)
-    bounds = (min(best, pool[0]), pool[1])
-    row = []
-    for s, out in zip(scenario.solvers, runs):
-        traj = scenario.trajectory(inst.id, s)
-        if traj is None:
-            if not math.isinf(out.obj):
-                raise MissingTrajectory(
-                    f"area needs a trajectory for ({inst.id}, {s}); none was recorded"
-                )
-            traj = Trajectory()
-        row.append(area_score(inst, traj, bounds, scenario.timeout_s))
-    return row
-
-
-def _ratio_row(
-    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
-) -> list[float]:
-    best = resolve_best_known(scenario, inst.id)
-    if best is None:
-        return [0.0] * len(runs)
-    resolved = replace(inst, best_known_obj=best)
-    return [ratio_score(resolved, out) for out in runs]
-
-
-def _reward_row(
-    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
-) -> list[float]:
-    pool = obj_pool(scenario, inst.id)
-    if pool is None:
-        return [0.0] * len(runs)
+def _reward_column(
+    opt: Iterable[bool], objs: Iterable[float], solved: Iterable[bool],
+    pools: Iterable[tuple[float, float] | None], alpha: float, beta: float,
+) -> list[float | None]:
+    """bounded_reward_score per position: None where opt is false, 0 where pools holds None."""
+    ok, isinf = 0.0 <= alpha <= beta <= 1.0, math.isinf
     return [
-        bounded_reward_score(inst, out, pool[0], pool[1], params.alpha, params.beta)
-        for out in runs
+        None if not o else 0.0 if pool is None
+        else _fail(BadAlphaBeta(f"need 0 <= alpha <= beta <= 1, got alpha={alpha}, beta={beta}"))
+        if not ok
+        else 0.0 if isinf(v) else 1.0 if done else beta if pool[0] == pool[1]
+        else alpha + (beta - alpha) * min(1.0, max(0.0, (pool[1] - v) / (pool[1] - pool[0])))
+        for o, v, done, pool in zip(opt, objs, solved, pools)
     ]
-
-
-def _mznc_row(
-    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
-) -> list[float]:
-    # Each solver's pairwise score on the instance: its sum over the opponents.
-    delta_ms = threshold_ms(params.delta)
-    decision = inst.kind is InstanceKind.DECISION
-    pairs = [(out.time_s, out.obj) for out in runs]
-    rows = (
-        _pair_entries(decision, scenario.timeout_s, *pairs[k], pairs[:k] + pairs[k + 1 :])
-        for k in range(len(pairs))
-    )
-    return [math.fsum(_pair_values(row, delta_ms)) for row in rows]
-
-
-def _speedup_row(
-    scenario: Scenario, inst: Instance, runs: list[RunOutcome], params: MetricParams
-) -> list[float]:
-    vbs = min(out.time_s for out in runs)
-    return [1.0 if out.time_s == 0.0 else vbs / out.time_s for out in runs]
-
-
-# Per-instance value of every solver, from that instance's runs alone.
-_ROWS = {
-    "par": lambda sc, inst, runs, p: [par_instance(out, p.lam, sc.timeout_s) for out in runs],
-    "runtime": lambda sc, inst, runs, p: [out.time_s for out in runs],
-    "solved-count": lambda sc, inst, runs, p: [
-        1.0 if out.status is RunStatus.SOLVED else 0.0 for out in runs
-    ],
-    "normalized-runtime": lambda sc, inst, runs, p: [
-        1.0 - out.time_s / sc.timeout_s for out in runs
-    ],
-    "speedup": _speedup_row,
-    "mznc": _mznc_row,
-    "ratio": _ratio_row,
-    "area": _area_row,
-    "bounded-reward": _reward_row,
-}
-
-
-# One column per solver, indexed by instance position; see instance_columns.
-Columns = dict[str, tuple[float | None, ...]]
 
 
 def instance_columns(
@@ -530,27 +477,62 @@ def instance_columns(
 
     Entry p of a column is the solver's value on the instance at position p
     of the scenario's instance order; metrics that need optimization data
-    hold None at decision instances. Every value depends on its own
-    instance's runs only, so the values of any subset of instances (a fold)
-    are the ones a copy of the scenario restricted to it would give. Closed
-    gap has no per-instance values; its baselines read base_columns.
+    hold None at decision instances. Each column is one pass over the
+    scenario's run_columns (and objective_columns, which the optimization
+    metrics share); mznc reads them instance by instance. Every value
+    depends on its own instance's runs only, so the values of any subset of
+    instances (a fold) are the ones a copy of the scenario restricted to it
+    would give. Closed gap has no per-instance values; its baselines read
+    base_columns.
     """
     params = params or MetricParams()
-    info = metric_info(metric_id)
+    metric_info(metric_id)
     if metric_id == "closed-gap":
         raise NonDecomposableMetric("closed gap is scored from its base metric's columns")
-    if metric_id == "mznc" and len(scenario.solvers) < 2:
-        raise SingleSolverScenario("pairwise scoring needs at least two solvers")
-    row = _ROWS[metric_id]
-    solvers, outcomes = scenario.solvers, scenario.outcomes
-    skip = (None,) * len(solvers)
-    rows = [
-        skip
-        if info.optimization_only and inst.kind is InstanceKind.DECISION
-        else row(scenario, inst, [outcomes[(inst.id, s)] for s in solvers], params)
-        for inst in scenario.instances
+    times, solved, objs = scenario.run_columns
+    tau = scenario.timeout_s
+    if metric_id == "par":
+        return {s: _par_column(col, params.lam, tau) for s, col in times.items()}
+    if metric_id == "runtime":
+        return dict(times)
+    if metric_id == "solved-count":
+        return {s: [1.0 if done else 0.0 for done in col] for s, col in solved.items()}
+    if metric_id == "normalized-runtime":
+        return {s: [1.0 - t / tau for t in col] for s, col in times.items()}
+    if metric_id == "speedup":
+        vbs = [min(row) for row in zip(*times.values())]
+        return {s: [1.0 if t == 0.0 else v / t for v, t in zip(vbs, col)] for s, col in times.items()}
+    if metric_id == "mznc":
+        # Each solver's pairwise score on an instance: its sum over the opponents.
+        if len(scenario.solvers) < 2:
+            raise SingleSolverScenario("pairwise scoring needs at least two solvers")
+        delta_ms, table = threshold_ms(params.delta), _run_table(scenario)
+        return {
+            s: [math.fsum(_pair_values(row, delta_ms)) for row in _pair_rows(scenario, table, s)]
+            for s in scenario.solvers
+        }
+    opt = [inst.kind is InstanceKind.OPTIMIZATION for inst in scenario.instances]
+    pools, bests = scenario.objective_columns
+    if metric_id == "ratio":
+        return {s: _ratio_column(opt, col, bests) for s, col in objs.items()}
+    if metric_id == "bounded-reward":
+        return {
+            s: _reward_column(opt, col, solved[s], pools, params.alpha, params.beta)
+            for s, col in objs.items()
+        }
+    # Area. No objective scale to integrate against when nobody found a solution.
+    bounds = [
+        (min(b, pool[0]), pool[1]) if o and pool else None for o, pool, b in zip(opt, pools, bests)
     ]
-    return dict(zip(solvers, zip(*rows)))
+    ids, get = scenario.instance_ids, scenario.trajectories.get
+    return {
+        s: [
+            None if not o else 0.0 if bound is None
+            else _area(get((i, s)) or _untraced(i, s, v), *bound, tau)
+            for i, o, v, bound in zip(ids, opt, col, bounds)
+        ]
+        for s, col in objs.items()
+    }
 
 
 def valued(columns: Columns, at: Iterable[int]) -> list[int]:
@@ -580,11 +562,8 @@ def area_instance_values(scenario: Scenario) -> dict[tuple[str, str], float]:
     there is no objective scale to integrate against.
     """
     columns = instance_columns(scenario, "area")
-    return {
-        (s, iid): columns[s][scenario.position_map[iid]]
-        for iid in scenario.optimization_ids
-        for s in scenario.solvers
-    }
+    at = valued(columns, range(len(scenario.instances)))
+    return dict(InstanceValues(columns, scenario.instance_ids, at, instance_major=True))
 
 
 def base_instance_values(

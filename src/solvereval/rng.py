@@ -27,8 +27,14 @@ class SplitMix64:
         return (z ^ (z >> 31)) & _MASK64
 
     def next_float(self) -> float:
-        """Uniform draw in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        """Uniform draw in [0, 1) with 53 bits of precision: (next_u64() >> 11) / 2**53.
+
+        The mix of next_u64 is repeated here to save a call per draw.
+        """
+        self._state = z = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
 
     def next_below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n) via rejection sampling."""

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyRestriction, UnknownInstance, ValidationError, Violation
 
@@ -21,6 +21,7 @@ __all__ = [
     "Direction",
     "Instance",
     "InstanceKind",
+    "InstanceValues",
     "RunOutcome",
     "RunStatus",
     "Scenario",
@@ -58,8 +59,13 @@ class Direction(str, Enum):
 
 
 def quantize_ms(t: float) -> float:
-    """Snap a time in seconds to the millisecond grid."""
-    return round(t * 1000.0) / 1000.0
+    """Snap a time in seconds to the millisecond grid.
+
+    A time with no finite millisecond count (not finite, or too large for
+    the grid) comes back unchanged, for the range checks to reject.
+    """
+    ms = t * 1000.0
+    return round(ms) / 1000.0 if math.isfinite(ms) else t
 
 
 def time_to_ms(t: float) -> int:
@@ -105,7 +111,8 @@ class ScoreTable:
     """Scores of one metric over one instance set.
 
     per_instance, when present, is keyed by (solver_id, instance_id) and
-    per_solver is its declared aggregation over instances.
+    per_solver is its declared aggregation over instances. Scoring sets it
+    to an InstanceValues view of the metric's columns, not a copy.
     """
 
     metric_id: str
@@ -114,6 +121,37 @@ class ScoreTable:
     direction: Direction
     per_instance: Mapping[tuple[str, str], float] | None = None
     aggregation: str | None = None
+
+
+class InstanceValues(Mapping):
+    """Read-only (solver_id, instance_id) -> value view of per-solver columns.
+
+    Covers every solver of columns at the positions at; keys run solver by
+    solver, or instance by instance when instance_major. A lookup reads
+    the column; nothing is copied.
+    """
+
+    __slots__ = ("_columns", "_ids", "_at", "_instance_major", "_where")
+
+    def __init__(self, columns: Mapping[str, Sequence[float]], instance_ids: Sequence[str],
+                 at: Sequence[int], instance_major: bool = False):
+        self._columns, self._ids, self._at = columns, instance_ids, at
+        self._instance_major, self._where = instance_major, None
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        if self._where is None:
+            self._where = {self._ids[p]: p for p in self._at}
+        solver, instance_id = key
+        return self._columns[solver][self._where[instance_id]]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        ids, at = self._ids, self._at
+        if self._instance_major:
+            return ((s, ids[p]) for p in at for s in self._columns)
+        return ((s, ids[p]) for s in self._columns for p in at)
+
+    def __len__(self) -> int:
+        return len(self._columns) * len(self._at)
 
 
 @dataclass(frozen=True)
@@ -140,6 +178,34 @@ class Scenario:
         return {s: tuple([time_to_ms(outcomes[(i, s)].time_s) for i in ids]) for s in self.solvers}
 
     @cached_property
+    def run_columns(self) -> tuple[dict[str, tuple], dict[str, tuple], dict[str, tuple]]:
+        """Each solver's run times in seconds, solved flags and objectives, in instance order.
+
+        The times are the stored ones: an unsolved run is at the timeout
+        exactly, which need not be on the millisecond grid.
+        """
+        ids, outcomes, solved = self.instance_ids, self.outcomes, RunStatus.SOLVED
+        times, flags, objs = {}, {}, {}
+        for s in self.solvers:
+            runs = [outcomes[(i, s)] for i in ids]
+            times[s] = tuple([r.time_s for r in runs])
+            flags[s] = tuple([r.status is solved for r in runs])
+            objs[s] = tuple([r.obj for r in runs])
+        return times, flags, objs
+
+    @cached_property
+    def objective_columns(self) -> tuple[tuple, tuple]:
+        """Per instance, in instance order: obj_pool and resolve_best_known (see those)."""
+        isfinite, pools, bests = math.isfinite, [], []
+        for inst, row in zip(self.instances, zip(*self.run_columns[2].values())):
+            finite = [v for v in row if isfinite(v)]
+            pool = (min(finite), max(finite)) if finite else None
+            pools.append(pool)
+            recorded = inst.best_known_obj
+            bests.append(recorded if recorded is not None else pool[0] if pool else None)
+        return tuple(pools), tuple(bests)
+
+    @cached_property
     def instance_ids(self) -> tuple[str, ...]:
         return tuple(inst.id for inst in self.instances)
 
@@ -147,11 +213,14 @@ class Scenario:
     def optimization_ids(self) -> tuple[str, ...]:
         return tuple(i.id for i in self.instances if i.kind is InstanceKind.OPTIMIZATION)
 
-    def instance(self, instance_id: str) -> Instance:
+    def position(self, instance_id: str) -> int:
         try:
-            return self.instance_map[instance_id]
+            return self.position_map[instance_id]
         except KeyError:
             raise UnknownInstance(f"unknown instance {instance_id!r}") from None
+
+    def instance(self, instance_id: str) -> Instance:
+        return self.instances[self.position(instance_id)]
 
     def outcome(self, instance_id: str, solver_id: str) -> RunOutcome:
         return self.outcomes[(instance_id, solver_id)]
@@ -173,23 +242,12 @@ def resolve_best_known(scenario: Scenario, instance_id: str) -> float | None:
     final objective any solver reached. None when no solver found a solution
     and no value is recorded.
     """
-    inst = scenario.instance(instance_id)
-    if inst.best_known_obj is not None:
-        return inst.best_known_obj
-    pool = obj_pool(scenario, instance_id)
-    return pool[0] if pool else None
+    return scenario.objective_columns[1][scenario.position(instance_id)]
 
 
 def obj_pool(scenario: Scenario, instance_id: str) -> tuple[float, float] | None:
     """(best, worst) final objective over the scenario's solvers, or None."""
-    finite = [
-        scenario.obj(instance_id, s)
-        for s in scenario.solvers
-        if math.isfinite(scenario.obj(instance_id, s))
-    ]
-    if not finite:
-        return None
-    return min(finite), max(finite)
+    return scenario.objective_columns[0][scenario.position(instance_id)]
 
 
 def _coerce_instance(item: object) -> Instance:
@@ -198,12 +256,6 @@ def _coerce_instance(item: object) -> Instance:
         best = None if item.best_known_obj is None else float(item.best_known_obj)
         return Instance(str(item.id), kind, best)
     return Instance(str(item))
-
-
-def _snap(t: object) -> float:
-    """A time on the millisecond grid; a non-finite one is left to the range checks."""
-    t = float(t)
-    return quantize_ms(t) if math.isfinite(t) else t
 
 
 def check_timeout(timeout_s: object) -> float:
@@ -237,7 +289,8 @@ def check_run(status: object, time_s: object, obj: object, timeout_s: float,
         raise ValueError(f"time_s must be a finite number, got {time_s!r}")
     if time_s < 0:
         raise ValueError(f"time_s must be >= 0, got {time_s}")
-    t = round(time_s * 1000.0) / 1000.0
+    # quantize_ms inline; a time too large for the grid is past any timeout.
+    t = round(ms) / 1000.0 if (ms := time_s * 1000.0) < math.inf else time_s
     if t > timeout_s:
         raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
     if member is RunStatus.SOLVED:
@@ -381,7 +434,8 @@ def assemble_scenario(
             raw_events, proved = traj, out.time_s if out.status is RunStatus.SOLVED else None
         problems, events = [], []
         for t, v in raw_events:
-            t = round(t * 1000.0) / 1000.0 if t.__class__ is float and isfinite(t) else _snap(t)
+            t = (round(ms) / 1000.0 if t.__class__ is float and isfinite(ms := t * 1000.0)
+                 else quantize_ms(float(t)))
             v = float(v)
             if not 0.0 <= t < timeout_s:
                 problems.append(f"event time {t} outside [0, timeout)")
@@ -394,7 +448,7 @@ def assemble_scenario(
             if not v1 > v2:
                 problems.append("event objectives must be strictly decreasing")
         if proved is not None:
-            proved = _snap(proved)
+            proved = quantize_ms(float(proved))
             if not 0.0 <= proved < timeout_s:
                 problems.append("proved_optimal_at outside [0, timeout)")
             if events and proved < events[-1][0]:
@@ -448,8 +502,8 @@ def build_scenario(
 def positions(scenario: Scenario, instance_ids: Iterable[str]) -> tuple[int, ...]:
     """Positions of a subset of the scenario's instances, in the scenario's order.
 
-    A cross-validation fold is such a subset: scoring reads per-instance
-    values at these positions, where restrict copies the runs.
+    A cross-validation fold is such a subset: scoring reads the metric's
+    per-instance columns at these positions and copies no runs.
     """
     wanted = set(instance_ids)
     if not wanted:

@@ -1,0 +1,381 @@
+"""Metric columns built from run columns, against rows built run by run.
+
+The reference below is the per-instance row computation the column
+kernels replaced: for each instance it gathers the solvers' runs from
+scenario.outcomes and applies each metric's per-run formula, with the
+objective pool and best-known value recomputed from those runs. Columns
+must match it bit for bit (compared through float.hex, so -0.0 and 0.0
+differ), or raise the same error type. Fold totals are also checked
+against the independent oracle.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fold_columns import METRIC_IDS, bench_family_spec, ref_restrict
+from test_pairwise_kernel import ref_per_instance
+
+from solvereval import (
+    BadAlphaBeta,
+    BadLambda,
+    FoldContext,
+    Instance,
+    InstanceKind,
+    MetricParams,
+    MissingTrajectory,
+    NonDecomposableMetric,
+    NonPositiveObjective,
+    RunOutcome,
+    RunStatus,
+    SbsPolicy,
+    SingleSolverScenario,
+    SolverEvalError,
+    Trajectory,
+    build_scenario,
+    emit_scenario,
+    generate,
+    head_to_head,
+    make_fold_plan,
+    metric_info,
+    obj_pool,
+    oracle_score,
+    parse_runs,
+    resolve_best_known,
+    runtime_distribution,
+    score_scenario,
+)
+from solvereval.metrics import instance_columns
+from solvereval.scenario import InstanceValues
+
+COLUMN_METRICS = [m for m in METRIC_IDS if m != "closed-gap"]
+
+
+def ref_pool(sc, iid):
+    finite = [sc.outcomes[(iid, s)].obj for s in sc.solvers]
+    finite = [v for v in finite if math.isfinite(v)]
+    return (min(finite), max(finite)) if finite else None
+
+
+def ref_best(sc, inst):
+    if inst.best_known_obj is not None:
+        return inst.best_known_obj
+    pool = ref_pool(sc, inst.id)
+    return pool[0] if pool else None
+
+
+def ref_par_row(sc, inst, runs, p):
+    if not p.lam >= 1.0:
+        raise BadLambda(p.lam)
+    return [r.time_s if r.time_s < sc.timeout_s else p.lam * sc.timeout_s for r in runs]
+
+
+def ref_speedup_row(sc, inst, runs, p):
+    vbs = min(r.time_s for r in runs)
+    return [1.0 if r.time_s == 0.0 else vbs / r.time_s for r in runs]
+
+
+def ref_mznc_row(sc, inst, runs, p):
+    values = ref_per_instance(ref_restrict(sc, [inst.id]), p.delta)
+    return [values[(s, inst.id)] for s in sc.solvers]
+
+
+def ref_ratio_row(sc, inst, runs, p):
+    best = ref_best(sc, inst)
+    if best is None:
+        return [0.0] * len(runs)
+    row = []
+    for r in runs:
+        if math.isinf(r.obj):
+            row.append(0.0)
+        elif best <= 0 or r.obj <= 0:
+            raise NonPositiveObjective(inst.id)
+        else:
+            row.append(min(1.0, best / r.obj))
+    return row
+
+
+def ref_norm_obj(v, best, worst):
+    if worst == best:
+        return 0.0 if v <= best else 1.0
+    return min(1.0, max(0.0, (v - best) / (worst - best)))
+
+
+def ref_area_row(sc, inst, runs, p):
+    best, pool = ref_best(sc, inst), ref_pool(sc, inst.id)
+    if best is None or pool is None:
+        return [0.0] * len(runs)
+    lo, hi = min(best, pool[0]), pool[1]
+    row = []
+    for s, r in zip(sc.solvers, runs):
+        traj = sc.trajectories.get((inst.id, s))
+        if traj is None:
+            if not math.isinf(r.obj):
+                raise MissingTrajectory((inst.id, s))
+            traj = Trajectory()
+        if not traj.events:
+            row.append(1.0)
+            continue
+        end = traj.proved_optimal_at if traj.proved_optimal_at is not None else sc.timeout_s
+        pieces = [traj.events[0][0] * 1.0]
+        for idx, (t, v) in enumerate(traj.events):
+            nxt = traj.events[idx + 1][0] if idx + 1 < len(traj.events) else end
+            pieces.append((nxt - t) * ref_norm_obj(v, lo, hi))
+        row.append(math.fsum(pieces) / sc.timeout_s)
+    return row
+
+
+def ref_reward_row(sc, inst, runs, p):
+    pool = ref_pool(sc, inst.id)
+    if pool is None:
+        return [0.0] * len(runs)
+    if not 0.0 <= p.alpha <= p.beta <= 1.0:
+        raise BadAlphaBeta((p.alpha, p.beta))
+    best, worst = pool
+    row = []
+    for r in runs:
+        if math.isinf(r.obj):
+            row.append(0.0)
+        elif r.status is RunStatus.SOLVED:
+            row.append(1.0)
+        elif best == worst:
+            row.append(p.beta)
+        else:
+            frac = (worst - r.obj) / (worst - best)
+            row.append(p.alpha + (p.beta - p.alpha) * min(1.0, max(0.0, frac)))
+    return row
+
+
+REF_ROWS = {
+    "par": ref_par_row,
+    "runtime": lambda sc, inst, runs, p: [r.time_s for r in runs],
+    "solved-count": lambda sc, inst, runs, p: [
+        1.0 if r.status is RunStatus.SOLVED else 0.0 for r in runs
+    ],
+    "normalized-runtime": lambda sc, inst, runs, p: [1.0 - r.time_s / sc.timeout_s for r in runs],
+    "speedup": ref_speedup_row,
+    "mznc": ref_mznc_row,
+    "ratio": ref_ratio_row,
+    "area": ref_area_row,
+    "bounded-reward": ref_reward_row,
+}
+
+
+def ref_columns(sc, metric_id, params):
+    """Per-instance rows from scenario.outcomes, transposed into one column per solver."""
+    info = metric_info(metric_id)
+    if metric_id == "closed-gap":
+        raise NonDecomposableMetric(metric_id)
+    if metric_id == "mznc" and len(sc.solvers) < 2:
+        raise SingleSolverScenario(metric_id)
+    rows = []
+    for inst in sc.instances:
+        if info.optimization_only and inst.kind is InstanceKind.DECISION:
+            rows.append([None] * len(sc.solvers))
+        else:
+            runs = [sc.outcomes[(inst.id, s)] for s in sc.solvers]
+            rows.append(REF_ROWS[metric_id](sc, inst, runs, params))
+    return dict(zip(sc.solvers, map(list, zip(*rows))))
+
+
+def bits(columns):
+    return {s: [None if v is None else float(v).hex() for v in col] for s, col in columns.items()}
+
+
+def outcome(fn, *args):
+    try:
+        return bits(fn(*args))
+    except SolverEvalError as e:
+        return type(e)
+
+
+@st.composite
+def edge_scenarios(draw, max_instances=12, min_solvers=1, max_solvers=5, drop=True):
+    """Mixed-kind scenarios with trajectories, at the edges the kernels must keep.
+
+    Times come from a few millisecond values (zero included), so runs tie
+    often; the timeout may sit off the millisecond grid; some optimization
+    instances have no solution at all, some carry a recorded best-known
+    value, and objectives may be non-positive. With drop, a recorded
+    trajectory may be taken out after validation.
+    """
+    timeout_s = draw(st.sampled_from([10.0, 100.0004, 7.0003]))
+    grid = sorted({0, 1, 2, 500, draw(st.integers(0, math.floor(timeout_s * 1000) - 1))})
+    lowest = draw(st.sampled_from([1, 1, 1, -2]))
+    solvers = tuple(f"s{j}" for j in range(draw(st.integers(min_solvers, max_solvers))))
+    instances, outcomes, trajectories = [], {}, {}
+    for n in range(draw(st.integers(1, max_instances))):
+        iid = f"i{n:02d}"
+        opt = draw(st.booleans())
+        unsolvable = opt and draw(st.integers(0, 3)) == 0
+        best_known = None
+        if opt and draw(st.integers(0, 2)) == 0:
+            best_known = float(draw(st.integers(lowest, 30)))
+        instances.append(
+            Instance(iid, InstanceKind.OPTIMIZATION if opt else InstanceKind.DECISION, best_known)
+        )
+        for s in solvers:
+            solved = not unsolvable and draw(st.booleans())
+            t = draw(st.sampled_from(grid)) / 1000.0 if solved else timeout_s
+            status = RunStatus.SOLVED if solved else draw(
+                st.sampled_from([RunStatus.TIMEOUT, RunStatus.ERROR])
+            )
+            found = opt and (solved or (not unsolvable and draw(st.booleans())))
+            obj = math.inf
+            if found:
+                objs = sorted(set(draw(st.lists(st.integers(lowest, 30), min_size=1, max_size=3))),
+                              reverse=True)
+                horizon = max(math.floor(t * 1000), len(objs)) if solved else math.floor(
+                    timeout_s * 1000
+                ) - 1
+                times = sorted(set(draw(st.lists(st.integers(0, horizon), min_size=len(objs),
+                                                 max_size=len(objs)))))
+                objs = objs[: len(times)]
+                events = tuple((ms / 1000.0, float(v)) for ms, v in zip(times, objs))
+                if solved:
+                    t = max(t, events[-1][0])
+                obj = events[-1][1]
+                trajectories[(iid, s)] = Trajectory(events, t if solved else None)
+            outcomes[(iid, s)] = RunOutcome(t, status, obj)
+    sc = build_scenario("edge", instances, solvers, timeout_s, outcomes, trajectories)
+    if drop and trajectories and draw(st.integers(0, 5)) == 0:
+        dropped = draw(st.sampled_from(sorted(sc.trajectories)))
+        sc = replace(sc, trajectories={k: v for k, v in sc.trajectories.items() if k != dropped})
+    return sc
+
+
+PARAMS = st.builds(
+    MetricParams,
+    lam=st.sampled_from([1.0, 1.5, 10.0, 0.5]),
+    delta=st.sampled_from([0.0, 0.001, 1.0]),
+    alpha=st.sampled_from([0.25, 0.0, 0.8]),
+    beta=st.sampled_from([0.75, 1.0, 0.5]),
+)
+
+
+class TestAgainstRows:
+    @given(edge_scenarios(), PARAMS)
+    def test_every_metric(self, sc, params):
+        for metric_id in COLUMN_METRICS:
+            got = outcome(instance_columns, sc, metric_id, params)
+            assert got == outcome(ref_columns, sc, metric_id, params), metric_id
+
+    @given(edge_scenarios())
+    def test_objective_columns(self, sc):
+        for inst in sc.instances:
+            assert obj_pool(sc, inst.id) == ref_pool(sc, inst.id)
+            assert resolve_best_known(sc, inst.id) == ref_best(sc, inst)
+        assert sc.objective_columns is sc.objective_columns
+
+    def test_zero_times_and_an_off_grid_timeout(self):
+        tau = 100.0004
+        sc = build_scenario(
+            "z", [Instance("i1"), Instance("o1", InstanceKind.OPTIMIZATION)], ["a", "b"], tau,
+            {("i1", "a"): RunOutcome(0.0, RunStatus.SOLVED),
+             ("i1", "b"): RunOutcome(tau, RunStatus.TIMEOUT),
+             ("o1", "a"): RunOutcome(0.0, RunStatus.SOLVED, 3.0),
+             ("o1", "b"): RunOutcome(tau, RunStatus.ERROR)},
+            {("o1", "a"): Trajectory(((0.0, 3.0),), 0.0)},
+        )
+        # An unsolved run keeps the timeout as stored, off the millisecond grid.
+        assert sc.run_columns[0] == {"a": (0.0, 0.0), "b": (tau, tau)}
+        for metric_id in COLUMN_METRICS:
+            got = outcome(instance_columns, sc, metric_id, MetricParams())
+            assert got == outcome(ref_columns, sc, metric_id, MetricParams()), metric_id
+        assert instance_columns(sc, "speedup")["a"] == [1.0, 1.0]
+        assert instance_columns(sc, "area")["a"] == [None, 0.0]
+
+
+def oracle_or_error(sc, metric_id, solver, params):
+    try:
+        return oracle_score(
+            sc, metric_id, solver, lam=params.lam, delta=params.delta,
+            alpha=params.alpha, beta=params.beta, base_metric=params.base_metric,
+        )
+    except (SolverEvalError, ValueError) as e:
+        return type(e)
+
+
+def assert_cells_match_oracle(sc, params, plan):
+    """Each test fold's scores against the oracle on a copy restricted to the fold.
+
+    Closed gap picks its SBS on the test split, as the oracle does on the
+    copy. A cell the oracle cannot score (no optimization instance, a
+    degenerate gap) must fail here too; the oracle does not check for
+    non-positive objectives, so those cells fail here alone.
+    """
+    for metric_id in METRIC_IDS:
+        for test in plan.assignment[0]:
+            cell = ref_restrict(sc, test)
+            try:
+                table, _ = score_scenario(
+                    sc, metric_id, params, SbsPolicy.TEST_SPLIT, FoldContext((), test)
+                )
+            except NonPositiveObjective:
+                continue
+            except SolverEvalError:
+                assert not isinstance(oracle_or_error(cell, metric_id, sc.solvers[0], params), float)
+                continue
+            for s in sc.solvers:
+                want = oracle_or_error(cell, metric_id, s, params)
+                assert table.per_solver[s] == pytest.approx(want, rel=1e-9, abs=1e-9), (metric_id, s)
+
+
+class TestFoldTotalsAgainstOracle:
+    @settings(max_examples=25)
+    @given(edge_scenarios(max_instances=20, min_solvers=2, drop=False), st.data())
+    def test_edge_scenarios(self, sc, data):
+        if len(sc.instance_ids) < 2:
+            return
+        params = data.draw(st.builds(
+            MetricParams,
+            lam=st.sampled_from([1.0, 10.0]),
+            delta=st.sampled_from([0.0, 1.0]),
+            base_metric=st.sampled_from(["par", "runtime", "area"]),
+        ))
+        k = data.draw(st.integers(2, min(4, len(sc.instance_ids))))
+        assert_cells_match_oracle(sc, params, make_fold_plan(sc.instance_ids, k))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("base_metric", ["par", "area"])
+    def test_bench_family_at_the_oracle_limit(self, seed, base_metric):
+        sc = generate(bench_family_spec(seed, 50, 6, 0.5))
+        plan = make_fold_plan(sc.instance_ids, 5, seed=seed)
+        assert_cells_match_oracle(sc, MetricParams(base_metric=base_metric), plan)
+
+
+class TestInstanceValues:
+    def test_a_view_of_the_columns(self):
+        columns = {"a": [1.0, None, 3.0], "b": [4.0, None, 6.0]}
+        ids = ("i1", "i2", "i3")
+        view = InstanceValues(columns, ids, [0, 2])
+        assert list(view) == [("a", "i1"), ("a", "i3"), ("b", "i1"), ("b", "i3")]
+        assert list(InstanceValues(columns, ids, [0, 2], instance_major=True)) == [
+            ("a", "i1"), ("b", "i1"), ("a", "i3"), ("b", "i3"),
+        ]
+        assert view == {("a", "i1"): 1.0, ("a", "i3"): 3.0, ("b", "i1"): 4.0, ("b", "i3"): 6.0}
+        assert len(view) == 4 and view[("b", "i3")] == 6.0
+        assert ("a", "i2") not in view and ("c", "i1") not in view
+        with pytest.raises(KeyError):
+            view[("a", "i2")]
+        columns["a"][0] = 9.0  # nothing was copied
+        assert view[("a", "i1")] == 9.0
+
+
+class TestColumnsBuiltOnDemand:
+    def test_time_only_commands_build_no_run_columns(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        emit_scenario(generate(bench_family_spec(3, 20, 4, 0.5)), runs)
+        sc = parse_runs(runs, 100.0)
+        head_to_head(sc, "s00", "s01")
+        runtime_distribution(sc, "s00")
+        assert "time_columns" in vars(sc)
+        assert "run_columns" not in vars(sc) and "objective_columns" not in vars(sc)
+        instance_columns(sc, "par")
+        assert "run_columns" in vars(sc) and "objective_columns" not in vars(sc)
+        instance_columns(sc, "ratio")
+        assert "objective_columns" in vars(sc)

@@ -8,7 +8,9 @@ rejected with one BadTimeout before any row is read, the physical line
 number of a row after a blank line, and a negative ok runtime in an
 attribute-relation table, which is now a RowError instead of a
 ValidationError, and an infinite repetition, which is now a RowError
-instead of an OverflowError.
+instead of an OverflowError. A finite time too large for the millisecond
+grid (TestHugeTimes) is a RowError or a violation, where it was an
+OverflowError.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from solvereval import (
     validate_scenario,
 )
 from solvereval.cli import main
-from solvereval.scenario import check_run
+from solvereval.scenario import check_run, quantize_ms
 from solvereval.synthkit import ArchetypeSpec, SolverSpec, generate, uniform
 
 RUNS = "instance_id,solver_id,status,time_s,obj\n"
@@ -255,6 +257,64 @@ class TestCheckRun:
     def test_each_invariant(self, status, time_s, obj, fragment):
         with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):
             check_run(status, time_s, obj, 10.0, unsolved_at_timeout=True)
+
+
+# 1e306 s is finite, but 1e306 * 1000 ms is not: no millisecond grid point.
+HUGE = 1e306
+
+
+class TestHugeTimes:
+    def test_quantize_leaves_it_to_the_range_checks(self):
+        assert quantize_ms(HUGE) == HUGE
+        assert quantize_ms(-HUGE) == -HUGE
+        assert quantize_ms(1e300) == 1e300
+
+    @pytest.mark.parametrize("status", ["ok", "timeout"])
+    def test_runs_reader_names_the_line(self, tmp_path, status):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, RUNS + f"i1,b,ok,1.0,\ni1,a,{status},{HUGE!r},\n")
+        assert e.value.line_no == 3
+        assert "exceeds the timeout" in str(e.value)
+
+    @pytest.mark.parametrize("cell", [repr(HUGE), "1e308"])
+    def test_trajectory_reader_names_the_pair(self, tmp_path, cell):
+        with pytest.raises(ValidationError) as e:
+            _load(tmp_path, RUNS + "o1,a,timeout,100,5\n", traj=TRAJ + f"o1,a,{cell},5.0\n")
+        assert [(v.code, v.where) for v in e.value.violations] == [
+            ("InconsistentTrajectory", "(o1, a)"),
+        ]
+        assert "outside [0, timeout)" in e.value.violations[0].message
+
+    def test_arff_ok_runtime_reads_as_a_timeout(self, tmp_path):
+        sc = _load(tmp_path, ARFF + f"i1,1,a,{HUGE!r},ok\n")
+        assert sc.outcome("i1", "a") == RunOutcome(100.0, RunStatus.TIMEOUT)
+
+    def test_validate_scenario_names_the_pair(self):
+        raw = Scenario("x", (Instance("i1"), Instance("o1", InstanceKind.OPTIMIZATION)), ("a",),
+                       100.0, {("i1", "a"): RunOutcome(HUGE, RunStatus.SOLVED),
+                               ("o1", "a"): RunOutcome(1.0, RunStatus.SOLVED, 5.0)},
+                       {("o1", "a"): Trajectory(((HUGE, 5.0),), proved_optimal_at=HUGE)})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.where) for v in e.value.violations] == [
+            ("BadOutcome", "(i1, a)"),
+            ("InconsistentTrajectory", "(o1, a)"),
+            ("InconsistentTrajectory", "(o1, a)"),
+        ]
+
+    def test_check_run(self):
+        with pytest.raises(ValueError, match="exceeds the timeout"):
+            check_run(RunStatus.SOLVED, HUGE, None, 10.0)
+
+    def test_cli_validate_exits_1(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(RUNS + f"i1,a,ok,{HUGE!r},\n")
+        assert main(["validate", str(runs), "--timeout", "100"]) == 1
+        assert "line 2: time_s 1e+306 exceeds the timeout" in capsys.readouterr().err
+        runs.write_text(RUNS + "o1,a,timeout,100,5\n")
+        (tmp_path / "runs_trajectories.csv").write_text(TRAJ + f"o1,a,{HUGE!r},5.0\n")
+        assert main(["validate", str(runs), "--timeout", "100"]) == 1
+        assert "InconsistentTrajectory [(o1, a)]" in capsys.readouterr().err
 
 
 def _round_trip(sc):

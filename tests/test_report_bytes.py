@@ -1,0 +1,63 @@
+"""Golden report bytes: the CLI's reports on one small generated scenario.
+
+Each digest is the sha256 of a command's output on a 200 x 8 scenario of
+the bench solver family (seed 1, half the instances optimization ones,
+with trajectories). A change meant to keep reports byte-identical must
+keep every digest; a change meant to alter a report must update its
+digest on purpose.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+from test_fold_columns import bench_family_spec
+
+from solvereval import emit_scenario, generate
+from solvereval.cli import main
+
+CV_METRICS = (
+    "par", "runtime", "solved-count", "normalized-runtime", "speedup",
+    "closed-gap", "ratio", "area", "bounded-reward",
+)
+METRIC_FLAGS = tuple(f for m in CV_METRICS for f in ("--metric", m))
+DELTAS = ",".join(f"{k / 10:g}" for k in range(21))
+
+COMMANDS = {
+    "score-json": ("score", "runs.csv", "--timeout", "100", "--folds", "10",
+                   "--format", "json", *METRIC_FLAGS, "-o", "out"),
+    "score-csv": ("score", "runs.csv", "--timeout", "100", "--folds", "10",
+                  "--format", "csv", *METRIC_FLAGS, "-o", "out"),
+    "score-table": ("score", "runs.csv", "--timeout", "100", "--folds", "10",
+                    "--format", "table", *METRIC_FLAGS, "-o", "out"),
+    "rank-mznc": ("rank", "runs.csv", "--timeout", "100", "--metric", "mznc"),
+    "sweep-delta-flip": ("sweep-delta", "runs.csv", "--timeout", "100", "--deltas", DELTAS,
+                         "--flip", "s04,s00", "--format", "json"),
+}
+
+DIGESTS = {
+    "score-json": "10c328157752347ae0d4ce7bd8ebbc4bffd8717ab5b6e9fd42f0c2c99e5df11d",
+    "score-csv": "2c9421820cd7ff3aa8437927c694556ad339f6d5acf7acf4038d05ffbb5f97c5",
+    "score-table": "abea91e3cdc3247e51fa53739c6f23af4b0c96bb6ba330356d0afb015cc2dfc0",
+    "rank-mznc": "8e38d6fd57ac7fd15885ef6691617b04b53cb14dd8c9f06ef2c3e283366065de",
+    "sweep-delta-flip": "c3ff4f365671cbd8ee21cec9fb1c0aa5d59e96eb7cf774b79f39590ac3d12ddc",
+}
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(tmp_path_factory) -> Path:
+    where = tmp_path_factory.mktemp("golden")
+    emit_scenario(generate(bench_family_spec(1, 200, 8, 0.5)), where / "runs.csv")
+    return where
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_digest(name, scenario_dir, monkeypatch, capsys):
+    # Reports name their runs file as given, so every command runs beside it.
+    monkeypatch.chdir(scenario_dir)
+    argv = COMMANDS[name]
+    assert main(list(argv)) == 0
+    out = Path("out").read_bytes() if argv[-2] == "-o" else capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[name]

@@ -7,6 +7,7 @@ bad arguments, scenario violations), 2 for unexpected internal failures.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -446,6 +447,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse exits directly for --help and --version
         return int(e.code or 0)
+    # A command's bulk data (rows, runs, events) holds no reference cycles,
+    # so the cyclic collector only rescans it; it is paused for the command
+    # and left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (SolverEvalError, OSError) as e:
@@ -454,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         traceback.print_exc()
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def run() -> None:

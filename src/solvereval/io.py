@@ -15,7 +15,7 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import __version__
 from .baselines import BaselineReport
@@ -152,28 +152,31 @@ def parse_runs(
         tuple(solver_order),
         timeout_s,
         outcomes,
-        _read_trajectories(path, trajectories_path, outcomes),
+        {},
         violations,
+        events=_trajectory_events(path, trajectories_path, outcomes),
     )
 
 
-def _read_trajectories(
+def _trajectory_events(
     runs_path: Path,
     trajectories_path: str | Path | None,
     outcomes: Mapping[tuple[str, str], RunOutcome],
-) -> dict[tuple[str, str], list[tuple[float, float]]]:
-    """The (t, obj) events of each pair in the trajectory file, unchecked beyond their cells."""
+) -> Iterator[tuple[tuple[str, str], float, float]]:
+    """The ((instance_id, solver_id), t, obj) events of the trajectory file, in file order.
+
+    Only the cells are checked here, each row as assemble_scenario reads it.
+    """
     if trajectories_path is None:
         candidate = trajectories_path_for(runs_path)
         if not candidate.exists():
-            return {}
+            return
         trajectories_path = candidate
-    events: dict[tuple[str, str], list[tuple[float, float]]] = {}
     with open(trajectories_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return {}
+            return
         fields = [f.strip() for f in header]
         if set(fields) != set(_TRAJ_FIELDS):
             raise SchemaError(
@@ -189,9 +192,8 @@ def _read_trajectories(
             key = (row[c_inst].strip(), row[c_solver].strip())
             if key not in outcomes:
                 raise RowError(reader.line_num, f"trajectory row for unknown pair {key!r}")
-            t = _parse_time(row[c_time], reader.line_num)
-            events.setdefault(key, []).append((t, _parse_float(row[c_obj], "obj", reader.line_num)))
-    return events
+            yield (key, _parse_time(row[c_time], reader.line_num),
+                   _parse_float(row[c_obj], "obj", reader.line_num))
 
 
 def emit_scenario(

@@ -274,12 +274,13 @@ def check_run(status: object, time_s: object, obj: object, timeout_s: float,
               unsolved_at_timeout: bool = False, run: RunOutcome | None = None) -> RunOutcome:
     """The per-run invariants, shared by validate_scenario and the file readers.
 
-    A known status; a finite time_s >= 0, at most the timeout once snapped
-    to the millisecond grid; a solved run strictly before the timeout
-    (stored snapped); an unsolved run at the timeout (or stored there, with
-    unsolved_at_timeout); obj a number or +inf (None reads as +inf).
-    Returns the normalized run (run itself when it was already normalized);
-    raises ValueError naming what is broken.
+    A known status; a finite time_s >= 0; a solved run strictly before the
+    timeout once snapped to the millisecond grid (stored snapped); an
+    unsolved run at the timeout, stored there. With unsolved_at_timeout an
+    unsolved run may record any time up to the timeout once snapped, or the
+    timeout as emit_scenario writes it (7.001 for 7.0009). obj a number or
+    +inf (None reads as +inf). Returns the normalized run (run itself when
+    it was already normalized); raises ValueError naming what is broken.
     """
     try:
         member = _STATUS[status]
@@ -291,13 +292,16 @@ def check_run(status: object, time_s: object, obj: object, timeout_s: float,
         raise ValueError(f"time_s must be >= 0, got {time_s}")
     # quantize_ms inline; a time too large for the grid is past any timeout.
     t = round(ms) / 1000.0 if (ms := time_s * 1000.0) < math.inf else time_s
-    if t > timeout_s:
-        raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
     if member is RunStatus.SOLVED:
+        if t > timeout_s:
+            raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
         if t >= timeout_s:
             raise ValueError(f"a solved run must finish strictly before the timeout, got {t}")
-    elif unsolved_at_timeout or time_s == timeout_s:
+    elif time_s == timeout_s or unsolved_at_timeout and (
+            t <= timeout_s or time_s == float(f"{timeout_s:.3f}")):
         t = timeout_s
+    elif t > timeout_s:
+        raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
     else:
         raise ValueError(f"{member.value} run must record time_s == timeout, got {time_s}")
     if obj.__class__ is not float:
@@ -387,17 +391,23 @@ def validate_scenario(raw: Scenario) -> Scenario:
 def assemble_scenario(
     scenario_id: str, instances: tuple[Instance, ...], solvers: tuple[str, ...],
     timeout_s: float, outcomes: dict[tuple[str, str], RunOutcome],
-    raw_trajectories: Mapping[tuple[str, str], Trajectory | Sequence[tuple[float, float]]],
-    violations: list[Violation], rejected: Collection[tuple[str, str]] = (),
+    trajectories: Mapping[tuple[str, str], Trajectory], violations: list[Violation],
+    rejected: Collection[tuple[str, str]] = (),
+    events: Iterable[tuple[tuple[str, str], float, float]] = (),
 ) -> Scenario:
     """Run the cross-row checks on checked runs and build the scenario.
 
     The scenario needs an instance and a solver, and every (instance,
     solver) pair needs a run; a pair whose run was rejected is not reported
-    missing as well. A raw trajectory is a Trajectory or the (t, obj) events
-    read from a file; each is snapped to the millisecond grid, checked
-    against its run and built once. Raises ValidationError with the given
-    violations followed by these.
+    missing as well. Trajectories come as Trajectory objects, or as events
+    ((instance_id, solver_id), t, obj) read from a file, each pair's in
+    recorded order; a pair read from a file is proved optimal when its run
+    is solved. One pass over the events snaps each to the millisecond grid
+    and checks it against the pair's previous event. A pair is closed once
+    all its events are in (a given Trajectory at once, a file's pairs after
+    its last row): its end checks run and its Trajectory is built once.
+    Raises ValidationError with the given violations followed by these,
+    pair by pair in the order the pairs first appear.
     """
 
     def flag(code: str, message: str, where: str | None = None) -> None:
@@ -414,56 +424,90 @@ def assemble_scenario(
                     flag("MissingOutcome", "no recorded run for this pair", f"({inst.id}, {s})")
 
     kind_of = {inst.id: inst.kind for inst in instances}
-    solver_set = set(solvers)
-    isfinite = math.isfinite
-    trajectories: dict[tuple[str, str], Trajectory] = {}
-    for key, traj in raw_trajectories.items():
-        i, s = str(key[0]), str(key[1])
-        kind = kind_of.get(i)
-        if kind is None or s not in solver_set:
-            flag("UnknownId", "trajectory recorded for a pair outside the scenario", f"({i}, {s})")
-            continue
-        if kind is not InstanceKind.OPTIMIZATION:
-            flag("InconsistentTrajectory", "trajectory recorded for a decision instance", f"({i}, {s})")
-            continue
-        key = (i, s)
-        out = outcomes.get(key)
-        if isinstance(traj, Trajectory):
-            raw_events, proved = traj.events, traj.proved_optimal_at
-        else:  # events read from a file: proved optimal when the run is solved
-            raw_events, proved = traj, out.time_s if out.status is RunStatus.SOLVED else None
-        problems, events = [], []
-        for t, v in raw_events:
+    solver_set, isfinite, solved = set(solvers), math.isfinite, RunStatus.SOLVED
+    # Each open pair's checked events, in the order the pairs first appear
+    # (None when the pair can have no trajectory, with the reason in refused),
+    # and the problems found of single events and between consecutive ones.
+    pairs: dict[tuple[str, str], list[tuple[float, float]] | None] = {}
+    refused: dict[tuple[str, str], tuple[str, str]] = {}
+    problems: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
+    built: dict[tuple[str, str], Trajectory] = {}
+
+    def open_pair(key: tuple[str, str]) -> list | None:
+        kind = kind_of.get(key[0])
+        if kind is None or key[1] not in solver_set:
+            refused[key] = ("UnknownId", "trajectory recorded for a pair outside the scenario")
+        elif kind is not InstanceKind.OPTIMIZATION:
+            refused[key] = ("InconsistentTrajectory", "trajectory recorded for a decision instance")
+        else:
+            return []
+        return None
+
+    def take(stream: Iterable[tuple[tuple[str, str], float, float]]) -> None:
+        """The one pass over events: snap each and check it against its pair's previous one."""
+        for key, t, v in stream:
+            seen = pairs.get(key)
+            if seen is None:
+                if key in pairs:
+                    continue
+                seen = pairs[key] = open_pair(key)
+                if seen is None:
+                    continue
             t = (round(ms) / 1000.0 if t.__class__ is float and isfinite(ms := t * 1000.0)
                  else quantize_ms(float(t)))
             v = float(v)
             if not 0.0 <= t < timeout_s:
-                problems.append(f"event time {t} outside [0, timeout)")
+                problems.setdefault(key, ([], []))[0].append(f"event time {t} outside [0, timeout)")
             if not isfinite(v):
-                problems.append("event objectives must be finite")
-            events.append((t, v))
-        for (t1, v1), (t2, v2) in zip(events, events[1:]):
-            if not t1 < t2:
-                problems.append("event times must be strictly increasing")
-            if not v1 > v2:
-                problems.append("event objectives must be strictly decreasing")
+                problems.setdefault(key, ([], []))[0].append("event objectives must be finite")
+            if seen:
+                t1, v1 = seen[-1]
+                if not t1 < t:
+                    problems.setdefault(key, ([], []))[1].append(
+                        "event times must be strictly increasing")
+                if not v1 > v:
+                    problems.setdefault(key, ([], []))[1].append(
+                        "event objectives must be strictly decreasing")
+            seen.append((t, v))
+
+    def close(key: tuple[str, str], seen: list | None, proved: object) -> None:
+        """Flag the pair's problems, its own and those against its run, or build its Trajectory."""
+        if seen is None:
+            flag(*refused[key], f"({key[0]}, {key[1]})")
+            return
+        single, between = problems.pop(key, ((), ()))
+        found = [*single, *between]
         if proved is not None:
             proved = quantize_ms(float(proved))
             if not 0.0 <= proved < timeout_s:
-                problems.append("proved_optimal_at outside [0, timeout)")
-            if events and proved < events[-1][0]:
-                problems.append("proved_optimal_at precedes the last event")
+                found.append("proved_optimal_at outside [0, timeout)")
+            if seen and proved < seen[-1][0]:
+                found.append("proved_optimal_at precedes the last event")
+        out = outcomes.get(key)
         if out is not None:
-            if events and events[-1][1] != out.obj:
-                problems.append("last event objective differs from the run outcome")
-            if not events and isfinite(out.obj):
-                problems.append("run found a solution but the trajectory is empty")
-            if proved is not None and out.status is not RunStatus.SOLVED:
-                problems.append("optimality proof recorded on an unsolved run")
-        for message in problems:
-            flag("InconsistentTrajectory", message, f"({i}, {s})")
-        if not problems:
-            trajectories[key] = Trajectory(tuple(events), proved)
+            if seen and seen[-1][1] != out.obj:
+                found.append("last event objective differs from the run outcome")
+            if not seen and isfinite(out.obj):
+                found.append("run found a solution but the trajectory is empty")
+            if proved is not None and out.status is not solved:
+                found.append("optimality proof recorded on an unsolved run")
+        if found:
+            for message in found:
+                flag("InconsistentTrajectory", message, f"({key[0]}, {key[1]})")
+        else:
+            built[key] = Trajectory(tuple(seen), proved)
+
+    # A given Trajectory is complete, so it is closed as soon as it is read.
+    for key, traj in trajectories.items():
+        key = (str(key[0]), str(key[1]))
+        pairs[key] = open_pair(key)
+        take((key, t, v) for t, v in traj.events)
+        close(key, pairs.pop(key), traj.proved_optimal_at)
+    # A file's pairs are closed after its last row; each is proved optimal when its run is solved.
+    take(events)
+    for key, seen in pairs.items():
+        out = outcomes.get(key)
+        close(key, seen, out.time_s if out is not None and out.status is solved else None)
 
     if violations:
         raise ValidationError(violations)
@@ -474,7 +518,7 @@ def assemble_scenario(
         solvers=solvers,
         timeout_s=timeout_s,
         outcomes=outcomes,
-        trajectories=trajectories,
+        trajectories=built,
     )
 
 

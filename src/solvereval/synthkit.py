@@ -140,24 +140,18 @@ def generate(spec: ArchetypeSpec) -> Scenario:
     outcomes: dict[tuple[str, str], RunOutcome] = {}
     trajectories: dict[tuple[str, str], Trajectory] = {}
 
+    draws = 2 + 8 * len(spec.solvers)
     for idx in range(spec.n_instances):
         iid = f"i{idx:0{width}d}"
-        u_kind = rng.next_float()
-        u_base = rng.next_float()
+        u = rng.next_floats(draws)  # the instance's 2 draws, then each run's 8
+        u_kind, u_base = u[:2]
         is_opt = u_kind < spec.opt_fraction
         base_obj = round(10.0 + 90.0 * u_base, 6)
         instances.append(
             Instance(iid, InstanceKind.OPTIMIZATION if is_opt else InstanceKind.DECISION)
         )
-        for solver_spec, sid in zip(spec.solvers, names):
-            u_solve = rng.next_float()
-            u_time = rng.next_float()
-            u_error = rng.next_float()
-            u_subopt = rng.next_float()
-            u_offset = rng.next_float()
-            u_split = rng.next_float()
-            u_frac = rng.next_float()
-            u_bump = rng.next_float()
+        for at, solver_spec, sid in zip(range(2, draws, 8), spec.solvers, names):
+            u_solve, u_time, u_error, u_subopt, u_offset, u_split, u_frac, u_bump = u[at:at + 8]
 
             t = quantize_ms(solver_spec.runtime.sample(u_time))
             if t >= tau:

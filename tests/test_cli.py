@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -268,6 +269,60 @@ class TestGen:
                      "--opt-fraction", "1.0"]) == 0
         header = dest.read_text().splitlines()[0]
         assert header.endswith(",obj")
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for the command and restores the caller's state."""
+
+    @pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def _main(self, monkeypatch, argv, during):
+        parse_runs = cli.parse_runs
+
+        def spy(*args, **kwargs):
+            during.append(gc.isenabled())
+            return parse_runs(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_runs", spy)
+        return main(argv)
+
+    def test_success(self, collector, runs_file, monkeypatch, capsys):
+        during = []
+        argv = ["validate", str(runs_file), "--timeout", "100"]
+        assert self._main(monkeypatch, argv, during) == 0
+        assert during == [False]
+        assert gc.isenabled() is collector
+
+    def test_row_error(self, collector, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(RUNS_CSV + "i3,a,weird,1.0\n")
+        during = []
+        assert self._main(monkeypatch, ["validate", str(bad), "--timeout", "100"], during) == 1
+        assert "line 6" in capsys.readouterr().err
+        assert during == [False]
+        assert gc.isenabled() is collector
+
+    def test_unexpected_error(self, collector, runs_file, monkeypatch, capsys):
+        during = []
+
+        def boom(*args, **kwargs):
+            during.append(gc.isenabled())
+            raise RuntimeError("internal")
+
+        monkeypatch.setattr(cli, "parse_runs", boom)
+        assert main(["score", str(runs_file), "--timeout", "100"]) == 2
+        assert "RuntimeError" in capsys.readouterr().err
+        assert during == [False]
+        assert gc.isenabled() is collector
+
+    def test_usage_error(self, collector, capsys):
+        assert main(["score"]) == 1
+        assert gc.isenabled() is collector
 
 
 class TestEntryPoint:

@@ -10,7 +10,9 @@ attribute-relation table, which is now a RowError instead of a
 ValidationError, and an infinite repetition, which is now a RowError
 instead of an OverflowError. A finite time too large for the millisecond
 grid (TestHugeTimes) is a RowError or a violation, where it was an
-OverflowError.
+OverflowError. An unsolved run at a timeout off the millisecond grid
+(TestOffGridTimeout), stored or as written, is accepted, where it was a
+BadOutcome or a RowError.
 """
 
 from __future__ import annotations
@@ -43,7 +45,13 @@ from solvereval import (
 )
 from solvereval.cli import main
 from solvereval.scenario import check_run, quantize_ms
-from solvereval.synthkit import ArchetypeSpec, SolverSpec, generate, uniform
+from solvereval.synthkit import (
+    ArchetypeSpec,
+    SolverSpec,
+    generate,
+    thorough_vs_fast_spec,
+    uniform,
+)
 
 RUNS = "instance_id,solver_id,status,time_s,obj\n"
 TRAJ = "instance_id,solver_id,t_s,obj\n"
@@ -315,6 +323,47 @@ class TestHugeTimes:
         (tmp_path / "runs_trajectories.csv").write_text(TRAJ + f"o1,a,{HUGE!r},5.0\n")
         assert main(["validate", str(runs), "--timeout", "100"]) == 1
         assert "InconsistentTrajectory [(o1, a)]" in capsys.readouterr().err
+
+
+class TestOffGridTimeout:
+    """An unsolved run at a timeout off the millisecond grid is at the timeout."""
+
+    def test_stored_at_the_timeout(self):
+        run = RunOutcome(7.0009, RunStatus.TIMEOUT, 5.0)
+        assert check_run(RunStatus.TIMEOUT, 7.0009, 5.0, 7.0009, run=run) is run
+
+    @pytest.mark.parametrize("timeout,written", [(7.0009, 7.001), (0.0005, 0.001), (2.0015, 2.002)])
+    def test_as_written_by_emit_scenario(self, timeout, written):
+        assert f"{timeout:.3f}" == repr(written)
+        out = check_run("error", written, None, timeout, unsolved_at_timeout=True)
+        assert out == RunOutcome(timeout, RunStatus.ERROR)
+
+    @pytest.mark.parametrize("status,time_s,unsolved_at_timeout,fragment", [
+        (RunStatus.TIMEOUT, 7.001, False, "exceeds the timeout"),  # stored: exactly the timeout
+        (RunStatus.TIMEOUT, 7.002, True, "exceeds the timeout"),
+        (RunStatus.SOLVED, 7.0009, True, "exceeds the timeout"),
+        (RunStatus.SOLVED, 7.001, True, "exceeds the timeout"),
+    ])
+    def test_other_times_past_it_are_rejected(self, status, time_s, unsolved_at_timeout, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            check_run(status, time_s, 5.0, 7.0009, unsolved_at_timeout=unsolved_at_timeout)
+
+    def test_solved_runs_finish_before_it(self):
+        assert check_run(RunStatus.SOLVED, 7.0, 5.0, 7.0009).time_s == 7.0
+        with pytest.raises(ValueError, match="strictly before"):
+            check_run(RunStatus.SOLVED, 7.0, 5.0, 7.0)
+
+    @pytest.mark.parametrize("timeout,cell", [("7.0009", "7.001"), ("100.0004", "100.000")])
+    def test_gen_then_validate(self, tmp_path, capsys, timeout, cell):
+        runs = tmp_path / "g.csv"
+        assert main(["gen", "-o", str(runs), "--timeout", timeout, "--instances", "40",
+                     "--opt-fraction", "0.5", "--error-p", "0.3", "--seed", "5"]) == 0
+        assert f",timeout,{cell}," in runs.read_text() and f",crash,{cell}," in runs.read_text()
+        assert main(["validate", str(runs), "--timeout", timeout]) == 0
+        assert capsys.readouterr().err == ""
+        spec = dataclasses.replace(thorough_vs_fast_spec(5, 40, float(timeout)), opt_fraction=0.5,
+                                   error_probability=0.3, scenario_id="g")
+        assert parse_runs(runs, float(timeout)) == generate(spec)
 
 
 def _round_trip(sc):

@@ -1,4 +1,4 @@
-"""The SplitMix64 stream: next_float is next_u64 scaled into [0, 1)."""
+"""The SplitMix64 stream: next_float is next_u64 scaled into [0, 1), next_floats a run of them."""
 
 from __future__ import annotations
 
@@ -33,3 +33,12 @@ def test_known_values():
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
     ]
     assert 0.0 <= SplitMix64(0).next_float() < 1.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_is_successive_draws_and_the_stream_goes_on(seed):
+    batched, single = SplitMix64(seed), SplitMix64(seed)
+    for n in (0, 1, 2, 8, 3, 162, 100):
+        assert batched.next_floats(n) == [single.next_float() for _ in range(n)]
+        assert batched.next_u64() == single.next_u64()
+        assert batched.next_float() == single.next_float()

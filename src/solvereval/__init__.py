@@ -6,240 +6,69 @@ against virtual-best and single-best baselines with optional cross-validation,
 and ships a small generator for synthetic scenarios plus CSV ingestion and
 report emission. The ``solvereval`` command exposes the same functionality
 from the shell.
+
+The names below are imported from their submodule on first access (PEP 562),
+so ``import solvereval.cli`` loads only what a command uses.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .baselines import (
-    LOW_RESOLUTION_THRESHOLD,
-    BaselineReport,
-    FoldContext,
-    SbsPolicy,
-    baseline_report,
-    select_sbs,
-    solver_totals,
-    vbs_values,
-)
-from .errors import (
-    BadAlphaBeta,
-    BadBounds,
-    BadK,
-    BadLambda,
-    BadSpec,
-    CliUsageError,
-    DegenerateGap,
-    EmptyInput,
-    EmptyRestriction,
-    MissingFoldContext,
-    MissingTrajectory,
-    MixedMetrics,
-    NonDecomposableMetric,
-    NonPositiveForGeomean,
-    NonPositiveObjective,
-    RowError,
-    SameSolver,
-    SchemaError,
-    SingleSolverScenario,
-    SolverEvalError,
-    TooLarge,
-    UnknownInstance,
-    UnknownSolver,
-    UnsupportedAttribute,
-    UnsupportedMetricForFolds,
-    ValidationError,
-    Violation,
-)
-from .harness import (
-    DEFAULT_MERGE,
-    Aggregation,
-    EvaluationResult,
-    FoldCell,
-    FoldPlan,
-    HeadToHead,
-    RankEntry,
-    aggregate,
-    delta_sweep,
-    evaluate,
-    find_flip_delta,
-    head_to_head,
-    make_fold_plan,
-    rank,
-    runtime_distribution,
-    score_scenario,
-)
-from .io import (
-    MetricSection,
-    Report,
-    build_report,
-    emit_report,
-    emit_scenario,
-    parse_aslib_runs,
-    parse_runs,
-    trajectories_path_for,
-)
-from .metrics import (
-    METRICS,
-    MetricInfo,
-    MetricParams,
-    SolvedRank,
-    area_instance_values,
-    area_score,
-    base_instance_values,
-    bounded_reward_score,
-    closed_gap,
-    metric_info,
-    mznc_pair,
-    mznc_score,
-    normalized_runtime_score,
-    par_instance,
-    par_score,
-    ratio_score,
-    solved_ranking,
-    speedup_score,
-)
-from .oracle import oracle_score
-from .rng import SplitMix64
-from .scenario import (
-    Direction,
-    Instance,
-    InstanceKind,
-    RunOutcome,
-    RunStatus,
-    Scenario,
-    ScoreTable,
-    Trajectory,
-    build_scenario,
-    obj_pool,
-    quantize_ms,
-    resolve_best_known,
-    restrict,
-    time_to_ms,
-    validate_scenario,
-    with_best_known,
-)
-from .synthkit import (
-    ArchetypeSpec,
-    DrawSpec,
-    SolverSpec,
-    constant,
-    generate,
-    thorough_vs_fast_spec,
-    uniform,
-)
+# Each public name, under the submodule that defines it.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "scenario": (
+        "Direction", "Instance", "InstanceKind", "RunOutcome", "RunStatus", "Scenario",
+        "ScoreTable", "Trajectory", "build_scenario", "obj_pool", "quantize_ms",
+        "resolve_best_known", "restrict", "time_to_ms", "validate_scenario", "with_best_known",
+    ),
+    "metrics": (
+        "METRICS", "MetricInfo", "MetricParams", "area_score", "base_instance_values",
+        "bounded_reward_score", "closed_gap", "metric_info", "mznc_pair", "mznc_score",
+        "normalized_runtime_score", "par_instance", "par_score", "ratio_score",
+    ),
+    "baselines": (
+        "LOW_RESOLUTION_THRESHOLD", "BaselineReport", "FoldContext", "SbsPolicy",
+        "baseline_report", "select_sbs",
+    ),
+    "harness": (
+        "DEFAULT_MERGE", "Aggregation", "EvaluationResult", "FoldCell", "FoldPlan", "HeadToHead",
+        "RankEntry", "aggregate", "delta_sweep", "evaluate", "find_flip_delta", "head_to_head",
+        "make_fold_plan", "rank", "runtime_distribution", "score_scenario",
+    ),
+    "synthkit": (
+        "ArchetypeSpec", "DrawSpec", "SolverSpec", "constant", "generate",
+        "thorough_vs_fast_spec", "uniform",
+    ),
+    "oracle": ("oracle_score",),
+    "io": (
+        "MetricSection", "Report", "build_report", "emit_report", "emit_scenario",
+        "parse_aslib_runs", "parse_runs", "trajectories_path_for",
+    ),
+    "rng": ("SplitMix64",),
+    "errors": (
+        "BadAlphaBeta", "BadBounds", "BadK", "BadLambda", "BadSpec", "CliUsageError",
+        "DegenerateGap", "EmptyInput", "EmptyRestriction", "MissingFoldContext",
+        "MissingTrajectory", "MixedMetrics", "NonDecomposableMetric", "NonPositiveForGeomean",
+        "NonPositiveObjective", "RowError", "SameSolver", "SchemaError", "SingleSolverScenario",
+        "SolverEvalError", "TooLarge", "UnknownInstance", "UnknownSolver",
+        "UnsupportedAttribute", "UnsupportedMetricForFolds", "ValidationError", "Violation",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # scenario model
-    "Direction",
-    "Instance",
-    "InstanceKind",
-    "RunOutcome",
-    "RunStatus",
-    "Scenario",
-    "ScoreTable",
-    "Trajectory",
-    "build_scenario",
-    "obj_pool",
-    "quantize_ms",
-    "resolve_best_known",
-    "restrict",
-    "time_to_ms",
-    "validate_scenario",
-    "with_best_known",
-    # metrics
-    "METRICS",
-    "MetricInfo",
-    "MetricParams",
-    "SolvedRank",
-    "area_instance_values",
-    "area_score",
-    "base_instance_values",
-    "bounded_reward_score",
-    "closed_gap",
-    "metric_info",
-    "mznc_pair",
-    "mznc_score",
-    "normalized_runtime_score",
-    "par_instance",
-    "par_score",
-    "ratio_score",
-    "solved_ranking",
-    "speedup_score",
-    # baselines
-    "LOW_RESOLUTION_THRESHOLD",
-    "BaselineReport",
-    "FoldContext",
-    "SbsPolicy",
-    "baseline_report",
-    "select_sbs",
-    "solver_totals",
-    "vbs_values",
-    # harness
-    "DEFAULT_MERGE",
-    "Aggregation",
-    "EvaluationResult",
-    "FoldCell",
-    "FoldPlan",
-    "HeadToHead",
-    "RankEntry",
-    "aggregate",
-    "delta_sweep",
-    "evaluate",
-    "find_flip_delta",
-    "head_to_head",
-    "make_fold_plan",
-    "rank",
-    "runtime_distribution",
-    "score_scenario",
-    # synthetic scenarios
-    "ArchetypeSpec",
-    "DrawSpec",
-    "SolverSpec",
-    "constant",
-    "generate",
-    "thorough_vs_fast_spec",
-    "uniform",
-    # reference scorer
-    "oracle_score",
-    # io
-    "MetricSection",
-    "Report",
-    "build_report",
-    "emit_report",
-    "emit_scenario",
-    "parse_aslib_runs",
-    "parse_runs",
-    "trajectories_path_for",
-    # rng
-    "SplitMix64",
-    # errors
-    "BadAlphaBeta",
-    "BadBounds",
-    "BadK",
-    "BadLambda",
-    "BadSpec",
-    "CliUsageError",
-    "DegenerateGap",
-    "EmptyInput",
-    "EmptyRestriction",
-    "MissingFoldContext",
-    "MissingTrajectory",
-    "MixedMetrics",
-    "NonDecomposableMetric",
-    "NonPositiveForGeomean",
-    "NonPositiveObjective",
-    "RowError",
-    "SameSolver",
-    "SchemaError",
-    "SingleSolverScenario",
-    "SolverEvalError",
-    "TooLarge",
-    "UnknownInstance",
-    "UnknownSolver",
-    "UnsupportedAttribute",
-    "UnsupportedMetricForFolds",
-    "ValidationError",
-    "Violation",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str) -> object:
+    # Nothing is cached here: a name always reads its submodule's current binding.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

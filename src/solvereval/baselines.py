@@ -24,8 +24,6 @@ __all__ = [
     "baseline_report",
     "cell_baselines",
     "select_sbs",
-    "solver_totals",
-    "vbs_values",
 ]
 
 LOW_RESOLUTION_THRESHOLD = 0.01
@@ -86,7 +84,6 @@ def cell_baselines(
     policy: SbsPolicy,
     fold_context: FoldContext | None,
     evaluation: Sequence[int],
-    low_resolution_threshold: float = LOW_RESOLUTION_THRESHOLD,
 ) -> tuple[BaselineReport, dict[str, float]]:
     """Both baselines of one cell, read off the base metric's columns (base_columns).
 
@@ -103,7 +100,7 @@ def cell_baselines(
     m_sbs = totals[sbs]
     gap_ratio = 0.0 if m_sbs == 0.0 else (m_sbs - m_vbs) / m_sbs
     warnings = []
-    if gap_ratio < low_resolution_threshold:
+    if gap_ratio < LOW_RESOLUTION_THRESHOLD:
         warnings.append(
             f"low resolution: the single best solver is within "
             f"{gap_ratio:.4%} of the virtual best on the evaluation set; "
@@ -120,17 +117,6 @@ def cell_baselines(
         warnings=tuple(warnings),
     )
     return report, totals
-
-
-def vbs_values(scenario: Scenario, base_metric: str, lam: float = 10.0) -> dict[str, float]:
-    """Per-instance value the virtual best solver achieves."""
-    return dict(baseline_report(scenario, base_metric, lam).vbs_per_instance)
-
-
-def solver_totals(scenario: Scenario, base_metric: str, lam: float = 10.0) -> dict[str, float]:
-    """Base metric total per solver over the scenario's instances."""
-    columns = base_columns(scenario, base_metric, lam)
-    return _totals(columns, valued(columns, range(len(scenario.instances))))
 
 
 def select_sbs(
@@ -151,7 +137,6 @@ def baseline_report(
     lam: float = 10.0,
     policy: SbsPolicy = SbsPolicy.FULL_DATASET,
     fold_context: FoldContext | None = None,
-    low_resolution_threshold: float = LOW_RESOLUTION_THRESHOLD,
 ) -> BaselineReport:
     """Resolve both baselines and evaluate them on the evaluation instance set.
 
@@ -165,6 +150,6 @@ def baseline_report(
     )
     report, _ = cell_baselines(
         scenario, base_columns(scenario, base_metric, lam), base_metric,
-        SbsPolicy(policy), fold_context, evaluation, low_resolution_threshold,
+        SbsPolicy(policy), fold_context, evaluation,
     )
     return report

@@ -16,9 +16,10 @@ from dataclasses import replace as _replace
 from pathlib import Path
 
 from . import __version__
-from .errors import CliUsageError, SolverEvalError, ValidationError
+from .errors import CliUsageError, NonPositiveForGeomean, SolverEvalError, ValidationError
 from .harness import (
     Aggregation,
+    check_fold_merge,
     delta_sweep,
     evaluate,
     find_flip_delta,
@@ -30,7 +31,6 @@ from .harness import (
 from .io import build_report, emit_report, emit_scenario, parse_aslib_runs, parse_runs
 from .metrics import METRICS, MetricParams, threshold_ms
 from .scenario import InstanceKind, Scenario
-from .synthkit import SolverSpec, constant, generate, thorough_vs_fast_spec, uniform
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -71,7 +71,8 @@ def _add_metric_param_args(p: argparse.ArgumentParser) -> None:
                    help="bounded reward floor for unsolved runs with a solution")
     p.add_argument("--beta", type=float, default=0.75,
                    help="bounded reward ceiling for unsolved runs with a solution")
-    p.add_argument("--base-metric", choices=("par", "runtime", "area"), default="par",
+    p.add_argument("--base-metric", default="par",
+                   choices=[m for m, info in METRICS.items() if info.decomposable_base],
                    help="per-instance metric anchoring closed-gap baselines")
 
 
@@ -127,8 +128,15 @@ def _two_solvers(text: str, flag: str) -> tuple[str, str]:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
     metrics = args.metric or ["par"]
+    agg = _AGG[args.agg] if args.agg else None
+    if args.folds and agg is not None:
+        for m in metrics:
+            try:
+                check_fold_merge(m, agg)
+            except NonPositiveForGeomean as e:
+                raise CliUsageError(f"--agg {args.agg}: {e}") from None
+    scenario = _load_scenario(args)
     plan = None
     if args.folds:
         plan = make_fold_plan(
@@ -136,7 +144,6 @@ def cmd_score(args: argparse.Namespace) -> int:
         )
     params = _metric_params(args)
     policy = _POLICY[args.sbs_policy] if args.sbs_policy else None
-    agg = _AGG[args.agg] if args.agg else None
     evaluations = [
         evaluate(scenario, m, params, fold_plan=plan, sbs_policy=policy, aggregation=agg)
         for m in metrics
@@ -250,6 +257,8 @@ def cmd_runtime_dist(args: argparse.Namespace) -> int:
 
 
 def _parse_draw(text: str, what: str):
+    from .synthkit import constant, uniform
+
     text = text.strip()
     m = re.fullmatch(r"uniform\(([^,()]+),([^,()]+)\)", text)
     if m:
@@ -289,6 +298,8 @@ def _split_spec_params(text: str) -> list[str]:
 
 
 def _parse_solver_spec(text: str) -> SolverSpec:
+    from .synthkit import SolverSpec
+
     name, sep, rest = text.partition(":")
     name = name.strip()
     if not sep or not name:
@@ -319,6 +330,8 @@ def _parse_solver_spec(text: str) -> SolverSpec:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .synthkit import generate, thorough_vs_fast_spec
+
     base = thorough_vs_fast_spec(
         seed=args.seed, n_instances=args.instances, timeout_s=args.timeout
     )

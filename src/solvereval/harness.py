@@ -10,23 +10,14 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .baselines import BaselineReport, FoldContext, SbsPolicy, cell_baselines
-from .errors import (
-    BadK,
-    EmptyInput,
-    MixedMetrics,
-    NonPositiveForGeomean,
-    SameSolver,
-    SingleSolverScenario,
-    UnknownSolver,
-)
+from .errors import BadK, EmptyInput, MixedMetrics, NonPositiveForGeomean, SameSolver
 from .metrics import (
     Columns,
     MetricParams,
-    base_columns,
     closed_gap,
-    instance_columns,
     metric_info,
     mznc_scores,
+    require_solvers,
     valued,
 )
 from .rng import SplitMix64
@@ -128,29 +119,20 @@ def make_fold_plan(
 
 
 DEFAULT_MERGE = Aggregation.ARITHMETIC_MEAN
-# Metrics whose per-solver score is the sum over instances; the rest take the mean.
-_SUMMED = ("solved-count", "mznc")
 
 
-def _columns(scenario: Scenario, metric_id: str, params: MetricParams) -> Columns:
-    if metric_id == "closed-gap":
-        return base_columns(scenario, params.base_metric, params.lam)
-    return instance_columns(scenario, metric_id, params)
+def check_fold_merge(metric_id: str, aggregation: Aggregation | str) -> None:
+    """Reject merging a metric's fold scores with an aggregation that must fail.
 
-
-def _table_params(metric_id: str, params: MetricParams, policy: SbsPolicy) -> dict[str, object]:
-    if metric_id == "par":
-        return {"lambda": params.lam}
-    if metric_id == "mznc":
-        return {"delta": params.delta}
-    if metric_id == "bounded-reward":
-        return {"alpha": params.alpha, "beta": params.beta}
-    if metric_id == "closed-gap":
-        out = {"base_metric": params.base_metric, "sbs_policy": policy.value}
-        if params.base_metric == "par":
-            out["lambda"] = params.lam
-        return out
-    return {}
+    A closed-gap cell scores its own single best solver at exactly 0, so a
+    geometric mean over cells always meets a non-positive value.
+    """
+    geometric = Aggregation(aggregation) is Aggregation.GEOMETRIC_MEAN
+    if geometric and metric_info(metric_id).baselines:
+        raise NonPositiveForGeomean(
+            f"{metric_id} cannot merge folds with a geometric mean: "
+            "every fold scores its single best solver at 0"
+        )
 
 
 def score_scenario(
@@ -184,11 +166,11 @@ def score_scenario(
         else range(len(scenario.instances))
     )
     if columns is None:
-        columns = _columns(scenario, metric_id, params)
-    table_params = _table_params(metric_id, params, policy)
+        columns = info.columns(scenario, params)
+    table_params = info.report_params(params, policy.value)
     solvers = scenario.solvers
 
-    if metric_id == "closed-gap":
+    if info.baselines:
         report, totals = cell_baselines(
             scenario, columns, params.base_metric, policy, fold_context, test
         )
@@ -199,7 +181,7 @@ def score_scenario(
     if not cell:
         raise EmptyInput(f"{metric_id} needs optimization instances")
     per_instance = InstanceValues(columns, scenario.instance_ids, cell, info.optimization_only)
-    how = Aggregation.SUM if metric_id in _SUMMED else Aggregation.ARITHMETIC_MEAN
+    how = Aggregation.SUM if info.summed else Aggregation.ARITHMETIC_MEAN
     per_solver = {s: aggregate([columns[s][p] for p in cell], how) for s in solvers}
     table = ScoreTable(
         metric_id, table_params, per_solver, info.direction, per_instance, how.value
@@ -241,11 +223,12 @@ def evaluate(
     Without a fold plan this is a single evaluation over all instances. With
     one, the metric is scored on each test fold (baselines resolved per
     sbs_policy against that cell's splits) and the per-cell scores are merged
-    with the chosen aggregation, arithmetic mean by default. The metric's
+    with the chosen aggregation, arithmetic mean by default; a merge that
+    must fail (check_fold_merge) is rejected before any scoring. The metric's
     per-instance columns are built once, and every cell reads them.
     """
     params = params or MetricParams()
-    metric_info(metric_id)
+    info = metric_info(metric_id)
     merge = Aggregation(aggregation) if aggregation is not None else DEFAULT_MERGE
 
     if fold_plan is None:
@@ -256,13 +239,14 @@ def evaluate(
             scenario.id, metric_id, table.params, (cell,), table, None, policy, merge
         )
 
+    check_fold_merge(metric_id, merge)
     if set(fold_plan.instance_ids) != set(scenario.instance_ids):
         raise ValueError("fold plan does not cover exactly the scenario's instances")
     policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.TRAIN_SPLIT
-    columns = _columns(scenario, metric_id, params)
+    columns = info.columns(scenario, params)
 
     # Only a closed-gap SBS picked on the training split reads a cell's train ids.
-    needs_train = metric_id == "closed-gap" and policy is SbsPolicy.TRAIN_SPLIT
+    needs_train = info.baselines and policy is SbsPolicy.TRAIN_SPLIT
     cells = []
     for r, folds in enumerate(fold_plan.assignment):
         for f, test in enumerate(folds):
@@ -322,12 +306,6 @@ def rank(tables: Sequence[ScoreTable], direction: Direction | None = None) -> li
     ]
 
 
-def _require_solvers(scenario: Scenario, solvers: Sequence[str]) -> None:
-    for s in solvers:
-        if s not in scenario.solvers:
-            raise UnknownSolver(f"solver {s!r} is not part of scenario {scenario.id!r}")
-
-
 @dataclass(frozen=True)
 class HeadToHead:
     solver_a: str
@@ -339,7 +317,7 @@ class HeadToHead:
 
 def head_to_head(scenario: Scenario, solver_a: str, solver_b: str) -> HeadToHead:
     """Count instances each solver finished strictly faster; equal times tie."""
-    _require_solvers(scenario, (solver_a, solver_b))
+    require_solvers(scenario, (solver_a, solver_b))
     ta, tb = scenario.time_columns[solver_a], scenario.time_columns[solver_b]
     a, b = sum(map(operator.lt, ta, tb)), sum(map(operator.lt, tb, ta))
     return HeadToHead(solver_a, solver_b, a, b, len(ta) - a - b)
@@ -354,9 +332,7 @@ def delta_sweep(
     if list(deltas) != sorted(deltas):
         raise ValueError("deltas must be sorted ascending")
     chosen = tuple(dict.fromkeys(solvers)) if solvers is not None else scenario.solvers
-    _require_solvers(scenario, chosen)
-    if len(scenario.solvers) < 2:
-        raise SingleSolverScenario("pairwise scoring needs at least two solvers")
+    require_solvers(scenario, chosen)
     scores = mznc_scores(scenario, chosen, deltas)
     return {float(d): {s: scores[s][n] for s in chosen} for n, d in enumerate(deltas)}
 
@@ -370,7 +346,7 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
     """
     if solver_a == solver_b:
         raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
-    _require_solvers(scenario, (solver_a, solver_b))
+    require_solvers(scenario, (solver_a, solver_b))
     cols = scenario.time_columns
     diffs_ms = {0}
     for s in (solver_a, solver_b):
@@ -390,7 +366,7 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
 
 def runtime_distribution(scenario: Scenario, solver: str) -> list[float]:
     """Ascending runtimes of the instances the solver actually solved."""
-    _require_solvers(scenario, (solver,))
+    require_solvers(scenario, (solver,))
     outcomes = scenario.outcomes
     return sorted(
         ms / 1000.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadAlphaBeta,
@@ -29,7 +29,6 @@ from .scenario import (
     Direction,
     Instance,
     InstanceKind,
-    InstanceValues,
     RunOutcome,
     RunStatus,
     Scenario,
@@ -42,7 +41,6 @@ __all__ = [
     "MetricInfo",
     "MetricParams",
     "METRICS",
-    "area_instance_values",
     "area_score",
     "base_columns",
     "base_instance_values",
@@ -56,8 +54,6 @@ __all__ = [
     "par_instance",
     "par_score",
     "ratio_score",
-    "solved_ranking",
-    "speedup_score",
     "valued",
 ]
 
@@ -79,27 +75,23 @@ Columns = dict[str, Sequence[float | None]]
 
 @dataclass(frozen=True)
 class MetricInfo:
+    """One metric: everything scoring, ranking and reporting it needs (see METRICS).
+
+    columns builds the per-instance columns (instance_columns); a solver's
+    score is their sum when summed, else their mean. report_params gives the
+    parameters a score table carries, from the metric parameters and the SBS
+    policy's value. A baselines metric is scored against the virtual and
+    single best of its base metric, whose columns it builds instead.
+    """
+
     metric_id: str
     direction: Direction
     decomposable_base: bool
     optimization_only: bool
-
-
-METRICS: dict[str, MetricInfo] = {
-    m.metric_id: m
-    for m in (
-        MetricInfo("par", Direction.LOWER, True, False),
-        MetricInfo("runtime", Direction.LOWER, True, False),
-        MetricInfo("solved-count", Direction.HIGHER, False, False),
-        MetricInfo("mznc", Direction.HIGHER, False, False),
-        MetricInfo("normalized-runtime", Direction.HIGHER, False, False),
-        MetricInfo("speedup", Direction.HIGHER, False, False),
-        MetricInfo("closed-gap", Direction.HIGHER, False, False),
-        MetricInfo("ratio", Direction.HIGHER, False, True),
-        MetricInfo("area", Direction.LOWER, True, True),
-        MetricInfo("bounded-reward", Direction.HIGHER, False, True),
-    )
-}
+    columns: Callable[[Scenario, MetricParams], Columns]
+    summed: bool = False
+    report_params: Callable[[MetricParams, str], dict[str, object]] = lambda p, _: {}
+    baselines: bool = False
 
 
 def metric_info(metric_id: str) -> MetricInfo:
@@ -109,9 +101,11 @@ def metric_info(metric_id: str) -> MetricInfo:
         raise ValueError(f"unknown metric {metric_id!r}") from None
 
 
-def _check_solver(scenario: Scenario, solver: str) -> None:
-    if solver not in scenario.solvers:
-        raise UnknownSolver(f"solver {solver!r} is not part of scenario {scenario.id!r}")
+def require_solvers(scenario: Scenario, solvers: Iterable[str]) -> None:
+    """Raise UnknownSolver for the first of solvers the scenario does not have."""
+    for s in solvers:
+        if s not in scenario.solvers:
+            raise UnknownSolver(f"solver {s!r} is not part of scenario {scenario.id!r}")
 
 
 def _par_column(times: Iterable[float], lam: float, timeout_s: float) -> list[float]:
@@ -129,26 +123,9 @@ def par_instance(outcome: RunOutcome, lam: float, timeout_s: float) -> float:
 
 def par_score(scenario: Scenario, solver: str, lam: float) -> float:
     """Mean penalized runtime of one solver over all instances."""
-    _check_solver(scenario, solver)
+    require_solvers(scenario, (solver,))
     total = math.fsum(_par_column(scenario.run_columns[0][solver], lam, scenario.timeout_s))
     return total / len(scenario.instance_ids)
-
-
-@dataclass(frozen=True)
-class SolvedRank:
-    solver_id: str
-    solved: int
-    par1: float
-
-
-def solved_ranking(scenario: Scenario) -> list[SolvedRank]:
-    """Solvers ordered by solved count, then mean runtime, then id."""
-    entries = [
-        SolvedRank(s, sum(scenario.run_columns[1][s]), par_score(scenario, s, 1.0))
-        for s in scenario.solvers
-    ]
-    entries.sort(key=lambda e: (-e.solved, e.par1, e.solver_id))
-    return entries
 
 
 def threshold_ms(delta: float) -> int:
@@ -192,7 +169,13 @@ def _pair_entries(
 
 
 def _run_table(scenario: Scenario) -> list[tuple[bool, list[tuple[float, float]]]]:
-    """Per instance: whether it is a decision instance, and each solver's (time, objective)."""
+    """Per instance: whether it is a decision instance, and each solver's (time, objective).
+
+    Every pairwise score reads this table, so it is where a scenario with
+    fewer than two solvers is rejected.
+    """
+    if len(scenario.solvers) < 2:
+        raise SingleSolverScenario("pairwise scoring needs at least two solvers")
     times, _, objs = scenario.run_columns
     rows = zip(*[zip(times[s], objs[s]) for s in scenario.solvers])
     return [
@@ -249,8 +232,7 @@ def mznc_pair(
     """
     if solver == opponent:
         raise SameSolver("a solver cannot be scored against itself")
-    _check_solver(scenario, solver)
-    _check_solver(scenario, opponent)
+    require_solvers(scenario, (solver, opponent))
     delta_ms = threshold_ms(delta)
     decision = scenario.instance(instance_id).kind is InstanceKind.DECISION
     run, other = scenario.outcome(instance_id, solver), scenario.outcome(instance_id, opponent)
@@ -262,28 +244,25 @@ def mznc_pair(
 
 def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
     """Total pairwise score of a solver against every opponent on every instance."""
-    if len(scenario.solvers) < 2:
-        raise SingleSolverScenario("pairwise scoring needs at least two solvers")
-    _check_solver(scenario, solver)
-    delta_ms = threshold_ms(delta)
-    rows = _pair_rows(scenario, _run_table(scenario), solver)
-    return math.fsum(v for row in rows for v in _pair_values(row, delta_ms))
+    return mznc_scores(scenario, (solver,), (delta,))[solver][0]
 
 
 def mznc_scores(
     scenario: Scenario, solvers: Sequence[str], deltas: Sequence[float]
 ) -> dict[str, list[float]]:
-    """mznc_score of each solver at each threshold of deltas, bit for bit.
+    """Total pairwise score of each solver at each threshold of deltas.
 
     One pass per solver: every tie-eligible pair starts in the tie branch,
     and walking the thresholds downward, a pair leaves it once its time
     difference exceeds the threshold. The total is kept exact (see
-    _EXACT_UNIT) and rounded once per threshold.
+    _EXACT_UNIT) and rounded once per threshold, so it is the math.fsum of
+    the pair values.
     """
+    table = _run_table(scenario)
+    require_solvers(scenario, solvers)
     deltas_ms = [threshold_ms(d) for d in deltas]
     descending = sorted(range(len(deltas_ms)), key=deltas_ms.__getitem__, reverse=True)
     half = _exact(0.5)
-    table = _run_table(scenario)
     scores: dict[str, list[float]] = {}
     for s in solvers:
         total = 0
@@ -309,29 +288,9 @@ def mznc_scores(
 
 def normalized_runtime_score(scenario: Scenario, solver: str) -> float:
     """One minus the mean fraction of the timeout the solver consumed."""
-    _check_solver(scenario, solver)
+    require_solvers(scenario, (solver,))
     used = math.fsum([t / scenario.timeout_s for t in scenario.run_columns[0][solver]])
     return 1.0 - used / len(scenario.instance_ids)
-
-
-def speedup_score(
-    scenario: Scenario,
-    solver_times: Mapping[str, float],
-    vbs_times: Mapping[str, float],
-) -> float:
-    """Mean per-instance ratio of the reference (virtual best) time to the solver's time.
-
-    A 0/0 ratio counts as 1 (both finished instantly); a positive reference
-    time against a zero solver time yields +inf.
-    """
-    ratios = []
-    for i in scenario.instance_ids:
-        v, t = vbs_times[i], solver_times[i]
-        if t == 0.0:
-            ratios.append(1.0 if v == 0.0 else math.inf)
-        else:
-            ratios.append(v / t)
-    return math.fsum(ratios) / len(ratios)
 
 
 def closed_gap(m_solver: float, m_sbs: float, m_vbs: float) -> float:
@@ -470,6 +429,102 @@ def _reward_column(
     ]
 
 
+def _par_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    times = scenario.run_columns[0]
+    return {s: _par_column(col, params.lam, scenario.timeout_s) for s, col in times.items()}
+
+
+def _solved_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    return {s: [1.0 if done else 0.0 for done in col] for s, col in scenario.run_columns[1].items()}
+
+
+def _normalized_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    tau = scenario.timeout_s
+    return {s: [1.0 - t / tau for t in col] for s, col in scenario.run_columns[0].items()}
+
+
+def _speedup_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    """Per instance, the virtual best time over the solver's time; 0/0 counts as 1."""
+    times = scenario.run_columns[0]
+    vbs = [min(row) for row in zip(*times.values())]
+    return {s: [1.0 if t == 0.0 else v / t for v, t in zip(vbs, col)] for s, col in times.items()}
+
+
+def _mznc_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    """Each solver's pairwise score on an instance: its sum over the opponents."""
+    table, delta_ms = _run_table(scenario), threshold_ms(params.delta)
+    return {
+        s: [math.fsum(_pair_values(row, delta_ms)) for row in _pair_rows(scenario, table, s)]
+        for s in scenario.solvers
+    }
+
+
+def _optimization(scenario: Scenario) -> list[bool]:
+    return [inst.kind is InstanceKind.OPTIMIZATION for inst in scenario.instances]
+
+
+def _ratio_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    opt, bests = _optimization(scenario), scenario.objective_columns[1]
+    return {s: _ratio_column(opt, col, bests) for s, col in scenario.run_columns[2].items()}
+
+
+def _reward_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    _, solved, objs = scenario.run_columns
+    opt, pools = _optimization(scenario), scenario.objective_columns[0]
+    return {
+        s: _reward_column(opt, col, solved[s], pools, params.alpha, params.beta)
+        for s, col in objs.items()
+    }
+
+
+def _area_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    # No objective scale to integrate against when nobody found a solution.
+    opt, (pools, bests) = _optimization(scenario), scenario.objective_columns
+    bounds = [
+        (min(b, pool[0]), pool[1]) if o and pool else None for o, pool, b in zip(opt, pools, bests)
+    ]
+    ids, get, tau = scenario.instance_ids, scenario.trajectories.get, scenario.timeout_s
+    return {
+        s: [
+            None if not o else 0.0 if bound is None
+            else _area(get((i, s)) or _untraced(i, s, v), *bound, tau)
+            for i, o, v, bound in zip(ids, opt, col, bounds)
+        ]
+        for s, col in scenario.run_columns[2].items()
+    }
+
+
+def _gap_params(params: MetricParams, sbs_policy: str) -> dict[str, object]:
+    base = METRICS[params.base_metric].report_params(params, sbs_policy)
+    return {"base_metric": params.base_metric, "sbs_policy": sbs_policy, **base}
+
+
+# The metrics, each defined by its entry alone. par, runtime and area can
+# anchor the closed gap's baselines (decomposable_base): they are
+# per-instance and lower is better.
+METRICS: dict[str, MetricInfo] = {
+    m.metric_id: m
+    for m in (
+        MetricInfo("par", Direction.LOWER, True, False, _par_columns,
+                   report_params=lambda p, _: {"lambda": p.lam}),
+        MetricInfo("runtime", Direction.LOWER, True, False,
+                   lambda sc, _: dict(sc.run_columns[0])),
+        MetricInfo("solved-count", Direction.HIGHER, False, False, _solved_columns, summed=True),
+        MetricInfo("mznc", Direction.HIGHER, False, False, _mznc_columns, summed=True,
+                   report_params=lambda p, _: {"delta": p.delta}),
+        MetricInfo("normalized-runtime", Direction.HIGHER, False, False, _normalized_columns),
+        MetricInfo("speedup", Direction.HIGHER, False, False, _speedup_columns),
+        MetricInfo("closed-gap", Direction.HIGHER, False, False,
+                   lambda sc, p: base_columns(sc, p.base_metric, p.lam),
+                   report_params=_gap_params, baselines=True),
+        MetricInfo("ratio", Direction.HIGHER, False, True, _ratio_columns),
+        MetricInfo("area", Direction.LOWER, True, True, _area_columns),
+        MetricInfo("bounded-reward", Direction.HIGHER, False, True, _reward_columns,
+                   report_params=lambda p, _: {"alpha": p.alpha, "beta": p.beta}),
+    )
+}
+
+
 def instance_columns(
     scenario: Scenario, metric_id: str, params: MetricParams | None = None
 ) -> Columns:
@@ -486,53 +541,10 @@ def instance_columns(
     base_columns.
     """
     params = params or MetricParams()
-    metric_info(metric_id)
-    if metric_id == "closed-gap":
-        raise NonDecomposableMetric("closed gap is scored from its base metric's columns")
-    times, solved, objs = scenario.run_columns
-    tau = scenario.timeout_s
-    if metric_id == "par":
-        return {s: _par_column(col, params.lam, tau) for s, col in times.items()}
-    if metric_id == "runtime":
-        return dict(times)
-    if metric_id == "solved-count":
-        return {s: [1.0 if done else 0.0 for done in col] for s, col in solved.items()}
-    if metric_id == "normalized-runtime":
-        return {s: [1.0 - t / tau for t in col] for s, col in times.items()}
-    if metric_id == "speedup":
-        vbs = [min(row) for row in zip(*times.values())]
-        return {s: [1.0 if t == 0.0 else v / t for v, t in zip(vbs, col)] for s, col in times.items()}
-    if metric_id == "mznc":
-        # Each solver's pairwise score on an instance: its sum over the opponents.
-        if len(scenario.solvers) < 2:
-            raise SingleSolverScenario("pairwise scoring needs at least two solvers")
-        delta_ms, table = threshold_ms(params.delta), _run_table(scenario)
-        return {
-            s: [math.fsum(_pair_values(row, delta_ms)) for row in _pair_rows(scenario, table, s)]
-            for s in scenario.solvers
-        }
-    opt = [inst.kind is InstanceKind.OPTIMIZATION for inst in scenario.instances]
-    pools, bests = scenario.objective_columns
-    if metric_id == "ratio":
-        return {s: _ratio_column(opt, col, bests) for s, col in objs.items()}
-    if metric_id == "bounded-reward":
-        return {
-            s: _reward_column(opt, col, solved[s], pools, params.alpha, params.beta)
-            for s, col in objs.items()
-        }
-    # Area. No objective scale to integrate against when nobody found a solution.
-    bounds = [
-        (min(b, pool[0]), pool[1]) if o and pool else None for o, pool, b in zip(opt, pools, bests)
-    ]
-    ids, get = scenario.instance_ids, scenario.trajectories.get
-    return {
-        s: [
-            None if not o else 0.0 if bound is None
-            else _area(get((i, s)) or _untraced(i, s, v), *bound, tau)
-            for i, o, v, bound in zip(ids, opt, col, bounds)
-        ]
-        for s, col in objs.items()
-    }
+    info = metric_info(metric_id)
+    if info.baselines:
+        raise NonDecomposableMetric(f"{metric_id} is scored from its base metric's columns")
+    return info.columns(scenario, params)
 
 
 def valued(columns: Columns, at: Iterable[int]) -> list[int]:
@@ -553,17 +565,6 @@ def base_columns(scenario: Scenario, base_metric: str, lam: float = 10.0) -> Col
             "lower-is-better decomposition"
         )
     return instance_columns(scenario, base_metric, MetricParams(lam=lam))
-
-
-def area_instance_values(scenario: Scenario) -> dict[tuple[str, str], float]:
-    """Area score per (solver, optimization instance).
-
-    Instances where no solver found any solution score 0 for everyone, since
-    there is no objective scale to integrate against.
-    """
-    columns = instance_columns(scenario, "area")
-    at = valued(columns, range(len(scenario.instances)))
-    return dict(InstanceValues(columns, scenario.instance_ids, at, instance_major=True))
 
 
 def base_instance_values(

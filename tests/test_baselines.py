@@ -13,9 +13,8 @@ from solvereval import (
     SbsPolicy,
     baseline_report,
     select_sbs,
-    solver_totals,
-    vbs_values,
 )
+from solvereval.metrics import instance_columns
 
 
 def _flip_scenario():
@@ -26,17 +25,22 @@ def _flip_scenario():
     })
 
 
+def _totals(sc, metric_id):
+    return {s: math.fsum(col) for s, col in instance_columns(sc, metric_id).items()}
+
+
 class TestVbs:
     def test_per_instance_minimum(self):
-        assert vbs_values(_flip_scenario(), "par") == {"i1": 50.0, "i2": 30.0}
+        assert baseline_report(_flip_scenario(), "par").vbs_per_instance == {"i1": 50.0, "i2": 30.0}
 
     def test_runtime_base(self):
-        assert vbs_values(_flip_scenario(), "runtime") == {"i1": 50.0, "i2": 30.0}
+        report = baseline_report(_flip_scenario(), "runtime")
+        assert report.vbs_per_instance == {"i1": 50.0, "i2": 30.0}
 
 
 class TestSbs:
     def test_totals(self):
-        assert solver_totals(_flip_scenario(), "par") == {"a": 1050.0, "b": 1030.0}
+        assert _totals(_flip_scenario(), "par") == {"a": 1050.0, "b": 1030.0}
 
     def test_select_minimum_total(self):
         assert select_sbs(_flip_scenario(), "par") == "b"
@@ -107,6 +111,6 @@ class TestBaselineReport:
 
     def test_gap_of_sbs_is_exactly_zero(self):
         report = baseline_report(_flip_scenario(), "par")
-        totals = solver_totals(_flip_scenario(), "par")
+        totals = _totals(_flip_scenario(), "par")
         assert totals[report.sbs_id] == report.m_sbs
         assert math.fsum([report.m_sbs, -report.m_sbs]) == 0.0

@@ -115,6 +115,24 @@ class TestScore:
         assert payload["scores"][0]["b"] == pytest.approx(102.5)
         assert payload["params"][0]["lambda"] == 2.0
 
+    @pytest.mark.parametrize("metrics", [["closed-gap"], ["par", "closed-gap"]])
+    def test_closed_gap_geomean_folds_rejected_before_loading(self, tmp_path, capsys, metrics):
+        absent = str(tmp_path / "absent.csv")
+        flags = [f for m in metrics for f in ("--metric", m)]
+        argv = ["score", absent, "--timeout", "100", "--folds", "5", "--agg", "geomean", *flags]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "closed-gap" in err and "--agg geomean" in err
+        assert "absent.csv" not in err
+
+    def test_closed_gap_geomean_without_folds_scores(self, tmp_path, capsys):
+        runs = tmp_path / "fold.csv"
+        runs.write_text(FOLD_CSV)
+        argv = ["score", str(runs), "--timeout", "100", "--agg", "geomean", "--metric", "closed-gap"]
+        assert main(argv) == 0
+        assert "closed-gap" in capsys.readouterr().out
+
 
 class TestRank:
     def test_text(self, runs_file, capsys):

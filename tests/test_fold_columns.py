@@ -36,6 +36,7 @@ from solvereval import (
     MissingFoldContext,
     MissingTrajectory,
     NonDecomposableMetric,
+    NonPositiveForGeomean,
     RunStatus,
     SbsPolicy,
     ScoreTable,
@@ -222,6 +223,9 @@ def ref_evaluate(sc, metric_id, params, plan, sbs_policy, aggregation):
         table, report = ref_score(sc, metric_id, params, policy, None)
         cell = FoldCell(0, 0, sc.instance_ids, table, report)
         return EvaluationResult(sc.id, metric_id, table.params, (cell,), table, None, policy, merge)
+    if merge is Aggregation.GEOMETRIC_MEAN and metric_id == "closed-gap":
+        # Each cell scores its single best solver at 0: rejected before any scoring.
+        raise NonPositiveForGeomean(metric_id)
     policy = sbs_policy or SbsPolicy.TRAIN_SPLIT
     cells = []
     for r, folds in enumerate(plan.assignment):

@@ -27,12 +27,14 @@ from solvereval import (
     delta_sweep,
     evaluate,
     find_flip_delta,
+    generate,
     head_to_head,
     make_fold_plan,
     mznc_score,
     rank,
     runtime_distribution,
     score_scenario,
+    thorough_vs_fast_spec,
 )
 
 
@@ -208,8 +210,10 @@ class TestEvaluate:
             assert cell.baseline is not None
             assert cell.baseline.sbs_policy is SbsPolicy.TRAIN_SPLIT
             train = tuple(i for i in sc.instance_ids if i not in cell.test_instances)
-            from solvereval import restrict, solver_totals
-            totals = solver_totals(restrict(sc, train), "par")
+            from solvereval import restrict
+            from solvereval.metrics import instance_columns
+            columns = instance_columns(restrict(sc, train), "par")
+            totals = {s: math.fsum(col) for s, col in columns.items()}
             assert cell.baseline.sbs_id == min(sc.solvers, key=lambda s: (totals[s], s))
 
     def test_single_solver_pairwise_rejected(self):
@@ -236,6 +240,28 @@ class TestEvaluate:
         plan = make_fold_plan(["x1", "x2"], 2)
         with pytest.raises(ValueError):
             evaluate(sc, "par", fold_plan=plan)
+
+    def test_closed_gap_geomean_merge_rejected_before_scoring(self):
+        sc = generate(thorough_vs_fast_spec(seed=1, n_instances=60))
+        plan = make_fold_plan(sc.instance_ids, 5)
+        # every cell scores its own single best solver at exactly 0
+        for cell in evaluate(sc, "closed-gap", fold_plan=plan).cells:
+            assert cell.table.per_solver[cell.baseline.sbs_id] == 0.0
+        fresh = generate(thorough_vs_fast_spec(seed=1, n_instances=60))
+        assert "run_columns" not in vars(fresh)
+        for aggregation in ("geometric_mean", Aggregation.GEOMETRIC_MEAN):
+            with pytest.raises(NonPositiveForGeomean, match="closed-gap"):
+                evaluate(fresh, "closed-gap", fold_plan=plan, aggregation=aggregation)
+        assert "run_columns" not in vars(fresh)  # no column was built
+        for other in ("par", "runtime", "mznc"):
+            evaluate(fresh, other, fold_plan=plan, aggregation="geometric_mean")
+
+    def test_closed_gap_geomean_without_folds_still_scores(self):
+        sc = generate(thorough_vs_fast_spec(seed=1, n_instances=60))
+        result = evaluate(sc, "closed-gap", aggregation="geometric_mean")
+        assert result.aggregation is Aggregation.GEOMETRIC_MEAN
+        assert result.merged == result.cells[0].table
+        assert result.merged.per_solver[result.cells[0].baseline.sbs_id] == 0.0
 
 
 class TestRank:

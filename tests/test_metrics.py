@@ -24,7 +24,6 @@ from solvereval import (
     SingleSolverScenario,
     Trajectory,
     UnknownSolver,
-    area_instance_values,
     area_score,
     base_instance_values,
     bounded_reward_score,
@@ -37,9 +36,8 @@ from solvereval import (
     par_score,
     ratio_score,
     score_scenario,
-    solved_ranking,
-    speedup_score,
 )
+from solvereval.metrics import instance_columns
 
 
 class TestPar:
@@ -70,16 +68,6 @@ class TestPar:
         sc = decision_scenario({"i1": {"a": 1.0}})
         with pytest.raises(UnknownSolver):
             par_score(sc, "zzz", 10.0)
-
-
-class TestSolvedRanking:
-    def test_orders_by_solved_then_runtime_then_id(self):
-        sc = decision_scenario({
-            "i1": {"a": 10.0, "b": 1.0, "c": 10.0},
-            "i2": {"a": 10.0, "b": None, "c": 10.0},
-        })
-        ranks = solved_ranking(sc)
-        assert [(r.solver_id, r.solved) for r in ranks] == [("a", 2), ("c", 2), ("b", 1)]
 
 
 class TestPairwise:
@@ -212,13 +200,13 @@ class TestNormalizedRuntime:
 class TestSpeedup:
     def test_worked_example(self):
         sc = decision_scenario({"i1": {"a": 20.0, "b": 10.0}, "i2": {"a": None, "b": None}})
-        vbs = {"i1": 10.0, "i2": 100.0}
-        mine = {"i1": 20.0, "i2": 100.0}
-        assert speedup_score(sc, mine, vbs) == pytest.approx(0.75)
+        # the virtual best takes 10 s on i1 and times out (100 s) on i2
+        assert instance_columns(sc, "speedup")["a"] == [0.5, 1.0]
+        assert score_scenario(sc, "speedup")[0].per_solver["a"] == pytest.approx(0.75)
 
     def test_zero_over_zero_counts_as_one(self):
         sc = decision_scenario({"i1": {"a": 0.0, "b": 0.0}})
-        assert speedup_score(sc, {"i1": 0.0}, {"i1": 0.0}) == 1.0
+        assert instance_columns(sc, "speedup") == {"a": [1.0], "b": [1.0]}
 
 
 class TestClosedGap:
@@ -316,7 +304,7 @@ class TestAreaInstanceValues:
             {("o1", "a"): timed_out(), ("o1", "b"): timed_out()},
             kinds={"o1": "optimization"},
         )
-        assert area_instance_values(sc) == {("a", "o1"): 0.0, ("b", "o1"): 0.0}
+        assert instance_columns(sc, "area") == {"a": [0.0], "b": [0.0]}
 
     def test_missing_trajectory_for_found_solution(self):
         raw = scenario_from(
@@ -327,7 +315,7 @@ class TestAreaInstanceValues:
         # drop the trajectory after validation to simulate missing data
         sc = raw.__class__(raw.id, raw.instances, raw.solvers, raw.timeout_s, raw.outcomes, {})
         with pytest.raises(MissingTrajectory):
-            area_instance_values(sc)
+            instance_columns(sc, "area")
 
     def test_recorded_best_known_widens_the_scale(self):
         sc = scenario_from(
@@ -339,10 +327,10 @@ class TestAreaInstanceValues:
                 ("o1", "b"): Trajectory(((0.0, 10.0),)),
             },
         )
-        vals = area_instance_values(sc)
+        vals = instance_columns(sc, "area")
         # scale is (6, 10): a sits at 0.5 for the whole run, b at 1.0
-        assert vals[("a", "o1")] == pytest.approx(0.5)
-        assert vals[("b", "o1")] == pytest.approx(1.0)
+        assert vals["a"] == [pytest.approx(0.5)]
+        assert vals["b"] == [pytest.approx(1.0)]
 
 
 class TestBoundedReward:

@@ -1,0 +1,102 @@
+"""The package namespace: lazy re-exports, and the metric registry behind the CLI."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import solvereval
+from solvereval.cli import build_parser
+from solvereval.metrics import METRICS
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(solvereval.__path__))
+
+
+def _child(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports the package under test."""
+    src = str(Path(solvereval.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestLazyNamespace:
+    def test_cli_import_leaves_oracle_and_synthkit_out(self):
+        proc = _child(
+            "import sys, solvereval.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('solvereval.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = eval(proc.stdout)
+        assert "solvereval.harness" in loaded
+        assert "solvereval.oracle" not in loaded
+        assert "solvereval.synthkit" not in loaded
+
+    def test_package_import_loads_no_submodule(self):
+        proc = _child(
+            "import sys, solvereval\n"
+            "print(sorted(m for m in sys.modules if m.startswith('solvereval.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert eval(proc.stdout) == []
+
+    @pytest.mark.parametrize("name", solvereval.__all__)
+    def test_every_exported_name_resolves(self, name):
+        namespace: dict[str, object] = {}
+        exec(f"from solvereval import {name}", namespace)
+        assert namespace[name] is getattr(solvereval, name)
+        assert name in dir(solvereval)
+
+    def test_each_name_is_listed_once(self):
+        assert len(solvereval.__all__) == len(set(solvereval.__all__))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="nope"):
+            solvereval.nope  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from solvereval import nope", {})
+
+
+class TestExportTables:
+    """A stale lazy entry would fail only when first read, so every entry is read here."""
+
+    @pytest.mark.parametrize("module", sorted(solvereval._EXPORTS))
+    def test_lazy_table_names_exist(self, module):
+        mod = importlib.import_module(f"solvereval.{module}")
+        missing = [n for n in solvereval._EXPORTS[module] if not hasattr(mod, n)]
+        assert missing == []
+
+    def test_lazy_table_names_only_real_submodules(self):
+        assert set(solvereval._EXPORTS) <= set(SUBMODULES)
+
+    @pytest.mark.parametrize("module", SUBMODULES)
+    def test_submodule_all_names_exist(self, module):
+        mod = importlib.import_module(f"solvereval.{module}")
+        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert missing == []
+
+
+def _choices(command: str, dest: str) -> list[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return list(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+class TestCliChoicesFromRegistry:
+    @pytest.mark.parametrize("command", ["score", "rank"])
+    def test_metric_choices(self, command):
+        assert _choices(command, "metric") == sorted(METRICS)
+
+    @pytest.mark.parametrize("command", ["score", "rank"])
+    def test_base_metric_choices(self, command):
+        base = [m for m, info in METRICS.items() if info.decomposable_base]
+        assert _choices(command, "base_metric") == base
+        assert base == ["par", "runtime", "area"]

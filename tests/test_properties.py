@@ -27,8 +27,8 @@ from solvereval import (
     parse_runs,
     quantize_ms,
     restrict,
-    solver_totals,
 )
+from solvereval.metrics import instance_columns
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -170,7 +170,7 @@ class TestFoldPlans:
             return
         k = min(3, len(sc.instances))
         plan = make_fold_plan(sc.instance_ids, k, seed=seed)
-        totals = solver_totals(sc, "par", lam=10.0)
+        totals = {s: math.fsum(col) for s, col in instance_columns(sc, "par").items()}
         for s in sc.solvers:
             pieces = 0.0
             for test in plan.assignment[0]:

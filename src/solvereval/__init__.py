@@ -21,13 +21,12 @@ __version__ = "0.1.0"
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "scenario": (
         "Direction", "Instance", "InstanceKind", "RunOutcome", "RunStatus", "Scenario",
-        "ScoreTable", "Trajectory", "build_scenario", "obj_pool", "quantize_ms",
-        "resolve_best_known", "restrict", "time_to_ms", "validate_scenario", "with_best_known",
+        "ScoreTable", "Trajectory", "build_scenario", "quantize_ms", "restrict", "time_to_ms",
+        "validate_scenario",
     ),
     "metrics": (
-        "METRICS", "MetricInfo", "MetricParams", "area_score", "base_instance_values",
-        "bounded_reward_score", "closed_gap", "metric_info", "mznc_pair", "mznc_score",
-        "normalized_runtime_score", "par_instance", "par_score", "ratio_score",
+        "METRICS", "MetricInfo", "MetricParams", "base_instance_values", "closed_gap",
+        "metric_info", "mznc_pair", "mznc_score", "normalized_runtime_score", "par_score",
     ),
     "baselines": (
         "LOW_RESOLUTION_THRESHOLD", "BaselineReport", "FoldContext", "SbsPolicy",
@@ -49,7 +48,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "rng": ("SplitMix64",),
     "errors": (
-        "BadAlphaBeta", "BadBounds", "BadK", "BadLambda", "BadSpec", "CliUsageError",
+        "BadAlphaBeta", "BadK", "BadLambda", "BadSpec", "CliUsageError",
         "DegenerateGap", "EmptyInput", "EmptyRestriction", "MissingFoldContext",
         "MissingTrajectory", "MixedMetrics", "NonDecomposableMetric", "NonPositiveForGeomean",
         "NonPositiveObjective", "RowError", "SameSolver", "SchemaError", "SingleSolverScenario",

@@ -17,17 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CliUsageError, NonPositiveForGeomean, SolverEvalError, ValidationError
-from .harness import (
-    Aggregation,
-    check_fold_merge,
-    delta_sweep,
-    evaluate,
-    find_flip_delta,
-    head_to_head,
-    make_fold_plan,
-    rank,
-    runtime_distribution,
-)
 from .io import build_report, emit_report, emit_scenario, parse_aslib_runs, parse_runs
 from .metrics import METRICS, MetricParams, threshold_ms
 from .scenario import InstanceKind, Scenario
@@ -35,12 +24,7 @@ from .scenario import InstanceKind, Scenario
 __all__ = ["build_parser", "main", "run"]
 
 _POLICY = {"train": "train_split", "test": "test_split", "full": "full_dataset"}
-_AGG = {
-    "sum": Aggregation.SUM,
-    "mean": Aggregation.ARITHMETIC_MEAN,
-    "geomean": Aggregation.GEOMETRIC_MEAN,
-    "median": Aggregation.MEDIAN,
-}
+_AGG = {"sum": "sum", "mean": "arithmetic_mean", "geomean": "geometric_mean", "median": "median"}
 _DEFAULT_DELTAS = "0,0.01,0.05,0.1,0.5,1"
 
 
@@ -128,6 +112,8 @@ def _two_solvers(text: str, flag: str) -> tuple[str, str]:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .harness import check_fold_merge, evaluate, make_fold_plan
+
     metrics = args.metric or ["par"]
     agg = _AGG[args.agg] if args.agg else None
     if args.folds and agg is not None:
@@ -157,6 +143,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    from .harness import evaluate, rank
+
     scenario = _load_scenario(args)
     policy = _POLICY[args.sbs_policy] if args.sbs_policy else None
     result = evaluate(scenario, args.metric, _metric_params(args), sbs_policy=policy)
@@ -180,6 +168,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_head2head(args: argparse.Namespace) -> int:
+    from .harness import head_to_head
+
     scenario = _load_scenario(args)
     if args.solvers:
         pairs = [_two_solvers(args.solvers, "--solvers")]
@@ -208,6 +198,8 @@ def cmd_head2head(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_delta(args: argparse.Namespace) -> int:
+    from .harness import delta_sweep, find_flip_delta
+
     scenario = _load_scenario(args)
     deltas = args.deltas
     solvers = None
@@ -243,6 +235,8 @@ def cmd_sweep_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_runtime_dist(args: argparse.Namespace) -> int:
+    from .harness import runtime_distribution
+
     scenario = _load_scenario(args)
     solvers = [args.solver] if args.solver else list(scenario.solvers)
     data = {s: runtime_distribution(scenario, s) for s in solvers}

@@ -66,10 +66,6 @@ class NonPositiveObjective(SolverEvalError):
     pass
 
 
-class BadBounds(SolverEvalError):
-    pass
-
-
 class BadAlphaBeta(SolverEvalError):
     pass
 

@@ -277,7 +277,7 @@ class RankEntry:
     tied: bool
 
 
-def rank(tables: Sequence[ScoreTable], direction: Direction | None = None) -> list[RankEntry]:
+def rank(tables: Sequence[ScoreTable]) -> list[RankEntry]:
     """Order solvers by score across one or more tables of the same metric."""
     if not tables:
         raise EmptyInput("nothing to rank")
@@ -294,8 +294,7 @@ def rank(tables: Sequence[ScoreTable], direction: Direction | None = None) -> li
             if s in scores:
                 raise MixedMetrics(f"solver {s!r} appears in more than one table")
             scores[s] = v
-    direction = direction or first.direction
-    reverse = direction is Direction.HIGHER
+    reverse = first.direction is Direction.HIGHER
     ordered = sorted(scores.items(), key=lambda kv: ((-kv[1] if reverse else kv[1]), kv[0]))
     counts: dict[float, int] = {}
     for _, v in ordered:

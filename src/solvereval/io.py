@@ -15,12 +15,10 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import __version__
-from .baselines import BaselineReport
 from .errors import RowError, SchemaError, UnsupportedAttribute, Violation
-from .harness import EvaluationResult, RankEntry, rank
 from .scenario import (
     Instance,
     InstanceKind,
@@ -32,6 +30,10 @@ from .scenario import (
     check_timeout,
     quantize_ms,
 )
+
+if TYPE_CHECKING:  # reading and writing scenarios loads no scoring module
+    from .baselines import BaselineReport
+    from .harness import EvaluationResult, RankEntry
 
 __all__ = [
     "MetricSection",
@@ -380,12 +382,13 @@ def build_report(
     evaluations: Sequence[EvaluationResult],
     source: str | None = None,
     seed: int | None = None,
-    extra_warnings: Sequence[str] = (),
 ) -> Report:
     """Assemble a report from one or more evaluations of the same scenario."""
+    from .harness import rank
+
     sections = []
     baseline_cells = []
-    collected = list(extra_warnings)
+    collected = []
     for ev in evaluations:
         sections.append(
             MetricSection(

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadAlphaBeta,
-    BadBounds,
     BadLambda,
     DegenerateGap,
     MissingTrajectory,
@@ -25,35 +24,22 @@ from .errors import (
     SingleSolverScenario,
     UnknownSolver,
 )
-from .scenario import (
-    Direction,
-    Instance,
-    InstanceKind,
-    RunOutcome,
-    RunStatus,
-    Scenario,
-    Trajectory,
-    time_to_ms,
-)
+from .scenario import Direction, InstanceKind, Scenario, Trajectory, time_to_ms
 
 __all__ = [
     "Columns",
     "MetricInfo",
     "MetricParams",
     "METRICS",
-    "area_score",
     "base_columns",
     "base_instance_values",
-    "bounded_reward_score",
     "closed_gap",
     "instance_columns",
     "metric_info",
     "mznc_pair",
     "mznc_score",
     "normalized_runtime_score",
-    "par_instance",
     "par_score",
-    "ratio_score",
     "valued",
 ]
 
@@ -114,11 +100,6 @@ def _par_column(times: Iterable[float], lam: float, timeout_s: float) -> list[fl
         raise BadLambda(f"penalty factor must be >= 1, got {lam}")
     penalty = lam * timeout_s
     return [t if t < timeout_s else penalty for t in times]
-
-
-def par_instance(outcome: RunOutcome, lam: float, timeout_s: float) -> float:
-    """Penalized runtime of one run: the time if it beat the timeout, else lam * timeout."""
-    return _par_column((outcome.time_s,), lam, timeout_s)[0]
 
 
 def par_score(scenario: Scenario, solver: str, lam: float) -> float:
@@ -254,9 +235,10 @@ def mznc_scores(
 
     One pass per solver: every tie-eligible pair starts in the tie branch,
     and walking the thresholds downward, a pair leaves it once its time
-    difference exceeds the threshold. The total is kept exact (see
-    _EXACT_UNIT) and rounded once per threshold, so it is the math.fsum of
-    the pair values.
+    difference exceeds the threshold. Each instance's sum is kept exact (see
+    _EXACT_UNIT) and rounded, which is its mznc column value; the total is
+    the exact sum of those rounded values, rounded once per threshold. So
+    it is the math.fsum of the column, the float that scoring mznc gives.
     """
     table = _run_table(scenario)
     require_solvers(scenario, solvers)
@@ -265,21 +247,29 @@ def mznc_scores(
     half = _exact(0.5)
     scores: dict[str, list[float]] = {}
     for s in solvers:
-        total = 0
-        leaving = []  # (time difference, value outside the tie)
-        for row in _pair_rows(scenario, table, s):
+        sums = []  # per instance, the exact sum over the opponents
+        leaving = []  # (time difference, instance position, value outside the tie)
+        for p, row in enumerate(_pair_rows(scenario, table, s)):
+            exact = 0
             for value, diff in row:
                 if diff is None:
-                    total += _exact(value)
+                    exact += _exact(value)
                 else:
-                    total += half
-                    leaving.append((diff, value))
+                    exact += half
+                    leaving.append((diff, p, value))
+            sums.append(exact)
+        rounded = [_exact(e / _EXACT_UNIT) for e in sums]
+        total = sum(rounded)
         leaving.sort(reverse=True)
         at = [0.0] * len(deltas_ms)
         pos = 0
         for n in descending:
             while pos < len(leaving) and leaving[pos][0] > deltas_ms[n]:
-                total += _exact(leaving[pos][1]) - half
+                _, p, value = leaving[pos]
+                sums[p] += _exact(value) - half
+                now = _exact(sums[p] / _EXACT_UNIT)
+                total += now - rounded[p]
+                rounded[p] = now
                 pos += 1
             at[n] = total / _EXACT_UNIT
         scores[s] = at
@@ -306,60 +296,13 @@ def closed_gap(m_solver: float, m_sbs: float, m_vbs: float) -> float:
     return (m_sbs - m_solver) / (m_sbs - m_vbs)
 
 
-def ratio_score(instance: Instance, outcome: RunOutcome) -> float:
-    """Best known objective divided by the objective the solver reached.
-
-    0 when the solver found no solution. Requires strictly positive
-    objectives and a resolved best_known_obj on the instance.
-    """
-    if instance.kind is not InstanceKind.OPTIMIZATION:
-        raise ValueError("ratio_score applies to optimization instances only")
-    if instance.best_known_obj is None:
-        raise ValueError("ratio_score needs a resolved best_known_obj")
-    return _ratio_column((True,), (outcome.obj,), (instance.best_known_obj,))[0]
-
-
-def _fail(error: Exception) -> float:
-    """Raise error, from inside an expression."""
-    raise error
-
-
-def _ratio_column(
-    opt: Iterable[bool], objs: Iterable[float], bests: Iterable[float | None]
-) -> list[float | None]:
-    """ratio_score per position: None where opt is false, 0 where no best is known."""
-    isinf = math.isinf
-    return [
-        None if not o else 0.0 if b is None or isinf(v)
-        else _fail(NonPositiveObjective(
-            "ratio_score needs strictly positive objectives; shift the objective scale"
-        )) if b <= 0 or v <= 0 else min(1.0, b / v)
-        for o, v, b in zip(opt, objs, bests)
-    ]
-
-
-def area_score(
-    instance: Instance,
-    trajectory: Trajectory,
-    bounds: tuple[float, float],
-    timeout_s: float,
-) -> float:
+def _area(trajectory: Trajectory, best: float, worst: float, timeout_s: float) -> float:
     """Normalized area under the solution-quality step function; lower is better.
 
     Quality is 1 before the first solution, the incumbent objective scaled
-    into [0, 1] by the given (best, worst) bounds afterwards, and 0 from the
-    moment optimality was proven.
+    into [0, 1] by the bounds (best, worst), finite with best <= worst,
+    afterwards, and 0 from the moment optimality was proven.
     """
-    if instance.kind is not InstanceKind.OPTIMIZATION:
-        raise ValueError("area_score applies to optimization instances only")
-    best, worst = bounds
-    if not (math.isfinite(best) and math.isfinite(worst) and best <= worst):
-        raise BadBounds(f"bounds must be finite with best <= worst, got {bounds!r}")
-    return _area(trajectory, best, worst, timeout_s)
-
-
-def _area(trajectory: Trajectory, best: float, worst: float, timeout_s: float) -> float:
-    """area_score with bounds (best, worst) already checked."""
     events = trajectory.events
     if not events:
         return 1.0
@@ -387,46 +330,6 @@ def _untraced(instance_id: str, solver: str, obj: float) -> Trajectory:
             f"area needs a trajectory for ({instance_id}, {solver}); none was recorded"
         )
     return _UNTRACED
-
-
-def bounded_reward_score(
-    instance: Instance,
-    outcome: RunOutcome,
-    pool_best: float,
-    pool_worst: float,
-    alpha: float,
-    beta: float,
-) -> float:
-    """Reward in {0} | [alpha, beta] | {1}.
-
-    0 without a solution, 1 when solved to proven optimality, otherwise a
-    linear interpolation between alpha (pool-worst objective) and beta
-    (pool-best objective).
-    """
-    if instance.kind is not InstanceKind.OPTIMIZATION:
-        raise ValueError("bounded_reward_score applies to optimization instances only")
-    if not pool_best <= pool_worst:
-        raise ValueError("pool_best must not exceed pool_worst")
-    return _reward_column(
-        (True,), (outcome.obj,), (outcome.status is RunStatus.SOLVED,),
-        ((pool_best, pool_worst),), alpha, beta,
-    )[0]
-
-
-def _reward_column(
-    opt: Iterable[bool], objs: Iterable[float], solved: Iterable[bool],
-    pools: Iterable[tuple[float, float] | None], alpha: float, beta: float,
-) -> list[float | None]:
-    """bounded_reward_score per position: None where opt is false, 0 where pools holds None."""
-    ok, isinf = 0.0 <= alpha <= beta <= 1.0, math.isinf
-    return [
-        None if not o else 0.0 if pool is None
-        else _fail(BadAlphaBeta(f"need 0 <= alpha <= beta <= 1, got alpha={alpha}, beta={beta}"))
-        if not ok
-        else 0.0 if isinf(v) else 1.0 if done else beta if pool[0] == pool[1]
-        else alpha + (beta - alpha) * min(1.0, max(0.0, (pool[1] - v) / (pool[1] - pool[0])))
-        for o, v, done, pool in zip(opt, objs, solved, pools)
-    ]
 
 
 def _par_columns(scenario: Scenario, params: MetricParams) -> Columns:
@@ -464,15 +367,47 @@ def _optimization(scenario: Scenario) -> list[bool]:
 
 
 def _ratio_columns(scenario: Scenario, params: MetricParams) -> Columns:
-    opt, bests = _optimization(scenario), scenario.objective_columns[1]
-    return {s: _ratio_column(opt, col, bests) for s, col in scenario.run_columns[2].items()}
+    """Best known objective over the solver's, at most 1.
+
+    0 where the solver found no solution or no best is known. Wherever
+    both are known, both must be strictly positive.
+    """
+    opt, (pools, bests) = _optimization(scenario), scenario.objective_columns
+    # An instance where some solver found a solution has a best known value.
+    if any(o and pool and (b <= 0 or pool[0] <= 0) for o, pool, b in zip(opt, pools, bests)):
+        raise NonPositiveObjective(
+            "ratio needs strictly positive objectives; shift the objective scale"
+        )
+    isinf = math.isinf
+    return {
+        s: [
+            None if not o else 0.0 if b is None or isinf(v) else min(1.0, b / v)
+            for o, v, b in zip(opt, col, bests)
+        ]
+        for s, col in scenario.run_columns[2].items()
+    }
 
 
 def _reward_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    """Reward in {0} | [alpha, beta] | {1}.
+
+    0 without a solution, 1 when solved to proven optimality, otherwise a
+    linear interpolation between alpha (the pool's worst objective) and
+    beta (its best). The pool is the instance's final objectives over all
+    solvers.
+    """
     _, solved, objs = scenario.run_columns
     opt, pools = _optimization(scenario), scenario.objective_columns[0]
+    alpha, beta, isinf = params.alpha, params.beta, math.isinf
+    if not 0.0 <= alpha <= beta <= 1.0 and any(o and pool for o, pool in zip(opt, pools)):
+        raise BadAlphaBeta(f"need 0 <= alpha <= beta <= 1, got alpha={alpha}, beta={beta}")
     return {
-        s: _reward_column(opt, col, solved[s], pools, params.alpha, params.beta)
+        s: [
+            None if not o else 0.0 if pool is None or isinf(v) else 1.0 if done
+            else beta if pool[0] == pool[1]
+            else alpha + (beta - alpha) * min(1.0, max(0.0, (pool[1] - v) / (pool[1] - pool[0])))
+            for o, v, done, pool in zip(opt, col, solved[s], pools)
+        ]
         for s, col in objs.items()
     }
 

@@ -31,14 +31,11 @@ __all__ = [
     "build_scenario",
     "check_run",
     "check_timeout",
-    "obj_pool",
     "positions",
     "quantize_ms",
-    "resolve_best_known",
     "restrict",
     "time_to_ms",
     "validate_scenario",
-    "with_best_known",
 ]
 
 
@@ -195,7 +192,13 @@ class Scenario:
 
     @cached_property
     def objective_columns(self) -> tuple[tuple, tuple]:
-        """Per instance, in instance order: obj_pool and resolve_best_known (see those)."""
+        """Per instance, in instance order: the objective pool and the best known objective.
+
+        The pool is the (best, worst) final objective over the solvers, or
+        None when no solver found a solution. The best known objective is
+        the instance's recorded value when present, else the pool's best,
+        else None.
+        """
         isfinite, pools, bests = math.isfinite, [], []
         for inst, row in zip(self.instances, zip(*self.run_columns[2].values())):
             finite = [v for v in row if isfinite(v)]
@@ -233,21 +236,6 @@ class Scenario:
 
     def trajectory(self, instance_id: str, solver_id: str) -> Trajectory | None:
         return self.trajectories.get((instance_id, solver_id))
-
-
-def resolve_best_known(scenario: Scenario, instance_id: str) -> float | None:
-    """Best known objective for an instance.
-
-    Uses the instance's recorded value when present, otherwise the minimum
-    final objective any solver reached. None when no solver found a solution
-    and no value is recorded.
-    """
-    return scenario.objective_columns[1][scenario.position(instance_id)]
-
-
-def obj_pool(scenario: Scenario, instance_id: str) -> tuple[float, float] | None:
-    """(best, worst) final objective over the scenario's solvers, or None."""
-    return scenario.objective_columns[0][scenario.position(instance_id)]
 
 
 def _coerce_instance(item: object) -> Instance:
@@ -572,6 +560,3 @@ def restrict(scenario: Scenario, instance_ids: Sequence[str]) -> Scenario:
         trajectories={k: v for k, v in scenario.trajectories.items() if k[0] in kept_ids},
     )
 
-
-def with_best_known(instance: Instance, value: float) -> Instance:
-    return replace(instance, best_known_obj=value)

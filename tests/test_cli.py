@@ -133,6 +133,25 @@ class TestScore:
         assert main(argv) == 0
         assert "closed-gap" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("agg, method", [
+        ("sum", solvereval.Aggregation.SUM),
+        ("mean", solvereval.Aggregation.ARITHMETIC_MEAN),
+        ("geomean", solvereval.Aggregation.GEOMETRIC_MEAN),
+        ("median", solvereval.Aggregation.MEDIAN),
+    ])
+    def test_agg_merges_the_folds_that_way(self, tmp_path, capsys, agg, method):
+        runs = tmp_path / "fold.csv"
+        runs.write_text(FOLD_CSV)
+        argv = ["score", str(runs), "--timeout", "100", "--folds", "2", "--seed", "7",
+                "--agg", agg, "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["provenance"]["aggregation"] == method.value
+        sc = solvereval.parse_runs(runs, 100.0)
+        plan = solvereval.make_fold_plan(sc.instance_ids, 2, seed=7)
+        ev = solvereval.evaluate(sc, "par", fold_plan=plan, aggregation=method)
+        assert payload["scores"][0] == pytest.approx(dict(ev.merged.per_solver))
+
 
 class TestRank:
     def test_text(self, runs_file, capsys):

@@ -2,8 +2,9 @@
 
 The reference below is the per-instance row computation the column
 kernels replaced: for each instance it gathers the solvers' runs from
-scenario.outcomes and applies each metric's per-run formula, with the
-objective pool and best-known value recomputed from those runs. Columns
+scenario.outcomes and applies each metric's per-run formula (the rows of
+test_fold_columns), with the objective pool and best-known value
+recomputed from those runs. Columns
 must match it bit for bit (compared through float.hex, so -0.0 and 0.0
 differ), or raise the same error type. Fold totals are also checked
 against the independent oracle.
@@ -17,17 +18,24 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_fold_columns import METRIC_IDS, bench_family_spec, ref_restrict
+from test_fold_columns import (
+    METRIC_IDS,
+    bench_family_spec,
+    ref_area_row,
+    ref_best,
+    ref_par_row,
+    ref_pool,
+    ref_ratio_row,
+    ref_restrict,
+    ref_reward_row,
+)
 from test_pairwise_kernel import ref_per_instance
 
 from solvereval import (
-    BadAlphaBeta,
-    BadLambda,
     FoldContext,
     Instance,
     InstanceKind,
     MetricParams,
-    MissingTrajectory,
     NonDecomposableMetric,
     NonPositiveObjective,
     RunOutcome,
@@ -42,10 +50,8 @@ from solvereval import (
     head_to_head,
     make_fold_plan,
     metric_info,
-    obj_pool,
     oracle_score,
     parse_runs,
-    resolve_best_known,
     runtime_distribution,
     score_scenario,
 )
@@ -53,25 +59,6 @@ from solvereval.metrics import instance_columns
 from solvereval.scenario import InstanceValues
 
 COLUMN_METRICS = [m for m in METRIC_IDS if m != "closed-gap"]
-
-
-def ref_pool(sc, iid):
-    finite = [sc.outcomes[(iid, s)].obj for s in sc.solvers]
-    finite = [v for v in finite if math.isfinite(v)]
-    return (min(finite), max(finite)) if finite else None
-
-
-def ref_best(sc, inst):
-    if inst.best_known_obj is not None:
-        return inst.best_known_obj
-    pool = ref_pool(sc, inst.id)
-    return pool[0] if pool else None
-
-
-def ref_par_row(sc, inst, runs, p):
-    if not p.lam >= 1.0:
-        raise BadLambda(p.lam)
-    return [r.time_s if r.time_s < sc.timeout_s else p.lam * sc.timeout_s for r in runs]
 
 
 def ref_speedup_row(sc, inst, runs, p):
@@ -82,72 +69,6 @@ def ref_speedup_row(sc, inst, runs, p):
 def ref_mznc_row(sc, inst, runs, p):
     values = ref_per_instance(ref_restrict(sc, [inst.id]), p.delta)
     return [values[(s, inst.id)] for s in sc.solvers]
-
-
-def ref_ratio_row(sc, inst, runs, p):
-    best = ref_best(sc, inst)
-    if best is None:
-        return [0.0] * len(runs)
-    row = []
-    for r in runs:
-        if math.isinf(r.obj):
-            row.append(0.0)
-        elif best <= 0 or r.obj <= 0:
-            raise NonPositiveObjective(inst.id)
-        else:
-            row.append(min(1.0, best / r.obj))
-    return row
-
-
-def ref_norm_obj(v, best, worst):
-    if worst == best:
-        return 0.0 if v <= best else 1.0
-    return min(1.0, max(0.0, (v - best) / (worst - best)))
-
-
-def ref_area_row(sc, inst, runs, p):
-    best, pool = ref_best(sc, inst), ref_pool(sc, inst.id)
-    if best is None or pool is None:
-        return [0.0] * len(runs)
-    lo, hi = min(best, pool[0]), pool[1]
-    row = []
-    for s, r in zip(sc.solvers, runs):
-        traj = sc.trajectories.get((inst.id, s))
-        if traj is None:
-            if not math.isinf(r.obj):
-                raise MissingTrajectory((inst.id, s))
-            traj = Trajectory()
-        if not traj.events:
-            row.append(1.0)
-            continue
-        end = traj.proved_optimal_at if traj.proved_optimal_at is not None else sc.timeout_s
-        pieces = [traj.events[0][0] * 1.0]
-        for idx, (t, v) in enumerate(traj.events):
-            nxt = traj.events[idx + 1][0] if idx + 1 < len(traj.events) else end
-            pieces.append((nxt - t) * ref_norm_obj(v, lo, hi))
-        row.append(math.fsum(pieces) / sc.timeout_s)
-    return row
-
-
-def ref_reward_row(sc, inst, runs, p):
-    pool = ref_pool(sc, inst.id)
-    if pool is None:
-        return [0.0] * len(runs)
-    if not 0.0 <= p.alpha <= p.beta <= 1.0:
-        raise BadAlphaBeta((p.alpha, p.beta))
-    best, worst = pool
-    row = []
-    for r in runs:
-        if math.isinf(r.obj):
-            row.append(0.0)
-        elif r.status is RunStatus.SOLVED:
-            row.append(1.0)
-        elif best == worst:
-            row.append(p.beta)
-        else:
-            frac = (worst - r.obj) / (worst - best)
-            row.append(p.alpha + (p.beta - p.alpha) * min(1.0, max(0.0, frac)))
-    return row
 
 
 REF_ROWS = {
@@ -266,9 +187,9 @@ class TestAgainstRows:
 
     @given(edge_scenarios())
     def test_objective_columns(self, sc):
-        for inst in sc.instances:
-            assert obj_pool(sc, inst.id) == ref_pool(sc, inst.id)
-            assert resolve_best_known(sc, inst.id) == ref_best(sc, inst)
+        pools, bests = sc.objective_columns
+        assert list(pools) == [ref_pool(sc, inst.id) for inst in sc.instances]
+        assert list(bests) == [ref_best(sc, inst) for inst in sc.instances]
         assert sc.objective_columns is sc.objective_columns
 
     def test_zero_times_and_an_off_grid_timeout(self):

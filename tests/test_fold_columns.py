@@ -23,6 +23,8 @@ from test_properties import scenarios
 
 from solvereval import (
     Aggregation,
+    BadAlphaBeta,
+    BadLambda,
     BaselineReport,
     DegenerateGap,
     EmptyInput,
@@ -37,6 +39,7 @@ from solvereval import (
     MissingTrajectory,
     NonDecomposableMetric,
     NonPositiveForGeomean,
+    NonPositiveObjective,
     RunStatus,
     SbsPolicy,
     ScoreTable,
@@ -46,17 +49,11 @@ from solvereval import (
     Trajectory,
     UnknownInstance,
     aggregate,
-    area_score,
-    bounded_reward_score,
     closed_gap,
     evaluate,
     generate,
     make_fold_plan,
     metric_info,
-    obj_pool,
-    par_instance,
-    ratio_score,
-    resolve_best_known,
     score_scenario,
     thorough_vs_fast_spec,
     uniform,
@@ -85,37 +82,114 @@ def ref_restrict(sc, instance_ids):
     )
 
 
-def ref_area_values(sc):
+# Each metric's values on one instance, from the instance's runs (a row,
+# one value per solver), written from the definitions; test_column_kernels
+# checks the columns against the same rows.
+def ref_pool(sc, iid):
+    finite = [sc.outcomes[(iid, s)].obj for s in sc.solvers]
+    finite = [v for v in finite if math.isfinite(v)]
+    return (min(finite), max(finite)) if finite else None
+
+
+def ref_best(sc, inst):
+    if inst.best_known_obj is not None:
+        return inst.best_known_obj
+    pool = ref_pool(sc, inst.id)
+    return pool[0] if pool else None
+
+
+def ref_par_row(sc, inst, runs, p):
+    if not p.lam >= 1.0:
+        raise BadLambda(p.lam)
+    return [r.time_s if r.time_s < sc.timeout_s else p.lam * sc.timeout_s for r in runs]
+
+
+def ref_ratio_row(sc, inst, runs, p):
+    best = ref_best(sc, inst)
+    if best is None:
+        return [0.0] * len(runs)
+    row = []
+    for r in runs:
+        if math.isinf(r.obj):
+            row.append(0.0)
+        elif best <= 0 or r.obj <= 0:
+            raise NonPositiveObjective(inst.id)
+        else:
+            row.append(min(1.0, best / r.obj))
+    return row
+
+
+def ref_norm_obj(v, best, worst):
+    if worst == best:
+        return 0.0 if v <= best else 1.0
+    return min(1.0, max(0.0, (v - best) / (worst - best)))
+
+
+def ref_area_row(sc, inst, runs, p):
+    best, pool = ref_best(sc, inst), ref_pool(sc, inst.id)
+    if best is None or pool is None:
+        return [0.0] * len(runs)
+    lo, hi = min(best, pool[0]), pool[1]
+    row = []
+    for s, r in zip(sc.solvers, runs):
+        traj = sc.trajectories.get((inst.id, s))
+        if traj is None:
+            if not math.isinf(r.obj):
+                raise MissingTrajectory((inst.id, s))
+            traj = Trajectory()
+        if not traj.events:
+            row.append(1.0)
+            continue
+        end = traj.proved_optimal_at if traj.proved_optimal_at is not None else sc.timeout_s
+        pieces = [traj.events[0][0] * 1.0]
+        for idx, (t, v) in enumerate(traj.events):
+            nxt = traj.events[idx + 1][0] if idx + 1 < len(traj.events) else end
+            pieces.append((nxt - t) * ref_norm_obj(v, lo, hi))
+        row.append(math.fsum(pieces) / sc.timeout_s)
+    return row
+
+
+def ref_reward_row(sc, inst, runs, p):
+    pool = ref_pool(sc, inst.id)
+    if pool is None:
+        return [0.0] * len(runs)
+    if not 0.0 <= p.alpha <= p.beta <= 1.0:
+        raise BadAlphaBeta((p.alpha, p.beta))
+    best, worst = pool
+    row = []
+    for r in runs:
+        if math.isinf(r.obj):
+            row.append(0.0)
+        elif r.status is RunStatus.SOLVED:
+            row.append(1.0)
+        elif best == worst:
+            row.append(p.beta)
+        else:
+            frac = (worst - r.obj) / (worst - best)
+            row.append(p.alpha + (p.beta - p.alpha) * min(1.0, max(0.0, frac)))
+    return row
+
+
+def ref_opt_values(sc, row, params):
+    """row over each optimization instance's runs, as (solver, instance) -> value."""
     values = {}
     for iid in sc.optimization_ids:
-        inst = sc.instance(iid)
-        best = resolve_best_known(sc, iid)
-        pool = obj_pool(sc, iid)
-        if best is None or pool is None:
-            for s in sc.solvers:
-                values[(s, iid)] = 0.0
-            continue
-        bounds = (min(best, pool[0]), pool[1])
-        for s in sc.solvers:
-            traj = sc.trajectory(iid, s)
-            if traj is None:
-                if not math.isinf(sc.obj(iid, s)):
-                    raise MissingTrajectory(f"({iid}, {s})")
-                traj = Trajectory()
-            values[(s, iid)] = area_score(inst, traj, bounds, sc.timeout_s)
+        runs = [sc.outcome(iid, s) for s in sc.solvers]
+        values.update(zip([(s, iid) for s in sc.solvers], row(sc, sc.instance(iid), runs, params)))
     return values
 
 
 def ref_base_values(sc, base_metric, lam):
     if base_metric == "par":
+        params = MetricParams(lam=lam)
         return {
-            (s, i): par_instance(sc.outcome(i, s), lam, sc.timeout_s)
+            (s, i): ref_par_row(sc, None, [sc.outcome(i, s)], params)[0]
             for s in sc.solvers for i in sc.instance_ids
         }
     if base_metric == "runtime":
         return {(s, i): sc.time(i, s) for s in sc.solvers for i in sc.instance_ids}
     if base_metric == "area":
-        return ref_area_values(sc)
+        return ref_opt_values(sc, ref_area_row, None)
     raise NonDecomposableMetric(base_metric)
 
 
@@ -157,7 +231,7 @@ def ref_instance_values(ev, metric_id, params):
     tau = ev.timeout_s
     pairs = [(s, i) for s in ev.solvers for i in ev.instance_ids]
     if metric_id == "par":
-        return {(s, i): par_instance(ev.outcome(i, s), params.lam, tau) for s, i in pairs}
+        return {(s, i): ref_par_row(ev, None, [ev.outcome(i, s)], params)[0] for s, i in pairs}
     if metric_id == "runtime":
         return {(s, i): ev.time(i, s) for s, i in pairs}
     if metric_id == "solved-count":
@@ -173,21 +247,8 @@ def ref_instance_values(ev, metric_id, params):
         return ref_per_instance(ev, params.delta)
     if not ev.optimization_ids:
         raise EmptyInput(metric_id)
-    if metric_id == "area":
-        return ref_area_values(ev)
-    values = {}
-    for iid in ev.optimization_ids:
-        inst, best, pool = ev.instance(iid), resolve_best_known(ev, iid), obj_pool(ev, iid)
-        for s in ev.solvers:
-            out = ev.outcome(iid, s)
-            if metric_id == "ratio":
-                v = 0.0 if best is None else ratio_score(replace(inst, best_known_obj=best), out)
-            else:
-                v = 0.0 if pool is None else bounded_reward_score(
-                    inst, out, pool[0], pool[1], params.alpha, params.beta
-                )
-            values[(s, iid)] = v
-    return values
+    rows = {"ratio": ref_ratio_row, "area": ref_area_row, "bounded-reward": ref_reward_row}
+    return ref_opt_values(ev, rows[metric_id], params)
 
 
 def ref_score(sc, metric_id, params, policy, ctx):

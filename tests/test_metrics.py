@@ -5,15 +5,13 @@ from __future__ import annotations
 import math
 
 import pytest
-from helpers import TIMEOUT, decision_scenario, errored, scenario_from, solved, timed_out
+from helpers import decision_scenario, errored, scenario_from, solved, timed_out
 
 from solvereval import (
     BadAlphaBeta,
-    BadBounds,
     BadLambda,
     DegenerateGap,
-    Instance,
-    InstanceKind,
+    EmptyInput,
     MetricParams,
     MissingTrajectory,
     NonDecomposableMetric,
@@ -24,32 +22,34 @@ from solvereval import (
     SingleSolverScenario,
     Trajectory,
     UnknownSolver,
-    area_score,
     base_instance_values,
-    bounded_reward_score,
     closed_gap,
     metric_info,
     mznc_pair,
     mznc_score,
     normalized_runtime_score,
-    par_instance,
     par_score,
-    ratio_score,
     score_scenario,
 )
 from solvereval.metrics import instance_columns
 
 
+def par(run, lam):
+    """The par value of one run, the only one of its scenario."""
+    sc = scenario_from({("i1", "a"): run})
+    return instance_columns(sc, "par", MetricParams(lam=lam))["a"][0]
+
+
 class TestPar:
     def test_solved_run_counts_its_time(self):
-        assert par_instance(solved(50.0), 10.0, TIMEOUT) == 50.0
+        assert par(solved(50.0), 10.0) == 50.0
 
     def test_unsolved_run_costs_lambda_timeouts(self):
-        assert par_instance(timed_out(), 2.0, TIMEOUT) == 200.0
-        assert par_instance(timed_out(), 10.0, TIMEOUT) == 1000.0
+        assert par(timed_out(), 2.0) == 200.0
+        assert par(timed_out(), 10.0) == 1000.0
 
     def test_error_run_scores_like_a_timeout(self):
-        assert par_instance(errored(), 2.0, TIMEOUT) == 200.0
+        assert par(errored(), 2.0) == 200.0
 
     def test_mean_over_instances(self):
         sc = decision_scenario({"i1": {"a": 50.0}, "i2": {"a": None}})
@@ -62,7 +62,7 @@ class TestPar:
     @pytest.mark.parametrize("lam", [0.999, 0.0, -3.0])
     def test_lambda_below_one_rejected(self, lam):
         with pytest.raises(BadLambda):
-            par_instance(solved(1.0), lam, TIMEOUT)
+            par(solved(1.0), lam)
 
     def test_unknown_solver(self):
         sc = decision_scenario({"i1": {"a": 1.0}})
@@ -226,76 +226,119 @@ class TestClosedGap:
             closed_gap(50.0, 90.0, 100.0)
 
 
-class TestRatio:
-    def _inst(self, best=50.0):
-        return Instance("o1", InstanceKind.OPTIMIZATION, best)
+def ratio(obj, best=50.0):
+    """The ratio value of a run ending at obj on an instance with a recorded best."""
+    sc = scenario_from(
+        {("o1", "a"): timed_out(obj=obj)}, kinds={"o1": "optimization"}, best_known={"o1": best}
+    )
+    return instance_columns(sc, "ratio")["a"][0]
 
+
+class TestRatio:
     def test_worked_example(self):
-        assert ratio_score(self._inst(), timed_out(obj=100.0)) == 0.5
+        assert ratio(100.0) == 0.5
 
     def test_matching_best_scores_one(self):
-        assert ratio_score(self._inst(), timed_out(obj=50.0)) == 1.0
+        assert ratio(50.0) == 1.0
 
     def test_beating_best_known_is_clamped(self):
-        assert ratio_score(self._inst(), timed_out(obj=40.0)) == 1.0
+        assert ratio(40.0) == 1.0
 
     def test_no_solution_scores_zero(self):
-        assert ratio_score(self._inst(), timed_out()) == 0.0
+        assert ratio(math.inf) == 0.0
 
     def test_non_positive_objective_rejected(self):
         with pytest.raises(NonPositiveObjective):
-            ratio_score(self._inst(), timed_out(obj=-2.0))
+            ratio(-2.0)
         with pytest.raises(NonPositiveObjective):
-            ratio_score(self._inst(best=-1.0), timed_out(obj=2.0))
+            ratio(2.0, best=-1.0)
 
     def test_needs_optimization_instance_and_best(self):
-        with pytest.raises(ValueError):
-            ratio_score(Instance("d1"), timed_out(obj=2.0))
-        with pytest.raises(ValueError):
-            ratio_score(Instance("o1", InstanceKind.OPTIMIZATION), timed_out(obj=2.0))
+        # No value at a decision instance; 0 where nothing is known to compare with.
+        sc = scenario_from(
+            {("d1", "a"): solved(1.0), ("o1", "a"): timed_out()}, kinds={"o1": "optimization"}
+        )
+        assert instance_columns(sc, "ratio") == {"a": [None, 0.0]}
+        with pytest.raises(EmptyInput):
+            score_scenario(decision_scenario({"d1": {"a": 1.0}}), "ratio")
+
+    def test_mean_over_optimization_instances(self):
+        sc = scenario_from(
+            {
+                ("d1", "a"): solved(1.0),
+                ("o1", "a"): timed_out(obj=100.0),
+                ("o2", "a"): timed_out(obj=40.0),
+            },
+            kinds={"o1": "optimization", "o2": "optimization"},
+            best_known={"o1": 50.0, "o2": 10.0},
+        )
+        table, _ = score_scenario(sc, "ratio")
+        assert table.per_solver["a"] == pytest.approx((0.5 + 0.25) / 2)
+
+
+def area(traj, best, worst, solved_at=None):
+    """The area of solver a's trajectory on one instance whose scale is (best, worst).
+
+    best is the instance's recorded best known value, and solver w ends at
+    worst, the worst objective of the pool; a's final objective lies between.
+    """
+    final = traj.events[-1][1] if traj.events else math.inf
+    run = timed_out(obj=final) if solved_at is None else RunOutcome(
+        solved_at, RunStatus.SOLVED, final
+    )
+    sc = scenario_from(
+        {("o1", "a"): run, ("o1", "w"): timed_out(obj=worst)},
+        kinds={"o1": "optimization"},
+        best_known={"o1": best},
+        trajectories={("o1", "a"): traj, ("o1", "w"): Trajectory(((0.0, worst),))},
+    )
+    return instance_columns(sc, "area")["a"][0]
 
 
 class TestArea:
-    _inst = Instance("o1", InstanceKind.OPTIMIZATION)
-
     def test_no_solution_integrates_to_one(self):
-        assert area_score(self._inst, Trajectory(), (0.0, 10.0), TIMEOUT) == 1.0
+        assert area(Trajectory(), 0.0, 10.0) == 1.0
 
     def test_step_function_worked_example(self):
         # quality 1 on [0,10), (10-0)/(10-0)=1 on [10,50), 0.5 on [50,100)
         traj = Trajectory(((10.0, 10.0), (50.0, 5.0)))
-        assert area_score(self._inst, traj, (0.0, 10.0), TIMEOUT) == pytest.approx(0.75)
+        assert area(traj, 0.0, 10.0) == pytest.approx(0.75)
 
     def test_proof_zeroes_the_tail(self):
         traj = Trajectory(((10.0, 6.0),), proved_optimal_at=60.0)
         # 1 on [0,10), (6-4)/6 on [10,60), 0 afterwards
         expected = (10.0 + 50.0 * (2.0 / 6.0)) / 100.0
-        assert area_score(self._inst, traj, (4.0, 10.0), TIMEOUT) == pytest.approx(expected)
+        assert area(traj, 4.0, 10.0, solved_at=60.0) == pytest.approx(expected)
 
     def test_objective_at_best_bound_scores_zero_after_found(self):
         traj = Trajectory(((10.0, 4.0),))
-        assert area_score(self._inst, traj, (4.0, 10.0), TIMEOUT) == pytest.approx(0.1)
+        assert area(traj, 4.0, 10.0) == pytest.approx(0.1)
 
     def test_degenerate_bounds(self):
         at_best = Trajectory(((10.0, 4.0),))
-        above = Trajectory(((10.0, 9.0),))
-        assert area_score(self._inst, at_best, (4.0, 4.0), TIMEOUT) == pytest.approx(0.1)
-        assert area_score(self._inst, above, (4.0, 4.0), TIMEOUT) == pytest.approx(1.0)
+        above_first = Trajectory(((10.0, 9.0), (20.0, 4.0)))
+        assert area(at_best, 4.0, 4.0) == pytest.approx(0.1)
+        # 1 on [0,10), 9 above the scale's single value: 1 on [10,20), 0 afterwards
+        assert area(above_first, 4.0, 4.0) == pytest.approx(0.2)
 
     def test_values_outside_bounds_are_clamped(self):
-        traj = Trajectory(((10.0, 50.0), (20.0, 1.0)))
-        # 50 clamps to 1, 1 clamps to 0
-        assert area_score(self._inst, traj, (4.0, 10.0), TIMEOUT) == pytest.approx(0.2)
+        # An incumbent is never below the scale, which starts at the pool's best.
+        traj = Trajectory(((10.0, 50.0), (20.0, 4.0)))
+        # 50 clamps to 1, 4 scales to 0
+        assert area(traj, 4.0, 10.0) == pytest.approx(0.2)
 
     def test_bad_bounds(self):
-        with pytest.raises(BadBounds):
-            area_score(self._inst, Trajectory(), (10.0, 4.0), TIMEOUT)
-        with pytest.raises(BadBounds):
-            area_score(self._inst, Trajectory(), (0.0, math.inf), TIMEOUT)
+        # The scale is built from the runs, so it cannot be inverted: a
+        # recorded best above every final objective starts it at the pool's best.
+        traj = Trajectory(((10.0, 6.0),))
+        # 1 on [0,10), (6-6)/(10-6)=0 afterwards
+        assert area(traj, 20.0, 10.0) == pytest.approx(0.1)
 
     def test_decision_instance_rejected(self):
-        with pytest.raises(ValueError):
-            area_score(Instance("d1"), Trajectory(), (0.0, 1.0), TIMEOUT)
+        sc = decision_scenario({"d1": {"a": 1.0}})
+        assert instance_columns(sc, "area") == {"a": [None]}
+        with pytest.raises(EmptyInput):
+            score_scenario(sc, "area")
 
 
 class TestAreaInstanceValues:
@@ -333,38 +376,50 @@ class TestAreaInstanceValues:
         assert vals["b"] == [pytest.approx(1.0)]
 
 
-class TestBoundedReward:
-    _inst = Instance("o1", InstanceKind.OPTIMIZATION)
+def reward(run, pool, alpha=0.25, beta=0.75):
+    """The bounded reward of run on an instance where the other solvers end at pool."""
+    cells = {("o1", "a"): run, **{("o1", f"p{k}"): timed_out(obj=v) for k, v in enumerate(pool)}}
+    sc = scenario_from(cells, kinds={"o1": "optimization"})
+    return instance_columns(sc, "bounded-reward", MetricParams(alpha=alpha, beta=beta))["a"][0]
 
+
+class TestBoundedReward:
     def test_no_solution_scores_zero(self):
-        assert bounded_reward_score(self._inst, timed_out(), 10.0, 20.0, 0.25, 0.75) == 0.0
+        assert reward(timed_out(), (10.0, 20.0)) == 0.0
 
     def test_proven_optimal_scores_one(self):
-        out = RunOutcome(5.0, RunStatus.SOLVED, 10.0)
-        assert bounded_reward_score(self._inst, out, 10.0, 20.0, 0.25, 0.75) == 1.0
+        assert reward(RunOutcome(5.0, RunStatus.SOLVED, 10.0), (10.0, 20.0)) == 1.0
 
     def test_linear_interpolation(self):
-        out = timed_out(obj=15.0)
-        assert bounded_reward_score(self._inst, out, 10.0, 20.0, 0.25, 0.75) == pytest.approx(0.5)
+        assert reward(timed_out(obj=15.0), (10.0, 20.0)) == pytest.approx(0.5)
 
     def test_pool_extremes_map_to_alpha_and_beta(self):
-        best = timed_out(obj=10.0)
-        worst = timed_out(obj=20.0)
-        assert bounded_reward_score(self._inst, best, 10.0, 20.0, 0.25, 0.75) == 0.75
-        assert bounded_reward_score(self._inst, worst, 10.0, 20.0, 0.25, 0.75) == 0.25
+        assert reward(timed_out(obj=10.0), (10.0, 20.0)) == 0.75
+        assert reward(timed_out(obj=20.0), (10.0, 20.0)) == 0.25
 
     def test_degenerate_pool_scores_beta(self):
-        out = timed_out(obj=10.0)
-        assert bounded_reward_score(self._inst, out, 10.0, 10.0, 0.25, 0.75) == 0.75
+        assert reward(timed_out(obj=10.0), (10.0, 10.0)) == 0.75
+
+    def test_instance_without_a_solution_scores_zero(self):
+        sc = scenario_from(
+            {("o1", "a"): timed_out(), ("o1", "b"): timed_out()}, kinds={"o1": "optimization"}
+        )
+        assert instance_columns(sc, "bounded-reward") == {"a": [0.0], "b": [0.0]}
+
+    def test_decision_instance_has_no_value(self):
+        sc = decision_scenario({"d1": {"a": 1.0}})
+        assert instance_columns(sc, "bounded-reward") == {"a": [None]}
+        with pytest.raises(EmptyInput):
+            score_scenario(sc, "bounded-reward")
 
     def test_bad_alpha_beta(self):
         out = timed_out(obj=15.0)
         with pytest.raises(BadAlphaBeta):
-            bounded_reward_score(self._inst, out, 10.0, 20.0, 0.8, 0.5)
+            reward(out, (10.0, 20.0), 0.8, 0.5)
         with pytest.raises(BadAlphaBeta):
-            bounded_reward_score(self._inst, out, 10.0, 20.0, -0.1, 0.5)
+            reward(out, (10.0, 20.0), -0.1, 0.5)
         with pytest.raises(BadAlphaBeta):
-            bounded_reward_score(self._inst, out, 10.0, 20.0, 0.5, 1.2)
+            reward(out, (10.0, 20.0), 0.5, 1.2)
 
 
 class TestBaseInstanceValues:

@@ -36,9 +36,40 @@ class TestLazyNamespace:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = eval(proc.stdout)
-        assert "solvereval.harness" in loaded
+        assert "solvereval.harness" not in loaded
+        assert "solvereval.baselines" not in loaded
         assert "solvereval.oracle" not in loaded
         assert "solvereval.synthkit" not in loaded
+
+    @pytest.mark.parametrize("command", ["validate", "gen"])
+    def test_validate_and_gen_load_no_scoring_module(self, command, tmp_path):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("instance_id,solver_id,status,time_s\ni1,a,ok,1.5\ni1,b,timeout,10\n")
+        argv = {
+            "validate": ["validate", str(runs), "--timeout", "10"],
+            "gen": ["gen", "--instances", "5", "-o", str(tmp_path / "gen.csv")],
+        }[command]
+        proc = _child(
+            "import sys\n"
+            "from solvereval.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('solvereval.')"
+            " or m == 'statistics'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        assert {"solvereval.harness", "solvereval.baselines", "statistics"}.isdisjoint(
+            eval(loaded))
+
+    def test_io_import_loads_no_scoring_module(self):
+        proc = _child(
+            "import sys, solvereval.io\n"
+            "print(sorted(m for m in sys.modules if m.startswith('solvereval.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = eval(proc.stdout)
+        assert {"solvereval.harness", "solvereval.baselines"}.isdisjoint(loaded)
 
     def test_package_import_loads_no_submodule(self):
         proc = _child(

@@ -64,11 +64,10 @@ def ref_pair(sc, i, s, other, delta):
 
 
 def ref_mznc_score(sc, s, delta):
+    """The fsum of the solver's per-instance scores, each the fsum over its opponents."""
     return math.fsum(
-        ref_pair(sc, i, s, other, delta)
+        math.fsum(ref_pair(sc, i, s, other, delta) for other in sc.solvers if other != s)
         for i in sc.instance_ids
-        for other in sc.solvers
-        if other != s
     )
 
 
@@ -191,6 +190,25 @@ class TestAgainstOracle:
             sweep = delta_sweep(sc, [d])
             for s in sc.solvers:
                 assert abs(sweep[d][s] - oracle_score(sc, "mznc", s, delta=d)) <= 1e-9
+
+
+class TestOneTotal:
+    def test_sweep_total_is_the_scored_total(self):
+        # The exact sum over every pair rounds s0's total here to
+        # 347.11471332597114, one ulp below the sum of its rounded
+        # per-instance scores, which score and rank report.
+        spec = ArchetypeSpec(
+            seed=12, n_instances=200, timeout_s=100.0, opt_fraction=0.3,
+            solvers=tuple(
+                SolverSpec(0.5 + 0.05 * k, uniform(1.0 * k, 20 + 10 * k), name=f"s{k}")
+                for k in range(5)
+            ),
+        )
+        sc = generate(spec)
+        table, _ = score_scenario(sc, "mznc", MetricParams(delta=0.5))
+        assert table.per_solver["s0"] == 347.1147133259712
+        assert delta_sweep(sc, [0.5]) == {0.5: table.per_solver}
+        assert mznc_score(sc, "s0", 0.5) == table.per_solver["s0"]
 
 
 class TestExactSums:

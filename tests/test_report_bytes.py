@@ -42,7 +42,7 @@ DIGESTS = {
     "score-csv": "2c9421820cd7ff3aa8437927c694556ad339f6d5acf7acf4038d05ffbb5f97c5",
     "score-table": "abea91e3cdc3247e51fa53739c6f23af4b0c96bb6ba330356d0afb015cc2dfc0",
     "rank-mznc": "8e38d6fd57ac7fd15885ef6691617b04b53cb14dd8c9f06ef2c3e283366065de",
-    "sweep-delta-flip": "c3ff4f365671cbd8ee21cec9fb1c0aa5d59e96eb7cf774b79f39590ac3d12ddc",
+    "sweep-delta-flip": "2332bd00c562e2c93524efc08195d96885a6361b265aff8f14a874ab2d3cbc2c",
 }
 
 

@@ -18,13 +18,10 @@ from solvereval import (
     UnknownInstance,
     ValidationError,
     build_scenario,
-    obj_pool,
     quantize_ms,
-    resolve_best_known,
     restrict,
     time_to_ms,
     validate_scenario,
-    with_best_known,
 )
 
 
@@ -264,25 +261,27 @@ class TestBestKnown:
 
     def test_recorded_value_wins(self):
         sc = self._sc(best_known={"o1": 3.0})
-        assert resolve_best_known(sc, "o1") == 3.0
+        assert sc.objective_columns[1][0] == 3.0
 
     def test_falls_back_to_min_final_obj(self):
         sc = self._sc()
-        assert resolve_best_known(sc, "o1") == 5.0
+        assert sc.objective_columns[1][0] == 5.0
 
     def test_none_when_nothing_known(self):
         sc = self._sc()
-        assert resolve_best_known(sc, "o2") is None
+        assert sc.objective_columns[1][1] is None
 
-    def test_obj_pool(self):
+    def test_objective_pool(self):
         sc = self._sc()
-        assert obj_pool(sc, "o1") == (5.0, 8.0)
-        assert obj_pool(sc, "o2") is None
+        assert sc.objective_columns[0] == ((5.0, 8.0), None)
 
-    def test_with_best_known(self):
-        inst = Instance("o1", InstanceKind.OPTIMIZATION)
-        assert with_best_known(inst, 7.0).best_known_obj == 7.0
-        assert inst.best_known_obj is None
+    def test_recorded_value_without_a_solution(self):
+        sc = self._sc(best_known={"o2": 4.0})
+        assert sc.objective_columns == (((5.0, 8.0), None), (5.0, 4.0))
+
+    def test_decision_instance_has_no_pool_or_best(self):
+        sc = scenario_from({("d1", "a"): solved(3.0), ("d1", "b"): timed_out()})
+        assert sc.objective_columns == ((None,), (None,))
 
 
 class TestRestrict:

@@ -1,6 +1,8 @@
 """The package has no runtime dependencies: every import is relative or stdlib.
 
-It also parses on the oldest Python that pyproject.toml declares.
+It also parses on the oldest Python that pyproject.toml declares, and the
+oracle, the independent check on the metrics, imports none of the scoring
+modules.
 """
 
 from __future__ import annotations
@@ -41,6 +43,44 @@ def test_the_check_sees_a_third_party_import(tmp_path):
     p = tmp_path / "m.py"
     p.write_text("import json\nfrom . import io\nimport numpy as np\nfrom scipy.stats import norm\n")
     assert _third_party(p) == ["line 3: numpy", "line 4: scipy.stats"]
+
+
+SCORING = {"metrics", "baselines", "harness"}
+
+
+def _scoring_imports(path: Path) -> list[str]:
+    """Imports of a scoring module of the package, absolute or relative, by line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = [node.module] if node.module else []
+            # from . import metrics, or from solvereval import harness
+            modules = [".".join([*base, alias.name]) for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules
+                  if SCORING & set(m.split("."))]
+    return found
+
+
+def test_oracle_imports_no_scoring_module():
+    assert _scoring_imports(PACKAGE / "oracle.py") == []
+
+
+def test_the_check_sees_a_scoring_import(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text(
+        "import math\nfrom .scenario import Scenario\nfrom .errors import TooLarge\n"
+        "from solvereval.metrics import par_score\nimport solvereval.harness\n"
+        "from . import baselines\nfrom .metrics import closed_gap\n"
+        "import solvereval.harness as h\n"
+    )
+    assert _scoring_imports(p) == [
+        "line 4: solvereval.metrics.par_score", "line 5: solvereval.harness",
+        "line 6: baselines", "line 7: metrics.closed_gap", "line 8: solvereval.harness",
+    ]
 
 
 FLOOR = (3, 10)  # dataclass(slots=True) needs 3.10

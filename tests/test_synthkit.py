@@ -212,10 +212,3 @@ class TestOracle:
         wide = decision_scenario({"i1": {f"s{n}": 1.0 for n in range(7)}})
         with pytest.raises(TooLarge):
             oracle_score(wide, "par", "s0")
-
-    def test_oracle_does_not_lean_on_the_implementation(self):
-        import solvereval.oracle as oracle_module
-        source = open(oracle_module.__file__).read()
-        for banned in ("from .metrics", "from .baselines", "from .harness",
-                       "import metrics", "import baselines", "import harness"):
-            assert banned not in source

@@ -104,6 +104,21 @@ def _deltas(text: str) -> list[float]:
     return sorted(set(values))
 
 
+def _at_least(low: int):
+    """argparse type for an integer >= low."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return count
+
+
 def _two_solvers(text: str, flag: str) -> tuple[str, str]:
     names = [s.strip() for s in text.split(",") if s.strip()]
     if len(names) != 2:
@@ -377,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metric to report; repeatable (default: par)")
     p.add_argument("--sbs-policy", choices=sorted(_POLICY), default=None,
                    help="which split selects the single best solver for closed-gap")
-    p.add_argument("--folds", type=int, default=None, metavar="K",
+    p.add_argument("--folds", type=_at_least(2), default=None, metavar="K",
                    help="evaluate per cross-validation fold instead of once overall")
-    p.add_argument("--repeats", type=int, default=1,
+    p.add_argument("--repeats", type=_at_least(1), default=1,
                    help="independent fold partitions to average over (default 1)")
     p.add_argument("--seed", type=int, default=0, help="fold shuffling seed (default 0)")
     p.add_argument("--agg", choices=sorted(_AGG), default=None,

@@ -314,9 +314,16 @@ class HeadToHead:
     ties: int
 
 
+def _require_pair(scenario: Scenario, solver_a: str, solver_b: str) -> None:
+    """SameSolver for one solver named twice, else UnknownSolver for a solver not in the scenario."""
+    if solver_a == solver_b:
+        raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
+    require_solvers(scenario, (solver_a, solver_b))
+
+
 def head_to_head(scenario: Scenario, solver_a: str, solver_b: str) -> HeadToHead:
     """Count instances each solver finished strictly faster; equal times tie."""
-    require_solvers(scenario, (solver_a, solver_b))
+    _require_pair(scenario, solver_a, solver_b)
     ta, tb = scenario.time_columns[solver_a], scenario.time_columns[solver_b]
     a, b = sum(map(operator.lt, ta, tb)), sum(map(operator.lt, tb, ta))
     return HeadToHead(solver_a, solver_b, a, b, len(ta) - a - b)
@@ -343,9 +350,7 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
     difference, so scanning those breakpoints is exhaustive. Returns None if
     solver_a never stays ahead.
     """
-    if solver_a == solver_b:
-        raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
-    require_solvers(scenario, (solver_a, solver_b))
+    _require_pair(scenario, solver_a, solver_b)
     cols = scenario.time_columns
     diffs_ms = {0}
     for s in (solver_a, solver_b):

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import __version__
-from .errors import RowError, SchemaError, UnsupportedAttribute, Violation
+from .errors import RowError, SchemaError, UnsupportedAttribute
 from .scenario import (
     Instance,
     InstanceKind,
@@ -111,7 +111,6 @@ def parse_runs(
         is_opt: dict[str, bool] = {}  # instances in file order
         solver_order: dict[str, None] = {}
         outcomes: dict[tuple[str, str], RunOutcome] = {}
-        unproven: list[tuple[str, str]] = []  # solved runs without a finite obj
         for row in reader:
             if len(row) != width:
                 if not row:
@@ -136,17 +135,10 @@ def parse_runs(
 
             if obj_cell or iid not in is_opt:
                 is_opt[iid] = bool(obj_cell)
-            if status is RunStatus.SOLVED and obj == math.inf:
-                unproven.append((iid, sid))
             solver_order[sid] = None
             if outcomes.setdefault((iid, sid), run) is not run:
                 raise RowError(reader.line_num, f"duplicate row for ({iid}, {sid})")
 
-    violations = [
-        Violation("BadOutcome", "solved optimization run must have a finite obj", f"({i}, {s})")
-        for i, s in unproven
-        if is_opt[i]
-    ]
     return assemble_scenario(
         scenario_id or path.stem,
         tuple(Instance(i, InstanceKind.OPTIMIZATION if opt else InstanceKind.DECISION)
@@ -155,7 +147,7 @@ def parse_runs(
         timeout_s,
         outcomes,
         {},
-        violations,
+        [],
         events=_trajectory_events(path, trajectories_path, outcomes),
     )
 

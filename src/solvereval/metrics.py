@@ -277,10 +277,10 @@ def mznc_scores(
 
 
 def normalized_runtime_score(scenario: Scenario, solver: str) -> float:
-    """One minus the mean fraction of the timeout the solver consumed."""
+    """Mean over instances of one minus the fraction of the timeout the solver consumed."""
     require_solvers(scenario, (solver,))
-    used = math.fsum([t / scenario.timeout_s for t in scenario.run_columns[0][solver]])
-    return 1.0 - used / len(scenario.instance_ids)
+    column = _normalized_columns(scenario, MetricParams())[solver]
+    return math.fsum(column) / len(column)
 
 
 def closed_gap(m_solver: float, m_sbs: float, m_vbs: float) -> float:

@@ -259,16 +259,16 @@ _STATUS = {k: st for st in RunStatus for k in (st.value, st)}
 
 
 def check_run(status: object, time_s: object, obj: object, timeout_s: float,
-              unsolved_at_timeout: bool = False, run: RunOutcome | None = None) -> RunOutcome:
-    """The per-run invariants, shared by validate_scenario and the file readers.
+              unsolved_at_timeout: bool = False) -> RunOutcome:
+    """The per-run invariants, shared by validate_scenario, the file readers and generate.
 
     A known status; a finite time_s >= 0; a solved run strictly before the
     timeout once snapped to the millisecond grid (stored snapped); an
     unsolved run at the timeout, stored there. With unsolved_at_timeout an
     unsolved run may record any time up to the timeout once snapped, or the
     timeout as emit_scenario writes it (7.001 for 7.0009). obj a number or
-    +inf (None reads as +inf). Returns the normalized run (run itself when
-    it was already normalized); raises ValueError naming what is broken.
+    +inf (None reads as +inf). Returns the normalized run; raises
+    ValueError naming what is broken.
     """
     try:
         member = _STATUS[status]
@@ -294,12 +294,8 @@ def check_run(status: object, time_s: object, obj: object, timeout_s: float,
         raise ValueError(f"{member.value} run must record time_s == timeout, got {time_s}")
     if obj.__class__ is not float:
         obj = math.inf if obj is None else float(obj)
-        run = None  # a converted obj: the caller's run is not normalized
     if obj != obj or obj == -math.inf:
         raise ValueError(f"obj must be finite or +inf, got {obj!r}")
-    if (run.__class__ is RunOutcome and status is member and time_s.__class__ is float
-            and time_s == t and math.copysign(1.0, time_s) > 0):  # -0.0 is stored as 0.0
-        return run
     return RunOutcome(t, member, obj)
 
 
@@ -344,31 +340,21 @@ def validate_scenario(raw: Scenario) -> Scenario:
                 flag("DuplicateId", f"duplicate {what} id {x!r}")
             seen.add(x)
 
-    kind_of = {inst.id: inst.kind for inst in instances}
-    solver_set = set(solvers)
+    instance_set, solver_set = {inst.id for inst in instances}, set(solvers)
     outcomes: dict[tuple[str, str], RunOutcome] = {}
     rejected: set[tuple[str, str]] = set()
     for key, out in raw.outcomes.items():
         i, s = str(key[0]), str(key[1])
-        kind = kind_of.get(i)
-        if kind is None or s not in solver_set:
+        if i not in instance_set or s not in solver_set:
             flag("UnknownId", "outcome recorded for a pair outside the scenario", f"({i}, {s})")
             continue
-        if not timeout_ok:
-            outcomes[(i, s)] = out
-            continue
-        try:
-            run = check_run(out.status, out.time_s, out.obj, timeout, run=out)
-        except ValueError as exc:
-            flag("BadOutcome", str(exc), f"({i}, {s})")
-            rejected.add((i, s))
-            continue
-        if kind is InstanceKind.DECISION and run.obj != math.inf:
-            flag("BadOutcome", "decision instance outcomes must have obj = +inf", f"({i}, {s})")
-        elif (kind is InstanceKind.OPTIMIZATION and run.status is RunStatus.SOLVED
-              and run.obj == math.inf):
-            flag("BadOutcome", "solved optimization run must have a finite obj", f"({i}, {s})")
-        outcomes[(i, s)] = run
+        if timeout_ok:  # with a bad timeout no run can be checked, so every run is rejected
+            try:
+                outcomes[(i, s)] = check_run(out.status, out.time_s, out.obj, timeout)
+                continue
+            except ValueError as exc:
+                flag("BadOutcome", str(exc), f"({i}, {s})")
+        rejected.add((i, s))
 
     return assemble_scenario(
         str(raw.id), tuple(instances), tuple(solvers), timeout, outcomes,
@@ -383,9 +369,11 @@ def assemble_scenario(
     rejected: Collection[tuple[str, str]] = (),
     events: Iterable[tuple[tuple[str, str], float, float]] = (),
 ) -> Scenario:
-    """Run the cross-row checks on checked runs and build the scenario.
+    """Check checked runs against their instances and each other, and build the scenario.
 
-    The scenario needs an instance and a solver, and every (instance,
+    First the run-kind rules, run by run in the order of outcomes: a
+    decision run has obj +inf, and a solved optimization run a finite obj.
+    Then the scenario needs an instance and a solver, and every (instance,
     solver) pair needs a run; a pair whose run was rejected is not reported
     missing as well. Trajectories come as Trajectory objects, or as events
     ((instance_id, solver_id), t, obj) read from a file, each pair's in
@@ -401,6 +389,14 @@ def assemble_scenario(
     def flag(code: str, message: str, where: str | None = None) -> None:
         violations.append(Violation(code, message, where))
 
+    kind_of = {inst.id: inst.kind for inst in instances}
+    decision, inf, solved = InstanceKind.DECISION, math.inf, RunStatus.SOLVED
+    for (i, s), run in outcomes.items():
+        if kind_of[i] is decision:
+            if run.obj != inf:
+                flag("BadOutcome", "decision instance outcomes must have obj = +inf", f"({i}, {s})")
+        elif run.obj == inf and run.status is solved:
+            flag("BadOutcome", "solved optimization run must have a finite obj", f"({i}, {s})")
     if not instances:
         flag("EmptyScenario", "scenario has no instances")
     if not solvers:
@@ -411,8 +407,7 @@ def assemble_scenario(
                 if (inst.id, s) not in outcomes and (inst.id, s) not in rejected:
                     flag("MissingOutcome", "no recorded run for this pair", f"({inst.id}, {s})")
 
-    kind_of = {inst.id: inst.kind for inst in instances}
-    solver_set, isfinite, solved = set(solvers), math.isfinite, RunStatus.SOLVED
+    solver_set, isfinite = set(solvers), math.isfinite
     # Each open pair's checked events, in the order the pairs first appear
     # (None when the pair can have no trajectory, with the reason in refused),
     # and the problems found of single events and between consecutive ones.

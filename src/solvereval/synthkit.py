@@ -21,7 +21,8 @@ from .scenario import (
     RunStatus,
     Scenario,
     Trajectory,
-    build_scenario,
+    assemble_scenario,
+    check_run,
     quantize_ms,
 )
 
@@ -104,9 +105,9 @@ def _check_spec(spec: ArchetypeSpec) -> None:
         q = s.objective_quality
         if q is not None and not (math.isfinite(q.lo) and math.isfinite(q.hi) and 0.0 <= q.lo <= q.hi):
             problems.append(f"{tag}: objective_quality offsets must satisfy 0 <= lo <= hi")
-    names = [s.name for s in spec.solvers if s.name is not None]
-    if len(set(names)) != len(names):
-        problems.append("solver names must be unique")
+    names = _solver_names(spec)
+    for name in dict.fromkeys(n for n in names if names.count(n) > 1):
+        problems.append(f"solver name {name!r} is given to more than one solver")
     if problems:
         raise BadSpec("; ".join(problems))
 
@@ -132,7 +133,7 @@ def generate(spec: ArchetypeSpec) -> Scenario:
     """Produce the scenario a spec describes; same spec, same scenario."""
     _check_spec(spec)
     rng = SplitMix64(spec.seed)
-    tau = float(spec.timeout_s)  # a float, so validation keeps the runs built here
+    tau = float(spec.timeout_s)
     names = _solver_names(spec)
     width = max(3, len(str(spec.n_instances - 1)))
 
@@ -158,38 +159,28 @@ def generate(spec: ArchetypeSpec) -> Scenario:
                 t = quantize_ms(tau - _MS)
             if t < 0.0:
                 t = 0.0
-            solved = u_solve < solver_spec.solve_probability
-            key = (iid, sid)
-
-            if not is_opt:
-                if solved:
-                    outcomes[key] = RunOutcome(t, RunStatus.SOLVED)
-                elif u_error < spec.error_probability:
-                    outcomes[key] = RunOutcome(tau, RunStatus.ERROR)
-                else:
-                    outcomes[key] = RunOutcome(tau, RunStatus.TIMEOUT)
-                continue
-
-            quality = solver_spec.objective_quality or _DEFAULT_QUALITY
-            if solved:
-                t_found = quantize_ms(u_frac * t)
-                outcomes[key] = RunOutcome(t, RunStatus.SOLVED, base_obj)
-                trajectories[key] = Trajectory(
-                    _staircase(t_found, base_obj, u_split, u_bump),
-                    proved_optimal_at=t,
-                )
+            key, obj = (iid, sid), math.inf
+            if u_solve < solver_spec.solve_probability:
+                status = RunStatus.SOLVED
+                if is_opt:
+                    obj = base_obj
+                    trajectories[key] = Trajectory(
+                        _staircase(quantize_ms(u_frac * t), obj, u_split, u_bump),
+                        proved_optimal_at=t,
+                    )
             elif u_error < spec.error_probability:
-                outcomes[key] = RunOutcome(tau, RunStatus.ERROR)
-            elif u_subopt < spec.subopt_probability:
-                obj = round(base_obj + quality.sample(u_offset), 6)
-                t_found = quantize_ms(u_frac * (tau - _MS))
-                outcomes[key] = RunOutcome(tau, RunStatus.TIMEOUT, obj)
-                trajectories[key] = Trajectory(_staircase(t_found, obj, u_split, u_bump))
+                status, t = RunStatus.ERROR, tau
             else:
-                outcomes[key] = RunOutcome(tau, RunStatus.TIMEOUT)
+                status, t = RunStatus.TIMEOUT, tau
+                if is_opt and u_subopt < spec.subopt_probability:
+                    quality = solver_spec.objective_quality or _DEFAULT_QUALITY
+                    obj = round(base_obj + quality.sample(u_offset), 6)
+                    t_found = quantize_ms(u_frac * (tau - _MS))
+                    trajectories[key] = Trajectory(_staircase(t_found, obj, u_split, u_bump))
+            outcomes[key] = check_run(status, t, obj, tau)
 
-    return build_scenario(spec.scenario_id or f"synth-{spec.seed}", instances, names, tau,
-                          outcomes, trajectories)
+    return assemble_scenario(spec.scenario_id or f"synth-{spec.seed}", tuple(instances),
+                             tuple(names), tau, outcomes, trajectories, [])
 
 
 def thorough_vs_fast_spec(

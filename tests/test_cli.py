@@ -186,6 +186,12 @@ class TestHeadToHead:
         assert rows[0]["b_faster"] == 1
         assert rows[0]["ties"] == 0
 
+    def test_same_solver_rejected(self, runs_file, capsys):
+        assert main(["head2head", str(runs_file), "--timeout", "100", "--solvers", "a,a"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot compare solver 'a' with itself" in err
+
 
 class TestSweepDelta:
     def test_default_grid(self, runs_file, capsys):
@@ -223,8 +229,13 @@ class TestSweepDelta:
         ["rank", "--metric", "mznc", "--delta", "-1"],
         ["rank", "--metric", "mznc", "--delta", "inf"],
         ["score", "--metric", "mznc", "--delta", "nan"],
+        ["score", "--folds", "0"],
+        ["score", "--folds", "1"],
+        ["score", "--folds", "x"],
+        ["score", "--folds", "5", "--repeats", "0"],
+        ["score", "--folds", "5", "--repeats", "-1"],
     ])
-    def test_bad_delta_rejected_before_loading(self, tmp_path, capsys, argv):
+    def test_bad_number_rejected_before_loading(self, tmp_path, capsys, argv):
         command, *flags = argv
         absent = str(tmp_path / "absent.csv")
         assert main([command, absent, "--timeout", "100", *flags]) == 1

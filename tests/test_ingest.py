@@ -25,7 +25,8 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from test_fold_columns import generated
 from test_properties import scenarios
 
@@ -329,8 +330,8 @@ class TestOffGridTimeout:
     """An unsolved run at a timeout off the millisecond grid is at the timeout."""
 
     def test_stored_at_the_timeout(self):
-        run = RunOutcome(7.0009, RunStatus.TIMEOUT, 5.0)
-        assert check_run(RunStatus.TIMEOUT, 7.0009, 5.0, 7.0009, run=run) is run
+        run = check_run(RunStatus.TIMEOUT, 7.0009, 5.0, 7.0009)
+        assert run == RunOutcome(7.0009, RunStatus.TIMEOUT, 5.0)
 
     @pytest.mark.parametrize("timeout,written", [(7.0009, 7.001), (0.0005, 0.001), (2.0015, 2.002)])
     def test_as_written_by_emit_scenario(self, timeout, written):
@@ -450,7 +451,7 @@ class TestRunReuse:
         sc = generate(_spec(timeout_s))
         again = validate_scenario(sc)
         assert again == sc
-        assert all(again.outcomes[k] is run for k, run in sc.outcomes.items())
+        assert all(again.outcomes[k] == run for k, run in sc.outcomes.items())
 
     def test_unsnapped_or_negative_zero_times_are_rebuilt(self):
         runs = {("i1", "a"): RunOutcome(1.0004, RunStatus.SOLVED),
@@ -459,4 +460,73 @@ class TestRunReuse:
         sc = validate_scenario(Scenario("x", (Instance("i1"),), ("a", "b", "c"), 10.0, runs))
         assert sc.outcome("i1", "a").time_s == 1.0
         assert math.copysign(1.0, sc.outcome("i1", "b").time_s) == 1.0
-        assert sc.outcome("i1", "c") is runs[("i1", "c")]
+        assert sc.outcome("i1", "c") == runs[("i1", "c")]
+
+
+@st.composite
+def specs(draw):
+    """Specs with both kinds, errors, suboptimal runs, and int or off-grid timeouts."""
+    timeout = draw(st.sampled_from([50, 50.0, 3, 7.0009, 0.0005, 100.0004]))
+    solvers = []
+    for j in range(draw(st.integers(1, 4))):
+        lo, hi = sorted(draw(st.floats(0.0, 1.0)) * timeout for _ in range(2))
+        assume(lo < timeout)
+        quality = draw(st.sampled_from([None, uniform(0.0, 5.0), uniform(1.0, 1.0)]))
+        solvers.append(SolverSpec(draw(st.floats(0.0, 1.0)), uniform(lo, hi), quality,
+                                  draw(st.sampled_from([None, f"n{j}"]))))
+    return ArchetypeSpec(
+        seed=draw(st.integers(0, 10_000)), n_instances=draw(st.integers(1, 12)),
+        timeout_s=timeout, solvers=tuple(solvers),
+        opt_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        subopt_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        error_probability=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+
+
+class TestGeneratedRunsAreChecked:
+    """generate builds each run with check_run, so validating its scenario changes nothing."""
+
+    @given(specs())
+    def test_validation_is_the_identity(self, spec):
+        sc = generate(spec)
+        assert validate_scenario(sc) == sc
+
+
+class TestKindRules:
+    """The two run-kind rules give the same code, message and pair from every source."""
+
+    def test_decision_run_with_an_obj(self):
+        raw = Scenario("x", (Instance("i1"),), ("a",), 10.0,
+                       {("i1", "a"): RunOutcome(1.0, RunStatus.SOLVED, 3.0)})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("BadOutcome", "decision instance outcomes must have obj = +inf", "(i1, a)"),
+        ]
+
+    def test_solved_optimization_rows_without_an_obj_cell(self, tmp_path):
+        # o2 is an optimization instance by its later row; i1 lacks b's run.
+        runs = RUNS + "o2,a,ok,10.0,\no1,a,ok,10.0,7.0\no1,b,ok,3.0,\no2,b,ok,20.0,5.0\ni1,a,ok,1.0,\n"
+        with pytest.raises(ValidationError) as e:
+            _load(tmp_path, runs, traj=TRAJ + "o1,a,2.0,8.0\n")
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("BadOutcome", "solved optimization run must have a finite obj", "(o2, a)"),
+            ("BadOutcome", "solved optimization run must have a finite obj", "(o1, b)"),
+            ("MissingOutcome", "no recorded run for this pair", "(i1, b)"),
+            ("InconsistentTrajectory", "last event objective differs from the run outcome", "(o1, a)"),
+        ]
+
+    def test_kind_rules_follow_the_per_run_checks(self):
+        raw = Scenario("x", (Instance("i1"), Instance("o1", InstanceKind.OPTIMIZATION)), ("a", "b"),
+                       10.0, {("i1", "a"): RunOutcome(1.0, RunStatus.SOLVED, 3.0),
+                              ("i1", "b"): RunOutcome(20.0, RunStatus.SOLVED),
+                              ("o1", "a"): RunOutcome(2.0, RunStatus.SOLVED),
+                              ("o1", "b"): RunOutcome(10.0, "weird")})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("BadOutcome", "time_s 20.0 exceeds the timeout 10.0", "(i1, b)"),
+            ("BadOutcome", "unknown status 'weird'", "(o1, b)"),
+            ("BadOutcome", "decision instance outcomes must have obj = +inf", "(i1, a)"),
+            ("BadOutcome", "solved optimization run must have a finite obj", "(o1, a)"),
+        ]

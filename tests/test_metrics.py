@@ -6,6 +6,9 @@ import math
 
 import pytest
 from helpers import decision_scenario, errored, scenario_from, solved, timed_out
+from hypothesis import given
+from test_fold_columns import bench_family_spec
+from test_properties import scenarios
 
 from solvereval import (
     BadAlphaBeta,
@@ -24,6 +27,7 @@ from solvereval import (
     UnknownSolver,
     base_instance_values,
     closed_gap,
+    generate,
     metric_info,
     mznc_pair,
     mznc_score,
@@ -195,6 +199,19 @@ class TestNormalizedRuntime:
     def test_all_instant_gives_one(self):
         sc = decision_scenario({"i1": {"a": 0.0}})
         assert normalized_runtime_score(sc, "a") == 1.0
+
+    @staticmethod
+    def assert_scores_as_the_metric(sc):
+        scored = score_scenario(sc, "normalized-runtime")[0].per_solver
+        for s in sc.solvers:
+            assert normalized_runtime_score(sc, s) == scored[s], s
+
+    def test_equals_the_scored_metric_on_the_bench_family(self):
+        self.assert_scores_as_the_metric(generate(bench_family_spec(1, 2000, 20, 0.5)))
+
+    @given(scenarios())
+    def test_equals_the_scored_metric(self, sc):
+        self.assert_scores_as_the_metric(sc)
 
 
 class TestSpeedup:

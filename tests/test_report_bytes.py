@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of a command's output on a 200 x 8 scenario of
 the bench solver family (seed 1, half the instances optimization ones,
-with trajectories). A change meant to keep reports byte-identical must
+with trajectories), or of the runs and trajectory files ``gen`` writes
+for that scenario. A change meant to keep reports byte-identical must
 keep every digest; a change meant to alter a report must update its
 digest on purpose.
 """
@@ -45,6 +46,11 @@ DIGESTS = {
     "sweep-delta-flip": "2332bd00c562e2c93524efc08195d96885a6361b265aff8f14a874ab2d3cbc2c",
 }
 
+GEN_DIGESTS = {
+    "gen.csv": "7dcf1d4de0d219aa5e451ded2ec8cfe0986ea679f1ca3cd5800675630c7ea68e",
+    "gen_trajectories.csv": "929da14ffb5ae00e0b8c1dab9037970c8d045cc026d47495f826f0fd9f394dcb",
+}
+
 
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory) -> Path:
@@ -61,3 +67,19 @@ def test_report_digest(name, scenario_dir, monkeypatch, capsys):
     assert main(list(argv)) == 0
     out = Path("out").read_bytes() if argv[-2] == "-o" else capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == DIGESTS[name]
+
+
+def test_gen_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = bench_family_spec(1, 200, 8, 0.5)
+    solver_flags = [
+        flag
+        for s in spec.solvers
+        for flag in ("--solver", f"{s.name}:p={s.solve_probability!r},"
+                     f"runtime=uniform({s.runtime.lo!r},{s.runtime.hi!r}),"
+                     f"quality=uniform({s.objective_quality.lo!r},{s.objective_quality.hi!r})")
+    ]
+    assert main(["gen", "-o", "gen.csv", "--seed", "1", "--instances", "200", "--timeout", "100",
+                 "--opt-fraction", "0.5", *solver_flags]) == 0
+    for name, digest in GEN_DIGESTS.items():
+        assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name

@@ -156,6 +156,16 @@ class TestSpecValidation:
                 SolverSpec(0.5, constant(2.0), name="x"),
             )))
 
+    def test_name_colliding_with_a_default_name(self, monkeypatch):
+        # The second solver's default name is s02, the first's given one. The
+        # spec is rejected before any draw: no generator can be made.
+        monkeypatch.setattr("solvereval.synthkit.SplitMix64", None)
+        with pytest.raises(BadSpec, match="solver name 's02' is given to more than one solver"):
+            generate(_spec(solvers=(
+                SolverSpec(0.5, constant(1.0), name="s02"),
+                SolverSpec(0.5, constant(2.0)),
+            )))
+
     def test_bad_fractions(self):
         with pytest.raises(BadSpec):
             generate(_spec(opt_fraction=1.5))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from helpers import decision_scenario
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from solvereval import (
     HeadToHead,
     RunOutcome,
     RunStatus,
+    SameSolver,
     build_scenario,
     head_to_head,
     runtime_distribution,
@@ -66,7 +68,12 @@ def assert_same_as_reference(sc):
     for a in sc.solvers:
         assert runtime_distribution(sc, a) == ref_runtime_distribution(sc, a)
         for b in sc.solvers:
-            assert head_to_head(sc, a, b) == ref_head_to_head(sc, a, b)
+            if a == b:
+                with pytest.raises(SameSolver) as e:
+                    head_to_head(sc, a, b)
+                assert repr(a) in str(e.value)
+            else:
+                assert head_to_head(sc, a, b) == ref_head_to_head(sc, a, b)
 
 
 class TestAgainstReference:

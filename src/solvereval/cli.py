@@ -131,6 +131,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     metrics = args.metric or ["par"]
     agg = _AGG[args.agg] if args.agg else None
+    if not args.folds:
+        for flag, value in (("--repeats", args.repeats), ("--seed", args.seed)):
+            if value is not None:
+                raise CliUsageError(f"{flag} needs --folds: without folds it has no effect")
     if args.folds and agg is not None:
         for m in metrics:
             try:
@@ -141,7 +145,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     plan = None
     if args.folds:
         plan = make_fold_plan(
-            scenario.instance_ids, args.folds, repeats=args.repeats, seed=args.seed
+            scenario.instance_ids, args.folds, repeats=args.repeats or 1, seed=args.seed or 0
         )
     params = _metric_params(args)
     policy = _POLICY[args.sbs_policy] if args.sbs_policy else None
@@ -151,7 +155,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     ]
     report = build_report(
         scenario, evaluations, source=str(args.runs),
-        seed=args.seed if plan is not None else None,
+        seed=plan.seed if plan is not None else None,
     )
     _write_bytes(emit_report(report, args.format), args.output)
     return 0
@@ -394,9 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which split selects the single best solver for closed-gap")
     p.add_argument("--folds", type=_at_least(2), default=None, metavar="K",
                    help="evaluate per cross-validation fold instead of once overall")
-    p.add_argument("--repeats", type=_at_least(1), default=1,
-                   help="independent fold partitions to average over (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="fold shuffling seed (default 0)")
+    p.add_argument("--repeats", type=_at_least(1), default=None,
+                   help="independent fold partitions to average over (default 1); needs --folds")
+    p.add_argument("--seed", type=int, default=None,
+                   help="fold shuffling seed (default 0); needs --folds")
     p.add_argument("--agg", choices=sorted(_AGG), default=None,
                    help="how per-fold scores merge (default mean)")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")

@@ -7,6 +7,7 @@ import operator
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .baselines import BaselineReport, FoldContext, SbsPolicy, cell_baselines
@@ -24,7 +25,6 @@ from .rng import SplitMix64
 from .scenario import (
     Direction,
     InstanceValues,
-    RunStatus,
     Scenario,
     ScoreTable,
     positions,
@@ -371,9 +371,5 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
 def runtime_distribution(scenario: Scenario, solver: str) -> list[float]:
     """Ascending runtimes of the instances the solver actually solved."""
     require_solvers(scenario, (solver,))
-    outcomes = scenario.outcomes
-    return sorted(
-        ms / 1000.0
-        for i, ms in zip(scenario.instance_ids, scenario.time_columns[solver])
-        if outcomes[(i, solver)].status is RunStatus.SOLVED
-    )
+    solved = compress(scenario.time_columns[solver], scenario.run_columns[1][solver])
+    return [ms / 1000.0 for ms in sorted(solved)]

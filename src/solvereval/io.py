@@ -22,11 +22,10 @@ from .errors import RowError, SchemaError, UnsupportedAttribute
 from .scenario import (
     Instance,
     InstanceKind,
-    RunOutcome,
     RunStatus,
     Scenario,
     assemble_scenario,
-    check_run,
+    check_run_values,
     check_timeout,
     quantize_ms,
 )
@@ -87,7 +86,7 @@ def parse_runs(
     the timeout. Rows with other than the header's number of cells, time_s
     beyond the timeout, unknown statuses, or duplicate (instance, solver)
     pairs are rejected with their line number. Each row is checked once, by
-    scenario.check_run; the checks that span rows follow the last row.
+    scenario.check_run_values; the checks that span rows follow the last row.
     """
     path = Path(path)
     timeout_s = check_timeout(timeout_s)
@@ -108,9 +107,11 @@ def parse_runs(
         c_obj = fields.index("obj") if "obj" in fields else None
 
         width = len(fields)
-        is_opt: dict[str, bool] = {}  # instances in file order
-        solver_order: dict[str, None] = {}
-        outcomes: dict[tuple[str, str], RunOutcome] = {}
+        instance_ids: dict[str, None] = {}  # in file order
+        runs: dict[str, dict] = {}  # per solver in order of first appearance, runs by instance
+        opt: set[str] = set()
+        loose: list[tuple[str, str]] = []  # solved runs without an objective, in file order
+        solved, inf = RunStatus.SOLVED, math.inf
         for row in reader:
             if len(row) != width:
                 if not row:
@@ -125,41 +126,42 @@ def parse_runs(
             if status is None:
                 raise RowError(reader.line_num,
                                f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}")
-            t = _parse_float(row[c_time], "time_s", reader.line_num)
             obj_cell = row[c_obj].strip() if c_obj is not None else ""
-            obj = _parse_float(obj_cell, "obj", reader.line_num) if obj_cell else math.inf
             try:
-                run = check_run(status, t, obj, timeout_s, unsolved_at_timeout=True)
+                t, obj = float(row[c_time]), float(obj_cell) if obj_cell else inf
+            except ValueError:  # name the time's cell before the objective's
+                _parse_float(row[c_time], "time_s", reader.line_num)
+                raise RowError(reader.line_num, f"unparseable obj {obj_cell!r}") from None
+            try:
+                run = check_run_values(status, t, obj, timeout_s, True)  # unsolved_at_timeout
             except ValueError as exc:
                 raise RowError(reader.line_num, str(exc)) from None
-
-            if obj_cell or iid not in is_opt:
-                is_opt[iid] = bool(obj_cell)
-            solver_order[sid] = None
-            if outcomes.setdefault((iid, sid), run) is not run:
+            col = runs.get(sid) or runs.setdefault(sid, {})
+            if col.setdefault(iid, run) is not run:
                 raise RowError(reader.line_num, f"duplicate row for ({iid}, {sid})")
+            instance_ids[iid] = None
+            if obj_cell:
+                opt.add(iid)
+            if status is solved and run[2] == inf:
+                loose.append((iid, sid))
 
+    kinds = {True: InstanceKind.OPTIMIZATION, False: InstanceKind.DECISION}
     return assemble_scenario(
-        scenario_id or path.stem,
-        tuple(Instance(i, InstanceKind.OPTIMIZATION if opt else InstanceKind.DECISION)
-              for i, opt in is_opt.items()),
-        tuple(solver_order),
-        timeout_s,
-        outcomes,
-        {},
-        [],
-        events=_trajectory_events(path, trajectories_path, outcomes),
+        scenario_id or path.stem, tuple(Instance(i, kinds[i in opt]) for i in instance_ids),
+        tuple(runs), timeout_s, runs, {}, [], loose,
+        events=_trajectory_events(path, trajectories_path, runs),
     )
 
 
 def _trajectory_events(
     runs_path: Path,
     trajectories_path: str | Path | None,
-    outcomes: Mapping[tuple[str, str], RunOutcome],
+    runs: Mapping[str, Mapping[str, tuple]],
 ) -> Iterator[tuple[tuple[str, str], float, float]]:
     """The ((instance_id, solver_id), t, obj) events of the trajectory file, in file order.
 
-    Only the cells are checked here, each row as assemble_scenario reads it.
+    Only the cells are checked here, each row as assemble_scenario reads it,
+    and that the pair has a run in runs.
     """
     if trajectories_path is None:
         candidate = trajectories_path_for(runs_path)
@@ -184,10 +186,16 @@ def _trajectory_events(
                     continue
                 raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
             key = (row[c_inst].strip(), row[c_solver].strip())
-            if key not in outcomes:
+            if key[0] not in runs.get(key[1], ()):
                 raise RowError(reader.line_num, f"trajectory row for unknown pair {key!r}")
-            yield (key, _parse_time(row[c_time], reader.line_num),
-                   _parse_float(row[c_obj], "obj", reader.line_num))
+            try:
+                t, v = float(row[c_time]), float(row[c_obj])
+            except ValueError:
+                t = v = None
+            if t is None or not -math.inf < t < math.inf:  # the time's cell first, as above
+                _parse_time(row[c_time], reader.line_num)
+                _parse_float(row[c_obj], "obj", reader.line_num)
+            yield key, t, v
 
 
 def emit_scenario(
@@ -218,28 +226,26 @@ def _run_rows(scenario: Scenario):
     # csv writes a float cell as its repr, so an obj of +inf reads back as inf.
     has_opt = any(i.kind is InstanceKind.OPTIMIZATION for i in scenario.instances)
     yield (*_RUN_FIELDS, "obj") if has_opt else _RUN_FIELDS
-    outcomes = scenario.outcomes
-    for inst in scenario.instances:
+    runs = scenario.outcomes
+    cols = [(s, runs.statuses[s], runs.times[s], runs.objs[s]) for s in scenario.solvers]
+    for p, inst in enumerate(scenario.instances):
         iid = inst.id
         decision = inst.kind is InstanceKind.DECISION
-        for s in scenario.solvers:
-            out = outcomes[iid, s]
-            if has_opt:
-                yield iid, s, _STATUS_OUT[out.status], f"{out.time_s:.3f}", "" if decision else out.obj
-            else:
-                yield iid, s, _STATUS_OUT[out.status], f"{out.time_s:.3f}"
+        for s, statuses, times, objs in cols:
+            cells = iid, s, _STATUS_OUT[statuses[p]], f"{times[p]:.3f}"
+            yield (*cells, "" if decision else objs[p]) if has_opt else cells
 
 
 def _trajectory_rows(scenario: Scenario):
     yield _TRAJ_FIELDS
-    trajectories = scenario.trajectories
-    for inst in scenario.instances:
+    tr = scenario.trajectories
+    cols = [(s, tr.times[s], tr.objs[s], tr.offsets[s]) for s in scenario.solvers]
+    for p, inst in enumerate(scenario.instances):
         iid = inst.id
-        for s in scenario.solvers:
-            traj = trajectories.get((iid, s))
-            if traj is not None:
-                for t, v in traj.events:
-                    yield iid, s, f"{t:.3f}", v
+        for s, times, objs, offsets in cols:
+            if offsets[p] != offsets[p + 1]:
+                for e in range(offsets[p], offsets[p + 1]):
+                    yield iid, s, f"{times[e]:.3f}", objs[e]
 
 
 def parse_aslib_runs(
@@ -288,9 +294,8 @@ def parse_aslib_runs(
         raise UnsupportedAttribute(f"{path}: unsupported attributes {extra}")
     col = {a: attrs.index(a) for a in required}
 
-    instance_order: dict[str, None] = {}
-    solver_order: dict[str, None] = {}
-    outcomes: dict[tuple[str, str], RunOutcome] = {}
+    instance_ids: dict[str, None] = {}
+    runs: dict[str, dict] = {}
     skipped_repetitions = 0
     for line_no, cells in rows:
         if len(cells) != len(attrs):
@@ -313,14 +318,12 @@ def parse_aslib_runs(
             status = RunStatus.ERROR if runstatus in ("memout", "crash") else RunStatus.TIMEOUT
             t = timeout_s
         try:
-            run = check_run(status, t, math.inf, timeout_s)
+            run = check_run_values(status, t, math.inf, timeout_s)
         except ValueError as exc:
             raise RowError(line_no, str(exc)) from None
-        instance_order[iid] = None
-        solver_order[sid] = None
-        if (iid, sid) in outcomes:
+        instance_ids[iid] = None
+        if runs.setdefault(sid, {}).setdefault(iid, run) is not run:
             raise RowError(line_no, f"duplicate row for ({iid}, {sid})")
-        outcomes[(iid, sid)] = run
 
     if skipped_repetitions:
         _warnings.warn(
@@ -328,15 +331,8 @@ def parse_aslib_runs(
             UserWarning,
             stacklevel=2,
         )
-    return assemble_scenario(
-        scenario_id or path.stem,
-        tuple(Instance(i) for i in instance_order),
-        tuple(solver_order),
-        timeout_s,
-        outcomes,
-        {},
-        [],
-    )
+    return assemble_scenario(scenario_id or path.stem, tuple(Instance(i) for i in instance_ids),
+                             tuple(runs), timeout_s, runs, {}, [])
 
 
 @dataclass(frozen=True)
@@ -382,15 +378,9 @@ def build_report(
     baseline_cells = []
     collected = []
     for ev in evaluations:
-        sections.append(
-            MetricSection(
-                metric_id=ev.metric_id,
-                params=dict(ev.merged.params),
-                direction=ev.merged.direction.value,
-                scores=dict(ev.merged.per_solver),
-                ranking=tuple(rank([ev.merged])),
-            )
-        )
+        merged = ev.merged
+        sections.append(MetricSection(ev.metric_id, dict(merged.params), merged.direction.value,
+                                      dict(merged.per_solver), tuple(rank([merged]))))
         for cell in ev.cells:
             if cell.baseline is not None:
                 baseline_cells.append(BaselineCell(cell.repeat, cell.fold, cell.baseline))
@@ -430,14 +420,8 @@ def build_report(
 
 
 def _param_str(params: Mapping[str, object]) -> str:
-    parts = []
-    for k in sorted(params):
-        v = params[k]
-        if isinstance(v, float):
-            parts.append(f"{k}={v:g}")
-        else:
-            parts.append(f"{k}={v}")
-    return ",".join(parts)
+    return ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                    for k, v in sorted(params.items()))
 
 
 def _section_label(section: MetricSection) -> str:
@@ -474,13 +458,8 @@ def emit_report(report: Report, fmt: str = "table") -> bytes:
             "metric": [s.metric_id for s in report.sections],
             "params": [dict(s.params) for s in report.sections],
             "scores": [dict(s.scores) for s in report.sections],
-            "ranking": [
-                [
-                    {"solver": e.solver_id, "score": e.score, "position": e.position, "tied": e.tied}
-                    for e in s.ranking
-                ]
-                for s in report.sections
-            ],
+            "ranking": [[{"solver": e.solver_id, "score": e.score, "position": e.position,
+                          "tied": e.tied} for e in s.ranking] for s in report.sections],
             "baselines": [_baseline_jsonable(c) for c in report.baselines],
             "warnings": list(report.warnings),
             "provenance": dict(report.provenance),
@@ -493,19 +472,11 @@ def emit_report(report: Report, fmt: str = "table") -> bytes:
         buf = _io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["scenario", "metric", "params", "solver", "score", "rank", "tied"])
-        for s in report.sections:
-            for e in s.ranking:
-                writer.writerow(
-                    [
-                        report.scenario_id,
-                        s.metric_id,
-                        _param_str(s.params),
-                        e.solver_id,
-                        repr(e.score),
-                        e.position,
-                        str(e.tied).lower(),
-                    ]
-                )
+        writer.writerows(
+            [report.scenario_id, s.metric_id, _param_str(s.params), e.solver_id, repr(e.score),
+             e.position, str(e.tied).lower()]
+            for s in report.sections for e in s.ranking
+        )
         return buf.getvalue().encode()
 
     if fmt == "table":

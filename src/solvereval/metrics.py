@@ -24,7 +24,7 @@ from .errors import (
     SingleSolverScenario,
     UnknownSolver,
 )
-from .scenario import Direction, InstanceKind, Scenario, Trajectory, time_to_ms
+from .scenario import Direction, InstanceKind, Scenario, time_to_ms
 
 __all__ = [
     "Columns",
@@ -158,11 +158,8 @@ def _run_table(scenario: Scenario) -> list[tuple[bool, list[tuple[float, float]]
     if len(scenario.solvers) < 2:
         raise SingleSolverScenario("pairwise scoring needs at least two solvers")
     times, _, objs = scenario.run_columns
-    rows = zip(*[zip(times[s], objs[s]) for s in scenario.solvers])
-    return [
-        (inst.kind is InstanceKind.DECISION, list(row))
-        for inst, row in zip(scenario.instances, rows)
-    ]
+    rows, decision = zip(*[zip(times[s], objs[s]) for s in scenario.solvers]), InstanceKind.DECISION
+    return [(inst.kind is decision, list(row)) for inst, row in zip(scenario.instances, rows)]
 
 
 def _pair_rows(
@@ -296,21 +293,20 @@ def closed_gap(m_solver: float, m_sbs: float, m_vbs: float) -> float:
     return (m_sbs - m_solver) / (m_sbs - m_vbs)
 
 
-def _area(trajectory: Trajectory, best: float, worst: float, timeout_s: float) -> float:
+def _area(times: Sequence[float], objs: Sequence[float], a: int, b: int, end: float | None,
+          best: float, worst: float, timeout_s: float) -> float:
     """Normalized area under the solution-quality step function; lower is better.
 
-    Quality is 1 before the first solution, the incumbent objective scaled
-    into [0, 1] by the bounds (best, worst), finite with best <= worst,
-    afterwards, and 0 from the moment optimality was proven.
+    The events are times[a:b] and objs[a:b], b > a; end is the proof time,
+    or None. Quality is 1 before the first solution, the incumbent
+    objective scaled into [0, 1] by the bounds (best, worst), finite with
+    best <= worst, afterwards, and 0 from the moment optimality was proven.
     """
-    events = trajectory.events
-    if not events:
-        return 1.0
-    end = trajectory.proved_optimal_at
-    pieces = [events[0][0] * 1.0]
-    last = len(events) - 1
-    for idx, (t, v) in enumerate(events):
-        nxt = events[idx + 1][0] if idx < last else timeout_s if end is None else end
+    pieces = [times[a] * 1.0]
+    last = b - 1
+    for e in range(a, b):
+        t, v = times[e], objs[e]
+        nxt = times[e + 1] if e < last else timeout_s if end is None else end
         # The incumbent, scaled into [0, 1] by the bounds.
         quality = (0.0 if v <= best else 1.0) if worst == best else (
             min(1.0, max(0.0, (v - best) / (worst - best)))
@@ -318,18 +314,6 @@ def _area(trajectory: Trajectory, best: float, worst: float, timeout_s: float) -
         pieces.append((nxt - t) * quality)
     # The proven-optimal stretch contributes zero area.
     return math.fsum(pieces) / timeout_s
-
-
-_UNTRACED = Trajectory()
-
-
-def _untraced(instance_id: str, solver: str, obj: float) -> Trajectory:
-    """The empty trajectory of a run without a solution; a run with one needs its own."""
-    if not math.isinf(obj):
-        raise MissingTrajectory(
-            f"area needs a trajectory for ({instance_id}, {solver}); none was recorded"
-        )
-    return _UNTRACED
 
 
 def _par_columns(scenario: Scenario, params: MetricParams) -> Columns:
@@ -418,15 +402,18 @@ def _area_columns(scenario: Scenario, params: MetricParams) -> Columns:
     bounds = [
         (min(b, pool[0]), pool[1]) if o and pool else None for o, pool, b in zip(opt, pools, bests)
     ]
-    ids, get, tau = scenario.instance_ids, scenario.trajectories.get, scenario.timeout_s
-    return {
-        s: [
-            None if not o else 0.0 if bound is None
-            else _area(get((i, s)) or _untraced(i, s, v), *bound, tau)
-            for i, o, v, bound in zip(ids, opt, col, bounds)
-        ]
-        for s, col in scenario.run_columns[2].items()
-    }
+    tr, tau, columns = scenario.trajectories, scenario.timeout_s, {}
+    for s, col in scenario.run_columns[2].items():
+        times, objs, offsets, proofs = tr.times[s], tr.objs[s], tr.offsets[s], tr.proofs[s]
+        column = columns[s] = [None if not o else 0.0 for o in opt]
+        for p, bound in enumerate(bounds):
+            a, b = offsets[p], offsets[p + 1]
+            if bound is not None and a == b and not math.isinf(col[p]):
+                raise MissingTrajectory(f"area needs a trajectory for ({scenario.instance_ids[p]}, "
+                                        f"{s}); none was recorded")
+            if bound is not None:  # a run without a solution has quality 1 throughout
+                column[p] = _area(times, objs, a, b, proofs[p], *bound, tau) if a < b else 1.0
+    return columns
 
 
 def _gap_params(params: MetricParams, sbs_policy: str) -> dict[str, object]:

@@ -10,10 +10,12 @@ is stored with time equal to the timeout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, repeat
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyRestriction, UnknownInstance, ValidationError, Violation
 
@@ -24,8 +26,10 @@ __all__ = [
     "InstanceValues",
     "RunOutcome",
     "RunStatus",
+    "Runs",
     "Scenario",
     "ScoreTable",
+    "Trajectories",
     "Trajectory",
     "assemble_scenario",
     "build_scenario",
@@ -151,8 +155,91 @@ class InstanceValues(Mapping):
         return len(self._columns) * len(self._at)
 
 
+class _Store(Mapping):
+    """Per-solver columns in instance order, and a read-only (instance_id, solver_id) view."""
+
+    __slots__ = ("instance_ids", "_at")
+
+    def __init__(self, instance_ids: tuple[str, ...]):
+        self.instance_ids, self._at = instance_ids, {i: p for p, i in enumerate(instance_ids)}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class Runs(_Store):
+    """Per solver, the runs' stored times (an unsolved run's is the timeout), the same in
+    integer ms, statuses, solved flags and objectives, from the checked (time_s, status,
+    obj) by solver and instance id in runs. Only a lookup builds a RunOutcome."""
+
+    __slots__ = ("times", "ms", "statuses", "solved", "objs")
+
+    def __init__(self, instance_ids: tuple[str, ...], solvers: Iterable[str],
+                 runs: Mapping[str, Mapping[str, tuple[float, RunStatus, float]]]):
+        super().__init__(instance_ids)
+        self.times, self.ms, self.statuses, self.solved, self.objs = {}, {}, {}, {}, {}
+        for s in solvers:
+            times, statuses, _ = self.times[s], self.statuses[s], self.objs[s] = tuple(zip(
+                *map(runs[s].__getitem__, instance_ids)))
+            self.ms[s] = tuple(map(round, map(operator.mul, times, repeat(1000.0))))
+            self.solved[s] = tuple(map(operator.is_, statuses, repeat(RunStatus.SOLVED)))
+
+    def __getitem__(self, key: tuple[str, str]) -> RunOutcome:
+        i, s = key
+        p = self._at[i]
+        return RunOutcome(self.times[s][p], self.statuses[s][p], self.objs[s][p])
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return ((i, s) for i in self.instance_ids for s in self.times)
+
+    def __len__(self) -> int:
+        return len(self.instance_ids) * len(self.times)
+
+
+class Trajectories(_Store):
+    """Per solver, flat event times (on the ms grid) and objectives, those of position p at
+    offsets[p]:offsets[p + 1], proofs[p] (a proof time or None) and the traced positions
+    (a trajectory may have no event), from pairs: per solver, position to (events,
+    proof). Only a lookup builds a Trajectory."""
+
+    __slots__ = ("times", "objs", "offsets", "proofs", "traced")
+
+    def __init__(self, instance_ids: tuple[str, ...], solvers: Iterable[str],
+                 pairs: Mapping[str, Mapping[int, tuple[list[tuple[float, float]], float | None]]]):
+        super().__init__(instance_ids)
+        self.times, self.objs, self.offsets, self.proofs, self.traced = {}, {}, {}, {}, {}
+        for s in solvers:
+            got = pairs.get(s, {})
+            counts, proofs, events = [0] * len(instance_ids), [None] * len(instance_ids), []
+            for p in sorted(got):
+                seen, proofs[p] = got[p]
+                counts[p] = len(seen)
+                events += seen
+            self.times[s], self.objs[s] = tuple(zip(*events)) or ((), ())
+            self.offsets[s] = tuple(accumulate(counts, initial=0))
+            self.proofs[s], self.traced[s] = tuple(proofs), frozenset(got)
+
+    def __getitem__(self, key: tuple[str, str]) -> Trajectory:
+        i, s = key
+        p = self._at[i]
+        if p not in self.traced[s]:
+            raise KeyError(key)
+        a, b = self.offsets[s][p], self.offsets[s][p + 1]
+        return Trajectory(tuple(zip(self.times[s][a:b], self.objs[s][a:b])), self.proofs[s][p])
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return ((i, s) for p, i in enumerate(self.instance_ids)
+                for s, got in self.traced.items() if p in got)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.traced.values()))
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """Validated, it holds its runs and trajectories in the stores the kernels read, Runs
+    and Trajectories; raw, as validate_scenario takes it, any mappings, dicts among them."""
+
     id: str
     instances: tuple[Instance, ...]
     solvers: tuple[str, ...]
@@ -168,27 +255,16 @@ class Scenario:
     def position_map(self) -> dict[str, int]:
         return {inst.id: p for p, inst in enumerate(self.instances)}
 
-    @cached_property
+    @property
     def time_columns(self) -> dict[str, tuple[int, ...]]:
         """Each solver's run times in integer milliseconds, in instance order."""
-        ids, outcomes = self.instance_ids, self.outcomes
-        return {s: tuple([time_to_ms(outcomes[(i, s)].time_s) for i in ids]) for s in self.solvers}
+        return self.outcomes.ms
 
-    @cached_property
+    @property
     def run_columns(self) -> tuple[dict[str, tuple], dict[str, tuple], dict[str, tuple]]:
-        """Each solver's run times in seconds, solved flags and objectives, in instance order.
-
-        The times are the stored ones: an unsolved run is at the timeout
-        exactly, which need not be on the millisecond grid.
-        """
-        ids, outcomes, solved = self.instance_ids, self.outcomes, RunStatus.SOLVED
-        times, flags, objs = {}, {}, {}
-        for s in self.solvers:
-            runs = [outcomes[(i, s)] for i in ids]
-            times[s] = tuple([r.time_s for r in runs])
-            flags[s] = tuple([r.status is solved for r in runs])
-            objs[s] = tuple([r.obj for r in runs])
-        return times, flags, objs
+        """Each solver's run times in seconds as stored, solved flags and objectives."""
+        runs = self.outcomes
+        return runs.times, runs.solved, runs.objs
 
     @cached_property
     def objective_columns(self) -> tuple[tuple, tuple]:
@@ -254,12 +330,19 @@ def check_timeout(timeout_s: object) -> float:
     raise ValidationError([Violation("BadTimeout", message)])
 
 
-# Each status by its value and by the member itself.
-_STATUS = {k: st for st in RunStatus for k in (st.value, st)}
+# Each status by its value. Reading an enum member off its class is slow, so
+# hot code reads it from a module constant.
+_STATUS, _SOLVED = {st.value: st for st in RunStatus}, RunStatus.SOLVED
 
 
 def check_run(status: object, time_s: object, obj: object, timeout_s: float,
               unsolved_at_timeout: bool = False) -> RunOutcome:
+    """The normalized run of check_run_values, as a RunOutcome."""
+    return RunOutcome(*check_run_values(status, time_s, obj, timeout_s, unsolved_at_timeout))
+
+
+def check_run_values(status: object, time_s: object, obj: object, timeout_s: float,
+                     unsolved_at_timeout: bool = False) -> tuple[float, RunStatus, float]:
     """The per-run invariants, shared by validate_scenario, the file readers and generate.
 
     A known status; a finite time_s >= 0; a solved run strictly before the
@@ -267,11 +350,11 @@ def check_run(status: object, time_s: object, obj: object, timeout_s: float,
     unsolved run at the timeout, stored there. With unsolved_at_timeout an
     unsolved run may record any time up to the timeout once snapped, or the
     timeout as emit_scenario writes it (7.001 for 7.0009). obj a number or
-    +inf (None reads as +inf). Returns the normalized run; raises
-    ValueError naming what is broken.
+    +inf (None reads as +inf). Returns the normalized (time_s, status, obj);
+    raises ValueError naming what is broken.
     """
     try:
-        member = _STATUS[status]
+        member = status if status.__class__ is RunStatus else _STATUS[status]
     except (KeyError, TypeError):
         raise ValueError(f"unknown status {status!r}") from None
     if not isinstance(time_s, (int, float)) or not math.isfinite(time_s):
@@ -280,7 +363,7 @@ def check_run(status: object, time_s: object, obj: object, timeout_s: float,
         raise ValueError(f"time_s must be >= 0, got {time_s}")
     # quantize_ms inline; a time too large for the grid is past any timeout.
     t = round(ms) / 1000.0 if (ms := time_s * 1000.0) < math.inf else time_s
-    if member is RunStatus.SOLVED:
+    if member is _SOLVED:
         if t > timeout_s:
             raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
         if t >= timeout_s:
@@ -296,7 +379,7 @@ def check_run(status: object, time_s: object, obj: object, timeout_s: float,
         obj = math.inf if obj is None else float(obj)
     if obj != obj or obj == -math.inf:
         raise ValueError(f"obj must be finite or +inf, got {obj!r}")
-    return RunOutcome(t, member, obj)
+    return t, member, obj
 
 
 def validate_scenario(raw: Scenario) -> Scenario:
@@ -304,8 +387,8 @@ def validate_scenario(raw: Scenario) -> Scenario:
 
     Normalization: ids to str, statuses and kinds to enums, solved run times
     and trajectory times snapped to the millisecond grid, containers to
-    tuples/dicts. Raises ValidationError carrying all violations found; a
-    bad timeout skips the run and trajectory checks, which need it.
+    tuples and column stores. Raises ValidationError carrying all violations
+    found; a bad timeout skips the run and trajectory checks, which need it.
     """
     violations: list[Violation] = []
 
@@ -340,71 +423,75 @@ def validate_scenario(raw: Scenario) -> Scenario:
                 flag("DuplicateId", f"duplicate {what} id {x!r}")
             seen.add(x)
 
-    instance_set, solver_set = {inst.id for inst in instances}, set(solvers)
-    outcomes: dict[tuple[str, str], RunOutcome] = {}
-    rejected: set[tuple[str, str]] = set()
+    # Each solver's checked runs by instance; () marks a rejected run.
+    instance_set, runs = {inst.id for inst in instances}, {s: {} for s in solvers}
     for key, out in raw.outcomes.items():
         i, s = str(key[0]), str(key[1])
-        if i not in instance_set or s not in solver_set:
+        if i not in instance_set or s not in runs:
             flag("UnknownId", "outcome recorded for a pair outside the scenario", f"({i}, {s})")
             continue
-        if timeout_ok:  # with a bad timeout no run can be checked, so every run is rejected
+        run = ()  # with a bad timeout no run can be checked, so every run is rejected
+        if timeout_ok:
             try:
-                outcomes[(i, s)] = check_run(out.status, out.time_s, out.obj, timeout)
-                continue
+                run = check_run_values(out.status, out.time_s, out.obj, timeout)
             except ValueError as exc:
                 flag("BadOutcome", str(exc), f"({i}, {s})")
-        rejected.add((i, s))
+        runs[s][i] = run
 
     return assemble_scenario(
-        str(raw.id), tuple(instances), tuple(solvers), timeout, outcomes,
-        (raw.trajectories or {}) if timeout_ok else {}, violations, rejected,
+        str(raw.id), tuple(instances), tuple(solvers), timeout, runs,
+        (raw.trajectories or {}) if timeout_ok else {}, violations,
+        ((str(i), str(s)) for i, s in raw.outcomes),
     )
 
 
 def assemble_scenario(
     scenario_id: str, instances: tuple[Instance, ...], solvers: tuple[str, ...],
-    timeout_s: float, outcomes: dict[tuple[str, str], RunOutcome],
+    timeout_s: float, runs: Mapping[str, Mapping[str, tuple]],
     trajectories: Mapping[tuple[str, str], Trajectory], violations: list[Violation],
-    rejected: Collection[tuple[str, str]] = (),
+    order: Iterable[tuple[str, str]] | None = None,
     events: Iterable[tuple[tuple[str, str], float, float]] = (),
 ) -> Scenario:
     """Check checked runs against their instances and each other, and build the scenario.
 
-    First the run-kind rules, run by run in the order of outcomes: a
-    decision run has obj +inf, and a solved optimization run a finite obj.
-    Then the scenario needs an instance and a solver, and every (instance,
-    solver) pair needs a run; a pair whose run was rejected is not reported
-    missing as well. Trajectories come as Trajectory objects, or as events
-    ((instance_id, solver_id), t, obj) read from a file, each pair's in
-    recorded order; a pair read from a file is proved optimal when its run
-    is solved. One pass over the events snaps each to the millisecond grid
-    and checks it against the pair's previous event. A pair is closed once
-    all its events are in (a given Trajectory at once, a file's pairs after
-    its last row): its end checks run and its Trajectory is built once.
-    Raises ValidationError with the given violations followed by these,
-    pair by pair in the order the pairs first appear.
+    runs maps each solver to its checked (time_s, status, obj) runs by
+    instance id, () where a run was rejected. First the run-kind rules (a
+    decision run has obj +inf, a solved optimization run a finite obj),
+    reported in order (the runs that may break them, as the source recorded
+    them) or else instance by instance; then every pair needs a run, unless
+    rejected. Trajectories come as Trajectory objects, or as a file's events
+    ((instance_id, solver_id), t, obj), each pair's in order and proved
+    optimal when its run is solved. One pass snaps each event to the
+    millisecond grid and checks it against the pair's previous one; a pair
+    is checked once closed (a Trajectory at once, a file's pairs after its
+    last row). Raises ValidationError with the given violations followed by
+    these, pair by pair in order of first appearance.
     """
 
     def flag(code: str, message: str, where: str | None = None) -> None:
         violations.append(Violation(code, message, where))
 
+    at = {inst.id: p for p, inst in enumerate(instances)}
     kind_of = {inst.id: inst.kind for inst in instances}
-    decision, inf, solved = InstanceKind.DECISION, math.inf, RunStatus.SOLVED
-    for (i, s), run in outcomes.items():
-        if kind_of[i] is decision:
-            if run.obj != inf:
-                flag("BadOutcome", "decision instance outcomes must have obj = +inf", f"({i}, {s})")
-        elif run.obj == inf and run.status is solved:
-            flag("BadOutcome", "solved optimization run must have a finite obj", f"({i}, {s})")
+    decision, optimization, inf, solved = (InstanceKind.DECISION, InstanceKind.OPTIMIZATION,
+                                           math.inf, RunStatus.SOLVED)
+    breached = {(i, s) for s, col in runs.items() for i, run in col.items()
+                if run and (run[2] != inf if kind_of[i] is decision
+                            else run[1] is solved and run[2] == inf)}
+    if breached:
+        for i, s in order if order is not None else ((i.id, s) for i in instances for s in runs):
+            if (i, s) in breached:
+                flag("BadOutcome", "decision instance outcomes must have obj = +inf" if kind_of[i]
+                     is decision else "solved optimization run must have a finite obj",
+                     f"({i}, {s})")
     if not instances:
         flag("EmptyScenario", "scenario has no instances")
     if not solvers:
         flag("EmptyScenario", "scenario has no solvers")
-    if len(outcomes) + len(rejected) != len(instances) * len(solvers):
+    if sum(map(len, runs.values())) != len(instances) * len(solvers):
         for inst in instances:
             for s in solvers:
-                if (inst.id, s) not in outcomes and (inst.id, s) not in rejected:
+                if inst.id not in runs[s]:
                     flag("MissingOutcome", "no recorded run for this pair", f"({inst.id}, {s})")
 
     solver_set, isfinite = set(solvers), math.isfinite
@@ -414,13 +501,13 @@ def assemble_scenario(
     pairs: dict[tuple[str, str], list[tuple[float, float]] | None] = {}
     refused: dict[tuple[str, str], tuple[str, str]] = {}
     problems: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
-    built: dict[tuple[str, str], Trajectory] = {}
+    built: dict[str, dict[int, tuple[list[tuple[float, float]], float | None]]] = {}
 
     def open_pair(key: tuple[str, str]) -> list | None:
         kind = kind_of.get(key[0])
         if kind is None or key[1] not in solver_set:
             refused[key] = ("UnknownId", "trajectory recorded for a pair outside the scenario")
-        elif kind is not InstanceKind.OPTIMIZATION:
+        elif kind is not optimization:
             refused[key] = ("InconsistentTrajectory", "trajectory recorded for a decision instance")
         else:
             return []
@@ -454,7 +541,7 @@ def assemble_scenario(
             seen.append((t, v))
 
     def close(key: tuple[str, str], seen: list | None, proved: object) -> None:
-        """Flag the pair's problems, its own and those against its run, or build its Trajectory."""
+        """Flag the pair's problems, its own and those against its run, or keep its events."""
         if seen is None:
             flag(*refused[key], f"({key[0]}, {key[1]})")
             return
@@ -466,19 +553,19 @@ def assemble_scenario(
                 found.append("proved_optimal_at outside [0, timeout)")
             if seen and proved < seen[-1][0]:
                 found.append("proved_optimal_at precedes the last event")
-        out = outcomes.get(key)
-        if out is not None:
-            if seen and seen[-1][1] != out.obj:
+        run = runs[key[1]].get(key[0])
+        if run:
+            if seen and seen[-1][1] != run[2]:
                 found.append("last event objective differs from the run outcome")
-            if not seen and isfinite(out.obj):
+            if not seen and isfinite(run[2]):
                 found.append("run found a solution but the trajectory is empty")
-            if proved is not None and out.status is not solved:
+            if proved is not None and run[1] is not solved:
                 found.append("optimality proof recorded on an unsolved run")
         if found:
             for message in found:
                 flag("InconsistentTrajectory", message, f"({key[0]}, {key[1]})")
         else:
-            built[key] = Trajectory(tuple(seen), proved)
+            built.setdefault(key[1], {})[at[key[0]]] = (seen, proved)
 
     # A given Trajectory is complete, so it is closed as soon as it is read.
     for key, traj in trajectories.items():
@@ -489,20 +576,15 @@ def assemble_scenario(
     # A file's pairs are closed after its last row; each is proved optimal when its run is solved.
     take(events)
     for key, seen in pairs.items():
-        out = outcomes.get(key)
-        close(key, seen, out.time_s if out is not None and out.status is solved else None)
+        run = runs[key[1]][key[0]]
+        close(key, seen, run[0] if run and run[1] is solved else None)
 
     if violations:
         raise ValidationError(violations)
 
-    return Scenario(
-        id=scenario_id,
-        instances=instances,
-        solvers=solvers,
-        timeout_s=timeout_s,
-        outcomes=outcomes,
-        trajectories=built,
-    )
+    ids = tuple(at)
+    return Scenario(scenario_id, instances, solvers, timeout_s,
+                    Runs(ids, solvers, runs), Trajectories(ids, solvers, built))
 
 
 def build_scenario(
@@ -547,11 +629,9 @@ def restrict(scenario: Scenario, instance_ids: Sequence[str]) -> Scenario:
 
     Keeps the scenario's instance order; solvers and timeout are unchanged.
     """
-    kept = tuple(scenario.instances[p] for p in positions(scenario, instance_ids))
-    kept_ids = {inst.id for inst in kept}
-    return replace(
-        scenario, instances=kept,
-        outcomes={k: v for k, v in scenario.outcomes.items() if k[0] in kept_ids},
-        trajectories={k: v for k, v in scenario.trajectories.items() if k[0] in kept_ids},
-    )
-
+    kept = {scenario.instance_ids[p] for p in positions(scenario, instance_ids)}
+    return validate_scenario(replace(
+        scenario, instances=tuple(inst for inst in scenario.instances if inst.id in kept),
+        outcomes={k: v for k, v in scenario.outcomes.items() if k[0] in kept},
+        trajectories={k: v for k, v in scenario.trajectories.items() if k[0] in kept},
+    ))

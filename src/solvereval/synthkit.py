@@ -17,12 +17,10 @@ from .rng import SplitMix64
 from .scenario import (
     Instance,
     InstanceKind,
-    RunOutcome,
     RunStatus,
     Scenario,
-    Trajectory,
     assemble_scenario,
-    check_run,
+    check_run_values,
     quantize_ms,
 )
 
@@ -138,9 +136,14 @@ def generate(spec: ArchetypeSpec) -> Scenario:
     width = max(3, len(str(spec.n_instances - 1)))
 
     instances: list[Instance] = []
-    outcomes: dict[tuple[str, str], RunOutcome] = {}
-    trajectories: dict[tuple[str, str], Trajectory] = {}
+    # Each solver's runs by instance, and the trajectory events as a
+    # trajectory file lists them: a solved run's trajectory is proved
+    # optimal at the run's time, as a file's is.
+    runs: dict[str, dict] = {sid: {} for sid in names}
+    events: list[tuple[tuple[str, str], float, float]] = []
 
+    solved, error, timeout, inf = RunStatus.SOLVED, RunStatus.ERROR, RunStatus.TIMEOUT, math.inf
+    kinds = {True: InstanceKind.OPTIMIZATION, False: InstanceKind.DECISION}
     draws = 2 + 8 * len(spec.solvers)
     for idx in range(spec.n_instances):
         iid = f"i{idx:0{width}d}"
@@ -148,39 +151,36 @@ def generate(spec: ArchetypeSpec) -> Scenario:
         u_kind, u_base = u[:2]
         is_opt = u_kind < spec.opt_fraction
         base_obj = round(10.0 + 90.0 * u_base, 6)
-        instances.append(
-            Instance(iid, InstanceKind.OPTIMIZATION if is_opt else InstanceKind.DECISION)
-        )
+        instances.append(Instance(iid, kinds[is_opt]))
         for at, solver_spec, sid in zip(range(2, draws, 8), spec.solvers, names):
             u_solve, u_time, u_error, u_subopt, u_offset, u_split, u_frac, u_bump = u[at:at + 8]
 
-            t = quantize_ms(solver_spec.runtime.sample(u_time))
-            if t >= tau:
-                t = quantize_ms(tau - _MS)
-            if t < 0.0:
-                t = 0.0
-            key, obj = (iid, sid), math.inf
+            obj, stairs = inf, ()
             if u_solve < solver_spec.solve_probability:
-                status = RunStatus.SOLVED
+                t = quantize_ms(solver_spec.runtime.sample(u_time))
+                if t >= tau:
+                    t = quantize_ms(tau - _MS)
+                if t < 0.0:
+                    t = 0.0
+                status = solved
                 if is_opt:
                     obj = base_obj
-                    trajectories[key] = Trajectory(
-                        _staircase(quantize_ms(u_frac * t), obj, u_split, u_bump),
-                        proved_optimal_at=t,
-                    )
+                    stairs = _staircase(quantize_ms(u_frac * t), obj, u_split, u_bump)
             elif u_error < spec.error_probability:
-                status, t = RunStatus.ERROR, tau
+                status, t = error, tau
             else:
-                status, t = RunStatus.TIMEOUT, tau
+                status, t = timeout, tau
                 if is_opt and u_subopt < spec.subopt_probability:
                     quality = solver_spec.objective_quality or _DEFAULT_QUALITY
                     obj = round(base_obj + quality.sample(u_offset), 6)
                     t_found = quantize_ms(u_frac * (tau - _MS))
-                    trajectories[key] = Trajectory(_staircase(t_found, obj, u_split, u_bump))
-            outcomes[key] = check_run(status, t, obj, tau)
+                    stairs = _staircase(t_found, obj, u_split, u_bump)
+            runs[sid][iid] = check_run_values(status, t, obj, tau)
+            if stairs:
+                events += [((iid, sid), t_e, v) for t_e, v in stairs]
 
     return assemble_scenario(spec.scenario_id or f"synth-{spec.seed}", tuple(instances),
-                             tuple(names), tau, outcomes, trajectories, [])
+                             tuple(names), tau, runs, {}, [], events=events)
 
 
 def thorough_vs_fast_spec(

@@ -126,6 +126,34 @@ class TestScore:
         assert "closed-gap" in err and "--agg geomean" in err
         assert "absent.csv" not in err
 
+    @pytest.mark.parametrize("given, named", [
+        (["--repeats", "3", "--seed", "9"], "--repeats"),
+        (["--repeats", "1"], "--repeats"),
+        (["--seed", "9"], "--seed"),
+        (["--seed", "0"], "--seed"),
+    ])
+    def test_fold_flags_without_folds_rejected_before_loading(self, tmp_path, capsys, given,
+                                                              named):
+        absent = str(tmp_path / "absent.csv")
+        assert main(["score", absent, "--timeout", "100", *given, "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err and "--folds" in err
+        assert "absent.csv" not in err
+
+    def test_fold_flags_with_folds_keep_their_defaults(self, tmp_path, capsys):
+        p = tmp_path / "folds.csv"
+        p.write_text(FOLD_CSV)
+        reports = []
+        for given in ([], ["--repeats", "1", "--seed", "0"]):
+            assert main(["score", str(p), "--timeout", "100", "--folds", "2", *given,
+                         "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        payload = json.loads(reports[0])
+        assert payload["provenance"]["seed"] == 0
+        assert payload["provenance"]["fold_plan"] == {"k": 2, "repeats": 1, "seed": 0}
+
     def test_closed_gap_geomean_without_folds_scores(self, tmp_path, capsys):
         runs = tmp_path / "fold.csv"
         runs.write_text(FOLD_CSV)

@@ -21,6 +21,7 @@ from solvereval import (
     InstanceKind,
     MetricParams,
     SolverSpec,
+    build_scenario,
     delta_sweep,
     find_flip_delta,
     generate,
@@ -139,7 +140,7 @@ def grid_heavy_scenarios(draw):
         if out.time_s < sc.timeout_s:
             out = replace(out, time_s=grid[n % 5] / 1000.0)
         outcomes[key] = out
-    return replace(sc, outcomes=outcomes)
+    return build_scenario(sc.id, sc.instances, sc.solvers, sc.timeout_s, outcomes, sc.trajectories)
 
 
 class TestAgainstReference:

@@ -36,6 +36,11 @@ COMMANDS = {
     "rank-mznc": ("rank", "runs.csv", "--timeout", "100", "--metric", "mznc"),
     "sweep-delta-flip": ("sweep-delta", "runs.csv", "--timeout", "100", "--deltas", DELTAS,
                          "--flip", "s04,s00", "--format", "json"),
+    "validate": ("validate", "runs.csv", "--timeout", "100"),
+    "head2head-json": ("head2head", "runs.csv", "--timeout", "100", "--format", "json"),
+    "head2head-text": ("head2head", "runs.csv", "--timeout", "100"),
+    "runtime-dist-json": ("runtime-dist", "runs.csv", "--timeout", "100", "--format", "json"),
+    "runtime-dist-text": ("runtime-dist", "runs.csv", "--timeout", "100"),
 }
 
 DIGESTS = {
@@ -44,6 +49,11 @@ DIGESTS = {
     "score-table": "abea91e3cdc3247e51fa53739c6f23af4b0c96bb6ba330356d0afb015cc2dfc0",
     "rank-mznc": "8e38d6fd57ac7fd15885ef6691617b04b53cb14dd8c9f06ef2c3e283366065de",
     "sweep-delta-flip": "2332bd00c562e2c93524efc08195d96885a6361b265aff8f14a874ab2d3cbc2c",
+    "validate": "9fe9293d22ca8260f674ef4cb5a38c23b31b9e4a0d3d13e92edb80b6839206fb",
+    "head2head-json": "12d64571eed89ad9f84ddd587b4ecd5e0b40424e0e88ac33caf29bb9ff857421",
+    "head2head-text": "c0e02ebadee34fbdb3bffbb1b2acfc12bf76dc302a9209eb7c5a57ad4df8c006",
+    "runtime-dist-json": "b24e14bc777f77419b6a57f75d40580f97c80e584f006642211a4488d35a3e90",
+    "runtime-dist-text": "11530948e1d6dbb9681bd47f575b9f2d2e1b3b5016c9dcc94da20dc1db925f55",
 }
 
 GEN_DIGESTS = {

@@ -8,24 +8,32 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import re
 import sys
 import traceback
 from dataclasses import replace as _replace
+from itertools import combinations
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .errors import CliUsageError, NonPositiveForGeomean, SolverEvalError, ValidationError
-from .io import build_report, emit_report, emit_scenario, parse_aslib_runs, parse_runs
-from .metrics import METRICS, MetricParams, threshold_ms
-from .scenario import InstanceKind, Scenario
+from .io import (
+    build_report, emit_report, emit_scenario, json_text, parse_aslib_runs, parse_runs,
+    ranking_json,
+)
+from .metrics import METRICS, MetricParams, metric_info, threshold_ms
+from .scenario import Scenario
 
 __all__ = ["build_parser", "main", "run"]
 
 _POLICY = {"train": "train_split", "test": "test_split", "full": "full_dataset"}
 _AGG = {"sum": "sum", "mean": "arithmetic_mean", "geomean": "geometric_mean", "median": "median"}
 _DEFAULT_DELTAS = "0,0.01,0.05,0.1,0.5,1"
+
+# What a command returns: its output, rendered, or its JSON payload and a
+# function that renders it as text; main renders only the format asked for.
+Output = str | tuple[object, Callable[[], str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,13 +80,6 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     )
 
 
-def _write_bytes(data: bytes, out: str | None) -> None:
-    if out:
-        Path(out).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode())
-
-
 def _metric_params(args: argparse.Namespace) -> MetricParams:
     return MetricParams(
         lam=args.lam, delta=args.delta, alpha=args.alpha, beta=args.beta,
@@ -119,14 +120,31 @@ def _at_least(low: int):
     return count
 
 
-def _two_solvers(text: str, flag: str) -> tuple[str, str]:
+def _solvers(text: str) -> list[str]:
+    """argparse type for a comma-separated list of solver names."""
     names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"no solver named in {text!r}")
+    return names
+
+
+def _two_solvers(text: str) -> tuple[str, str]:
+    """argparse type for a solver pair A,B."""
+    names = _solvers(text)
     if len(names) != 2:
-        raise CliUsageError(f"{flag} expects exactly two solver names, e.g. {flag} a,b")
+        raise argparse.ArgumentTypeError(f"expects exactly two solver names A,B, got {text!r}")
     return names[0], names[1]
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def _check_unfolded_policy(policy: str | None, metrics: list[str]) -> None:
+    """Reject a split --sbs-policy for a baselines metric scored without folds."""
+    for m in metrics:
+        if policy in ("train", "test") and metric_info(m).baselines:
+            raise CliUsageError(f"--sbs-policy {policy} needs --folds (score --folds K): "
+                                f"{m} picks its single best solver on each fold's {policy} split")
+
+
+def cmd_score(args: argparse.Namespace) -> Output:
     from .harness import check_fold_merge, evaluate, make_fold_plan
 
     metrics = args.metric or ["par"]
@@ -135,6 +153,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         for flag, value in (("--repeats", args.repeats), ("--seed", args.seed)):
             if value is not None:
                 raise CliUsageError(f"{flag} needs --folds: without folds it has no effect")
+        _check_unfolded_policy(args.sbs_policy, metrics)
     if args.folds and agg is not None:
         for m in metrics:
             try:
@@ -157,116 +176,73 @@ def cmd_score(args: argparse.Namespace) -> int:
         scenario, evaluations, source=str(args.runs),
         seed=plan.seed if plan is not None else None,
     )
-    _write_bytes(emit_report(report, args.format), args.output)
-    return 0
+    return emit_report(report, args.format).decode()
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: argparse.Namespace) -> Output:
     from .harness import evaluate, rank
 
+    _check_unfolded_policy(args.sbs_policy, [args.metric])
     scenario = _load_scenario(args)
     policy = _POLICY[args.sbs_policy] if args.sbs_policy else None
     result = evaluate(scenario, args.metric, _metric_params(args), sbs_policy=policy)
     entries = rank([result.merged])
-    if args.format == "json":
-        payload = {
-            "scenario": scenario.id,
-            "metric": args.metric,
-            "ranking": [
-                {"solver": e.solver_id, "score": e.score,
-                 "position": e.position, "tied": e.tied}
-                for e in entries
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for e in entries:
-            tie = " (tied)" if e.tied else ""
-            print(f"{e.position}. {e.solver_id}  {e.score:.4f}{tie}")
-    return 0
+    payload = {"scenario": scenario.id, "metric": args.metric, "ranking": ranking_json(entries)}
+    return payload, lambda: "".join(
+        f"{e.position}. {e.solver_id}  {e.score:.4f}{' (tied)' if e.tied else ''}\n"
+        for e in entries)
 
 
-def cmd_head2head(args: argparse.Namespace) -> int:
+def cmd_head2head(args: argparse.Namespace) -> Output:
     from .harness import head_to_head
 
     scenario = _load_scenario(args)
-    if args.solvers:
-        pairs = [_two_solvers(args.solvers, "--solvers")]
-    else:
-        pairs = [
-            (a, b)
-            for idx, a in enumerate(scenario.solvers)
-            for b in scenario.solvers[idx + 1:]
-        ]
+    pairs = [args.solvers] if args.solvers else combinations(scenario.solvers, 2)
     results = [head_to_head(scenario, a, b) for a, b in pairs]
-    if args.format == "json":
-        payload = {
-            "scenario": scenario.id,
-            "pairs": [
-                {"solver_a": h.solver_a, "solver_b": h.solver_b,
-                 "a_faster": h.a_faster, "b_faster": h.b_faster, "ties": h.ties}
-                for h in results
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for h in results:
-            print(f"{h.solver_a} vs {h.solver_b}: "
-                  f"{h.a_faster} faster, {h.b_faster} slower, {h.ties} ties")
-    return 0
+    return {"scenario": scenario.id, "pairs": [vars(h) for h in results]}, lambda: "".join(
+        f"{h.solver_a} vs {h.solver_b}: {h.a_faster} faster, {h.b_faster} slower, {h.ties} ties\n"
+        for h in results)
 
 
-def cmd_sweep_delta(args: argparse.Namespace) -> int:
+def cmd_sweep_delta(args: argparse.Namespace) -> Output:
     from .harness import delta_sweep, find_flip_delta
 
     scenario = _load_scenario(args)
-    deltas = args.deltas
-    solvers = None
-    if args.solvers:
-        solvers = list(dict.fromkeys(s.strip() for s in args.solvers.split(",") if s.strip()))
     flip = None
     if args.flip:
-        a, b = _two_solvers(args.flip, "--flip")
+        a, b = args.flip
         flip = {"solver_a": a, "solver_b": b, "delta": find_flip_delta(scenario, a, b)}
-    table = delta_sweep(scenario, deltas, solvers)
-    if args.format == "json":
-        payload = {
-            "scenario": scenario.id,
-            "sweep": [
-                {"delta": d, "scores": dict(sorted(table[d].items()))} for d in deltas
-            ],
-            "flip": flip,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        names = solvers if solvers is not None else list(scenario.solvers)
-        width = max(len("delta"), *(len(f"{d:g}") for d in deltas))
-        swidth = max(len("solver"), *(len(s) for s in names))
-        print(f"{'delta'.ljust(width)}  {'solver'.ljust(swidth)}  score")
-        for d in deltas:
-            for s in names:
-                print(f"{f'{d:g}'.ljust(width)}  {s.ljust(swidth)}  {table[d][s]:.4f}")
+    table = delta_sweep(scenario, args.deltas, args.solvers)
+
+    def text() -> str:
+        names = next(iter(table.values()))  # every row holds the chosen solvers in order
+        width = max(len("delta"), *(len(f"{d:g}") for d in table))
+        swidth = max(len("solver"), *map(len, names))
+        lines = [f"{'delta'.ljust(width)}  {'solver'.ljust(swidth)}  score"]
+        lines += [f"{f'{d:g}'.ljust(width)}  {s.ljust(swidth)}  {v:.4f}"
+                  for d, scores in table.items() for s, v in scores.items()]
         if flip is not None:
-            d = flip["delta"]
-            shown = "none" if d is None else f"{d:g}"
-            print(f"flip threshold for {flip['solver_a']} over {flip['solver_b']}: {shown}")
-    return 0
+            shown = "none" if flip["delta"] is None else f"{flip['delta']:g}"
+            lines.append(f"flip threshold for {a} over {b}: {shown}")
+        return "\n".join(lines) + "\n"
+
+    sweep = [{"delta": d, "scores": scores} for d, scores in table.items()]
+    return {"scenario": scenario.id, "sweep": sweep, "flip": flip}, text
 
 
-def cmd_runtime_dist(args: argparse.Namespace) -> int:
+def cmd_runtime_dist(args: argparse.Namespace) -> Output:
     from .harness import runtime_distribution
 
     scenario = _load_scenario(args)
-    solvers = [args.solver] if args.solver else list(scenario.solvers)
+    solvers = [args.solver] if args.solver else scenario.solvers
     data = {s: runtime_distribution(scenario, s) for s in solvers}
-    if args.format == "json":
-        payload = {"scenario": scenario.id, "distributions": data}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for s in solvers:
-            times = " ".join(f"{t:.3f}" for t in data[s])
-            print(f"{s}: {len(data[s])} solved{'  ' + times if times else ''}")
-    return 0
+
+    def text() -> str:
+        shown = {s: " ".join(f"{t:.3f}" for t in times) for s, times in data.items()}
+        return "".join(f"{s}: {len(data[s])} solved{'  ' + t if t else ''}\n"
+                       for s, t in shown.items())
+
+    return {"scenario": scenario.id, "distributions": data}, text
 
 
 def _parse_draw(text: str, what: str):
@@ -342,7 +318,7 @@ def _parse_solver_spec(text: str) -> SolverSpec:
                       objective_quality=quality, name=name)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> Output:
     from .synthkit import generate, thorough_vs_fast_spec
 
     base = thorough_vs_fast_spec(
@@ -358,27 +334,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.solver:
         spec = _replace(spec, solvers=tuple(_parse_solver_spec(s) for s in args.solver))
     scenario = generate(spec)
-    written = emit_scenario(scenario, args.output)
-    for p in written:
-        print(p)
-    return 0
+    return "".join(f"{p}\n" for p in emit_scenario(scenario, args.runs))
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> Output:
     try:
         scenario = _load_scenario(args)
     except ValidationError as e:
-        print(f"invalid: {len(e.violations)} violation(s)", file=sys.stderr)
-        for v in e.violations:
-            print(f"  {v}", file=sys.stderr)
-        return 1
-    n_opt = sum(1 for i in scenario.instances if i.kind is InstanceKind.OPTIMIZATION)
-    print(
+        print(f"invalid: {len(e.violations)} violation(s)", *(f"  {v}" for v in e.violations),
+              sep="\n", file=sys.stderr)
+        sys.exit(1)
+    return (
         f"ok: scenario {scenario.id!r}, {len(scenario.instances)} instances "
-        f"({n_opt} optimization), {len(scenario.solvers)} solvers, "
-        f"timeout {scenario.timeout_s:g} s"
+        f"({len(scenario.optimization_ids)} optimization), {len(scenario.solvers)} solvers, "
+        f"timeout {scenario.timeout_s:g} s\n"
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Score, rank, and compare solvers over benchmark run data.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.set_defaults(output=None)  # set by score's -o; gen's -o names the runs it writes
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("score", help="score solvers under one or more metrics")
@@ -418,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("head2head", help="count per-instance faster/slower/tied finishes")
     _add_input_args(p)
-    p.add_argument("--solvers", default=None, metavar="A,B",
+    p.add_argument("--solvers", type=_two_solvers, default=None, metavar="A,B",
                    help="compare just this pair (default: all pairs)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_head2head)
@@ -427,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--deltas", type=_deltas, default=_DEFAULT_DELTAS, metavar="D1,D2,...",
                    help=f"thresholds in seconds (default {_DEFAULT_DELTAS})")
-    p.add_argument("--solvers", default=None, metavar="A,B,...",
+    p.add_argument("--solvers", type=_solvers, default=None, metavar="A,B,...",
                    help="restrict reporting to these solvers")
-    p.add_argument("--flip", default=None, metavar="A,B",
+    p.add_argument("--flip", type=_two_solvers, default=None, metavar="A,B",
                    help="also find the smallest threshold from which A outscores B")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_sweep_delta)
@@ -454,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-p", type=float, default=0.0,
                    help="chance a run crashes instead of timing out")
     p.add_argument("--id", default=None, help="scenario id (default: synth-<seed>)")
-    p.add_argument("-o", "--output", required=True, help="runs CSV path to write")
+    p.add_argument("-o", "--output", dest="runs", metavar="OUTPUT", required=True,
+                   help="runs CSV path to write")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("validate", help="check a runs file against the scenario invariants")
@@ -465,22 +437,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except CliUsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except SystemExit as e:
-        # argparse exits directly for --help and --version
-        return int(e.code or 0)
     # A command's bulk data (rows, runs, events) holds no reference cycles,
     # so the cyclic collector only rescans it; it is paused for the command
     # and left as the caller had it.
     collecting = gc.isenabled()
-    gc.disable()
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        gc.disable()
+        out = args.func(args)
+        if not isinstance(out, str):
+            payload, text = out
+            out = json_text(payload) if args.format == "json" else text()
+        if args.output:
+            Path(args.output).write_bytes(out.encode())
+        else:
+            sys.stdout.write(out)
+        return 0
+    except SystemExit as e:  # --help and --version, and validate's violations
+        return int(e.code or 0)
     except (SolverEvalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -445,10 +445,20 @@ def _baseline_jsonable(cell: BaselineCell) -> dict:
     }
 
 
+def json_text(payload: object) -> str:
+    """The package's one JSON encoding: keys sorted, two-space indent, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def ranking_json(ranking: Sequence[RankEntry]) -> list[dict]:
+    return [{"solver": e.solver_id, "score": e.score, "position": e.position, "tied": e.tied}
+            for e in ranking]
+
+
 def emit_report(report: Report, fmt: str = "table") -> bytes:
     """Render a report as json, csv (long form), or a text table."""
     if fmt == "json":
-        payload = {
+        return json_text({
             "scenario": {
                 "id": report.scenario_id,
                 "n_instances": report.n_instances,
@@ -458,13 +468,11 @@ def emit_report(report: Report, fmt: str = "table") -> bytes:
             "metric": [s.metric_id for s in report.sections],
             "params": [dict(s.params) for s in report.sections],
             "scores": [dict(s.scores) for s in report.sections],
-            "ranking": [[{"solver": e.solver_id, "score": e.score, "position": e.position,
-                          "tied": e.tied} for e in s.ranking] for s in report.sections],
+            "ranking": [ranking_json(s.ranking) for s in report.sections],
             "baselines": [_baseline_jsonable(c) for c in report.baselines],
             "warnings": list(report.warnings),
             "provenance": dict(report.provenance),
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        }).encode()
 
     if fmt == "csv":
         import io as _io
@@ -486,15 +494,11 @@ def emit_report(report: Report, fmt: str = "table") -> bytes:
             "",
         ]
         headers = ["solver"] + [_section_label(s) for s in report.sections]
-        peaks = []
-        for s in report.sections:
-            vals = [s.scores[sv] for sv in report.solvers if sv in s.scores]
-            if not vals:
-                peaks.append(None)
-            elif s.direction == "lower_better":
-                peaks.append(min(vals))
-            else:
-                peaks.append(max(vals))
+        peaks = [
+            (min if s.direction == "lower_better" else max)(
+                [s.scores[sv] for sv in report.solvers if sv in s.scores], default=None)
+            for s in report.sections
+        ]
         table_rows = []
         for sv in report.solvers:
             row = [sv]

@@ -154,6 +154,39 @@ class TestScore:
         assert payload["provenance"]["seed"] == 0
         assert payload["provenance"]["fold_plan"] == {"k": 2, "repeats": 1, "seed": 0}
 
+    @pytest.mark.parametrize("command, flags", [
+        ("score", ["--metric", "closed-gap", "--sbs-policy", "train"]),
+        ("score", ["--metric", "par", "--metric", "closed-gap", "--sbs-policy", "test"]),
+        ("rank", ["--metric", "closed-gap", "--sbs-policy", "train"]),
+        ("rank", ["--metric", "closed-gap", "--sbs-policy", "test"]),
+    ])
+    def test_split_policy_without_folds_rejected_before_loading(self, tmp_path, capsys,
+                                                                 command, flags):
+        absent = str(tmp_path / "absent.csv")
+        assert main([command, absent, "--timeout", "100", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--sbs-policy" in err and "--folds" in err
+        assert "absent.csv" not in err
+
+    @pytest.mark.parametrize("policy, recorded", [("train", "train_split"),
+                                                  ("test", "test_split")])
+    def test_split_policy_without_baselines_is_recorded(self, runs_file, capsys, policy,
+                                                        recorded):
+        assert main(["score", str(runs_file), "--timeout", "100", "--sbs-policy", policy,
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["sbs_policy"] == recorded
+        assert main(["rank", str(runs_file), "--timeout", "100", "--sbs-policy", policy]) == 0
+        assert capsys.readouterr().out.startswith("1. a")
+
+    def test_full_policy_without_folds_scores_closed_gap(self, tmp_path, capsys):
+        runs = tmp_path / "fold.csv"
+        runs.write_text(FOLD_CSV)
+        for command in ("score", "rank"):
+            assert main([command, str(runs), "--timeout", "100", "--metric", "closed-gap",
+                         "--sbs-policy", "full"]) == 0
+        assert "closed-gap" in capsys.readouterr().out
+
     def test_closed_gap_geomean_without_folds_scores(self, tmp_path, capsys):
         runs = tmp_path / "fold.csv"
         runs.write_text(FOLD_CSV)
@@ -269,6 +302,24 @@ class TestSweepDelta:
         assert main([command, absent, "--timeout", "100", *flags]) == 1
         err = capsys.readouterr().err
         assert f"argument {flags[-2]}:" in err
+        assert "absent.csv" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-delta", "--solvers", ","],
+        ["sweep-delta", "--solvers", ",", "--format", "json"],
+        ["sweep-delta", "--solvers", " , "],
+        ["sweep-delta", "--flip", "a"],
+        ["sweep-delta", "--flip", "a,b,c", "--format", "json"],
+        ["head2head", "--solvers", "a"],
+        ["head2head", "--solvers", ",", "--format", "json"],
+    ])
+    def test_bad_solver_list_rejected_before_loading(self, tmp_path, capsys, argv):
+        command, *flags = argv
+        absent = str(tmp_path / "absent.csv")
+        assert main([command, absent, "--timeout", "100", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flags[0]}:" in err
         assert "absent.csv" not in err
 
     @pytest.mark.parametrize("pair, named", [("a,zzz", "'zzz'"), ("a,a", "'a'")])

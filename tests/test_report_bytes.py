@@ -5,7 +5,10 @@ scenario of the bench solver family (seed 1, half the instances
 optimization ones, with trajectories), or of the runs and trajectory files
 ``gen`` writes for that scenario. SEED_DIGESTS pins every command's default
 text and JSON output on the 60 x 8 scenario of the pairwise benchmark
-workload at bench seeds 1-3. A change meant to keep reports byte-identical
+workload at bench seeds 1-3. CLOSE_DIGESTS pins score's par and closed-gap
+report on CLOSE_RUNS, a file whose single best solver is within 1% of the
+virtual best, with and without folds, so the baselines and warnings blocks
+and the warnings' fold tags are covered. A change meant to keep reports byte-identical
 must keep every digest; a change meant to alter a report must update its
 digest on purpose.
 """
@@ -118,6 +121,27 @@ SEED_DIGESTS = {
     "validate@3": "53be6b54728816c1aab0fc74b67ce1762d3620167b85a7638032003dee20a891",
 }
 
+# Per instance: a at t, one of b and c 0.05 s faster, the other 20 s slower. a
+# is the single best solver on every split, 0.05 s per instance behind the
+# virtual best, so every closed-gap cell of any fold plan scores and warns.
+CLOSE_RUNS = "instance_id,solver_id,status,time_s\n" + "".join(
+    f"i{k:02d},a,ok,{10 + 3 * k:.3f}\n"
+    f"i{k:02d},b,ok,{10 + 3 * k + (-0.05 if k % 2 else 20):.3f}\n"
+    f"i{k:02d},c,ok,{10 + 3 * k + (20 if k % 2 else -0.05):.3f}\n"
+    for k in range(12)
+)
+
+CLOSE_FLAGS = {"": (), "-folds2": ("--folds", "2")}
+
+CLOSE_DIGESTS = {
+    "table": "4c30ba49d9ed9e7537ae178ff0c6456952d1abe8bd6619b26dfe3da9432f4a08",
+    "table-folds2": "b026ce0f66ffe073b307037c81f520e01349c7e8430946f108479eced2be6c94",
+    "csv": "27b023c39a4509baecbff64ba492825671b45c8ee97d0a4038c519de5b646aa7",
+    "csv-folds2": "b4b3adbd5f2f9aea0a2e54694b6788ede17b6c9b8c3f79c2db1cb2285b0776b9",
+    "json": "cf08e0ce0a973d60ba9c85066e8f2defa32d3369f30bea93870bbbc0c3684547",
+    "json-folds2": "7b6b9bc6102a21a7e8a02dcbd261556b4d91272c1950ba4a8f710b0439d8cac0",
+}
+
 INVALID_DIGEST = "b5a7068040e13b69673a05a85b969dda9423270073563e9725367991466879d6"
 
 GEN_DIGESTS = {
@@ -160,6 +184,17 @@ def test_seed_digest(name, seed, seed_dirs, monkeypatch, capsys):
     assert main([command, "runs.csv", "--timeout", "100", *flags]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == SEED_DIGESTS[f"{name}@{seed}"]
+
+
+@pytest.mark.parametrize("folds", sorted(CLOSE_FLAGS))
+@pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+def test_close_baselines_digest(fmt, folds, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("close.csv").write_text(CLOSE_RUNS)
+    assert main(["score", "close.csv", "--timeout", "100", "--metric", "par",
+                 "--metric", "closed-gap", "--format", fmt, *CLOSE_FLAGS[folds]]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CLOSE_DIGESTS[f"{fmt}{folds}"]
 
 
 def test_invalid_file_digest(scenario_dir, monkeypatch, capsys):

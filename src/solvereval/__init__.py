@@ -43,7 +43,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "oracle": ("oracle_score",),
     "io": (
-        "MetricSection", "Report", "build_report", "emit_report", "emit_scenario",
+        "build_report", "emit_report", "emit_scenario",
         "parse_aslib_runs", "parse_runs", "trajectories_path_for",
     ),
     "rng": ("SplitMix64",),

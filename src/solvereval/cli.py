@@ -73,6 +73,9 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     if fmt == "auto":
         fmt = "aslib" if Path(args.runs).suffix.lower() == ".arff" else "csv"
     if fmt == "aslib":
+        if args.trajectories is not None:
+            raise CliUsageError("--trajectories needs CSV input: --input-format aslib (auto's"
+                                " choice for .arff files) reads no trajectory file")
         return parse_aslib_runs(args.runs, args.timeout, scenario_id=args.id)
     return parse_runs(
         args.runs, args.timeout,
@@ -118,6 +121,14 @@ def _at_least(low: int):
         return value
 
     return count
+
+
+def _solver(text: str) -> str:
+    """argparse type for one solver name."""
+    name = text.strip()
+    if not name:
+        raise argparse.ArgumentTypeError(f"no solver named in {text!r}")
+    return name
 
 
 def _solvers(text: str) -> list[str]:
@@ -407,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("runtime-dist", help="ascending solved runtimes per solver")
     _add_input_args(p)
-    p.add_argument("--solver", default=None, help="restrict to one solver")
+    p.add_argument("--solver", type=_solver, default=None, help="restrict to one solver")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_runtime_dist)
 

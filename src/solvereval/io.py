@@ -13,13 +13,13 @@ import csv
 import json
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import __version__
 from .errors import RowError, SchemaError, UnsupportedAttribute
 from .scenario import (
+    Direction,
     Instance,
     InstanceKind,
     RunStatus,
@@ -31,12 +31,9 @@ from .scenario import (
 )
 
 if TYPE_CHECKING:  # reading and writing scenarios loads no scoring module
-    from .baselines import BaselineReport
     from .harness import EvaluationResult, RankEntry
 
 __all__ = [
-    "MetricSection",
-    "Report",
     "build_report",
     "emit_report",
     "emit_scenario",
@@ -335,71 +332,48 @@ def parse_aslib_runs(
                              tuple(runs), timeout_s, runs, {}, [])
 
 
-@dataclass(frozen=True)
-class MetricSection:
-    metric_id: str
-    params: Mapping[str, object]
-    direction: str
-    scores: Mapping[str, float]
-    ranking: tuple[RankEntry, ...]
-
-
-@dataclass(frozen=True)
-class BaselineCell:
-    repeat: int
-    fold: int
-    report: BaselineReport
-
-
-@dataclass(frozen=True)
-class Report:
-    """Machine-readable evaluation summary, ready for emission."""
-
-    scenario_id: str
-    n_instances: int
-    solvers: tuple[str, ...]
-    timeout_s: float
-    sections: tuple[MetricSection, ...]
-    baselines: tuple[BaselineCell, ...] = ()
-    warnings: tuple[str, ...] = ()
-    provenance: Mapping[str, object] = field(default_factory=dict)
-
-
 def build_report(
     scenario: Scenario,
     evaluations: Sequence[EvaluationResult],
     source: str | None = None,
     seed: int | None = None,
-) -> Report:
-    """Assemble a report from one or more evaluations of the same scenario."""
+) -> dict:
+    """The report of one or more evaluations of the same scenario, as its JSON document.
+
+    It holds only JSON types: score --format json prints it as it is, and
+    emit_report renders the table and the CSV from it.
+    """
     from .harness import rank
 
-    sections = []
-    baseline_cells = []
-    collected = []
+    baselines, collected = [], []
     for ev in evaluations:
-        merged = ev.merged
-        sections.append(MetricSection(ev.metric_id, dict(merged.params), merged.direction.value,
-                                      dict(merged.per_solver), tuple(rank([merged]))))
         for cell in ev.cells:
-            if cell.baseline is not None:
-                baseline_cells.append(BaselineCell(cell.repeat, cell.fold, cell.baseline))
-                for w in cell.baseline.warnings:
-                    tag = f"[{ev.metric_id} r{cell.repeat} f{cell.fold}] " if ev.fold_plan else ""
-                    collected.append(tag + w)
+            b = cell.baseline
+            if b is None:
+                continue
+            baselines.append({
+                "repeat": cell.repeat,
+                "fold": cell.fold,
+                "base_metric": b.base_metric_id,
+                "sbs_policy": b.sbs_policy.value,
+                "sbs": b.sbs_id,
+                "m_vbs": b.m_vbs,
+                "m_sbs": b.m_sbs,
+                "gap_ratio": b.gap_ratio,
+                "vbs_per_instance": dict(b.vbs_per_instance),
+                "warnings": list(b.warnings),
+            })
+            tag = f"[{ev.metric_id} r{cell.repeat} f{cell.fold}] " if ev.fold_plan else ""
+            collected.extend(tag + w for w in b.warnings)
     first = evaluations[0] if evaluations else None
-    fold_info = None
-    if first is not None and first.fold_plan is not None:
-        fold_info = {
-            "k": first.fold_plan.k,
-            "repeats": first.fold_plan.repeats,
-            "seed": first.fold_plan.seed,
-        }
+    plan = first.fold_plan if first is not None else None
     provenance: dict[str, object] = {
         "tool": "solvereval",
         "version": __version__,
         "timeout_s": scenario.timeout_s,
-        "fold_plan": fold_info,
+        "fold_plan": None if plan is None else {
+            "k": plan.k, "repeats": plan.repeats, "seed": plan.seed,
+        },
         "sbs_policy": first.sbs_policy.value if first is not None else None,
         "aggregation": first.aggregation.value if first is not None else None,
     }
@@ -407,42 +381,26 @@ def build_report(
         provenance["source"] = source
     if seed is not None:
         provenance["seed"] = seed
-    return Report(
-        scenario_id=scenario.id,
-        n_instances=len(scenario.instances),
-        solvers=scenario.solvers,
-        timeout_s=scenario.timeout_s,
-        sections=tuple(sections),
-        baselines=tuple(baseline_cells),
-        warnings=tuple(collected),
-        provenance=provenance,
-    )
+    return {
+        "scenario": {
+            "id": scenario.id,
+            "n_instances": len(scenario.instances),
+            "solvers": list(scenario.solvers),
+            "timeout_s": scenario.timeout_s,
+        },
+        "metric": [ev.metric_id for ev in evaluations],
+        "params": [dict(ev.merged.params) for ev in evaluations],
+        "scores": [dict(ev.merged.per_solver) for ev in evaluations],
+        "ranking": [ranking_json(rank([ev.merged])) for ev in evaluations],
+        "baselines": baselines,
+        "warnings": collected,
+        "provenance": provenance,
+    }
 
 
 def _param_str(params: Mapping[str, object]) -> str:
     return ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
                     for k, v in sorted(params.items()))
-
-
-def _section_label(section: MetricSection) -> str:
-    p = _param_str(section.params)
-    return f"{section.metric_id}[{p}]" if p else section.metric_id
-
-
-def _baseline_jsonable(cell: BaselineCell) -> dict:
-    r = cell.report
-    return {
-        "repeat": cell.repeat,
-        "fold": cell.fold,
-        "base_metric": r.base_metric_id,
-        "sbs_policy": r.sbs_policy.value,
-        "sbs": r.sbs_id,
-        "m_vbs": r.m_vbs,
-        "m_sbs": r.m_sbs,
-        "gap_ratio": r.gap_ratio,
-        "vbs_per_instance": dict(r.vbs_per_instance),
-        "warnings": list(r.warnings),
-    }
 
 
 def json_text(payload: object) -> str:
@@ -455,25 +413,12 @@ def ranking_json(ranking: Sequence[RankEntry]) -> list[dict]:
             for e in ranking]
 
 
-def emit_report(report: Report, fmt: str = "table") -> bytes:
-    """Render a report as json, csv (long form), or a text table."""
+def emit_report(report: dict, fmt: str = "table") -> bytes:
+    """Render a report (build_report's document) as json, csv (long form), or a text table."""
     if fmt == "json":
-        return json_text({
-            "scenario": {
-                "id": report.scenario_id,
-                "n_instances": report.n_instances,
-                "solvers": list(report.solvers),
-                "timeout_s": report.timeout_s,
-            },
-            "metric": [s.metric_id for s in report.sections],
-            "params": [dict(s.params) for s in report.sections],
-            "scores": [dict(s.scores) for s in report.sections],
-            "ranking": [ranking_json(s.ranking) for s in report.sections],
-            "baselines": [_baseline_jsonable(c) for c in report.baselines],
-            "warnings": list(report.warnings),
-            "provenance": dict(report.provenance),
-        }).encode()
+        return json_text(report).encode()
 
+    scenario = report["scenario"]
     if fmt == "csv":
         import io as _io
 
@@ -481,60 +426,52 @@ def emit_report(report: Report, fmt: str = "table") -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["scenario", "metric", "params", "solver", "score", "rank", "tied"])
         writer.writerows(
-            [report.scenario_id, s.metric_id, _param_str(s.params), e.solver_id, repr(e.score),
-             e.position, str(e.tied).lower()]
-            for s in report.sections for e in s.ranking
+            [scenario["id"], m, _param_str(params), e["solver"], repr(e["score"]), e["position"],
+             str(e["tied"]).lower()]
+            for m, params, ranking in zip(report["metric"], report["params"], report["ranking"])
+            for e in ranking
         )
         return buf.getvalue().encode()
 
     if fmt == "table":
+        from .metrics import metric_info
+
+        solvers = scenario["solvers"]
         lines = [
-            f"scenario {report.scenario_id}: {report.n_instances} instances x "
-            f"{len(report.solvers)} solvers, timeout {report.timeout_s:g} s",
+            f"scenario {scenario['id']}: {scenario['n_instances']} instances x "
+            f"{len(solvers)} solvers, timeout {scenario['timeout_s']:g} s",
             "",
         ]
-        headers = ["solver"] + [_section_label(s) for s in report.sections]
-        peaks = [
-            (min if s.direction == "lower_better" else max)(
-                [s.scores[sv] for sv in report.solvers if sv in s.scores], default=None)
-            for s in report.sections
-        ]
-        table_rows = []
-        for sv in report.solvers:
-            row = [sv]
-            for s, peak in zip(report.sections, peaks):
-                if sv not in s.scores:
-                    row.append("-")
-                    continue
-                v = s.scores[sv]
-                mark = "*" if peak is not None and v == peak else ""
-                row.append(f"{v:.4f}{mark}")
-            table_rows.append(row)
-        widths = [
-            max(len(headers[c]), *(len(r[c]) for r in table_rows)) if table_rows else len(headers[c])
-            for c in range(len(headers))
-        ]
+        headers = ["solver"]
+        columns = []
+        for m, params, scores in zip(report["metric"], report["params"], report["scores"]):
+            p = _param_str(params)
+            headers.append(f"{m}[{p}]" if p else m)
+            values = [scores[sv] for sv in solvers]
+            peak = (min if metric_info(m).direction is Direction.LOWER else max)(values)
+            columns.append([f"{v:.4f}{'*' if v == peak else ''}" for v in values])
+        rows = list(zip(solvers, *columns))
+        widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
         lines.append("  ".join(h.ljust(widths[c]) for c, h in enumerate(headers)).rstrip())
         lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
-        for r in table_rows:
+        for r in rows:
             cells = [r[0].ljust(widths[0])] + [
                 r[c].rjust(widths[c]) for c in range(1, len(headers))
             ]
             lines.append("  ".join(cells).rstrip())
-        if report.baselines:
+        if report["baselines"]:
             lines.append("")
             lines.append("baselines:")
-            for c in report.baselines:
-                r = c.report
+            for b in report["baselines"]:
                 lines.append(
-                    f"  repeat {c.repeat} fold {c.fold}: base={r.base_metric_id} "
-                    f"policy={r.sbs_policy.value} sbs={r.sbs_id} "
-                    f"m_sbs={r.m_sbs:.4f} m_vbs={r.m_vbs:.4f} gap_ratio={r.gap_ratio:.4f}"
+                    f"  repeat {b['repeat']} fold {b['fold']}: base={b['base_metric']} "
+                    f"policy={b['sbs_policy']} sbs={b['sbs']} "
+                    f"m_sbs={b['m_sbs']:.4f} m_vbs={b['m_vbs']:.4f} gap_ratio={b['gap_ratio']:.4f}"
                 )
-        if report.warnings:
+        if report["warnings"]:
             lines.append("")
             lines.append("warnings:")
-            for w in report.warnings:
+            for w in report["warnings"]:
                 lines.append(f"  - {w}")
         return ("\n".join(lines) + "\n").encode()
 

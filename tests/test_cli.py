@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
 import solvereval
 import solvereval.cli as cli
-from solvereval.cli import main
+from solvereval.cli import build_parser, main
 
 RUNS_CSV = """instance_id,solver_id,status,time_s
 i1,a,ok,10.0
@@ -312,6 +314,8 @@ class TestSweepDelta:
         ["sweep-delta", "--flip", "a,b,c", "--format", "json"],
         ["head2head", "--solvers", "a"],
         ["head2head", "--solvers", ",", "--format", "json"],
+        ["runtime-dist", "--solver", ""],
+        ["runtime-dist", "--solver", "  ", "--format", "json"],
     ])
     def test_bad_solver_list_rejected_before_loading(self, tmp_path, capsys, argv):
         command, *flags = argv
@@ -342,8 +346,30 @@ class TestRuntimeDist:
         assert main(["runtime-dist", str(runs_file), "--timeout", "100",
                      "--solver", "zz"]) == 1
 
+    def test_name_is_stripped(self, runs_file, capsys):
+        assert main(["runtime-dist", str(runs_file), "--timeout", "100",
+                     "--solver", " a ", "--format", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["distributions"]) == ["a"]
+
 
 class TestValidate:
+    @pytest.mark.parametrize("runs, flags", [
+        ("absent.arff", []),
+        ("absent.ARFF", ["--input-format", "auto"]),
+        ("absent.csv", ["--input-format", "aslib"]),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "score"])
+    def test_trajectories_with_aslib_input_rejected_before_loading(
+        self, tmp_path, capsys, command, runs, flags
+    ):
+        argv = [command, str(tmp_path / runs), "--timeout", "10", *flags,
+                "--trajectories", str(tmp_path / "absent_trajectories.csv")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--trajectories" in err and "--input-format aslib" in err
+        assert "absent." not in err
+
     def test_valid_file(self, runs_file, capsys):
         assert main(["validate", str(runs_file), "--timeout", "100"]) == 0
         out = capsys.readouterr().out
@@ -463,3 +489,47 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "solvereval" in proc.stdout
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_output_formats() -> dict[str, tuple[list[str], str, list[str]]]:
+    """command -> (--format values, the default one, JSON keys), read off README's table."""
+    text = README.read_text().split("Output formats (`--format`)", 1)[1]
+    lines = text.splitlines()
+    start = next(n for n, line in enumerate(lines) if line.startswith("|"))
+    table = list(takewhile(lambda line: line.startswith("|"), lines[start:]))
+    rows = {}
+    for row in table[2:]:  # after the header and its rule
+        command, formats, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        listed = formats.split(",")
+        default = next(f for f in listed if "(default)" in f)
+        rows[command.strip("`")] = ([f.split("`")[1] for f in listed], default.split("`")[1],
+                                    keys.split(", "))
+    return rows
+
+
+def _format_flags() -> dict[str, argparse.Action]:
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    return {name: action for name, sub in commands.items()
+            for action in sub._actions if action.dest == "format"}
+
+
+class TestReadmeOutputFormats:
+    """README's "Output formats" table matches what each command prints."""
+
+    TABLE = _readme_output_formats()
+
+    def test_every_command_with_json_is_listed(self):
+        with_json = sorted(c for c, flag in _format_flags().items() if "json" in flag.choices)
+        assert sorted(self.TABLE) == with_json
+
+    @pytest.mark.parametrize("command", sorted(TABLE))
+    def test_formats_and_json_keys(self, command, runs_file, capsys):
+        formats, default, keys = self.TABLE[command]
+        flag = _format_flags()[command]
+        assert formats == list(flag.choices)
+        assert default == flag.default
+        assert main([command, str(runs_file), "--timeout", "100", "--format", "json"]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)) == sorted(keys)

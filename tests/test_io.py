@@ -7,11 +7,18 @@ import math
 
 import pytest
 from helpers import scenario_from, solved, timed_out
+from hypothesis import given
+from hypothesis import strategies as st
+from test_fold_columns import POLICIES, generated, plans
+from test_properties import scenarios
 
 from solvereval import (
+    METRICS,
+    DegenerateGap,
     Direction,
+    EmptyInput,
     InstanceKind,
-    Report,
+    MissingTrajectory,
     RowError,
     RunStatus,
     SchemaError,
@@ -28,7 +35,7 @@ from solvereval import (
     rank,
     trajectories_path_for,
 )
-from solvereval.io import MetricSection
+from solvereval.io import ranking_json
 
 RUNS_CSV = """instance_id,solver_id,status,time_s,obj
 i1,a,ok,10.0,
@@ -330,26 +337,24 @@ SELECTOR_SUMMARY = [
 ]
 
 
-def _summary_report() -> Report:
-    names = tuple(r[0] for r in SELECTOR_SUMMARY)
-    sections = []
-    for col, (metric, params) in enumerate(
-        [("closed-gap", {"base_metric": "par", "lambda": 10.0}),
-         ("speedup", {}),
-         ("normalized-runtime", {})],
-        start=1,
-    ):
-        scores = {r[0]: r[col] for r in SELECTOR_SUMMARY}
-        table = ScoreTable(metric, params, scores, Direction.HIGHER)
-        sections.append(MetricSection(metric, params, "higher_better", scores,
-                                      tuple(rank([table]))))
-    return Report(
-        scenario_id="selector-suite",
-        n_instances=15,
-        solvers=names,
-        timeout_s=3600.0,
-        sections=tuple(sections),
-    )
+def _summary_report() -> dict:
+    names = [r[0] for r in SELECTOR_SUMMARY]
+    metrics = [("closed-gap", {"base_metric": "par", "lambda": 10.0}),
+               ("speedup", {}),
+               ("normalized-runtime", {})]
+    scores = [{r[0]: r[col] for r in SELECTOR_SUMMARY} for col in range(1, len(metrics) + 1)]
+    return {
+        "scenario": {"id": "selector-suite", "n_instances": 15, "solvers": names,
+                     "timeout_s": 3600.0},
+        "metric": [m for m, _ in metrics],
+        "params": [params for _, params in metrics],
+        "scores": scores,
+        "ranking": [ranking_json(rank([ScoreTable(m, params, col, Direction.HIGHER)]))
+                    for (m, params), col in zip(metrics, scores)],
+        "baselines": [],
+        "warnings": [],
+        "provenance": {},
+    }
 
 
 class TestEmitReport:
@@ -406,14 +411,15 @@ class TestBuildReport:
         sc = self._scenario()
         evaluations = [evaluate(sc, "par"), evaluate(sc, "closed-gap")]
         report = build_report(sc, evaluations, source="mini.csv", seed=3)
-        assert report.scenario_id == "mini"
-        assert [s.metric_id for s in report.sections] == ["par", "closed-gap"]
-        assert len(report.baselines) == 1
-        assert report.provenance["tool"] == "solvereval"
-        assert report.provenance["source"] == "mini.csv"
-        assert report.provenance["seed"] == 3
+        assert report["scenario"]["id"] == "mini"
+        assert report["metric"] == ["par", "closed-gap"]
+        assert len(report["baselines"]) == 1
+        provenance = report["provenance"]
+        assert provenance["tool"] == "solvereval"
+        assert provenance["source"] == "mini.csv"
+        assert provenance["seed"] == 3
         # deterministic output demands no wall-clock fields
-        assert not any("time" in str(k).lower() and k != "timeout_s" for k in report.provenance)
+        assert not any("time" in str(k).lower() and k != "timeout_s" for k in provenance)
 
     def test_baseline_warnings_are_collected(self):
         sc = scenario_from(
@@ -426,7 +432,7 @@ class TestBuildReport:
             scenario_id="close",
         )
         report = build_report(sc, [evaluate(sc, "closed-gap")])
-        assert any("low resolution" in w for w in report.warnings)
+        assert any("low resolution" in w for w in report["warnings"])
 
     def test_report_renders_in_all_formats(self):
         sc = self._scenario()
@@ -434,3 +440,44 @@ class TestBuildReport:
         for fmt in ("table", "json", "csv"):
             out = emit_report(report, fmt)
             assert isinstance(out, bytes) and out
+
+
+def _json_types_only(value) -> bool:
+    if type(value) is dict:
+        return all(type(k) is str and _json_types_only(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_json_types_only(v) for v in value)
+    return type(value) in (str, float, int, bool, type(None))
+
+
+def _reversed_dicts(value):
+    """The same document with every dict's keys in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reversed_dicts(value[k]) for k in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_dicts(v) for v in value]
+    return value
+
+
+class TestReportDocument:
+    """build_report's document is the report: JSON prints it, table and CSV render it."""
+
+    @given(st.one_of(scenarios(), generated()), st.data())
+    def test_json_round_trip_renders_the_same(self, sc, data):
+        plan = data.draw(plans(sc))
+        policy = data.draw(POLICIES) if plan is not None else None  # a split policy needs folds
+        evaluations = []
+        for metric_id in sorted(METRICS):
+            try:
+                evaluations.append(evaluate(sc, metric_id, fold_plan=plan, sbs_policy=policy))
+            except (DegenerateGap, EmptyInput, MissingTrajectory):  # area without trajectories
+                continue
+        report = build_report(sc, evaluations, source="prop.csv", seed=7)
+        assert _json_types_only(report)
+        assert report["metric"] == [ev.metric_id for ev in evaluations]
+        loaded = json.loads(emit_report(report, "json"))
+        assert loaded == report
+        # Rendering reads the document's content, not its dicts' key order.
+        for fmt in ("table", "csv"):
+            for document in (loaded, _reversed_dicts(loaded)):
+                assert emit_report(document, fmt) == emit_report(report, fmt)

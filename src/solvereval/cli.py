@@ -10,7 +10,6 @@ import argparse
 import gc
 import re
 import sys
-import traceback
 from dataclasses import replace as _replace
 from itertools import combinations
 from pathlib import Path
@@ -470,6 +469,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 2
     finally:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import operator
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -66,6 +65,8 @@ def aggregate(values: Sequence[float], method: Aggregation | str) -> float:
         return math.fsum(vals)
     if method is Aggregation.ARITHMETIC_MEAN:
         return math.fsum(vals) / len(vals)
+    import statistics
+
     if method is Aggregation.GEOMETRIC_MEAN:
         if any(v <= 0 for v in vals):
             raise NonPositiveForGeomean("geometric mean needs strictly positive values")

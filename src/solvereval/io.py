@@ -14,17 +14,16 @@ import json
 import math
 import warnings as _warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 from .errors import RowError, SchemaError, UnsupportedAttribute
 from .scenario import (
     Direction,
-    Instance,
     InstanceKind,
     RunStatus,
     Scenario,
-    assemble_scenario,
+    ScenarioBuilder,
     check_run_values,
     check_timeout,
     quantize_ms,
@@ -92,7 +91,7 @@ def parse_runs(
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, expected a runs CSV header")
-        fields = [f.strip() for f in header]
+        fields = _header(path, header)
         missing = set(_RUN_FIELDS) - set(fields)
         extra = set(fields) - set(_RUN_FIELDS) - {"obj"}
         if missing or extra:
@@ -104,22 +103,18 @@ def parse_runs(
         c_obj = fields.index("obj") if "obj" in fields else None
 
         width = len(fields)
-        instance_ids: dict[str, None] = {}  # in file order
-        runs: dict[str, dict] = {}  # per solver in order of first appearance, runs by instance
-        opt: set[str] = set()
-        loose: list[tuple[str, str]] = []  # solved runs without an objective, in file order
-        solved, inf = RunStatus.SOLVED, math.inf
+        builder = ScenarioBuilder(timeout_s)
+        add, opt, inf = builder.run, set(), math.inf
         for row in reader:
             if len(row) != width:
                 if not row:
                     continue
                 raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
-            iid = row[c_inst].strip()
-            sid = row[c_solver].strip()
+            iid, sid = row[c_inst].strip(), row[c_solver].strip()
             if not iid or not sid:
                 raise RowError(reader.line_num, "instance_id and solver_id must be non-empty")
-            status_raw = row[c_status].strip().lower()
-            status = _STATUS_IN.get(status_raw)
+            status = _STATUS_IN.get(row[c_status]) or _STATUS_IN.get(
+                status_raw := row[c_status].strip().lower())
             if status is None:
                 raise RowError(reader.line_num,
                                f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}")
@@ -133,33 +128,28 @@ def parse_runs(
                 run = check_run_values(status, t, obj, timeout_s, True)  # unsolved_at_timeout
             except ValueError as exc:
                 raise RowError(reader.line_num, str(exc)) from None
-            col = runs.get(sid) or runs.setdefault(sid, {})
-            if col.setdefault(iid, run) is not run:
+            if not add(iid, sid, run):
                 raise RowError(reader.line_num, f"duplicate row for ({iid}, {sid})")
-            instance_ids[iid] = None
             if obj_cell:
                 opt.add(iid)
-            if status is solved and run[2] == inf:
-                loose.append((iid, sid))
 
-    kinds = {True: InstanceKind.OPTIMIZATION, False: InstanceKind.DECISION}
-    return assemble_scenario(
-        scenario_id or path.stem, tuple(Instance(i, kinds[i in opt]) for i in instance_ids),
-        tuple(runs), timeout_s, runs, {}, [], loose,
-        events=_trajectory_events(path, trajectories_path, runs),
-    )
+    builder.close_runs(opt)
+    _read_trajectories(builder, path, trajectories_path)
+    return builder.scenario(scenario_id or path.stem)
 
 
-def _trajectory_events(
-    runs_path: Path,
-    trajectories_path: str | Path | None,
-    runs: Mapping[str, Mapping[str, tuple]],
-) -> Iterator[tuple[tuple[str, str], float, float]]:
-    """The ((instance_id, solver_id), t, obj) events of the trajectory file, in file order.
+def _header(path: str | Path, header: list[str]) -> list[str]:
+    """The header's column names, each of which must appear once."""
+    fields = [f.strip() for f in header]
+    for name in fields:
+        if fields.count(name) > 1:
+            raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
+    return fields
 
-    Only the cells are checked here, each row as assemble_scenario reads it,
-    and that the pair has a run in runs.
-    """
+
+def _read_trajectories(builder: ScenarioBuilder, runs_path: Path,
+                       trajectories_path: str | Path | None) -> None:
+    """Hand the trajectory file's events to builder in file order, checking only their cells."""
     if trajectories_path is None:
         candidate = trajectories_path_for(runs_path)
         if not candidate.exists():
@@ -170,29 +160,30 @@ def _trajectory_events(
         header = next(reader, None)
         if header is None:
             return
-        fields = [f.strip() for f in header]
+        fields = _header(trajectories_path, header)
         if set(fields) != set(_TRAJ_FIELDS):
             raise SchemaError(
                 f"{trajectories_path}: header must be instance_id,solver_id,t_s,obj"
             )
         c_inst, c_solver, c_time, c_obj = (fields.index(f) for f in _TRAJ_FIELDS)
-        width = len(fields)
+        width, has_run, event = len(fields), builder.has_run, builder.event
         for row in reader:
             if len(row) != width:
                 if not row:
                     continue
                 raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
-            key = (row[c_inst].strip(), row[c_solver].strip())
-            if key[0] not in runs.get(key[1], ()):
-                raise RowError(reader.line_num, f"trajectory row for unknown pair {key!r}")
+            iid, sid = row[c_inst].strip(), row[c_solver].strip()
             try:
                 t, v = float(row[c_time]), float(row[c_obj])
             except ValueError:
                 t = v = None
             if t is None or not -math.inf < t < math.inf:  # the time's cell first, as above
-                _parse_time(row[c_time], reader.line_num)
-                _parse_float(row[c_obj], "obj", reader.line_num)
-            yield key, t, v
+                if has_run(iid, sid):  # else an unknown pair, named first
+                    _parse_time(row[c_time], reader.line_num)
+                    _parse_float(row[c_obj], "obj", reader.line_num)
+            elif event(iid, sid, t, v):
+                continue
+            raise RowError(reader.line_num, f"trajectory row for unknown pair {(iid, sid)!r}")
 
 
 def emit_scenario(
@@ -221,16 +212,17 @@ def _write_csv(path: Path, rows) -> None:
 
 def _run_rows(scenario: Scenario):
     # csv writes a float cell as its repr, so an obj of +inf reads back as inf.
-    has_opt = any(i.kind is InstanceKind.OPTIMIZATION for i in scenario.instances)
+    decision = InstanceKind.DECISION
+    has_opt = any(i.kind is not decision for i in scenario.instances)
     yield (*_RUN_FIELDS, "obj") if has_opt else _RUN_FIELDS
     runs = scenario.outcomes
     cols = [(s, runs.statuses[s], runs.times[s], runs.objs[s]) for s in scenario.solvers]
     for p, inst in enumerate(scenario.instances):
         iid = inst.id
-        decision = inst.kind is InstanceKind.DECISION
+        blank = inst.kind is decision
         for s, statuses, times, objs in cols:
             cells = iid, s, _STATUS_OUT[statuses[p]], f"{times[p]:.3f}"
-            yield (*cells, "" if decision else objs[p]) if has_opt else cells
+            yield (*cells, "" if blank else objs[p]) if has_opt else cells
 
 
 def _trajectory_rows(scenario: Scenario):
@@ -282,6 +274,7 @@ def parse_aslib_runs(
             if in_data:
                 rows.append((line_no, next(csv.reader([line]))))
 
+    _header(path, attrs)
     required = ("instance_id", "repetition", "algorithm", "runtime", "runstatus")
     missing = [a for a in required if a not in attrs]
     if missing:
@@ -291,9 +284,7 @@ def parse_aslib_runs(
         raise UnsupportedAttribute(f"{path}: unsupported attributes {extra}")
     col = {a: attrs.index(a) for a in required}
 
-    instance_ids: dict[str, None] = {}
-    runs: dict[str, dict] = {}
-    skipped_repetitions = 0
+    builder, skipped_repetitions = ScenarioBuilder(timeout_s), 0
     for line_no, cells in rows:
         if len(cells) != len(attrs):
             raise RowError(line_no, f"expected {len(attrs)} fields, got {len(cells)}")
@@ -318,8 +309,7 @@ def parse_aslib_runs(
             run = check_run_values(status, t, math.inf, timeout_s)
         except ValueError as exc:
             raise RowError(line_no, str(exc)) from None
-        instance_ids[iid] = None
-        if runs.setdefault(sid, {}).setdefault(iid, run) is not run:
+        if not builder.run(iid, sid, run):
             raise RowError(line_no, f"duplicate row for ({iid}, {sid})")
 
     if skipped_repetitions:
@@ -328,8 +318,8 @@ def parse_aslib_runs(
             UserWarning,
             stacklevel=2,
         )
-    return assemble_scenario(scenario_id or path.stem, tuple(Instance(i) for i in instance_ids),
-                             tuple(runs), timeout_s, runs, {}, [])
+    builder.close_runs()
+    return builder.scenario(scenario_id or path.stem)
 
 
 def build_report(

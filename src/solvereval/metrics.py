@@ -347,7 +347,8 @@ def _mznc_columns(scenario: Scenario, params: MetricParams) -> Columns:
 
 
 def _optimization(scenario: Scenario) -> list[bool]:
-    return [inst.kind is InstanceKind.OPTIMIZATION for inst in scenario.instances]
+    optimization = InstanceKind.OPTIMIZATION
+    return [inst.kind is optimization for inst in scenario.instances]
 
 
 def _ratio_columns(scenario: Scenario, params: MetricParams) -> Columns:

@@ -14,7 +14,8 @@ import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyRestriction, UnknownInstance, ValidationError, Violation
@@ -28,10 +29,10 @@ __all__ = [
     "RunStatus",
     "Runs",
     "Scenario",
+    "ScenarioBuilder",
     "ScoreTable",
     "Trajectories",
     "Trajectory",
-    "assemble_scenario",
     "build_scenario",
     "check_run",
     "check_timeout",
@@ -169,20 +170,18 @@ class _Store(Mapping):
 
 class Runs(_Store):
     """Per solver, the runs' stored times (an unsolved run's is the timeout), the same in
-    integer ms, statuses, solved flags and objectives, from the checked (time_s, status,
-    obj) by solver and instance id in runs. Only a lookup builds a RunOutcome."""
+    integer ms, statuses, solved flags and objectives. Only a lookup builds a RunOutcome."""
 
     __slots__ = ("times", "ms", "statuses", "solved", "objs")
 
-    def __init__(self, instance_ids: tuple[str, ...], solvers: Iterable[str],
-                 runs: Mapping[str, Mapping[str, tuple[float, RunStatus, float]]]):
+    def __init__(self, instance_ids: tuple[str, ...], times: dict[str, tuple[float, ...]],
+                 statuses: dict[str, tuple[RunStatus, ...]], objs: dict[str, tuple[float, ...]]):
         super().__init__(instance_ids)
-        self.times, self.ms, self.statuses, self.solved, self.objs = {}, {}, {}, {}, {}
-        for s in solvers:
-            times, statuses, _ = self.times[s], self.statuses[s], self.objs[s] = tuple(zip(
-                *map(runs[s].__getitem__, instance_ids)))
-            self.ms[s] = tuple(map(round, map(operator.mul, times, repeat(1000.0))))
-            self.solved[s] = tuple(map(operator.is_, statuses, repeat(RunStatus.SOLVED)))
+        self.times, self.statuses, self.objs = times, statuses, objs
+        self.ms = {s: tuple(map(round, map(operator.mul, col, repeat(1000.0))))
+                   for s, col in times.items()}
+        self.solved = {s: tuple(map(operator.is_, col, repeat(_SOLVED)))
+                       for s, col in statuses.items()}
 
     def __getitem__(self, key: tuple[str, str]) -> RunOutcome:
         i, s = key
@@ -199,25 +198,13 @@ class Runs(_Store):
 class Trajectories(_Store):
     """Per solver, flat event times (on the ms grid) and objectives, those of position p at
     offsets[p]:offsets[p + 1], proofs[p] (a proof time or None) and the traced positions
-    (a trajectory may have no event), from pairs: per solver, position to (events,
-    proof). Only a lookup builds a Trajectory."""
+    (a trajectory may have no event). Only a lookup builds a Trajectory."""
 
     __slots__ = ("times", "objs", "offsets", "proofs", "traced")
 
-    def __init__(self, instance_ids: tuple[str, ...], solvers: Iterable[str],
-                 pairs: Mapping[str, Mapping[int, tuple[list[tuple[float, float]], float | None]]]):
+    def __init__(self, instance_ids: tuple[str, ...], *columns: dict[str, tuple | frozenset]):
         super().__init__(instance_ids)
-        self.times, self.objs, self.offsets, self.proofs, self.traced = {}, {}, {}, {}, {}
-        for s in solvers:
-            got = pairs.get(s, {})
-            counts, proofs, events = [0] * len(instance_ids), [None] * len(instance_ids), []
-            for p in sorted(got):
-                seen, proofs[p] = got[p]
-                counts[p] = len(seen)
-                events += seen
-            self.times[s], self.objs[s] = tuple(zip(*events)) or ((), ())
-            self.offsets[s] = tuple(accumulate(counts, initial=0))
-            self.proofs[s], self.traced[s] = tuple(proofs), frozenset(got)
+        self.times, self.objs, self.offsets, self.proofs, self.traced = columns
 
     def __getitem__(self, key: tuple[str, str]) -> Trajectory:
         i, s = key
@@ -290,7 +277,7 @@ class Scenario:
 
     @cached_property
     def optimization_ids(self) -> tuple[str, ...]:
-        return tuple(i.id for i in self.instances if i.kind is InstanceKind.OPTIMIZATION)
+        return tuple(i.id for i in self.instances if i.kind is _OPTIMIZATION)
 
     def position(self, instance_id: str) -> int:
         try:
@@ -423,11 +410,10 @@ def validate_scenario(raw: Scenario) -> Scenario:
                 flag("DuplicateId", f"duplicate {what} id {x!r}")
             seen.add(x)
 
-    # Each solver's checked runs by instance; () marks a rejected run.
-    instance_set, runs = {inst.id for inst in instances}, {s: {} for s in solvers}
+    builder = ScenarioBuilder(timeout, tuple(instances), solvers, violations)
     for key, out in raw.outcomes.items():
         i, s = str(key[0]), str(key[1])
-        if i not in instance_set or s not in runs:
+        if i not in builder.at or s not in builder.cols:
             flag("UnknownId", "outcome recorded for a pair outside the scenario", f"({i}, {s})")
             continue
         run = ()  # with a bad timeout no run can be checked, so every run is rejected
@@ -436,155 +422,223 @@ def validate_scenario(raw: Scenario) -> Scenario:
                 run = check_run_values(out.status, out.time_s, out.obj, timeout)
             except ValueError as exc:
                 flag("BadOutcome", str(exc), f"({i}, {s})")
-        runs[s][i] = run
+        if not builder.run(i, s, run):
+            flag("DuplicateId", "outcome recorded twice for this pair", f"({i}, {s})")
+    builder.close_runs()
+    for key, traj in (raw.trajectories or {}).items() if timeout_ok else ():
+        builder.trajectory(str(key[0]), str(key[1]), traj)
+    return builder.scenario(str(raw.id))
 
-    return assemble_scenario(
-        str(raw.id), tuple(instances), tuple(solvers), timeout, runs,
-        (raw.trajectories or {}) if timeout_ok else {}, violations,
-        ((str(i), str(s)) for i, s in raw.outcomes),
-    )
+
+_DECISION, _OPTIMIZATION, _INF = InstanceKind.DECISION, InstanceKind.OPTIMIZATION, math.inf
+_REJECTED = object()  # the status of a run that was recorded but failed its checks
+_REFUSED, _EMPTY = -1, -2  # before a first event: a pair refused a trajectory, or one opened
 
 
-def assemble_scenario(
-    scenario_id: str, instances: tuple[Instance, ...], solvers: tuple[str, ...],
-    timeout_s: float, runs: Mapping[str, Mapping[str, tuple]],
-    trajectories: Mapping[tuple[str, str], Trajectory], violations: list[Violation],
-    order: Iterable[tuple[str, str]] | None = None,
-    events: Iterable[tuple[tuple[str, str], float, float]] = (),
-) -> Scenario:
-    """Check checked runs against their instances and each other, and build the scenario.
+class _Solver:
+    """One solver's columns in the making: runs at their instance positions (status None
+    where none is recorded), per position the index of the pair's last event or its state
+    before one, events flat in arrival order, and the checked pairs' proof times."""
 
-    runs maps each solver to its checked (time_s, status, obj) runs by
-    instance id, () where a run was rejected. First the run-kind rules (a
-    decision run has obj +inf, a solved optimization run a finite obj),
-    reported in order (the runs that may break them, as the source recorded
-    them) or else instance by instance; then every pair needs a run, unless
-    rejected. Trajectories come as Trajectory objects, or as a file's events
-    ((instance_id, solver_id), t, obj), each pair's in order and proved
-    optimal when its run is solved. One pass snaps each event to the
-    millisecond grid and checks it against the pair's previous one; a pair
-    is checked once closed (a Trajectory at once, a file's pairs after its
-    last row). Raises ValidationError with the given violations followed by
-    these, pair by pair in order of first appearance.
+    __slots__ = ("id", "times", "statuses", "objs", "last", "ev_t", "ev_v", "ev_p", "traced")
+
+    def __init__(self, sid: str, size: int):
+        self.id, self.ev_t, self.ev_v, self.ev_p, self.traced = sid, [], [], [], {}
+        self.times, self.statuses, self.objs, self.last = ([None] * size for _ in range(4))
+
+
+class ScenarioBuilder:
+    """A scenario's column stores, filled one checked run and one trajectory event at a time.
+
+    Instances and solvers take positions in order of first appearance unless
+    given. run() puts a checked (time_s, status, obj) run, or () for a rejected
+    one, at its instance's position, and is False for a pair's second run.
+    close_runs() follows the last run: the run-kind rules (a decision run has
+    obj +inf, a solved optimization run a finite obj) in recorded order, a
+    non-empty scenario, every pair present. event() checks a file's
+    event against its pair's last one; trajectory() takes a Trajectory and
+    checks the pair at once. scenario() checks a file's pairs against their
+    runs (proved optimal at a solved run's time), then raises every
+    violation, pair by pair in order of first appearance, or builds the stores.
     """
 
-    def flag(code: str, message: str, where: str | None = None) -> None:
-        violations.append(Violation(code, message, where))
-
-    at = {inst.id: p for p, inst in enumerate(instances)}
-    kind_of = {inst.id: inst.kind for inst in instances}
-    decision, optimization, inf, solved = (InstanceKind.DECISION, InstanceKind.OPTIMIZATION,
-                                           math.inf, RunStatus.SOLVED)
-    breached = {(i, s) for s, col in runs.items() for i, run in col.items()
-                if run and (run[2] != inf if kind_of[i] is decision
-                            else run[1] is solved and run[2] == inf)}
-    if breached:
-        for i, s in order if order is not None else ((i.id, s) for i in instances for s in runs):
-            if (i, s) in breached:
-                flag("BadOutcome", "decision instance outcomes must have obj = +inf" if kind_of[i]
-                     is decision else "solved optimization run must have a finite obj",
-                     f"({i}, {s})")
-    if not instances:
-        flag("EmptyScenario", "scenario has no instances")
-    if not solvers:
-        flag("EmptyScenario", "scenario has no solvers")
-    if sum(map(len, runs.values())) != len(instances) * len(solvers):
+    def __init__(self, timeout_s: float, instances: tuple[Instance, ...] = (),
+                 solvers: Iterable[str] = (), violations: list[Violation] | None = None):
+        self.timeout_s, self.instances, self.size = timeout_s, instances, 0
+        self.violations = [] if violations is None else violations
+        self.at: dict[str, int] = {}
+        self.kinds: list[InstanceKind | None] = []  # None: decision unless the reader says so
+        self.cols: dict[str, _Solver] = {}
+        self.loose: list = []  # (position, solver) of the runs that may break a run-kind rule
+        self.opened: list = []  # position, solver, ... of the file's pairs, as they first appear
+        self.problems: dict[tuple[int, _Solver], tuple[list[str], list[str]]] = {}
         for inst in instances:
-            for s in solvers:
-                if inst.id not in runs[s]:
-                    flag("MissingOutcome", "no recorded run for this pair", f"({inst.id}, {s})")
+            p = self.at[inst.id] if inst.id in self.at else self.instance(inst.id)
+            self.kinds[p] = inst.kind
+        for s in solvers:
+            self.cols.setdefault(s, _Solver(s, self.size))
+        self.solvers = tuple(solvers)
 
-    solver_set, isfinite = set(solvers), math.isfinite
-    # Each open pair's checked events, in the order the pairs first appear
-    # (None when the pair can have no trajectory, with the reason in refused),
-    # and the problems found of single events and between consecutive ones.
-    pairs: dict[tuple[str, str], list[tuple[float, float]] | None] = {}
-    refused: dict[tuple[str, str], tuple[str, str]] = {}
-    problems: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
-    built: dict[str, dict[int, tuple[list[tuple[float, float]], float | None]]] = {}
+    def _flag(self, code: str, message: str, where: str | None = None) -> None:
+        self.violations.append(Violation(code, message, where))
 
-    def open_pair(key: tuple[str, str]) -> list | None:
-        kind = kind_of.get(key[0])
-        if kind is None or key[1] not in solver_set:
-            refused[key] = ("UnknownId", "trajectory recorded for a pair outside the scenario")
-        elif kind is not optimization:
-            refused[key] = ("InconsistentTrajectory", "trajectory recorded for a decision instance")
+    def instance(self, iid: str, kind: InstanceKind | None = None) -> int:
+        p = self.at[iid] = len(self.kinds)
+        self.kinds.append(kind)
+        if p == self.size:  # every solver's columns double in length
+            grow, self.size = p or 8, p + (p or 8)
+            for col in self.cols.values():
+                for column in (col.times, col.statuses, col.objs, col.last):
+                    column += repeat(None, grow)
+        return p
+
+    def run(self, iid: str, sid: str, run: tuple) -> bool:
+        p = self.at.get(iid)
+        if p is None:
+            p = self.instance(iid)
+        col = self.cols.get(sid) or self.cols.setdefault(sid, _Solver(sid, self.size))
+        statuses = col.statuses
+        if statuses[p] is not None:
+            return False
+        if not run:
+            statuses[p] = _REJECTED
+            return True
+        col.times[p], statuses[p], col.objs[p] = run
+        if (run[1] is _SOLVED and self.kinds[p] is not _DECISION if run[2] == _INF
+                else self.kinds[p] is _DECISION):
+            self.loose.append((p, col))
+        return True
+
+    def has_run(self, iid: str, sid: str) -> bool:  # a run, checked or rejected
+        p, col = self.at.get(iid), self.cols.get(sid)
+        return p is not None and col is not None and col.statuses[p] is not None
+
+    def close_runs(self, optimization: Iterable[str] = ()) -> None:
+        """The checks that span runs; the instances named in optimization are optimization ones."""
+        at, optimization = self.at, set(optimization)
+        kinds = self.kinds = [k or (_OPTIMIZATION if i in optimization else _DECISION)
+                              for i, k in zip(at, self.kinds)]
+        self.ids = tuple(at)
+        self.instances = self.instances or tuple(map(Instance, self.ids, kinds))
+        self.solvers = self.solvers or tuple(self.cols)
+        loose, self.loose = self.loose, []
+        for p, col in loose:
+            decision, obj = kinds[p] is _DECISION, col.objs[p]
+            if obj != _INF if decision else col.statuses[p] is _SOLVED and obj == _INF:
+                self._flag("BadOutcome", "decision instance outcomes must have obj = +inf"
+                           if decision else "solved optimization run must have a finite obj",
+                           f"({self.ids[p]}, {col.id})")
+        for what, ids in (("instances", self.instances), ("solvers", self.solvers)):
+            if not ids:
+                self._flag("EmptyScenario", f"scenario has no {what}")
+        if any(col.statuses.count(None) > self.size - len(at) for col in self.cols.values()):
+            for inst in self.instances:
+                for s in self.solvers:
+                    if self.cols[s].statuses[at[inst.id]] is None:
+                        self._flag("MissingOutcome", "no recorded run for this pair",
+                                   f"({inst.id}, {s})")
+
+    def event(self, iid: str, sid: str, t: float, v: float) -> bool:
+        """Take a trajectory event; False, taking nothing, when the pair has no run."""
+        p, col = self.at.get(iid), self.cols.get(sid)
+        if p is None or col is None or col.last[p] is None and col.statuses[p] is None:
+            return False  # no such pair, or a file's pair without a run
+        last = col.last[p]
+        if last is None:  # a file's pair, at its first event
+            self.opened += p, col
+            if self.kinds[p] is not _OPTIMIZATION:
+                col.last[p] = _REFUSED
+                return True
+            last = _EMPTY
+        elif last == _REFUSED:
+            return True
+        t = (round(ms) / 1000.0 if t.__class__ is float and math.isfinite(ms := t * 1000.0)
+             else quantize_ms(float(t)))
+        v, times, objs = float(v), col.ev_t, col.ev_v
+        if not 0.0 <= t < self.timeout_s:
+            self._problems(p, col)[0].append(f"event time {t} outside [0, timeout)")
+        if not math.isfinite(v):
+            self._problems(p, col)[0].append("event objectives must be finite")
+        if last >= 0 and not times[last] < t:
+            self._problems(p, col)[1].append("event times must be strictly increasing")
+        if last >= 0 and not objs[last] > v:
+            self._problems(p, col)[1].append("event objectives must be strictly decreasing")
+        col.last[p] = len(times)
+        times.append(t)
+        objs.append(v)
+        col.ev_p.append(p)
+        return True
+
+    def _problems(self, p: int, col: _Solver) -> tuple[list[str], list[str]]:
+        """The pair's problems so far: of single events, and between consecutive ones."""
+        return self.problems.setdefault((p, col), ([], []))
+
+    def trajectory(self, iid: str, sid: str, traj: Trajectory) -> None:
+        """Take a complete Trajectory's events and check the pair at once."""
+        p, col = self.at.get(iid), self.cols.get(sid)
+        if p is None or col is None:
+            self._flag("UnknownId", "trajectory recorded for a pair outside the scenario",
+                       f"({iid}, {sid})")
+        elif col.last[p] is not None:
+            self._flag("DuplicateId", "trajectory recorded twice for this pair", f"({iid}, {sid})")
         else:
-            return []
-        return None
+            col.last[p] = _EMPTY if self.kinds[p] is _OPTIMIZATION else _REFUSED
+            for t, v in traj.events:
+                self.event(iid, sid, t, v)
+            proved = traj.proved_optimal_at
+            if proved is not None and col.last[p] != _REFUSED:  # a refused pair's goes unread
+                proved = quantize_ms(float(proved))
+            self._close(p, col, proved)
 
-    def take(stream: Iterable[tuple[tuple[str, str], float, float]]) -> None:
-        """The one pass over events: snap each and check it against its pair's previous one."""
-        for key, t, v in stream:
-            seen = pairs.get(key)
-            if seen is None:
-                if key in pairs:
-                    continue
-                seen = pairs[key] = open_pair(key)
-                if seen is None:
-                    continue
-            t = (round(ms) / 1000.0 if t.__class__ is float and isfinite(ms := t * 1000.0)
-                 else quantize_ms(float(t)))
-            v = float(v)
-            if not 0.0 <= t < timeout_s:
-                problems.setdefault(key, ([], []))[0].append(f"event time {t} outside [0, timeout)")
-            if not isfinite(v):
-                problems.setdefault(key, ([], []))[0].append("event objectives must be finite")
-            if seen:
-                t1, v1 = seen[-1]
-                if not t1 < t:
-                    problems.setdefault(key, ([], []))[1].append(
-                        "event times must be strictly increasing")
-                if not v1 > v:
-                    problems.setdefault(key, ([], []))[1].append(
-                        "event objectives must be strictly decreasing")
-            seen.append((t, v))
-
-    def close(key: tuple[str, str], seen: list | None, proved: object) -> None:
-        """Flag the pair's problems, its own and those against its run, or keep its events."""
-        if seen is None:
-            flag(*refused[key], f"({key[0]}, {key[1]})")
-            return
-        single, between = problems.pop(key, ((), ()))
-        found = [*single, *between]
-        if proved is not None:
-            proved = quantize_ms(float(proved))
-            if not 0.0 <= proved < timeout_s:
-                found.append("proved_optimal_at outside [0, timeout)")
-            if seen and proved < seen[-1][0]:
-                found.append("proved_optimal_at precedes the last event")
-        run = runs[key[1]].get(key[0])
-        if run:
-            if seen and seen[-1][1] != run[2]:
-                found.append("last event objective differs from the run outcome")
-            if not seen and isfinite(run[2]):
-                found.append("run found a solution but the trajectory is empty")
-            if proved is not None and run[1] is not solved:
-                found.append("optimality proof recorded on an unsolved run")
-        if found:
-            for message in found:
-                flag("InconsistentTrajectory", message, f"({key[0]}, {key[1]})")
+    def _close(self, p: int, col: _Solver, proved: float | None) -> None:
+        """Flag the pair's problems, its own and those against its run, or keep its trajectory."""
+        last = col.last[p]
+        if last == _REFUSED:
+            found = ["trajectory recorded for a decision instance"]
         else:
-            built.setdefault(key[1], {})[at[key[0]]] = (seen, proved)
+            single, between = self.problems.pop((p, col), ((), ())) if self.problems else ((), ())
+            found = [*single, *between]
+            if proved is not None:
+                if not 0.0 <= proved < self.timeout_s:
+                    found.append("proved_optimal_at outside [0, timeout)")
+                if last >= 0 and proved < col.ev_t[last]:
+                    found.append("proved_optimal_at precedes the last event")
+            status = col.statuses[p]
+            if status is not None and status is not _REJECTED:
+                if last >= 0 and col.ev_v[last] != col.objs[p]:
+                    found.append("last event objective differs from the run outcome")
+                if last < 0 and math.isfinite(col.objs[p]):
+                    found.append("run found a solution but the trajectory is empty")
+                if proved is not None and status is not _SOLVED:
+                    found.append("optimality proof recorded on an unsolved run")
+            if not found:
+                col.traced[p] = proved
+                return
+        for message in found:
+            self._flag("InconsistentTrajectory", message, f"({self.ids[p]}, {col.id})")
 
-    # A given Trajectory is complete, so it is closed as soon as it is read.
-    for key, traj in trajectories.items():
-        key = (str(key[0]), str(key[1]))
-        pairs[key] = open_pair(key)
-        take((key, t, v) for t, v in traj.events)
-        close(key, pairs.pop(key), traj.proved_optimal_at)
-    # A file's pairs are closed after its last row; each is proved optimal when its run is solved.
-    take(events)
-    for key, seen in pairs.items():
-        run = runs[key[1]][key[0]]
-        close(key, seen, run[0] if run and run[1] is solved else None)
-
-    if violations:
-        raise ValidationError(violations)
-
-    ids = tuple(at)
-    return Scenario(scenario_id, instances, solvers, timeout_s,
-                    Runs(ids, solvers, runs), Trajectories(ids, solvers, built))
+    def scenario(self, scenario_id: str) -> Scenario:
+        """Check the file's pairs, then raise the violations or build the scenario."""
+        for p, col in zip(self.opened[::2], self.opened[1::2]):
+            self._close(p, col, col.times[p] if col.statuses[p] is _SOLVED else None)
+        self.opened.clear()  # so each solver's lists go once its columns are made
+        if self.violations:
+            raise ValidationError(self.violations)
+        ids, n = self.ids, len(self.ids)
+        runs, trajs = ({}, {}, {}), ({}, {}, {}, {}, {})
+        for s in self.solvers:
+            col = self.cols.pop(s)
+            for store, column in zip(runs, (col.times, col.statuses, col.objs)):
+                store[s] = tuple(islice(column, n))
+            pos = col.ev_p
+            if any(map(operator.gt, pos, islice(pos, 1, None))):  # not in instance order
+                order = sorted(range(len(pos)), key=pos.__getitem__)
+                col.ev_t, col.ev_v, pos = ([c[k] for k in order] for c in (col.ev_t, col.ev_v, pos))
+            trajs[0][s], trajs[1][s] = tuple(col.ev_t), tuple(col.ev_v)
+            trajs[2][s] = tuple(accumulate(map(Counter(pos).get, range(n), repeat(0)), initial=0))
+            trajs[3][s], trajs[4][s] = tuple(map(col.traced.get, range(n))), frozenset(col.traced)
+        return Scenario(scenario_id, self.instances, self.solvers, self.timeout_s,
+                        Runs(ids, *runs), Trajectories(ids, *trajs))
 
 
 def build_scenario(
@@ -596,16 +650,8 @@ def build_scenario(
     trajectories: Mapping[tuple[str, str], Trajectory] | None = None,
 ) -> Scenario:
     """Assemble and validate a scenario in one step."""
-    return validate_scenario(
-        Scenario(
-            id=scenario_id,
-            instances=tuple(instances),
-            solvers=tuple(solvers),
-            timeout_s=timeout_s,
-            outcomes=dict(outcomes),
-            trajectories=dict(trajectories or {}),
-        )
-    )
+    return validate_scenario(Scenario(scenario_id, tuple(instances), tuple(solvers), timeout_s,
+                                      dict(outcomes), dict(trajectories or {})))
 
 
 def positions(scenario: Scenario, instance_ids: Iterable[str]) -> tuple[int, ...]:

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 from .errors import BadSpec
 from .rng import SplitMix64
-from .scenario import (
-    Instance,
-    InstanceKind,
-    RunStatus,
-    Scenario,
-    assemble_scenario,
-    check_run_values,
-    quantize_ms,
-)
+from .scenario import (InstanceKind, RunStatus, Scenario, ScenarioBuilder, check_run_values,
+                       quantize_ms)
 
 __all__ = [
     "ArchetypeSpec",
@@ -135,13 +128,10 @@ def generate(spec: ArchetypeSpec) -> Scenario:
     names = _solver_names(spec)
     width = max(3, len(str(spec.n_instances - 1)))
 
-    instances: list[Instance] = []
-    # Each solver's runs by instance, and the trajectory events as a
-    # trajectory file lists them: a solved run's trajectory is proved
-    # optimal at the run's time, as a file's is.
-    runs: dict[str, dict] = {sid: {} for sid in names}
-    events: list[tuple[tuple[str, str], float, float]] = []
-
+    # Trajectories go in as the events a trajectory file lists: a solved
+    # run's trajectory is proved optimal at the run's time, as a file's is.
+    builder = ScenarioBuilder(tau, solvers=names)
+    add, event = builder.run, builder.event
     solved, error, timeout, inf = RunStatus.SOLVED, RunStatus.ERROR, RunStatus.TIMEOUT, math.inf
     kinds = {True: InstanceKind.OPTIMIZATION, False: InstanceKind.DECISION}
     draws = 2 + 8 * len(spec.solvers)
@@ -151,7 +141,7 @@ def generate(spec: ArchetypeSpec) -> Scenario:
         u_kind, u_base = u[:2]
         is_opt = u_kind < spec.opt_fraction
         base_obj = round(10.0 + 90.0 * u_base, 6)
-        instances.append(Instance(iid, kinds[is_opt]))
+        builder.instance(iid, kinds[is_opt])
         for at, solver_spec, sid in zip(range(2, draws, 8), spec.solvers, names):
             u_solve, u_time, u_error, u_subopt, u_offset, u_split, u_frac, u_bump = u[at:at + 8]
 
@@ -175,12 +165,12 @@ def generate(spec: ArchetypeSpec) -> Scenario:
                     obj = round(base_obj + quality.sample(u_offset), 6)
                     t_found = quantize_ms(u_frac * (tau - _MS))
                     stairs = _staircase(t_found, obj, u_split, u_bump)
-            runs[sid][iid] = check_run_values(status, t, obj, tau)
-            if stairs:
-                events += [((iid, sid), t_e, v) for t_e, v in stairs]
+            add(iid, sid, check_run_values(status, t, obj, tau))
+            for t_e, v in stairs:
+                event(iid, sid, t_e, v)
 
-    return assemble_scenario(spec.scenario_id or f"synth-{spec.seed}", tuple(instances),
-                             tuple(names), tau, runs, {}, [], events=events)
+    builder.close_runs()
+    return builder.scenario(spec.scenario_id or f"synth-{spec.seed}")
 
 
 def thorough_vs_fast_spec(

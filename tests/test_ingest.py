@@ -37,6 +37,7 @@ from solvereval import (
     RunOutcome,
     RunStatus,
     Scenario,
+    SchemaError,
     Trajectory,
     ValidationError,
     emit_scenario,
@@ -169,6 +170,13 @@ class TestErrorParity:
             _load(tmp_path, runs, traj=traj)
         assert [(v.code, v.where) for v in e.value.violations] == expected
 
+    @pytest.mark.parametrize("cells", ["nan,5.0", "1.0,x", "abc,x"])
+    def test_unknown_trajectory_pair_is_named_before_its_cells(self, tmp_path, cells):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, RUNS + "o1,a,timeout,100,5\no2,b,timeout,100,5\n",
+                  traj=TRAJ + f"o1,a,1.0,5.0\no1,b,{cells}\n")
+        assert str(e.value) == "line 3: trajectory row for unknown pair ('o1', 'b')"
+
     def test_line_numbers_count_blank_lines(self, tmp_path):
         with pytest.raises(RowError) as e:
             _load(tmp_path, RUNS + "i1,a,ok,1.0,\n\ni1,b,weird,1.0,\n")
@@ -225,6 +233,20 @@ class TestValidateScenario:
         with pytest.raises(ValidationError) as e:
             validate_scenario(raw)
         assert [(v.code, v.where) for v in e.value.violations] == [("BadOutcome", "(i1, a)")]
+
+    def test_keys_equal_as_ids_are_one_pair_recorded_twice(self):
+        # 1 and "1" name the same instance once ids are strings; neither run nor
+        # trajectory may silently replace the other.
+        raw = Scenario("x", (Instance("1", InstanceKind.OPTIMIZATION),), ("a",), 100.0,
+                       {(1, "a"): RunOutcome(100.0, RunStatus.TIMEOUT, 5.0),
+                        ("1", "a"): RunOutcome(2.0, RunStatus.SOLVED, 4.0)},
+                       {(1, "a"): Trajectory(((1.0, 5.0),)), ("1", "a"): Trajectory()})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("DuplicateId", "outcome recorded twice for this pair", "(1, a)"),
+            ("DuplicateId", "trajectory recorded twice for this pair", "(1, a)"),
+        ]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_trajectory_times_are_violations(self, bad):
@@ -409,6 +431,33 @@ class TestRowWidth:
         with pytest.raises(RowError) as e:
             _load(tmp_path, runs, traj=traj)
         assert str(e.value) == f"line 2: expected {width} fields, got {got}"
+
+
+class TestRepeatedHeaderColumn:
+    """A header names each column once: a repeated one would drop its second cells."""
+
+    @pytest.mark.parametrize("runs,traj,path,name", [
+        ("instance_id,solver_id,status,time_s,time_s\ni1,a,ok,1.0,2.0\n", None, "r.csv", "time_s"),
+        ("instance_id,solver_id,status,time_s,obj,obj\ni1,a,ok,1.0,,\n", None, "r.csv", "obj"),
+        (" status,instance_id,solver_id,status ,time_s\nok,i1,a,ok,1.0\n", None, "r.csv", "status"),
+        (RUNS + "o1,a,timeout,100,5\n", "instance_id,solver_id,t_s,obj,obj\no1,a,1.0,5.0,6.0\n",
+         "r_trajectories.csv", "obj"),
+        (ARFF.replace("@data", "@attribute runtime numeric\n@data") + "i1,1,a,1.0,ok,2.0\n",
+         None, "r.arff", "runtime"),
+    ], ids=["runs time_s", "runs obj", "runs padded status", "trajectories obj", "arff runtime"])
+    def test_rejected_before_any_row(self, tmp_path, runs, traj, path, name):
+        # Each runs file's row gets an unknown status, so a RowError would show
+        # that a row was read before the header was checked.
+        with pytest.raises(SchemaError) as e:
+            _load(tmp_path, runs.replace("\ni1,a,ok,1.0", "\ni1,a,weird,1.0"), traj=traj)
+        assert str(e.value) == (f"{tmp_path / path}: column {name!r} appears more than once in"
+                                " the header")
+
+    def test_cli_validate_exits_1(self, tmp_path, capsys):
+        runs = tmp_path / "r.csv"
+        runs.write_text("instance_id,solver_id,status,time_s,time_s\ni1,a,ok,1.0,2.0\n")
+        assert main(["validate", str(runs), "--timeout", "100"]) == 1
+        assert "column 'time_s' appears more than once" in capsys.readouterr().err
 
 
 def _spec(timeout_s=50.0):

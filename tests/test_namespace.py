@@ -62,6 +62,29 @@ class TestLazyNamespace:
         assert {"solvereval.harness", "solvereval.baselines", "statistics"}.isdisjoint(
             eval(loaded))
 
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--metric", "mznc"],
+        ["sweep-delta"],
+        ["head2head"],
+        ["runtime-dist"],
+        ["score", "--folds", "3", "--agg", "median"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_traceback_and_statistics_load_only_when_used(self, argv, tmp_path):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("instance_id,solver_id,status,time_s\n" + "".join(
+            f"i{k},a,ok,{1 + k}\ni{k},b,ok,{2 + k % 3}\n" for k in range(6)))
+        proc = _child(
+            "import sys\n"
+            "from solvereval.cli import main\n"
+            f"code = main({[argv[0], str(runs), '--timeout', '100', *argv[1:]]!r})\n"
+            "print(code, sorted(m for m in ('traceback', 'statistics') if m in sys.modules))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        # Only a median or geometric mean of fold scores needs statistics.
+        assert eval(loaded) == (["statistics"] if "--agg" in argv else [])
+
     def test_io_import_loads_no_scoring_module(self):
         proc = _child(
             "import sys, solvereval.io\n"

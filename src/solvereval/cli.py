@@ -182,10 +182,7 @@ def cmd_score(args: argparse.Namespace) -> Output:
         evaluate(scenario, m, params, fold_plan=plan, sbs_policy=policy, aggregation=agg)
         for m in metrics
     ]
-    report = build_report(
-        scenario, evaluations, source=str(args.runs),
-        seed=plan.seed if plan is not None else None,
-    )
+    report = build_report(scenario, evaluations, source=str(args.runs))
     return emit_report(report, args.format).decode()
 
 
@@ -306,11 +303,15 @@ def _parse_solver_spec(text: str) -> SolverSpec:
             f"solver spec {text!r} must look like NAME:p=0.9,runtime=uniform(1,10)"
         )
     p = runtime = quality = None
+    seen: set[str] = set()
     for part in _split_spec_params(rest):
         key, sep2, val = part.partition("=")
         key, val = key.strip().lower(), val.strip()
         if not sep2 or not val:
             raise CliUsageError(f"solver spec field {part!r} must look like key=value")
+        if key in seen:
+            raise CliUsageError(f"solver spec {text!r} gives {key!r} more than once")
+        seen.add(key)
         if key == "p":
             try:
                 p = float(val)

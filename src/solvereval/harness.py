@@ -6,7 +6,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from typing import Mapping, Sequence
 
 from .baselines import BaselineReport, FoldContext, SbsPolicy, cell_baselines
@@ -24,6 +23,7 @@ from .rng import SplitMix64
 from .scenario import (
     Direction,
     InstanceValues,
+    RunStatus,
     Scenario,
     ScoreTable,
     positions,
@@ -181,7 +181,7 @@ def score_scenario(
     cell = valued(columns, test)
     if not cell:
         raise EmptyInput(f"{metric_id} needs optimization instances")
-    per_instance = InstanceValues(columns, scenario.instance_ids, cell, info.optimization_only)
+    per_instance = InstanceValues(columns, scenario.instance_ids, cell)
     how = Aggregation.SUM if info.summed else Aggregation.ARITHMETIC_MEAN
     per_solver = {s: aggregate([columns[s][p] for p in cell], how) for s in solvers}
     table = ScoreTable(
@@ -325,7 +325,7 @@ def _require_pair(scenario: Scenario, solver_a: str, solver_b: str) -> None:
 def head_to_head(scenario: Scenario, solver_a: str, solver_b: str) -> HeadToHead:
     """Count instances each solver finished strictly faster; equal times tie."""
     _require_pair(scenario, solver_a, solver_b)
-    ta, tb = scenario.time_columns[solver_a], scenario.time_columns[solver_b]
+    ta, tb = scenario.outcomes.ms[solver_a], scenario.outcomes.ms[solver_b]
     a, b = sum(map(operator.lt, ta, tb)), sum(map(operator.lt, tb, ta))
     return HeadToHead(solver_a, solver_b, a, b, len(ta) - a - b)
 
@@ -352,7 +352,7 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
     solver_a never stays ahead.
     """
     _require_pair(scenario, solver_a, solver_b)
-    cols = scenario.time_columns
+    cols = scenario.outcomes.ms
     diffs_ms = {0}
     for s in (solver_a, solver_b):
         for other in scenario.solvers:
@@ -372,5 +372,6 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
 def runtime_distribution(scenario: Scenario, solver: str) -> list[float]:
     """Ascending runtimes of the instances the solver actually solved."""
     require_solvers(scenario, (solver,))
-    solved = compress(scenario.time_columns[solver], scenario.run_columns[1][solver])
-    return [ms / 1000.0 for ms in sorted(solved)]
+    runs, solved = scenario.outcomes, RunStatus.SOLVED
+    times = sorted(ms for ms, st in zip(runs.ms[solver], runs.statuses[solver]) if st is solved)
+    return [ms / 1000.0 for ms in times]

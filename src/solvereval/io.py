@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from . import __version__
 from .errors import RowError, SchemaError, UnsupportedAttribute
 from .scenario import (
-    Direction,
     InstanceKind,
     RunStatus,
     Scenario,
@@ -191,16 +190,18 @@ def emit_scenario(
     runs_path: str | Path,
     trajectories_path: str | Path | None = None,
 ) -> list[Path]:
-    """Write a scenario as runs CSV (and a trajectory CSV when present).
+    """Write a scenario as runs CSV, and a trajectory CSV when it has trajectories.
 
     Inverse of parse_runs: parsing the written files with the same timeout
-    reproduces the scenario field for field.
+    reproduces the scenario field for field. A trajectory file already at
+    the target is overwritten, header only when there is none, so that no
+    older scenario's events are read back beside these runs.
     """
     runs_path = Path(runs_path)
     _write_csv(runs_path, _run_rows(scenario))
-    if not scenario.trajectories:
-        return [runs_path]
     tpath = Path(trajectories_path) if trajectories_path else trajectories_path_for(runs_path)
+    if not scenario.trajectories and not tpath.exists():
+        return [runs_path]
     _write_csv(tpath, _trajectory_rows(scenario))
     return [runs_path, tpath]
 
@@ -245,15 +246,17 @@ def parse_aslib_runs(
     """Best-effort reader for attribute-relation run tables.
 
     Requires the attributes instance_id, repetition, algorithm, runtime, and
-    runstatus. Only repetition 1 is kept (others are ignored with a warning).
-    runstatus ok maps to solved, memout and crash to error, anything else to
-    timeout; unsolved runs are scored at the timeout.
+    runstatus, checked at the @data line; an attribute after it is a
+    SchemaError. Only repetition 1 is kept (others are ignored with a
+    warning). runstatus ok maps to solved, memout and crash to error,
+    anything else to timeout; unsolved runs are scored at the timeout. Each
+    data row goes to the scenario builder as it is read.
     """
     path = Path(path)
     timeout_s = check_timeout(timeout_s)
     attrs: list[str] = []
-    rows: list[tuple[int, list[str]]] = []
-    in_data = False
+    col = None  # each required attribute's position, from the @data line on
+    builder, skipped_repetitions = ScenarioBuilder(timeout_s), 0
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -263,55 +266,26 @@ def parse_aslib_runs(
             if low.startswith("@relation"):
                 continue
             if low.startswith("@attribute"):
+                if col is not None:
+                    raise SchemaError(f"{path}: attribute on line {line_no} follows @data")
                 parts = line.split(None, 2)
                 if len(parts) < 2:
                     raise SchemaError(f"{path}: malformed attribute on line {line_no}")
                 attrs.append(parts[1].strip().strip("'\"").lower())
                 continue
             if low.startswith("@data"):
-                in_data = True
+                col = col or _aslib_columns(path, attrs)
                 continue
-            if in_data:
-                rows.append((line_no, next(csv.reader([line]))))
+            if col is None:
+                continue
+            run = _aslib_run(next(csv.reader([line])), len(attrs), col, timeout_s, line_no)
+            if run is None:
+                skipped_repetitions += 1
+            elif not builder.run(*run):
+                raise RowError(line_no, f"duplicate row for ({run[0]}, {run[1]})")
 
-    _header(path, attrs)
-    required = ("instance_id", "repetition", "algorithm", "runtime", "runstatus")
-    missing = [a for a in required if a not in attrs]
-    if missing:
-        raise SchemaError(f"{path}: missing attributes {missing}")
-    extra = [a for a in attrs if a not in required]
-    if extra:
-        raise UnsupportedAttribute(f"{path}: unsupported attributes {extra}")
-    col = {a: attrs.index(a) for a in required}
-
-    builder, skipped_repetitions = ScenarioBuilder(timeout_s), 0
-    for line_no, cells in rows:
-        if len(cells) != len(attrs):
-            raise RowError(line_no, f"expected {len(attrs)} fields, got {len(cells)}")
-        cells = [c.strip().strip("'\"") for c in cells]
-        try:
-            repetition = int(float(cells[col["repetition"]]))
-        except (ValueError, OverflowError):
-            raise RowError(line_no, f"unparseable repetition {cells[col['repetition']]!r}") from None
-        if repetition != 1:
-            skipped_repetitions += 1
-            continue
-        iid = cells[col["instance_id"]]
-        sid = cells[col["algorithm"]]
-        runstatus = cells[col["runstatus"]].lower()
-        t = _parse_time(cells[col["runtime"]], line_no)
-        if runstatus == "ok" and quantize_ms(t) < timeout_s:
-            status = RunStatus.SOLVED
-        else:
-            status = RunStatus.ERROR if runstatus in ("memout", "crash") else RunStatus.TIMEOUT
-            t = timeout_s
-        try:
-            run = check_run_values(status, t, math.inf, timeout_s)
-        except ValueError as exc:
-            raise RowError(line_no, str(exc)) from None
-        if not builder.run(iid, sid, run):
-            raise RowError(line_no, f"duplicate row for ({iid}, {sid})")
-
+    if col is None:  # no @data line: the attributes are still checked
+        _aslib_columns(path, attrs)
     if skipped_repetitions:
         _warnings.warn(
             f"{path}: ignored {skipped_repetitions} row(s) with repetition != 1",
@@ -322,16 +296,57 @@ def parse_aslib_runs(
     return builder.scenario(scenario_id or path.stem)
 
 
+_ASLIB_REQUIRED = ("instance_id", "repetition", "algorithm", "runtime", "runstatus")
+
+
+def _aslib_columns(path: Path, attrs: list[str]) -> dict[str, int]:
+    """Each required attribute's position; no attribute may repeat, be missing or be another."""
+    _header(path, attrs)
+    missing = [a for a in _ASLIB_REQUIRED if a not in attrs]
+    if missing:
+        raise SchemaError(f"{path}: missing attributes {missing}")
+    extra = [a for a in attrs if a not in _ASLIB_REQUIRED]
+    if extra:
+        raise UnsupportedAttribute(f"{path}: unsupported attributes {extra}")
+    return {a: attrs.index(a) for a in _ASLIB_REQUIRED}
+
+
+def _aslib_run(cells: list[str], width: int, col: dict[str, int], timeout_s: float,
+               line_no: int) -> tuple[str, str, tuple] | None:
+    """A data row's instance, algorithm and checked run; None for a repetition other than 1."""
+    if len(cells) != width:
+        raise RowError(line_no, f"expected {width} fields, got {len(cells)}")
+    cells = [c.strip().strip("'\"") for c in cells]
+    try:
+        repetition = int(float(cells[col["repetition"]]))
+    except (ValueError, OverflowError):
+        raise RowError(line_no, f"unparseable repetition {cells[col['repetition']]!r}") from None
+    if repetition != 1:
+        return None
+    runstatus = cells[col["runstatus"]].lower()
+    t = _parse_time(cells[col["runtime"]], line_no)
+    if runstatus == "ok" and quantize_ms(t) < timeout_s:
+        status = RunStatus.SOLVED
+    else:
+        status = RunStatus.ERROR if runstatus in ("memout", "crash") else RunStatus.TIMEOUT
+        t = timeout_s
+    try:
+        run = check_run_values(status, t, math.inf, timeout_s)
+    except ValueError as exc:
+        raise RowError(line_no, str(exc)) from None
+    return cells[col["instance_id"]], cells[col["algorithm"]], run
+
+
 def build_report(
     scenario: Scenario,
     evaluations: Sequence[EvaluationResult],
     source: str | None = None,
-    seed: int | None = None,
 ) -> dict:
     """The report of one or more evaluations of the same scenario, as its JSON document.
 
     It holds only JSON types: score --format json prints it as it is, and
-    emit_report renders the table and the CSV from it.
+    emit_report renders the table and the CSV from it. With folds, the
+    provenance names the fold plan's seed.
     """
     from .harness import rank
 
@@ -369,8 +384,8 @@ def build_report(
     }
     if source is not None:
         provenance["source"] = source
-    if seed is not None:
-        provenance["seed"] = seed
+    if plan is not None:
+        provenance["seed"] = plan.seed
     return {
         "scenario": {
             "id": scenario.id,
@@ -424,8 +439,6 @@ def emit_report(report: dict, fmt: str = "table") -> bytes:
         return buf.getvalue().encode()
 
     if fmt == "table":
-        from .metrics import metric_info
-
         solvers = scenario["solvers"]
         lines = [
             f"scenario {scenario['id']}: {scenario['n_instances']} instances x "
@@ -434,11 +447,12 @@ def emit_report(report: dict, fmt: str = "table") -> bytes:
         ]
         headers = ["solver"]
         columns = []
-        for m, params, scores in zip(report["metric"], report["params"], report["scores"]):
+        for m, params, scores, ranking in zip(
+                report["metric"], report["params"], report["scores"], report["ranking"]):
             p = _param_str(params)
             headers.append(f"{m}[{p}]" if p else m)
             values = [scores[sv] for sv in solvers]
-            peak = (min if metric_info(m).direction is Direction.LOWER else max)(values)
+            peak = ranking[0]["score"]  # rank has ordered the scores by the metric's direction
             columns.append([f"{v:.4f}{'*' if v == peak else ''}" for v in values])
         rows = list(zip(solvers, *columns))
         widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]

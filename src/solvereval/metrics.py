@@ -24,7 +24,7 @@ from .errors import (
     SingleSolverScenario,
     UnknownSolver,
 )
-from .scenario import Direction, InstanceKind, Scenario, time_to_ms
+from .scenario import Direction, InstanceKind, RunStatus, Scenario, time_to_ms
 
 __all__ = [
     "Columns",
@@ -58,6 +58,9 @@ class MetricParams:
 # One column per solver, indexed by instance position; see instance_columns.
 Columns = dict[str, Sequence[float | None]]
 
+# Reading an enum member off its class is slow, so the column builders read it here.
+_SOLVED = RunStatus.SOLVED
+
 
 @dataclass(frozen=True)
 class MetricInfo:
@@ -73,7 +76,6 @@ class MetricInfo:
     metric_id: str
     direction: Direction
     decomposable_base: bool
-    optimization_only: bool
     columns: Callable[[Scenario, MetricParams], Columns]
     summed: bool = False
     report_params: Callable[[MetricParams, str], dict[str, object]] = lambda p, _: {}
@@ -99,13 +101,16 @@ def _par_column(times: Iterable[float], lam: float, timeout_s: float) -> list[fl
     if not lam >= 1.0:
         raise BadLambda(f"penalty factor must be >= 1, got {lam}")
     penalty = lam * timeout_s
+    if not math.isfinite(penalty):
+        raise BadLambda(f"penalty lambda * timeout_s must be finite, got lambda={lam} "
+                        f"and timeout_s={timeout_s}")
     return [t if t < timeout_s else penalty for t in times]
 
 
 def par_score(scenario: Scenario, solver: str, lam: float) -> float:
     """Mean penalized runtime of one solver over all instances."""
     require_solvers(scenario, (solver,))
-    total = math.fsum(_par_column(scenario.run_columns[0][solver], lam, scenario.timeout_s))
+    total = math.fsum(_par_column(scenario.outcomes.times[solver], lam, scenario.timeout_s))
     return total / len(scenario.instance_ids)
 
 
@@ -157,7 +162,7 @@ def _run_table(scenario: Scenario) -> list[tuple[bool, list[tuple[float, float]]
     """
     if len(scenario.solvers) < 2:
         raise SingleSolverScenario("pairwise scoring needs at least two solvers")
-    times, _, objs = scenario.run_columns
+    times, objs = scenario.outcomes.times, scenario.outcomes.objs
     rows, decision = zip(*[zip(times[s], objs[s]) for s in scenario.solvers]), InstanceKind.DECISION
     return [(inst.kind is decision, list(row)) for inst, row in zip(scenario.instances, rows)]
 
@@ -317,22 +322,23 @@ def _area(times: Sequence[float], objs: Sequence[float], a: int, b: int, end: fl
 
 
 def _par_columns(scenario: Scenario, params: MetricParams) -> Columns:
-    times = scenario.run_columns[0]
+    times = scenario.outcomes.times
     return {s: _par_column(col, params.lam, scenario.timeout_s) for s, col in times.items()}
 
 
 def _solved_columns(scenario: Scenario, params: MetricParams) -> Columns:
-    return {s: [1.0 if done else 0.0 for done in col] for s, col in scenario.run_columns[1].items()}
+    return {s: [1.0 if st is _SOLVED else 0.0 for st in col]
+            for s, col in scenario.outcomes.statuses.items()}
 
 
 def _normalized_columns(scenario: Scenario, params: MetricParams) -> Columns:
     tau = scenario.timeout_s
-    return {s: [1.0 - t / tau for t in col] for s, col in scenario.run_columns[0].items()}
+    return {s: [1.0 - t / tau for t in col] for s, col in scenario.outcomes.times.items()}
 
 
 def _speedup_columns(scenario: Scenario, params: MetricParams) -> Columns:
     """Per instance, the virtual best time over the solver's time; 0/0 counts as 1."""
-    times = scenario.run_columns[0]
+    times = scenario.outcomes.times
     vbs = [min(row) for row in zip(*times.values())]
     return {s: [1.0 if t == 0.0 else v / t for v, t in zip(vbs, col)] for s, col in times.items()}
 
@@ -369,7 +375,7 @@ def _ratio_columns(scenario: Scenario, params: MetricParams) -> Columns:
             None if not o else 0.0 if b is None or isinf(v) else min(1.0, b / v)
             for o, v, b in zip(opt, col, bests)
         ]
-        for s, col in scenario.run_columns[2].items()
+        for s, col in scenario.outcomes.objs.items()
     }
 
 
@@ -381,17 +387,17 @@ def _reward_columns(scenario: Scenario, params: MetricParams) -> Columns:
     beta (its best). The pool is the instance's final objectives over all
     solvers.
     """
-    _, solved, objs = scenario.run_columns
+    statuses, objs = scenario.outcomes.statuses, scenario.outcomes.objs
     opt, pools = _optimization(scenario), scenario.objective_columns[0]
     alpha, beta, isinf = params.alpha, params.beta, math.isinf
     if not 0.0 <= alpha <= beta <= 1.0 and any(o and pool for o, pool in zip(opt, pools)):
         raise BadAlphaBeta(f"need 0 <= alpha <= beta <= 1, got alpha={alpha}, beta={beta}")
     return {
         s: [
-            None if not o else 0.0 if pool is None or isinf(v) else 1.0 if done
+            None if not o else 0.0 if pool is None or isinf(v) else 1.0 if st is _SOLVED
             else beta if pool[0] == pool[1]
             else alpha + (beta - alpha) * min(1.0, max(0.0, (pool[1] - v) / (pool[1] - pool[0])))
-            for o, v, done, pool in zip(opt, col, solved[s], pools)
+            for o, v, st, pool in zip(opt, col, statuses[s], pools)
         ]
         for s, col in objs.items()
     }
@@ -404,7 +410,7 @@ def _area_columns(scenario: Scenario, params: MetricParams) -> Columns:
         (min(b, pool[0]), pool[1]) if o and pool else None for o, pool, b in zip(opt, pools, bests)
     ]
     tr, tau, columns = scenario.trajectories, scenario.timeout_s, {}
-    for s, col in scenario.run_columns[2].items():
+    for s, col in scenario.outcomes.objs.items():
         times, objs, offsets, proofs = tr.times[s], tr.objs[s], tr.offsets[s], tr.proofs[s]
         column = columns[s] = [None if not o else 0.0 for o in opt]
         for p, bound in enumerate(bounds):
@@ -428,21 +434,20 @@ def _gap_params(params: MetricParams, sbs_policy: str) -> dict[str, object]:
 METRICS: dict[str, MetricInfo] = {
     m.metric_id: m
     for m in (
-        MetricInfo("par", Direction.LOWER, True, False, _par_columns,
+        MetricInfo("par", Direction.LOWER, True, _par_columns,
                    report_params=lambda p, _: {"lambda": p.lam}),
-        MetricInfo("runtime", Direction.LOWER, True, False,
-                   lambda sc, _: dict(sc.run_columns[0])),
-        MetricInfo("solved-count", Direction.HIGHER, False, False, _solved_columns, summed=True),
-        MetricInfo("mznc", Direction.HIGHER, False, False, _mznc_columns, summed=True,
+        MetricInfo("runtime", Direction.LOWER, True, lambda sc, _: dict(sc.outcomes.times)),
+        MetricInfo("solved-count", Direction.HIGHER, False, _solved_columns, summed=True),
+        MetricInfo("mznc", Direction.HIGHER, False, _mznc_columns, summed=True,
                    report_params=lambda p, _: {"delta": p.delta}),
-        MetricInfo("normalized-runtime", Direction.HIGHER, False, False, _normalized_columns),
-        MetricInfo("speedup", Direction.HIGHER, False, False, _speedup_columns),
-        MetricInfo("closed-gap", Direction.HIGHER, False, False,
+        MetricInfo("normalized-runtime", Direction.HIGHER, False, _normalized_columns),
+        MetricInfo("speedup", Direction.HIGHER, False, _speedup_columns),
+        MetricInfo("closed-gap", Direction.HIGHER, False,
                    lambda sc, p: base_columns(sc, p.base_metric, p.lam),
                    report_params=_gap_params, baselines=True),
-        MetricInfo("ratio", Direction.HIGHER, False, True, _ratio_columns),
-        MetricInfo("area", Direction.LOWER, True, True, _area_columns),
-        MetricInfo("bounded-reward", Direction.HIGHER, False, True, _reward_columns,
+        MetricInfo("ratio", Direction.HIGHER, False, _ratio_columns),
+        MetricInfo("area", Direction.LOWER, True, _area_columns),
+        MetricInfo("bounded-reward", Direction.HIGHER, False, _reward_columns,
                    report_params=lambda p, _: {"alpha": p.alpha, "beta": p.beta}),
     )
 }
@@ -456,8 +461,8 @@ def instance_columns(
     Entry p of a column is the solver's value on the instance at position p
     of the scenario's instance order; metrics that need optimization data
     hold None at decision instances. Each column is one pass over the
-    scenario's run_columns (and objective_columns, which the optimization
-    metrics share); mznc reads them instance by instance. Every value
+    scenario's run store, outcomes (and objective_columns, which the
+    optimization metrics share); mznc reads them instance by instance. Every value
     depends on its own instance's runs only, so the values of any subset of
     instances (a fold) are the ones a copy of the scenario restricted to it
     would give. Closed gap has no per-instance values; its baselines read

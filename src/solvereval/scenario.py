@@ -34,7 +34,6 @@ __all__ = [
     "Trajectories",
     "Trajectory",
     "build_scenario",
-    "check_run",
     "check_timeout",
     "positions",
     "quantize_ms",
@@ -129,16 +128,14 @@ class InstanceValues(Mapping):
     """Read-only (solver_id, instance_id) -> value view of per-solver columns.
 
     Covers every solver of columns at the positions at; keys run solver by
-    solver, or instance by instance when instance_major. A lookup reads
-    the column; nothing is copied.
+    solver. A lookup reads the column; nothing is copied.
     """
 
-    __slots__ = ("_columns", "_ids", "_at", "_instance_major", "_where")
+    __slots__ = ("_columns", "_ids", "_at", "_where")
 
     def __init__(self, columns: Mapping[str, Sequence[float]], instance_ids: Sequence[str],
-                 at: Sequence[int], instance_major: bool = False):
-        self._columns, self._ids, self._at = columns, instance_ids, at
-        self._instance_major, self._where = instance_major, None
+                 at: Sequence[int]):
+        self._columns, self._ids, self._at, self._where = columns, instance_ids, at, None
 
     def __getitem__(self, key: tuple[str, str]) -> float:
         if self._where is None:
@@ -148,8 +145,6 @@ class InstanceValues(Mapping):
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         ids, at = self._ids, self._at
-        if self._instance_major:
-            return ((s, ids[p]) for p in at for s in self._columns)
         return ((s, ids[p]) for s in self._columns for p in at)
 
     def __len__(self) -> int:
@@ -170,9 +165,9 @@ class _Store(Mapping):
 
 class Runs(_Store):
     """Per solver, the runs' stored times (an unsolved run's is the timeout), the same in
-    integer ms, statuses, solved flags and objectives. Only a lookup builds a RunOutcome."""
+    integer ms, statuses and objectives. Only a lookup builds a RunOutcome."""
 
-    __slots__ = ("times", "ms", "statuses", "solved", "objs")
+    __slots__ = ("times", "ms", "statuses", "objs")
 
     def __init__(self, instance_ids: tuple[str, ...], times: dict[str, tuple[float, ...]],
                  statuses: dict[str, tuple[RunStatus, ...]], objs: dict[str, tuple[float, ...]]):
@@ -180,8 +175,6 @@ class Runs(_Store):
         self.times, self.statuses, self.objs = times, statuses, objs
         self.ms = {s: tuple(map(round, map(operator.mul, col, repeat(1000.0))))
                    for s, col in times.items()}
-        self.solved = {s: tuple(map(operator.is_, col, repeat(_SOLVED)))
-                       for s, col in statuses.items()}
 
     def __getitem__(self, key: tuple[str, str]) -> RunOutcome:
         i, s = key
@@ -242,17 +235,6 @@ class Scenario:
     def position_map(self) -> dict[str, int]:
         return {inst.id: p for p, inst in enumerate(self.instances)}
 
-    @property
-    def time_columns(self) -> dict[str, tuple[int, ...]]:
-        """Each solver's run times in integer milliseconds, in instance order."""
-        return self.outcomes.ms
-
-    @property
-    def run_columns(self) -> tuple[dict[str, tuple], dict[str, tuple], dict[str, tuple]]:
-        """Each solver's run times in seconds as stored, solved flags and objectives."""
-        runs = self.outcomes
-        return runs.times, runs.solved, runs.objs
-
     @cached_property
     def objective_columns(self) -> tuple[tuple, tuple]:
         """Per instance, in instance order: the objective pool and the best known objective.
@@ -263,7 +245,7 @@ class Scenario:
         else None.
         """
         isfinite, pools, bests = math.isfinite, [], []
-        for inst, row in zip(self.instances, zip(*self.run_columns[2].values())):
+        for inst, row in zip(self.instances, zip(*self.outcomes.objs.values())):
             finite = [v for v in row if isfinite(v)]
             pool = (min(finite), max(finite)) if finite else None
             pools.append(pool)
@@ -320,12 +302,6 @@ def check_timeout(timeout_s: object) -> float:
 # Each status by its value. Reading an enum member off its class is slow, so
 # hot code reads it from a module constant.
 _STATUS, _SOLVED = {st.value: st for st in RunStatus}, RunStatus.SOLVED
-
-
-def check_run(status: object, time_s: object, obj: object, timeout_s: float,
-              unsolved_at_timeout: bool = False) -> RunOutcome:
-    """The normalized run of check_run_values, as a RunOutcome."""
-    return RunOutcome(*check_run_values(status, time_s, obj, timeout_s, unsolved_at_timeout))
 
 
 def check_run_values(status: object, time_s: object, obj: object, timeout_s: float,

@@ -16,6 +16,7 @@ import pytest
 import solvereval
 import solvereval.cli as cli
 from solvereval.cli import build_parser, main
+from solvereval.synthkit import SolverSpec, constant, uniform
 
 RUNS_CSV = """instance_id,solver_id,status,time_s
 i1,a,ok,10.0
@@ -116,6 +117,21 @@ class TestScore:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scores"][0]["b"] == pytest.approx(102.5)
         assert payload["params"][0]["lambda"] == 2.0
+
+    @pytest.mark.parametrize("command", [
+        ["score", "--format", "json"],
+        ["score", "--metric", "closed-gap"],
+        ["score", "--metric", "closed-gap", "--format", "json", "--folds", "2"],
+        ["rank"],
+    ])
+    @pytest.mark.parametrize("lam", ["inf", "1e308"])
+    def test_infinite_penalty_rejected(self, runs_file, capsys, command, lam):
+        # lambda * timeout overflows: no report holds Infinity or a nan score.
+        argv = [command[0], str(runs_file), "--timeout", "100", "--lambda", lam, *command[1:]]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"lambda={float(lam)}" in err and "timeout_s=100.0" in err
 
     @pytest.mark.parametrize("metrics", [["closed-gap"], ["par", "closed-gap"]])
     def test_closed_gap_geomean_folds_rejected_before_loading(self, tmp_path, capsys, metrics):
@@ -415,6 +431,57 @@ class TestGen:
                      "--solver", "broken"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,want", [
+        ("a:p=0.9,runtime=uniform(1,10)", SolverSpec(0.9, uniform(1, 10), None, "a")),
+        ("a:p=1,runtime=constant(4),quality=uniform(0,5)",
+         SolverSpec(1.0, constant(4), uniform(0, 5), "a")),
+        ("a:p=0.5,runtime=4,quality=2", SolverSpec(0.5, constant(4), constant(2), "a")),
+        (" a : p = 0.9 , runtime = uniform( 1 , 10 ) ", SolverSpec(0.9, uniform(1, 10), None, "a")),
+        ("a:P=0.9,RUNTIME=4,Quality=constant(1)", SolverSpec(0.9, constant(4), constant(1), "a")),
+    ])
+    def test_solver_spec_accepted(self, tmp_path, text, want):
+        assert cli._parse_solver_spec(text) == want
+        dest = tmp_path / "x.csv"
+        assert main(["gen", "-o", str(dest), "--instances", "5", "--solver", text]) == 0
+        assert dest.read_text().splitlines()[1].split(",")[1] == "a"
+
+    @pytest.mark.parametrize("text,message", [
+        ("broken", "solver spec 'broken' must look like NAME:p=0.9,runtime=uniform(1,10)"),
+        (":p=0.9,runtime=1", "solver spec ':p=0.9,runtime=1' must look like NAME:"),
+        ("a:p=0.9,runtime", "solver spec field 'runtime' must look like key=value"),
+        ("a:p=0.9,runtime= ", "solver spec field 'runtime= ' must look like key=value"),
+        ("a:p=high,runtime=1", "cannot parse solve probability 'high'"),
+        ("a:p=0.9,runtime=uniform(1,x)", "cannot parse runtime draw 'uniform(1,x)'"),
+        ("a:p=0.9,runtime=constant(x)", "cannot parse runtime draw 'constant(x)'"),
+        ("a:p=0.9,runtime=fast",
+         "cannot parse runtime draw 'fast'; use uniform(lo,hi), constant(x), or a number"),
+        ("a:p=0.9,runtime=1,quality=uniform(1)", "cannot parse quality draw 'uniform(1)'"),
+        ("a:p=0.9,speed=1", "unknown solver spec key 'speed'; use p, runtime, quality"),
+        ("a:runtime=1", "solver spec 'a:runtime=1' needs both p= and runtime="),
+        ("a:p=0.9,runtime=5,runtime=6",
+         "solver spec 'a:p=0.9,runtime=5,runtime=6' gives 'runtime' more than once"),
+        ("a:p=0.9,P=0.8,runtime=1", "solver spec 'a:p=0.9,P=0.8,runtime=1' gives 'p' more than once"),
+        ("a:p=1.5,runtime=1", "a: solve_probability must lie in [0, 1]"),
+    ])
+    def test_solver_spec_rejected(self, tmp_path, capsys, text, message):
+        dest = tmp_path / "x.csv"
+        assert main(["gen", "-o", str(dest), "--solver", text]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not dest.exists()
+        assert err.startswith("error: ") and message in err
+
+    def test_rewrite_leaves_no_stale_trajectories(self, tmp_path, capsys):
+        dest = tmp_path / "x.csv"
+        assert main(["gen", "-o", str(dest), "--instances", "40", "--opt-fraction", "0.5"]) == 0
+        assert (tmp_path / "x_trajectories.csv").stat().st_size > 100
+        capsys.readouterr()
+        assert main(["gen", "-o", str(dest), "--instances", "40"]) == 0
+        # The old trajectory file is overwritten with its header, and named.
+        assert capsys.readouterr().out == f"{dest}\n{tmp_path / 'x_trajectories.csv'}\n"
+        assert (tmp_path / "x_trajectories.csv").read_text() == "instance_id,solver_id,t_s,obj\n"
+        assert main(["validate", str(dest), "--timeout", "100"]) == 0
+        assert capsys.readouterr().out.startswith("ok: scenario 'x', 40 instances (0 optimization)")
 
     def test_optimization_fraction(self, tmp_path):
         dest = tmp_path / "opt.csv"

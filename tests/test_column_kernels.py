@@ -48,7 +48,6 @@ from solvereval import (
     generate,
     head_to_head,
     make_fold_plan,
-    metric_info,
     oracle_score,
     parse_runs,
     runtime_distribution,
@@ -85,16 +84,19 @@ REF_ROWS = {
 }
 
 
+# The metrics that hold None at decision instances.
+OPTIMIZATION_ONLY = {"ratio", "area", "bounded-reward"}
+
+
 def ref_columns(sc, metric_id, params):
     """Per-instance rows from scenario.outcomes, transposed into one column per solver."""
-    info = metric_info(metric_id)
     if metric_id == "closed-gap":
         raise NonDecomposableMetric(metric_id)
     if metric_id == "mznc" and len(sc.solvers) < 2:
         raise SingleSolverScenario(metric_id)
     rows = []
     for inst in sc.instances:
-        if info.optimization_only and inst.kind is InstanceKind.DECISION:
+        if metric_id in OPTIMIZATION_ONLY and inst.kind is InstanceKind.DECISION:
             rows.append([None] * len(sc.solvers))
         else:
             runs = [sc.outcomes[(inst.id, s)] for s in sc.solvers]
@@ -203,7 +205,7 @@ class TestAgainstRows:
             {("o1", "a"): Trajectory(((0.0, 3.0),), 0.0)},
         )
         # An unsolved run keeps the timeout as stored, off the millisecond grid.
-        assert sc.run_columns[0] == {"a": (0.0, 0.0), "b": (tau, tau)}
+        assert sc.outcomes.times == {"a": (0.0, 0.0), "b": (tau, tau)}
         for metric_id in COLUMN_METRICS:
             got = outcome(instance_columns, sc, metric_id, MetricParams())
             assert got == outcome(ref_columns, sc, metric_id, MetricParams()), metric_id
@@ -275,9 +277,6 @@ class TestInstanceValues:
         ids = ("i1", "i2", "i3")
         view = InstanceValues(columns, ids, [0, 2])
         assert list(view) == [("a", "i1"), ("a", "i3"), ("b", "i1"), ("b", "i3")]
-        assert list(InstanceValues(columns, ids, [0, 2], instance_major=True)) == [
-            ("a", "i1"), ("b", "i1"), ("a", "i3"), ("b", "i3"),
-        ]
         assert view == {("a", "i1"): 1.0, ("a", "i3"): 3.0, ("b", "i1"): 4.0, ("b", "i3"): 6.0}
         assert len(view) == 4 and view[("b", "i3")] == 6.0
         assert ("a", "i2") not in view and ("c", "i1") not in view
@@ -288,12 +287,10 @@ class TestInstanceValues:
 
 
 class TestColumnsBuiltOnDemand:
-    def test_time_only_commands_build_no_run_columns(self, tmp_path):
+    def test_time_only_commands_build_no_objective_columns(self, tmp_path):
         runs = tmp_path / "runs.csv"
         emit_scenario(generate(bench_family_spec(3, 20, 4, 0.5)), runs)
         sc = parse_runs(runs, 100.0)
-        # The run and time columns are the store the parse filled, not derived from it.
-        assert sc.time_columns is sc.outcomes.ms and sc.run_columns[0] is sc.outcomes.times
         head_to_head(sc, "s00", "s01")
         runtime_distribution(sc, "s00")
         instance_columns(sc, "par")

@@ -171,12 +171,11 @@ def ref_reward_row(sc, inst, runs, p):
 
 
 def ref_opt_values(sc, row, params):
-    """row over each optimization instance's runs, as (solver, instance) -> value."""
-    values = {}
-    for iid in sc.optimization_ids:
-        runs = [sc.outcome(iid, s) for s in sc.solvers]
-        values.update(zip([(s, iid) for s in sc.solvers], row(sc, sc.instance(iid), runs, params)))
-    return values
+    """row over each optimization instance's runs, as (solver, instance) -> value, keyed
+    solver by solver like every other metric's."""
+    rows = {iid: row(sc, sc.instance(iid), [sc.outcome(iid, s) for s in sc.solvers], params)
+            for iid in sc.optimization_ids}
+    return {(s, iid): values[k] for k, s in enumerate(sc.solvers) for iid, values in rows.items()}
 
 
 def ref_base_values(sc, base_metric, lam):

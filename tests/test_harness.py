@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from helpers import TIMEOUT, decision_scenario, scenario_from, solved, timed_out
@@ -13,6 +14,7 @@ from solvereval import (
     DEFAULT_MERGE,
     Direction,
     EmptyInput,
+    METRICS,
     FoldContext,
     MixedMetrics,
     NonPositiveForGeomean,
@@ -241,20 +243,27 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(sc, "par", fold_plan=plan)
 
-    def test_closed_gap_geomean_merge_rejected_before_scoring(self):
+    def test_closed_gap_geomean_merge_rejected_before_scoring(self, monkeypatch):
         sc = generate(thorough_vs_fast_spec(seed=1, n_instances=60))
         plan = make_fold_plan(sc.instance_ids, 5)
         # every cell scores its own single best solver at exactly 0
         for cell in evaluate(sc, "closed-gap", fold_plan=plan).cells:
             assert cell.table.per_solver[cell.baseline.sbs_id] == 0.0
-        fresh = generate(thorough_vs_fast_spec(seed=1, n_instances=60))
-        assert "run_columns" not in vars(fresh)
+        info, built = METRICS["closed-gap"], []
+
+        def spy(scenario, params):
+            built.append(scenario.id)
+            return info.columns(scenario, params)
+
+        monkeypatch.setitem(METRICS, "closed-gap", replace(info, columns=spy))
         for aggregation in ("geometric_mean", Aggregation.GEOMETRIC_MEAN):
             with pytest.raises(NonPositiveForGeomean, match="closed-gap"):
-                evaluate(fresh, "closed-gap", fold_plan=plan, aggregation=aggregation)
-        assert "run_columns" not in vars(fresh)  # no column was built
+                evaluate(sc, "closed-gap", fold_plan=plan, aggregation=aggregation)
+        assert built == []  # no column was built
+        evaluate(sc, "closed-gap", fold_plan=plan)
+        assert built == [sc.id]  # the spy sees the columns a scoring run builds
         for other in ("par", "runtime", "mznc"):
-            evaluate(fresh, other, fold_plan=plan, aggregation="geometric_mean")
+            evaluate(sc, other, fold_plan=plan, aggregation="geometric_mean")
 
     def test_closed_gap_geomean_without_folds_still_scores(self):
         sc = generate(thorough_vs_fast_spec(seed=1, n_instances=60))

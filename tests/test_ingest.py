@@ -46,7 +46,7 @@ from solvereval import (
     validate_scenario,
 )
 from solvereval.cli import main
-from solvereval.scenario import check_run, quantize_ms
+from solvereval.scenario import check_run_values, quantize_ms
 from solvereval.synthkit import (
     ArchetypeSpec,
     SolverSpec,
@@ -263,16 +263,16 @@ class TestValidateScenario:
 
 class TestCheckRun:
     def test_solved_time_snapped(self):
-        assert check_run(RunStatus.SOLVED, 1.0004, None, 10.0) == RunOutcome(1.0, RunStatus.SOLVED)
+        assert check_run_values(RunStatus.SOLVED, 1.0004, None, 10.0) == (1.0, RunStatus.SOLVED, math.inf)
 
     def test_status_from_its_value(self):
-        assert check_run("timeout", 10.0, 5.0, 10.0) == RunOutcome(10.0, RunStatus.TIMEOUT, 5.0)
+        assert check_run_values("timeout", 10.0, 5.0, 10.0) == (10.0, RunStatus.TIMEOUT, 5.0)
 
     def test_unsolved_stored_at_the_timeout_on_request(self):
         with pytest.raises(ValueError, match="time_s == timeout"):
-            check_run(RunStatus.ERROR, 3.0, None, 10.0)
-        out = check_run(RunStatus.ERROR, 3.0, None, 10.0, unsolved_at_timeout=True)
-        assert out == RunOutcome(10.0, RunStatus.ERROR)
+            check_run_values(RunStatus.ERROR, 3.0, None, 10.0)
+        out = check_run_values(RunStatus.ERROR, 3.0, None, 10.0, unsolved_at_timeout=True)
+        assert out == (10.0, RunStatus.ERROR, math.inf)
 
     @pytest.mark.parametrize("status,time_s,obj,fragment", [
         ("weird", 1.0, None, "unknown status"),
@@ -287,7 +287,7 @@ class TestCheckRun:
     ])
     def test_each_invariant(self, status, time_s, obj, fragment):
         with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):
-            check_run(status, time_s, obj, 10.0, unsolved_at_timeout=True)
+            check_run_values(status, time_s, obj, 10.0, unsolved_at_timeout=True)
 
 
 # 1e306 s is finite, but 1e306 * 1000 ms is not: no millisecond grid point.
@@ -333,9 +333,9 @@ class TestHugeTimes:
             ("InconsistentTrajectory", "(o1, a)"),
         ]
 
-    def test_check_run(self):
+    def test_check_run_values(self):
         with pytest.raises(ValueError, match="exceeds the timeout"):
-            check_run(RunStatus.SOLVED, HUGE, None, 10.0)
+            check_run_values(RunStatus.SOLVED, HUGE, None, 10.0)
 
     def test_cli_validate_exits_1(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
@@ -352,14 +352,14 @@ class TestOffGridTimeout:
     """An unsolved run at a timeout off the millisecond grid is at the timeout."""
 
     def test_stored_at_the_timeout(self):
-        run = check_run(RunStatus.TIMEOUT, 7.0009, 5.0, 7.0009)
-        assert run == RunOutcome(7.0009, RunStatus.TIMEOUT, 5.0)
+        run = check_run_values(RunStatus.TIMEOUT, 7.0009, 5.0, 7.0009)
+        assert run == (7.0009, RunStatus.TIMEOUT, 5.0)
 
     @pytest.mark.parametrize("timeout,written", [(7.0009, 7.001), (0.0005, 0.001), (2.0015, 2.002)])
     def test_as_written_by_emit_scenario(self, timeout, written):
         assert f"{timeout:.3f}" == repr(written)
-        out = check_run("error", written, None, timeout, unsolved_at_timeout=True)
-        assert out == RunOutcome(timeout, RunStatus.ERROR)
+        out = check_run_values("error", written, None, timeout, unsolved_at_timeout=True)
+        assert out == (timeout, RunStatus.ERROR, math.inf)
 
     @pytest.mark.parametrize("status,time_s,unsolved_at_timeout,fragment", [
         (RunStatus.TIMEOUT, 7.001, False, "exceeds the timeout"),  # stored: exactly the timeout
@@ -369,12 +369,12 @@ class TestOffGridTimeout:
     ])
     def test_other_times_past_it_are_rejected(self, status, time_s, unsolved_at_timeout, fragment):
         with pytest.raises(ValueError, match=fragment):
-            check_run(status, time_s, 5.0, 7.0009, unsolved_at_timeout=unsolved_at_timeout)
+            check_run_values(status, time_s, 5.0, 7.0009, unsolved_at_timeout=unsolved_at_timeout)
 
     def test_solved_runs_finish_before_it(self):
-        assert check_run(RunStatus.SOLVED, 7.0, 5.0, 7.0009).time_s == 7.0
+        assert check_run_values(RunStatus.SOLVED, 7.0, 5.0, 7.0009)[0] == 7.0
         with pytest.raises(ValueError, match="strictly before"):
-            check_run(RunStatus.SOLVED, 7.0, 5.0, 7.0)
+            check_run_values(RunStatus.SOLVED, 7.0, 5.0, 7.0)
 
     @pytest.mark.parametrize("timeout,cell", [("7.0009", "7.001"), ("100.0004", "100.000")])
     def test_gen_then_validate(self, tmp_path, capsys, timeout, cell):
@@ -533,7 +533,7 @@ def specs(draw):
 
 
 class TestGeneratedRunsAreChecked:
-    """generate builds each run with check_run, so validating its scenario changes nothing."""
+    """generate builds each run with check_run_values, so validating its scenario changes nothing."""
 
     @given(specs())
     def test_validation_is_the_identity(self, spec):

@@ -30,6 +30,7 @@ from solvereval import (
     emit_report,
     emit_scenario,
     evaluate,
+    make_fold_plan,
     parse_aslib_runs,
     parse_runs,
     rank,
@@ -229,6 +230,18 @@ class TestEmitScenario:
         assert emit_scenario(sc, runs) == [runs]
         assert runs.read_text().splitlines()[0] == "instance_id,solver_id,status,time_s"
 
+    @pytest.mark.parametrize("named", [False, True], ids=["sibling", "named path"])
+    def test_rewrite_leaves_no_stale_trajectories(self, tmp_path, named):
+        runs, tpath = tmp_path / "demo.csv", tmp_path / "events.csv"
+        given = tpath if named else None
+        tpath = tpath if named else trajectories_path_for(runs)
+        emit_scenario(self._scenario(), runs, given)
+        assert len(tpath.read_text().splitlines()) == 4
+        sc = scenario_from({("i1", "a"): solved(1.0)}, scenario_id="demo")
+        assert emit_scenario(sc, runs, given) == [runs, tpath]
+        assert tpath.read_text() == "instance_id,solver_id,t_s,obj\n"
+        assert parse_runs(runs, sc.timeout_s, given) == sc
+
     def test_no_solution_writes_inf(self, tmp_path):
         sc = scenario_from(
             {("o1", "a"): timed_out(), ("o1", "b"): timed_out(obj=5.0)},
@@ -299,6 +312,11 @@ class TestParseAslib:
         ).replace("inst-1,1,solverA,12.5,ok", "inst-1,1,solverA,12.5,100,ok")
         p = _write(tmp_path, "r.arff", text)
         with pytest.raises(UnsupportedAttribute):
+            parse_aslib_runs(p, 3600.0)
+
+    def test_attribute_after_data(self, tmp_path):
+        p = _write(tmp_path, "r.arff", ARFF + "@ATTRIBUTE memory NUMERIC\ninst-3,1,solverA,1.0,ok\n")
+        with pytest.raises(SchemaError, match=r"r\.arff: attribute on line 15 follows @data"):
             parse_aslib_runs(p, 3600.0)
 
     def test_short_row(self, tmp_path):
@@ -410,16 +428,22 @@ class TestBuildReport:
     def test_sections_and_baselines(self):
         sc = self._scenario()
         evaluations = [evaluate(sc, "par"), evaluate(sc, "closed-gap")]
-        report = build_report(sc, evaluations, source="mini.csv", seed=3)
+        report = build_report(sc, evaluations, source="mini.csv")
         assert report["scenario"]["id"] == "mini"
         assert report["metric"] == ["par", "closed-gap"]
         assert len(report["baselines"]) == 1
         provenance = report["provenance"]
         assert provenance["tool"] == "solvereval"
         assert provenance["source"] == "mini.csv"
-        assert provenance["seed"] == 3
+        assert "seed" not in provenance  # no folds were shuffled
         # deterministic output demands no wall-clock fields
         assert not any("time" in str(k).lower() and k != "timeout_s" for k in provenance)
+
+    def test_seed_is_the_fold_plans(self):
+        sc = self._scenario()
+        plan = make_fold_plan(sc.instance_ids, 2, seed=3)
+        provenance = build_report(sc, [evaluate(sc, "par", fold_plan=plan)])["provenance"]
+        assert provenance["seed"] == provenance["fold_plan"]["seed"] == 3
 
     def test_baseline_warnings_are_collected(self):
         sc = scenario_from(
@@ -472,7 +496,7 @@ class TestReportDocument:
                 evaluations.append(evaluate(sc, metric_id, fold_plan=plan, sbs_policy=policy))
             except (DegenerateGap, EmptyInput, MissingTrajectory):  # area without trajectories
                 continue
-        report = build_report(sc, evaluations, source="prop.csv", seed=7)
+        report = build_report(sc, evaluations, source="prop.csv")
         assert _json_types_only(report)
         assert report["metric"] == [ev.metric_id for ev in evaluations]
         loaded = json.loads(emit_report(report, "json"))

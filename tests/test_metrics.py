@@ -68,6 +68,15 @@ class TestPar:
         with pytest.raises(BadLambda):
             par(solved(1.0), lam)
 
+    @pytest.mark.parametrize("lam,timeout_s", [(math.inf, 100.0), (1e308, 100.0), (2.0, 1e308)])
+    def test_infinite_penalty_rejected(self, lam, timeout_s):
+        sc = decision_scenario({"i1": {"a": 1.0}}, timeout_s=timeout_s)
+        for score in (lambda: par_score(sc, "a", lam),
+                      lambda: instance_columns(sc, "par", MetricParams(lam=lam))):
+            with pytest.raises(BadLambda) as e:
+                score()
+            assert f"lambda={lam}" in str(e.value) and f"timeout_s={timeout_s}" in str(e.value)
+
     def test_unknown_solver(self):
         sc = decision_scenario({"i1": {"a": 1.0}})
         with pytest.raises(UnknownSolver):

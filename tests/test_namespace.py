@@ -86,13 +86,25 @@ class TestLazyNamespace:
         assert eval(loaded) == (["statistics"] if "--agg" in argv else [])
 
     def test_io_import_loads_no_scoring_module(self):
+        # A lower-is-better column: the table marks the ranking's first score, the minimum.
+        report = {
+            "scenario": {"id": "s", "n_instances": 2, "solvers": ["a", "b"], "timeout_s": 10.0},
+            "metric": ["par"], "params": [{"lambda": 10.0}], "scores": [{"a": 2.5, "b": 1.5}],
+            "ranking": [[{"solver": "b", "score": 1.5, "position": 1, "tied": False},
+                         {"solver": "a", "score": 2.5, "position": 2, "tied": False}]],
+            "baselines": [], "warnings": [], "provenance": {},
+        }
         proc = _child(
             "import sys, solvereval.io\n"
+            f"table = solvereval.io.emit_report({report!r}, 'table').decode()\n"
+            "print(repr(table.splitlines()[-2:]))\n"
             "print(sorted(m for m in sys.modules if m.startswith('solvereval.')))"
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = eval(proc.stdout)
-        assert {"solvereval.harness", "solvereval.baselines"}.isdisjoint(loaded)
+        rows, loaded = map(eval, proc.stdout.splitlines())
+        assert [row.split() for row in rows] == [["a", "2.5000"], ["b", "1.5000*"]]
+        assert {"solvereval.harness", "solvereval.baselines", "solvereval.metrics"}.isdisjoint(
+            loaded)
 
     def test_package_import_loads_no_submodule(self):
         proc = _child(

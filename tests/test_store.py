@@ -50,16 +50,15 @@ def with_trajectories():
 
 
 def ref_run_columns(sc):
-    """Each solver's times, integer ms, statuses, solved flags and objectives, from the view."""
+    """Each solver's times, integer ms, statuses and objectives, from the view."""
     at = {i: p for p, i in enumerate(sc.instance_ids)}
     cols = {name: {s: [None] * len(at) for s in sc.solvers}
-            for name in ("times", "ms", "statuses", "solved", "objs")}
+            for name in ("times", "ms", "statuses", "objs")}
     for (i, s), run in sc.outcomes.items():
         p = at[i]
         cols["times"][s][p], cols["statuses"][s][p], cols["objs"][s][p] = (
             run.time_s, run.status, run.obj)
         cols["ms"][s][p] = round(run.time_s * 1000.0)
-        cols["solved"][s][p] = run.status is RunStatus.SOLVED
     return {name: {s: tuple(col) for s, col in by.items()} for name, by in cols.items()}
 
 
@@ -85,7 +84,7 @@ def ref_trajectory_columns(sc):
 def store_columns(sc):
     runs, trajs = sc.outcomes, sc.trajectories
     return (
-        {name: getattr(runs, name) for name in ("times", "ms", "statuses", "solved", "objs")},
+        {name: getattr(runs, name) for name in Runs.__slots__},
         {name: getattr(trajs, name) for name in ("times", "objs", "offsets", "proofs", "traced")},
     )
 
@@ -95,8 +94,6 @@ def assert_columns_match_views(sc):
     runs, trajs = store_columns(sc)
     assert runs == ref_run_columns(sc)
     assert trajs == ref_trajectory_columns(sc)
-    assert sc.time_columns is sc.outcomes.ms
-    assert sc.run_columns == (sc.outcomes.times, sc.outcomes.solved, sc.outcomes.objs)
 
 
 def _round_trip(sc, directory, shuffle_runs=None, shuffle_events=None):
@@ -189,8 +186,8 @@ class TestValueSemantics:
         kept = restrict(sc, sc.instance_ids[::2])
         assert kept.instance_ids == sc.instance_ids[::2]
         for s in sc.solvers:
-            assert kept.time_columns[s] == sc.time_columns[s][::2]
-            assert kept.run_columns[2][s] == sc.run_columns[2][s][::2]
+            assert kept.outcomes.ms[s] == sc.outcomes.ms[s][::2]
+            assert kept.outcomes.objs[s] == sc.outcomes.objs[s][::2]
         assert dict(kept.trajectories.items()) == {
             k: v for k, v in sc.trajectories.items() if k[0] in kept.instance_ids}
 
@@ -207,7 +204,7 @@ def test_raw_dict_scenarios_still_validate():
         trajectories={("o1", "a"): Trajectory(((1.0004, 5),))}))
     assert sc.outcome("i1", "a") == RunOutcome(1.0, RunStatus.SOLVED, math.inf)
     assert sc.trajectory("o1", "a") == Trajectory(((1.0, 5.0),))
-    assert sc.time_columns == {"a": (3000, 1000)}
+    assert sc.outcomes.ms == {"a": (3000, 1000)}
 
 
 def test_run_kind_breaches_in_the_order_recorded(tmp_path):

@@ -1,7 +1,8 @@
 """Head-to-head counts and runtime distributions read per-solver time columns.
 
 The reference functions below are the per-instance loops as they were
-before both read ``Scenario.time_columns``: one outcome lookup and one
+before both read the run store's millisecond column, ``outcomes.ms``: one
+outcome lookup and one
 ``time_to_ms`` per instance and solver. Every comparison is exact (==).
 """
 
@@ -26,6 +27,7 @@ from solvereval import (
     runtime_distribution,
     time_to_ms,
 )
+from solvereval.scenario import Runs
 
 
 def ref_head_to_head(sc, solver_a, solver_b):
@@ -109,14 +111,17 @@ class TestAgainstReference:
 class TestTimeColumns:
     def test_columns_in_instance_order(self):
         sc = decision_scenario({"i1": {"a": 1.5, "b": None}, "i2": {"a": 0.0, "b": 2.25}})
-        assert sc.time_columns == {"a": (1500, 0), "b": (100_000, 2250)}
+        assert sc.outcomes.ms == {"a": (1500, 0), "b": (100_000, 2250)}
 
-    def test_columns_built_once(self):
-        sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
-        assert sc.time_columns is sc.time_columns
+    def test_store_fields(self):
+        # The millisecond column is stored beside the times; nothing derived from the
+        # statuses (such as a solved flag) is.
+        assert Runs.__slots__ == ("times", "ms", "statuses", "objs")
+        sc = decision_scenario({"i1": {"a": 1.0, "b": None}})
+        assert sc.outcomes.statuses == {"a": (RunStatus.SOLVED,), "b": (RunStatus.TIMEOUT,)}
 
     def test_columns_do_not_enter_equality(self):
         sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
         other = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
-        sc.time_columns
+        sc.outcomes.ms
         assert sc == other

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import MissingFoldContext
-from .metrics import Columns, base_columns, valued
+from .metrics import Columns, Split, base_columns, read_split
 from .scenario import Scenario, positions
 
 __all__ = [
@@ -55,10 +56,6 @@ class BaselineReport:
     warnings: tuple[str, ...] = ()
 
 
-def _totals(columns: Columns, at: Sequence[int]) -> dict[str, float]:
-    return {s: math.fsum([column[p] for p in at]) for s, column in columns.items()}
-
-
 def _selection(
     scenario: Scenario, policy: SbsPolicy, fold_context: FoldContext | None
 ) -> Sequence[int]:
@@ -72,9 +69,16 @@ def _selection(
     return positions(scenario, split)
 
 
-def _sbs(columns: Columns, selection: Sequence[int]) -> str:
-    totals = _totals(columns, valued(columns, selection))
-    return min(columns, key=lambda s: (totals[s], s))
+def _sbs(selection: Sequence[Split]) -> str:
+    """The solver with the least total over the splits; ties go lexicographically.
+
+    math.fsum rounds the exact sum once, so a total does not depend on how
+    its values are split or ordered.
+    """
+    solvers = selection[0].values
+    totals = {s: math.fsum(chain.from_iterable(sp.values[s] for sp in selection))
+              for s in solvers}
+    return min(solvers, key=lambda s: (totals[s], s))
 
 
 def cell_baselines(
@@ -83,19 +87,23 @@ def cell_baselines(
     base_metric: str,
     policy: SbsPolicy,
     fold_context: FoldContext | None,
-    evaluation: Sequence[int],
+    test: Split,
+    selection: Sequence[Split] | None = None,
 ) -> tuple[BaselineReport, dict[str, float]]:
     """Both baselines of one cell, read off the base metric's columns (base_columns).
 
-    The SBS is picked on the policy's selection set; both m_vbs and m_sbs are
-    then measured at the evaluation positions (ascending). Also returns every
-    solver's base total there, which is what its closed gap compares.
+    The SBS is picked on the policy's selection set, given as the splits
+    that make it up (evaluate passes the other folds, the test fold or every
+    fold), or else read at the fold context's split. Both m_vbs and m_sbs
+    are then measured on the test split. Also returns every solver's base
+    total there, which is what its closed gap compares.
     """
-    sbs = _sbs(columns, _selection(scenario, policy, fold_context))
-    evaluation = valued(columns, evaluation)
-    totals = _totals(columns, evaluation)
+    if selection is None:
+        selection = [read_split(columns, _selection(scenario, policy, fold_context))]
+    sbs = _sbs(selection)
+    totals = {s: math.fsum(values) for s, values in test.values.items()}
     ids = scenario.instance_ids
-    per_instance = {ids[p]: min(column[p] for column in columns.values()) for p in evaluation}
+    per_instance = {ids[p]: min(row) for p, row in zip(test.at, zip(*test.values.values()))}
     m_vbs = math.fsum(per_instance.values())
     m_sbs = totals[sbs]
     gap_ratio = 0.0 if m_sbs == 0.0 else (m_sbs - m_vbs) / m_sbs
@@ -128,7 +136,7 @@ def select_sbs(
 ) -> str:
     """Pick the single best solver on the policy's selection set; ties go lexicographically."""
     selection = _selection(scenario, SbsPolicy(policy), fold_context)
-    return _sbs(base_columns(scenario, base_metric, lam), selection)
+    return _sbs([read_split(base_columns(scenario, base_metric, lam), selection)])
 
 
 def baseline_report(
@@ -148,8 +156,9 @@ def baseline_report(
         positions(scenario, fold_context.test) if fold_context is not None
         else range(len(scenario.instances))
     )
+    columns = base_columns(scenario, base_metric, lam)
     report, _ = cell_baselines(
-        scenario, base_columns(scenario, base_metric, lam), base_metric,
-        SbsPolicy(policy), fold_context, evaluation,
+        scenario, columns, base_metric, SbsPolicy(policy), fold_context,
+        read_split(columns, evaluation),
     )
     return report

@@ -4,20 +4,29 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .baselines import BaselineReport, FoldContext, SbsPolicy, cell_baselines
-from .errors import BadK, EmptyInput, MixedMetrics, NonPositiveForGeomean, SameSolver
+from .errors import (
+    BadK,
+    EmptyInput,
+    EmptyRestriction,
+    MixedMetrics,
+    NonPositiveForGeomean,
+    SameSolver,
+)
 from .metrics import (
     Columns,
     MetricParams,
+    Split,
     closed_gap,
     metric_info,
     mznc_scores,
+    read_split,
     require_solvers,
-    valued,
 )
 from .rng import SplitMix64
 from .scenario import (
@@ -136,6 +145,27 @@ def check_fold_merge(metric_id: str, aggregation: Aggregation | str) -> None:
         )
 
 
+def check_partition(scenario: Scenario, fold_plan: FoldPlan) -> None:
+    """Reject a fold plan unless each repeat splits the instances into non-empty folds."""
+    ids = set(scenario.instance_ids)
+    for r, folds in enumerate(fold_plan.assignment):
+        listed = [i for fold in folds for i in fold]
+        if len(listed) != len(ids) or set(listed) != ids:
+            if r == 0 and set(listed) != ids:
+                raise ValueError("fold plan does not cover exactly the scenario's instances")
+            counts = Counter(listed)
+            unknown = [i for i in counts if i not in ids]
+            if unknown:
+                raise ValueError(f"fold plan repeat {r} lists instance {unknown[0]!r}, "
+                                 "which the scenario does not have")
+            i = next(i for i in scenario.instance_ids if counts[i] != 1)
+            raise ValueError(f"fold plan repeat {r} puts instance {i!r} in {counts[i]} folds; "
+                             "each instance must be in exactly one")
+        if not all(folds):
+            f = next(f for f, fold in enumerate(folds) if not fold)
+            raise EmptyRestriction(f"fold plan repeat {r} has an empty fold, fold {f}")
+
+
 def score_scenario(
     scenario: Scenario,
     metric_id: str,
@@ -144,6 +174,8 @@ def score_scenario(
     fold_context: FoldContext | None = None,
     *,
     columns: Columns | None = None,
+    split: Split | None = None,
+    selection: Sequence[Split] | None = None,
 ) -> tuple[ScoreTable, BaselineReport | None]:
     """Score every solver under one metric.
 
@@ -154,36 +186,42 @@ def score_scenario(
     Scores read the metric's per-instance columns over the whole scenario
     (instance_columns, or base_columns for the closed gap) at the split's
     positions, and the table's per_instance is a view of them. columns
-    passes ones already built for this scenario, metric and params, as
-    evaluate does for every cell.
+    passes ones already built for this scenario, metric and params; split
+    the test split read off them (read_split), and selection, for the
+    closed gap, the splits that make up the SBS selection set. evaluate
+    passes all three for every cell, in place of a fold context; without
+    them, they are read for the fold context's splits.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
     policy = SbsPolicy(sbs_policy) if sbs_policy is not None else (
         SbsPolicy.TRAIN_SPLIT if fold_context is not None else SbsPolicy.FULL_DATASET
     )
-    test = (
-        positions(scenario, fold_context.test) if fold_context is not None
-        else range(len(scenario.instances))
-    )
+    # A bad test split fails before any column is built.
+    if split is None:
+        test = (
+            positions(scenario, fold_context.test) if fold_context is not None
+            else range(len(scenario.instances))
+        )
     if columns is None:
         columns = info.columns(scenario, params)
+    if split is None:
+        split = read_split(columns, test)
     table_params = info.report_params(params, policy.value)
     solvers = scenario.solvers
 
     if info.baselines:
         report, totals = cell_baselines(
-            scenario, columns, params.base_metric, policy, fold_context, test
+            scenario, columns, params.base_metric, policy, fold_context, split, selection
         )
         per_solver = {s: closed_gap(totals[s], report.m_sbs, report.m_vbs) for s in solvers}
         return ScoreTable(metric_id, table_params, per_solver, info.direction), report
 
-    cell = valued(columns, test)
-    if not cell:
+    if not split.at:
         raise EmptyInput(f"{metric_id} needs optimization instances")
-    per_instance = InstanceValues(columns, scenario.instance_ids, cell)
+    per_instance = InstanceValues(columns, scenario.instance_ids, split.at)
     how = Aggregation.SUM if info.summed else Aggregation.ARITHMETIC_MEAN
-    per_solver = {s: aggregate([columns[s][p] for p in cell], how) for s in solvers}
+    per_solver = {s: aggregate(split.values[s], how) for s in solvers}
     table = ScoreTable(
         metric_id, table_params, per_solver, info.direction, per_instance, how.value
     )
@@ -225,8 +263,10 @@ def evaluate(
     one, the metric is scored on each test fold (baselines resolved per
     sbs_policy against that cell's splits) and the per-cell scores are merged
     with the chosen aggregation, arithmetic mean by default; a merge that
-    must fail (check_fold_merge) is rejected before any scoring. The metric's
-    per-instance columns are built once, and every cell reads them.
+    must fail (check_fold_merge), and a plan that is not a partition of the
+    instances (check_partition), are rejected before any scoring. The
+    metric's per-instance columns are built once, and each fold's values
+    read off them once per repeat.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
@@ -241,20 +281,27 @@ def evaluate(
         )
 
     check_fold_merge(metric_id, merge)
-    if set(fold_plan.instance_ids) != set(scenario.instance_ids):
-        raise ValueError("fold plan does not cover exactly the scenario's instances")
+    check_partition(scenario, fold_plan)
     policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.TRAIN_SPLIT
     columns = info.columns(scenario, params)
 
-    # Only a closed-gap SBS picked on the training split reads a cell's train ids.
-    needs_train = info.baselines and policy is SbsPolicy.TRAIN_SPLIT
-    cells = []
+    cells, index = [], scenario.position_map
     for r, folds in enumerate(fold_plan.assignment):
+        # Each fold's values are read once. A closed-gap cell also sums those of
+        # its selection folds, so its repeat reads every fold up front; any
+        # other cell reads its own fold when it comes, which keeps one fold's
+        # values alive at a time.
+        at = [sorted(map(index.__getitem__, fold)) for fold in folds]
+        splits = [read_split(columns, fold_at) for fold_at in at] if info.baselines else None
         for f, test in enumerate(folds):
-            train = tuple(i for g, fold in enumerate(folds) if g != f and needs_train for i in fold)
+            split = read_split(columns, at[f]) if splits is None else splits[f]
+            selection = None if splits is None else (
+                splits[:f] + splits[f + 1 :] if policy is SbsPolicy.TRAIN_SPLIT
+                else [split] if policy is SbsPolicy.TEST_SPLIT else splits
+            )
             table, report = score_scenario(
-                scenario, metric_id, params, policy, FoldContext(train=train, test=test),
-                columns=columns,
+                scenario, metric_id, params, policy, None,
+                columns=columns, split=split, selection=selection,
             )
             cells.append(FoldCell(r, f, test, table, report))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadAlphaBeta,
@@ -31,6 +31,7 @@ __all__ = [
     "MetricInfo",
     "MetricParams",
     "METRICS",
+    "Split",
     "base_columns",
     "base_instance_values",
     "closed_gap",
@@ -40,7 +41,7 @@ __all__ = [
     "mznc_score",
     "normalized_runtime_score",
     "par_score",
-    "valued",
+    "read_split",
 ]
 
 
@@ -298,29 +299,6 @@ def closed_gap(m_solver: float, m_sbs: float, m_vbs: float) -> float:
     return (m_sbs - m_solver) / (m_sbs - m_vbs)
 
 
-def _area(times: Sequence[float], objs: Sequence[float], a: int, b: int, end: float | None,
-          best: float, worst: float, timeout_s: float) -> float:
-    """Normalized area under the solution-quality step function; lower is better.
-
-    The events are times[a:b] and objs[a:b], b > a; end is the proof time,
-    or None. Quality is 1 before the first solution, the incumbent
-    objective scaled into [0, 1] by the bounds (best, worst), finite with
-    best <= worst, afterwards, and 0 from the moment optimality was proven.
-    """
-    pieces = [times[a] * 1.0]
-    last = b - 1
-    for e in range(a, b):
-        t, v = times[e], objs[e]
-        nxt = times[e + 1] if e < last else timeout_s if end is None else end
-        # The incumbent, scaled into [0, 1] by the bounds.
-        quality = (0.0 if v <= best else 1.0) if worst == best else (
-            min(1.0, max(0.0, (v - best) / (worst - best)))
-        )
-        pieces.append((nxt - t) * quality)
-    # The proven-optimal stretch contributes zero area.
-    return math.fsum(pieces) / timeout_s
-
-
 def _par_columns(scenario: Scenario, params: MetricParams) -> Columns:
     times = scenario.outcomes.times
     return {s: _par_column(col, params.lam, scenario.timeout_s) for s, col in times.items()}
@@ -404,22 +382,44 @@ def _reward_columns(scenario: Scenario, params: MetricParams) -> Columns:
 
 
 def _area_columns(scenario: Scenario, params: MetricParams) -> Columns:
+    """Normalized area under each run's solution-quality step function; lower is better.
+
+    Quality is 1 before the first solution, the incumbent objective scaled
+    into [0, 1] by the instance's bounds (best, worst) afterwards, and 0
+    from the moment optimality was proven. A run without a solution has
+    quality 1 throughout; one with a solution needs its trajectory.
+    """
     # No objective scale to integrate against when nobody found a solution.
     opt, (pools, bests) = _optimization(scenario), scenario.objective_columns
-    bounds = [
-        (min(b, pool[0]), pool[1]) if o and pool else None for o, pool, b in zip(opt, pools, bests)
-    ]
-    tr, tau, columns = scenario.trajectories, scenario.timeout_s, {}
+    bounded = [(p, min(b, pool[0]), pool[1])
+               for p, (o, pool, b) in enumerate(zip(opt, pools, bests)) if o and pool]
+    tr, tau, fsum, columns = scenario.trajectories, scenario.timeout_s, math.fsum, {}
     for s, col in scenario.outcomes.objs.items():
         times, objs, offsets, proofs = tr.times[s], tr.objs[s], tr.offsets[s], tr.proofs[s]
         column = columns[s] = [None if not o else 0.0 for o in opt]
-        for p, bound in enumerate(bounds):
+        for p, best, worst in bounded:
             a, b = offsets[p], offsets[p + 1]
-            if bound is not None and a == b and not math.isinf(col[p]):
-                raise MissingTrajectory(f"area needs a trajectory for ({scenario.instance_ids[p]}, "
-                                        f"{s}); none was recorded")
-            if bound is not None:  # a run without a solution has quality 1 throughout
-                column[p] = _area(times, objs, a, b, proofs[p], *bound, tau) if a < b else 1.0
+            if a == b:
+                if not math.isinf(col[p]):
+                    raise MissingTrajectory(f"area needs a trajectory for "
+                                            f"({scenario.instance_ids[p]}, {s}); none was recorded")
+                column[p] = 1.0
+                continue
+            t = times[a]
+            pieces = [t]
+            for e in range(a, b):
+                # The incumbent, scaled into [0, 1] by the bounds, up to the next event.
+                v = objs[e]
+                if worst == best:
+                    quality = 0.0 if v <= best else 1.0
+                else:
+                    x = (v - best) / (worst - best)
+                    quality = 1.0 if x > 1.0 else x if x > 0.0 else 0.0
+                nxt = times[e + 1] if e + 1 < b else tau if proofs[p] is None else proofs[p]
+                pieces.append((nxt - t) * quality)
+                t = nxt
+            # The proven-optimal stretch contributes zero area.
+            column[p] = fsum(pieces) / tau
     return columns
 
 
@@ -475,10 +475,19 @@ def instance_columns(
     return info.columns(scenario, params)
 
 
-def valued(columns: Columns, at: Iterable[int]) -> list[int]:
-    """The positions of at where the columns hold a value."""
+class Split(NamedTuple):
+    """A split of a metric's columns, read once: the positions where they hold a value, in
+    the order given, and each solver's values there (read_split)."""
+
+    at: list[int]
+    values: dict[str, list[float]]
+
+
+def read_split(columns: Columns, at: Iterable[int]) -> Split:
+    """The split of columns at the positions of at, skipping those without a value."""
     first = next(iter(columns.values()))
-    return [p for p in at if first[p] is not None]
+    at = [p for p in at if first[p] is not None]
+    return Split(at, {s: list(map(column.__getitem__, at)) for s, column in columns.items()})
 
 
 def base_columns(scenario: Scenario, base_metric: str, lam: float = 10.0) -> Columns:

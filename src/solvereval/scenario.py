@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, islice, repeat
+from types import MappingProxyType
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -165,16 +166,20 @@ class _Store(Mapping):
 
 class Runs(_Store):
     """Per solver, the runs' stored times (an unsolved run's is the timeout), the same in
-    integer ms, statuses and objectives. Only a lookup builds a RunOutcome."""
+    integer ms, statuses and objectives, each family a read-only mapping of tuples. Only a
+    lookup builds a RunOutcome."""
 
     __slots__ = ("times", "ms", "statuses", "objs")
 
     def __init__(self, instance_ids: tuple[str, ...], times: dict[str, tuple[float, ...]],
                  statuses: dict[str, tuple[RunStatus, ...]], objs: dict[str, tuple[float, ...]]):
         super().__init__(instance_ids)
-        self.times, self.statuses, self.objs = times, statuses, objs
-        self.ms = {s: tuple(map(round, map(operator.mul, col, repeat(1000.0))))
-                   for s, col in times.items()}
+        self.times, self.statuses, self.objs = map(MappingProxyType, (times, statuses, objs))
+        self.ms = MappingProxyType({s: tuple(map(round, map(operator.mul, col, repeat(1000.0))))
+                                    for s, col in times.items()})
+
+    def __reduce__(self):
+        return Runs, (self.instance_ids, *map(dict, (self.times, self.statuses, self.objs)))
 
     def __getitem__(self, key: tuple[str, str]) -> RunOutcome:
         i, s = key
@@ -191,13 +196,19 @@ class Runs(_Store):
 class Trajectories(_Store):
     """Per solver, flat event times (on the ms grid) and objectives, those of position p at
     offsets[p]:offsets[p + 1], proofs[p] (a proof time or None) and the traced positions
-    (a trajectory may have no event). Only a lookup builds a Trajectory."""
+    (a trajectory may have no event), each family a read-only mapping. Only a lookup builds a
+    Trajectory."""
 
     __slots__ = ("times", "objs", "offsets", "proofs", "traced")
 
     def __init__(self, instance_ids: tuple[str, ...], *columns: dict[str, tuple | frozenset]):
         super().__init__(instance_ids)
-        self.times, self.objs, self.offsets, self.proofs, self.traced = columns
+        self.times, self.objs, self.offsets, self.proofs, self.traced = map(
+            MappingProxyType, columns)
+
+    def __reduce__(self):
+        families = (self.times, self.objs, self.offsets, self.proofs, self.traced)
+        return Trajectories, (self.instance_ids, *map(dict, families))
 
     def __getitem__(self, key: tuple[str, str]) -> Trajectory:
         i, s = key

@@ -453,3 +453,118 @@ class TestErrorParity:
         assert outcome(score_scenario, sc, "closed-gap", None, policy, second) is DegenerateGap
         assert_same_cells(sc, "closed-gap", MetricParams(), plan, policy)
         assert outcome(evaluate, sc, "closed-gap", None, plan, policy) is DegenerateGap
+
+
+class TestFoldPlanPartition:
+    """evaluate scores a fold plan only when each repeat puts every instance in exactly one fold."""
+
+    @staticmethod
+    def scenario():
+        return generate(thorough_vs_fast_spec(seed=3, n_instances=6))
+
+    @staticmethod
+    def plan(*repeats):
+        return FoldPlan(seed=0, k=2, repeats=len(repeats), assignment=repeats)
+
+    GOOD = (("i000", "i001", "i002"), ("i003", "i004", "i005"))
+
+    def test_a_later_repeat_that_drops_and_repeats_instances(self):
+        plan = self.plan(self.GOOD, (("i000", "i001", "i002"), ("i000", "i003", "i004")))
+        with pytest.raises(ValueError, match=r"repeat 1 puts instance 'i000' in 2 folds"):
+            evaluate(self.scenario(), "par", None, plan)
+
+    @pytest.mark.parametrize("policy", list(SbsPolicy))
+    def test_overlapping_folds(self, policy):
+        plan = self.plan((("i000", "i001", "i002", "i003"), ("i003", "i004", "i005")))
+        with pytest.raises(ValueError, match=r"repeat 0 puts instance 'i003' in 2 folds"):
+            evaluate(self.scenario(), "closed-gap", None, plan, policy)
+
+    def test_a_later_repeat_that_misses_an_instance(self):
+        plan = self.plan(self.GOOD, (("i000", "i001"), ("i003", "i004", "i005")))
+        with pytest.raises(ValueError, match=r"repeat 1 puts instance 'i002' in 0 folds"):
+            evaluate(self.scenario(), "par", None, plan)
+
+    def test_a_later_repeat_that_names_an_unknown_instance(self):
+        plan = self.plan(self.GOOD, (("i000", "i001", "i002"), ("i003", "i004", "i005", "x")))
+        with pytest.raises(ValueError, match=r"repeat 1 lists instance 'x', which the scenario"):
+            evaluate(self.scenario(), "par", None, plan)
+
+    @pytest.mark.parametrize("first", [
+        (("i000", "i001", "i002"), ("i003", "i004")),
+        (("i000", "i001", "i002"), ("i003", "i004", "i005", "x")),
+    ])
+    def test_first_repeat_off_the_instance_set_keeps_its_message(self, first):
+        with pytest.raises(ValueError, match="^fold plan does not cover exactly the scenario's"):
+            evaluate(self.scenario(), "par", None, self.plan(first, self.GOOD))
+
+    def test_an_empty_fold(self):
+        plan = self.plan(self.GOOD, (self.GOOD[0] + self.GOOD[1], ()))
+        with pytest.raises(EmptyRestriction, match=r"repeat 1 has an empty fold, fold 1"):
+            evaluate(self.scenario(), "closed-gap", None, plan)
+
+    def test_rejected_before_any_scoring(self):
+        # A bad penalty fails the column build, which a plan check must come before.
+        plan = self.plan(self.GOOD, (("i000", "i001", "i002"), ("i000", "i003", "i004")))
+        with pytest.raises(ValueError, match="repeat 1"):
+            evaluate(self.scenario(), "par", MetricParams(lam=0.5), plan)
+        with pytest.raises(BadLambda):
+            evaluate(self.scenario(), "par", MetricParams(lam=0.5), self.plan(self.GOOD))
+
+    def test_a_partition_in_any_fold_order_scores(self):
+        shuffled = (("i005", "i000", "i003"), ("i004", "i002", "i001"))
+        result = evaluate(self.scenario(), "par", None, self.plan(self.GOOD, shuffled))
+        assert len(result.cells) == 4
+
+
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class TestSbsTies:
+    """a and b tie exactly on a selection set but not as left-to-right float sums.
+
+    Totals are math.fsum, so a tie is a tie and goes to the lexicographically
+    first solver. Summing left to right, or taking the training total as the
+    whole total minus the test total, would make b look better here. c times
+    out on most instances, so it is never the SBS, and it keeps each fold's
+    virtual best below the SBS.
+    """
+
+    A = (0.1, 0.2, 0.3)
+    B = (0.3, 0.2, 0.1)
+
+    def test_premise(self):
+        assert math.fsum(self.A) == math.fsum(self.B)
+        assert left_to_right(self.A) > left_to_right(self.B)
+        assert left_to_right(self.A * 2) > left_to_right(self.B * 2)
+
+    @pytest.mark.parametrize("policy", list(SbsPolicy))
+    def test_permuted_folds_pick_the_first_solver(self, policy):
+        # Each fold holds the same values for a and b, in a different order.
+        times = {
+            f"i{k}": {"a": a, "b": b, "c": 0.001 if k % 3 == 0 else None}
+            for k, (a, b) in enumerate(zip(self.A * 2, self.B * 2))
+        }
+        sc = decision_scenario(times)
+        plan = FoldPlan(0, 2, 1, ((("i0", "i1", "i2"), ("i3", "i4", "i5")),))
+        assert_same_evaluation(sc, "closed-gap", MetricParams(), plan, policy, None)
+        result = evaluate(sc, "closed-gap", MetricParams(), plan, policy)
+        assert [c.baseline.sbs_id for c in result.cells] == ["a", "a"]
+
+    def test_train_tie_beside_differing_test_folds(self):
+        # Cell 0 trains on i2-i4, where a and b tie; they differ on its test fold i0-i1.
+        test_a, test_b = (0.1, 0.1), (0.1, 0.2)
+        assert (math.fsum(test_a + self.A) - math.fsum(test_a)
+                > math.fsum(test_b + self.B) - math.fsum(test_b))
+        times = {
+            f"i{k}": {"a": a, "b": b, "c": 0.001 if k in (0, 2) else None}
+            for k, (a, b) in enumerate(zip(test_a + self.A, test_b + self.B))
+        }
+        sc = decision_scenario(times)
+        plan = FoldPlan(0, 2, 1, ((("i0", "i1"), ("i2", "i3", "i4")),))
+        assert_same_evaluation(sc, "closed-gap", MetricParams(), plan, SbsPolicy.TRAIN_SPLIT, None)
+        result = evaluate(sc, "closed-gap", MetricParams(), plan, SbsPolicy.TRAIN_SPLIT)
+        assert result.cells[0].baseline.sbs_id == "a"

@@ -181,6 +181,27 @@ class TestValueSemantics:
             with pytest.raises(TypeError):
                 view[("o1", "a")] = None
 
+    @given(with_trajectories())
+    def test_column_families_are_sealed(self, sc):
+        families = [getattr(sc.outcomes, f) for f in ("times", "ms", "statuses", "objs")] + [
+            getattr(sc.trajectories, f) for f in ("times", "objs", "offsets", "proofs", "traced")]
+        solver = sc.solvers[0]
+        copy = pickle.loads(pickle.dumps(sc))
+        for family in families:
+            with pytest.raises(TypeError):
+                family[solver] = ()
+            with pytest.raises(TypeError):
+                family["new"] = ()
+            with pytest.raises(TypeError):
+                del family[solver]
+        copied = [getattr(copy.outcomes, f) for f in ("times", "ms", "statuses", "objs")] + [
+            getattr(copy.trajectories, f) for f in ("times", "objs", "offsets", "proofs", "traced")]
+        for family, again in zip(families, copied):
+            assert type(again) is type(family) and again == family
+        # Equality reads the views, so a store with the same runs compares equal.
+        assert copy == sc and copy.outcomes == dict(sc.outcomes.items())
+        assert copy.trajectories == dict(sc.trajectories.items())
+
     def test_restrict_slices_the_store(self):
         sc = generate_mixed()
         kept = restrict(sc, sc.instance_ids[::2])

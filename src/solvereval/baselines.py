@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import MissingFoldContext
-from .metrics import Columns, Split, base_columns, read_split
+from .metrics import Split, base_columns, read_split
 from .scenario import Scenario, positions
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "SbsPolicy",
     "baseline_report",
     "cell_baselines",
+    "cell_positions",
     "select_sbs",
 ]
 
@@ -56,17 +57,26 @@ class BaselineReport:
     warnings: tuple[str, ...] = ()
 
 
-def _selection(
-    scenario: Scenario, policy: SbsPolicy, fold_context: FoldContext | None
-) -> Sequence[int]:
+def cell_positions(
+    scenario: Scenario, policy: SbsPolicy, fold_context: FoldContext | None, baselines: bool = True
+) -> tuple[Sequence[int], Sequence[int] | None]:
+    """A cell's test positions and, for a baselines metric, its SBS selection positions.
+
+    Without a fold context the test split is every instance. A split naming
+    no or unknown instances, or a split policy without a fold context, fails
+    here, before any column is built.
+    """
+    every = range(len(scenario.instances))
+    test = every if fold_context is None else positions(scenario, fold_context.test)
+    if not baselines:
+        return test, None
     if policy is SbsPolicy.FULL_DATASET:
-        return range(len(scenario.instances))
+        return test, every
     if fold_context is None:
         raise MissingFoldContext(
             f"policy {policy.value} needs a fold context with train/test splits"
         )
-    split = fold_context.train if policy is SbsPolicy.TRAIN_SPLIT else fold_context.test
-    return positions(scenario, split)
+    return test, test if policy is SbsPolicy.TEST_SPLIT else positions(scenario, fold_context.train)
 
 
 def _sbs(selection: Sequence[Split]) -> str:
@@ -82,28 +92,20 @@ def _sbs(selection: Sequence[Split]) -> str:
 
 
 def cell_baselines(
-    scenario: Scenario,
-    columns: Columns,
-    base_metric: str,
-    policy: SbsPolicy,
-    fold_context: FoldContext | None,
-    test: Split,
-    selection: Sequence[Split] | None = None,
+    instance_ids: Sequence[str], base_metric: str, policy: SbsPolicy, test: Split,
+    selection: Sequence[Split],
 ) -> tuple[BaselineReport, dict[str, float]]:
-    """Both baselines of one cell, read off the base metric's columns (base_columns).
+    """Both baselines of one cell, read off splits of the base metric's columns (base_columns).
 
-    The SBS is picked on the policy's selection set, given as the splits
-    that make it up (evaluate passes the other folds, the test fold or every
-    fold), or else read at the fold context's split. Both m_vbs and m_sbs
-    are then measured on the test split. Also returns every solver's base
-    total there, which is what its closed gap compares.
+    The SBS is picked on the policy's selection set, given as the splits that
+    make it up (evaluate passes the other folds, the test fold or every fold).
+    Both m_vbs and m_sbs are then measured on the test split. Also returns
+    every solver's base total there, which is what its closed gap compares.
     """
-    if selection is None:
-        selection = [read_split(columns, _selection(scenario, policy, fold_context))]
     sbs = _sbs(selection)
     totals = {s: math.fsum(values) for s, values in test.values.items()}
-    ids = scenario.instance_ids
-    per_instance = {ids[p]: min(row) for p, row in zip(test.at, zip(*test.values.values()))}
+    rows = zip(test.at, zip(*test.values.values()))
+    per_instance = {instance_ids[p]: min(row) for p, row in rows}
     m_vbs = math.fsum(per_instance.values())
     m_sbs = totals[sbs]
     gap_ratio = 0.0 if m_sbs == 0.0 else (m_sbs - m_vbs) / m_sbs
@@ -135,8 +137,7 @@ def select_sbs(
     fold_context: FoldContext | None = None,
 ) -> str:
     """Pick the single best solver on the policy's selection set; ties go lexicographically."""
-    selection = _selection(scenario, SbsPolicy(policy), fold_context)
-    return _sbs([read_split(base_columns(scenario, base_metric, lam), selection)])
+    return baseline_report(scenario, base_metric, lam, policy, fold_context).sbs_id
 
 
 def baseline_report(
@@ -152,13 +153,11 @@ def baseline_report(
     then measured on the evaluation set (the test split when a fold context is
     given, the whole scenario otherwise).
     """
-    evaluation = (
-        positions(scenario, fold_context.test) if fold_context is not None
-        else range(len(scenario.instances))
-    )
+    policy = SbsPolicy(policy)
+    test, selection = cell_positions(scenario, policy, fold_context)
     columns = base_columns(scenario, base_metric, lam)
     report, _ = cell_baselines(
-        scenario, columns, base_metric, SbsPolicy(policy), fold_context,
-        read_split(columns, evaluation),
+        scenario.instance_ids, base_metric, policy,
+        read_split(columns, test), [read_split(columns, selection)],
     )
     return report

@@ -7,9 +7,9 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .baselines import BaselineReport, FoldContext, SbsPolicy, cell_baselines
+from .baselines import BaselineReport, FoldContext, SbsPolicy, cell_baselines, cell_positions
 from .errors import (
     BadK,
     EmptyInput,
@@ -35,7 +35,6 @@ from .scenario import (
     RunStatus,
     Scenario,
     ScoreTable,
-    positions,
 )
 
 __all__ = [
@@ -87,18 +86,21 @@ def aggregate(values: Sequence[float], method: Aggregation | str) -> float:
 class FoldPlan:
     """Deterministic k-fold assignments, one partition per repeat.
 
-    Fold membership is a function of (seed, k, repeats, instance id set)
-    only; the order instances were listed in does not matter.
+    make_fold_plan's membership is a function of (seed, k, repeats, instance
+    id set) only, not of the order instances were listed in. k and repeats
+    are read off the assignment.
     """
 
     seed: int
-    k: int
-    repeats: int
     assignment: tuple[tuple[tuple[str, ...], ...], ...]
 
     @property
-    def instance_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(i for fold in self.assignment[0] for i in fold))
+    def k(self) -> int:
+        return len(self.assignment[0])
+
+    @property
+    def repeats(self) -> int:
+        return len(self.assignment)
 
 
 def make_fold_plan(
@@ -125,7 +127,7 @@ def make_fold_plan(
             folds.append(tuple(order[start : start + size]))
             start += size
         repeats_out.append(tuple(folds))
-    return FoldPlan(seed=seed, k=k, repeats=repeats, assignment=tuple(repeats_out))
+    return FoldPlan(seed=seed, assignment=tuple(repeats_out))
 
 
 DEFAULT_MERGE = Aggregation.ARITHMETIC_MEAN
@@ -146,9 +148,15 @@ def check_fold_merge(metric_id: str, aggregation: Aggregation | str) -> None:
 
 
 def check_partition(scenario: Scenario, fold_plan: FoldPlan) -> None:
-    """Reject a fold plan unless each repeat splits the instances into non-empty folds."""
-    ids = set(scenario.instance_ids)
+    """Reject a fold plan unless each repeat splits the instances into k >= 2 non-empty folds."""
+    if not fold_plan.assignment:
+        raise ValueError("fold plan has no repeat")
+    ids, k = set(scenario.instance_ids), fold_plan.k
     for r, folds in enumerate(fold_plan.assignment):
+        if len(folds) < 2:
+            raise BadK(f"fold plan repeat {r} has {len(folds)} fold(s); k must be at least 2")
+        if len(folds) != k:
+            raise ValueError(f"fold plan repeat {r} has {len(folds)} folds, repeat 0 has {k}")
         listed = [i for fold in folds for i in fold]
         if len(listed) != len(ids) or set(listed) != ids:
             if r == 0 and set(listed) != ids:
@@ -187,32 +195,30 @@ def score_scenario(
     (instance_columns, or base_columns for the closed gap) at the split's
     positions, and the table's per_instance is a view of them. columns
     passes ones already built for this scenario, metric and params; split
-    the test split read off them (read_split), and selection, for the
-    closed gap, the splits that make up the SBS selection set. evaluate
-    passes all three for every cell, in place of a fold context; without
-    them, they are read for the fold context's splits.
+    the test split read off them (read_split), which needs them passed; and
+    selection, which the closed gap then needs, the splits that make up the
+    SBS selection set. evaluate passes all three for every cell, in place of
+    a fold context. Without a split, the cell is resolved (cell_positions)
+    before the columns are built.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
     policy = SbsPolicy(sbs_policy) if sbs_policy is not None else (
         SbsPolicy.TRAIN_SPLIT if fold_context is not None else SbsPolicy.FULL_DATASET
     )
-    # A bad test split fails before any column is built.
     if split is None:
-        test = (
-            positions(scenario, fold_context.test) if fold_context is not None
-            else range(len(scenario.instances))
-        )
-    if columns is None:
-        columns = info.columns(scenario, params)
-    if split is None:
+        test, chosen = cell_positions(scenario, policy, fold_context, info.baselines)
+        columns = columns if columns is not None else info.columns(scenario, params)
         split = read_split(columns, test)
+        selection = None if chosen is None else [read_split(columns, chosen)]
+    elif columns is None or info.baselines and selection is None:
+        raise TypeError("a split needs the columns it was read off, and a closed gap its selection")
     table_params = info.report_params(params, policy.value)
     solvers = scenario.solvers
 
     if info.baselines:
         report, totals = cell_baselines(
-            scenario, columns, params.base_metric, policy, fold_context, split, selection
+            scenario.instance_ids, params.base_metric, policy, split, selection
         )
         per_solver = {s: closed_gap(totals[s], report.m_sbs, report.m_vbs) for s in solvers}
         return ScoreTable(metric_id, table_params, per_solver, info.direction), report
@@ -239,9 +245,6 @@ class FoldCell:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    scenario_id: str
-    metric_id: str
-    params: Mapping[str, object]
     cells: tuple[FoldCell, ...]
     merged: ScoreTable
     fold_plan: FoldPlan | None
@@ -263,10 +266,10 @@ def evaluate(
     one, the metric is scored on each test fold (baselines resolved per
     sbs_policy against that cell's splits) and the per-cell scores are merged
     with the chosen aggregation, arithmetic mean by default; a merge that
-    must fail (check_fold_merge), and a plan that is not a partition of the
-    instances (check_partition), are rejected before any scoring. The
-    metric's per-instance columns are built once, and each fold's values
-    read off them once per repeat.
+    must fail (check_fold_merge), and a plan that does not split the
+    instances into the same k >= 2 folds in every repeat (check_partition),
+    are rejected before any scoring. The metric's per-instance columns are
+    built once, and each fold's values read off them once per repeat.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
@@ -276,9 +279,7 @@ def evaluate(
         policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.FULL_DATASET
         table, report = score_scenario(scenario, metric_id, params, policy, None)
         cell = FoldCell(0, 0, scenario.instance_ids, table, report)
-        return EvaluationResult(
-            scenario.id, metric_id, table.params, (cell,), table, None, policy, merge
-        )
+        return EvaluationResult((cell,), table, None, policy, merge)
 
     check_fold_merge(metric_id, merge)
     check_partition(scenario, fold_plan)
@@ -312,9 +313,7 @@ def evaluate(
     merged = ScoreTable(
         metric_id, cells[0].table.params, merged_scores, cells[0].table.direction
     )
-    return EvaluationResult(
-        scenario.id, metric_id, merged.params, tuple(cells), merged, fold_plan, policy, merge
-    )
+    return EvaluationResult(tuple(cells), merged, fold_plan, policy, merge)
 
 
 @dataclass(frozen=True)

@@ -368,7 +368,7 @@ def build_report(
                 "vbs_per_instance": dict(b.vbs_per_instance),
                 "warnings": list(b.warnings),
             })
-            tag = f"[{ev.metric_id} r{cell.repeat} f{cell.fold}] " if ev.fold_plan else ""
+            tag = f"[{ev.merged.metric_id} r{cell.repeat} f{cell.fold}] " if ev.fold_plan else ""
             collected.extend(tag + w for w in b.warnings)
     first = evaluations[0] if evaluations else None
     plan = first.fold_plan if first is not None else None
@@ -393,7 +393,7 @@ def build_report(
             "solvers": list(scenario.solvers),
             "timeout_s": scenario.timeout_s,
         },
-        "metric": [ev.metric_id for ev in evaluations],
+        "metric": [ev.merged.metric_id for ev in evaluations],
         "params": [dict(ev.merged.params) for ev in evaluations],
         "scores": [dict(ev.merged.per_solver) for ev in evaluations],
         "ranking": [ranking_json(rank([ev.merged])) for ev in evaluations],

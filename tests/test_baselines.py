@@ -8,6 +8,7 @@ import pytest
 from helpers import TIMEOUT, decision_scenario
 
 from solvereval import (
+    BadLambda,
     FoldContext,
     MissingFoldContext,
     SbsPolicy,
@@ -54,6 +55,14 @@ class TestSbs:
             select_sbs(_flip_scenario(), "par", policy=SbsPolicy.TRAIN_SPLIT)
         with pytest.raises(MissingFoldContext):
             select_sbs(_flip_scenario(), "par", policy=SbsPolicy.TEST_SPLIT)
+
+    def test_missing_fold_context_before_columns(self):
+        # A penalty below 1 fails the column build, which the cell check comes before.
+        for resolve in (select_sbs, baseline_report):
+            with pytest.raises(MissingFoldContext):
+                resolve(_flip_scenario(), "par", 0.5, "train_split")
+            with pytest.raises(BadLambda):
+                resolve(_flip_scenario(), "par", 0.5, "full_dataset")
 
     def test_selection_follows_the_policy_split(self):
         sc = _flip_scenario()

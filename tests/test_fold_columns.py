@@ -23,7 +23,9 @@ from test_properties import scenarios
 
 from solvereval import (
     Aggregation,
+    METRICS,
     BadAlphaBeta,
+    BadK,
     BadLambda,
     BaselineReport,
     DegenerateGap,
@@ -282,7 +284,7 @@ def ref_evaluate(sc, metric_id, params, plan, sbs_policy, aggregation):
         policy = sbs_policy or SbsPolicy.FULL_DATASET
         table, report = ref_score(sc, metric_id, params, policy, None)
         cell = FoldCell(0, 0, sc.instance_ids, table, report)
-        return EvaluationResult(sc.id, metric_id, table.params, (cell,), table, None, policy, merge)
+        return EvaluationResult((cell,), table, None, policy, merge)
     if merge is Aggregation.GEOMETRIC_MEAN and metric_id == "closed-gap":
         # Each cell scores its single best solver at 0: rejected before any scoring.
         raise NonPositiveForGeomean(metric_id)
@@ -299,9 +301,7 @@ def ref_evaluate(sc, metric_id, params, plan, sbs_policy, aggregation):
         {s: aggregate([c.table.per_solver[s] for c in cells], merge) for s in sc.solvers},
         cells[0].table.direction,
     )
-    return EvaluationResult(
-        sc.id, metric_id, merged.params, tuple(cells), merged, plan, policy, merge
-    )
+    return EvaluationResult(tuple(cells), merged, plan, policy, merge)
 
 
 def outcome(fn, *args):
@@ -446,7 +446,7 @@ class TestErrorParity:
             "i3": {"a": 5.0, "b": 5.0},
             "i4": {"a": 7.0, "b": 7.0},
         })
-        plan = FoldPlan(seed=0, k=2, repeats=1, assignment=((("i1", "i2"), ("i3", "i4")),))
+        plan = FoldPlan(seed=0, assignment=((("i1", "i2"), ("i3", "i4")),))
         first = FoldContext(train=("i3", "i4"), test=("i1", "i2"))
         second = FoldContext(train=("i1", "i2"), test=("i3", "i4"))
         assert isinstance(outcome(score_scenario, sc, "closed-gap", None, policy, first), tuple)
@@ -464,7 +464,7 @@ class TestFoldPlanPartition:
 
     @staticmethod
     def plan(*repeats):
-        return FoldPlan(seed=0, k=2, repeats=len(repeats), assignment=repeats)
+        return FoldPlan(seed=0, assignment=repeats)
 
     GOOD = (("i000", "i001", "i002"), ("i003", "i004", "i005"))
 
@@ -510,6 +510,30 @@ class TestFoldPlanPartition:
         with pytest.raises(BadLambda):
             evaluate(self.scenario(), "par", MetricParams(lam=0.5), self.plan(self.GOOD))
 
+    @pytest.mark.parametrize("metric_id", ["par", "closed-gap"])
+    @pytest.mark.parametrize("assignment, error, message", [
+        ((), ValueError, "^fold plan has no repeat"),
+        (((GOOD[0] + GOOD[1],),), BadK, r"repeat 0 has 1 fold"),
+        ((GOOD, (GOOD[0] + GOOD[1],)), BadK, r"repeat 1 has 1 fold"),
+        ((GOOD, (GOOD[0], GOOD[1][:1], GOOD[1][1:])), ValueError,
+         r"repeat 1 has 3 folds, repeat 0 has 2"),
+    ])
+    def test_bad_shape_rejected_before_any_column(
+        self, monkeypatch, metric_id, assignment, error, message
+    ):
+        sc, info, built = self.scenario(), METRICS[metric_id], []
+
+        def spy(scenario, params):
+            built.append(scenario.id)
+            return info.columns(scenario, params)
+
+        monkeypatch.setitem(METRICS, metric_id, replace(info, columns=spy))
+        with pytest.raises(error, match=message):
+            evaluate(sc, metric_id, None, FoldPlan(0, assignment))
+        assert built == []  # no column was built
+        evaluate(sc, metric_id, None, self.plan(self.GOOD))
+        assert built == [sc.id]  # the spy sees the columns a scoring run builds
+
     def test_a_partition_in_any_fold_order_scores(self):
         shuffled = (("i005", "i000", "i003"), ("i004", "i002", "i001"))
         result = evaluate(self.scenario(), "par", None, self.plan(self.GOOD, shuffled))
@@ -549,7 +573,7 @@ class TestSbsTies:
             for k, (a, b) in enumerate(zip(self.A * 2, self.B * 2))
         }
         sc = decision_scenario(times)
-        plan = FoldPlan(0, 2, 1, ((("i0", "i1", "i2"), ("i3", "i4", "i5")),))
+        plan = FoldPlan(0, ((("i0", "i1", "i2"), ("i3", "i4", "i5")),))
         assert_same_evaluation(sc, "closed-gap", MetricParams(), plan, policy, None)
         result = evaluate(sc, "closed-gap", MetricParams(), plan, policy)
         assert [c.baseline.sbs_id for c in result.cells] == ["a", "a"]
@@ -564,7 +588,7 @@ class TestSbsTies:
             for k, (a, b) in enumerate(zip(test_a + self.A, test_b + self.B))
         }
         sc = decision_scenario(times)
-        plan = FoldPlan(0, 2, 1, ((("i0", "i1"), ("i2", "i3", "i4")),))
+        plan = FoldPlan(0, ((("i0", "i1"), ("i2", "i3", "i4")),))
         assert_same_evaluation(sc, "closed-gap", MetricParams(), plan, SbsPolicy.TRAIN_SPLIT, None)
         result = evaluate(sc, "closed-gap", MetricParams(), plan, SbsPolicy.TRAIN_SPLIT)
         assert result.cells[0].baseline.sbs_id == "a"

@@ -14,8 +14,12 @@ from solvereval import (
     DEFAULT_MERGE,
     Direction,
     EmptyInput,
+    EmptyRestriction,
     METRICS,
+    BadLambda,
     FoldContext,
+    MetricParams,
+    MissingFoldContext,
     MixedMetrics,
     NonPositiveForGeomean,
     SameSolver,
@@ -23,6 +27,7 @@ from solvereval import (
     ScoreTable,
     SingleSolverScenario,
     Trajectory,
+    UnknownInstance,
     UnknownSolver,
     UnsupportedMetricForFolds,
     aggregate,
@@ -38,6 +43,7 @@ from solvereval import (
     score_scenario,
     thorough_vs_fast_spec,
 )
+from solvereval.metrics import base_columns, instance_columns, read_split
 
 
 class TestAggregate:
@@ -131,6 +137,33 @@ class TestScoreScenario:
         assert report.sbs_id == "b"
         assert table.per_solver["b"] == 0.0
         assert table.params["sbs_policy"] == "full_dataset"
+
+    @pytest.mark.parametrize("context, error", [
+        (None, MissingFoldContext),
+        (FoldContext(train=("x",), test=("i000",)), UnknownInstance),
+        (FoldContext(train=(), test=("i000",)), EmptyRestriction),
+    ])
+    def test_cell_checked_before_columns(self, context, error):
+        # A penalty below 1 fails the column build, which the cell check comes before.
+        sc = generate(thorough_vs_fast_spec(seed=3, n_instances=6))
+        with pytest.raises(error):
+            score_scenario(sc, "closed-gap", MetricParams(lam=0.5), "train_split", context)
+        with pytest.raises(BadLambda):
+            score_scenario(sc, "closed-gap", MetricParams(lam=0.5), "full_dataset", context)
+
+    @pytest.mark.parametrize("metric_id", ["par", "closed-gap"])
+    def test_a_split_needs_its_columns(self, metric_id):
+        sc = generate(thorough_vs_fast_spec(seed=3, n_instances=6))
+        build = base_columns if metric_id == "closed-gap" else instance_columns
+        columns = build(sc, "par")
+        split = read_split(columns, range(6))
+        with pytest.raises(TypeError, match="columns it was read off"):
+            score_scenario(sc, metric_id, split=split, selection=[split])
+        if metric_id == "closed-gap":
+            with pytest.raises(TypeError, match="closed gap its selection"):
+                score_scenario(sc, metric_id, columns=columns, split=split)
+        table, _ = score_scenario(sc, metric_id, columns=columns, split=split, selection=[split])
+        assert table == score_scenario(sc, metric_id)[0]
 
     def test_optimization_metrics_need_optimization_instances(self):
         sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})

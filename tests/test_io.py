@@ -17,6 +17,7 @@ from solvereval import (
     DegenerateGap,
     Direction,
     EmptyInput,
+    FoldPlan,
     InstanceKind,
     MissingTrajectory,
     RowError,
@@ -445,6 +446,14 @@ class TestBuildReport:
         provenance = build_report(sc, [evaluate(sc, "par", fold_plan=plan)])["provenance"]
         assert provenance["seed"] == provenance["fold_plan"]["seed"] == 3
 
+    def test_a_hand_built_plan_reports_its_own_shape(self):
+        sc = self._scenario()
+        plan = FoldPlan(seed=4, assignment=((("i1",), ("i2",)), (("i2",), ("i1",))))
+        result = evaluate(sc, "par", fold_plan=plan)
+        assert len(result.cells) == 4
+        provenance = build_report(sc, [result])["provenance"]
+        assert provenance["fold_plan"] == {"k": 2, "repeats": 2, "seed": 4}
+
     def test_baseline_warnings_are_collected(self):
         sc = scenario_from(
             {
@@ -498,7 +507,7 @@ class TestReportDocument:
                 continue
         report = build_report(sc, evaluations, source="prop.csv")
         assert _json_types_only(report)
-        assert report["metric"] == [ev.metric_id for ev in evaluations]
+        assert report["metric"] == [ev.merged.metric_id for ev in evaluations]
         loaded = json.loads(emit_report(report, "json"))
         assert loaded == report
         # Rendering reads the document's content, not its dicts' key order.

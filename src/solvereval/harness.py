@@ -16,13 +16,14 @@ from .errors import (
     EmptyRestriction,
     MixedMetrics,
     NonPositiveForGeomean,
-    SameSolver,
 )
 from .metrics import (
     Columns,
     MetricParams,
     Split,
+    _require_pair,
     closed_gap,
+    find_flip_delta,
     metric_info,
     mznc_scores,
     read_split,
@@ -96,7 +97,7 @@ class FoldPlan:
 
     @property
     def k(self) -> int:
-        return len(self.assignment[0])
+        return len(self.assignment[0]) if self.assignment else 0
 
     @property
     def repeats(self) -> int:
@@ -361,13 +362,6 @@ class HeadToHead:
     ties: int
 
 
-def _require_pair(scenario: Scenario, solver_a: str, solver_b: str) -> None:
-    """SameSolver for one solver named twice, else UnknownSolver for a solver not in the scenario."""
-    if solver_a == solver_b:
-        raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
-    require_solvers(scenario, (solver_a, solver_b))
-
-
 def head_to_head(scenario: Scenario, solver_a: str, solver_b: str) -> HeadToHead:
     """Count instances each solver finished strictly faster; equal times tie."""
     _require_pair(scenario, solver_a, solver_b)
@@ -388,31 +382,6 @@ def delta_sweep(
     require_solvers(scenario, chosen)
     scores = mznc_scores(scenario, chosen, deltas)
     return {float(d): {s: scores[s][n] for s in chosen} for n, d in enumerate(deltas)}
-
-
-def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float | None:
-    """Smallest threshold from which solver_a outscores solver_b for every larger one.
-
-    Pairwise scores only change at thresholds equal to some per-instance time
-    difference, so scanning those breakpoints is exhaustive. Returns None if
-    solver_a never stays ahead.
-    """
-    _require_pair(scenario, solver_a, solver_b)
-    cols = scenario.outcomes.ms
-    diffs_ms = {0}
-    for s in (solver_a, solver_b):
-        for other in scenario.solvers:
-            if other != s:
-                diffs_ms.update(map(abs, map(operator.sub, cols[s], cols[other])))
-    candidates = [d / 1000.0 for d in sorted(diffs_ms)]
-    scores = mznc_scores(scenario, (solver_a, solver_b), candidates)
-    flip: float | None = None
-    for d, a, b in reversed(list(zip(candidates, scores[solver_a], scores[solver_b]))):
-        if a > b:
-            flip = d
-        else:
-            break
-    return flip
 
 
 def runtime_distribution(scenario: Scenario, solver: str) -> list[float]:

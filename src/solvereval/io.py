@@ -246,7 +246,8 @@ def parse_aslib_runs(
     """Best-effort reader for attribute-relation run tables.
 
     Requires the attributes instance_id, repetition, algorithm, runtime, and
-    runstatus, checked at the @data line; an attribute after it is a
+    runstatus, checked at the @data line; an attribute after it, or a line
+    before it that is not blank, a % comment, @relation or @attribute, is a
     SchemaError. Only repetition 1 is kept (others are ignored with a
     warning). runstatus ok maps to solved, memout and crash to error,
     anything else to timeout; unsolved runs are scored at the timeout. Each
@@ -277,7 +278,8 @@ def parse_aslib_runs(
                 col = col or _aslib_columns(path, attrs)
                 continue
             if col is None:
-                continue
+                raise SchemaError(f"{path}: line {line_no} comes before @data and is not "
+                                  "blank, a comment, @relation or @attribute")
             run = _aslib_run(next(csv.reader([line])), len(attrs), col, timeout_s, line_no)
             if run is None:
                 skipped_repetitions += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     SingleSolverScenario,
     UnknownSolver,
 )
-from .scenario import Direction, InstanceKind, RunStatus, Scenario, time_to_ms
+from .scenario import Direction, InstanceKind, RunStatus, Scenario
 
 __all__ = [
     "Columns",
@@ -125,23 +126,22 @@ def threshold_ms(delta: float) -> int:
 def _pair_entries(
     decision: bool,
     timeout_s: float,
-    t: float,
-    obj: float,
-    opponents: Sequence[tuple[float, float]],
+    run: tuple[float, int, float],
+    opponents: Sequence[tuple[float, int, float]],
 ) -> list[tuple[float, int | None]]:
-    """Pairwise entries of run (t, obj) against each opponent run (t2, obj2).
+    """Pairwise entries of a run (time, ms, obj) against each opponent run.
 
     An entry is the value outside the tie branch plus, for a tie-eligible
     pair (past the first two branches, objectives equal), the absolute time
     difference in milliseconds; otherwise None.
     """
+    t, t_ms, obj = run
     # A solver knows nothing about a decision instance it timed out on, or an
     # optimization instance it found no solution for.
     if (t >= timeout_s) if decision else math.isinf(obj):
         return [(0.0, None)] * len(opponents)
-    t_ms = time_to_ms(t)
     entries: list[tuple[float, int | None]] = []
-    for t2, obj2 in opponents:
+    for t2, ms2, obj2 in opponents:
         # Strictly better: finished while the other side hit the timeout, or
         # found a strictly better objective value.
         if (t2 < t and t == timeout_s) or obj2 < obj:
@@ -151,36 +151,35 @@ def _pair_entries(
         else:
             denom = t + t2
             value = 0.5 if denom == 0.0 else t2 / denom
-            entries.append((value, abs(t_ms - time_to_ms(t2)) if obj == obj2 else None))
+            entries.append((value, abs(t_ms - ms2) if obj == obj2 else None))
     return entries
 
 
-def _run_table(scenario: Scenario) -> list[tuple[bool, list[tuple[float, float]]]]:
-    """Per instance: whether it is a decision instance, and each solver's (time, objective).
-
-    Every pairwise score reads this table, so it is where a scenario with
-    fewer than two solvers is rejected.
-    """
+def _require_opponents(scenario: Scenario) -> None:
     if len(scenario.solvers) < 2:
         raise SingleSolverScenario("pairwise scoring needs at least two solvers")
-    times, objs = scenario.outcomes.times, scenario.outcomes.objs
-    rows, decision = zip(*[zip(times[s], objs[s]) for s in scenario.solvers]), InstanceKind.DECISION
-    return [(inst.kind is decision, list(row)) for inst, row in zip(scenario.instances, rows)]
 
 
-def _pair_rows(
-    scenario: Scenario, table: list[tuple[bool, list[tuple[float, float]]]], solver: str
-) -> Iterator[list[tuple[float, int | None]]]:
+def _require_pair(scenario: Scenario, solver_a: str, solver_b: str) -> None:
+    """SameSolver for a solver named twice, else UnknownSolver for one not in the scenario."""
+    if solver_a == solver_b:
+        raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
+    require_solvers(scenario, (solver_a, solver_b))
+
+
+def _pair_rows(scenario: Scenario, solver: str) -> Iterator[list[tuple[float, int | None]]]:
     """The solver's pair entries, one list per instance, made one at a time.
 
     Rows follow the scenario's instance order, and entries its solver order
-    without the solver itself. Only the tie branch depends on delta, so the
-    rows serve every threshold; see _pair_entries for what an entry holds.
+    without the solver itself; each run is read off the store's times, ms
+    and objs columns. Only the tie branch depends on delta, so the rows
+    serve every threshold; see _pair_entries for what an entry holds.
     """
-    tau = scenario.timeout_s
-    k = scenario.solvers.index(solver)
-    for decision, runs in table:
-        yield _pair_entries(decision, tau, *runs[k], runs[:k] + runs[k + 1 :])
+    runs, decision = scenario.outcomes, InstanceKind.DECISION
+    columns = {s: zip(runs.times[s], runs.ms[s], runs.objs[s]) for s in scenario.solvers}
+    own = columns.pop(solver)
+    kinds = (inst.kind is decision for inst in scenario.instances)
+    return map(_pair_entries, kinds, repeat(scenario.timeout_s), own, zip(*columns.values()))
 
 
 def _pair_values(entries: Sequence[tuple[float, int | None]], delta_ms: int) -> list[float]:
@@ -218,12 +217,10 @@ def mznc_pair(
         raise SameSolver("a solver cannot be scored against itself")
     require_solvers(scenario, (solver, opponent))
     delta_ms = threshold_ms(delta)
-    decision = scenario.instance(instance_id).kind is InstanceKind.DECISION
-    run, other = scenario.outcome(instance_id, solver), scenario.outcome(instance_id, opponent)
-    entries = _pair_entries(
-        decision, scenario.timeout_s, run.time_s, run.obj, [(other.time_s, other.obj)]
-    )
-    return _pair_values(entries, delta_ms)[0]
+    p, runs = scenario.position(instance_id), scenario.outcomes
+    run, other = ((runs.times[s][p], runs.ms[s][p], runs.objs[s][p]) for s in (solver, opponent))
+    decision = scenario.instances[p].kind is InstanceKind.DECISION
+    return _pair_values(_pair_entries(decision, scenario.timeout_s, run, [other]), delta_ms)[0]
 
 
 def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
@@ -231,52 +228,76 @@ def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
     return mznc_scores(scenario, (solver,), (delta,))[solver][0]
 
 
+def _terms(scenario: Scenario, solver: str) -> tuple[list[int], list[tuple[int, int, float]]]:
+    """A solver's pairwise terms: its exact sum over the opponents per instance (see
+    _EXACT_UNIT), with every tie-eligible pair counted as a tie, and those pairs as
+    (time difference, instance position, value outside the tie), largest difference first."""
+    half, sums, ties = _exact(0.5), [], []
+    for p, row in enumerate(_pair_rows(scenario, solver)):
+        exact = 0
+        for value, diff in row:
+            if diff is None:
+                exact += _exact(value)
+            else:
+                exact += half
+                ties.append((diff, p, value))
+        sums.append(exact)
+    ties.sort(reverse=True)
+    return sums, ties
+
+
+def _totals(
+    sums: list[int], ties: list[tuple[int, int, float]], deltas_ms: list[int]
+) -> list[float]:
+    """A solver's total pairwise score at each threshold of deltas_ms, from its _terms.
+
+    Walking the thresholds downward, a tie pair leaves the tie branch once
+    its time difference exceeds the threshold. Each instance's exact sum is
+    rounded, which is its mznc column value; the total is the exact sum of
+    those rounded values, rounded once per threshold. So it is the
+    math.fsum of the column, the float that scoring mznc gives.
+    """
+    sums, half = list(sums), _exact(0.5)
+    rounded = [_exact(e / _EXACT_UNIT) for e in sums]
+    total, pos, at = sum(rounded), 0, [0.0] * len(deltas_ms)
+    for n in sorted(range(len(deltas_ms)), key=deltas_ms.__getitem__, reverse=True):
+        while pos < len(ties) and ties[pos][0] > deltas_ms[n]:
+            _, p, value = ties[pos]
+            sums[p] += _exact(value) - half
+            now = _exact(sums[p] / _EXACT_UNIT)
+            total += now - rounded[p]
+            rounded[p] = now
+            pos += 1
+        at[n] = total / _EXACT_UNIT
+    return at
+
+
 def mznc_scores(
     scenario: Scenario, solvers: Sequence[str], deltas: Sequence[float]
 ) -> dict[str, list[float]]:
-    """Total pairwise score of each solver at each threshold of deltas.
-
-    One pass per solver: every tie-eligible pair starts in the tie branch,
-    and walking the thresholds downward, a pair leaves it once its time
-    difference exceeds the threshold. Each instance's sum is kept exact (see
-    _EXACT_UNIT) and rounded, which is its mznc column value; the total is
-    the exact sum of those rounded values, rounded once per threshold. So
-    it is the math.fsum of the column, the float that scoring mznc gives.
-    """
-    table = _run_table(scenario)
+    """Total pairwise score of each solver at each threshold of deltas (_totals)."""
+    _require_opponents(scenario)
     require_solvers(scenario, solvers)
     deltas_ms = [threshold_ms(d) for d in deltas]
-    descending = sorted(range(len(deltas_ms)), key=deltas_ms.__getitem__, reverse=True)
-    half = _exact(0.5)
-    scores: dict[str, list[float]] = {}
-    for s in solvers:
-        sums = []  # per instance, the exact sum over the opponents
-        leaving = []  # (time difference, instance position, value outside the tie)
-        for p, row in enumerate(_pair_rows(scenario, table, s)):
-            exact = 0
-            for value, diff in row:
-                if diff is None:
-                    exact += _exact(value)
-                else:
-                    exact += half
-                    leaving.append((diff, p, value))
-            sums.append(exact)
-        rounded = [_exact(e / _EXACT_UNIT) for e in sums]
-        total = sum(rounded)
-        leaving.sort(reverse=True)
-        at = [0.0] * len(deltas_ms)
-        pos = 0
-        for n in descending:
-            while pos < len(leaving) and leaving[pos][0] > deltas_ms[n]:
-                _, p, value = leaving[pos]
-                sums[p] += _exact(value) - half
-                now = _exact(sums[p] / _EXACT_UNIT)
-                total += now - rounded[p]
-                rounded[p] = now
-                pos += 1
-            at[n] = total / _EXACT_UNIT
-        scores[s] = at
-    return scores
+    return {s: _totals(*_terms(scenario, s), deltas_ms) for s in solvers}
+
+
+def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float | None:
+    """Smallest threshold from which solver_a outscores solver_b for every larger one.
+
+    A total only changes at a threshold equal to the time difference of one
+    of its solver's tie pairs, so scanning 0 and those differences is
+    exhaustive. Returns None if solver_a never stays ahead.
+    """
+    _require_pair(scenario, solver_a, solver_b)
+    terms = [_terms(scenario, s) for s in (solver_a, solver_b)]
+    candidates = sorted({0, *(d for _, ties in terms for d, _, _ in ties)})
+    flip: float | None = None
+    for d, a, b in reversed(list(zip(candidates, *[_totals(*t, candidates) for t in terms]))):
+        if not a > b:
+            break
+        flip = d / 1000.0
+    return flip
 
 
 def normalized_runtime_score(scenario: Scenario, solver: str) -> float:
@@ -323,9 +344,10 @@ def _speedup_columns(scenario: Scenario, params: MetricParams) -> Columns:
 
 def _mznc_columns(scenario: Scenario, params: MetricParams) -> Columns:
     """Each solver's pairwise score on an instance: its sum over the opponents."""
-    table, delta_ms = _run_table(scenario), threshold_ms(params.delta)
+    _require_opponents(scenario)
+    delta_ms = threshold_ms(params.delta)
     return {
-        s: [math.fsum(_pair_values(row, delta_ms)) for row in _pair_rows(scenario, table, s)]
+        s: [math.fsum(_pair_values(row, delta_ms)) for row in _pair_rows(scenario, s)]
         for s in scenario.solvers
     }
 
@@ -462,7 +484,8 @@ def instance_columns(
     of the scenario's instance order; metrics that need optimization data
     hold None at decision instances. Each column is one pass over the
     scenario's run store, outcomes (and objective_columns, which the
-    optimization metrics share); mznc reads them instance by instance. Every value
+    optimization metrics share); an mznc column zips its solver's times, ms
+    and objs with every opponent's, one instance at a time. Every value
     depends on its own instance's runs only, so the values of any subset of
     instances (a fold) are the ones a copy of the scenario restricted to it
     would give. Closed gap has no per-instance values; its baselines read

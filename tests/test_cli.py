@@ -39,6 +39,22 @@ f4,b,timeout,100.0
 """
 
 
+# RUNS_CSV's runs as an attribute-relation table.
+ARFF_RUNS = """% runs
+@relation runs
+@attribute instance_id string
+@attribute repetition numeric
+@attribute algorithm string
+@attribute runtime numeric
+@attribute runstatus {ok,timeout}
+@data
+i1,1,a,10.0,ok
+i1,1,b,100.0,timeout
+i2,1,a,20.0,ok
+i2,1,b,5.0,ok
+"""
+
+
 @pytest.fixture
 def runs_file(tmp_path):
     p = tmp_path / "runs.csv"
@@ -342,6 +358,15 @@ class TestSweepDelta:
         assert f"argument {flags[0]}:" in err
         assert "absent.csv" not in err
 
+    @pytest.mark.parametrize("deltas", [",", " , "])
+    def test_empty_delta_list_rejected_before_loading(self, tmp_path, capsys, deltas):
+        absent = str(tmp_path / "absent.csv")
+        assert main(["sweep-delta", absent, "--timeout", "100", "--deltas", deltas]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --deltas: list is empty" in err
+        assert "absent.csv" not in err
+
     @pytest.mark.parametrize("pair, named", [("a,zzz", "'zzz'"), ("a,a", "'a'")])
     def test_bad_flip_pair_rejected(self, runs_file, capsys, pair, named):
         assert main(["sweep-delta", str(runs_file), "--timeout", "100",
@@ -385,6 +410,28 @@ class TestValidate:
         assert out == ""
         assert "--trajectories" in err and "--input-format aslib" in err
         assert "absent." not in err
+
+    @pytest.mark.parametrize("name, flags", [
+        ("runs.arff", []),
+        ("runs.ARFF", ["--input-format", "auto"]),
+        ("runs.txt", ["--input-format", "aslib"]),
+    ])
+    def test_aslib_input(self, tmp_path, capsys, name, flags):
+        runs = tmp_path / name
+        runs.write_text(ARFF_RUNS)
+        assert main(["validate", str(runs), "--timeout", "100", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "2 instances" in out and "2 solvers" in out
+        assert main(["score", str(runs), "--timeout", "100", *flags, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["scenario"]["id"] == "runs"
+        assert report["scores"] == [{"a": 15.0, "b": 502.5}]
+
+    def test_csv_input_with_aslib_suffix_is_not_read_as_aslib(self, tmp_path, capsys):
+        runs = tmp_path / "runs.arff"
+        runs.write_text(RUNS_CSV)
+        assert main(["validate", str(runs), "--timeout", "100", "--input-format", "csv"]) == 0
+        assert "2 instances" in capsys.readouterr().out
 
     def test_valid_file(self, runs_file, capsys):
         assert main(["validate", str(runs_file), "--timeout", "100"]) == 0
@@ -545,17 +592,30 @@ class TestCollectorPause:
         assert gc.isenabled() is collector
 
 
+def _module_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run python -m solvereval.cli in a child that imports the package under test,
+    wherever pytest found it."""
+    src = str(Path(solvereval.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "solvereval.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_installed_script(self):
-        # the child imports the package under test, wherever pytest found it
-        src = str(Path(solvereval.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "solvereval.cli", "--version"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _module_cli("--version")
         assert proc.returncode == 0
         assert "solvereval" in proc.stdout
+
+    def test_module_exit_codes(self, runs_file, tmp_path):
+        ok = _module_cli("validate", str(runs_file), "--timeout", "100")
+        assert (ok.returncode, ok.stderr) == (0, "")
+        assert "2 instances" in ok.stdout
+        missing = _module_cli("validate", str(tmp_path / "absent.csv"), "--timeout", "100")
+        assert (missing.returncode, missing.stdout) == (1, "")
+        assert missing.stderr.startswith("error:") and "absent.csv" in missing.stderr
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

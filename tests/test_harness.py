@@ -18,6 +18,7 @@ from solvereval import (
     METRICS,
     BadLambda,
     FoldContext,
+    FoldPlan,
     MetricParams,
     MissingFoldContext,
     MixedMetrics,
@@ -110,6 +111,10 @@ class TestFoldPlan:
     def test_bad_repeats_rejected(self):
         with pytest.raises(ValueError):
             make_fold_plan(self.IDS, 2, repeats=0)
+
+    def test_k_and_repeats_of_a_plan_with_no_repeat(self):
+        plan = FoldPlan(0, ())
+        assert (plan.k, plan.repeats) == (0, 0)
 
 
 class TestScoreScenario:

@@ -320,6 +320,19 @@ class TestParseAslib:
         with pytest.raises(SchemaError, match=r"r\.arff: attribute on line 15 follows @data"):
             parse_aslib_runs(p, 3600.0)
 
+    def test_data_row_before_data_line(self, tmp_path):
+        # It used to be dropped silently, and the scenario lost its instance.
+        text = ARFF.replace("\n\n@DATA", "\ni1,1,solverA,5,ok\n@DATA")
+        p = _write(tmp_path, "r.arff", text)
+        with pytest.raises(SchemaError, match=r"r\.arff: line 9 comes before @data"):
+            parse_aslib_runs(p, 3600.0)
+
+    def test_misspelled_attribute(self, tmp_path):
+        text = ARFF.replace("@ATTRIBUTE runstatus", "@atribute algorithm string\n@ATTRIBUTE runstatus")
+        p = _write(tmp_path, "r.arff", text)
+        with pytest.raises(SchemaError, match=r"r\.arff: line 8 comes before @data"):
+            parse_aslib_runs(p, 3600.0)
+
     def test_short_row(self, tmp_path):
         p = _write(tmp_path, "r.arff", ARFF + "inst-3,1,solverA\n")
         with pytest.raises(RowError):

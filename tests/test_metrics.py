@@ -482,3 +482,8 @@ class TestRegistry:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             metric_info("nope")
+
+    def test_closed_gap_has_no_instance_columns(self):
+        sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
+        with pytest.raises(NonDecomposableMetric, match="closed-gap"):
+            instance_columns(sc, "closed-gap")

@@ -1,8 +1,9 @@
-"""The one-pass pairwise kernel against the per-pair loops it replaced.
+"""The pairwise kernel against per-pair reference loops.
 
-The reference functions below are the pairwise scoring loops as they were
-before scores came from a precomputed pair table: one full rescan per
-pair, per threshold and per flip breakpoint. Every comparison is exact
+The reference functions below score one pair at a time through the
+scenario's lookups: one full rescan per pair and per threshold, and a
+flip scan over every pairwise time difference of the two solvers, where
+the kernel walks its own tie differences only. Every comparison is exact
 (==), since the kernel promises bit-identical results.
 """
 

@@ -141,6 +141,14 @@ class TestValidation:
             validate_scenario(raw)
         assert "BadInstance" in codes(e)
 
+    def test_infinite_best_known_on_optimization_instance(self):
+        raw = Scenario("x", (Instance("i1", InstanceKind.OPTIMIZATION, math.inf),), ("a",),
+                       TIMEOUT, {("i1", "a"): RunOutcome(1.0, RunStatus.SOLVED, 5.0)})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("BadInstance", "best_known_obj must be finite", "i1")]
+
     def test_all_violations_reported_at_once(self):
         raw = Scenario("x", (Instance("i1"), Instance("i1")), ("a",), -1.0, {})
         with pytest.raises(ValidationError) as e:

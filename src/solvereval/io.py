@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import warnings as _warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -53,6 +54,16 @@ def trajectories_path_for(runs_path: str | Path) -> Path:
     return p.with_name(p.stem + "_trajectories" + p.suffix)
 
 
+@contextmanager
+def _open(path: str | Path, mode: str = "r"):
+    """The file as UTF-8 text whatever the locale; a SchemaError naming it if it does not decode."""
+    with open(path, mode, encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_float(cell: str | None, what: str, line_no: int) -> float:
     try:
         return float(cell)
@@ -85,7 +96,7 @@ def parse_runs(
     """
     path = Path(path)
     timeout_s = check_timeout(timeout_s)
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -154,7 +165,7 @@ def _read_trajectories(builder: ScenarioBuilder, runs_path: Path,
         if not candidate.exists():
             return
         trajectories_path = candidate
-    with open(trajectories_path, newline="") as fh:
+    with _open(trajectories_path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -193,21 +204,22 @@ def emit_scenario(
     """Write a scenario as runs CSV, and a trajectory CSV when it has trajectories.
 
     Inverse of parse_runs: parsing the written files with the same timeout
-    reproduces the scenario field for field. A trajectory file already at
-    the target is overwritten, header only when there is none, so that no
-    older scenario's events are read back beside these runs.
+    reproduces the scenario field for field, except an instance's
+    best_known_obj, which the files have no place for. A trajectory file
+    already at the target is overwritten, header only when there is none,
+    so that no older scenario's events are read back beside these runs.
     """
     runs_path = Path(runs_path)
     _write_csv(runs_path, _run_rows(scenario))
     tpath = Path(trajectories_path) if trajectories_path else trajectories_path_for(runs_path)
-    if not scenario.trajectories and not tpath.exists():
+    if not any(scenario.trajectories.times.values()) and not tpath.exists():
         return [runs_path]
     _write_csv(tpath, _trajectory_rows(scenario))
     return [runs_path, tpath]
 
 
 def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
@@ -258,7 +270,7 @@ def parse_aslib_runs(
     attrs: list[str] = []
     col = None  # each required attribute's position, from the @data line on
     builder, skipped_repetitions = ScenarioBuilder(timeout_s), 0
-    with open(path) as fh:
+    with _open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):

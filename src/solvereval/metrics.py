@@ -407,17 +407,17 @@ def _area_columns(scenario: Scenario, params: MetricParams) -> Columns:
     """Normalized area under each run's solution-quality step function; lower is better.
 
     Quality is 1 before the first solution, the incumbent objective scaled
-    into [0, 1] by the instance's bounds (best, worst) afterwards, and 0
-    from the moment optimality was proven. A run without a solution has
-    quality 1 throughout; one with a solution needs its trajectory.
+    into [0, 1] by the instance's bounds (best, worst) until the run ends,
+    and 0 after a solved run's time, when optimality was proven. A run without
+    a solution has quality 1 throughout; one with a solution needs its trajectory.
     """
     # No objective scale to integrate against when nobody found a solution.
     opt, (pools, bests) = _optimization(scenario), scenario.objective_columns
     bounded = [(p, min(b, pool[0]), pool[1])
                for p, (o, pool, b) in enumerate(zip(opt, pools, bests)) if o and pool]
-    tr, tau, fsum, columns = scenario.trajectories, scenario.timeout_s, math.fsum, {}
-    for s, col in scenario.outcomes.objs.items():
-        times, objs, offsets, proofs = tr.times[s], tr.objs[s], tr.offsets[s], tr.proofs[s]
+    runs, tr, tau, columns = scenario.outcomes, scenario.trajectories, scenario.timeout_s, {}
+    for s, col in runs.objs.items():
+        times, objs, offsets, ends = tr.times[s], tr.objs[s], tr.offsets[s], runs.times[s]
         column = columns[s] = [None if not o else 0.0 for o in opt]
         for p, best, worst in bounded:
             a, b = offsets[p], offsets[p + 1]
@@ -437,11 +437,11 @@ def _area_columns(scenario: Scenario, params: MetricParams) -> Columns:
                 else:
                     x = (v - best) / (worst - best)
                     quality = 1.0 if x > 1.0 else x if x > 0.0 else 0.0
-                nxt = times[e + 1] if e + 1 < b else tau if proofs[p] is None else proofs[p]
+                nxt = times[e + 1] if e + 1 < b else ends[p]
                 pieces.append((nxt - t) * quality)
                 t = nxt
-            # The proven-optimal stretch contributes zero area.
-            column[p] = fsum(pieces) / tau
+            # The proven-optimal stretch after a solved run ends contributes zero area.
+            column[p] = math.fsum(pieces) / tau
     return columns
 
 

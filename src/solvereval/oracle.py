@@ -28,7 +28,7 @@ def _obj(sc: Scenario, i: str, s: str) -> float:
 
 
 def _is_decision(sc: Scenario, i: str) -> bool:
-    return sc.instance_map[i].kind is InstanceKind.DECISION
+    return sc.instance(i).kind is InstanceKind.DECISION
 
 
 def _unknown(sc: Scenario, i: str, s: str) -> bool:
@@ -63,7 +63,7 @@ def _par(sc: Scenario, i: str, s: str, lam: float) -> float:
 
 
 def _best_known(sc: Scenario, i: str) -> float | None:
-    recorded = sc.instance_map[i].best_known_obj
+    recorded = sc.instance(i).best_known_obj
     if recorded is not None:
         return recorded
     objs = [_obj(sc, i, s) for s in sc.solvers if _obj(sc, i, s) != math.inf]
@@ -78,12 +78,13 @@ def _area_one(sc: Scenario, i: str, s: str, best: float, worst: float) -> float:
         raise MissingTrajectory(f"area needs a trajectory for ({i}, {s}); none was recorded")
     if not traj.events:
         return 1.0
-    marks = sorted({0.0, sc.timeout_s} | {t for t, _ in traj.events}
-                   | ({traj.proved_optimal_at} if traj.proved_optimal_at is not None else set()))
+    # The incumbent holds until the run ends: a solved run's is proven optimal from then on.
+    end = _time(sc, i, s)
+    marks = sorted({0.0, end, sc.timeout_s} | {t for t, _ in traj.events})
     total = 0.0
     for lo, hi in zip(marks, marks[1:]):
         mid = (lo + hi) / 2.0
-        if traj.proved_optimal_at is not None and mid >= traj.proved_optimal_at:
+        if mid >= end:
             u = 0.0
         else:
             incumbent = None

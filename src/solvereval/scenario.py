@@ -100,12 +100,11 @@ class Trajectory:
     """Incumbent objective values over time, as (time_s, obj) events.
 
     Events are strictly increasing in time and strictly decreasing in
-    objective. proved_optimal_at, when present, marks the instant from which
-    the incumbent is known optimal.
+    objective. The last incumbent holds until its run ends: a solved run's
+    time is when optimality was proven, so no event may come after it.
     """
 
     events: tuple[tuple[float, float], ...] = ()
-    proved_optimal_at: float | None = None
 
 
 @dataclass(frozen=True)
@@ -195,35 +194,33 @@ class Runs(_Store):
 
 class Trajectories(_Store):
     """Per solver, flat event times (on the ms grid) and objectives, those of position p at
-    offsets[p]:offsets[p + 1], proofs[p] (a proof time or None) and the traced positions
-    (a trajectory may have no event), each family a read-only mapping. Only a lookup builds a
-    Trajectory."""
+    offsets[p]:offsets[p + 1], each family a read-only mapping. A pair has a trajectory when
+    it has an event; only a lookup builds a Trajectory."""
 
-    __slots__ = ("times", "objs", "offsets", "proofs", "traced")
+    __slots__ = ("times", "objs", "offsets")
 
-    def __init__(self, instance_ids: tuple[str, ...], *columns: dict[str, tuple | frozenset]):
+    def __init__(self, instance_ids: tuple[str, ...], *columns: dict[str, tuple]):
         super().__init__(instance_ids)
-        self.times, self.objs, self.offsets, self.proofs, self.traced = map(
-            MappingProxyType, columns)
+        self.times, self.objs, self.offsets = map(MappingProxyType, columns)
 
     def __reduce__(self):
-        families = (self.times, self.objs, self.offsets, self.proofs, self.traced)
-        return Trajectories, (self.instance_ids, *map(dict, families))
+        return Trajectories, (self.instance_ids, *map(dict, (self.times, self.objs, self.offsets)))
 
     def __getitem__(self, key: tuple[str, str]) -> Trajectory:
         i, s = key
         p = self._at[i]
-        if p not in self.traced[s]:
+        a, b = self.offsets[s][p:p + 2]
+        if a == b:
             raise KeyError(key)
-        a, b = self.offsets[s][p], self.offsets[s][p + 1]
-        return Trajectory(tuple(zip(self.times[s][a:b], self.objs[s][a:b])), self.proofs[s][p])
+        return Trajectory(tuple(zip(self.times[s][a:b], self.objs[s][a:b])))
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return ((i, s) for p, i in enumerate(self.instance_ids)
-                for s, got in self.traced.items() if p in got)
+                for s, offsets in self.offsets.items() if offsets[p] != offsets[p + 1])
 
     def __len__(self) -> int:
-        return sum(map(len, self.traced.values()))
+        # Offsets rise from 0 by one step per pair with events: count the distinct values.
+        return sum(len(set(offsets)) - 1 for offsets in self.offsets.values())
 
 
 @dataclass(frozen=True)
@@ -237,10 +234,6 @@ class Scenario:
     timeout_s: float
     outcomes: Mapping[tuple[str, str], RunOutcome]
     trajectories: Mapping[tuple[str, str], Trajectory] = field(default_factory=dict)
-
-    @cached_property
-    def instance_map(self) -> dict[str, Instance]:
-        return {inst.id: inst for inst in self.instances}
 
     @cached_property
     def position_map(self) -> dict[str, int]:
@@ -425,12 +418,12 @@ _REFUSED, _EMPTY = -1, -2  # before a first event: a pair refused a trajectory, 
 class _Solver:
     """One solver's columns in the making: runs at their instance positions (status None
     where none is recorded), per position the index of the pair's last event or its state
-    before one, events flat in arrival order, and the checked pairs' proof times."""
+    before one, and events flat in arrival order."""
 
-    __slots__ = ("id", "times", "statuses", "objs", "last", "ev_t", "ev_v", "ev_p", "traced")
+    __slots__ = ("id", "times", "statuses", "objs", "last", "ev_t", "ev_v", "ev_p")
 
     def __init__(self, sid: str, size: int):
-        self.id, self.ev_t, self.ev_v, self.ev_p, self.traced = sid, [], [], [], {}
+        self.id, self.ev_t, self.ev_v, self.ev_p = sid, [], [], []
         self.times, self.statuses, self.objs, self.last = ([None] * size for _ in range(4))
 
 
@@ -445,7 +438,7 @@ class ScenarioBuilder:
     non-empty scenario, every pair present. event() checks a file's
     event against its pair's last one; trajectory() takes a Trajectory and
     checks the pair at once. scenario() checks a file's pairs against their
-    runs (proved optimal at a solved run's time), then raises every
+    runs (a solved run ends no earlier than its last event), then raises every
     violation, pair by pair in order of first appearance, or builds the stores.
     """
 
@@ -572,47 +565,36 @@ class ScenarioBuilder:
             col.last[p] = _EMPTY if self.kinds[p] is _OPTIMIZATION else _REFUSED
             for t, v in traj.events:
                 self.event(iid, sid, t, v)
-            proved = traj.proved_optimal_at
-            if proved is not None and col.last[p] != _REFUSED:  # a refused pair's goes unread
-                proved = quantize_ms(float(proved))
-            self._close(p, col, proved)
+            self._close(p, col)
 
-    def _close(self, p: int, col: _Solver, proved: float | None) -> None:
-        """Flag the pair's problems, its own and those against its run, or keep its trajectory."""
+    def _close(self, p: int, col: _Solver) -> None:
+        """Flag the pair's problems, its own and those against its run."""
         last = col.last[p]
         if last == _REFUSED:
             found = ["trajectory recorded for a decision instance"]
         else:
             single, between = self.problems.pop((p, col), ((), ())) if self.problems else ((), ())
             found = [*single, *between]
-            if proved is not None:
-                if not 0.0 <= proved < self.timeout_s:
-                    found.append("proved_optimal_at outside [0, timeout)")
-                if last >= 0 and proved < col.ev_t[last]:
-                    found.append("proved_optimal_at precedes the last event")
             status = col.statuses[p]
+            if status is _SOLVED and last >= 0 and col.times[p] < col.ev_t[last]:
+                found.append("solved run ends before the last event")
             if status is not None and status is not _REJECTED:
                 if last >= 0 and col.ev_v[last] != col.objs[p]:
                     found.append("last event objective differs from the run outcome")
                 if last < 0 and math.isfinite(col.objs[p]):
                     found.append("run found a solution but the trajectory is empty")
-                if proved is not None and status is not _SOLVED:
-                    found.append("optimality proof recorded on an unsolved run")
-            if not found:
-                col.traced[p] = proved
-                return
         for message in found:
             self._flag("InconsistentTrajectory", message, f"({self.ids[p]}, {col.id})")
 
     def scenario(self, scenario_id: str) -> Scenario:
         """Check the file's pairs, then raise the violations or build the scenario."""
         for p, col in zip(self.opened[::2], self.opened[1::2]):
-            self._close(p, col, col.times[p] if col.statuses[p] is _SOLVED else None)
+            self._close(p, col)
         self.opened.clear()  # so each solver's lists go once its columns are made
         if self.violations:
             raise ValidationError(self.violations)
         ids, n = self.ids, len(self.ids)
-        runs, trajs = ({}, {}, {}), ({}, {}, {}, {}, {})
+        runs, trajs = ({}, {}, {}), ({}, {}, {})
         for s in self.solvers:
             col = self.cols.pop(s)
             for store, column in zip(runs, (col.times, col.statuses, col.objs)):
@@ -623,7 +605,6 @@ class ScenarioBuilder:
                 col.ev_t, col.ev_v, pos = ([c[k] for k in order] for c in (col.ev_t, col.ev_v, pos))
             trajs[0][s], trajs[1][s] = tuple(col.ev_t), tuple(col.ev_v)
             trajs[2][s] = tuple(accumulate(map(Counter(pos).get, range(n), repeat(0)), initial=0))
-            trajs[3][s], trajs[4][s] = tuple(map(col.traced.get, range(n))), frozenset(col.traced)
         return Scenario(scenario_id, self.instances, self.solvers, self.timeout_s,
                         Runs(ids, *runs), Trajectories(ids, *trajs))
 

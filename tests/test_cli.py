@@ -592,14 +592,15 @@ class TestCollectorPause:
         assert gc.isenabled() is collector
 
 
-def _module_cli(*argv: str) -> subprocess.CompletedProcess:
+def _module_cli(*argv: str, python: tuple[str, ...] = (),
+                **env: str) -> subprocess.CompletedProcess:
     """Run python -m solvereval.cli in a child that imports the package under test,
-    wherever pytest found it."""
+    wherever pytest found it; python holds interpreter options, env extra variables."""
     src = str(Path(solvereval.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "solvereval.cli", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *python, "-m", "solvereval.cli", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -607,15 +608,48 @@ class TestEntryPoint:
     def test_installed_script(self):
         proc = _module_cli("--version")
         assert proc.returncode == 0
-        assert "solvereval" in proc.stdout
+        assert b"solvereval" in proc.stdout
 
     def test_module_exit_codes(self, runs_file, tmp_path):
         ok = _module_cli("validate", str(runs_file), "--timeout", "100")
-        assert (ok.returncode, ok.stderr) == (0, "")
-        assert "2 instances" in ok.stdout
+        assert (ok.returncode, ok.stderr) == (0, b"")
+        assert b"2 instances" in ok.stdout
         missing = _module_cli("validate", str(tmp_path / "absent.csv"), "--timeout", "100")
-        assert (missing.returncode, missing.stdout) == (1, "")
-        assert missing.stderr.startswith("error:") and "absent.csv" in missing.stderr
+        assert (missing.returncode, missing.stdout) == (1, b"")
+        assert missing.stderr.startswith(b"error:") and b"absent.csv" in missing.stderr
+
+
+# Runs by a solver whose id is not ASCII: on a decision instance, and on an
+# optimization one with the solution's event.
+ACCENTED_RUNS = "instance_id,solver_id,status,time_s\ni1,café,ok,1.5\ni1,b,timeout,100.0\n"
+ACCENTED_OPT_RUNS = ("instance_id,solver_id,status,time_s,obj\n"
+                     "o1,café,ok,1.5,7\no1,b,timeout,100.0,\n")
+ACCENTED_EVENTS = "instance_id,solver_id,t_s,obj\no1,café,1.0,7\n"
+
+
+class TestFileEncoding:
+    def test_utf8_is_read_whatever_the_locale(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        runs.write_bytes(ACCENTED_RUNS.encode("utf-8"))
+        argv = ("runtime-dist", str(runs), "--timeout", "100", "--format", "json")
+        default = _module_cli(*argv)
+        ascii_locale = _module_cli(*argv, python=("-X", "utf8=0"),
+                                   LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        assert (default.returncode, default.stderr) == (0, b"")
+        assert (ascii_locale.returncode, ascii_locale.stderr) == (0, b"")
+        assert ascii_locale.stdout == default.stdout
+        assert "café" in json.loads(default.stdout)["distributions"]
+
+    @pytest.mark.parametrize("bad", ["runs.csv", "runs_trajectories.csv", "runs.arff"])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys, bad):
+        files = {"runs.arff": ARFF_RUNS.replace("i2,1,b,", "i2,1,café,")} if bad == "runs.arff" \
+            else {"runs.csv": ACCENTED_OPT_RUNS, "runs_trajectories.csv": ACCENTED_EVENTS}
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("latin-1" if name == bad else "utf-8"))
+        runs = tmp_path / ("runs.arff" if bad == "runs.arff" else "runs.csv")
+        assert main(["validate", str(runs), "--timeout", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {tmp_path / bad}: not UTF-8 text")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -161,7 +161,7 @@ def edge_scenarios(draw, max_instances=12, min_solvers=1, max_solvers=5, drop=Tr
                 if solved:
                     t = max(t, events[-1][0])
                 obj = events[-1][1]
-                trajectories[(iid, s)] = Trajectory(events, t if solved else None)
+                trajectories[(iid, s)] = Trajectory(events)
             outcomes[(iid, s)] = RunOutcome(t, status, obj)
     sc = build_scenario("edge", instances, solvers, timeout_s, outcomes, trajectories)
     if drop and trajectories and draw(st.integers(0, 5)) == 0:
@@ -202,7 +202,7 @@ class TestAgainstRows:
              ("i1", "b"): RunOutcome(tau, RunStatus.TIMEOUT),
              ("o1", "a"): RunOutcome(0.0, RunStatus.SOLVED, 3.0),
              ("o1", "b"): RunOutcome(tau, RunStatus.ERROR)},
-            {("o1", "a"): Trajectory(((0.0, 3.0),), 0.0)},
+            {("o1", "a"): Trajectory(((0.0, 3.0),))},
         )
         # An unsolved run keeps the timeout as stored, off the millisecond grid.
         assert sc.outcomes.times == {"a": (0.0, 0.0), "b": (tau, tau)}

@@ -142,7 +142,7 @@ def ref_area_row(sc, inst, runs, p):
         if not traj.events:
             row.append(1.0)
             continue
-        end = traj.proved_optimal_at if traj.proved_optimal_at is not None else sc.timeout_s
+        end = r.time_s  # a solved run proved its last incumbent optimal when it ended
         pieces = [traj.events[0][0] * 1.0]
         for idx, (t, v) in enumerate(traj.events):
             nxt = traj.events[idx + 1][0] if idx + 1 < len(traj.events) else end

@@ -250,15 +250,14 @@ class TestValidateScenario:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_trajectory_times_are_violations(self, bad):
-        for traj in (Trajectory(((bad, 5.0),)), Trajectory(((1.0, 5.0),), proved_optimal_at=bad)):
-            raw = Scenario("x", (Instance("o1", InstanceKind.OPTIMIZATION),), ("a",), 100.0,
-                           {("o1", "a"): RunOutcome(100.0, RunStatus.TIMEOUT, 5.0)},
-                           {("o1", "a"): traj})
-            with pytest.raises(ValidationError) as e:
-                validate_scenario(raw)
-            assert {(v.code, v.where) for v in e.value.violations} == {
-                ("InconsistentTrajectory", "(o1, a)"),
-            }
+        raw = Scenario("x", (Instance("o1", InstanceKind.OPTIMIZATION),), ("a",), 100.0,
+                       {("o1", "a"): RunOutcome(100.0, RunStatus.TIMEOUT, 5.0)},
+                       {("o1", "a"): Trajectory(((bad, 5.0),))})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert {(v.code, v.where) for v in e.value.violations} == {
+            ("InconsistentTrajectory", "(o1, a)"),
+        }
 
 
 class TestCheckRun:
@@ -324,7 +323,7 @@ class TestHugeTimes:
         raw = Scenario("x", (Instance("i1"), Instance("o1", InstanceKind.OPTIMIZATION)), ("a",),
                        100.0, {("i1", "a"): RunOutcome(HUGE, RunStatus.SOLVED),
                                ("o1", "a"): RunOutcome(1.0, RunStatus.SOLVED, 5.0)},
-                       {("o1", "a"): Trajectory(((HUGE, 5.0),), proved_optimal_at=HUGE)})
+                       {("o1", "a"): Trajectory(((HUGE, 5.0),))})
         with pytest.raises(ValidationError) as e:
             validate_scenario(raw)
         assert [(v.code, v.where) for v in e.value.violations] == [

@@ -81,10 +81,10 @@ class TestParseRuns:
         p = _write(tmp_path, "runs.csv", RUNS_CSV)
         _write(tmp_path, "runs_trajectories.csv", TRAJ_CSV)
         sc = parse_runs(p, 100.0)
-        assert sc.trajectory("o1", "a").events == ((5.0, 50.0), (20.0, 42.5))
-        assert sc.trajectory("o1", "a").proved_optimal_at is None
-        # solved optimization run: proof reconstructed at the finish time
-        assert sc.trajectory("o1", "b").proved_optimal_at == 30.0
+        assert sc.trajectory("o1", "a") == Trajectory(((5.0, 50.0), (20.0, 42.5)))
+        # solved optimization run: proven optimal at its time, which the trajectory ends by
+        assert sc.trajectory("o1", "b") == Trajectory(((10.0, 40.0),))
+        assert sc.time("o1", "b") == 30.0
 
     def test_explicit_trajectory_path(self, tmp_path):
         p = _write(tmp_path, "runs.csv", RUNS_CSV)
@@ -195,7 +195,7 @@ class TestEmitScenario:
             kinds={"o1": "optimization"},
             trajectories={
                 ("o1", "a"): Trajectory(((5.0, 50.0), (20.0, 42.5))),
-                ("o1", "b"): Trajectory(((10.0, 40.0),), proved_optimal_at=30.0),
+                ("o1", "b"): Trajectory(((10.0, 40.0),)),
             },
             scenario_id="demo",
         )

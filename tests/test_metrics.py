@@ -152,7 +152,7 @@ class TestPairwise:
             {("o1", "a"): solved(20.0, obj=10.0), ("o1", "b"): timed_out(obj=10.0)},
             kinds={"o1": "optimization"},
             trajectories={
-                ("o1", "a"): Trajectory(((20.0, 10.0),), proved_optimal_at=20.0),
+                ("o1", "a"): Trajectory(((20.0, 10.0),)),
                 ("o1", "b"): Trajectory(((30.0, 10.0),)),
             },
         )
@@ -331,8 +331,8 @@ class TestArea:
         assert area(traj, 0.0, 10.0) == pytest.approx(0.75)
 
     def test_proof_zeroes_the_tail(self):
-        traj = Trajectory(((10.0, 6.0),), proved_optimal_at=60.0)
-        # 1 on [0,10), (6-4)/6 on [10,60), 0 afterwards
+        traj = Trajectory(((10.0, 6.0),))
+        # 1 on [0,10), (6-4)/6 on [10,60), 0 once the run is solved at 60
         expected = (10.0 + 50.0 * (2.0 / 6.0)) / 100.0
         assert area(traj, 4.0, 10.0, solved_at=60.0) == pytest.approx(expected)
 

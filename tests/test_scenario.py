@@ -174,9 +174,7 @@ class TestTrajectoryValidation:
 
     def test_valid_trajectory_normalizes(self):
         sc = validate_scenario(self._raw(Trajectory(((10.0004, 9.0), (20.0, 5.0)))))
-        traj = sc.trajectory("i1", "a")
-        assert traj.events == ((10.0, 9.0), (20.0, 5.0))
-        assert traj.proved_optimal_at is None
+        assert sc.trajectory("i1", "a") == Trajectory(((10.0, 9.0), (20.0, 5.0)))
 
     def test_event_times_must_increase(self):
         with pytest.raises(ValidationError) as e:
@@ -203,21 +201,19 @@ class TestTrajectoryValidation:
             validate_scenario(self._raw(Trajectory(())))
         assert "InconsistentTrajectory" in codes(e)
 
-    def test_proof_requires_solved_status(self):
-        with pytest.raises(ValidationError) as e:
-            validate_scenario(self._raw(Trajectory(((10.0, 5.0),), proved_optimal_at=20.0)))
-        assert "InconsistentTrajectory" in codes(e)
-
     def test_proof_cannot_precede_last_event(self):
-        out = RunOutcome(30.0, RunStatus.SOLVED, 5.0)
+        # A solved run proves its incumbent optimal when it ends, at its time.
+        out = RunOutcome(10.0, RunStatus.SOLVED, 5.0)
         with pytest.raises(ValidationError) as e:
-            validate_scenario(self._raw(Trajectory(((20.0, 5.0),), proved_optimal_at=10.0), out))
-        assert "InconsistentTrajectory" in codes(e)
+            validate_scenario(self._raw(Trajectory(((20.0, 5.0),)), out))
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("InconsistentTrajectory", "solved run ends before the last event", "(i1, a)")]
 
     def test_proof_on_solved_run_accepted(self):
-        out = RunOutcome(30.0, RunStatus.SOLVED, 5.0)
-        sc = validate_scenario(self._raw(Trajectory(((20.0, 5.0),), proved_optimal_at=30.0), out))
-        assert sc.trajectory("i1", "a").proved_optimal_at == 30.0
+        for end in (20.0, 30.0):  # at the last event, or after it
+            out = RunOutcome(end, RunStatus.SOLVED, 5.0)
+            sc = validate_scenario(self._raw(Trajectory(((20.0, 5.0),)), out))
+            assert sc.trajectory("i1", "a") == Trajectory(((20.0, 5.0),))
 
     def test_trajectory_on_decision_instance(self):
         raw = Scenario("x", (Instance("i1"),), ("a",), TIMEOUT,

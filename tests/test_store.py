@@ -24,10 +24,12 @@ from test_properties import scenarios
 
 from solvereval import (
     Instance,
+    InstanceKind,
     RunOutcome,
     RunStatus,
     Trajectory,
     ValidationError,
+    Violation,
     build_scenario,
     emit_scenario,
     generate,
@@ -39,14 +41,24 @@ from solvereval import (
 from solvereval.scenario import Runs, Trajectories
 
 
-def with_trajectories():
+@st.composite
+def with_trajectories(draw):
     """Scenarios of both kinds with trajectories, as emit_scenario can write them.
 
     A recorded best known objective is not written, so edge scenarios lose it.
+    Some optimization runs without a solution are given an empty Trajectory(),
+    which, like a file, records no trajectory for them.
     """
     edge = edge_scenarios(drop=False).map(lambda sc: dataclasses.replace(
         sc, instances=tuple(Instance(i.id, i.kind) for i in sc.instances)))
-    return st.one_of(scenarios(), generated(), edge)
+    sc = draw(st.one_of(scenarios(), generated(), edge))
+    bare = [(i.id, s) for i in sc.instances if i.kind is InstanceKind.OPTIMIZATION
+            for s in sc.solvers if math.isinf(sc.obj(i.id, s))]
+    empty = draw(st.lists(st.sampled_from(bare), unique=True)) if bare else []
+    if not empty:
+        return sc
+    return build_scenario(sc.id, sc.instances, sc.solvers, sc.timeout_s, sc.outcomes,
+                          {**sc.trajectories, **dict.fromkeys(empty, Trajectory())})
 
 
 def ref_run_columns(sc):
@@ -63,21 +75,19 @@ def ref_run_columns(sc):
 
 
 def ref_trajectory_columns(sc):
-    """Each solver's flat event times and objectives, offsets, proofs and traced positions."""
-    cols = {name: {} for name in ("times", "objs", "offsets", "proofs", "traced")}
+    """Each solver's flat event times and objectives, and offsets."""
+    cols = {name: {} for name in ("times", "objs", "offsets")}
     for s in sc.solvers:
-        times, objs, offsets, proofs, traced = [], [], [0], [], set()
-        for p, i in enumerate(sc.instance_ids):
+        times, objs, offsets = [], [], [0]
+        for i in sc.instance_ids:
             traj = sc.trajectories.get((i, s))
             if traj is not None:
-                traced.add(p)
+                assert traj.events  # a pair has a trajectory exactly when it has an event
                 times += [t for t, _ in traj.events]
                 objs += [v for _, v in traj.events]
             offsets.append(len(times))
-            proofs.append(traj.proved_optimal_at if traj is not None else None)
-        for name, col in zip(cols, (times, objs, offsets, proofs)):
+        for name, col in zip(cols, (times, objs, offsets)):
             cols[name][s] = tuple(col)
-        cols["traced"][s] = frozenset(traced)
     return cols
 
 
@@ -85,7 +95,7 @@ def store_columns(sc):
     runs, trajs = sc.outcomes, sc.trajectories
     return (
         {name: getattr(runs, name) for name in Runs.__slots__},
-        {name: getattr(trajs, name) for name in ("times", "objs", "offsets", "proofs", "traced")},
+        {name: getattr(trajs, name) for name in Trajectories.__slots__},
     )
 
 
@@ -170,12 +180,12 @@ class TestValueSemantics:
             "v", [Instance("o1", "optimization")], ["a", "b"], 10.0,
             {("o1", "a"): RunOutcome(2.0, RunStatus.SOLVED, 4.0),
              ("o1", "b"): RunOutcome(10.0, RunStatus.TIMEOUT)},
-            {("o1", "a"): Trajectory(((1.0, 5.0), (2.0, 4.0)), 2.0), ("o1", "b"): Trajectory()},
+            {("o1", "a"): Trajectory(((1.0, 5.0), (2.0, 4.0))), ("o1", "b"): Trajectory()},
         )
         assert sc.outcomes[("o1", "a")] == RunOutcome(2.0, RunStatus.SOLVED, 4.0)
         assert sc.outcomes[("o1", "a")] is not sc.outcomes[("o1", "a")]
-        assert sc.trajectory("o1", "b") == Trajectory()  # recorded, with no event
-        assert list(sc.trajectories) == [("o1", "a"), ("o1", "b")]
+        assert sc.trajectory("o1", "b") is None  # recorded with no event, as no file can
+        assert list(sc.trajectories) == [("o1", "a")] and len(sc.trajectories) == 1
         for view in (sc.outcomes, sc.trajectories):
             assert ("o1", "zz") not in view and ("ghost", "a") not in view
             with pytest.raises(TypeError):
@@ -184,7 +194,7 @@ class TestValueSemantics:
     @given(with_trajectories())
     def test_column_families_are_sealed(self, sc):
         families = [getattr(sc.outcomes, f) for f in ("times", "ms", "statuses", "objs")] + [
-            getattr(sc.trajectories, f) for f in ("times", "objs", "offsets", "proofs", "traced")]
+            getattr(sc.trajectories, f) for f in Trajectories.__slots__]
         solver = sc.solvers[0]
         copy = pickle.loads(pickle.dumps(sc))
         for family in families:
@@ -195,7 +205,7 @@ class TestValueSemantics:
             with pytest.raises(TypeError):
                 del family[solver]
         copied = [getattr(copy.outcomes, f) for f in ("times", "ms", "statuses", "objs")] + [
-            getattr(copy.trajectories, f) for f in ("times", "objs", "offsets", "proofs", "traced")]
+            getattr(copy.trajectories, f) for f in Trajectories.__slots__]
         for family, again in zip(families, copied):
             assert type(again) is type(family) and again == family
         # Equality reads the views, so a store with the same runs compares equal.
@@ -249,3 +259,19 @@ def test_run_kind_breaches_in_the_order_recorded(tmp_path):
     with pytest.raises(ValidationError) as e:
         validate_scenario(raw)
     assert [(v.code, v.where) for v in e.value.violations] == want
+
+
+@pytest.mark.parametrize("late", ["10.001", "99.999"])
+def test_a_late_event_is_the_same_violation_by_hand_and_from_files(tmp_path, late):
+    # A solved run proves its incumbent optimal when it ends, so no event may follow.
+    runs = tmp_path / "late.csv"
+    runs.write_text("instance_id,solver_id,status,time_s,obj\no1,a,ok,10.0,5\n")
+    trajectories_path_for(runs).write_text(f"instance_id,solver_id,t_s,obj\no1,a,{late},5\n")
+    with pytest.raises(ValidationError) as from_files:
+        parse_runs(runs, 100.0)
+    with pytest.raises(ValidationError) as by_hand:
+        build_scenario("late", [Instance("o1", "optimization")], ["a"], 100.0,
+                       {("o1", "a"): RunOutcome(10.0, RunStatus.SOLVED, 5.0)},
+                       {("o1", "a"): Trajectory(((float(late), 5.0),))})
+    assert by_hand.value.violations == from_files.value.violations == (
+        Violation("InconsistentTrajectory", "solved run ends before the last event", "(o1, a)"),)

@@ -172,16 +172,15 @@ def ref_assemble(instances, solvers, timeout_s, runs, order, events):
                  f"({i}, {s})")
             continue
         run = runs[s][i]
-        proved = run[0] if run[1] is RunStatus.SOLVED else None
         single, between = problems[(i, s)]
         found = [*single, *between]
-        if proved is not None and proved < seen[-1][0]:
-            found.append("proved_optimal_at precedes the last event")
+        if run[1] is RunStatus.SOLVED and run[0] < seen[-1][0]:
+            found.append("solved run ends before the last event")
         if seen[-1][1] != run[2]:
             found.append("last event objective differs from the run outcome")
         for message in found:
             flag("InconsistentTrajectory", message, f"({i}, {s})")
-        trajectories[(i, s)] = Trajectory(tuple(seen), proved)
+        trajectories[(i, s)] = Trajectory(tuple(seen))
     if violations:
         raise ValidationError(violations)
     outcomes = {(inst.id, s): RunOutcome(*runs[s][inst.id]) for inst in instances for s in solvers}

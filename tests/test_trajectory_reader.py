@@ -4,7 +4,8 @@ ref_read_trajectories is the old reader: it collected each pair's raw
 (t, obj) events from the file, checking only the cells. ref_assemble is the
 old event loop of assemble_scenario, which snapped, checked and built each
 trajectory from those lists, or from Trajectory objects. Both are kept here
-as they were. Files are drawn with faults injected, and the two readers
+as they were, but that the proof time is now a solved run's time for either
+source, and a pair without events has no trajectory. Files are drawn with faults injected, and the two readers
 must raise the same exception type at the same line, or the same
 violations in the same order, or build the same scenario.
 """
@@ -90,10 +91,7 @@ def ref_assemble(sc, raw_trajectories):
             continue
         key = (i, s)
         out = outcomes.get(key)
-        if isinstance(traj, Trajectory):
-            raw_events, proved = traj.events, traj.proved_optimal_at
-        else:
-            raw_events, proved = traj, out.time_s if out.status is RunStatus.SOLVED else None
+        raw_events = traj.events if isinstance(traj, Trajectory) else traj
         problems, events = [], []
         for t, v in raw_events:
             t = quantize_ms(float(t))
@@ -108,23 +106,18 @@ def ref_assemble(sc, raw_trajectories):
                 problems.append("event times must be strictly increasing")
             if not v1 > v2:
                 problems.append("event objectives must be strictly decreasing")
-        if proved is not None:
-            proved = quantize_ms(float(proved))
-            if not 0.0 <= proved < timeout_s:
-                problems.append("proved_optimal_at outside [0, timeout)")
-            if events and proved < events[-1][0]:
-                problems.append("proved_optimal_at precedes the last event")
         if out is not None:
+            # A solved run proved its incumbent optimal when it ended.
+            if out.status is RunStatus.SOLVED and events and out.time_s < events[-1][0]:
+                problems.append("solved run ends before the last event")
             if events and events[-1][1] != out.obj:
                 problems.append("last event objective differs from the run outcome")
             if not events and math.isfinite(out.obj):
                 problems.append("run found a solution but the trajectory is empty")
-            if proved is not None and out.status is not RunStatus.SOLVED:
-                problems.append("optimality proof recorded on an unsolved run")
         for message in problems:
             flag("InconsistentTrajectory", message, f"({i}, {s})")
-        if not problems:
-            trajectories[key] = Trajectory(tuple(events), proved)
+        if not problems and events:
+            trajectories[key] = Trajectory(tuple(events))
     if violations:
         raise ValidationError(violations)
     return replace(sc, trajectories=trajectories)
@@ -258,9 +251,8 @@ def given_trajectories(draw):
     times = st.sampled_from((0.0, 0.5, 1.0004, 2.0006, 3.0, 6.9995, 9.999, 10.0, 7.0009, -0.001,
                              1e306, math.nan))
     objs = st.sampled_from(OBJS + (6.0, math.nan, math.inf))
-    proved = st.one_of(st.none(), times)
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=5))
-    return {key: Trajectory(tuple(draw(st.lists(st.tuples(times, objs), max_size=3))), draw(proved))
+    return {key: Trajectory(tuple(draw(st.lists(st.tuples(times, objs), max_size=3))))
             for key in chosen}
 
 

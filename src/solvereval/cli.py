@@ -461,7 +461,10 @@ def main(argv: list[str] | None = None) -> int:
             out = json_text(payload) if args.format == "json" else text()
         if args.output:
             Path(args.output).write_bytes(out.encode())
-        else:
+        elif hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as files are
+            sys.stdout.flush()
+            sys.stdout.buffer.write(out.encode())
+        else:  # a text-only stream, such as a StringIO standing in for stdout
             sys.stdout.write(out)
         return 0
     except SystemExit as e:  # --help and --version, and validate's violations

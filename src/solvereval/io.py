@@ -13,7 +13,9 @@ import csv
 import json
 import math
 import warnings as _warnings
+from collections import deque
 from contextlib import contextmanager
+from itertools import accumulate, compress, count, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -91,8 +93,17 @@ def parse_runs(
     non-empty obj cell. Unsolved rows have their recorded time replaced by
     the timeout. Rows with other than the header's number of cells, time_s
     beyond the timeout, unknown statuses, or duplicate (instance, solver)
-    pairs are rejected with their line number. Each row is checked once, by
-    scenario.check_run_values; the checks that span rows follow the last row.
+    pairs are rejected with their line number; the checks that span rows
+    follow the last row.
+
+    Rows are read a block at a time (_blocks). A block's cells are converted
+    column by column, the checks that need no snapping run on whole columns,
+    and ScenarioBuilder.runs snaps each time to the millisecond grid, checks
+    it against the timeout with the rules of scenario.check_run_values, and
+    places the run, all in one loop. From the first row that fails a check,
+    the rest of its block is taken one row at a time, through check_run_values
+    and ScenarioBuilder.run, so the first failing row and its message are
+    those of a row-by-row read. The trajectory file is read the same way.
     """
     path = Path(path)
     timeout_s = check_timeout(timeout_s)
@@ -109,43 +120,110 @@ def parse_runs(
                 f"{path}: header must be instance_id,solver_id,status,time_s[,obj];"
                 f" missing {sorted(missing)}, unexpected {sorted(extra)}"
             )
-        c_inst, c_solver, c_status, c_time = (fields.index(f) for f in _RUN_FIELDS)
-        c_obj = fields.index("obj") if "obj" in fields else None
-
-        width = len(fields)
-        builder = ScenarioBuilder(timeout_s)
-        add, opt, inf = builder.run, set(), math.inf
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
-            iid, sid = row[c_inst].strip(), row[c_solver].strip()
-            if not iid or not sid:
-                raise RowError(reader.line_num, "instance_id and solver_id must be non-empty")
-            status = _STATUS_IN.get(row[c_status]) or _STATUS_IN.get(
-                status_raw := row[c_status].strip().lower())
-            if status is None:
-                raise RowError(reader.line_num,
-                               f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}")
-            obj_cell = row[c_obj].strip() if c_obj is not None else ""
-            try:
-                t, obj = float(row[c_time]), float(obj_cell) if obj_cell else inf
-            except ValueError:  # name the time's cell before the objective's
-                _parse_float(row[c_time], "time_s", reader.line_num)
-                raise RowError(reader.line_num, f"unparseable obj {obj_cell!r}") from None
-            try:
-                run = check_run_values(status, t, obj, timeout_s, True)  # unsolved_at_timeout
-            except ValueError as exc:
-                raise RowError(reader.line_num, str(exc)) from None
-            if not add(iid, sid, run):
-                raise RowError(reader.line_num, f"duplicate row for ({iid}, {sid})")
-            if obj_cell:
-                opt.add(iid)
+        cells = (*(fields.index(f) for f in _RUN_FIELDS),
+                 fields.index("obj") if "obj" in fields else None)
+        builder, opt = ScenarioBuilder(timeout_s), set()
+        for rows, lines in _blocks(reader):
+            k = _run_block(builder, opt, len(fields), cells, rows)
+            for row, line_no in zip(rows[k:], lines[k:]):  # a failed block, one row at a time
+                _run_row(builder, opt, len(fields), cells, row, line_no)
 
     builder.close_runs(opt)
     _read_trajectories(builder, path, trajectories_path)
     return builder.scenario(scenario_id or path.stem)
+
+
+_BLOCK = 256  # rows read, checked and placed at a time
+
+
+def _blocks(reader):
+    """The reader's rows a block at a time, each with the lines its rows end on.
+
+    A csv error is raised after the rows read before it are taken, as it
+    would be one row at a time.
+    """
+    while True:
+        first, rows = reader.line_num, []
+        try:
+            rows.extend(islice(reader, _BLOCK))
+        except csv.Error:
+            yield rows, _row_lines(rows, first, None)
+            raise
+        if not rows:
+            return
+        yield rows, _row_lines(rows, first, reader.line_num)
+
+
+def _row_lines(rows: list[list[str]], first: int, last: int | None) -> Sequence[int]:
+    """The line each row ends on, counted from first; last is the last row's, when known.
+
+    A row spans one line plus one per line break inside its quoted cells,
+    as csv's line_num counts them.
+    """
+    if last is not None and last - first == len(rows):
+        return range(first + 1, last + 1)
+    spans = (1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+             for row in rows)
+    return list(accumulate(spans, initial=first))[1:]
+
+
+def _run_block(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple,
+               rows: list[list[str]]) -> int:
+    """Check a block of runs rows column-wise and place them; the number placed, short of
+    the block's length from the first row that must be taken one at a time."""
+    if {*map(len, rows)} != {width}:
+        return 0
+    c_inst, c_solver, c_status, c_time, c_obj = cells
+    columns = list(zip(*rows))
+    iids = list(map(str.strip, columns[c_inst]))
+    sids = list(map(str.strip, columns[c_solver]))
+    statuses = list(map(_STATUS_IN.get, columns[c_status]))
+    if "" in iids or "" in sids or None in statuses:
+        return 0
+    obj_cells = list(map(str.strip, columns[c_obj])) if c_obj is not None else ()
+    objs = [math.inf] * len(rows)  # an empty obj cell reads as +inf, the one object
+    filled = list(compress(count(), obj_cells))
+    try:
+        times = list(map(float, columns[c_time]))
+        deque(map(objs.__setitem__, filled, map(float, map(obj_cells.__getitem__, filled))),
+              maxlen=0)
+    except ValueError:
+        return 0
+    k = builder.runs(iids, sids, times, statuses, objs, True)  # unsolved_at_timeout
+    opt.update(compress(iids[:k], obj_cells))
+    return k
+
+
+def _run_row(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple,
+             row: list[str], line_no: int) -> None:
+    """Check and place one runs row, raising a RowError naming its line if it fails."""
+    if len(row) != width:
+        if not row:
+            return
+        raise RowError(line_no, f"expected {width} fields, got {len(row)}")
+    c_inst, c_solver, c_status, c_time, c_obj = cells
+    iid, sid = row[c_inst].strip(), row[c_solver].strip()
+    if not iid or not sid:
+        raise RowError(line_no, "instance_id and solver_id must be non-empty")
+    status = _STATUS_IN.get(row[c_status]) or _STATUS_IN.get(
+        status_raw := row[c_status].strip().lower())
+    if status is None:
+        raise RowError(line_no,
+                       f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}")
+    obj_cell = row[c_obj].strip() if c_obj is not None else ""
+    try:
+        t, obj = float(row[c_time]), float(obj_cell) if obj_cell else math.inf
+    except ValueError:  # name the time's cell before the objective's
+        _parse_float(row[c_time], "time_s", line_no)
+        raise RowError(line_no, f"unparseable obj {obj_cell!r}") from None
+    try:
+        run = check_run_values(status, t, obj, builder.timeout_s, True)  # unsolved_at_timeout
+    except ValueError as exc:
+        raise RowError(line_no, str(exc)) from None
+    if not builder.run(iid, sid, run):
+        raise RowError(line_no, f"duplicate row for ({iid}, {sid})")
+    if obj_cell:
+        opt.add(iid)
 
 
 def _header(path: str | Path, header: list[str]) -> list[str]:
@@ -159,7 +237,7 @@ def _header(path: str | Path, header: list[str]) -> list[str]:
 
 def _read_trajectories(builder: ScenarioBuilder, runs_path: Path,
                        trajectories_path: str | Path | None) -> None:
-    """Hand the trajectory file's events to builder in file order, checking only their cells."""
+    """Hand the trajectory file's events to builder in file order, a block of rows at a time."""
     if trajectories_path is None:
         candidate = trajectories_path_for(runs_path)
         if not candidate.exists():
@@ -175,25 +253,52 @@ def _read_trajectories(builder: ScenarioBuilder, runs_path: Path,
             raise SchemaError(
                 f"{trajectories_path}: header must be instance_id,solver_id,t_s,obj"
             )
-        c_inst, c_solver, c_time, c_obj = (fields.index(f) for f in _TRAJ_FIELDS)
-        width, has_run, event = len(fields), builder.has_run, builder.event
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise RowError(reader.line_num, f"expected {width} fields, got {len(row)}")
-            iid, sid = row[c_inst].strip(), row[c_solver].strip()
-            try:
-                t, v = float(row[c_time]), float(row[c_obj])
-            except ValueError:
-                t = v = None
-            if t is None or not -math.inf < t < math.inf:  # the time's cell first, as above
-                if has_run(iid, sid):  # else an unknown pair, named first
-                    _parse_time(row[c_time], reader.line_num)
-                    _parse_float(row[c_obj], "obj", reader.line_num)
-            elif event(iid, sid, t, v):
-                continue
-            raise RowError(reader.line_num, f"trajectory row for unknown pair {(iid, sid)!r}")
+        cells = tuple(fields.index(f) for f in _TRAJ_FIELDS)
+        for rows, lines in _blocks(reader):
+            k = _event_block(builder, len(fields), cells, rows)
+            for row, line_no in zip(rows[k:], lines[k:]):  # a failed block, one row at a time
+                _event_row(builder, len(fields), cells, row, line_no)
+
+
+def _event_block(builder: ScenarioBuilder, width: int, cells: tuple,
+                 rows: list[list[str]]) -> int:
+    """Parse a block of trajectory rows column-wise and hand them to the builder; the number
+    taken, short of the block's length from the first row that must be taken one at a time.
+
+    The id cells go as they are: one with spaces around it names no pair the
+    builder knows, so its row is taken one at a time, where it is stripped.
+    """
+    if {*map(len, rows)} != {width}:
+        return 0
+    c_inst, c_solver, c_time, c_obj = cells
+    columns = list(zip(*rows))
+    try:
+        ts, vs = list(map(float, columns[c_time])), list(map(float, columns[c_obj]))
+    except ValueError:
+        return 0
+    return builder.events(columns[c_inst], columns[c_solver], ts, vs)
+
+
+def _event_row(builder: ScenarioBuilder, width: int, cells: tuple, row: list[str],
+               line_no: int) -> None:
+    """Hand one trajectory row's event to the builder, checking only its cells."""
+    if len(row) != width:
+        if not row:
+            return
+        raise RowError(line_no, f"expected {width} fields, got {len(row)}")
+    c_inst, c_solver, c_time, c_obj = cells
+    iid, sid = row[c_inst].strip(), row[c_solver].strip()
+    try:
+        t, v = float(row[c_time]), float(row[c_obj])
+    except ValueError:
+        t = v = None
+    if t is None or not -math.inf < t < math.inf:  # the time's cell first, as above
+        if builder.has_run(iid, sid):  # else an unknown pair, named first
+            _parse_time(row[c_time], line_no)
+            _parse_float(row[c_obj], "obj", line_no)
+    elif builder.event(iid, sid, t, v):
+        return
+    raise RowError(line_no, f"trajectory row for unknown pair {(iid, sid)!r}")
 
 
 def emit_scenario(
@@ -204,11 +309,17 @@ def emit_scenario(
     """Write a scenario as runs CSV, and a trajectory CSV when it has trajectories.
 
     Inverse of parse_runs: parsing the written files with the same timeout
-    reproduces the scenario field for field, except an instance's
-    best_known_obj, which the files have no place for. A trajectory file
-    already at the target is overwritten, header only when there is none,
-    so that no older scenario's events are read back beside these runs.
+    reproduces the scenario field for field. The files have no place for an
+    instance's best_known_obj, so a scenario that records one is refused with
+    a SchemaError naming the first such instance, before any file is opened.
+    A trajectory file already at the target is overwritten, header only when
+    there is none, so that no older scenario's events are read back beside
+    these runs.
     """
+    for inst in scenario.instances:
+        if inst.best_known_obj is not None:
+            raise SchemaError(f"instance {inst.id!r} records best_known_obj "
+                              f"{inst.best_known_obj!r}, which a runs file has no place for")
     runs_path = Path(runs_path)
     _write_csv(runs_path, _run_rows(scenario))
     tpath = Path(trajectories_path) if trajectories_path else trajectories_path_for(runs_path)

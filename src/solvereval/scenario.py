@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from types import MappingProxyType
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -489,6 +489,50 @@ class ScenarioBuilder:
             self.loose.append((p, col))
         return True
 
+    def runs(self, iids: Sequence[str], sids: Sequence[str], times: Sequence[float],
+             statuses: Sequence[RunStatus], objs: Sequence[float],
+             unsolved_at_timeout: bool = False) -> int:
+        """Check and place a block of runs in order, as check_run_values and run() would one
+        at a time; the number placed, short of the block's length at the first run that
+        must go one at a time: one that breaks a rule, or a pair's second run.
+
+        The statuses are RunStatus members, the times and objs floats. The checks
+        that need no snapping run on whole columns (no time below 0, no obj NaN or
+        -inf); the loop that places the runs quantizes each time to integer ms and
+        checks it against the timeout, with check_run_values' rules.
+        """
+        # With no -inf among the objs, their sum is NaN only if one of them is.
+        if min(times, default=0.0) < 0.0 or -_INF in objs or (total := sum(objs)) != total:
+            return 0
+        tau = self.timeout_s
+        written = float(f"{tau:.3f}") if unsolved_at_timeout else tau  # the timeout as written
+        at, cols, kinds, loose, k = self.at, self.cols, self.kinds, self.loose, 0
+        try:
+            for k, iid, sid, t, status, obj in zip(count(), iids, sids, times, statuses, objs):
+                if status is _SOLVED:
+                    t = round(t * 1000.0) / 1000.0
+                    if t >= tau:
+                        return k
+                elif t == tau or unsolved_at_timeout and (round(t * 1000.0) / 1000.0 <= tau
+                                                          or t == written):
+                    t = tau
+                else:
+                    return k
+                p = at.get(iid)
+                if p is None:
+                    p = self.instance(iid)
+                col = cols.get(sid) or cols.setdefault(sid, _Solver(sid, self.size))
+                column = col.statuses
+                if column[p] is not None:
+                    return k
+                col.times[p], column[p], col.objs[p] = t, status, obj
+                if (status is _SOLVED and kinds[p] is not _DECISION if obj == _INF
+                        else kinds[p] is _DECISION):
+                    loose.append((p, col))
+        except (ValueError, OverflowError):  # a time with no millisecond count
+            return k
+        return len(iids)
+
     def has_run(self, iid: str, sid: str) -> bool:  # a run, checked or rejected
         p, col = self.at.get(iid), self.cols.get(sid)
         return p is not None and col is not None and col.statuses[p] is not None
@@ -549,6 +593,50 @@ class ScenarioBuilder:
         col.ev_p.append(p)
         return True
 
+    def events(self, iids: Sequence[str], sids: Sequence[str], ts: Sequence[float],
+               vs: Sequence[float]) -> int:
+        """Take a block of events in order, as event() would one at a time; the number taken,
+        short of the block's length from the first event that event() must take: one that
+        breaks a rule, and so is flagged with its pair's messages, or names no run.
+
+        Whether every objective is finite is checked on the whole column; the loop
+        that takes the events quantizes each time to integer ms, checks it against
+        the timeout, and checks each event against its pair's last one.
+        """
+        if not math.isfinite(sum(vs)):  # finite if every objective is
+            return 0
+        at, cols, kinds, tau = self.at, self.cols, self.kinds, self.timeout_s
+        k, p = 0, None
+        col = last = times = objs = pos = iid_was = sid_was = None
+        try:
+            for k, iid, sid, t, v in zip(count(), iids, sids, ts, vs):
+                t = round(t * 1000.0) / 1000.0
+                if not 0.0 <= t < tau:
+                    return k
+                if iid != iid_was or sid != sid_was:  # another pair's event
+                    iid_was, sid_was = iid, sid
+                    p, col = at.get(iid), cols.get(sid)
+                    if p is None or col is None:
+                        return k
+                    last = col.last[p]
+                    if last is None:  # a file's pair, at its first event
+                        if col.statuses[p] is None:
+                            return k
+                        self.opened += p, col
+                        last = col.last[p] = _EMPTY if kinds[p] is _OPTIMIZATION else _REFUSED
+                    times, objs, pos = col.ev_t, col.ev_v, col.ev_p
+                if last == _REFUSED:
+                    continue
+                if last >= 0 and not (times[last] < t and objs[last] > v):
+                    return k
+                last = col.last[p] = len(times)
+                times.append(t)
+                objs.append(v)
+                pos.append(p)
+        except (ValueError, OverflowError):  # a time with no millisecond count
+            return k
+        return len(ts)
+
     def _problems(self, p: int, col: _Solver) -> tuple[list[str], list[str]]:
         """The pair's problems so far: of single events, and between consecutive ones."""
         return self.problems.setdefault((p, col), ([], []))
@@ -589,7 +677,10 @@ class ScenarioBuilder:
     def scenario(self, scenario_id: str) -> Scenario:
         """Check the file's pairs, then raise the violations or build the scenario."""
         for p, col in zip(self.opened[::2], self.opened[1::2]):
-            self._close(p, col)
+            last = col.last[p]
+            if (self.problems or last < 0 or col.ev_v[last] != col.objs[p]
+                    or col.statuses[p] is _SOLVED and col.times[p] < col.ev_t[last]):
+                self._close(p, col)  # else a pair _close finds nothing wrong with
         self.opened.clear()  # so each solver's lists go once its columns are made
         if self.violations:
             raise ValidationError(self.violations)

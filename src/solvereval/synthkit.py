@@ -131,10 +131,10 @@ def generate(spec: ArchetypeSpec) -> Scenario:
     # Trajectories go in as the events a trajectory file lists: a solved
     # run's trajectory is proved optimal at the run's time, as a file's is.
     builder = ScenarioBuilder(tau, solvers=names)
-    add, event = builder.run, builder.event
     solved, error, timeout, inf = RunStatus.SOLVED, RunStatus.ERROR, RunStatus.TIMEOUT, math.inf
     kinds = {True: InstanceKind.OPTIMIZATION, False: InstanceKind.DECISION}
     draws = 2 + 8 * len(spec.solvers)
+    runs, events = [], []  # (instance, solver, status, time, obj) and (instance, solver, time, obj)
     for idx in range(spec.n_instances):
         iid = f"i{idx:0{width}d}"
         u = rng.next_floats(draws)  # the instance's 2 draws, then each run's 8
@@ -165,12 +165,30 @@ def generate(spec: ArchetypeSpec) -> Scenario:
                     obj = round(base_obj + quality.sample(u_offset), 6)
                     t_found = quantize_ms(u_frac * (tau - _MS))
                     stairs = _staircase(t_found, obj, u_split, u_bump)
-            add(iid, sid, check_run_values(status, t, obj, tau))
+            runs.append((iid, sid, status, t, obj))
             for t_e, v in stairs:
-                event(iid, sid, t_e, v)
+                events.append((iid, sid, t_e, v))
+        if len(runs) >= _BLOCK or idx == spec.n_instances - 1:
+            _take(builder, runs, events)
 
     builder.close_runs()
     return builder.scenario(spec.scenario_id or f"synth-{spec.seed}")
+
+
+_BLOCK = 256  # runs handed to the builder at a time, with the events of their instances
+
+
+def _take(builder: ScenarioBuilder, runs: list[tuple], events: list[tuple]) -> None:
+    """Hand a block of runs, then their events, to the builder, and empty both lists."""
+    iids, sids, statuses, times, objs = map(list, zip(*runs))
+    for iid, sid, status, t, obj in runs[builder.runs(iids, sids, times, statuses, objs):]:
+        builder.run(iid, sid, check_run_values(status, t, obj, builder.timeout_s))
+    if events:
+        iids, sids, ts, vs = map(list, zip(*events))
+        for event in events[builder.events(iids, sids, ts, vs):]:
+            builder.event(*event)
+    runs.clear()
+    events.clear()
 
 
 def thorough_vs_fast_spec(

@@ -640,6 +640,28 @@ class TestFileEncoding:
         assert ascii_locale.stdout == default.stdout
         assert "café" in json.loads(default.stdout)["distributions"]
 
+    @pytest.mark.parametrize("command", [("runtime-dist",), ("rank", "--metric", "par")])
+    def test_text_output_is_utf8_whatever_the_locale(self, tmp_path, command):
+        runs = tmp_path / "runs.csv"
+        runs.write_bytes(ACCENTED_RUNS.encode("utf-8"))
+        argv = (command[0], str(runs), "--timeout", "100", *command[1:])
+        utf8 = _module_cli(*argv, LC_ALL="C.UTF-8")
+        ascii_locale = _module_cli(*argv, python=("-X", "utf8=0"),
+                                   LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert (utf8.returncode, utf8.stderr) == (0, b"")
+        assert (ascii_locale.returncode, ascii_locale.stderr) == (0, b"")
+        assert ascii_locale.stdout == utf8.stdout
+        assert "café".encode() in utf8.stdout
+
+    def test_text_output_to_a_text_only_stream(self, tmp_path, monkeypatch):
+        import io
+
+        runs = tmp_path / "runs.csv"
+        runs.write_bytes(ACCENTED_RUNS.encode("utf-8"))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert main(["runtime-dist", str(runs), "--timeout", "100"]) == 0
+        assert "café" in sys.stdout.getvalue()
+
     @pytest.mark.parametrize("bad", ["runs.csv", "runs_trajectories.csv", "runs.arff"])
     def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys, bad):
         files = {"runs.arff": ARFF_RUNS.replace("i2,1,b,", "i2,1,café,")} if bad == "runs.arff" \

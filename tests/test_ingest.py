@@ -17,6 +17,7 @@ BadOutcome or a RowError.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 import pickle
@@ -30,6 +31,8 @@ from hypothesis import strategies as st
 from test_fold_columns import generated
 from test_properties import scenarios
 
+import solvereval.io
+import solvereval.synthkit
 from solvereval import (
     Instance,
     InstanceKind,
@@ -389,8 +392,14 @@ class TestOffGridTimeout:
 
 
 def _round_trip(sc):
+    recorded = [i.id for i in sc.instances if i.best_known_obj is not None]
     with tempfile.TemporaryDirectory() as d:
         runs = Path(d) / "rt.csv"
+        if recorded:  # the files have no place for it: refused before any file is opened
+            with pytest.raises(SchemaError, match=f"instance {recorded[0]!r} records"):
+                emit_scenario(sc, runs)
+            assert not any(Path(d).iterdir())
+            return
         emit_scenario(sc, runs)
         parsed = parse_runs(runs, sc.timeout_s, scenario_id=sc.id)
     assert parsed == sc
@@ -402,9 +411,22 @@ class TestRoundTrip:
     def test_mixed_kinds_with_trajectories(self, sc):
         _round_trip(sc)
 
-    @given(scenarios())
+    @given(scenarios(best_known=True))
     def test_property_scenarios(self, sc):
         _round_trip(sc)
+
+    def test_best_known_obj_is_refused(self, tmp_path):
+        # Scored in memory with the recorded value, the ratios would change after a round
+        # trip (0.5 and 0.4 to 1.0 and 0.8), so the scenario is not written.
+        sc = validate_scenario(Scenario(
+            "bk", (Instance("o1", InstanceKind.OPTIMIZATION, 20.0),), ("a", "b"), 100.0,
+            {("o1", "a"): RunOutcome(100.0, RunStatus.TIMEOUT, 40.0),
+             ("o1", "b"): RunOutcome(100.0, RunStatus.TIMEOUT, 50.0)}))
+        with pytest.raises(SchemaError) as e:
+            emit_scenario(sc, tmp_path / "bk.csv")
+        assert str(e.value) == ("instance 'o1' records best_known_obj 20.0, which a runs file"
+                                " has no place for")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAslibOrder:
@@ -578,3 +600,121 @@ class TestKindRules:
             ("BadOutcome", "decision instance outcomes must have obj = +inf", "(i1, a)"),
             ("BadOutcome", "solved optimization run must have a finite obj", "(o1, a)"),
         ]
+
+
+@pytest.fixture(params=[1, 2, 3])
+def small_blocks(request, monkeypatch):
+    """The runs and trajectory readers check one, two or three rows at a time."""
+    monkeypatch.setattr(solvereval.io, "_BLOCK", request.param)
+    return request.param
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestErrorParityInSmallBlocks(TestErrorParity):
+    """The same lines, messages and violations wherever the block boundaries fall."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestRowWidthInSmallBlocks(TestRowWidth):
+    pass
+
+
+def _rows(n, solver="a"):
+    """n good runs rows on n decision instances."""
+    return "".join(f"i{k},{solver},ok,{k % 90 + 1}.5,\n" for k in range(n))
+
+
+@pytest.fixture(params=[1, 2, 3, None], ids=["1", "2", "3", "default"])
+def block(request, monkeypatch):
+    """The readers' block size: small ones, and the default."""
+    if request.param is not None:
+        monkeypatch.setattr(solvereval.io, "_BLOCK", request.param)
+    return solvereval.io._BLOCK
+
+
+class TestBlockBoundaries:
+    def test_fault_on_the_first_row_of_the_second_block(self, tmp_path, block):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, RUNS + _rows(block) + "j1,a,weird,1.0,\n" + _rows(3, "b"))
+        assert str(e.value) == (f"line {block + 2}: unknown status 'weird'; expected one of"
+                                " ['crash', 'memout', 'ok', 'timeout']")
+
+    def test_trajectory_fault_on_the_first_row_of_the_second_block(self, tmp_path, block):
+        runs = RUNS + "".join(f"o{k},a,timeout,100,{k + 1}\n" for k in range(block + 1))
+        events = "".join(f"o{k},a,1.0,{k + 1}\n" for k in range(block))
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, runs, traj=TRAJ + events + f"o{block},a,abc,1\n")
+        assert str(e.value) == f"line {block + 2}: unparseable time_s 'abc'"
+
+    def test_duplicate_of_a_run_in_an_earlier_block(self, tmp_path, block):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, RUNS + _rows(block) + "i0,a,timeout,100,\n")
+        assert str(e.value) == f"line {block + 2}: duplicate row for (i0, a)"
+
+    def test_events_of_one_pair_across_a_block_boundary(self, tmp_path, block):
+        n = 2 * block
+        runs = RUNS + f"o1,a,timeout,100,{1001 - n}\n"
+        events = [f"o1,a,0.{k + 1:03d},{1000 - k}\n" for k in range(n)]
+        sc = _load(tmp_path, runs, traj=TRAJ + "".join(events))
+        assert sc.trajectory("o1", "a").events == tuple(
+            ((k + 1) / 1000, float(1000 - k)) for k in range(n))
+        # The first event of the second block is no later than the last of the first.
+        events[block] = f"o1,a,0.{block:03d},{1000 - block}\n"
+        with pytest.raises(ValidationError) as e:
+            _load(tmp_path, runs, traj=TRAJ + "".join(events))
+        assert [v.message for v in e.value.violations] == [
+            "event times must be strictly increasing"]
+
+    def test_row_count_an_exact_multiple_of_the_block_size(self, tmp_path, block):
+        solvers = 2 if block % 2 == 0 else 1
+        spec = ArchetypeSpec(
+            seed=4, n_instances=2 * block // solvers, timeout_s=50.0, opt_fraction=0.5,
+            solvers=tuple(SolverSpec(0.6, uniform(0.0, 40.0), uniform(0.0, 5.0))
+                          for _ in range(solvers)))
+        sc = generate(spec)
+        emit_scenario(sc, tmp_path / "r.csv")
+        assert len((tmp_path / "r.csv").read_text().splitlines()) == 2 * block + 1
+        assert parse_runs(tmp_path / "r.csv", 50.0, scenario_id=sc.id) == sc
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_bad_row_after_a_cell_that_spans_lines(self, tmp_path, block, newline):
+        text = RUNS + f'i1,"x{newline}y",ok,1.0,\n' + _rows(2) + "i3,a,weird,1.0,\n"
+        p = tmp_path / "r.csv"
+        p.write_bytes(text.encode())
+        with open(p, newline="") as fh:
+            reader = csv.reader(fh)
+            line = next(reader.line_num for row in reader if "weird" in row)
+        with pytest.raises(RowError) as e:
+            parse_runs(p, 100.0)
+        assert e.value.line_no == line == 6
+
+    def test_row_error_before_a_csv_error_later_in_its_block(self, tmp_path, block):
+        runs = RUNS + "i1,a,weird,1.0,\n" + "i2,a,ok,1.0," + "x" * 40 + "\n"
+        limit = csv.field_size_limit(20)
+        try:
+            with pytest.raises(RowError) as e:
+                _load(tmp_path, runs)
+            assert e.value.line_no == 2
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                _load(tmp_path, RUNS + _rows(block) + "i9,a,ok,1.0," + "x" * 40 + "\n")
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_padded_cells_read_as_plain_ones(self, tmp_path, block):
+        # Cells with spaces around them leave the block path for the row-by-row one.
+        runs = RUNS + "o1,a,ok,3.0,5.0\no1,b,timeout,100,7.5\no2,a,timeout,100,\no2,b,ok,1,\n"
+        traj = TRAJ + "o1,a,1.0,6.0\no1,a,2.5,5.0\no1,b,4.0,7.5\n"
+        plain = _load(tmp_path, runs, traj=traj)
+        padded = _load(tmp_path, runs.replace("o1,a,ok", " o1 , a , OK "),
+                       traj=traj.replace("o1,a,2.5", "o1, a ,2.5"))
+        assert padded == plain
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_generate_in_small_blocks(self, monkeypatch, size):
+        spec = dataclasses.replace(_spec(), error_probability=0.2)
+        whole = generate(spec)
+        monkeypatch.setattr(solvereval.synthkit, "_BLOCK", size)
+        again = generate(spec)
+        assert again == whole
+        assert dict(again.outcomes.times) == dict(whole.outcomes.times)
+        assert dict(again.trajectories.offsets) == dict(whole.trajectories.offsets)

@@ -37,12 +37,13 @@ TIMEOUTS = (10.0, 100.0)
 
 
 @st.composite
-def scenarios(draw, optimization: bool | None = None):
+def scenarios(draw, optimization: bool | None = None, best_known: bool = False):
     """A consistent scenario with millisecond-grid times.
 
     Consistency means a solved optimization run reports the instance's true
     optimum, so nobody else can hold a strictly smaller objective; timed-out
-    incumbents are the optimum plus a non-negative offset.
+    incumbents are the optimum plus a non-negative offset. With best_known, an
+    optimization instance may record a best known objective at or below it.
     """
     timeout_s = draw(st.sampled_from(TIMEOUTS))
     timeout_ms = round(timeout_s * 1000)
@@ -59,8 +60,10 @@ def scenarios(draw, optimization: bool | None = None):
         else:
             opt = optimization
         kind = InstanceKind.OPTIMIZATION if opt else InstanceKind.DECISION
-        instances.append(Instance(iid, kind))
         optimum = draw(st.integers(1, 50)) if opt else None
+        recorded = (float(draw(st.integers(1, optimum)))
+                    if opt and best_known and draw(st.booleans()) else None)
+        instances.append(Instance(iid, kind, recorded))
         for s in solvers:
             is_solved = draw(st.booleans())
             if is_solved:

@@ -21,9 +21,11 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import solvereval.io
 from solvereval import (
     Instance,
     InstanceKind,
@@ -291,6 +293,19 @@ def _write(directory, runs, traj):
 @given(drawn=files())
 def test_shuffled_files_read_as_the_old_reader_read_them(drawn):
     with tempfile.TemporaryDirectory() as d:
+        runs_path, traj_path = _write(d, *drawn)
+        got = outcome(lambda: read(runs_path, 10.0, traj_path))
+        want = outcome(lambda: ref_parse_runs(runs_path, 10.0, traj_path))
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=files())
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_block_boundaries_anywhere_read_as_the_old_reader_read_them(block, drawn):
+    """The same, with the rows checked one, two or three at a time."""
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as d:
+        mp.setattr(solvereval.io, "_BLOCK", block)
         runs_path, traj_path = _write(d, *drawn)
         got = outcome(lambda: read(runs_path, 10.0, traj_path))
         want = outcome(lambda: ref_parse_runs(runs_path, 10.0, traj_path))

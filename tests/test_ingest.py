@@ -85,74 +85,101 @@ def _load(tmp_path, runs, timeout=100.0, traj=None):
     return parse_runs(p, timeout)
 
 
-# (runs text, trajectory text, line of the RowError)
+# (runs text, trajectory text, line of the RowError, its message after the line)
 ROW_ERRORS = {
-    "unknown status": (RUNS + "i1,a,weird,1.0,\n", None, 2),
-    "unparseable time": (RUNS + "i1,a,ok,abc,\n", None, 2),
-    "negative time": (RUNS + "i1,a,ok,-1.0,\n", None, 2),
-    "solved at the timeout": (RUNS + "i1,a,ok,100.0,\n", None, 2),
-    "solved beyond the timeout": (RUNS + "i1,a,ok,140.0,\n", None, 2),
-    "unsolved beyond the timeout": (RUNS + "i1,a,timeout,140.0,\n", None, 2),
-    "negative unsolved time": (RUNS + "i1,a,timeout,-1.0,\n", None, 2),
-    "nan time": (RUNS + "i1,a,ok,nan,\n", None, 2),
-    "empty id": (RUNS + ",a,ok,1.0,\n", None, 2),
-    "short row": (RUNS + "i1,a\n", None, 2),
-    "-inf obj": (RUNS + "o1,a,timeout,100.0,-inf\n", None, 2),
-    "nan obj": (RUNS + "o1,a,timeout,100.0,nan\n", None, 2),
-    "junk obj": (RUNS + "o1,a,timeout,100.0,junk\n", None, 2),
-    "duplicate pair": (RUNS + "i1,a,ok,1.0,\ni1,b,ok,1.0,\ni1,a,ok,2.0,\n", None, 4),
-    "bad row after good ones": (RUNS + "i1,a,ok,1.0,\ni1,b,ok,1.0,\ni2,a,ok,200,\n", None, 4),
-    "trajectory for an unknown pair": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "ghost,a,1.0,5.0\n", 2),
-    "nan trajectory time": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "o1,a,nan,5.0\n", 2),
-    "unparseable trajectory obj": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "o1,a,1.0,x\n", 2),
-    "arff short row": (ARFF + "i1,1,a,1.0,ok\ni1,1,b\n", None, 9),
-    "arff duplicate": (ARFF + "i1,1,a,1.0,ok\ni1,1,b,2.0,ok\ni1,1,a,3.0,ok\n", None, 10),
-    "arff nan runtime": (ARFF + "i1,1,a,nan,ok\n", None, 8),
-    "arff repetition": (ARFF + "i1,x,a,1.0,ok\n", None, 8),
-    "arff infinite repetition": (ARFF + "i1,inf,a,1.0,ok\n", None, 8),
+    "unknown status": (RUNS + "i1,a,weird,1.0,\n", None, 2,
+                      "unknown status 'weird'; expected one of ['crash', 'memout', 'ok', 'timeout']"),
+    "unparseable time": (RUNS + "i1,a,ok,abc,\n", None, 2,
+                        "unparseable time_s 'abc'"),
+    "negative time": (RUNS + "i1,a,ok,-1.0,\n", None, 2,
+                     "time_s must be >= 0, got -1.0"),
+    "solved at the timeout": (RUNS + "i1,a,ok,100.0,\n", None, 2,
+                             "a solved run must finish strictly before the timeout, got 100.0"),
+    "solved beyond the timeout": (RUNS + "i1,a,ok,140.0,\n", None, 2,
+                                 "time_s 140.0 exceeds the timeout 100.0"),
+    "unsolved beyond the timeout": (RUNS + "i1,a,timeout,140.0,\n", None, 2,
+                                   "time_s 140.0 exceeds the timeout 100.0"),
+    "negative unsolved time": (RUNS + "i1,a,timeout,-1.0,\n", None, 2,
+                              "time_s must be >= 0, got -1.0"),
+    "nan time": (RUNS + "i1,a,ok,nan,\n", None, 2,
+                "time_s must be a finite number, got nan"),
+    "empty id": (RUNS + ",a,ok,1.0,\n", None, 2,
+                "instance_id and solver_id must be non-empty"),
+    "short row": (RUNS + "i1,a\n", None, 2,
+                 "expected 5 fields, got 2"),
+    "-inf obj": (RUNS + "o1,a,timeout,100.0,-inf\n", None, 2,
+                "obj must be finite or +inf, got -inf"),
+    "nan obj": (RUNS + "o1,a,timeout,100.0,nan\n", None, 2,
+               "obj must be finite or +inf, got nan"),
+    "junk obj": (RUNS + "o1,a,timeout,100.0,junk\n", None, 2,
+                "unparseable obj 'junk'"),
+    "duplicate pair": (RUNS + "i1,a,ok,1.0,\ni1,b,ok,1.0,\ni1,a,ok,2.0,\n", None, 4,
+                      "duplicate row for (i1, a)"),
+    "bad row after good ones": (RUNS + "i1,a,ok,1.0,\ni1,b,ok,1.0,\ni2,a,ok,200,\n", None, 4,
+                               "time_s 200.0 exceeds the timeout 100.0"),
+    "trajectory for an unknown pair": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "ghost,a,1.0,5.0\n", 2,
+                                      "trajectory row for unknown pair ('ghost', 'a')"),
+    "nan trajectory time": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "o1,a,nan,5.0\n", 2,
+                           "time_s must be finite, got 'nan'"),
+    "unparseable trajectory obj": (RUNS + "o1,a,timeout,100,5\n", TRAJ + "o1,a,1.0,x\n", 2,
+                                  "unparseable obj 'x'"),
+    "arff short row": (ARFF + "i1,1,a,1.0,ok\ni1,1,b\n", None, 9,
+                      "expected 5 fields, got 3"),
+    "arff duplicate": (ARFF + "i1,1,a,1.0,ok\ni1,1,b,2.0,ok\ni1,1,a,3.0,ok\n", None, 10,
+                      "duplicate row for (i1, a)"),
+    "arff nan runtime": (ARFF + "i1,1,a,nan,ok\n", None, 8,
+                        "time_s must be finite, got 'nan'"),
+    "arff repetition": (ARFF + "i1,x,a,1.0,ok\n", None, 8,
+                       "unparseable repetition 'x'"),
+    "arff infinite repetition": (ARFF + "i1,inf,a,1.0,ok\n", None, 8,
+                                "unparseable repetition 'inf'"),
 }
 
-# (runs text, trajectory text, violations as (code, where))
+# (runs text, trajectory text, violations as (code, message, where))
 VIOLATIONS = {
     "solved optimization run with an empty obj cell": (
         RUNS + "o1,a,ok,10.0,\no1,b,ok,20.0,5.0\n", None,
-        [("BadOutcome", "(o1, a)")],
+        [("BadOutcome", "solved optimization run must have a finite obj", "(o1, a)")],
     ),
     "solved optimization run with an inf obj": (
         RUNS + "o1,a,ok,10.0,inf\no1,b,ok,20.0,5.0\ni1,a,ok,1.0,\ni1,b,ok,1.0,\n", None,
-        [("BadOutcome", "(o1, a)")],
+        [("BadOutcome", "solved optimization run must have a finite obj", "(o1, a)")],
     ),
     "missing pair": (
         RUNS + "i1,a,ok,1.0,\ni1,b,ok,2.0,\ni2,a,ok,3.0,\n", None,
-        [("MissingOutcome", "(i2, b)")],
+        [("MissingOutcome", "no recorded run for this pair", "(i2, b)")],
     ),
     "missing pairs in a diagonal": (
         RUNS + "i1,a,ok,1.0,\ni2,b,ok,2.0,\n", None,
-        [("MissingOutcome", "(i1, b)"), ("MissingOutcome", "(i2, a)")],
+        [("MissingOutcome", "no recorded run for this pair", "(i1, b)"),
+         ("MissingOutcome", "no recorded run for this pair", "(i2, a)")],
     ),
     "header only": (
         RUNS, None,
-        [("EmptyScenario", None), ("EmptyScenario", None)],
+        [("EmptyScenario", "scenario has no instances", None),
+         ("EmptyScenario", "scenario has no solvers", None)],
     ),
     "last event differs from the run": (
         RUNS + "o1,a,timeout,100,5.0\n", TRAJ + "o1,a,2.0,6.0\n",
-        [("InconsistentTrajectory", "(o1, a)")],
+        [("InconsistentTrajectory", "last event objective differs from the run outcome", "(o1, a)")],
     ),
     "events out of order": (
         RUNS + "o1,a,timeout,100,5.0\n", TRAJ + "o1,a,9.0,6.0\no1,a,2.0,5.0\n",
-        [("InconsistentTrajectory", "(o1, a)")],
+        [("InconsistentTrajectory", "event times must be strictly increasing", "(o1, a)")],
     ),
     "trajectory on a decision instance": (
         RUNS + "i1,a,ok,1.0,\no1,a,ok,1.0,4\n", TRAJ + "i1,a,0.5,3.0\no1,a,0.5,4.0\n",
-        [("InconsistentTrajectory", "(i1, a)")],
+        [("InconsistentTrajectory", "trajectory recorded for a decision instance", "(i1, a)")],
     ),
     "arff missing pair": (
         ARFF + "i1,1,a,1.0,ok\ni2,1,b,2.0,ok\n", None,
-        [("MissingOutcome", "(i1, b)"), ("MissingOutcome", "(i2, a)")],
+        [("MissingOutcome", "no recorded run for this pair", "(i1, b)"),
+         ("MissingOutcome", "no recorded run for this pair", "(i2, a)")],
     ),
     "arff no data": (
         ARFF, None,
-        [("EmptyScenario", None), ("EmptyScenario", None)],
+        [("EmptyScenario", "scenario has no instances", None),
+         ("EmptyScenario", "scenario has no solvers", None)],
     ),
 }
 
@@ -160,18 +187,18 @@ VIOLATIONS = {
 class TestErrorParity:
     @pytest.mark.parametrize("name", sorted(ROW_ERRORS))
     def test_row_errors_name_the_line(self, tmp_path, name):
-        runs, traj, line = ROW_ERRORS[name]
+        runs, traj, line, message = ROW_ERRORS[name]
         with pytest.raises(RowError) as e:
             _load(tmp_path, runs, traj=traj)
         assert e.value.line_no == line
-        assert str(e.value).startswith(f"line {line}: ")
+        assert str(e.value) == f"line {line}: {message}"
 
     @pytest.mark.parametrize("name", sorted(VIOLATIONS))
     def test_cross_row_violations_name_the_pair(self, tmp_path, name):
         runs, traj, expected = VIOLATIONS[name]
         with pytest.raises(ValidationError) as e:
             _load(tmp_path, runs, traj=traj)
-        assert [(v.code, v.where) for v in e.value.violations] == expected
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == expected
 
     @pytest.mark.parametrize("cells", ["nan,5.0", "1.0,x", "abc,x"])
     def test_unknown_trajectory_pair_is_named_before_its_cells(self, tmp_path, cells):

@@ -21,15 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 from .errors import RowError, SchemaError, UnsupportedAttribute
-from .scenario import (
-    InstanceKind,
-    RunStatus,
-    Scenario,
-    ScenarioBuilder,
-    check_run_values,
-    check_timeout,
-    quantize_ms,
-)
+from .scenario import SECOND_RUN, InstanceKind, RunStatus, Scenario, ScenarioBuilder, check_timeout
 
 if TYPE_CHECKING:  # reading and writing scenarios loads no scoring module
     from .harness import EvaluationResult, RankEntry
@@ -96,14 +88,13 @@ def parse_runs(
     pairs are rejected with their line number; the checks that span rows
     follow the last row.
 
-    Rows are read a block at a time (_blocks). A block's cells are converted
-    column by column, the checks that need no snapping run on whole columns,
-    and ScenarioBuilder.runs snaps each time to the millisecond grid, checks
-    it against the timeout with the rules of scenario.check_run_values, and
-    places the run, all in one loop. From the first row that fails a check,
-    the rest of its block is taken one row at a time, through check_run_values
-    and ScenarioBuilder.run, so the first failing row and its message are
-    those of a row-by-row read. The trajectory file is read the same way.
+    Rows are read a block at a time (_blocks), their cells converted column by
+    column. ScenarioBuilder.runs judges and places the runs; a run it refuses
+    is a RowError naming its line, with the builder's reason. A block with a
+    cell that must be named goes one row at a time, so the rows before that
+    cell are judged first: the first failing line and its message are those
+    of a row-by-row read. The trajectory file goes the same way, through
+    ScenarioBuilder.events.
     """
     path = Path(path)
     timeout_s = check_timeout(timeout_s)
@@ -122,11 +113,15 @@ def parse_runs(
             )
         cells = (*(fields.index(f) for f in _RUN_FIELDS),
                  fields.index("obj") if "obj" in fields else None)
-        builder, opt = ScenarioBuilder(timeout_s), set()
+        builder, opt, width = ScenarioBuilder(timeout_s), set(), len(fields)
         for rows, lines in _blocks(reader):
-            k = _run_block(builder, opt, len(fields), cells, rows)
-            for row, line_no in zip(rows[k:], lines[k:]):  # a failed block, one row at a time
-                _run_row(builder, opt, len(fields), cells, row, line_no)
+            block = _run_columns(width, cells, rows)
+            if block is not None:
+                _place_runs(builder, opt, lines, *block)
+                continue
+            for row, line in zip(rows, lines):  # a bad cell: one row at a time
+                if row:
+                    _place_runs(builder, opt, (line,), *zip(_run_cells(width, cells, row, line)))
 
     builder.close_runs(opt)
     _read_trajectories(builder, path, trajectories_path)
@@ -147,7 +142,8 @@ def _blocks(reader):
         try:
             rows.extend(islice(reader, _BLOCK))
         except csv.Error:
-            yield rows, _row_lines(rows, first, None)
+            if rows:
+                yield rows, _row_lines(rows, first, None)
             raise
         if not rows:
             return
@@ -167,19 +163,28 @@ def _row_lines(rows: list[list[str]], first: int, last: int | None) -> Sequence[
     return list(accumulate(spans, initial=first))[1:]
 
 
-def _run_block(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple,
-               rows: list[list[str]]) -> int:
-    """Check a block of runs rows column-wise and place them; the number placed, short of
-    the block's length from the first row that must be taken one at a time."""
-    if {*map(len, rows)} != {width}:
-        return 0
+def _place_runs(builder: ScenarioBuilder, opt: set[str], lines: Sequence[int], iids, sids,
+                statuses, times, objs, obj_cells) -> None:
+    """Hand parsed runs rows to the builder; a RowError naming the first it refuses, and why."""
+    k, why = builder.runs(iids, sids, times, statuses, objs, True)  # unsolved_at_timeout
+    if why is not None:
+        raise RowError(lines[k], f"duplicate row for ({iids[k]}, {sids[k]})"
+                       if why == SECOND_RUN else why)
+    opt.update(compress(iids, obj_cells))
+
+
+def _run_columns(width: int, cells: tuple, rows: list[list[str]]) -> tuple | None:
+    """A block of runs rows as columns (ids, solvers, statuses, times, objs, obj cells), or
+    None when a row has a cell that _run_cells must name or read."""
+    if {*map(len, rows)} - {width}:
+        return None
     c_inst, c_solver, c_status, c_time, c_obj = cells
     columns = list(zip(*rows))
     iids = list(map(str.strip, columns[c_inst]))
     sids = list(map(str.strip, columns[c_solver]))
     statuses = list(map(_STATUS_IN.get, columns[c_status]))
     if "" in iids or "" in sids or None in statuses:
-        return 0
+        return None
     obj_cells = list(map(str.strip, columns[c_obj])) if c_obj is not None else ()
     objs = [math.inf] * len(rows)  # an empty obj cell reads as +inf, the one object
     filled = list(compress(count(), obj_cells))
@@ -188,18 +193,13 @@ def _run_block(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple
         deque(map(objs.__setitem__, filled, map(float, map(obj_cells.__getitem__, filled))),
               maxlen=0)
     except ValueError:
-        return 0
-    k = builder.runs(iids, sids, times, statuses, objs, True)  # unsolved_at_timeout
-    opt.update(compress(iids[:k], obj_cells))
-    return k
+        return None
+    return iids, sids, statuses, times, objs, obj_cells
 
 
-def _run_row(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple,
-             row: list[str], line_no: int) -> None:
-    """Check and place one runs row, raising a RowError naming its line if it fails."""
+def _run_cells(width: int, cells: tuple, row: list[str], line_no: int) -> tuple:
+    """One runs row's (id, solver, status, time, obj, obj cell); a RowError naming a bad cell."""
     if len(row) != width:
-        if not row:
-            return
         raise RowError(line_no, f"expected {width} fields, got {len(row)}")
     c_inst, c_solver, c_status, c_time, c_obj = cells
     iid, sid = row[c_inst].strip(), row[c_solver].strip()
@@ -211,19 +211,9 @@ def _run_row(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple,
         raise RowError(line_no,
                        f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}")
     obj_cell = row[c_obj].strip() if c_obj is not None else ""
-    try:
-        t, obj = float(row[c_time]), float(obj_cell) if obj_cell else math.inf
-    except ValueError:  # name the time's cell before the objective's
-        _parse_float(row[c_time], "time_s", line_no)
-        raise RowError(line_no, f"unparseable obj {obj_cell!r}") from None
-    try:
-        run = check_run_values(status, t, obj, builder.timeout_s, True)  # unsolved_at_timeout
-    except ValueError as exc:
-        raise RowError(line_no, str(exc)) from None
-    if not builder.run(iid, sid, run):
-        raise RowError(line_no, f"duplicate row for ({iid}, {sid})")
-    if obj_cell:
-        opt.add(iid)
+    t = _parse_float(row[c_time], "time_s", line_no)
+    obj = _parse_float(obj_cell, "obj", line_no) if obj_cell else math.inf
+    return iid, sid, status, t, obj, obj_cell
 
 
 def _header(path: str | Path, header: list[str]) -> list[str]:
@@ -253,52 +243,44 @@ def _read_trajectories(builder: ScenarioBuilder, runs_path: Path,
             raise SchemaError(
                 f"{trajectories_path}: header must be instance_id,solver_id,t_s,obj"
             )
-        cells = tuple(fields.index(f) for f in _TRAJ_FIELDS)
+        cells, width = tuple(fields.index(f) for f in _TRAJ_FIELDS), len(fields)
         for rows, lines in _blocks(reader):
-            k = _event_block(builder, len(fields), cells, rows)
-            for row, line_no in zip(rows[k:], lines[k:]):  # a failed block, one row at a time
-                _event_row(builder, len(fields), cells, row, line_no)
+            block = _event_columns(width, cells, rows)
+            k = 0 if block is None else builder.events(*block)  # ids as read: a padded one stops it
+            for row, line in zip(rows[k:], lines[k:]):  # the rest one row at a time, ids stripped
+                if row:
+                    iid, sid, t, v = _event_cells(builder, width, cells, row, line)
+                    if not builder.events((iid,), (sid,), (t,), (v,)):
+                        raise RowError(line, f"trajectory row for unknown pair {(iid, sid)!r}")
 
 
-def _event_block(builder: ScenarioBuilder, width: int, cells: tuple,
-                 rows: list[list[str]]) -> int:
-    """Parse a block of trajectory rows column-wise and hand them to the builder; the number
-    taken, short of the block's length from the first row that must be taken one at a time.
-
-    The id cells go as they are: one with spaces around it names no pair the
-    builder knows, so its row is taken one at a time, where it is stripped.
-    """
-    if {*map(len, rows)} != {width}:
-        return 0
+def _event_columns(width: int, cells: tuple, rows: list[list[str]]) -> tuple | None:
+    """A block of trajectory rows as columns (ids as read), or None when a row has a cell that
+    _event_cells must name: a wrong width, no float, or a time not finite."""
+    if {*map(len, rows)} - {width}:
+        return None
     c_inst, c_solver, c_time, c_obj = cells
     columns = list(zip(*rows))
     try:
         ts, vs = list(map(float, columns[c_time])), list(map(float, columns[c_obj]))
     except ValueError:
-        return 0
-    return builder.events(columns[c_inst], columns[c_solver], ts, vs)
+        return None
+    if not math.isfinite(sum(ts)):  # finite if every time is, short of an overflow
+        return None
+    return columns[c_inst], columns[c_solver], ts, vs
 
 
-def _event_row(builder: ScenarioBuilder, width: int, cells: tuple, row: list[str],
-               line_no: int) -> None:
-    """Hand one trajectory row's event to the builder, checking only its cells."""
+def _event_cells(builder: ScenarioBuilder, width: int, cells: tuple, row: list[str],
+                 line_no: int) -> tuple:
+    """One trajectory row's (id, solver, time, obj); a RowError naming a bad cell of a pair
+    with a run."""
     if len(row) != width:
-        if not row:
-            return
         raise RowError(line_no, f"expected {width} fields, got {len(row)}")
     c_inst, c_solver, c_time, c_obj = cells
-    iid, sid = row[c_inst].strip(), row[c_solver].strip()
-    try:
-        t, v = float(row[c_time]), float(row[c_obj])
-    except ValueError:
-        t = v = None
-    if t is None or not -math.inf < t < math.inf:  # the time's cell first, as above
-        if builder.has_run(iid, sid):  # else an unknown pair, named first
-            _parse_time(row[c_time], line_no)
-            _parse_float(row[c_obj], "obj", line_no)
-    elif builder.event(iid, sid, t, v):
-        return
-    raise RowError(line_no, f"trajectory row for unknown pair {(iid, sid)!r}")
+    iid, sid, t, v = row[c_inst].strip(), row[c_solver].strip(), None, None
+    if builder.has_run(iid, sid):  # else the builder names the pair, before its cells
+        t, v = _parse_time(row[c_time], line_no), _parse_float(row[c_obj], "obj", line_no)
+    return iid, sid, t, v
 
 
 def emit_scenario(
@@ -373,8 +355,9 @@ def parse_aslib_runs(
     before it that is not blank, a % comment, @relation or @attribute, is a
     SchemaError. Only repetition 1 is kept (others are ignored with a
     warning). runstatus ok maps to solved, memout and crash to error,
-    anything else to timeout; unsolved runs are scored at the timeout. Each
-    data row goes to the scenario builder as it is read.
+    anything else to timeout. An unsolved run, and an ok run the builder
+    refuses as not before the timeout, is scored at the timeout; a negative
+    runtime is a RowError. Each data row goes to the builder as it is read.
     """
     path = Path(path)
     timeout_s = check_timeout(timeout_s)
@@ -403,11 +386,8 @@ def parse_aslib_runs(
             if col is None:
                 raise SchemaError(f"{path}: line {line_no} comes before @data and is not "
                                   "blank, a comment, @relation or @attribute")
-            run = _aslib_run(next(csv.reader([line])), len(attrs), col, timeout_s, line_no)
-            if run is None:
+            if not _aslib_run(builder, next(csv.reader([line])), len(attrs), col, line_no):
                 skipped_repetitions += 1
-            elif not builder.run(*run):
-                raise RowError(line_no, f"duplicate row for ({run[0]}, {run[1]})")
 
     if col is None:  # no @data line: the attributes are still checked
         _aslib_columns(path, attrs)
@@ -436,9 +416,11 @@ def _aslib_columns(path: Path, attrs: list[str]) -> dict[str, int]:
     return {a: attrs.index(a) for a in _ASLIB_REQUIRED}
 
 
-def _aslib_run(cells: list[str], width: int, col: dict[str, int], timeout_s: float,
-               line_no: int) -> tuple[str, str, tuple] | None:
-    """A data row's instance, algorithm and checked run; None for a repetition other than 1."""
+def _aslib_run(builder: ScenarioBuilder, cells: list[str], width: int, col: dict[str, int],
+               line_no: int) -> bool:
+    """Hand a data row's run to the builder, at the timeout unless solved; False for a
+    repetition other than 1. An ok run it refuses, but as a second run, goes again as a
+    timeout. A negative runtime goes as it is, for the builder to refuse."""
     if len(cells) != width:
         raise RowError(line_no, f"expected {width} fields, got {len(cells)}")
     cells = [c.strip().strip("'\"") for c in cells]
@@ -447,19 +429,18 @@ def _aslib_run(cells: list[str], width: int, col: dict[str, int], timeout_s: flo
     except (ValueError, OverflowError):
         raise RowError(line_no, f"unparseable repetition {cells[col['repetition']]!r}") from None
     if repetition != 1:
-        return None
-    runstatus = cells[col["runstatus"]].lower()
+        return False
+    run = cells[col["instance_id"]], cells[col["algorithm"]]
     t = _parse_time(cells[col["runtime"]], line_no)
-    if runstatus == "ok" and quantize_ms(t) < timeout_s:
-        status = RunStatus.SOLVED
-    else:
-        status = RunStatus.ERROR if runstatus in ("memout", "crash") else RunStatus.TIMEOUT
-        t = timeout_s
-    try:
-        run = check_run_values(status, t, math.inf, timeout_s)
-    except ValueError as exc:
-        raise RowError(line_no, str(exc)) from None
-    return cells[col["instance_id"]], cells[col["algorithm"]], run
+    status = _STATUS_IN.get(cells[col["runstatus"]].lower(), RunStatus.TIMEOUT)
+    if status is RunStatus.SOLVED:
+        why = builder.runs(*zip(run), (t,), (status,), (math.inf,))[1]
+        if why is None:
+            return True
+        status = status if why == SECOND_RUN else RunStatus.TIMEOUT
+    at = t if status is RunStatus.SOLVED or t < 0 else builder.timeout_s
+    _place_runs(builder, set(), (line_no,), *zip(run), (status,), (at,), (math.inf,), ("",))
+    return True
 
 
 def build_report(

@@ -277,15 +277,6 @@ class Scenario:
     def outcome(self, instance_id: str, solver_id: str) -> RunOutcome:
         return self.outcomes[(instance_id, solver_id)]
 
-    def time(self, instance_id: str, solver_id: str) -> float:
-        return self.outcomes[(instance_id, solver_id)].time_s
-
-    def obj(self, instance_id: str, solver_id: str) -> float:
-        return self.outcomes[(instance_id, solver_id)].obj
-
-    def trajectory(self, instance_id: str, solver_id: str) -> Trajectory | None:
-        return self.trajectories.get((instance_id, solver_id))
-
 
 def _coerce_instance(item: object) -> Instance:
     if isinstance(item, Instance):
@@ -303,50 +294,35 @@ def check_timeout(timeout_s: object) -> float:
     raise ValidationError([Violation("BadTimeout", message)])
 
 
-# Each status by its value. Reading an enum member off its class is slow, so
-# hot code reads it from a module constant.
-_STATUS, _SOLVED = {st.value: st for st in RunStatus}, RunStatus.SOLVED
+_SOLVED, _TIMEOUT, _ERROR = RunStatus.SOLVED, RunStatus.TIMEOUT, RunStatus.ERROR
+SECOND_RUN = "a second run of its pair"  # why ScenarioBuilder.runs does not place a run
 
 
-def check_run_values(status: object, time_s: object, obj: object, timeout_s: float,
-                     unsolved_at_timeout: bool = False) -> tuple[float, RunStatus, float]:
-    """The per-run invariants, shared by validate_scenario, the file readers and generate.
+class _NoNumber(float):
+    """A time_s or obj of no number type: NaN to the builder, shown by the value's repr."""
 
-    A known status; a finite time_s >= 0; a solved run strictly before the
-    timeout once snapped to the millisecond grid (stored snapped); an
-    unsolved run at the timeout, stored there. With unsolved_at_timeout an
-    unsolved run may record any time up to the timeout once snapped, or the
-    timeout as emit_scenario writes it (7.001 for 7.0009). obj a number or
-    +inf (None reads as +inf). Returns the normalized (time_s, status, obj);
-    raises ValueError naming what is broken.
-    """
+    def __new__(cls, value: object):
+        self = super().__new__(cls, math.nan)
+        self.value = value
+        return self
+
+    def __repr__(self) -> str:
+        return repr(self.value)
+
+
+def _coerce_run(out: RunOutcome) -> tuple[object, object, object]:
+    """A recorded run's (time_s, status, obj) for ScenarioBuilder.runs: the status by its
+    value, obj None as +inf, a time_s or obj of no number type as a _NoNumber."""
+    t, obj = out.time_s, out.obj
     try:
-        member = status if status.__class__ is RunStatus else _STATUS[status]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown status {status!r}") from None
-    if not isinstance(time_s, (int, float)) or not math.isfinite(time_s):
-        raise ValueError(f"time_s must be a finite number, got {time_s!r}")
-    if time_s < 0:
-        raise ValueError(f"time_s must be >= 0, got {time_s}")
-    # quantize_ms inline; a time too large for the grid is past any timeout.
-    t = round(ms) / 1000.0 if (ms := time_s * 1000.0) < math.inf else time_s
-    if member is _SOLVED:
-        if t > timeout_s:
-            raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
-        if t >= timeout_s:
-            raise ValueError(f"a solved run must finish strictly before the timeout, got {t}")
-    elif time_s == timeout_s or unsolved_at_timeout and (
-            t <= timeout_s or time_s == float(f"{timeout_s:.3f}")):
-        t = timeout_s
-    elif t > timeout_s:
-        raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
-    else:
-        raise ValueError(f"{member.value} run must record time_s == timeout, got {time_s}")
-    if obj.__class__ is not float:
+        status = RunStatus(out.status)
+    except ValueError:
+        status = out.status
+    try:
         obj = math.inf if obj is None else float(obj)
-    if obj != obj or obj == -math.inf:
-        raise ValueError(f"obj must be finite or +inf, got {obj!r}")
-    return t, member, obj
+    except (TypeError, ValueError):
+        obj = _NoNumber(obj)
+    return t if isinstance(t, (int, float)) else _NoNumber(t), status, obj
 
 
 def validate_scenario(raw: Scenario) -> Scenario:
@@ -393,17 +369,16 @@ def validate_scenario(raw: Scenario) -> Scenario:
     builder = ScenarioBuilder(timeout, tuple(instances), solvers, violations)
     for key, out in raw.outcomes.items():
         i, s = str(key[0]), str(key[1])
+        where = f"({i}, {s})"
         if i not in builder.at or s not in builder.cols:
-            flag("UnknownId", "outcome recorded for a pair outside the scenario", f"({i}, {s})")
+            flag("UnknownId", "outcome recorded for a pair outside the scenario", where)
             continue
-        run = ()  # with a bad timeout no run can be checked, so every run is rejected
-        if timeout_ok:
-            try:
-                run = check_run_values(out.status, out.time_s, out.obj, timeout)
-            except ValueError as exc:
-                flag("BadOutcome", str(exc), f"({i}, {s})")
-        if not builder.run(i, s, run):
-            flag("DuplicateId", "outcome recorded twice for this pair", f"({i}, {s})")
+        # With a bad timeout no run can be judged, and each only holds its pair's place.
+        why = builder.runs((i,), (s,), *zip(_coerce_run(out)))[1] if timeout_ok else ""
+        if why and why != SECOND_RUN:
+            flag("BadOutcome", why, where)
+        if why == SECOND_RUN or why is not None and not builder.hold(i, s):
+            flag("DuplicateId", "outcome recorded twice for this pair", where)
     builder.close_runs()
     for key, traj in (raw.trajectories or {}).items() if timeout_ok else ():
         builder.trajectory(str(key[0]), str(key[1]), traj)
@@ -411,8 +386,20 @@ def validate_scenario(raw: Scenario) -> Scenario:
 
 
 _DECISION, _OPTIMIZATION, _INF = InstanceKind.DECISION, InstanceKind.OPTIMIZATION, math.inf
-_REJECTED = object()  # the status of a run that was recorded but failed its checks
+_REJECTED = object()  # the status of a held pair: its run was recorded but refused
 _REFUSED, _EMPTY = -1, -2  # before a first event: a pair refused a trajectory, or one opened
+
+
+def _refusal(status: RunStatus, t: float, tau: float) -> str:
+    """Why ScenarioBuilder.runs refused a run of a known status: the first time rule it breaks."""
+    if not 0.0 <= t < _INF:
+        return (f"time_s must be >= 0, got {t}" if -_INF < t < 0.0
+                else f"time_s must be a finite number, got {t!r}")
+    if (snapped := quantize_ms(t)) > tau:
+        return f"time_s {t} exceeds the timeout {tau}"
+    if status is _SOLVED:
+        return f"a solved run must finish strictly before the timeout, got {snapped}"
+    return f"{status.value} run must record time_s == timeout, got {t}"
 
 
 class _Solver:
@@ -428,18 +415,18 @@ class _Solver:
 
 
 class ScenarioBuilder:
-    """A scenario's column stores, filled one checked run and one trajectory event at a time.
+    """A scenario's column stores, filled a block of runs, then of events, at a time.
 
-    Instances and solvers take positions in order of first appearance unless
-    given. run() puts a checked (time_s, status, obj) run, or () for a rejected
-    one, at its instance's position, and is False for a pair's second run.
+    The one judge of runs and events: the readers, validate_scenario and
+    generate only word its verdicts. Instances and solvers take positions in
+    order of first appearance unless given. runs() checks and places runs.
     close_runs() follows the last run: the run-kind rules (a decision run has
     obj +inf, a solved optimization run a finite obj) in recorded order, a
-    non-empty scenario, every pair present. event() checks a file's
-    event against its pair's last one; trajectory() takes a Trajectory and
-    checks the pair at once. scenario() checks a file's pairs against their
-    runs (a solved run ends no earlier than its last event), then raises every
-    violation, pair by pair in order of first appearance, or builds the stores.
+    non-empty scenario, every pair present. events() takes events, and
+    trajectory() a Trajectory's, checking the pair at once. scenario() checks
+    a file's pairs against their runs (a solved run ends no earlier than its
+    last event), then raises every violation, pair by pair in order of first
+    appearance, or builds the stores.
     """
 
     def __init__(self, timeout_s: float, instances: tuple[Instance, ...] = (),
@@ -472,68 +459,61 @@ class ScenarioBuilder:
                     column += repeat(None, grow)
         return p
 
-    def run(self, iid: str, sid: str, run: tuple) -> bool:
-        p = self.at.get(iid)
-        if p is None:
-            p = self.instance(iid)
-        col = self.cols.get(sid) or self.cols.setdefault(sid, _Solver(sid, self.size))
-        statuses = col.statuses
+    def runs(self, iids: Iterable[str], sids: Iterable[str], times: Iterable[float],
+             statuses: Iterable[RunStatus], objs: Iterable[float],
+             unsolved_at_timeout: bool = False) -> tuple[int, str | None]:
+        """Check and place runs in order; the number placed, and None, or why the next is not.
+
+        The rules, first rule first: a RunStatus member; a finite time_s >= 0;
+        a solved run strictly before the timeout once snapped to the millisecond
+        grid (stored snapped); an unsolved run at the timeout (stored there), or,
+        with unsolved_at_timeout, at most the timeout once snapped or the timeout
+        as emit_scenario writes it (7.001 for 7.0009); obj finite or +inf; last,
+        not a pair's second run (SECOND_RUN). A refused run leaves no trace.
+        """
+        tau, inf, ninf = self.timeout_s, _INF, -_INF
+        written = float(f"{tau:.3f}") if unsolved_at_timeout else tau  # the timeout as written
+        at, cols, kinds, loose, k = self.at, self.cols, self.kinds, self.loose, -1
+        for k, iid, sid, t, status, obj in zip(count(), iids, sids, times, statuses, objs):
+            if status is _SOLVED:
+                try:
+                    stored = round(t * 1000.0) / 1000.0
+                except (OverflowError, ValueError):  # no millisecond count: inf, NaN or too large
+                    stored = t
+                if not (0.0 <= t and stored < tau):
+                    return k, _refusal(status, t, tau)
+            elif status is _TIMEOUT or status is _ERROR:
+                if not (t == tau or unsolved_at_timeout and 0.0 <= t
+                        and (quantize_ms(t) <= tau or t == written)):
+                    return k, _refusal(status, t, tau)
+                stored = tau
+            else:
+                return k, f"unknown status {status!r}"
+            if not obj > ninf:  # NaN is not either
+                return k, f"obj must be finite or +inf, got {obj!r}"
+            p = at.get(iid)
+            if p is None:
+                p = self.instance(iid)
+            col = cols.get(sid) or cols.setdefault(sid, _Solver(sid, self.size))
+            column = col.statuses
+            if column[p] is not None:
+                return k, SECOND_RUN
+            col.times[p], column[p], col.objs[p] = stored, status, obj
+            if (status is _SOLVED and kinds[p] is not _DECISION if obj == inf
+                    else kinds[p] is _DECISION):
+                loose.append((p, col))
+        return k + 1, None
+
+    def hold(self, iid: str, sid: str) -> bool:
+        """Hold a known pair's place for a refused run, so that it is not also missing; False,
+        holding nothing, when the pair has a run."""
+        statuses, p = self.cols[sid].statuses, self.at[iid]
         if statuses[p] is not None:
             return False
-        if not run:
-            statuses[p] = _REJECTED
-            return True
-        col.times[p], statuses[p], col.objs[p] = run
-        if (run[1] is _SOLVED and self.kinds[p] is not _DECISION if run[2] == _INF
-                else self.kinds[p] is _DECISION):
-            self.loose.append((p, col))
+        statuses[p] = _REJECTED
         return True
 
-    def runs(self, iids: Sequence[str], sids: Sequence[str], times: Sequence[float],
-             statuses: Sequence[RunStatus], objs: Sequence[float],
-             unsolved_at_timeout: bool = False) -> int:
-        """Check and place a block of runs in order, as check_run_values and run() would one
-        at a time; the number placed, short of the block's length at the first run that
-        must go one at a time: one that breaks a rule, or a pair's second run.
-
-        The statuses are RunStatus members, the times and objs floats. The checks
-        that need no snapping run on whole columns (no time below 0, no obj NaN or
-        -inf); the loop that places the runs quantizes each time to integer ms and
-        checks it against the timeout, with check_run_values' rules.
-        """
-        # With no -inf among the objs, their sum is NaN only if one of them is.
-        if min(times, default=0.0) < 0.0 or -_INF in objs or (total := sum(objs)) != total:
-            return 0
-        tau = self.timeout_s
-        written = float(f"{tau:.3f}") if unsolved_at_timeout else tau  # the timeout as written
-        at, cols, kinds, loose, k = self.at, self.cols, self.kinds, self.loose, 0
-        try:
-            for k, iid, sid, t, status, obj in zip(count(), iids, sids, times, statuses, objs):
-                if status is _SOLVED:
-                    t = round(t * 1000.0) / 1000.0
-                    if t >= tau:
-                        return k
-                elif t == tau or unsolved_at_timeout and (round(t * 1000.0) / 1000.0 <= tau
-                                                          or t == written):
-                    t = tau
-                else:
-                    return k
-                p = at.get(iid)
-                if p is None:
-                    p = self.instance(iid)
-                col = cols.get(sid) or cols.setdefault(sid, _Solver(sid, self.size))
-                column = col.statuses
-                if column[p] is not None:
-                    return k
-                col.times[p], column[p], col.objs[p] = t, status, obj
-                if (status is _SOLVED and kinds[p] is not _DECISION if obj == _INF
-                        else kinds[p] is _DECISION):
-                    loose.append((p, col))
-        except (ValueError, OverflowError):  # a time with no millisecond count
-            return k
-        return len(iids)
-
-    def has_run(self, iid: str, sid: str) -> bool:  # a run, checked or rejected
+    def has_run(self, iid: str, sid: str) -> bool:  # a run, placed or held
         p, col = self.at.get(iid), self.cols.get(sid)
         return p is not None and col is not None and col.statuses[p] is not None
 
@@ -562,80 +542,53 @@ class ScenarioBuilder:
                         self._flag("MissingOutcome", "no recorded run for this pair",
                                    f"({inst.id}, {s})")
 
-    def event(self, iid: str, sid: str, t: float, v: float) -> bool:
-        """Take a trajectory event; False, taking nothing, when the pair has no run."""
-        p, col = self.at.get(iid), self.cols.get(sid)
-        if p is None or col is None or col.last[p] is None and col.statuses[p] is None:
-            return False  # no such pair, or a file's pair without a run
-        last = col.last[p]
-        if last is None:  # a file's pair, at its first event
-            self.opened += p, col
-            if self.kinds[p] is not _OPTIMIZATION:
-                col.last[p] = _REFUSED
-                return True
-            last = _EMPTY
-        elif last == _REFUSED:
-            return True
-        t = (round(ms) / 1000.0 if t.__class__ is float and math.isfinite(ms := t * 1000.0)
-             else quantize_ms(float(t)))
-        v, times, objs = float(v), col.ev_t, col.ev_v
-        if not 0.0 <= t < self.timeout_s:
-            self._problems(p, col)[0].append(f"event time {t} outside [0, timeout)")
-        if not math.isfinite(v):
-            self._problems(p, col)[0].append("event objectives must be finite")
-        if last >= 0 and not times[last] < t:
-            self._problems(p, col)[1].append("event times must be strictly increasing")
-        if last >= 0 and not objs[last] > v:
-            self._problems(p, col)[1].append("event objectives must be strictly decreasing")
-        col.last[p] = len(times)
-        times.append(t)
-        objs.append(v)
-        col.ev_p.append(p)
-        return True
+    def events(self, iids: Iterable[str], sids: Iterable[str], ts: Iterable[float],
+               vs: Iterable[float]) -> int:
+        """Append events in order, each to its pair's; the number taken, short of the block's
+        length only at the first event whose pair has no run.
 
-    def events(self, iids: Sequence[str], sids: Sequence[str], ts: Sequence[float],
-               vs: Sequence[float]) -> int:
-        """Take a block of events in order, as event() would one at a time; the number taken,
-        short of the block's length from the first event that event() must take: one that
-        breaks a rule, and so is flagged with its pair's messages, or names no run.
-
-        Whether every objective is finite is checked on the whole column; the loop
-        that takes the events quantizes each time to integer ms, checks it against
-        the timeout, and checks each event against its pair's last one.
+        Each time is snapped to the millisecond grid. An event that breaks a rule
+        (a time in [0, timeout), a finite objective, within a pair strictly
+        increasing times and strictly decreasing objectives) is taken, the breach
+        added to its pair's problems. A decision instance's pair takes no event.
         """
-        if not math.isfinite(sum(vs)):  # finite if every objective is
-            return 0
         at, cols, kinds, tau = self.at, self.cols, self.kinds, self.timeout_s
-        k, p = 0, None
+        k, p = -1, None
         col = last = times = objs = pos = iid_was = sid_was = None
-        try:
-            for k, iid, sid, t, v in zip(count(), iids, sids, ts, vs):
-                t = round(t * 1000.0) / 1000.0
-                if not 0.0 <= t < tau:
+        for k, iid, sid, t, v in zip(count(), iids, sids, ts, vs):
+            if iid != iid_was or sid != sid_was:  # another pair's event
+                iid_was, sid_was = iid, sid
+                p, col = at.get(iid), cols.get(sid)
+                if p is None or col is None:
                     return k
-                if iid != iid_was or sid != sid_was:  # another pair's event
-                    iid_was, sid_was = iid, sid
-                    p, col = at.get(iid), cols.get(sid)
-                    if p is None or col is None:
+                last = col.last[p]
+                if last is None:  # a file's pair, at its first event
+                    if col.statuses[p] is None:
                         return k
-                    last = col.last[p]
-                    if last is None:  # a file's pair, at its first event
-                        if col.statuses[p] is None:
-                            return k
-                        self.opened += p, col
-                        last = col.last[p] = _EMPTY if kinds[p] is _OPTIMIZATION else _REFUSED
-                    times, objs, pos = col.ev_t, col.ev_v, col.ev_p
-                if last == _REFUSED:
-                    continue
-                if last >= 0 and not (times[last] < t and objs[last] > v):
-                    return k
-                last = col.last[p] = len(times)
-                times.append(t)
-                objs.append(v)
-                pos.append(p)
-        except (ValueError, OverflowError):  # a time with no millisecond count
-            return k
-        return len(ts)
+                    self.opened += p, col
+                    last = col.last[p] = _EMPTY if kinds[p] is _OPTIMIZATION else _REFUSED
+                times, objs, pos = col.ev_t, col.ev_v, col.ev_p
+            if last == _REFUSED:
+                continue
+            try:
+                t = round(t * 1000.0) / 1000.0
+            except (OverflowError, ValueError):  # no millisecond count: left for the time rule
+                pass
+            if not 0.0 <= t < tau:
+                self._problems(p, col)[0].append(f"event time {t} outside [0, timeout)")
+            if v - v:  # NaN, so true, unless v is finite
+                self._problems(p, col)[0].append("event objectives must be finite")
+            if last >= 0:
+                if not times[last] < t:
+                    self._problems(p, col)[1].append("event times must be strictly increasing")
+                if not objs[last] > v:
+                    self._problems(p, col)[1].append(
+                        "event objectives must be strictly decreasing")
+            last = col.last[p] = len(times)
+            times.append(t)
+            objs.append(v)
+            pos.append(p)
+        return k + 1
 
     def _problems(self, p: int, col: _Solver) -> tuple[list[str], list[str]]:
         """The pair's problems so far: of single events, and between consecutive ones."""
@@ -651,8 +604,8 @@ class ScenarioBuilder:
             self._flag("DuplicateId", "trajectory recorded twice for this pair", f"({iid}, {sid})")
         else:
             col.last[p] = _EMPTY if self.kinds[p] is _OPTIMIZATION else _REFUSED
-            for t, v in traj.events:
-                self.event(iid, sid, t, v)
+            ts, vs = [float(t) for t, _ in traj.events], [float(v) for _, v in traj.events]
+            self.events(repeat(iid), repeat(sid), ts, vs)
             self._close(p, col)
 
     def _close(self, p: int, col: _Solver) -> None:

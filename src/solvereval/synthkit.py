@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BadSpec
 from .rng import SplitMix64
-from .scenario import (InstanceKind, RunStatus, Scenario, ScenarioBuilder, check_run_values,
-                       quantize_ms)
+from .scenario import InstanceKind, RunStatus, Scenario, ScenarioBuilder, quantize_ms
 
 __all__ = [
     "ArchetypeSpec",
@@ -179,14 +178,14 @@ _BLOCK = 256  # runs handed to the builder at a time, with the events of their i
 
 
 def _take(builder: ScenarioBuilder, runs: list[tuple], events: list[tuple]) -> None:
-    """Hand a block of runs, then their events, to the builder, and empty both lists."""
-    iids, sids, statuses, times, objs = map(list, zip(*runs))
-    for iid, sid, status, t, obj in runs[builder.runs(iids, sids, times, statuses, objs):]:
-        builder.run(iid, sid, check_run_values(status, t, obj, builder.timeout_s))
+    """Hand a block of runs, then their events, to the builder, and empty both lists; a
+    ValueError with the builder's reason for a run it refuses."""
+    iids, sids, statuses, times, objs = zip(*runs)
+    why = builder.runs(iids, sids, times, statuses, objs)[1]
+    if why is not None:
+        raise ValueError(why)
     if events:
-        iids, sids, ts, vs = map(list, zip(*events))
-        for event in events[builder.events(iids, sids, ts, vs):]:
-            builder.event(*event)
+        builder.events(*zip(*events))  # each names a run just placed, so all are taken
     runs.clear()
     events.clear()
 

@@ -188,7 +188,7 @@ def ref_base_values(sc, base_metric, lam):
             for s in sc.solvers for i in sc.instance_ids
         }
     if base_metric == "runtime":
-        return {(s, i): sc.time(i, s) for s in sc.solvers for i in sc.instance_ids}
+        return {(s, i): sc.outcomes[(i, s)].time_s for s in sc.solvers for i in sc.instance_ids}
     if base_metric == "area":
         return ref_opt_values(sc, ref_area_row, None)
     raise NonDecomposableMetric(base_metric)
@@ -234,15 +234,17 @@ def ref_instance_values(ev, metric_id, params):
     if metric_id == "par":
         return {(s, i): ref_par_row(ev, None, [ev.outcome(i, s)], params)[0] for s, i in pairs}
     if metric_id == "runtime":
-        return {(s, i): ev.time(i, s) for s, i in pairs}
+        return {(s, i): ev.outcomes[(i, s)].time_s for s, i in pairs}
     if metric_id == "solved-count":
         return {(s, i): float(ev.outcome(i, s).status is RunStatus.SOLVED) for s, i in pairs}
     if metric_id == "normalized-runtime":
-        return {(s, i): 1.0 - ev.time(i, s) / tau for s, i in pairs}
+        return {(s, i): 1.0 - ev.outcomes[(i, s)].time_s / tau for s, i in pairs}
     if metric_id == "speedup":
-        vbs = {i: min(ev.time(i, s) for s in ev.solvers) for i in ev.instance_ids}
+        runs = ev.outcomes
+        vbs = {i: min(runs[(i, s)].time_s for s in ev.solvers) for i in ev.instance_ids}
         return {
-            (s, i): 1.0 if ev.time(i, s) == 0.0 else vbs[i] / ev.time(i, s) for s, i in pairs
+            (s, i): 1.0 if runs[(i, s)].time_s == 0.0 else vbs[i] / runs[(i, s)].time_s
+            for s, i in pairs
         }
     if metric_id == "mznc":
         return ref_per_instance(ev, params.delta)

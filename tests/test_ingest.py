@@ -1,18 +1,19 @@
-"""Ingest checks each run once: the shared row checker and the cross-row checks.
+"""Ingest judges each run and event once, in ScenarioBuilder; its callers word the verdict.
 
-Error parity: every bad input below raises the exception type it raised
-when parse_runs ran validate_scenario over its own output, and names the
-same line (RowError) or the same violations, by code and pair
-(ValidationError). The exceptions are the bad timeouts, which are now
-rejected with one BadTimeout before any row is read, the physical line
-number of a row after a blank line, and a negative ok runtime in an
-attribute-relation table, which is now a RowError instead of a
-ValidationError, and an infinite repetition, which is now a RowError
-instead of an OverflowError. A finite time too large for the millisecond
-grid (TestHugeTimes) is a RowError or a violation, where it was an
-OverflowError. An unsolved run at a timeout off the millisecond grid
-(TestOffGridTimeout), stored or as written, is accepted, where it was a
-BadOutcome or a RowError.
+The readers turn a refused run into a RowError naming its line, and
+validate_scenario into a violation naming its pair; a bad cell is the
+reader's own RowError. Error parity: every bad input below names the same
+line and message (RowError), or the same violations by code, message and
+pair (ValidationError), whatever the block size. RUN_RULES runs each run
+rule through both validate_scenario and parse_runs, with each one's
+message. Against the reader that ran validate_scenario over its own
+output, the differences are: a bad timeout is one BadTimeout before any
+row is read; a line is the physical line, also after a blank one; a
+negative runtime in an attribute-relation table, whatever its runstatus,
+and an infinite repetition are RowErrors; a finite time too large for the
+millisecond grid (TestHugeTimes) is a RowError or a violation, not an
+OverflowError; and an unsolved run at a timeout off the millisecond grid
+(TestOffGridTimeout), stored or as written, is accepted.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from solvereval import (
     validate_scenario,
 )
 from solvereval.cli import main
-from solvereval.scenario import check_run_values, quantize_ms
+from solvereval.scenario import quantize_ms
 from solvereval.synthkit import (
     ArchetypeSpec,
     SolverSpec,
@@ -129,6 +130,8 @@ ROW_ERRORS = {
                       "duplicate row for (i1, a)"),
     "arff nan runtime": (ARFF + "i1,1,a,nan,ok\n", None, 8,
                         "time_s must be finite, got 'nan'"),
+    "arff negative runtime": (ARFF + "i1,1,a,1.0,ok\ni1,1,b,-5.0,timeout\n", None, 9,
+                             "time_s must be >= 0, got -5.0"),
     "arff repetition": (ARFF + "i1,x,a,1.0,ok\n", None, 8,
                        "unparseable repetition 'x'"),
     "arff infinite repetition": (ARFF + "i1,inf,a,1.0,ok\n", None, 8,
@@ -166,6 +169,10 @@ VIOLATIONS = {
     "events out of order": (
         RUNS + "o1,a,timeout,100,5.0\n", TRAJ + "o1,a,9.0,6.0\no1,a,2.0,5.0\n",
         [("InconsistentTrajectory", "event times must be strictly increasing", "(o1, a)")],
+    ),
+    "infinite event objective": (
+        RUNS + "o1,a,timeout,100,5.0\n", TRAJ + "o1,a,1.0,inf\no1,a,2.0,5.0\n",
+        [("InconsistentTrajectory", "event objectives must be finite", "(o1, a)")],
     ),
     "trajectory on a decision instance": (
         RUNS + "i1,a,ok,1.0,\no1,a,ok,1.0,4\n", TRAJ + "i1,a,0.5,3.0\no1,a,0.5,4.0\n",
@@ -290,35 +297,6 @@ class TestValidateScenario:
         }
 
 
-class TestCheckRun:
-    def test_solved_time_snapped(self):
-        assert check_run_values(RunStatus.SOLVED, 1.0004, None, 10.0) == (1.0, RunStatus.SOLVED, math.inf)
-
-    def test_status_from_its_value(self):
-        assert check_run_values("timeout", 10.0, 5.0, 10.0) == (10.0, RunStatus.TIMEOUT, 5.0)
-
-    def test_unsolved_stored_at_the_timeout_on_request(self):
-        with pytest.raises(ValueError, match="time_s == timeout"):
-            check_run_values(RunStatus.ERROR, 3.0, None, 10.0)
-        out = check_run_values(RunStatus.ERROR, 3.0, None, 10.0, unsolved_at_timeout=True)
-        assert out == (10.0, RunStatus.ERROR, math.inf)
-
-    @pytest.mark.parametrize("status,time_s,obj,fragment", [
-        ("weird", 1.0, None, "unknown status"),
-        (RunStatus.SOLVED, "1.0", None, "finite number"),
-        (RunStatus.SOLVED, math.nan, None, "finite number"),
-        (RunStatus.SOLVED, math.inf, None, "finite number"),
-        (RunStatus.SOLVED, -0.5, None, ">= 0"),
-        (RunStatus.TIMEOUT, 12.0, None, "exceeds the timeout"),
-        (RunStatus.SOLVED, 9.9996, None, "strictly before"),
-        (RunStatus.SOLVED, 1.0, math.nan, "finite or +inf"),
-        (RunStatus.SOLVED, 1.0, -math.inf, "finite or +inf"),
-    ])
-    def test_each_invariant(self, status, time_s, obj, fragment):
-        with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):
-            check_run_values(status, time_s, obj, 10.0, unsolved_at_timeout=True)
-
-
 # 1e306 s is finite, but 1e306 * 1000 ms is not: no millisecond grid point.
 HUGE = 1e306
 
@@ -362,10 +340,6 @@ class TestHugeTimes:
             ("InconsistentTrajectory", "(o1, a)"),
         ]
 
-    def test_check_run_values(self):
-        with pytest.raises(ValueError, match="exceeds the timeout"):
-            check_run_values(RunStatus.SOLVED, HUGE, None, 10.0)
-
     def test_cli_validate_exits_1(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
         runs.write_text(RUNS + f"i1,a,ok,{HUGE!r},\n")
@@ -380,30 +354,11 @@ class TestHugeTimes:
 class TestOffGridTimeout:
     """An unsolved run at a timeout off the millisecond grid is at the timeout."""
 
-    def test_stored_at_the_timeout(self):
-        run = check_run_values(RunStatus.TIMEOUT, 7.0009, 5.0, 7.0009)
-        assert run == (7.0009, RunStatus.TIMEOUT, 5.0)
-
-    @pytest.mark.parametrize("timeout,written", [(7.0009, 7.001), (0.0005, 0.001), (2.0015, 2.002)])
-    def test_as_written_by_emit_scenario(self, timeout, written):
-        assert f"{timeout:.3f}" == repr(written)
-        out = check_run_values("error", written, None, timeout, unsolved_at_timeout=True)
-        assert out == (timeout, RunStatus.ERROR, math.inf)
-
-    @pytest.mark.parametrize("status,time_s,unsolved_at_timeout,fragment", [
-        (RunStatus.TIMEOUT, 7.001, False, "exceeds the timeout"),  # stored: exactly the timeout
-        (RunStatus.TIMEOUT, 7.002, True, "exceeds the timeout"),
-        (RunStatus.SOLVED, 7.0009, True, "exceeds the timeout"),
-        (RunStatus.SOLVED, 7.001, True, "exceeds the timeout"),
-    ])
-    def test_other_times_past_it_are_rejected(self, status, time_s, unsolved_at_timeout, fragment):
-        with pytest.raises(ValueError, match=fragment):
-            check_run_values(status, time_s, 5.0, 7.0009, unsolved_at_timeout=unsolved_at_timeout)
-
-    def test_solved_runs_finish_before_it(self):
-        assert check_run_values(RunStatus.SOLVED, 7.0, 5.0, 7.0009)[0] == 7.0
-        with pytest.raises(ValueError, match="strictly before"):
-            check_run_values(RunStatus.SOLVED, 7.0, 5.0, 7.0)
+    def test_arff_unsolved_runtime_just_below_it(self, tmp_path):
+        # 7.0006 snaps to 7.001, past the timeout: an unsolved ASlib run is scored at it.
+        sc = _load(tmp_path, ARFF + "i1,1,a,7.0006,timeout\ni1,1,b,7.0006,ok\n", timeout=7.0009)
+        assert sc.outcomes[("i1", "a")] == sc.outcomes[("i1", "b")] == RunOutcome(
+            7.0009, RunStatus.TIMEOUT)
 
     @pytest.mark.parametrize("timeout,cell", [("7.0009", "7.001"), ("100.0004", "100.000")])
     def test_gen_then_validate(self, tmp_path, capsys, timeout, cell):
@@ -416,6 +371,88 @@ class TestOffGridTimeout:
         spec = dataclasses.replace(thorough_vs_fast_spec(5, 40, float(timeout)), opt_fraction=0.5,
                                    error_probability=0.3, scenario_id="g")
         assert parse_runs(runs, float(timeout)) == generate(spec)
+
+
+SOLVED, TIMEOUT, ERROR = RunStatus.SOLVED, RunStatus.TIMEOUT, RunStatus.ERROR
+
+# One run, recorded by hand and in a runs file: (status, time_s, obj, timeout, what
+# validate_scenario makes of it, what parse_runs makes of it). Each is the stored
+# (time_s, status, obj) or the message of the refusal; None where a file cannot record the run.
+RUN_RULES = {
+    "solved time snapped": (SOLVED, 1.0004, None, 10.0, (1.0, SOLVED, math.inf), ...),
+    "status from its value": ("timeout", 10.0, 5.0, 10.0, (10.0, TIMEOUT, 5.0), ...),
+    "unsolved before the timeout": (ERROR, 3.0, None, 10.0,
+                                    "error run must record time_s == timeout, got 3.0",
+                                    (10.0, ERROR, math.inf)),
+    "unknown status": ("weird", 1.0, None, 10.0, "unknown status 'weird'",
+                       "unknown status 'weird'; expected one of ['crash', 'memout', 'ok', 'timeout']"),
+    "time not a number": (SOLVED, "1.0", None, 10.0,
+                          "time_s must be a finite number, got '1.0'", None),
+    "nan time": (SOLVED, math.nan, None, 10.0, "time_s must be a finite number, got nan", ...),
+    "inf time": (SOLVED, math.inf, None, 10.0, "time_s must be a finite number, got inf", ...),
+    "negative time": (SOLVED, -0.5, None, 10.0, "time_s must be >= 0, got -0.5", ...),
+    "unsolved past the timeout": (TIMEOUT, 12.0, None, 10.0,
+                                  "time_s 12.0 exceeds the timeout 10.0", ...),
+    "solved at the timeout once snapped": (
+        SOLVED, 9.9996, None, 10.0,
+        "a solved run must finish strictly before the timeout, got 10.0", ...),
+    "nan obj": (SOLVED, 1.0, math.nan, 10.0, "obj must be finite or +inf, got nan", ...),
+    "-inf obj": (SOLVED, 1.0, -math.inf, 10.0, "obj must be finite or +inf, got -inf", ...),
+    "huge time": (SOLVED, HUGE, None, 10.0, "time_s 1e+306 exceeds the timeout 10.0", ...),
+    "unsolved at an off-grid timeout": (TIMEOUT, 7.0009, 5.0, 7.0009,
+                                        (7.0009, TIMEOUT, 5.0), ...),
+    "unsolved at an off-grid timeout as written": (
+        ERROR, 7.001, None, 7.0009, "time_s 7.001 exceeds the timeout 7.0009",
+        (7.0009, ERROR, math.inf)),
+    "unsolved at a tiny timeout as written": (
+        ERROR, 0.001, None, 0.0005, "time_s 0.001 exceeds the timeout 0.0005",
+        (0.0005, ERROR, math.inf)),
+    "unsolved at a timeout rounding up as written": (
+        ERROR, 2.002, None, 2.0015, "time_s 2.002 exceeds the timeout 2.0015",
+        (2.0015, ERROR, math.inf)),
+    "unsolved past an off-grid timeout as written": (
+        TIMEOUT, 7.002, 5.0, 7.0009, "time_s 7.002 exceeds the timeout 7.0009", ...),
+    "solved at an off-grid timeout": (SOLVED, 7.0009, 5.0, 7.0009,
+                                      "time_s 7.0009 exceeds the timeout 7.0009", ...),
+    "solved at an off-grid timeout as written": (
+        SOLVED, 7.001, 5.0, 7.0009, "time_s 7.001 exceeds the timeout 7.0009", ...),
+    "solved before an off-grid timeout": (SOLVED, 7.0, 5.0, 7.0009, (7.0, SOLVED, 5.0), ...),
+    "solved at an on-grid timeout": (
+        SOLVED, 7.0, 5.0, 7.0, "a solved run must finish strictly before the timeout, got 7.0",
+        ...),
+}
+STATUS_CELLS = {SOLVED: "ok", TIMEOUT: "timeout", ERROR: "crash"}
+
+
+class TestRunRules:
+    """Each run rule and its message, through validate_scenario and through parse_runs."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_RULES))
+    def test_validate_scenario(self, name):
+        status, time_s, obj, timeout, expected, _ = RUN_RULES[name]
+        kind = InstanceKind.DECISION if obj is None else InstanceKind.OPTIMIZATION
+        raw = Scenario("x", (Instance("i1", kind),), ("a",), timeout,
+                       {("i1", "a"): RunOutcome(time_s, status, obj)})
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as e:
+                validate_scenario(raw)
+            assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+                ("BadOutcome", expected, "(i1, a)")]
+        else:
+            assert validate_scenario(raw).outcomes[("i1", "a")] == RunOutcome(*expected)
+
+    @pytest.mark.parametrize("name", sorted(k for k, v in RUN_RULES.items() if v[-1] is not None))
+    def test_parse_runs(self, tmp_path, name):
+        status, time_s, obj, timeout, in_memory, expected = RUN_RULES[name]
+        expected = in_memory if expected is ... else expected
+        row = f"i1,a,{STATUS_CELLS.get(status, status)},{time_s!r},{'' if obj is None else obj}\n"
+        if isinstance(expected, str):
+            with pytest.raises(RowError) as e:
+                _load(tmp_path, RUNS + row, timeout=timeout)
+            assert str(e.value) == f"line 2: {expected}"
+        else:
+            sc = _load(tmp_path, RUNS + row, timeout=timeout)
+            assert sc.outcomes[("i1", "a")] == RunOutcome(*expected)
 
 
 def _round_trip(sc):
@@ -581,7 +618,8 @@ def specs(draw):
 
 
 class TestGeneratedRunsAreChecked:
-    """generate builds each run with check_run_values, so validating its scenario changes nothing."""
+    """The builder judges generate's runs as it judges any, so validating its scenario changes
+    nothing."""
 
     @given(specs())
     def test_validation_is_the_identity(self, spec):
@@ -683,7 +721,7 @@ class TestBlockBoundaries:
         runs = RUNS + f"o1,a,timeout,100,{1001 - n}\n"
         events = [f"o1,a,0.{k + 1:03d},{1000 - k}\n" for k in range(n)]
         sc = _load(tmp_path, runs, traj=TRAJ + "".join(events))
-        assert sc.trajectory("o1", "a").events == tuple(
+        assert sc.trajectories.get(("o1", "a")).events == tuple(
             ((k + 1) / 1000, float(1000 - k)) for k in range(n))
         # The first event of the second block is no later than the last of the first.
         events[block] = f"o1,a,0.{block:03d},{1000 - block}\n"

@@ -69,9 +69,9 @@ class TestParseRuns:
         assert sc.instance("i1").kind is InstanceKind.DECISION
         assert sc.instance("o1").kind is InstanceKind.OPTIMIZATION
         assert sc.outcome("i1", "a").status is RunStatus.SOLVED
-        assert sc.time("i1", "a") == 10.0
-        assert sc.obj("o1", "a") == 42.5
-        assert math.isinf(sc.obj("i1", "b"))
+        assert sc.outcomes[("i1", "a")].time_s == 10.0
+        assert sc.outcomes[("o1", "a")].obj == 42.5
+        assert math.isinf(sc.outcomes[("i1", "b")].obj)
 
     def test_scenario_id_override(self, tmp_path):
         p = _write(tmp_path, "runs.csv", RUNS_CSV)
@@ -81,16 +81,16 @@ class TestParseRuns:
         p = _write(tmp_path, "runs.csv", RUNS_CSV)
         _write(tmp_path, "runs_trajectories.csv", TRAJ_CSV)
         sc = parse_runs(p, 100.0)
-        assert sc.trajectory("o1", "a") == Trajectory(((5.0, 50.0), (20.0, 42.5)))
+        assert sc.trajectories.get(("o1", "a")) == Trajectory(((5.0, 50.0), (20.0, 42.5)))
         # solved optimization run: proven optimal at its time, which the trajectory ends by
-        assert sc.trajectory("o1", "b") == Trajectory(((10.0, 40.0),))
-        assert sc.time("o1", "b") == 30.0
+        assert sc.trajectories.get(("o1", "b")) == Trajectory(((10.0, 40.0),))
+        assert sc.outcomes[("o1", "b")].time_s == 30.0
 
     def test_explicit_trajectory_path(self, tmp_path):
         p = _write(tmp_path, "runs.csv", RUNS_CSV)
         t = _write(tmp_path, "elsewhere.csv", TRAJ_CSV)
         sc = parse_runs(p, 100.0, trajectories_path=t)
-        assert sc.trajectory("o1", "b") is not None
+        assert sc.trajectories.get(("o1", "b")) is not None
 
     def test_no_trajectory_file_is_fine(self, tmp_path):
         p = _write(tmp_path, "solo.csv", "instance_id,solver_id,status,time_s\ni1,a,ok,1.0\n")
@@ -102,8 +102,8 @@ class TestParseRuns:
         p = _write(tmp_path, "r.csv",
                    "instance_id,solver_id,status,time_s\ni1,a,timeout,87.3\ni1,b,crash,12.0\n")
         sc = parse_runs(p, 100.0)
-        assert sc.time("i1", "a") == 100.0
-        assert sc.time("i1", "b") == 100.0
+        assert sc.outcomes[("i1", "a")].time_s == 100.0
+        assert sc.outcomes[("i1", "b")].time_s == 100.0
         assert sc.outcome("i1", "b").status is RunStatus.ERROR
 
     def test_accepts_inf_objective(self, tmp_path):
@@ -111,7 +111,7 @@ class TestParseRuns:
                    "instance_id,solver_id,status,time_s,obj\no1,a,timeout,100,inf\no1,b,timeout,100,5.0\n")
         sc = parse_runs(p, 100.0)
         assert sc.instance("o1").kind is InstanceKind.OPTIMIZATION
-        assert math.isinf(sc.obj("o1", "a"))
+        assert math.isinf(sc.outcomes[("o1", "a")].obj)
 
     def test_memout_maps_to_error(self, tmp_path):
         p = _write(tmp_path, "r.csv",
@@ -281,7 +281,7 @@ class TestParseAslib:
         assert sc.instance_ids == ("inst-1", "inst-2")
         assert sc.solvers == ("solverA", "solverB")
         assert sc.outcome("inst-1", "solverA").status is RunStatus.SOLVED
-        assert sc.time("inst-1", "solverA") == 12.5
+        assert sc.outcomes[("inst-1", "solverA")].time_s == 12.5
         assert sc.outcome("inst-1", "solverB").status is RunStatus.TIMEOUT
         assert sc.outcome("inst-2", "solverA").status is RunStatus.ERROR
         assert all(i.kind is InstanceKind.DECISION for i in sc.instances)
@@ -299,7 +299,7 @@ class TestParseAslib:
         p = _write(tmp_path, "runs.arff", text)
         with pytest.warns(UserWarning, match="repetition"):
             sc = parse_aslib_runs(p, 3600.0)
-        assert sc.time("inst-1", "solverA") == 12.5
+        assert sc.outcomes[("inst-1", "solverA")].time_s == 12.5
 
     def test_missing_attribute(self, tmp_path):
         p = _write(tmp_path, "r.arff", ARFF.replace("@ATTRIBUTE repetition NUMERIC\n", ""))

@@ -40,15 +40,15 @@ from solvereval.synthkit import ArchetypeSpec
 
 def ref_is_unknown(sc, i, s):
     if sc.instance(i).kind is InstanceKind.DECISION:
-        return sc.time(i, s) >= sc.timeout_s
-    return math.isinf(sc.obj(i, s))
+        return sc.outcomes[(i, s)].time_s >= sc.timeout_s
+    return math.isinf(sc.outcomes[(i, s)].obj)
 
 
 def ref_is_better(sc, i, s, other):
-    t, t2 = sc.time(i, s), sc.time(i, other)
+    t, t2 = sc.outcomes[(i, s)].time_s, sc.outcomes[(i, other)].time_s
     if t < t2 and t2 == sc.timeout_s:
         return True
-    return sc.obj(i, s) < sc.obj(i, other)
+    return sc.outcomes[(i, s)].obj < sc.outcomes[(i, other)].obj
 
 
 def ref_pair(sc, i, s, other, delta):
@@ -56,9 +56,9 @@ def ref_pair(sc, i, s, other, delta):
         return 0.0
     if ref_is_better(sc, i, s, other):
         return 1.0
-    t, t2 = sc.time(i, s), sc.time(i, other)
+    t, t2 = sc.outcomes[(i, s)].time_s, sc.outcomes[(i, other)].time_s
     diff_ms = abs(time_to_ms(t) - time_to_ms(t2))
-    if diff_ms <= round(delta * 1000.0) and sc.obj(i, s) == sc.obj(i, other):
+    if diff_ms <= round(delta * 1000.0) and sc.outcomes[(i, s)].obj == sc.outcomes[(i, other)].obj:
         return 0.5
     if t + t2 == 0.0:
         return 0.5
@@ -85,10 +85,10 @@ def ref_find_flip(sc, a, b):
     diffs_ms = {0}
     for i in sc.instance_ids:
         for s in (a, b):
-            ts = time_to_ms(sc.time(i, s))
+            ts = time_to_ms(sc.outcomes[(i, s)].time_s)
             for other in sc.solvers:
                 if other != s:
-                    diffs_ms.add(abs(ts - time_to_ms(sc.time(i, other))))
+                    diffs_ms.add(abs(ts - time_to_ms(sc.outcomes[(i, other)].time_s)))
     flip = None
     for d in reversed([d / 1000.0 for d in sorted(diffs_ms)]):
         if ref_mznc_score(sc, a, d) > ref_mznc_score(sc, b, d):
@@ -101,7 +101,7 @@ def ref_find_flip(sc, a, b):
 def probe_deltas(sc):
     """Thresholds at every pairwise time difference, 1 ms either side, and off-grid."""
     diffs = {
-        abs(time_to_ms(sc.time(i, s)) - time_to_ms(sc.time(i, o)))
+        abs(time_to_ms(sc.outcomes[(i, s)].time_s) - time_to_ms(sc.outcomes[(i, o)].time_s))
         for i in sc.instance_ids
         for s in sc.solvers
         for o in sc.solvers

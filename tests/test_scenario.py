@@ -51,13 +51,13 @@ class TestValidation:
         sc = decision_scenario({"i1": {"a": 10.0, "b": None}})
         assert sc.instance_ids == ("i1",)
         assert sc.solvers == ("a", "b")
-        assert sc.time("i1", "a") == 10.0
-        assert sc.time("i1", "b") == TIMEOUT
+        assert sc.outcomes[("i1", "a")].time_s == 10.0
+        assert sc.outcomes[("i1", "b")].time_s == TIMEOUT
         assert sc.outcome("i1", "b").status is RunStatus.TIMEOUT
 
     def test_solved_times_are_quantized(self):
         sc = scenario_from({("i1", "a"): solved(10.0004)})
-        assert sc.time("i1", "a") == 10.0
+        assert sc.outcomes[("i1", "a")].time_s == 10.0
 
     def test_missing_outcome(self):
         raw = Scenario("x", (Instance("i1"), Instance("i2")), ("a",), TIMEOUT,
@@ -174,7 +174,7 @@ class TestTrajectoryValidation:
 
     def test_valid_trajectory_normalizes(self):
         sc = validate_scenario(self._raw(Trajectory(((10.0004, 9.0), (20.0, 5.0)))))
-        assert sc.trajectory("i1", "a") == Trajectory(((10.0, 9.0), (20.0, 5.0)))
+        assert sc.trajectories.get(("i1", "a")) == Trajectory(((10.0, 9.0), (20.0, 5.0)))
 
     def test_event_times_must_increase(self):
         with pytest.raises(ValidationError) as e:
@@ -213,7 +213,7 @@ class TestTrajectoryValidation:
         for end in (20.0, 30.0):  # at the last event, or after it
             out = RunOutcome(end, RunStatus.SOLVED, 5.0)
             sc = validate_scenario(self._raw(Trajectory(((20.0, 5.0),)), out))
-            assert sc.trajectory("i1", "a") == Trajectory(((20.0, 5.0),))
+            assert sc.trajectories.get(("i1", "a")) == Trajectory(((20.0, 5.0),))
 
     def test_trajectory_on_decision_instance(self):
         raw = Scenario("x", (Instance("i1"),), ("a",), TIMEOUT,

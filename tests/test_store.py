@@ -53,7 +53,7 @@ def with_trajectories(draw):
         sc, instances=tuple(Instance(i.id, i.kind) for i in sc.instances)))
     sc = draw(st.one_of(scenarios(), generated(), edge))
     bare = [(i.id, s) for i in sc.instances if i.kind is InstanceKind.OPTIMIZATION
-            for s in sc.solvers if math.isinf(sc.obj(i.id, s))]
+            for s in sc.solvers if math.isinf(sc.outcomes[(i.id, s)].obj)]
     empty = draw(st.lists(st.sampled_from(bare), unique=True)) if bare else []
     if not empty:
         return sc
@@ -184,7 +184,7 @@ class TestValueSemantics:
         )
         assert sc.outcomes[("o1", "a")] == RunOutcome(2.0, RunStatus.SOLVED, 4.0)
         assert sc.outcomes[("o1", "a")] is not sc.outcomes[("o1", "a")]
-        assert sc.trajectory("o1", "b") is None  # recorded with no event, as no file can
+        assert sc.trajectories.get(("o1", "b")) is None  # recorded with no event, as no file can
         assert list(sc.trajectories) == [("o1", "a")] and len(sc.trajectories) == 1
         for view in (sc.outcomes, sc.trajectories):
             assert ("o1", "zz") not in view and ("ghost", "a") not in view
@@ -234,7 +234,7 @@ def test_raw_dict_scenarios_still_validate():
         solvers=("a",), timeout_s=10, outcomes=raw_runs,
         trajectories={("o1", "a"): Trajectory(((1.0004, 5),))}))
     assert sc.outcome("i1", "a") == RunOutcome(1.0, RunStatus.SOLVED, math.inf)
-    assert sc.trajectory("o1", "a") == Trajectory(((1.0, 5.0),))
+    assert sc.trajectories.get(("o1", "a")) == Trajectory(((1.0, 5.0),))
     assert sc.outcomes.ms == {"a": (3000, 1000)}
 
 

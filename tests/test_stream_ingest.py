@@ -1,7 +1,8 @@
 """Ingest streams each run and event into the column stores.
 
 ref_parse_runs is the reader the column builder replaced, kept here as it
-was, less the branches a runs file cannot reach: each run went through a
+was, less the branches a runs file cannot reach, and with its own statement
+of the run rules (ref_check_run), not the builder's: each run went through a
 per-solver dict of (time_s, status, obj) tuples, each event through a
 per-pair list, and assemble_scenario checked them and copied them into
 columns. Files that are not instance-major (run
@@ -39,7 +40,7 @@ from solvereval import (
     generate,
     parse_runs,
 )
-from solvereval.scenario import check_run_values, check_timeout, quantize_ms
+from solvereval.scenario import check_timeout, quantize_ms
 from solvereval.synthkit import ArchetypeSpec, SolverSpec, uniform
 
 STATUS_IN = {"ok": RunStatus.SOLVED, "timeout": RunStatus.TIMEOUT,
@@ -55,6 +56,34 @@ def _parse_float(cell, what, line_no):
         return float(cell)
     except (TypeError, ValueError):
         raise RowError(line_no, f"unparseable {what} {cell!r}") from None
+
+
+def ref_check_run(status, time_s, obj, timeout_s):
+    """A runs row's (time_s, status, obj) as stored, or a ValueError naming the rule it breaks.
+
+    The rules as a runs file has them: a finite time_s >= 0; a solved run
+    strictly before the timeout once snapped to the millisecond grid; an
+    unsolved run at the timeout, at most the timeout once snapped, or the
+    timeout as written with three decimals, stored at the timeout; obj finite
+    or +inf.
+    """
+    if not math.isfinite(time_s):
+        raise ValueError(f"time_s must be a finite number, got {time_s!r}")
+    if time_s < 0:
+        raise ValueError(f"time_s must be >= 0, got {time_s}")
+    t = quantize_ms(time_s)
+    if status is RunStatus.SOLVED:
+        if t > timeout_s:
+            raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
+        if t >= timeout_s:
+            raise ValueError(f"a solved run must finish strictly before the timeout, got {t}")
+    elif time_s == timeout_s or t <= timeout_s or time_s == float(f"{timeout_s:.3f}"):
+        t = timeout_s
+    else:
+        raise ValueError(f"time_s {time_s} exceeds the timeout {timeout_s}")
+    if math.isnan(obj) or obj == -math.inf:
+        raise ValueError(f"obj must be finite or +inf, got {obj!r}")
+    return t, status, obj
 
 
 def ref_parse_runs(path, timeout_s, trajectories_path):
@@ -87,7 +116,7 @@ def ref_parse_runs(path, timeout_s, trajectories_path):
                 _parse_float(row[c_time], "time_s", reader.line_num)
                 raise RowError(reader.line_num, f"unparseable obj {obj_cell!r}") from None
             try:
-                run = check_run_values(status, t, obj, timeout_s, True)
+                run = ref_check_run(status, t, obj, timeout_s)
             except ValueError as exc:
                 raise RowError(reader.line_num, str(exc)) from None
             col = runs.get(sid) or runs.setdefault(sid, {})

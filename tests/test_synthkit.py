@@ -52,7 +52,7 @@ class TestGenerate:
         assert all(
             sc.outcome(i, "a").status is RunStatus.TIMEOUT for i in sc.instance_ids
         )
-        assert all(sc.time(i, "a") == 50.0 for i in sc.instance_ids)
+        assert all(sc.outcomes[(i, "a")].time_s == 50.0 for i in sc.instance_ids)
 
     def test_same_seed_same_scenario(self):
         assert generate(_spec()) == generate(_spec())
@@ -103,14 +103,14 @@ class TestOptimizationGeneration:
         assert all(i.kind is InstanceKind.OPTIMIZATION for i in sc.instances)
         for (i, s), out in sc.outcomes.items():
             if out.status is RunStatus.SOLVED:
-                traj = sc.trajectory(i, s)
+                traj = sc.trajectories.get((i, s))
                 assert traj is not None
                 assert traj.events[-1][0] <= out.time_s  # proven optimal when the run ends
                 assert traj.events[-1][1] == out.obj
             else:
                 # subopt_probability 0: unsolved runs found nothing
                 assert math.isinf(out.obj)
-                assert sc.trajectory(i, s) is None
+                assert sc.trajectories.get((i, s)) is None
 
     def test_suboptimal_timeouts_have_unproven_trajectories(self):
         spec = _spec(opt_fraction=1.0, subopt_probability=1.0,
@@ -119,7 +119,7 @@ class TestOptimizationGeneration:
         for (i, s), out in sc.outcomes.items():
             assert out.status is RunStatus.TIMEOUT
             assert math.isfinite(out.obj)
-            traj = sc.trajectory(i, s)
+            traj = sc.trajectories.get((i, s))
             assert traj is not None
             assert traj.events[-1][0] < out.time_s == sc.timeout_s
             assert traj.events[-1][1] == out.obj
@@ -132,8 +132,8 @@ class TestOptimizationGeneration:
                      ))
         sc = generate(spec)
         for i in sc.instance_ids:
-            base = sc.obj(i, "ref")
-            assert sc.obj(i, "sub") >= base + 1.0
+            base = sc.outcomes[(i, "ref")].obj
+            assert sc.outcomes[(i, "sub")].obj >= base + 1.0
 
 
 class TestSpecValidation:
@@ -198,9 +198,9 @@ class TestArchetype:
         )
         assert solved_thorough > solved_fast
         # on its solved instances fast is much quicker
-        fast_times = [sc.time(i, "fast") for i in sc.instance_ids
+        fast_times = [sc.outcomes[(i, "fast")].time_s for i in sc.instance_ids
                       if sc.outcome(i, "fast").status is RunStatus.SOLVED]
-        thorough_times = [sc.time(i, "thorough") for i in sc.instance_ids
+        thorough_times = [sc.outcomes[(i, "thorough")].time_s for i in sc.instance_ids
                           if sc.outcome(i, "thorough").status is RunStatus.SOLVED]
         assert max(fast_times) < min(thorough_times)
 

@@ -33,8 +33,8 @@ from solvereval.scenario import Runs
 def ref_head_to_head(sc, solver_a, solver_b):
     a = b = ties = 0
     for i in sc.instance_ids:
-        ta = time_to_ms(sc.time(i, solver_a))
-        tb = time_to_ms(sc.time(i, solver_b))
+        ta = time_to_ms(sc.outcomes[(i, solver_a)].time_s)
+        tb = time_to_ms(sc.outcomes[(i, solver_b)].time_s)
         if ta < tb:
             a += 1
         elif tb < ta:
@@ -46,7 +46,7 @@ def ref_head_to_head(sc, solver_a, solver_b):
 
 def ref_runtime_distribution(sc, solver):
     return sorted(
-        sc.time(i, solver)
+        sc.outcomes[(i, solver)].time_s
         for i in sc.instance_ids
         if sc.outcome(i, solver).status is RunStatus.SOLVED
     )

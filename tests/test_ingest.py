@@ -377,7 +377,8 @@ SOLVED, TIMEOUT, ERROR = RunStatus.SOLVED, RunStatus.TIMEOUT, RunStatus.ERROR
 
 # One run, recorded by hand and in a runs file: (status, time_s, obj, timeout, what
 # validate_scenario makes of it, what parse_runs makes of it). Each is the stored
-# (time_s, status, obj) or the message of the refusal; None where a file cannot record the run.
+# (time_s, status, obj) or the message of the refusal; for parse_runs, ... when it is
+# validate_scenario's, and None where a runs file cannot record the run.
 RUN_RULES = {
     "solved time snapped": (SOLVED, 1.0004, None, 10.0, (1.0, SOLVED, math.inf), ...),
     "status from its value": ("timeout", 10.0, 5.0, 10.0, (10.0, TIMEOUT, 5.0), ...),
@@ -385,7 +386,8 @@ RUN_RULES = {
                                     "error run must record time_s == timeout, got 3.0",
                                     (10.0, ERROR, math.inf)),
     "unknown status": ("weird", 1.0, None, 10.0, "unknown status 'weird'",
-                       "unknown status 'weird'; expected one of ['crash', 'memout', 'ok', 'timeout']"),
+                       "unknown status 'weird'; expected one of"
+                       " ['crash', 'memout', 'ok', 'timeout']"),
     "time not a number": (SOLVED, "1.0", None, 10.0,
                           "time_s must be a finite number, got '1.0'", None),
     "nan time": (SOLVED, math.nan, None, 10.0, "time_s must be a finite number, got nan", ...),

@@ -29,7 +29,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "metric_info", "mznc_pair", "mznc_score", "normalized_runtime_score", "par_score",
     ),
     "baselines": (
-        "LOW_RESOLUTION_THRESHOLD", "BaselineReport", "FoldContext", "SbsPolicy",
+        "LOW_RESOLUTION_THRESHOLD", "BaselineReport", "SbsPolicy",
         "baseline_report", "select_sbs",
     ),
     "harness": (

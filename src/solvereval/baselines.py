@@ -14,17 +14,14 @@ from enum import Enum
 from itertools import chain
 from typing import Mapping, Sequence
 
-from .errors import MissingFoldContext
 from .metrics import Split, base_columns, read_split
-from .scenario import Scenario, positions
+from .scenario import Scenario
 
 __all__ = [
     "BaselineReport",
-    "FoldContext",
     "SbsPolicy",
     "baseline_report",
     "cell_baselines",
-    "cell_positions",
     "select_sbs",
 ]
 
@@ -38,14 +35,6 @@ class SbsPolicy(str, Enum):
 
 
 @dataclass(frozen=True)
-class FoldContext:
-    """Train/test instance ids of one cross-validation cell."""
-
-    train: tuple[str, ...]
-    test: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class BaselineReport:
     base_metric_id: str
     sbs_id: str
@@ -55,28 +44,6 @@ class BaselineReport:
     m_sbs: float
     gap_ratio: float
     warnings: tuple[str, ...] = ()
-
-
-def cell_positions(
-    scenario: Scenario, policy: SbsPolicy, fold_context: FoldContext | None, baselines: bool = True
-) -> tuple[Sequence[int], Sequence[int] | None]:
-    """A cell's test positions and, for a baselines metric, its SBS selection positions.
-
-    Without a fold context the test split is every instance. A split naming
-    no or unknown instances, or a split policy without a fold context, fails
-    here, before any column is built.
-    """
-    every = range(len(scenario.instances))
-    test = every if fold_context is None else positions(scenario, fold_context.test)
-    if not baselines:
-        return test, None
-    if policy is SbsPolicy.FULL_DATASET:
-        return test, every
-    if fold_context is None:
-        raise MissingFoldContext(
-            f"policy {policy.value} needs a fold context with train/test splits"
-        )
-    return test, test if policy is SbsPolicy.TEST_SPLIT else positions(scenario, fold_context.train)
 
 
 def _sbs(selection: Sequence[Split]) -> str:
@@ -129,35 +96,23 @@ def cell_baselines(
     return report, totals
 
 
-def select_sbs(
-    scenario: Scenario,
-    base_metric: str = "par",
-    lam: float = 10.0,
-    policy: SbsPolicy = SbsPolicy.FULL_DATASET,
-    fold_context: FoldContext | None = None,
-) -> str:
-    """Pick the single best solver on the policy's selection set; ties go lexicographically."""
-    return baseline_report(scenario, base_metric, lam, policy, fold_context).sbs_id
+def select_sbs(scenario: Scenario, base_metric: str = "par", lam: float = 10.0) -> str:
+    """Pick the single best solver over the whole scenario; ties go lexicographically."""
+    return baseline_report(scenario, base_metric, lam).sbs_id
 
 
 def baseline_report(
-    scenario: Scenario,
-    base_metric: str = "par",
-    lam: float = 10.0,
-    policy: SbsPolicy = SbsPolicy.FULL_DATASET,
-    fold_context: FoldContext | None = None,
+    scenario: Scenario, base_metric: str = "par", lam: float = 10.0
 ) -> BaselineReport:
-    """Resolve both baselines and evaluate them on the evaluation instance set.
+    """Both baselines over the whole scenario, the full_dataset policy without folds.
 
-    The SBS is picked on the policy's selection set; both m_vbs and m_sbs are
-    then measured on the evaluation set (the test split when a fold context is
-    given, the whole scenario otherwise).
+    The SBS is picked and measured on every instance. A cell of a fold plan
+    is scored by evaluate, which passes cell_baselines the cell's own test
+    and selection splits.
     """
-    policy = SbsPolicy(policy)
-    test, selection = cell_positions(scenario, policy, fold_context)
     columns = base_columns(scenario, base_metric, lam)
+    split = read_split(columns, range(len(scenario.instances)))
     report, _ = cell_baselines(
-        scenario.instance_ids, base_metric, policy,
-        read_split(columns, test), [read_split(columns, selection)],
+        scenario.instance_ids, base_metric, SbsPolicy.FULL_DATASET, split, [split]
     )
     return report

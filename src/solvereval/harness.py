@@ -9,11 +9,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .baselines import BaselineReport, FoldContext, SbsPolicy, cell_baselines, cell_positions
+from .baselines import BaselineReport, SbsPolicy, cell_baselines
 from .errors import (
     BadK,
     EmptyInput,
     EmptyRestriction,
+    MissingFoldContext,
     MixedMetrics,
     NonPositiveForGeomean,
 )
@@ -180,38 +181,35 @@ def score_scenario(
     metric_id: str,
     params: MetricParams | None = None,
     sbs_policy: SbsPolicy | str | None = None,
-    fold_context: FoldContext | None = None,
     *,
     columns: Columns | None = None,
     split: Split | None = None,
     selection: Sequence[Split] | None = None,
 ) -> tuple[ScoreTable, BaselineReport | None]:
-    """Score every solver under one metric.
+    """Score every solver under one metric: on one cell, or on every instance.
 
-    When a fold context is given, scores are computed on its test split;
-    baseline selection for the closed gap follows sbs_policy. Returns the
-    score table and, for the closed gap, the baseline report used.
-
-    Scores read the metric's per-instance columns over the whole scenario
-    (instance_columns, or base_columns for the closed gap) at the split's
-    positions, and the table's per_instance is a view of them. columns
-    passes ones already built for this scenario, metric and params; split
-    the test split read off them (read_split), which needs them passed; and
-    selection, which the closed gap then needs, the splits that make up the
-    SBS selection set. evaluate passes all three for every cell, in place of
-    a fold context. Without a split, the cell is resolved (cell_positions)
-    before the columns are built.
+    Returns the score table and, for the closed gap, the baseline report
+    used. Scores read the metric's per-instance columns over the whole
+    scenario (instance_columns, or base_columns for the closed gap), built
+    here or passed as columns, at the split's positions; the table's
+    per_instance is a view of them. evaluate passes the columns, each cell's
+    test split read off them (read_split) and, for the closed gap, the
+    cell's selection splits. Without a split every instance is scored and
+    is its own selection set, so a train_split or test_split closed gap
+    raises MissingFoldContext before any column is built.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
-    policy = SbsPolicy(sbs_policy) if sbs_policy is not None else (
-        SbsPolicy.TRAIN_SPLIT if fold_context is not None else SbsPolicy.FULL_DATASET
-    )
+    policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.FULL_DATASET
     if split is None:
-        test, chosen = cell_positions(scenario, policy, fold_context, info.baselines)
+        if info.baselines and policy is not SbsPolicy.FULL_DATASET:
+            raise MissingFoldContext(
+                f"policy {policy.value} picks the single best solver on a cell's folds: "
+                "score it with evaluate and a fold plan"
+            )
         columns = columns if columns is not None else info.columns(scenario, params)
-        split = read_split(columns, test)
-        selection = None if chosen is None else [read_split(columns, chosen)]
+        split = read_split(columns, range(len(scenario.instances)))
+        selection = [split]
     elif columns is None or info.baselines and selection is None:
         raise TypeError("a split needs the columns it was read off, and a closed gap its selection")
     table_params = info.report_params(params, policy.value)
@@ -263,14 +261,16 @@ def evaluate(
 ) -> EvaluationResult:
     """Run one metric over a scenario, optionally per cross-validation cell.
 
-    Without a fold plan this is a single evaluation over all instances. With
-    one, the metric is scored on each test fold (baselines resolved per
-    sbs_policy against that cell's splits) and the per-cell scores are merged
-    with the chosen aggregation, arithmetic mean by default; a merge that
-    must fail (check_fold_merge), and a plan that does not split the
-    instances into the same k >= 2 folds in every repeat (check_partition),
-    are rejected before any scoring. The metric's per-instance columns are
-    built once, and each fold's values read off them once per repeat.
+    Without a fold plan this is score_scenario over all instances. With one,
+    the metric is scored on each test fold and the per-cell scores are merged
+    with the chosen aggregation, arithmetic mean by default. The fold loop is
+    the one place that turns sbs_policy into a cell's selection splits: the
+    other folds (train_split), the test fold (test_split) or every fold
+    (full_dataset). A merge that must fail (check_fold_merge), and a plan
+    that does not split the instances into the same k >= 2 folds in every
+    repeat (check_partition), are rejected before any scoring. The metric's
+    per-instance columns are built once, and each fold's values read off
+    them once per repeat.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
@@ -278,7 +278,7 @@ def evaluate(
 
     if fold_plan is None:
         policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.FULL_DATASET
-        table, report = score_scenario(scenario, metric_id, params, policy, None)
+        table, report = score_scenario(scenario, metric_id, params, policy)
         cell = FoldCell(0, 0, scenario.instance_ids, table, report)
         return EvaluationResult((cell,), table, None, policy, merge)
 
@@ -302,7 +302,7 @@ def evaluate(
                 else [split] if policy is SbsPolicy.TEST_SPLIT else splits
             )
             table, report = score_scenario(
-                scenario, metric_id, params, policy, None,
+                scenario, metric_id, params, policy,
                 columns=columns, split=split, selection=selection,
             )
             cells.append(FoldCell(r, f, test, table, report))

@@ -36,7 +36,6 @@ __all__ = [
     "Trajectory",
     "build_scenario",
     "check_timeout",
-    "positions",
     "quantize_ms",
     "restrict",
     "time_to_ms",
@@ -595,7 +594,8 @@ class ScenarioBuilder:
         return self.problems.setdefault((p, col), ([], []))
 
     def trajectory(self, iid: str, sid: str, traj: Trajectory) -> None:
-        """Take a complete Trajectory's events and check the pair at once."""
+        """Take a complete Trajectory's events and check the pair at once. An event that is
+        not two numbers is taken as a problem of the pair, and the rest are still checked."""
         p, col = self.at.get(iid), self.cols.get(sid)
         if p is None or col is None:
             self._flag("UnknownId", "trajectory recorded for a pair outside the scenario",
@@ -604,7 +604,15 @@ class ScenarioBuilder:
             self._flag("DuplicateId", "trajectory recorded twice for this pair", f"({iid}, {sid})")
         else:
             col.last[p] = _EMPTY if self.kinds[p] is _OPTIMIZATION else _REFUSED
-            ts, vs = [float(t) for t, _ in traj.events], [float(v) for _, v in traj.events]
+            ts, vs = [], []
+            for event in traj.events:
+                try:
+                    t, v = map(float, event)
+                except (TypeError, ValueError):
+                    self._problems(p, col)[0].append(f"event {event!r} is not two numbers")
+                    continue
+                ts.append(t)
+                vs.append(v)
             self.events(repeat(iid), repeat(sid), ts, vs)
             self._close(p, col)
 
@@ -666,28 +674,18 @@ def build_scenario(
                                       dict(outcomes), dict(trajectories or {})))
 
 
-def positions(scenario: Scenario, instance_ids: Iterable[str]) -> tuple[int, ...]:
-    """Positions of a subset of the scenario's instances, in the scenario's order.
-
-    A cross-validation fold is such a subset: scoring reads the metric's
-    per-instance columns at these positions and copies no runs.
-    """
-    wanted = set(instance_ids)
-    if not wanted:
-        raise EmptyRestriction("restriction needs at least one instance")
-    index = scenario.position_map
-    missing = sorted(wanted.difference(index))
-    if missing:
-        raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
-    return tuple(sorted(index[i] for i in wanted))
-
-
 def restrict(scenario: Scenario, instance_ids: Sequence[str]) -> Scenario:
     """Project a scenario onto a subset of its instances.
 
     Keeps the scenario's instance order; solvers and timeout are unchanged.
+    Cross-validation copies no fold: evaluate reads each off the metric's columns.
     """
-    kept = {scenario.instance_ids[p] for p in positions(scenario, instance_ids)}
+    kept = set(instance_ids)
+    if not kept:
+        raise EmptyRestriction("restriction needs at least one instance")
+    missing = sorted(kept.difference(scenario.position_map))
+    if missing:
+        raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
     return validate_scenario(replace(
         scenario, instances=tuple(inst for inst in scenario.instances if inst.id in kept),
         outcomes={k: v for k, v in scenario.outcomes.items() if k[0] in kept},

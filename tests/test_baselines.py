@@ -6,16 +6,22 @@ import math
 
 import pytest
 from helpers import TIMEOUT, decision_scenario
+from hypothesis import given
+from hypothesis import strategies as st
+from test_fold_columns import generated
 
 from solvereval import (
     BadLambda,
-    FoldContext,
+    MetricParams,
     MissingFoldContext,
     SbsPolicy,
+    SolverEvalError,
     baseline_report,
+    score_scenario,
     select_sbs,
 )
-from solvereval.metrics import instance_columns
+from solvereval.baselines import cell_baselines
+from solvereval.metrics import base_columns, instance_columns, read_split
 
 
 def _flip_scenario():
@@ -24,6 +30,13 @@ def _flip_scenario():
         "i1": {"a": 50.0, "b": None},
         "i2": {"a": None, "b": 30.0},
     })
+
+
+def _flip_splits():
+    """_flip_scenario's instance ids and the par splits of its test fold i2 and train fold i1."""
+    sc = _flip_scenario()
+    columns = base_columns(sc, "par")
+    return sc.instance_ids, read_split(columns, [1]), read_split(columns, [0])
 
 
 def _totals(sc, metric_id):
@@ -51,30 +64,34 @@ class TestSbs:
         assert select_sbs(sc, "par") == "alpha"
 
     def test_split_policies_need_fold_context(self):
-        with pytest.raises(MissingFoldContext):
-            select_sbs(_flip_scenario(), "par", policy=SbsPolicy.TRAIN_SPLIT)
-        with pytest.raises(MissingFoldContext):
-            select_sbs(_flip_scenario(), "par", policy=SbsPolicy.TEST_SPLIT)
+        # Without a split every instance is scored: only a fold plan's cells have train and test.
+        for policy in (SbsPolicy.TRAIN_SPLIT, SbsPolicy.TEST_SPLIT):
+            with pytest.raises(MissingFoldContext, match=rf"^policy {policy.value} .* fold plan$"):
+                score_scenario(_flip_scenario(), "closed-gap", MetricParams(lam=0.5), policy)
 
     def test_missing_fold_context_before_columns(self):
-        # A penalty below 1 fails the column build, which the cell check comes before.
-        for resolve in (select_sbs, baseline_report):
+        # A penalty below 1 fails the column build, which the policy check comes before.
+        params = MetricParams(lam=0.5)
+        for policy in ("train_split", "test_split"):
             with pytest.raises(MissingFoldContext):
-                resolve(_flip_scenario(), "par", 0.5, "train_split")
-            with pytest.raises(BadLambda):
-                resolve(_flip_scenario(), "par", 0.5, "full_dataset")
+                score_scenario(_flip_scenario(), "closed-gap", params, policy)
+        with pytest.raises(BadLambda):
+            score_scenario(_flip_scenario(), "closed-gap", params, "full_dataset")
 
     def test_selection_follows_the_policy_split(self):
-        sc = _flip_scenario()
-        ctx = FoldContext(train=("i1",), test=("i2",))
-        assert select_sbs(sc, "par", policy=SbsPolicy.TRAIN_SPLIT, fold_context=ctx) == "a"
-        assert select_sbs(sc, "par", policy=SbsPolicy.TEST_SPLIT, fold_context=ctx) == "b"
-        assert select_sbs(sc, "par", policy=SbsPolicy.FULL_DATASET, fold_context=ctx) == "b"
+        ids, test, train = _flip_splits()
+        for policy, selection, sbs in (
+            (SbsPolicy.TRAIN_SPLIT, [train], "a"),
+            (SbsPolicy.TEST_SPLIT, [test], "b"),
+            (SbsPolicy.FULL_DATASET, [train, test], "b"),
+        ):
+            report, _ = cell_baselines(ids, "par", policy, test, selection)
+            assert (report.sbs_id, report.sbs_policy) == (sbs, policy)
 
     def test_policy_accepts_strings(self):
-        sc = _flip_scenario()
-        ctx = FoldContext(train=("i1",), test=("i2",))
-        assert select_sbs(sc, "par", policy="train_split", fold_context=ctx) == "a"
+        ids, test, train = _flip_splits()
+        report, _ = cell_baselines(ids, "par", "train_split", test, [train])
+        assert (report.sbs_id, report.sbs_policy) == ("a", SbsPolicy.TRAIN_SPLIT)
 
 
 class TestBaselineReport:
@@ -88,9 +105,8 @@ class TestBaselineReport:
         assert report.warnings == ()
 
     def test_train_selection_measured_on_test(self):
-        sc = _flip_scenario()
-        ctx = FoldContext(train=("i1",), test=("i2",))
-        report = baseline_report(sc, "par", policy=SbsPolicy.TRAIN_SPLIT, fold_context=ctx)
+        ids, test, train = _flip_splits()
+        report, _ = cell_baselines(ids, "par", SbsPolicy.TRAIN_SPLIT, test, [train])
         # a wins the train split but is then measured on the test split
         assert report.sbs_id == "a"
         assert report.m_sbs == pytest.approx(1000.0)
@@ -123,3 +139,18 @@ class TestBaselineReport:
         totals = _totals(_flip_scenario(), "par")
         assert totals[report.sbs_id] == report.m_sbs
         assert math.fsum([report.m_sbs, -report.m_sbs]) == 0.0
+
+
+class TestFullDatasetWrappers:
+    """baseline_report and select_sbs give what score_scenario's closed gap reports."""
+
+    @given(generated(), st.sampled_from([1.0, 1.5, 10.0]))
+    def test_match_the_closed_gap_report(self, sc, lam):
+        for base_metric in ("par", "runtime", "area"):
+            params = MetricParams(base_metric=base_metric, lam=lam)
+            try:
+                _, report = score_scenario(sc, "closed-gap", params)
+            except SolverEvalError:
+                continue  # the closed gap does not score on this base metric
+            assert baseline_report(sc, base_metric, lam) == report
+            assert select_sbs(sc, base_metric, lam) == report.sbs_id

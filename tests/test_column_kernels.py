@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fold_columns import (
     METRIC_IDS,
+    TrainTest,
     bench_family_spec,
     ref_area_row,
     ref_best,
@@ -27,11 +28,11 @@ from test_fold_columns import (
     ref_ratio_row,
     ref_restrict,
     ref_reward_row,
+    score_cell,
 )
 from test_pairwise_kernel import ref_per_instance
 
 from solvereval import (
-    FoldContext,
     Instance,
     InstanceKind,
     MetricParams,
@@ -51,7 +52,6 @@ from solvereval import (
     oracle_score,
     parse_runs,
     runtime_distribution,
-    score_scenario,
 )
 from solvereval.metrics import instance_columns
 from solvereval.scenario import InstanceValues
@@ -235,8 +235,8 @@ def assert_cells_match_oracle(sc, params, plan):
         for test in plan.assignment[0]:
             cell = ref_restrict(sc, test)
             try:
-                table, _ = score_scenario(
-                    sc, metric_id, params, SbsPolicy.TEST_SPLIT, FoldContext((), test)
+                table, _ = score_cell(
+                    sc, metric_id, params, SbsPolicy.TEST_SPLIT, TrainTest((), test)
                 )
             except NonPositiveObjective:
                 continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 from helpers import decision_scenario
@@ -33,7 +34,6 @@ from solvereval import (
     EmptyRestriction,
     EvaluationResult,
     FoldCell,
-    FoldContext,
     FoldPlan,
     InstanceKind,
     MetricParams,
@@ -60,12 +60,33 @@ from solvereval import (
     thorough_vs_fast_spec,
     uniform,
 )
+from solvereval.metrics import read_split
 from solvereval.synthkit import ArchetypeSpec
 
 METRIC_IDS = (
     "par", "runtime", "solved-count", "normalized-runtime", "speedup", "mznc",
     "closed-gap", "ratio", "area", "bounded-reward",
 )
+
+
+class TrainTest(NamedTuple):
+    """One cross-validation cell: the instance ids of its training folds and of its test fold."""
+
+    train: tuple[str, ...]
+    test: tuple[str, ...]
+
+
+def score_cell(sc, metric_id, params, policy, cell):
+    """score_scenario on one cell by evaluate's route: the test split and, for the closed
+    gap, the policy's selection splits, read off columns over the whole scenario."""
+    params = params or MetricParams()
+    columns = metric_info(metric_id).columns(sc, params)
+    test, train = (read_split(columns, sorted(map(sc.position_map.__getitem__, ids)))
+                   for ids in (cell.test, cell.train))
+    selection = {SbsPolicy.TRAIN_SPLIT: [train], SbsPolicy.TEST_SPLIT: [test]}.get(
+        policy, [train, test])
+    return score_scenario(sc, metric_id, params, policy, columns=columns, split=test,
+                          selection=selection)
 
 
 def ref_restrict(sc, instance_ids):
@@ -295,7 +316,7 @@ def ref_evaluate(sc, metric_id, params, plan, sbs_policy, aggregation):
     for r, folds in enumerate(plan.assignment):
         for f, test in enumerate(folds):
             train = tuple(i for g, fold in enumerate(folds) if g != f for i in fold)
-            table, report = ref_score(sc, metric_id, params, policy, FoldContext(train, test))
+            table, report = ref_score(sc, metric_id, params, policy, TrainTest(train, test))
             cells.append(FoldCell(r, f, test, table, report))
     merged = ScoreTable(
         metric_id,
@@ -336,12 +357,12 @@ def assert_same_evaluation(sc, metric_id, params, plan, policy, aggregation):
 
 
 def assert_same_cells(sc, metric_id, params, plan, policy):
-    """score_scenario on each cell's split gives the reference result, or raises the same error."""
+    """score_cell on each cell gives the reference result, or raises the same error."""
     for folds in plan.assignment:
         for f, test in enumerate(folds):
             train = tuple(i for g, fold in enumerate(folds) if g != f for i in fold)
-            args = (sc, metric_id, params, policy, FoldContext(train, test))
-            assert outcome(score_scenario, *args) == outcome(ref_score, *args), (metric_id, f)
+            args = (sc, metric_id, params, policy, TrainTest(train, test))
+            assert outcome(score_cell, *args) == outcome(ref_score, *args), (metric_id, f)
 
 
 def bench_family_spec(seed, n_instances, n_solvers, opt_fraction):
@@ -449,10 +470,10 @@ class TestErrorParity:
             "i4": {"a": 7.0, "b": 7.0},
         })
         plan = FoldPlan(seed=0, assignment=((("i1", "i2"), ("i3", "i4")),))
-        first = FoldContext(train=("i3", "i4"), test=("i1", "i2"))
-        second = FoldContext(train=("i1", "i2"), test=("i3", "i4"))
-        assert isinstance(outcome(score_scenario, sc, "closed-gap", None, policy, first), tuple)
-        assert outcome(score_scenario, sc, "closed-gap", None, policy, second) is DegenerateGap
+        first = TrainTest(train=("i3", "i4"), test=("i1", "i2"))
+        second = TrainTest(train=("i1", "i2"), test=("i3", "i4"))
+        assert isinstance(outcome(score_cell, sc, "closed-gap", None, policy, first), tuple)
+        assert outcome(score_cell, sc, "closed-gap", None, policy, second) is DegenerateGap
         assert_same_cells(sc, "closed-gap", MetricParams(), plan, policy)
         assert outcome(evaluate, sc, "closed-gap", None, plan, policy) is DegenerateGap
 

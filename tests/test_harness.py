@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 from helpers import TIMEOUT, decision_scenario, scenario_from, solved, timed_out
+from test_fold_columns import TrainTest, score_cell
 
 from solvereval import (
     Aggregation,
@@ -14,10 +15,8 @@ from solvereval import (
     DEFAULT_MERGE,
     Direction,
     EmptyInput,
-    EmptyRestriction,
     METRICS,
     BadLambda,
-    FoldContext,
     FoldPlan,
     MetricParams,
     MissingFoldContext,
@@ -28,7 +27,6 @@ from solvereval import (
     ScoreTable,
     SingleSolverScenario,
     Trajectory,
-    UnknownInstance,
     UnknownSolver,
     UnsupportedMetricForFolds,
     aggregate,
@@ -143,18 +141,13 @@ class TestScoreScenario:
         assert table.per_solver["b"] == 0.0
         assert table.params["sbs_policy"] == "full_dataset"
 
-    @pytest.mark.parametrize("context, error", [
-        (None, MissingFoldContext),
-        (FoldContext(train=("x",), test=("i000",)), UnknownInstance),
-        (FoldContext(train=(), test=("i000",)), EmptyRestriction),
-    ])
-    def test_cell_checked_before_columns(self, context, error):
-        # A penalty below 1 fails the column build, which the cell check comes before.
+    def test_cell_checked_before_columns(self):
+        # A penalty below 1 fails the column build, which the policy check comes before.
         sc = generate(thorough_vs_fast_spec(seed=3, n_instances=6))
-        with pytest.raises(error):
-            score_scenario(sc, "closed-gap", MetricParams(lam=0.5), "train_split", context)
+        with pytest.raises(MissingFoldContext):
+            score_scenario(sc, "closed-gap", MetricParams(lam=0.5), "train_split")
         with pytest.raises(BadLambda):
-            score_scenario(sc, "closed-gap", MetricParams(lam=0.5), "full_dataset", context)
+            score_scenario(sc, "closed-gap", MetricParams(lam=0.5), "full_dataset")
 
     @pytest.mark.parametrize("metric_id", ["par", "closed-gap"])
     def test_a_split_needs_its_columns(self, metric_id):
@@ -266,7 +259,7 @@ class TestEvaluate:
         plan = make_fold_plan(sc.instance_ids, 2)
         for call in (
             lambda: score_scenario(sc, "mznc"),
-            lambda: score_scenario(sc, "mznc", fold_context=FoldContext(("i1",), ("i2",))),
+            lambda: score_cell(sc, "mznc", None, "train_split", TrainTest(("i1",), ("i2",))),
             lambda: evaluate(sc, "mznc"),
             lambda: evaluate(sc, "mznc", fold_plan=plan),
             lambda: mznc_score(sc, "a"),

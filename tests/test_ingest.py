@@ -296,6 +296,20 @@ class TestValidateScenario:
             ("InconsistentTrajectory", "(o1, a)"),
         }
 
+    @pytest.mark.parametrize("bad", [("abc", 5.0), (1.0,), (1.0, 5.0, 7.0), (None, 5.0)])
+    def test_malformed_trajectory_events_are_violations(self, bad):
+        # Validation goes on past the bad event, and flags the bad run of another pair too.
+        raw = Scenario("x", (Instance("o1", InstanceKind.OPTIMIZATION), Instance("i2")), ("a",),
+                       100.0, {("o1", "a"): RunOutcome(100.0, RunStatus.TIMEOUT, 5.0),
+                               ("i2", "a"): RunOutcome(-1.0, RunStatus.SOLVED)},
+                       {("o1", "a"): Trajectory(((1.0, 9.0), bad, (2.0, 5.0)))})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("BadOutcome", "time_s must be >= 0, got -1.0", "(i2, a)"),
+            ("InconsistentTrajectory", f"event {bad!r} is not two numbers", "(o1, a)"),
+        ]
+
 
 # 1e306 s is finite, but 1e306 * 1000 ms is not: no millisecond grid point.
 HUGE = 1e306

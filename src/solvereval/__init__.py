@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "scenario": (
         "Direction", "Instance", "InstanceKind", "RunOutcome", "RunStatus", "Scenario",
-        "ScoreTable", "Trajectory", "build_scenario", "quantize_ms", "restrict", "time_to_ms",
+        "ScoreTable", "Trajectory", "build_scenario", "quantize_ms", "restrict",
         "validate_scenario",
     ),
     "metrics": (
@@ -50,10 +50,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "errors": (
         "BadAlphaBeta", "BadK", "BadLambda", "BadSpec", "CliUsageError",
         "DegenerateGap", "EmptyInput", "EmptyRestriction", "MissingFoldContext",
-        "MissingTrajectory", "MixedMetrics", "NonDecomposableMetric", "NonPositiveForGeomean",
+        "MissingTrajectory", "NonDecomposableMetric", "NonPositiveForGeomean",
         "NonPositiveObjective", "RowError", "SameSolver", "SchemaError", "SingleSolverScenario",
         "SolverEvalError", "TooLarge", "UnknownInstance", "UnknownSolver",
-        "UnsupportedAttribute", "UnsupportedMetricForFolds", "ValidationError", "Violation",
+        "UnsupportedAttribute", "ValidationError", "Violation",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -88,11 +88,7 @@ class BadK(SolverEvalError):
     pass
 
 
-class UnsupportedMetricForFolds(SolverEvalError):
-    pass
-
-
-class SingleSolverScenario(UnsupportedMetricForFolds):
+class SingleSolverScenario(SolverEvalError):
     """Pairwise scoring of a scenario with fewer than two solvers."""
 
 
@@ -101,10 +97,6 @@ class EmptyInput(SolverEvalError):
 
 
 class NonPositiveForGeomean(SolverEvalError):
-    pass
-
-
-class MixedMetrics(SolverEvalError):
     pass
 
 

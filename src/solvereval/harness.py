@@ -15,7 +15,6 @@ from .errors import (
     EmptyInput,
     EmptyRestriction,
     MissingFoldContext,
-    MixedMetrics,
     NonPositiveForGeomean,
 )
 from .metrics import (
@@ -193,10 +192,10 @@ def score_scenario(
     scenario (instance_columns, or base_columns for the closed gap), built
     here or passed as columns, at the split's positions; the table's
     per_instance is a view of them. evaluate passes the columns, each cell's
-    test split read off them (read_split) and, for the closed gap, the
-    cell's selection splits. Without a split every instance is scored and
-    is its own selection set, so a train_split or test_split closed gap
-    raises MissingFoldContext before any column is built.
+    test split read off them (read_split) and the cell's selection splits,
+    which only the closed gap reads. Without a split every instance is
+    scored and is its own selection set, so a train_split or test_split
+    closed gap raises MissingFoldContext before any column is built.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
@@ -269,8 +268,8 @@ def evaluate(
     (full_dataset). A merge that must fail (check_fold_merge), and a plan
     that does not split the instances into the same k >= 2 folds in every
     repeat (check_partition), are rejected before any scoring. The metric's
-    per-instance columns are built once, and each fold's values read off
-    them once per repeat.
+    per-instance columns are built once, and each repeat reads every fold's
+    values off them once, up front, for its cells' test and selection splits.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
@@ -289,15 +288,9 @@ def evaluate(
 
     cells, index = [], scenario.position_map
     for r, folds in enumerate(fold_plan.assignment):
-        # Each fold's values are read once. A closed-gap cell also sums those of
-        # its selection folds, so its repeat reads every fold up front; any
-        # other cell reads its own fold when it comes, which keeps one fold's
-        # values alive at a time.
-        at = [sorted(map(index.__getitem__, fold)) for fold in folds]
-        splits = [read_split(columns, fold_at) for fold_at in at] if info.baselines else None
-        for f, test in enumerate(folds):
-            split = read_split(columns, at[f]) if splits is None else splits[f]
-            selection = None if splits is None else (
+        splits = [read_split(columns, sorted(map(index.__getitem__, fold))) for fold in folds]
+        for f, (test, split) in enumerate(zip(folds, splits)):
+            selection = (
                 splits[:f] + splits[f + 1 :] if policy is SbsPolicy.TRAIN_SPLIT
                 else [split] if policy is SbsPolicy.TEST_SPLIT else splits
             )
@@ -326,24 +319,15 @@ class RankEntry:
 
 
 def rank(tables: Sequence[ScoreTable]) -> list[RankEntry]:
-    """Order solvers by score across one or more tables of the same metric."""
+    """Order the solvers of the one table in tables by score; ties go by solver id, flagged."""
     if not tables:
         raise EmptyInput("nothing to rank")
-    first = tables[0]
-    scores: dict[str, float] = {}
-    for t in tables:
-        if (t.metric_id, dict(t.params), t.direction) != (
-            first.metric_id,
-            dict(first.params),
-            first.direction,
-        ):
-            raise MixedMetrics("tables disagree on metric id, params, or direction")
-        for s, v in t.per_solver.items():
-            if s in scores:
-                raise MixedMetrics(f"solver {s!r} appears in more than one table")
-            scores[s] = v
-    reverse = first.direction is Direction.HIGHER
-    ordered = sorted(scores.items(), key=lambda kv: ((-kv[1] if reverse else kv[1]), kv[0]))
+    if len(tables) > 1:
+        raise ValueError(f"rank takes one score table, got {len(tables)}")
+    (table,) = tables
+    reverse = table.direction is Direction.HIGHER
+    ordered = sorted(table.per_solver.items(),
+                     key=lambda kv: ((-kv[1] if reverse else kv[1]), kv[0]))
     counts: dict[float, int] = {}
     for _, v in ordered:
         counts[v] = counts.get(v, 0) + 1

@@ -77,11 +77,14 @@ class MetricInfo:
 
     metric_id: str
     direction: Direction
-    decomposable_base: bool
     columns: Callable[[Scenario, MetricParams], Columns]
     summed: bool = False
     report_params: Callable[[MetricParams, str], dict[str, object]] = lambda p, _: {}
     baselines: bool = False
+
+    @property
+    def decomposable_base(self) -> bool:  # can anchor baselines: par, runtime and area
+        return self.direction is Direction.LOWER and not self.baselines
 
 
 def metric_info(metric_id: str) -> MetricInfo:
@@ -117,8 +120,8 @@ def par_score(scenario: Scenario, solver: str, lam: float) -> float:
 
 
 def threshold_ms(delta: float) -> int:
-    """The tie threshold on the millisecond grid; rejects negative and non-finite values."""
-    if not 0.0 <= delta < math.inf:
+    """The tie threshold on the millisecond grid; rejects a delta < 0 or with no finite ms count."""
+    if not 0.0 <= delta * 1000.0 < math.inf:
         raise ValueError(f"delta must be a finite number >= 0, got {delta}")
     return round(delta * 1000.0)
 
@@ -450,26 +453,24 @@ def _gap_params(params: MetricParams, sbs_policy: str) -> dict[str, object]:
     return {"base_metric": params.base_metric, "sbs_policy": sbs_policy, **base}
 
 
-# The metrics, each defined by its entry alone. par, runtime and area can
-# anchor the closed gap's baselines (decomposable_base): they are
-# per-instance and lower is better.
+# The metrics, each defined by its entry alone.
 METRICS: dict[str, MetricInfo] = {
     m.metric_id: m
     for m in (
-        MetricInfo("par", Direction.LOWER, True, _par_columns,
+        MetricInfo("par", Direction.LOWER, _par_columns,
                    report_params=lambda p, _: {"lambda": p.lam}),
-        MetricInfo("runtime", Direction.LOWER, True, lambda sc, _: dict(sc.outcomes.times)),
-        MetricInfo("solved-count", Direction.HIGHER, False, _solved_columns, summed=True),
-        MetricInfo("mznc", Direction.HIGHER, False, _mznc_columns, summed=True,
+        MetricInfo("runtime", Direction.LOWER, lambda sc, _: dict(sc.outcomes.times)),
+        MetricInfo("solved-count", Direction.HIGHER, _solved_columns, summed=True),
+        MetricInfo("mznc", Direction.HIGHER, _mznc_columns, summed=True,
                    report_params=lambda p, _: {"delta": p.delta}),
-        MetricInfo("normalized-runtime", Direction.HIGHER, False, _normalized_columns),
-        MetricInfo("speedup", Direction.HIGHER, False, _speedup_columns),
-        MetricInfo("closed-gap", Direction.HIGHER, False,
+        MetricInfo("normalized-runtime", Direction.HIGHER, _normalized_columns),
+        MetricInfo("speedup", Direction.HIGHER, _speedup_columns),
+        MetricInfo("closed-gap", Direction.HIGHER,
                    lambda sc, p: base_columns(sc, p.base_metric, p.lam),
                    report_params=_gap_params, baselines=True),
-        MetricInfo("ratio", Direction.HIGHER, False, _ratio_columns),
-        MetricInfo("area", Direction.LOWER, True, _area_columns),
-        MetricInfo("bounded-reward", Direction.HIGHER, False, _reward_columns,
+        MetricInfo("ratio", Direction.HIGHER, _ratio_columns),
+        MetricInfo("area", Direction.LOWER, _area_columns),
+        MetricInfo("bounded-reward", Direction.HIGHER, _reward_columns,
                    report_params=lambda p, _: {"alpha": p.alpha, "beta": p.beta}),
     )
 }

@@ -38,7 +38,6 @@ __all__ = [
     "check_timeout",
     "quantize_ms",
     "restrict",
-    "time_to_ms",
     "validate_scenario",
 ]
 
@@ -67,11 +66,6 @@ def quantize_ms(t: float) -> float:
     """
     ms = t * 1000.0
     return round(ms) / 1000.0 if math.isfinite(ms) else t
-
-
-def time_to_ms(t: float) -> int:
-    """Time in seconds to integer milliseconds (assumes a quantized input)."""
-    return round(t * 1000.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,8 +280,8 @@ def _coerce_instance(item: object) -> Instance:
 
 
 def check_timeout(timeout_s: object) -> float:
-    """The timeout as a float; a ValidationError naming it unless finite and positive."""
-    if isinstance(timeout_s, (int, float)) and math.isfinite(timeout_s) and timeout_s > 0:
+    """The timeout as a float; a ValidationError naming it unless > 0 with a finite ms count."""
+    if isinstance(timeout_s, (int, float)) and 0 < timeout_s * 1000.0 < math.inf:
         return float(timeout_s)
     message = f"timeout_s must be a finite positive number, got {timeout_s!r}"
     raise ValidationError([Violation("BadTimeout", message)])
@@ -331,6 +325,7 @@ def validate_scenario(raw: Scenario) -> Scenario:
     and trajectory times snapped to the millisecond grid, containers to
     tuples and column stores. Raises ValidationError carrying all violations
     found; a bad timeout skips the run and trajectory checks, which need it.
+    ScenarioBuilder judges repeated instance and solver ids, runs and trajectories.
     """
     violations: list[Violation] = []
 
@@ -357,15 +352,7 @@ def validate_scenario(raw: Scenario) -> Scenario:
                 flag("BadInstance", "best_known_obj must be finite", inst.id)
         instances.append(inst)
 
-    solvers = [str(s) for s in raw.solvers]
-    for what, ids in (("instance", [inst.id for inst in instances]), ("solver", solvers)):
-        seen: set[str] = set()
-        for x in ids:
-            if x in seen:
-                flag("DuplicateId", f"duplicate {what} id {x!r}")
-            seen.add(x)
-
-    builder = ScenarioBuilder(timeout, tuple(instances), solvers, violations)
+    builder = ScenarioBuilder(timeout, tuple(instances), map(str, raw.solvers), violations)
     for key, out in raw.outcomes.items():
         i, s = str(key[0]), str(key[1])
         where = f"({i}, {s})"
@@ -418,7 +405,8 @@ class ScenarioBuilder:
 
     The one judge of runs and events: the readers, validate_scenario and
     generate only word its verdicts. Instances and solvers take positions in
-    order of first appearance unless given. runs() checks and places runs.
+    order of first appearance unless given; a given id that repeats is a
+    DuplicateId and keeps its first place. runs() checks and places runs.
     close_runs() follows the last run: the run-kind rules (a decision run has
     obj +inf, a solved optimization run a finite obj) in recorded order, a
     non-empty scenario, every pair present. events() takes events, and
@@ -439,11 +427,15 @@ class ScenarioBuilder:
         self.opened: list = []  # position, solver, ... of the file's pairs, as they first appear
         self.problems: dict[tuple[int, _Solver], tuple[list[str], list[str]]] = {}
         for inst in instances:
+            if inst.id in self.at:
+                self._flag("DuplicateId", f"duplicate instance id {inst.id!r}")
             p = self.at[inst.id] if inst.id in self.at else self.instance(inst.id)
             self.kinds[p] = inst.kind
-        for s in solvers:
-            self.cols.setdefault(s, _Solver(s, self.size))
         self.solvers = tuple(solvers)
+        for s in self.solvers:
+            if s in self.cols:
+                self._flag("DuplicateId", f"duplicate solver id {s!r}")
+            self.cols.setdefault(s, _Solver(s, self.size))
 
     def _flag(self, code: str, message: str, where: str | None = None) -> None:
         self.violations.append(Violation(code, message, where))

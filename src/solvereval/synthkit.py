@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadSpec
+from .errors import BadSpec, ValidationError
 from .rng import SplitMix64
-from .scenario import InstanceKind, RunStatus, Scenario, ScenarioBuilder, quantize_ms
+from .scenario import InstanceKind, RunStatus, Scenario, ScenarioBuilder, check_timeout, quantize_ms
 
 __all__ = [
     "ArchetypeSpec",
@@ -75,8 +75,10 @@ def _check_spec(spec: ArchetypeSpec) -> None:
     problems = []
     if spec.n_instances < 1:
         problems.append("n_instances must be >= 1")
-    if not (math.isfinite(spec.timeout_s) and spec.timeout_s > 0):
-        problems.append("timeout_s must be finite and positive")
+    try:
+        check_timeout(spec.timeout_s)
+    except ValidationError as exc:
+        problems.append(exc.violations[0].message)
     if not spec.solvers:
         problems.append("at least one solver spec is required")
     for frac_name in ("opt_fraction", "subopt_probability", "error_probability"):
@@ -149,8 +151,6 @@ def generate(spec: ArchetypeSpec) -> Scenario:
                 t = quantize_ms(solver_spec.runtime.sample(u_time))
                 if t >= tau:
                     t = quantize_ms(tau - _MS)
-                if t < 0.0:
-                    t = 0.0
                 status = solved
                 if is_opt:
                     obj = base_obj

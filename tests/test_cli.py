@@ -339,6 +339,19 @@ class TestSweepDelta:
         assert "absent.csv" not in err
 
     @pytest.mark.parametrize("argv", [
+        ["score", "--delta", "1e306"],
+        ["rank", "--metric", "mznc", "--delta", "1e306"],
+        ["sweep-delta", "--deltas", "0,1e306"],
+    ])
+    def test_huge_delta_named(self, tmp_path, capsys, argv):
+        command, *flags = argv
+        assert main([command, str(tmp_path / "absent.csv"), "--timeout", "100", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flags[-2]}: delta must be a finite number >= 0, got 1e+306" in err
+        assert "absent.csv" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["sweep-delta", "--solvers", ","],
         ["sweep-delta", "--solvers", ",", "--format", "json"],
         ["sweep-delta", "--solvers", " , "],
@@ -472,6 +485,12 @@ class TestGen:
         assert code == 0
         text = dest.read_text()
         assert "quick" in text and "slow" in text
+
+    def test_timeout_with_no_finite_millisecond_count(self, tmp_path, capsys):
+        dest = tmp_path / "x.csv"
+        assert main(["gen", "-o", str(dest), "--timeout", "1e307"]) == 1
+        assert "timeout_s must be a finite positive number, got 1e+307" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_bad_solver_spec(self, tmp_path, capsys):
         code = main(["gen", "-o", str(tmp_path / "x.csv"),

@@ -20,7 +20,6 @@ from solvereval import (
     FoldPlan,
     MetricParams,
     MissingFoldContext,
-    MixedMetrics,
     NonPositiveForGeomean,
     SameSolver,
     SbsPolicy,
@@ -28,7 +27,6 @@ from solvereval import (
     SingleSolverScenario,
     Trajectory,
     UnknownSolver,
-    UnsupportedMetricForFolds,
     aggregate,
     delta_sweep,
     evaluate,
@@ -251,7 +249,7 @@ class TestEvaluate:
 
     def test_single_solver_pairwise_rejected(self):
         sc = decision_scenario({"i1": {"a": 1.0}, "i2": {"a": 2.0}})
-        with pytest.raises(UnsupportedMetricForFolds):
+        with pytest.raises(SingleSolverScenario):
             evaluate(sc, "mznc")
 
     def test_single_solver_pairwise_same_error_everywhere(self):
@@ -318,22 +316,13 @@ class TestRank:
             ("alpha", 1, True), ("zeta", 2, True), ("mid", 3, False),
         ]
 
-    def test_merges_tables_of_same_metric(self):
+    def test_more_than_one_table_rejected(self):
         t1 = ScoreTable("par", {"lambda": 10.0}, {"a": 5.0}, Direction.LOWER)
         t2 = ScoreTable("par", {"lambda": 10.0}, {"b": 3.0}, Direction.LOWER)
-        assert [e.solver_id for e in rank([t1, t2])] == ["b", "a"]
-
-    def test_mixed_metrics_rejected(self):
-        t1 = ScoreTable("par", {"lambda": 10.0}, {"a": 5.0}, Direction.LOWER)
-        t2 = ScoreTable("par", {"lambda": 2.0}, {"b": 3.0}, Direction.LOWER)
-        with pytest.raises(MixedMetrics):
+        with pytest.raises(ValueError, match=r"^rank takes one score table, got 2$"):
             rank([t1, t2])
-
-    def test_duplicate_solver_rejected(self):
-        t1 = ScoreTable("par", {}, {"a": 5.0}, Direction.LOWER)
-        t2 = ScoreTable("par", {}, {"a": 3.0}, Direction.LOWER)
-        with pytest.raises(MixedMetrics):
-            rank([t1, t2])
+        with pytest.raises(ValueError, match=r"got 3$"):
+            rank([t1, t1, t1])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -375,6 +364,21 @@ class TestDeltaSweep:
             "i2": {"a": None, "b": 10.0},
             "i3": {"a": 1.0, "b": 50.0},
         })
+
+    @pytest.mark.parametrize("delta", [1e306, 1.8e305])
+    def test_delta_with_no_finite_millisecond_count_rejected(self, delta):
+        sc = self._sc()
+        message = f"delta must be a finite number >= 0, got {delta}"
+        with pytest.raises(ValueError) as e:
+            delta_sweep(sc, [0.0, delta])
+        assert str(e.value) == message
+        with pytest.raises(ValueError) as e:
+            mznc_score(sc, "a", delta)
+        assert str(e.value) == message
+
+    def test_huge_delta_on_the_grid_ties_every_pair(self):
+        sc = self._sc()
+        assert delta_sweep(sc, [1e300])[1e300] == delta_sweep(sc, [100.0])[100.0]
 
     def test_scores_match_direct_computation(self):
         sc = self._sc()

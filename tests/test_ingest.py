@@ -226,7 +226,7 @@ class TestErrorParity:
         assert ">= 0" in str(e.value)
 
 
-BAD_TIMEOUTS = [0.0, -1.0, math.nan, math.inf, -math.inf]
+BAD_TIMEOUTS = [0.0, -1.0, math.nan, math.inf, -math.inf, 1e307]
 
 
 class TestTimeoutCheckedFirst:
@@ -243,7 +243,7 @@ class TestTimeoutCheckedFirst:
         assert violation.code == "BadTimeout"
         assert repr(timeout) in violation.message
 
-    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e307"])
     def test_cli_validate_names_the_timeout(self, tmp_path, capsys, timeout):
         p = tmp_path / "t.csv"
         p.write_text(RUNS + "i1,a,ok,1.0,\n")
@@ -283,6 +283,18 @@ class TestValidateScenario:
         assert [(v.code, v.message, v.where) for v in e.value.violations] == [
             ("DuplicateId", "outcome recorded twice for this pair", "(1, a)"),
             ("DuplicateId", "trajectory recorded twice for this pair", "(1, a)"),
+        ]
+
+    def test_refused_run_of_a_pair_already_run(self):
+        # The second run is refused and cannot hold its pair, which has a run: a duplicate.
+        raw = Scenario("x", (Instance("1"),), ("a",), 100.0,
+                       {("1", "a"): RunOutcome(1.0, RunStatus.SOLVED),
+                        (1, "a"): RunOutcome(-1.0, RunStatus.SOLVED)})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("BadOutcome", "time_s must be >= 0, got -1.0", "(1, a)"),
+            ("DuplicateId", "outcome recorded twice for this pair", "(1, a)"),
         ]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

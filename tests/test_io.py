@@ -306,6 +306,18 @@ class TestParseAslib:
         with pytest.raises(SchemaError):
             parse_aslib_runs(p, 3600.0)
 
+    def test_bare_attribute_line(self, tmp_path):
+        p = _write(tmp_path, "r.arff", "@relation r\n@attribute\n")
+        with pytest.raises(SchemaError, match=r"r\.arff: malformed attribute on line 2$"):
+            parse_aslib_runs(p, 3600.0)
+
+    def test_no_data_line(self, tmp_path):
+        p = _write(tmp_path, "r.arff", "@relation r\n@attribute instance_id string\n")
+        with pytest.raises(SchemaError) as e:
+            parse_aslib_runs(p, 3600.0)
+        assert str(e.value) == (
+            f"{p}: missing attributes ['repetition', 'algorithm', 'runtime', 'runstatus']")
+
     def test_extra_attribute_unsupported(self, tmp_path):
         text = ARFF.replace(
             "@ATTRIBUTE runstatus",

@@ -31,11 +31,14 @@ from solvereval import (
     oracle_score,
     score_scenario,
     thorough_vs_fast_spec,
-    time_to_ms,
     uniform,
 )
 from solvereval.metrics import _EXACT_UNIT, _exact
 from solvereval.synthkit import ArchetypeSpec
+
+
+def time_to_ms(t):  # seconds to integer milliseconds, the reference for the ms grid
+    return round(t * 1000.0)
 
 
 def ref_is_unknown(sc, i, s):

@@ -20,7 +20,6 @@ from solvereval import (
     build_scenario,
     quantize_ms,
     restrict,
-    time_to_ms,
     validate_scenario,
 )
 
@@ -39,11 +38,6 @@ class TestTimeGrid:
     def test_quantize_idempotent(self):
         for t in (0.0, 0.123, 17.25, 99.999, 100.0):
             assert quantize_ms(quantize_ms(t)) == quantize_ms(t)
-
-    def test_time_to_ms(self):
-        assert time_to_ms(0.0) == 0
-        assert time_to_ms(1.5) == 1500
-        assert time_to_ms(99.999) == 99999
 
 
 class TestValidation:
@@ -79,6 +73,50 @@ class TestValidation:
         with pytest.raises(ValidationError) as e:
             validate_scenario(raw)
         assert "DuplicateId" in codes(e)
+
+    def test_duplicate_ids_named_in_order(self):
+        # Each repeat is flagged where it is met: instances first, then solvers.
+        outcomes = {(i, s): solved(1.0) for i in ("i1", "i2") for s in ("a", "b")}
+        raw = Scenario("x", (Instance("i1"), Instance("i2"), Instance("i1")),
+                       ("b", "a", "b", "b"), TIMEOUT, outcomes)
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [str(v) for v in e.value.violations] == [
+            "DuplicateId: duplicate instance id 'i1'",
+            "DuplicateId: duplicate solver id 'b'",
+            "DuplicateId: duplicate solver id 'b'",
+        ]
+
+    def test_obj_of_no_number_type(self):
+        with pytest.raises(ValidationError) as e:
+            build_scenario("x", ["i1"], ["a"], TIMEOUT,
+                           {("i1", "a"): RunOutcome(1.0, RunStatus.SOLVED, "abc")})
+        assert [str(v) for v in e.value.violations] == [
+            "BadOutcome [(i1, a)]: obj must be finite or +inf, got 'abc'",
+        ]
+
+    def test_unknown_instance_kind(self):
+        with pytest.raises(ValidationError) as e:
+            build_scenario("x", [Instance("i1", "puzzle")], ["a"], TIMEOUT,
+                           {("i1", "a"): solved(1.0)})
+        assert [(v.code, v.message, v.where) for v in e.value.violations] == [
+            ("BadInstance", "'puzzle' is not a valid InstanceKind",
+             "Instance(id='i1', kind='puzzle', best_known_obj=None)"),
+            ("UnknownId", "outcome recorded for a pair outside the scenario", "(i1, a)"),
+            ("EmptyScenario", "scenario has no instances", None),
+        ]
+
+    @pytest.mark.parametrize("timeout", [1e307, 1.8e305])
+    def test_timeout_with_no_finite_millisecond_count(self, timeout):
+        with pytest.raises(ValidationError) as e:
+            build_scenario("x", ["i1"], ["a"], timeout, {("i1", "a"): solved(1.0)})
+        assert [str(v) for v in e.value.violations] == [
+            f"BadTimeout: timeout_s must be a finite positive number, got {timeout!r}",
+        ]
+
+    def test_largest_timeout_on_the_millisecond_grid(self):
+        sc = build_scenario("x", ["i1"], ["a"], 1.7e305, {("i1", "a"): timed_out(1.7e305)})
+        assert sc.outcomes.ms["a"] == (round(1.7e305 * 1000.0),)
 
     def test_empty_scenario(self):
         with pytest.raises(ValidationError) as e:

@@ -95,6 +95,12 @@ class TestGenerate:
         sc = generate(spec)
         assert all(out.status is RunStatus.SOLVED for out in sc.outcomes.values())
 
+    def test_runtime_that_snaps_to_the_timeout_is_stored_a_millisecond_before(self):
+        spec = _spec(timeout_s=10.0, solvers=(SolverSpec(1.0, constant(9.9996), name="a"),))
+        sc = generate(spec)
+        assert set(sc.outcomes.times["a"]) == {9.999}
+        assert set(sc.outcomes.statuses["a"]) == {RunStatus.SOLVED}
+
 
 class TestOptimizationGeneration:
     def test_solved_runs_carry_proof(self):
@@ -175,6 +181,24 @@ class TestSpecValidation:
     def test_no_instances(self):
         with pytest.raises(BadSpec):
             generate(_spec(n_instances=0))
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0, 1e307])
+    def test_bad_timeout_named(self, timeout):
+        with pytest.raises(BadSpec) as e:
+            generate(_spec(timeout_s=timeout))
+        assert str(e.value).startswith(
+            f"timeout_s must be a finite positive number, got {timeout!r}")
+
+    def test_no_solver(self):
+        with pytest.raises(BadSpec) as e:
+            generate(_spec(solvers=()))
+        assert str(e.value) == "at least one solver spec is required"
+
+    def test_negative_quality_offset(self):
+        bad = SolverSpec(0.5, constant(1.0), objective_quality=uniform(-1.0, 2.0), name="a")
+        with pytest.raises(BadSpec) as e:
+            generate(_spec(solvers=(bad,)))
+        assert str(e.value) == "a: objective_quality offsets must satisfy 0 <= lo <= hi"
 
     def test_all_problems_reported_together(self):
         with pytest.raises(BadSpec) as e:

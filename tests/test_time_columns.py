@@ -25,9 +25,12 @@ from solvereval import (
     build_scenario,
     head_to_head,
     runtime_distribution,
-    time_to_ms,
 )
 from solvereval.scenario import Runs
+
+
+def time_to_ms(t):  # seconds to integer milliseconds, the reference for the ms grid
+    return round(t * 1000.0)
 
 
 def ref_head_to_head(sc, solver_a, solver_b):

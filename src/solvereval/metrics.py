@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadAlphaBeta,
@@ -101,14 +102,23 @@ def require_solvers(scenario: Scenario, solvers: Iterable[str]) -> None:
             raise UnknownSolver(f"solver {s!r} is not part of scenario {scenario.id!r}")
 
 
-def _par_column(times: Iterable[float], lam: float, timeout_s: float) -> list[float]:
-    """Penalized runtimes: each time that beat the timeout, else lam * timeout."""
+def _par_column(times: Sequence[float], lam: float, timeout_s: float) -> list[float]:
+    """Penalized runtimes: each time that beat the timeout, else lam * timeout.
+
+    Refuses a lam whose penalty is not finite, or whose penalties on all n
+    instances would sum past the largest float: then no total of the column
+    can overflow halfway through scoring.
+    """
     if not lam >= 1.0:
         raise BadLambda(f"penalty factor must be >= 1, got {lam}")
     penalty = lam * timeout_s
     if not math.isfinite(penalty):
         raise BadLambda(f"penalty lambda * timeout_s must be finite, got lambda={lam} "
                         f"and timeout_s={timeout_s}")
+    n = len(times)
+    if not math.isfinite(penalty * n):
+        raise BadLambda(f"penalty lambda * timeout_s on all n instances must sum to a finite "
+                        f"number, got lambda={lam}, timeout_s={timeout_s} and n={n}")
     return [t if t < timeout_s else penalty for t in times]
 
 
@@ -430,9 +440,10 @@ def _area_columns(scenario: Scenario, params: MetricParams) -> Columns:
                                             f"({scenario.instance_ids[p]}, {s}); none was recorded")
                 column[p] = 1.0
                 continue
-            t = times[a]
-            pieces = [t]
-            for e in range(a, b):
+            # Quality 1 up to the first event: the area's first piece is that event's time.
+            t, e = times[a], a
+            pieces = None if b - a == 1 else [t]
+            while True:
                 # The incumbent, scaled into [0, 1] by the bounds, up to the next event.
                 v = objs[e]
                 if worst == best:
@@ -440,11 +451,20 @@ def _area_columns(scenario: Scenario, params: MetricParams) -> Columns:
                 else:
                     x = (v - best) / (worst - best)
                     quality = 1.0 if x > 1.0 else x if x > 0.0 else 0.0
-                nxt = times[e + 1] if e + 1 < b else ends[p]
+                e += 1
+                if e == b:
+                    break
+                nxt = times[e]
                 pieces.append((nxt - t) * quality)
                 t = nxt
-            # The proven-optimal stretch after a solved run ends contributes zero area.
-            column[p] = math.fsum(pieces) / tau
+            # The last incumbent holds until the run ends; the proven-optimal stretch after
+            # a solved run's time adds no area.
+            piece = (ends[p] - t) * quality
+            if pieces is None:  # fsum([t, piece]) is t + piece: both round the exact sum once
+                column[p] = (t + piece) / tau
+            else:
+                pieces.append(piece)
+                column[p] = math.fsum(pieces) / tau
     return columns
 
 
@@ -499,12 +519,19 @@ def instance_columns(
     return info.columns(scenario, params)
 
 
-class Split(NamedTuple):
+@dataclass
+class Split:
     """A split of a metric's columns, read once: the positions where they hold a value, in
     the order given, and each solver's values there (read_split)."""
 
     at: list[int]
     values: dict[str, list[float]]
+
+    @cached_property
+    def sums(self) -> dict[str, float]:
+        """Each solver's values summed in floats, not exactly: taken on first read, once per
+        split, for the closed gap's filtered single-best pick (baselines._sbs)."""
+        return {s: sum(values) for s, values in self.values.items()}
 
 
 def read_split(columns: Columns, at: Iterable[int]) -> Split:

@@ -158,17 +158,24 @@ class _Store(Mapping):
 
 class Runs(_Store):
     """Per solver, the runs' stored times (an unsolved run's is the timeout), the same in
-    integer ms, statuses and objectives, each family a read-only mapping of tuples. Only a
-    lookup builds a RunOutcome."""
+    integer ms, statuses and objectives, each family a read-only mapping of tuples. The ms
+    family is built on its first read; only a lookup builds a RunOutcome."""
 
-    __slots__ = ("times", "ms", "statuses", "objs")
+    __slots__ = ("times", "_ms", "statuses", "objs")
 
     def __init__(self, instance_ids: tuple[str, ...], times: dict[str, tuple[float, ...]],
                  statuses: dict[str, tuple[RunStatus, ...]], objs: dict[str, tuple[float, ...]]):
         super().__init__(instance_ids)
         self.times, self.statuses, self.objs = map(MappingProxyType, (times, statuses, objs))
-        self.ms = MappingProxyType({s: tuple(map(round, map(operator.mul, col, repeat(1000.0))))
-                                    for s, col in times.items()})
+        self._ms = None
+
+    @property
+    def ms(self) -> Mapping[str, tuple[int, ...]]:
+        if self._ms is None:  # read by pairwise scoring, head2head and runtime-dist only
+            self._ms = MappingProxyType({
+                s: tuple(map(round, map(operator.mul, col, repeat(1000.0))))
+                for s, col in self.times.items()})
+        return self._ms
 
     def __reduce__(self):
         return Runs, (self.instance_ids, *map(dict, (self.times, self.statuses, self.objs)))
@@ -281,8 +288,11 @@ def _coerce_instance(item: object) -> Instance:
 
 def check_timeout(timeout_s: object) -> float:
     """The timeout as a float; a ValidationError naming it unless > 0 with a finite ms count."""
-    if isinstance(timeout_s, (int, float)) and 0 < timeout_s * 1000.0 < math.inf:
-        return float(timeout_s)
+    try:
+        if isinstance(timeout_s, (int, float)) and 0 < timeout_s * 1000.0 < math.inf:
+            return float(timeout_s)
+    except OverflowError:  # an int too large for a float
+        pass
     message = f"timeout_s must be a finite positive number, got {timeout_s!r}"
     raise ValidationError([Violation("BadTimeout", message)])
 
@@ -527,11 +537,12 @@ class ScenarioBuilder:
             if not ids:
                 self._flag("EmptyScenario", f"scenario has no {what}")
         if any(col.statuses.count(None) > self.size - len(at) for col in self.cols.values()):
-            for inst in self.instances:
-                for s in self.solvers:
-                    if self.cols[s].statuses[at[inst.id]] is None:
+            # Each pair once, in instance then solver order: a repeated given id has one place.
+            for p, iid in enumerate(self.ids):
+                for col in self.cols.values():
+                    if col.statuses[p] is None:
                         self._flag("MissingOutcome", "no recorded run for this pair",
-                                   f"({inst.id}, {s})")
+                                   f"({iid}, {col.id})")
 
     def events(self, iids: Iterable[str], sids: Iterable[str], ts: Iterable[float],
                vs: Iterable[float]) -> int:

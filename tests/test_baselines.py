@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 from helpers import TIMEOUT, decision_scenario
 from hypothesis import given
 from hypothesis import strategies as st
-from test_fold_columns import generated
+from test_fold_columns import bench_family_spec, generated
 
 from solvereval import (
     BadLambda,
@@ -17,9 +20,12 @@ from solvereval import (
     SbsPolicy,
     SolverEvalError,
     baseline_report,
+    generate,
+    make_fold_plan,
     score_scenario,
     select_sbs,
 )
+from solvereval import baselines
 from solvereval.baselines import cell_baselines
 from solvereval.metrics import base_columns, instance_columns, read_split
 
@@ -154,3 +160,100 @@ class TestFullDatasetWrappers:
                 continue  # the closed gap does not score on this base metric
             assert baseline_report(sc, base_metric, lam) == report
             assert select_sbs(sc, base_metric, lam) == report.sbs_id
+
+
+def all_fsum_pick(selection):
+    """The SBS as math.fsum totals of every solver pick it; ties go to the first id."""
+    return min(selection[0].values, key=lambda s: (
+        math.fsum(chain.from_iterable(sp.values[s] for sp in selection)), s))
+
+
+def selections(splits):
+    """Each cell's selection splits under each SBS policy, as evaluate passes them."""
+    for f, split in enumerate(splits):
+        if len(splits) > 1:
+            yield splits[:f] + splits[f + 1:]  # train_split
+        yield [split]  # test_split
+        yield splits  # full_dataset
+
+
+VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 0.1, 0.2, 0.3, 1.0, 100.0, 1e300]),
+    st.floats(0.0, 1e6),
+    st.floats(0.0, 1e-300),
+)
+
+
+@st.composite
+def near_ties(draw):
+    """Columns of n values for five solvers, split into folds, with totals tied or close.
+
+    Besides a column and a column of other values: the column permuted (the
+    same exact total), and the column with its largest value one ulp up or
+    down (totals an ulp or less apart). Solver ids are shuffled over them.
+    """
+    n = draw(st.integers(1, 12))
+    base = draw(st.lists(VALUES, min_size=n, max_size=n))
+    j = max(range(n), key=base.__getitem__)
+    up, down = list(base), list(base)
+    up[j], down[j] = math.nextafter(base[j], math.inf), math.nextafter(base[j], 0.0)
+    columns = [base, draw(st.permutations(base)), up, down,
+               draw(st.lists(VALUES, min_size=n, max_size=n))]
+    names = draw(st.permutations(["a", "b", "c", "d", "e"]))
+    folds = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return dict(zip(names, columns)), [[p for p in range(n) if folds[p] == f] for f in range(4)]
+
+
+class TestFilteredSbsPick:
+    """_sbs sums exactly only the _candidates that float sums cannot rule out; it must pick
+    what math.fsum totals of every solver pick."""
+
+    @given(near_ties())
+    def test_equals_the_all_fsum_pick(self, case):
+        columns, folds = case
+        splits = [read_split(columns, at) for at in folds]
+        for selection in selections(splits):
+            pick = all_fsum_pick(selection)
+            assert pick in baselines._candidates(selection)
+            assert baselines._sbs(selection) == pick
+
+    @pytest.mark.parametrize("columns, candidates, pick", [
+        # Exact totals 1 + 2**-52 and 1: one ulp apart, so both are summed exactly.
+        ({"a": [1.0, 2.0**-52], "b": [1.0, 0.0]}, {"a", "b"}, "b"),
+        ({"a": [1.0, 0.0], "b": [1.0, 2.0**-52]}, {"a", "b"}, "a"),
+        # The same values in another order: an exact tie, to the first id.
+        ({"b": [0.1, 0.2, 0.3], "a": [0.3, 0.2, 0.1]}, {"a", "b"}, "a"),
+        # Exact totals that round to the same float tie too, to the first id.
+        ({"b": [0.5, 0.5], "a": [0.5, 0.5 + 2.0**-53]}, {"a", "b"}, "a"),
+        ({"b": [0.0, 0.0], "a": [0.0, 0.0]}, {"a", "b"}, "a"),
+        # Subnormal totals are exact float sums: one smallest step apart rules a out.
+        ({"b": [5e-324, 0.0], "a": [0.0, 1e-323]}, {"b"}, "b"),
+        ({"a": [2.0, 1.0], "b": [1.0, 1.0], "c": [1.0, 1.5]}, {"b"}, "b"),
+    ])
+    def test_close_totals(self, columns, candidates, pick):
+        n = len(columns["a"])
+        splits = [read_split(columns, [0]), read_split(columns, range(1, n))]
+        assert set(baselines._candidates(splits)) == candidates
+        assert baselines._sbs(splits) == pick == all_fsum_pick(splits)
+
+    def test_an_overflowed_rough_total_rules_nothing_out(self):
+        columns = {"a": [1.0, 1.0], "b": [sys.float_info.max] * 2}
+        splits = [read_split(columns, [0]), read_split(columns, [1])]
+        assert baselines._candidates(splits) == ["a", "b"]
+        for pick in (baselines._sbs, all_fsum_pick):
+            with pytest.raises(OverflowError):
+                pick(splits)
+
+    def test_fsum_only_for_the_candidates(self, monkeypatch):
+        sc = generate(bench_family_spec(1, 300, 20, 0.5))
+        columns = base_columns(sc, "par")
+        plan = make_fold_plan(sc.instance_ids, 10)
+        splits = [read_split(columns, sorted(map(sc.position_map.__getitem__, fold)))
+                  for fold in plan.assignment[0]]
+        calls = []
+        monkeypatch.setattr(baselines, "math", SimpleNamespace(**dict(
+            vars(math), fsum=lambda values: calls.append(1) or math.fsum(values))))
+        for selection in selections(splits):
+            calls.clear()
+            assert baselines._sbs(selection) == all_fsum_pick(selection)
+            assert len(calls) == len(baselines._candidates(selection)) < 20

@@ -149,6 +149,25 @@ class TestScore:
         assert out == ""
         assert f"lambda={float(lam)}" in err and "timeout_s=100.0" in err
 
+    @pytest.mark.parametrize("command", [
+        ["--metric", "par"],
+        ["--metric", "closed-gap", "--folds", "2", "--format", "json"],
+    ])
+    def test_penalty_total_that_overflows_rejected(self, tmp_path, capsys, command):
+        # Each penalty, 1e306 * 100, is finite; each solver's two of them sum past the
+        # largest float, which used to abort scoring with an OverflowError (exit 2).
+        runs = tmp_path / "runs.csv"
+        runs.write_text("instance_id,solver_id,status,time_s\n" + "".join(
+            f"{i},{s},{'timeout' if (i < 'i3') == (s == 'a') else 'ok'},"
+            f"{100.0 if (i < 'i3') == (s == 'a') else 10.0}\n"
+            for i in ("i1", "i2", "i3", "i4") for s in ("a", "b")))
+        assert main(["score", str(runs), "--timeout", "100", "--lambda", "1e306", *command]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == (
+            "error: penalty lambda * timeout_s on all n instances must sum to a "
+            "finite number, got lambda=1e+306, timeout_s=100.0 and n=4")
+
     @pytest.mark.parametrize("metrics", [["closed-gap"], ["par", "closed-gap"]])
     def test_closed_gap_geomean_folds_rejected_before_loading(self, tmp_path, capsys, metrics):
         absent = str(tmp_path / "absent.csv")

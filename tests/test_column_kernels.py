@@ -271,6 +271,68 @@ class TestFoldTotalsAgainstOracle:
         assert_cells_match_oracle(sc, MetricParams(base_metric=base_metric), plan)
 
 
+def area_scenario(runs):
+    """One optimization instance o1 and a solver per entry of runs: (status, time, obj, events)."""
+    return build_scenario(
+        "area", [Instance("o1", InstanceKind.OPTIMIZATION)], list(runs), 100.0,
+        {("o1", s): RunOutcome(t, status, obj) for s, (status, t, obj, _) in runs.items()},
+        {("o1", s): Trajectory(events) for s, (*_, events) in runs.items() if events},
+    )
+
+
+SOLVED, TIMEOUT = RunStatus.SOLVED, RunStatus.TIMEOUT
+# Each case holds trajectories of one, two and three events, with the pool's bounds set by
+# the final objectives of the runs.
+AREA_CASES = {
+    "one event each": {
+        "a": (SOLVED, 10.0, 5.0, ((2.0, 5.0),)),
+        "b": (TIMEOUT, 100.0, 8.0, ((1.5, 8.0),)),
+        "c": (TIMEOUT, 100.0, math.inf, ()),
+    },
+    "an event at t = 0": {
+        "a": (TIMEOUT, 100.0, 5.0, ((0.0, 5.0),)),
+        "b": (SOLVED, 4.0, 8.0, ((0.0, 11.0), (1.25, 8.0))),
+    },
+    "runs that end at their last event": {
+        "a": (SOLVED, 7.25, 5.0, ((0.0, 12.0), (2.5, 7.0), (7.25, 5.0))),
+        "b": (SOLVED, 3.0, 9.0, ((3.0, 9.0),)),
+        "c": (TIMEOUT, 100.0, 6.0, ((1.0, 10.0), (4.0, 6.0))),
+    },
+    "worst == best": {
+        "a": (TIMEOUT, 100.0, 5.0, ((3.0, 5.0),)),
+        "b": (SOLVED, 2.0, 5.0, ((1.0, 6.0), (2.0, 5.0))),
+        "c": (TIMEOUT, 100.0, 5.0, ((0.0, 9.0), (0.5, 7.0), (60.0, 5.0))),
+    },
+}
+
+
+class TestAreaShortTrajectories:
+    """A one-event area is t0 + piece, the same float as the math.fsum of the two pieces;
+    each case is checked bit for bit against the exact rows and closely against the oracle."""
+
+    @pytest.mark.parametrize("case", list(AREA_CASES))
+    def test_against_oracle_and_rows(self, case):
+        sc = area_scenario(AREA_CASES[case])
+        column = instance_columns(sc, "area")
+        assert bits(column) == bits(ref_columns(sc, "area", MetricParams()))
+        for s in sc.solvers:
+            assert column[s][0] == pytest.approx(oracle_score(sc, "area", s), rel=1e-12)
+
+    def test_values(self):
+        got = {case: {s: col[0] for s, col in instance_columns(area_scenario(runs), "area").items()}
+               for case, runs in AREA_CASES.items()}
+        # Quality is 1 before the first event and (obj - best) / (worst - best) after it,
+        # over a timeout of 100; with worst == best it is 0 at the best objective, else 1.
+        assert got == {
+            "one event each": {"a": 0.02, "b": (1.5 + 98.5) / 100, "c": 1.0},
+            "an event at t = 0": {"a": 0.0, "b": (1.25 + 2.75) / 100},
+            "runs that end at their last event": {
+                "a": math.fsum([0.0, 2.5, 4.75 * 0.5, 0.0]) / 100, "b": 0.03,
+                "c": math.fsum([1.0, 3.0, 96.0 * 0.25]) / 100},
+            "worst == best": {"a": 0.03, "b": 2.0 / 100, "c": math.fsum([0.0, 0.5, 59.5]) / 100},
+        }
+
+
 class TestInstanceValues:
     def test_a_view_of_the_columns(self):
         columns = {"a": [1.0, None, 3.0], "b": [4.0, None, 6.0]}

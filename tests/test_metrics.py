@@ -77,6 +77,18 @@ class TestPar:
                 score()
             assert f"lambda={lam}" in str(e.value) and f"timeout_s={timeout_s}" in str(e.value)
 
+    def test_penalty_on_every_instance_must_sum_to_a_finite_number(self):
+        # lam * timeout_s is 1e308; on both instances it sums past the largest float.
+        sc = decision_scenario({"i1": {"a": None}, "i2": {"a": None}})
+        for score in (lambda: par_score(sc, "a", 1e306),
+                      lambda: instance_columns(sc, "par", MetricParams(lam=1e306))):
+            with pytest.raises(BadLambda) as e:
+                score()
+            assert str(e.value) == (
+                "penalty lambda * timeout_s on all n instances must sum to a finite number, "
+                "got lambda=1e+306, timeout_s=100.0 and n=2")
+        assert par_score(sc, "a", 5e305) == 5e307  # two penalties of 5e307 sum to 1e308
+
     def test_unknown_solver(self):
         sc = decision_scenario({"i1": {"a": 1.0}})
         with pytest.raises(UnknownSolver):

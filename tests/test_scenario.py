@@ -87,6 +87,23 @@ class TestValidation:
             "DuplicateId: duplicate solver id 'b'",
         ]
 
+    def test_repeated_ids_miss_each_pair_once(self):
+        # A repeated id keeps its first place, so each distinct pair is missing once.
+        raw = Scenario("x", tuple(map(Instance, ("i1", "i1", "i2", "i1"))), ("a", "b", "a", "a"),
+                       TIMEOUT, {})
+        with pytest.raises(ValidationError) as e:
+            validate_scenario(raw)
+        assert [str(v) for v in e.value.violations] == [
+            "DuplicateId: duplicate instance id 'i1'",
+            "DuplicateId: duplicate instance id 'i1'",
+            "DuplicateId: duplicate solver id 'a'",
+            "DuplicateId: duplicate solver id 'a'",
+            "MissingOutcome [(i1, a)]: no recorded run for this pair",
+            "MissingOutcome [(i1, b)]: no recorded run for this pair",
+            "MissingOutcome [(i2, a)]: no recorded run for this pair",
+            "MissingOutcome [(i2, b)]: no recorded run for this pair",
+        ]
+
     def test_obj_of_no_number_type(self):
         with pytest.raises(ValidationError) as e:
             build_scenario("x", ["i1"], ["a"], TIMEOUT,
@@ -106,7 +123,7 @@ class TestValidation:
             ("EmptyScenario", "scenario has no instances", None),
         ]
 
-    @pytest.mark.parametrize("timeout", [1e307, 1.8e305])
+    @pytest.mark.parametrize("timeout", [1e307, 1.8e305, pytest.param(10**400, id="10**400")])
     def test_timeout_with_no_finite_millisecond_count(self, timeout):
         with pytest.raises(ValidationError) as e:
             build_scenario("x", ["i1"], ["a"], timeout, {("i1", "a"): solved(1.0)})

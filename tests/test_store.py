@@ -94,7 +94,7 @@ def ref_trajectory_columns(sc):
 def store_columns(sc):
     runs, trajs = sc.outcomes, sc.trajectories
     return (
-        {name: getattr(runs, name) for name in Runs.__slots__},
+        {name: getattr(runs, name) for name in ("times", "ms", "statuses", "objs")},
         {name: getattr(trajs, name) for name in Trajectories.__slots__},
     )
 

@@ -361,6 +361,7 @@ def test_ingest_peak_memory_stays_near_its_result(tmp_path):
         tracemalloc.start()
         try:
             sc = make()
+            sc.outcomes.ms  # the whole result: its ms family is built on first read
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

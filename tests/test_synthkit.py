@@ -182,7 +182,8 @@ class TestSpecValidation:
         with pytest.raises(BadSpec):
             generate(_spec(n_instances=0))
 
-    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0, 1e307])
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0, 1e307,
+                                         pytest.param(10**400, id="10**400")])
     def test_bad_timeout_named(self, timeout):
         with pytest.raises(BadSpec) as e:
             generate(_spec(timeout_s=timeout))

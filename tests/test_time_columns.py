@@ -8,13 +8,14 @@ outcome lookup and one
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import pytest
 from helpers import decision_scenario
 from hypothesis import given
 from hypothesis import strategies as st
-from test_fold_columns import generated
+from test_fold_columns import bench_family_spec, generated
 from test_properties import scenarios
 
 from solvereval import (
@@ -23,7 +24,10 @@ from solvereval import (
     RunStatus,
     SameSolver,
     build_scenario,
+    emit_scenario,
+    generate,
     head_to_head,
+    parse_runs,
     runtime_distribution,
 )
 from solvereval.scenario import Runs
@@ -117,9 +121,9 @@ class TestTimeColumns:
         assert sc.outcomes.ms == {"a": (1500, 0), "b": (100_000, 2250)}
 
     def test_store_fields(self):
-        # The millisecond column is stored beside the times; nothing derived from the
-        # statuses (such as a solved flag) is.
-        assert Runs.__slots__ == ("times", "ms", "statuses", "objs")
+        # The millisecond column is stored beside the times, once its first read builds
+        # it; nothing derived from the statuses (such as a solved flag) is.
+        assert Runs.__slots__ == ("times", "_ms", "statuses", "objs")
         sc = decision_scenario({"i1": {"a": 1.0, "b": None}})
         assert sc.outcomes.statuses == {"a": (RunStatus.SOLVED,), "b": (RunStatus.TIMEOUT,)}
 
@@ -128,3 +132,24 @@ class TestTimeColumns:
         other = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
         sc.outcomes.ms
         assert sc == other
+
+    def test_ms_of_a_parsed_file_built_on_first_read(self, tmp_path):
+        emit_scenario(generate(bench_family_spec(3, 40, 4, 0.5)), tmp_path / "runs.csv")
+        unread, read = (parse_runs(tmp_path / "runs.csv", 100.0) for _ in range(2))
+        assert unread.outcomes._ms is None and read.outcomes._ms is None  # a parse builds none
+        ms = read.outcomes.ms
+        assert read.outcomes.ms is ms  # built once
+        assert ms == {s: tuple(round(t * 1000) for t in col)
+                      for s, col in read.outcomes.times.items()}
+        assert all(type(col) is tuple for col in ms.values())
+        with pytest.raises(TypeError):
+            ms["s00"] = (0,) * 40
+        for store in (unread.outcomes, read.outcomes):  # read or not, a pickle round trips
+            copy = pickle.loads(pickle.dumps(store))
+            assert copy == store and copy.times == store.times and copy.ms == ms
+        # head_to_head and runtime_distribution make the first read of unread's ms.
+        for sc in (unread, read):
+            assert [head_to_head(sc, "s00", s) for s in sc.solvers[1:]] == [
+                ref_head_to_head(sc, "s00", s) for s in sc.solvers[1:]]
+            assert [runtime_distribution(sc, s) for s in sc.solvers] == [
+                ref_runtime_distribution(sc, s) for s in sc.solvers]

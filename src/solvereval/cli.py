@@ -469,8 +469,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except SystemExit as e:  # --help and --version, and validate's violations
         return int(e.code or 0)
-    except (SolverEvalError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (SolverEvalError, OSError) as e:  # argument errors read as argparse's own
+        named = isinstance(e, SolverEvalError) and not isinstance(e, CliUsageError)
+        print(f"error: {type(e).__name__}: {e}" if named else f"error: {e}", file=sys.stderr)
         return 1
     except Exception:
         import traceback

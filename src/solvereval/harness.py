@@ -188,29 +188,22 @@ def score_scenario(
     """Score every solver under one metric: on one cell, or on every instance.
 
     Returns the score table and, for the closed gap, the baseline report
-    used. Scores read the metric's per-instance columns over the whole
-    scenario (instance_columns, or base_columns for the closed gap), built
-    here or passed as columns, at the split's positions; the table's
-    per_instance is a view of them. evaluate passes the columns, each cell's
-    test split read off them (read_split) and the cell's selection splits,
-    which only the closed gap reads. Without a split every instance is
-    scored and is its own selection set, so a train_split or test_split
-    closed gap raises MissingFoldContext before any column is built.
+    used. Without a split this is evaluate without a fold plan: its one
+    cell's table and baseline. evaluate scores each cell here, passing the
+    metric's per-instance columns over the whole scenario (instance_columns,
+    or base_columns for the closed gap), the cell's test split read off them
+    (read_split) and its selection splits, which only the closed gap reads.
+    A solver's score is the exact sum of its split values, divided by their
+    number for a mean; the table's per_instance is a view of the columns.
     """
+    if split is None:
+        result = evaluate(scenario, metric_id, params, sbs_policy=sbs_policy)
+        return result.merged, result.cells[0].baseline
     params = params or MetricParams()
     info = metric_info(metric_id)
-    policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.FULL_DATASET
-    if split is None:
-        if info.baselines and policy is not SbsPolicy.FULL_DATASET:
-            raise MissingFoldContext(
-                f"policy {policy.value} picks the single best solver on a cell's folds: "
-                "score it with evaluate and a fold plan"
-            )
-        columns = columns if columns is not None else info.columns(scenario, params)
-        split = read_split(columns, range(len(scenario.instances)))
-        selection = [split]
-    elif columns is None or info.baselines and selection is None:
+    if columns is None or info.baselines and selection is None:
         raise TypeError("a split needs the columns it was read off, and a closed gap its selection")
+    policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.FULL_DATASET
     table_params = info.report_params(params, policy.value)
     solvers = scenario.solvers
 
@@ -224,12 +217,11 @@ def score_scenario(
     if not split.at:
         raise EmptyInput(f"{metric_id} needs optimization instances")
     per_instance = InstanceValues(columns, scenario.instance_ids, split.at)
-    how = Aggregation.SUM if info.summed else Aggregation.ARITHMETIC_MEAN
-    per_solver = {s: aggregate(split.values[s], how) for s in solvers}
-    table = ScoreTable(
+    how, n = (Aggregation.SUM, 1) if info.summed else (Aggregation.ARITHMETIC_MEAN, len(split.at))
+    per_solver = {s: math.fsum(split.values[s]) / n for s in solvers}
+    return ScoreTable(
         metric_id, table_params, per_solver, info.direction, per_instance, how.value
-    )
-    return table, None
+    ), None
 
 
 @dataclass(frozen=True)
@@ -260,34 +252,37 @@ def evaluate(
 ) -> EvaluationResult:
     """Run one metric over a scenario, optionally per cross-validation cell.
 
-    Without a fold plan this is score_scenario over all instances. With one,
-    the metric is scored on each test fold and the per-cell scores are merged
-    with the chosen aggregation, arithmetic mean by default. The fold loop is
-    the one place that turns sbs_policy into a cell's selection splits: the
-    other folds (train_split), the test fold (test_split) or every fold
-    (full_dataset). A merge that must fail (check_fold_merge), and a plan
-    that does not split the instances into the same k >= 2 folds in every
-    repeat (check_partition), are rejected before any scoring. The metric's
-    per-instance columns are built once, and each repeat reads every fold's
-    values off them once, up front, for its cells' test and selection splits.
+    Each test fold of each repeat is scored (score_scenario), and the cell
+    scores are merged with the chosen aggregation, arithmetic mean by default.
+    Without a fold plan one fold holds every instance: its table is the merged
+    one. The fold loop is the one place that turns sbs_policy into a cell's
+    selection splits: the other folds (train_split), the test fold (test_split)
+    or every fold (full_dataset, the default without a plan). A split policy
+    without a plan (MissingFoldContext), a merge that must fail
+    (check_fold_merge) and a plan that does not split the instances into the
+    same k >= 2 folds in every repeat (check_partition) are rejected before
+    any column is built. Each repeat reads every fold's split once, up front.
     """
     params = params or MetricParams()
     info = metric_info(metric_id)
     merge = Aggregation(aggregation) if aggregation is not None else DEFAULT_MERGE
-
     if fold_plan is None:
         policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.FULL_DATASET
-        table, report = score_scenario(scenario, metric_id, params, policy)
-        cell = FoldCell(0, 0, scenario.instance_ids, table, report)
-        return EvaluationResult((cell,), table, None, policy, merge)
-
-    check_fold_merge(metric_id, merge)
-    check_partition(scenario, fold_plan)
-    policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.TRAIN_SPLIT
+        if info.baselines and policy is not SbsPolicy.FULL_DATASET:
+            raise MissingFoldContext(
+                f"policy {policy.value} picks the single best solver on a cell's folds: "
+                "score it with evaluate and a fold plan"
+            )
+        assignment = ((scenario.instance_ids,),)
+    else:
+        check_fold_merge(metric_id, merge)
+        check_partition(scenario, fold_plan)
+        policy = SbsPolicy(sbs_policy) if sbs_policy is not None else SbsPolicy.TRAIN_SPLIT
+        assignment = fold_plan.assignment
     columns = info.columns(scenario, params)
 
     cells, index = [], scenario.position_map
-    for r, folds in enumerate(fold_plan.assignment):
+    for r, folds in enumerate(assignment):
         splits = [read_split(columns, sorted(map(index.__getitem__, fold))) for fold in folds]
         for f, (test, split) in enumerate(zip(folds, splits)):
             selection = (
@@ -300,12 +295,10 @@ def evaluate(
             )
             cells.append(FoldCell(r, f, test, table, report))
 
-    merged_scores = {
-        s: aggregate([c.table.per_solver[s] for c in cells], merge)
-        for s in scenario.solvers
-    }
-    merged = ScoreTable(
-        metric_id, cells[0].table.params, merged_scores, cells[0].table.direction
+    merged = cells[0].table if fold_plan is None else ScoreTable(
+        metric_id, cells[0].table.params,
+        {s: aggregate([c.table.per_solver[s] for c in cells], merge) for s in scenario.solvers},
+        cells[0].table.direction,
     )
     return EvaluationResult(tuple(cells), merged, fold_plan, policy, merge)
 
@@ -363,7 +356,6 @@ def delta_sweep(
     if list(deltas) != sorted(deltas):
         raise ValueError("deltas must be sorted ascending")
     chosen = tuple(dict.fromkeys(solvers)) if solvers is not None else scenario.solvers
-    require_solvers(scenario, chosen)
     scores = mznc_scores(scenario, chosen, deltas)
     return {float(d): {s: scores[s][n] for s in chosen} for n, d in enumerate(deltas)}
 

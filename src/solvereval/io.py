@@ -50,8 +50,8 @@ def trajectories_path_for(runs_path: str | Path) -> Path:
 
 @contextmanager
 def _open(path: str | Path, mode: str = "r"):
-    """The file as UTF-8 text whatever the locale; a SchemaError naming it if it does not decode."""
-    with open(path, mode, encoding="utf-8", newline="") as fh:
+    """The file as UTF-8 whatever the locale, past any leading BOM; a SchemaError if not UTF-8."""
+    with open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

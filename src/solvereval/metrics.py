@@ -226,9 +226,7 @@ def mznc_pair(
     the summed runtimes. delta is interpreted on the millisecond grid, and
     delta = 0 demands exact time equality for the tie branch.
     """
-    if solver == opponent:
-        raise SameSolver("a solver cannot be scored against itself")
-    require_solvers(scenario, (solver, opponent))
+    _require_pair(scenario, solver, opponent)
     delta_ms = threshold_ms(delta)
     p, runs = scenario.position(instance_id), scenario.outcomes
     run, other = ((runs.times[s][p], runs.ms[s][p], runs.objs[s][p]) for s in (solver, opponent))

@@ -165,7 +165,7 @@ class TestScore:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.strip() == (
-            "error: penalty lambda * timeout_s on all n instances must sum to a "
+            "error: BadLambda: penalty lambda * timeout_s on all n instances must sum to a "
             "finite number, got lambda=1e+306, timeout_s=100.0 and n=4")
 
     @pytest.mark.parametrize("metrics", [["closed-gap"], ["par", "closed-gap"]])
@@ -709,7 +709,7 @@ class TestFileEncoding:
         runs = tmp_path / ("runs.arff" if bad == "runs.arff" else "runs.csv")
         assert main(["validate", str(runs), "--timeout", "100"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {tmp_path / bad}: not UTF-8 text")
+        assert out == "" and err.startswith(f"error: SchemaError: {tmp_path / bad}: not UTF-8 text")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import pytest
 from helpers import TIMEOUT, decision_scenario, scenario_from, solved, timed_out
-from test_fold_columns import TrainTest, score_cell
+from hypothesis import given
+from hypothesis import strategies as st
+from test_fold_columns import TrainTest, bench_family_spec, generated, score_cell
 
 from solvereval import (
     Aggregation,
@@ -18,6 +20,7 @@ from solvereval import (
     METRICS,
     BadLambda,
     FoldPlan,
+    InstanceKind,
     MetricParams,
     MissingFoldContext,
     NonPositiveForGeomean,
@@ -28,6 +31,7 @@ from solvereval import (
     Trajectory,
     UnknownSolver,
     aggregate,
+    baseline_report,
     delta_sweep,
     evaluate,
     find_flip_delta,
@@ -199,13 +203,45 @@ class TestEvaluate:
             "i4": {"a": 40.0, "b": None},
         })
 
-    def test_no_folds_single_cell(self):
-        result = evaluate(self._sc(), "par")
+    @pytest.mark.parametrize("metric_id", list(METRICS))
+    def test_no_folds_single_cell(self, metric_id):
+        # An unfolded score is the fold loop's one cell, which holds every instance.
+        sc = generate(bench_family_spec(5, 30, 4, 0.5))
+        assert {i.kind for i in sc.instances} == set(InstanceKind)
+        result = evaluate(sc, metric_id)
         assert result.fold_plan is None
-        assert len(result.cells) == 1
-        assert result.merged == result.cells[0].table
+        (cell,) = result.cells
+        assert (cell.repeat, cell.fold, cell.test_instances) == (0, 0, sc.instance_ids)
+        assert result.merged is cell.table
+        assert score_scenario(sc, metric_id) == (cell.table, cell.baseline)
         assert result.sbs_policy is SbsPolicy.FULL_DATASET
         assert result.aggregation is Aggregation.ARITHMETIC_MEAN
+        if METRICS[metric_id].baselines:
+            assert cell.baseline == baseline_report(sc, "par", 10.0)
+        else:
+            assert cell.baseline is None
+
+    @given(generated(), st.data())
+    def test_cell_scores_are_the_aggregate_of_their_values(self, sc, data):
+        n = len(sc.instance_ids)
+        plan = make_fold_plan(
+            sc.instance_ids, data.draw(st.integers(2, min(n, 5))),
+            repeats=data.draw(st.integers(1, 2)), seed=data.draw(st.integers(0, 99)),
+        )
+        for metric_id, info in METRICS.items():
+            if info.baselines:
+                continue
+            try:
+                result = evaluate(sc, metric_id, fold_plan=plan)
+            except EmptyInput:  # an optimization metric on a fold of decision instances
+                assert metric_id in ("ratio", "area", "bounded-reward")
+                continue
+            how = "sum" if info.summed else "arithmetic_mean"
+            for cell in result.cells:
+                assert cell.table.aggregation == how
+                for s in sc.solvers:
+                    values = [v for (t, _), v in cell.table.per_instance.items() if t == s]
+                    assert cell.table.per_solver[s].hex() == aggregate(values, how).hex()
 
     def test_fold_cells_cover_each_instance_once(self):
         sc = self._sc()
@@ -261,7 +297,9 @@ class TestEvaluate:
             lambda: evaluate(sc, "mznc"),
             lambda: evaluate(sc, "mznc", fold_plan=plan),
             lambda: mznc_score(sc, "a"),
+            lambda: mznc_score(sc, "zz"),
             lambda: delta_sweep(sc, [0.0]),
+            lambda: delta_sweep(sc, [0.0], ["zz"]),
         ):
             with pytest.raises(SingleSolverScenario):
                 call()

@@ -371,6 +371,47 @@ class TestParseAslib:
 
 # Published aggregate results for six portfolio selectors over a 15-scenario
 # suite; used as a layout fixture with known column peaks.
+BOM = "\ufeff"  # the UTF-8 byte-order mark, as spreadsheet tools write it
+
+
+class TestByteOrderMark:
+    """A file may start with one byte-order mark; it is read past, and never written."""
+
+    @pytest.mark.parametrize("marked", ["runs.csv", "runs_trajectories.csv"])
+    def test_csv_with_a_mark_parses_as_without(self, tmp_path, marked):
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        for folder in (plain, bom):
+            folder.mkdir()
+            for name, text in (("runs.csv", RUNS_CSV), ("runs_trajectories.csv", TRAJ_CSV)):
+                prefix = BOM if folder is bom and name == marked else ""
+                (folder / name).write_bytes((prefix + text).encode("utf-8"))
+        assert (bom / marked).read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_runs(bom / "runs.csv", 100.0) == parse_runs(plain / "runs.csv", 100.0)
+
+    def test_arff_with_a_mark_parses_as_without(self, tmp_path):
+        text = ARFF.split("\n", 1)[1]  # line 1 is then @RELATION
+        plain = tmp_path / "plain.arff"
+        plain.write_bytes(text.encode("utf-8"))
+        marked = tmp_path / "marked.arff"
+        marked.write_bytes((BOM + text).encode("utf-8"))
+        sc = parse_aslib_runs(marked, 3600.0, scenario_id="runs")
+        assert sc == parse_aslib_runs(plain, 3600.0, scenario_id="runs")
+
+    def test_emit_writes_no_mark(self, tmp_path):
+        (tmp_path / "runs.csv").write_bytes((BOM + RUNS_CSV).encode("utf-8"))
+        _write(tmp_path, "runs_trajectories.csv", TRAJ_CSV)
+        written = emit_scenario(parse_runs(tmp_path / "runs.csv", 100.0), tmp_path / "out.csv")
+        assert len(written) == 2
+        assert not any(path.read_bytes().startswith(b"\xef\xbb\xbf") for path in written)
+
+    @pytest.mark.parametrize("prefix", [b"", BOM.encode("utf-8")], ids=["plain", "marked"])
+    def test_text_that_is_not_utf8_is_still_refused(self, tmp_path, prefix):
+        p = tmp_path / "runs.csv"
+        p.write_bytes(prefix + RUNS_CSV.replace("i1,a,", "caf\u00e9,a,").encode("latin-1"))
+        with pytest.raises(SchemaError, match=r"runs\.csv: not UTF-8 text"):
+            parse_runs(p, 100.0)
+
+
 SELECTOR_SUMMARY = [
     ("asap", 0.4866, 0.4026, 0.8829),
     ("sunny-as2", 0.4717, 0.4122, 0.8879),

@@ -173,7 +173,7 @@ class TestPairwise:
 
     def test_same_solver_rejected(self):
         sc = decision_scenario({"i1": {"a": 1.0, "b": 2.0}})
-        with pytest.raises(SameSolver):
+        with pytest.raises(SameSolver, match="^cannot compare solver 'a' with itself$"):
             mznc_pair(sc, "i1", "a", "a")
 
     def test_unknown_solver_rejected(self):

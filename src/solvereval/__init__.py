@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 # Each public name, under the submodule that defines it.
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "scenario": (
-        "Direction", "Instance", "InstanceKind", "RunOutcome", "RunStatus", "Scenario",
-        "ScoreTable", "Trajectory", "build_scenario", "quantize_ms", "restrict",
-        "validate_scenario",
+        "Direction", "HeadToHead", "Instance", "InstanceKind", "RunOutcome", "RunStatus",
+        "Scenario", "ScoreTable", "Trajectory", "build_scenario", "head_to_head", "quantize_ms",
+        "restrict", "runtime_distribution", "validate_scenario",
     ),
     "metrics": (
         "METRICS", "MetricInfo", "MetricParams", "base_instance_values", "closed_gap",
@@ -33,9 +33,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "baseline_report", "select_sbs",
     ),
     "harness": (
-        "DEFAULT_MERGE", "Aggregation", "EvaluationResult", "FoldCell", "FoldPlan", "HeadToHead",
-        "RankEntry", "aggregate", "delta_sweep", "evaluate", "find_flip_delta", "head_to_head",
-        "make_fold_plan", "rank", "runtime_distribution", "score_scenario",
+        "DEFAULT_MERGE", "Aggregation", "EvaluationResult", "FoldCell", "FoldPlan", "RankEntry",
+        "aggregate", "delta_sweep", "evaluate", "find_flip_delta", "make_fold_plan", "rank",
+        "score_scenario",
     ),
     "synthkit": (
         "ArchetypeSpec", "DrawSpec", "SolverSpec", "constant", "generate",

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace as _replace
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import CliUsageError, NonPositiveForGeomean, SolverEvalError, ValidationError
@@ -21,14 +21,22 @@ from .io import (
     build_report, emit_report, emit_scenario, json_text, parse_aslib_runs, parse_runs,
     ranking_json,
 )
-from .metrics import METRICS, MetricParams, metric_info, threshold_ms
 from .scenario import Scenario
+
+if TYPE_CHECKING:
+    from .metrics import MetricParams
 
 __all__ = ["build_parser", "main", "run"]
 
 _POLICY = {"train": "train_split", "test": "test_split", "full": "full_dataset"}
 _AGG = {"sum": "sum", "mean": "arithmetic_mean", "geomean": "geometric_mean", "median": "median"}
 _DEFAULT_DELTAS = "0,0.01,0.05,0.1,0.5,1"
+# The metric names of metrics.METRICS, and those that can anchor closed-gap
+# baselines, written out: argparse needs its choices as it builds the parser,
+# and reading them off the registry would load it for every command.
+_METRICS = ("area", "bounded-reward", "closed-gap", "mznc", "normalized-runtime", "par",
+            "ratio", "runtime", "solved-count", "speedup")
+_BASE_METRICS = ("par", "runtime", "area")
 
 # What a command returns: its output, rendered, or its JSON payload and a
 # function that renders it as text; main renders only the format asked for.
@@ -62,8 +70,7 @@ def _add_metric_param_args(p: argparse.ArgumentParser) -> None:
                    help="bounded reward floor for unsolved runs with a solution")
     p.add_argument("--beta", type=float, default=0.75,
                    help="bounded reward ceiling for unsolved runs with a solution")
-    p.add_argument("--base-metric", default="par",
-                   choices=[m for m, info in METRICS.items() if info.decomposable_base],
+    p.add_argument("--base-metric", default="par", choices=_BASE_METRICS,
                    help="per-instance metric anchoring closed-gap baselines")
 
 
@@ -83,6 +90,8 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 
 
 def _metric_params(args: argparse.Namespace) -> MetricParams:
+    from .metrics import MetricParams
+
     return MetricParams(
         lam=args.lam, delta=args.delta, alpha=args.alpha, beta=args.beta,
         base_metric=args.base_metric,
@@ -91,6 +100,8 @@ def _metric_params(args: argparse.Namespace) -> MetricParams:
 
 def _delta(text: str) -> float:
     """argparse type for a tie threshold in seconds: a finite number >= 0."""
+    from .metrics import threshold_ms
+
     try:
         value = float(text)
         threshold_ms(value)
@@ -148,6 +159,8 @@ def _two_solvers(text: str) -> tuple[str, str]:
 
 def _check_unfolded_policy(policy: str | None, metrics: list[str]) -> None:
     """Reject a split --sbs-policy for a baselines metric scored without folds."""
+    from .metrics import metric_info
+
     for m in metrics:
         if policy in ("train", "test") and metric_info(m).baselines:
             raise CliUsageError(f"--sbs-policy {policy} needs --folds (score --folds K): "
@@ -201,7 +214,7 @@ def cmd_rank(args: argparse.Namespace) -> Output:
 
 
 def cmd_head2head(args: argparse.Namespace) -> Output:
-    from .harness import head_to_head
+    from .scenario import head_to_head
 
     scenario = _load_scenario(args)
     pairs = [args.solvers] if args.solvers else combinations(scenario.solvers, 2)
@@ -238,7 +251,7 @@ def cmd_sweep_delta(args: argparse.Namespace) -> Output:
 
 
 def cmd_runtime_dist(args: argparse.Namespace) -> Output:
-    from .harness import runtime_distribution
+    from .scenario import runtime_distribution
 
     scenario = _load_scenario(args)
     solvers = [args.solver] if args.solver else scenario.solvers
@@ -374,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score solvers under one or more metrics")
     _add_input_args(p)
     _add_metric_param_args(p)
-    p.add_argument("--metric", action="append", choices=sorted(METRICS), default=None,
+    p.add_argument("--metric", action="append", choices=_METRICS, default=None,
                    help="metric to report; repeatable (default: par)")
     p.add_argument("--sbs-policy", choices=sorted(_POLICY), default=None,
                    help="which split selects the single best solver for closed-gap")
@@ -393,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="order solvers under a single metric")
     _add_input_args(p)
     _add_metric_param_args(p)
-    p.add_argument("--metric", choices=sorted(METRICS), default="par")
+    p.add_argument("--metric", choices=_METRICS, default="par")
     p.add_argument("--sbs-policy", choices=sorted(_POLICY), default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_rank)

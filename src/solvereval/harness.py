@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -21,21 +20,21 @@ from .metrics import (
     Columns,
     MetricParams,
     Split,
-    _require_pair,
     closed_gap,
     find_flip_delta,
     metric_info,
     mznc_scores,
     read_split,
-    require_solvers,
 )
 from .rng import SplitMix64
 from .scenario import (
     Direction,
+    HeadToHead,
     InstanceValues,
-    RunStatus,
     Scenario,
     ScoreTable,
+    head_to_head,
+    runtime_distribution,
 )
 
 __all__ = [
@@ -330,23 +329,6 @@ def rank(tables: Sequence[ScoreTable]) -> list[RankEntry]:
     ]
 
 
-@dataclass(frozen=True)
-class HeadToHead:
-    solver_a: str
-    solver_b: str
-    a_faster: int
-    b_faster: int
-    ties: int
-
-
-def head_to_head(scenario: Scenario, solver_a: str, solver_b: str) -> HeadToHead:
-    """Count instances each solver finished strictly faster; equal times tie."""
-    _require_pair(scenario, solver_a, solver_b)
-    ta, tb = scenario.outcomes.ms[solver_a], scenario.outcomes.ms[solver_b]
-    a, b = sum(map(operator.lt, ta, tb)), sum(map(operator.lt, tb, ta))
-    return HeadToHead(solver_a, solver_b, a, b, len(ta) - a - b)
-
-
 def delta_sweep(
     scenario: Scenario,
     deltas: Sequence[float],
@@ -358,11 +340,3 @@ def delta_sweep(
     chosen = tuple(dict.fromkeys(solvers)) if solvers is not None else scenario.solvers
     scores = mznc_scores(scenario, chosen, deltas)
     return {float(d): {s: scores[s][n] for s in chosen} for n, d in enumerate(deltas)}
-
-
-def runtime_distribution(scenario: Scenario, solver: str) -> list[float]:
-    """Ascending runtimes of the instances the solver actually solved."""
-    require_solvers(scenario, (solver,))
-    runs, solved = scenario.outcomes, RunStatus.SOLVED
-    times = sorted(ms for ms, st in zip(runs.ms[solver], runs.statuses[solver]) if st is solved)
-    return [ms / 1000.0 for ms in times]

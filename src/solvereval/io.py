@@ -15,6 +15,7 @@ import math
 import warnings as _warnings
 from collections import deque
 from contextlib import contextmanager
+from io import StringIO
 from itertools import accumulate, compress, count, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -115,13 +116,8 @@ def parse_runs(
                  fields.index("obj") if "obj" in fields else None)
         builder, opt, width = ScenarioBuilder(timeout_s), set(), len(fields)
         for rows, lines in _blocks(reader):
-            block = _run_columns(width, cells, rows)
-            if block is not None:
-                _place_runs(builder, opt, lines, *block)
-                continue
-            for row, line in zip(rows, lines):  # a bad cell: one row at a time
-                if row:
-                    _place_runs(builder, opt, (line,), *zip(_run_cells(width, cells, row, line)))
+            _take_runs(builder, opt, width, cells, rows, lines)
+            del rows, lines  # freed before _blocks reads the next block
 
     builder.close_runs(opt)
     _read_trajectories(builder, path, trajectories_path)
@@ -161,6 +157,18 @@ def _row_lines(rows: list[list[str]], first: int, last: int | None) -> Sequence[
     spans = (1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
              for row in rows)
     return list(accumulate(spans, initial=first))[1:]
+
+
+def _take_runs(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple,
+               rows: list[list[str]], lines: Sequence[int]) -> None:
+    """Place a block of runs rows by columns, or one row at a time from a bad cell on."""
+    block = _run_columns(width, cells, rows)
+    if block is not None:
+        _place_runs(builder, opt, lines, *block)
+        return
+    for row, line in zip(rows, lines):
+        if row:
+            _place_runs(builder, opt, (line,), *zip(_run_cells(width, cells, row, line)))
 
 
 def _place_runs(builder: ScenarioBuilder, opt: set[str], lines: Sequence[int], iids, sids,
@@ -245,13 +253,21 @@ def _read_trajectories(builder: ScenarioBuilder, runs_path: Path,
             )
         cells, width = tuple(fields.index(f) for f in _TRAJ_FIELDS), len(fields)
         for rows, lines in _blocks(reader):
-            block = _event_columns(width, cells, rows)
-            k = 0 if block is None else builder.events(*block)  # ids as read: a padded one stops it
-            for row, line in zip(rows[k:], lines[k:]):  # the rest one row at a time, ids stripped
-                if row:
-                    iid, sid, t, v = _event_cells(builder, width, cells, row, line)
-                    if not builder.events((iid,), (sid,), (t,), (v,)):
-                        raise RowError(line, f"trajectory row for unknown pair {(iid, sid)!r}")
+            _take_events(builder, width, cells, rows, lines)
+            del rows, lines  # freed before _blocks reads the next block
+
+
+def _take_events(builder: ScenarioBuilder, width: int, cells: tuple, rows: list[list[str]],
+                 lines: Sequence[int]) -> None:
+    """Hand a block of trajectory rows to the builder by columns, ids as read; from the first
+    row it does not take (a bad cell, or a padded id), one row at a time, ids stripped."""
+    block = _event_columns(width, cells, rows)
+    k = 0 if block is None else builder.events(*block)
+    for row, line in zip(rows[k:], lines[k:]):
+        if row:
+            iid, sid, t, v = _event_cells(builder, width, cells, row, line)
+            if not builder.events((iid,), (sid,), (t,), (v,)):
+                raise RowError(line, f"trajectory row for unknown pair {(iid, sid)!r}")
 
 
 def _event_columns(width: int, cells: tuple, rows: list[list[str]]) -> tuple | None:
@@ -291,56 +307,87 @@ def emit_scenario(
     """Write a scenario as runs CSV, and a trajectory CSV when it has trajectories.
 
     Inverse of parse_runs: parsing the written files with the same timeout
-    reproduces the scenario field for field. The files have no place for an
-    instance's best_known_obj, so a scenario that records one is refused with
-    a SchemaError naming the first such instance, before any file is opened.
-    A trajectory file already at the target is overwritten, header only when
-    there is none, so that no older scenario's events are read back beside
-    these runs.
+    reproduces the scenario field for field. So a scenario the files cannot
+    hold is refused with a SchemaError naming the first instance that records
+    a best_known_obj (a runs file has no place for one), or the first
+    instance or solver id that is empty or has space around it (the reader
+    strips it), before any file is opened. A trajectory file already at the
+    target is overwritten, header only when there is none, so that no older
+    scenario's events are read back beside these runs.
     """
     for inst in scenario.instances:
+        _check_id("instance", inst.id)
         if inst.best_known_obj is not None:
             raise SchemaError(f"instance {inst.id!r} records best_known_obj "
                               f"{inst.best_known_obj!r}, which a runs file has no place for")
+    for s in scenario.solvers:
+        _check_id("solver", s)
     runs_path = Path(runs_path)
-    _write_csv(runs_path, _run_rows(scenario))
+    icells, scells = _cells(scenario.instance_ids), _cells(scenario.solvers)
+    with _open(runs_path, "w") as fh:
+        _write_runs(fh, scenario, icells, scells)
     tpath = Path(trajectories_path) if trajectories_path else trajectories_path_for(runs_path)
     if not any(scenario.trajectories.times.values()) and not tpath.exists():
         return [runs_path]
-    _write_csv(tpath, _trajectory_rows(scenario))
+    with _open(tpath, "w") as fh:
+        _write_trajectories(fh, scenario, icells, scells)
     return [runs_path, tpath]
 
 
-def _write_csv(path: Path, rows) -> None:
-    with _open(path, "w") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+def _check_id(what: str, iid: str) -> None:
+    """A SchemaError unless the id reads back as itself: the reader strips its cells and
+    refuses an empty id."""
+    if not iid or iid != iid.strip():
+        raise SchemaError(f"{what} id {iid!r} would not read back as itself: a runs file"
+                          " strips the space around an id and has no empty one")
 
 
-def _run_rows(scenario: Scenario):
-    # csv writes a float cell as its repr, so an obj of +inf reads back as inf.
+def _cells(values: Sequence[str]) -> list[str]:
+    """Each value as csv.writer writes it as a cell of a row, quoted where it must be.
+
+    The writer's line terminator is "\r\n", so that a value with a lone
+    carriage return is quoted too: the reader ends a row at one.
+    """
+    buf, cells = StringIO(), []
+    writer = csv.writer(buf, lineterminator="\r\n")
+    for v in values:
+        writer.writerow((v, ""))  # the empty last cell is written as nothing: "<cell>,\r\n"
+        cell = buf.getvalue()[:-3]
+        cells.append(v if cell == v else cell)  # an id as it is when it needs no quotes
+        buf.seek(0)
+        buf.truncate()
+    return cells
+
+
+def _write_runs(fh, scenario: Scenario, icells: list[str], scells: list[str]) -> None:
+    """The runs rows, one formatted string each, an instance's rows written at once.
+
+    A float obj cell is the float's repr, as csv writes it: +inf reads back as inf.
+    """
     decision = InstanceKind.DECISION
     has_opt = any(i.kind is not decision for i in scenario.instances)
-    yield (*_RUN_FIELDS, "obj") if has_opt else _RUN_FIELDS
-    runs = scenario.outcomes
-    cols = [(s, runs.statuses[s], runs.times[s], runs.objs[s]) for s in scenario.solvers]
-    for p, inst in enumerate(scenario.instances):
-        iid = inst.id
-        blank = inst.kind is decision
-        for s, statuses, times, objs in cols:
-            cells = iid, s, _STATUS_OUT[statuses[p]], f"{times[p]:.3f}"
-            yield (*cells, "" if blank else objs[p]) if has_opt else cells
+    fh.write(",".join((*_RUN_FIELDS, "obj") if has_opt else _RUN_FIELDS) + "\n")
+    runs, status = scenario.outcomes, _STATUS_OUT
+    cols = [(sc, runs.statuses[s], runs.times[s], runs.objs[s])
+            for s, sc in zip(scenario.solvers, scells)]
+    end = ",\n" if has_opt else "\n"  # a decision instance's empty obj cell
+    for p, (icell, inst) in enumerate(zip(icells, scenario.instances)):
+        if inst.kind is decision:
+            rows = [f"{icell},{sc},{status[st[p]]},{ts[p]:.3f}{end}" for sc, st, ts, _ in cols]
+        else:
+            rows = [f"{icell},{sc},{status[st[p]]},{ts[p]:.3f},{os[p]}\n"
+                    for sc, st, ts, os in cols]
+        fh.write("".join(rows))
 
 
-def _trajectory_rows(scenario: Scenario):
-    yield _TRAJ_FIELDS
+def _write_trajectories(fh, scenario: Scenario, icells: list[str], scells: list[str]) -> None:
+    """The trajectory rows, pair by pair in instance then solver order, an instance's at once."""
+    fh.write(",".join(_TRAJ_FIELDS) + "\n")
     tr = scenario.trajectories
-    cols = [(s, tr.times[s], tr.objs[s], tr.offsets[s]) for s in scenario.solvers]
-    for p, inst in enumerate(scenario.instances):
-        iid = inst.id
-        for s, times, objs, offsets in cols:
-            if offsets[p] != offsets[p + 1]:
-                for e in range(offsets[p], offsets[p + 1]):
-                    yield iid, s, f"{times[e]:.3f}", objs[e]
+    cols = [(sc, tr.times[s], tr.objs[s], tr.offsets[s]) for s, sc in zip(scenario.solvers, scells)]
+    for p, icell in enumerate(icells):
+        fh.write("".join([f"{icell},{sc},{ts[e]:.3f},{vs[e]}\n" for sc, ts, vs, offsets in cols
+                          for e in range(offsets[p], offsets[p + 1])]))
 
 
 def parse_aslib_runs(
@@ -531,9 +578,7 @@ def emit_report(report: dict, fmt: str = "table") -> bytes:
 
     scenario = report["scenario"]
     if fmt == "csv":
-        import io as _io
-
-        buf = _io.StringIO()
+        buf = StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["scenario", "metric", "params", "solver", "score", "rank", "tied"])
         writer.writerows(

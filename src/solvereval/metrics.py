@@ -22,11 +22,11 @@ from .errors import (
     MissingTrajectory,
     NonDecomposableMetric,
     NonPositiveObjective,
-    SameSolver,
     SingleSolverScenario,
-    UnknownSolver,
 )
-from .scenario import Direction, InstanceKind, RunStatus, Scenario
+from .scenario import (
+    Direction, InstanceKind, RunStatus, Scenario, _require_pair, require_solvers,
+)
 
 __all__ = [
     "Columns",
@@ -93,13 +93,6 @@ def metric_info(metric_id: str) -> MetricInfo:
         return METRICS[metric_id]
     except KeyError:
         raise ValueError(f"unknown metric {metric_id!r}") from None
-
-
-def require_solvers(scenario: Scenario, solvers: Iterable[str]) -> None:
-    """Raise UnknownSolver for the first of solvers the scenario does not have."""
-    for s in solvers:
-        if s not in scenario.solvers:
-            raise UnknownSolver(f"solver {s!r} is not part of scenario {scenario.id!r}")
 
 
 def _par_column(times: Sequence[float], lam: float, timeout_s: float) -> list[float]:
@@ -171,13 +164,6 @@ def _pair_entries(
 def _require_opponents(scenario: Scenario) -> None:
     if len(scenario.solvers) < 2:
         raise SingleSolverScenario("pairwise scoring needs at least two solvers")
-
-
-def _require_pair(scenario: Scenario, solver_a: str, solver_b: str) -> None:
-    """SameSolver for a solver named twice, else UnknownSolver for one not in the scenario."""
-    if solver_a == solver_b:
-        raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
-    require_solvers(scenario, (solver_a, solver_b))
 
 
 def _pair_rows(scenario: Scenario, solver: str) -> Iterator[list[tuple[float, int | None]]]:

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_UNIT = 1.0 / (1 << 53)  # a 53-bit draw times this is a float in [0, 1)
 
 
 @lru_cache(maxsize=16)
@@ -22,11 +23,11 @@ def _lanes(n: int) -> tuple[int, int, int, struct.Struct]:
     constant), so arithmetic on the packed integer works lane by lane as
     long as each shift is followed by the 64-bit lane mask. Returns the
     replicator (1 in each lane), k * GOLDEN in lane k - 1, the lane mask and
-    the layout that unpacks the lanes as little-endian 64-bit words.
+    the layout that unpacks each lane's low 64 bits as a little-endian word.
     """
     replicate = sum(1 << (128 * k) for k in range(n))
     steps = sum(((k + 1) * _GOLDEN & _MASK64) << (128 * k) for k in range(n))
-    return replicate, steps, _MASK64 * replicate, struct.Struct(f"<{2 * n}Q")
+    return replicate, steps, _MASK64 * replicate, struct.Struct("<" + "Q8x" * n)
 
 
 class SplitMix64:
@@ -46,7 +47,7 @@ class SplitMix64:
 
     def next_float(self) -> float:
         """Uniform draw in [0, 1) with 53 bits of precision: (next_u64() >> 11) / 2**53."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return (self.next_u64() >> 11) * _UNIT
 
     def next_floats(self, n: int) -> list[float]:
         """The next n draws of next_float, in one call.
@@ -62,7 +63,7 @@ class SplitMix64:
         z = ((z ^ (z >> 30 & mask)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27 & mask)) * 0x94D049BB133111EB) & mask
         z = (z ^ (z >> 31 & mask)) >> 11 & mask
-        return [w * (1.0 / (1 << 53)) for w in words.unpack(z.to_bytes(words.size, "little"))[::2]]
+        return [w * _UNIT for w in words.unpack(z.to_bytes(words.size, "little"))]
 
     def next_below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n) via rejection sampling."""

@@ -19,10 +19,13 @@ from types import MappingProxyType
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EmptyRestriction, UnknownInstance, ValidationError, Violation
+from .errors import (
+    EmptyRestriction, SameSolver, UnknownInstance, UnknownSolver, ValidationError, Violation,
+)
 
 __all__ = [
     "Direction",
+    "HeadToHead",
     "Instance",
     "InstanceKind",
     "InstanceValues",
@@ -36,8 +39,11 @@ __all__ = [
     "Trajectory",
     "build_scenario",
     "check_timeout",
+    "head_to_head",
     "quantize_ms",
+    "require_solvers",
     "restrict",
+    "runtime_distribution",
     "validate_scenario",
 ]
 
@@ -694,3 +700,45 @@ def restrict(scenario: Scenario, instance_ids: Sequence[str]) -> Scenario:
         outcomes={k: v for k, v in scenario.outcomes.items() if k[0] in kept},
         trajectories={k: v for k, v in scenario.trajectories.items() if k[0] in kept},
     ))
+
+
+# Comparisons read off the recorded runs alone: head2head and runtime-dist load
+# no scoring module. harness and metrics import them from here.
+
+def require_solvers(scenario: Scenario, solvers: Iterable[str]) -> None:
+    """Raise UnknownSolver for the first of solvers the scenario does not have."""
+    for s in solvers:
+        if s not in scenario.solvers:
+            raise UnknownSolver(f"solver {s!r} is not part of scenario {scenario.id!r}")
+
+
+def _require_pair(scenario: Scenario, solver_a: str, solver_b: str) -> None:
+    """SameSolver for a solver named twice, else UnknownSolver for one not in the scenario."""
+    if solver_a == solver_b:
+        raise SameSolver(f"cannot compare solver {solver_a!r} with itself")
+    require_solvers(scenario, (solver_a, solver_b))
+
+
+@dataclass(frozen=True)
+class HeadToHead:
+    solver_a: str
+    solver_b: str
+    a_faster: int
+    b_faster: int
+    ties: int
+
+
+def head_to_head(scenario: Scenario, solver_a: str, solver_b: str) -> HeadToHead:
+    """Count instances each solver finished strictly faster; equal times tie."""
+    _require_pair(scenario, solver_a, solver_b)
+    ta, tb = scenario.outcomes.ms[solver_a], scenario.outcomes.ms[solver_b]
+    a, b = sum(map(operator.lt, ta, tb)), sum(map(operator.lt, tb, ta))
+    return HeadToHead(solver_a, solver_b, a, b, len(ta) - a - b)
+
+
+def runtime_distribution(scenario: Scenario, solver: str) -> list[float]:
+    """Ascending runtimes of the instances the solver actually solved."""
+    require_solvers(scenario, (solver,))
+    runs = scenario.outcomes
+    times = sorted(ms for ms, st in zip(runs.ms[solver], runs.statuses[solver]) if st is _SOLVED)
+    return [ms / 1000.0 for ms in times]

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import BadSpec, ValidationError
 from .rng import SplitMix64
-from .scenario import InstanceKind, RunStatus, Scenario, ScenarioBuilder, check_timeout, quantize_ms
+from .scenario import InstanceKind, RunStatus, Scenario, ScenarioBuilder, check_timeout
 
 __all__ = [
     "ArchetypeSpec",
@@ -109,85 +110,91 @@ def _solver_names(spec: ArchetypeSpec) -> list[str]:
     return [s.name or f"s{idx + 1:0{width}d}" for idx, s in enumerate(spec.solvers)]
 
 
-def _staircase(
-    t_found: float, obj: float, u_split: float, u_bump: float
-) -> tuple[tuple[float, float], ...]:
-    # Either a single improvement or a two-step descent to the final value.
-    if u_split < 0.5 and t_found >= 2 * _MS:
-        mid = quantize_ms(t_found / 2.0)
-        if 0.0 <= mid < t_found:
-            worse = round(obj + 1.0 + 9.0 * u_bump, 6)
-            return ((mid, worse), (t_found, obj))
-    return ((t_found, obj),)
-
-
 def generate(spec: ArchetypeSpec) -> Scenario:
     """Produce the scenario a spec describes; same spec, same scenario."""
     _check_spec(spec)
     rng = SplitMix64(spec.seed)
-    tau = float(spec.timeout_s)
     names = _solver_names(spec)
     width = max(3, len(str(spec.n_instances - 1)))
 
     # Trajectories go in as the events a trajectory file lists: a solved
     # run's trajectory is proved optimal at the run's time, as a file's is.
-    builder = ScenarioBuilder(tau, solvers=names)
-    solved, error, timeout, inf = RunStatus.SOLVED, RunStatus.ERROR, RunStatus.TIMEOUT, math.inf
+    builder = ScenarioBuilder(float(spec.timeout_s), solvers=names)
     kinds = {True: InstanceKind.OPTIMIZATION, False: InstanceKind.DECISION}
     draws = 2 + 8 * len(spec.solvers)
-    runs, events = [], []  # (instance, solver, status, time, obj) and (instance, solver, time, obj)
-    for idx in range(spec.n_instances):
-        iid = f"i{idx:0{width}d}"
-        u = rng.next_floats(draws)  # the instance's 2 draws, then each run's 8
-        u_kind, u_base = u[:2]
-        is_opt = u_kind < spec.opt_fraction
-        base_obj = round(10.0 + 90.0 * u_base, 6)
-        builder.instance(iid, kinds[is_opt])
+    for first in range(0, spec.n_instances, _BLOCK):
+        iids = [f"i{idx:0{width}d}" for idx in range(first, min(first + _BLOCK, spec.n_instances))]
+        u = rng.next_floats(draws * len(iids))  # per instance: its 2 draws, then each run's 8
+        opt = [u_kind < spec.opt_fraction for u_kind in u[::draws]]
+        base_objs = [round(10.0 + 90.0 * u_base, 6) for u_base in u[1::draws]]
+        for iid, is_opt in zip(iids, opt):
+            builder.instance(iid, kinds[is_opt])
         for at, solver_spec, sid in zip(range(2, draws, 8), spec.solvers, names):
-            u_solve, u_time, u_error, u_subopt, u_offset, u_split, u_frac, u_bump = u[at:at + 8]
-
-            obj, stairs = inf, ()
-            if u_solve < solver_spec.solve_probability:
-                t = quantize_ms(solver_spec.runtime.sample(u_time))
-                if t >= tau:
-                    t = quantize_ms(tau - _MS)
-                status = solved
-                if is_opt:
-                    obj = base_obj
-                    stairs = _staircase(quantize_ms(u_frac * t), obj, u_split, u_bump)
-            elif u_error < spec.error_probability:
-                status, t = error, tau
-            else:
-                status, t = timeout, tau
-                if is_opt and u_subopt < spec.subopt_probability:
-                    quality = solver_spec.objective_quality or _DEFAULT_QUALITY
-                    obj = round(base_obj + quality.sample(u_offset), 6)
-                    t_found = quantize_ms(u_frac * (tau - _MS))
-                    stairs = _staircase(t_found, obj, u_split, u_bump)
-            runs.append((iid, sid, status, t, obj))
-            for t_e, v in stairs:
-                events.append((iid, sid, t_e, v))
-        if len(runs) >= _BLOCK or idx == spec.n_instances - 1:
-            _take(builder, runs, events)
+            (times, statuses, objs), (ev_iids, ev_ts, ev_vs) = _solver_block(
+                spec, solver_spec, iids, opt, base_objs, [u[d::draws] for d in range(at, at + 8)])
+            why = builder.runs(iids, repeat(sid), times, statuses, objs)[1]
+            if why is not None:
+                raise ValueError(why)
+            builder.events(ev_iids, repeat(sid), ev_ts, ev_vs)  # each names a run just placed
 
     builder.close_runs()
     return builder.scenario(spec.scenario_id or f"synth-{spec.seed}")
 
 
-_BLOCK = 256  # runs handed to the builder at a time, with the events of their instances
+_BLOCK = 16  # instances drawn at a time, their runs and events handed to the builder by solver
 
 
-def _take(builder: ScenarioBuilder, runs: list[tuple], events: list[tuple]) -> None:
-    """Hand a block of runs, then their events, to the builder, and empty both lists; a
-    ValueError with the builder's reason for a run it refuses."""
-    iids, sids, statuses, times, objs = zip(*runs)
-    why = builder.runs(iids, sids, times, statuses, objs)[1]
-    if why is not None:
-        raise ValueError(why)
-    if events:
-        builder.events(*zip(*events))  # each names a run just placed, so all are taken
-    runs.clear()
-    events.clear()
+def _solver_block(spec: ArchetypeSpec, solver_spec: SolverSpec, iids: list[str],
+                  opt: list[bool], base_objs: list[float], u: list[list[float]]
+                  ) -> tuple[tuple[list, list, list], tuple[list, list, list]]:
+    """One solver's runs on a block of instances, (times, statuses, objs), and their
+    events, (instance ids, times, objs), as columns.
+
+    u holds the 8 draws of each run, one list per draw. Times are snapped
+    to the millisecond grid as quantize_ms does; a run with a solution on an
+    optimization instance gets a one- or two-step incumbent staircase.
+    """
+    tau, inf = float(spec.timeout_s), math.inf
+    solved, error, timeout = RunStatus.SOLVED, RunStatus.ERROR, RunStatus.TIMEOUT
+    lo, span = solver_spec.runtime.lo, solver_spec.runtime.hi - solver_spec.runtime.lo
+    quality = solver_spec.objective_quality or _DEFAULT_QUALITY
+    q_lo, q_span = quality.lo, quality.hi - quality.lo
+    p_solve, p_error, p_subopt = (solver_spec.solve_probability, spec.error_probability,
+                                  spec.subopt_probability)
+    last = tau - _MS  # the latest time a solution can be found
+    below = round(last * 1000.0) / 1000.0  # where a solved time that snaps to the timeout goes
+    times, statuses, objs, ev_iids, ev_ts, ev_vs = [], [], [], [], [], []
+    for iid, is_opt, base_obj, u_solve, u_time, u_error, u_subopt, u_offset, u_split, u_frac, \
+            u_bump in zip(iids, opt, base_objs, *u):
+        obj = inf
+        if u_solve < p_solve:
+            t = round((lo + span * u_time) * 1000.0) / 1000.0
+            if t >= tau:
+                t = below
+            status, reach = solved, t
+            if is_opt:
+                obj = base_obj
+        elif u_error < p_error:
+            status, t = error, tau
+        else:
+            status, t, reach = timeout, tau, last
+            if is_opt and u_subopt < p_subopt:
+                obj = round(base_obj + (q_lo + q_span * u_offset), 6)
+        times.append(t)
+        statuses.append(status)
+        objs.append(obj)
+        if obj != inf:  # either a single improvement or a two-step descent to obj
+            found = round(u_frac * reach * 1000.0) / 1000.0
+            if u_split < 0.5 and found >= 2 * _MS:
+                mid = round(found / 2.0 * 1000.0) / 1000.0
+                if 0.0 <= mid < found:
+                    ev_iids.append(iid)
+                    ev_ts.append(mid)
+                    ev_vs.append(round(obj + 1.0 + 9.0 * u_bump, 6))
+            ev_iids.append(iid)
+            ev_ts.append(found)
+            ev_vs.append(obj)
+    return (times, statuses, objs), (ev_iids, ev_ts, ev_vs)
 
 
 def thorough_vs_fast_spec(

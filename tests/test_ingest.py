@@ -50,6 +50,7 @@ from solvereval import (
     validate_scenario,
 )
 from solvereval.cli import main
+from solvereval.rng import SplitMix64
 from solvereval.scenario import quantize_ms
 from solvereval.synthkit import (
     ArchetypeSpec,
@@ -521,6 +522,30 @@ class TestRoundTrip:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("iid", [" i", "b ", "i\n", "\ti", "", " "])
+    @pytest.mark.parametrize("where", ["instance", "solver"])
+    def test_id_that_would_not_read_back_is_refused(self, tmp_path, iid, where):
+        # The reader strips each id and refuses an empty one: " i" would come back as "i",
+        # and "" as a RowError on line 2.
+        ids = [iid, "x "]  # the first that would not read back is named
+        pairs = [(i, "a") for i in ids] if where == "instance" else [("i", s) for s in ids]
+        sc = validate_scenario(Scenario(
+            "ids", tuple(dict.fromkeys(i for i, _ in pairs)),
+            tuple(dict.fromkeys(s for _, s in pairs)), 100.0,
+            {pair: RunOutcome(1.0, RunStatus.SOLVED) for pair in pairs}))
+        with pytest.raises(SchemaError) as e:
+            emit_scenario(sc, tmp_path / "ids.csv")
+        assert str(e.value) == (f"{where} id {iid!r} would not read back as itself: a runs file"
+                                " strips the space around an id and has no empty one")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_instance_ids_are_judged_before_solver_ids(self, tmp_path):
+        sc = validate_scenario(Scenario("ids", ("i ",), (" s",), 100.0,
+                                        {("i ", " s"): RunOutcome(1.0, RunStatus.SOLVED)}))
+        with pytest.raises(SchemaError, match="instance id 'i '"):
+            emit_scenario(sc, tmp_path / "ids.csv")
+
+
 class TestAslibOrder:
     def test_first_appearance_order_with_interleaved_rows(self, tmp_path):
         rows = "".join(
@@ -804,10 +829,19 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_generate_in_small_blocks(self, monkeypatch, size):
+        # A block of instances is drawn with one next_floats call, and its runs and events
+        # go to the builder by solver: the same stream, and the same scenario, at any size.
         spec = dataclasses.replace(_spec(), error_probability=0.2)
         whole = generate(spec)
+        drawn, next_floats = [], SplitMix64.next_floats
+        monkeypatch.setattr(SplitMix64, "next_floats",
+                            lambda rng, n: drawn.append(next_floats(rng, n)) or drawn[-1])
         monkeypatch.setattr(solvereval.synthkit, "_BLOCK", size)
         again = generate(spec)
         assert again == whole
         assert dict(again.outcomes.times) == dict(whole.outcomes.times)
         assert dict(again.trajectories.offsets) == dict(whole.trajectories.offsets)
+        draws, n = 2 + 8 * len(spec.solvers), spec.n_instances  # per instance
+        assert [len(u) for u in drawn] == [draws * min(size, n - k) for k in range(0, n, size)]
+        stream = SplitMix64(spec.seed)
+        assert [x for u in drawn for x in u] == [stream.next_float() for _ in range(draws * n)]

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
 import pytest
 from helpers import scenario_from, solved, timed_out
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fold_columns import POLICIES, generated, plans
 from test_properties import scenarios
@@ -254,6 +255,124 @@ class TestEmitScenario:
         emit_scenario(sc, runs)
         assert "o1,a,timeout,100.000,inf" in runs.read_text()
         assert parse_runs(runs, 100.0) == sc
+
+
+def csv_writer_emit(scenario, runs_path, trajectories_path):
+    """emit_scenario's files as csv.writer wrote them: a tuple per row through writerows."""
+    statuses = {RunStatus.SOLVED: "ok", RunStatus.TIMEOUT: "timeout", RunStatus.ERROR: "crash"}
+    decision = InstanceKind.DECISION
+    has_opt = any(i.kind is not decision for i in scenario.instances)
+    fields = ("instance_id", "solver_id", "status", "time_s")
+    runs, tr = scenario.outcomes, scenario.trajectories
+    run_rows, event_rows = [(*fields, "obj") if has_opt else fields], [
+        ("instance_id", "solver_id", "t_s", "obj")]
+    for p, inst in enumerate(scenario.instances):
+        for s in scenario.solvers:
+            cells = inst.id, s, statuses[runs.statuses[s][p]], f"{runs.times[s][p]:.3f}"
+            obj = "" if inst.kind is decision else runs.objs[s][p]
+            run_rows.append((*cells, obj) if has_opt else cells)
+            for e in range(tr.offsets[s][p], tr.offsets[s][p + 1]):
+                event_rows.append((inst.id, s, f"{tr.times[s][e]:.3f}", tr.objs[s][e]))
+    written = [(runs_path, run_rows)] + [(trajectories_path, event_rows)] * (len(event_rows) > 1)
+    for path, rows in written:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return [path for path, _ in written]
+
+
+# Ids that must be quoted (a comma, a quote, a line break inside) or are not ASCII; none
+# has space around it, which the reader would strip.
+ID_TEXT = st.text(st.sampled_from('ab,"\né\t '), min_size=1, max_size=4).filter(
+    lambda text: text == text.strip())
+
+
+@st.composite
+def quoted_scenarios(draw, timeout_s=100.0):
+    """Decision-only, optimization-only or mixed scenarios under drawn ids, with
+    trajectories that end at each run's objective."""
+    iids = draw(st.lists(ID_TEXT, min_size=1, max_size=4, unique=True))
+    sids = draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True))
+    kinds = {i: draw(st.sampled_from(["decision", "optimization"])) for i in iids}
+    cells, trajectories = {}, {}
+    for i in iids:
+        opt = kinds[i] == "optimization"
+        for s in sids:
+            if draw(st.booleans()):
+                t = draw(st.integers(0, round(timeout_s * 1000) - 1)) / 1000
+                cells[(i, s)] = solved(t, 5.0 if opt else math.inf)
+                if opt:
+                    events = ((t / 2, 6.5), (t, 5.0)) if t else ((t, 5.0),)
+                    trajectories[(i, s)] = Trajectory(events)
+            else:
+                obj = float(draw(st.integers(5, 9))) if opt and draw(st.booleans()) else math.inf
+                cells[(i, s)] = timed_out(timeout_s, obj)
+                if obj < math.inf:
+                    trajectories[(i, s)] = Trajectory(((1.0, obj),))
+    return scenario_from(cells, timeout_s, kinds, trajectories=trajectories, scenario_id="q")
+
+
+def _emitted(sc, directory):
+    """The bytes of the files emit_scenario writes, then of those the csv.writer rows give
+    (a trajectory file only when there are events), and the parse of the first."""
+    ours = emit_scenario(sc, directory / "ours.csv", directory / "ours_t.csv")
+    theirs = csv_writer_emit(sc, directory / "theirs.csv", directory / "theirs_t.csv")
+    parsed = parse_runs(ours[0], sc.timeout_s, ours[1] if ours[1:] else None, "q")
+    return [p.read_bytes() for p in ours], [p.read_bytes() for p in theirs], parsed
+
+
+class TestEmitBytes:
+    """emit_scenario formats each row as one string; the bytes are csv.writer's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sc=quoted_scenarios())
+    def test_same_bytes_as_csv_writer_rows(self, tmp_path_factory, sc):
+        ours, theirs, parsed = _emitted(sc, tmp_path_factory.mktemp("emit"))
+        assert ours == theirs
+        assert parsed == sc
+
+    @pytest.mark.parametrize("ids", [
+        ("a,b", 'say "hi"', "x\ny", "x\r\ny", "café", "日本"),
+        ("plain", "ascii"),
+    ])
+    @pytest.mark.parametrize("kinds", ["decision", "optimization", "mixed"])
+    def test_quoted_ids(self, tmp_path, ids, kinds):
+        kind = {i: "optimization" if kinds == "optimization" or kinds == "mixed" and n % 2
+                else "decision" for n, i in enumerate(ids)}
+        opt = [i for i in ids if kind[i] == "optimization"]
+        cells = {(i, s): solved(1.5, 3.0) if kind[i] == "optimization" else solved(1.5)
+                 for i in ids for s in ("s,1", "s2")}
+        trajectories = {(i, s): Trajectory(((0.5, 4.0), (1.5, 3.0))) for i in opt
+                        for s in ("s,1", "s2")}
+        sc = scenario_from(cells, kinds=kind, trajectories=trajectories, scenario_id="q")
+        ours, theirs, parsed = _emitted(sc, tmp_path)
+        assert ours == theirs
+        assert parsed == sc
+        header = ours[0].split(b"\n", 1)[0]
+        assert header.endswith(b",obj") == (kinds != "decision")
+
+    def test_off_grid_timeout(self, tmp_path):
+        # An unsolved run is stored at the timeout, 7.0009, and written as 7.001, which the
+        # reader takes as the timeout.
+        sc = scenario_from({("o1", "a"): timed_out(7.0009, 3.0), ("o1", "b"): solved(7.0, 3.0)},
+                           7.0009, {"o1": "optimization"}, scenario_id="q",
+                           trajectories={("o1", "a"): Trajectory(((7.0, 3.0),)),
+                                         ("o1", "b"): Trajectory(((7.0, 3.0),))})
+        ours, theirs, parsed = _emitted(sc, tmp_path)
+        assert ours == theirs
+        assert ours[0] == b"instance_id,solver_id,status,time_s,obj\no1,a,timeout,7.001,3.0\n" \
+                          b"o1,b,ok,7.000,3.0\n"
+        assert parsed == sc
+
+    def test_lone_carriage_return_is_quoted(self, tmp_path):
+        # csv.writer with a "\n" terminator leaves a lone "\r" unquoted, and the reader ends
+        # a row there; emit_scenario quotes it, so the id reads back.
+        sc = scenario_from({("a\rb", "s"): solved(1.0), ("c", "s\rt"): solved(2.0),
+                            ("a\rb", "s\rt"): solved(3.0), ("c", "s"): solved(4.0)},
+                           scenario_id="q")
+        ours, theirs, parsed = _emitted(sc, tmp_path)
+        assert ours[0] == (b'instance_id,solver_id,status,time_s\n"a\rb",s,ok,1.000\n'
+                           b'"a\rb","s\rt",ok,3.000\nc,s,ok,4.000\nc,"s\rt",ok,2.000\n')
+        assert parsed == sc
 
 
 ARFF = """% run data

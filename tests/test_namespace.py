@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import importlib
+import io
 import os
 import pkgutil
 import subprocess
@@ -12,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import solvereval
-from solvereval.cli import build_parser
+from solvereval.cli import build_parser, main
 from solvereval.metrics import METRICS
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(solvereval.__path__))
@@ -36,6 +39,7 @@ class TestLazyNamespace:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = eval(proc.stdout)
+        assert "solvereval.metrics" not in loaded
         assert "solvereval.harness" not in loaded
         assert "solvereval.baselines" not in loaded
         assert "solvereval.oracle" not in loaded
@@ -60,6 +64,32 @@ class TestLazyNamespace:
         code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
         assert code == "0"
         assert {"solvereval.harness", "solvereval.baselines", "statistics"}.isdisjoint(
+            eval(loaded))
+
+    @pytest.mark.parametrize("command", ["gen", "validate", "head2head", "runtime-dist"])
+    def test_ingest_commands_load_no_scoring_module(self, command, tmp_path):
+        # The metric names the parser offers are written out in cli, not read off the
+        # registry, so reading and writing runs files compiles no scoring module.
+        runs = tmp_path / "runs.csv"
+        runs.write_text("instance_id,solver_id,status,time_s\ni1,a,ok,1.5\ni1,b,timeout,10\n")
+        read = [str(runs), "--timeout", "10"]
+        argv = {
+            "gen": ["gen", "--instances", "5", "--opt-fraction", "0.5",
+                    "-o", str(tmp_path / "gen.csv")],
+            "validate": ["validate", *read],
+            "head2head": ["head2head", *read, "--format", "json"],
+            "runtime-dist": ["runtime-dist", *read, "--format", "json"],
+        }[command]
+        proc = _child(
+            "import sys\n"
+            "from solvereval.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('solvereval.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        assert {"solvereval.metrics", "solvereval.harness", "solvereval.baselines"}.isdisjoint(
             eval(loaded))
 
     @pytest.mark.parametrize("argv", [
@@ -166,3 +196,21 @@ class TestCliChoicesFromRegistry:
         base = [m for m, info in METRICS.items() if info.decomposable_base]
         assert _choices(command, "base_metric") == base
         assert base == ["par", "runtime", "area"]
+
+    @pytest.mark.parametrize("command", ["score", "rank"])
+    def test_help_lists_the_registry(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # unwrapped, whatever the width
+        assert "--metric {" + ",".join(sorted(METRICS)) + "}" in text
+        assert "--base-metric {par,runtime,area}" in text
+
+    def test_unknown_metric_message(self, capsys):
+        # argparse's own wording of a bad choice, over the registry's names in order.
+        reference = argparse.ArgumentParser(prog="solvereval score")
+        reference.add_argument("--metric", choices=sorted(METRICS))
+        with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()) as err:
+            reference.parse_args(["--metric", "nope"])
+        wording = err.getvalue().splitlines()[-1].split("error: ", 1)[1]
+        assert wording.startswith("argument --metric: invalid choice: 'nope' (choose from ")
+        assert main(["score", "runs.csv", "--timeout", "1", "--metric", "nope"]) == 1
+        assert capsys.readouterr().err == f"error: solvereval score: {wording}\n"

@@ -38,7 +38,7 @@ def test_known_values():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_is_successive_draws_and_the_stream_goes_on(seed):
     batched, single = SplitMix64(seed), SplitMix64(seed)
-    for n in (0, 1, 2, 8, 3, 162, 100):
+    for n in (0, 1, 2, 8, 3, 162, 100, 16 * 162):  # 16 * 162: a 16-instance block of 20 solvers
         assert batched.next_floats(n) == [single.next_float() for _ in range(n)]
         assert batched.next_u64() == single.next_u64()
         assert batched.next_float() == single.next_float()

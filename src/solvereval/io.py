@@ -3,8 +3,9 @@
 The canonical runs file is a CSV with columns
 ``instance_id,solver_id,status,time_s[,obj]``; objective trajectories live in
 a sibling ``<stem>_trajectories.csv`` with columns
-``instance_id,solver_id,t_s,obj``. A best-effort reader for attribute-relation
-(ARFF style) run tables is also provided.
+``instance_id,solver_id,t_s,obj``. Attribute-relation run tables (ASlib's
+``algorithm_runs.arff``) are read too, the same way: a block of rows at a time
+(_blocks), by columns up to its first bad cell (_Cut), into ScenarioBuilder.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import warnings as _warnings
 from collections import deque
 from contextlib import contextmanager
 from io import StringIO
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, compress, count, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
 from .errors import RowError, SchemaError, UnsupportedAttribute
-from .scenario import SECOND_RUN, InstanceKind, RunStatus, Scenario, ScenarioBuilder, check_timeout
+from .scenario import (SECOND_RUN, InstanceKind, RunStatus, Scenario, ScenarioBuilder,
+                       check_timeout, quantize_ms)
 
 if TYPE_CHECKING:  # reading and writing scenarios loads no scoring module
     from .harness import EvaluationResult, RankEntry
@@ -59,20 +61,6 @@ def _open(path: str | Path, mode: str = "r"):
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_float(cell: str | None, what: str, line_no: int) -> float:
-    try:
-        return float(cell)
-    except (TypeError, ValueError):
-        raise RowError(line_no, f"unparseable {what} {cell!r}") from None
-
-
-def _parse_time(cell: str, line_no: int) -> float:
-    t = _parse_float(cell, "time_s", line_no)
-    if math.isnan(t) or math.isinf(t):
-        raise RowError(line_no, f"time_s must be finite, got {cell!r}")
-    return t
-
-
 def parse_runs(
     path: str | Path,
     timeout_s: float,
@@ -90,12 +78,11 @@ def parse_runs(
     follow the last row.
 
     Rows are read a block at a time (_blocks), their cells converted column by
-    column. ScenarioBuilder.runs judges and places the runs; a run it refuses
-    is a RowError naming its line, with the builder's reason. A block with a
-    cell that must be named goes one row at a time, so the rows before that
-    cell are judged first: the first failing line and its message are those
-    of a row-by-row read. The trajectory file goes the same way, through
-    ScenarioBuilder.events.
+    column up to the block's first bad cell (_Cut). ScenarioBuilder.runs judges
+    and places the runs before it; a run it refuses is a RowError naming its
+    line, with the builder's reason, and then comes the bad cell's RowError.
+    So the first failing line and its message are those of a row-by-row read.
+    The trajectory file goes the same way, through ScenarioBuilder.events.
     """
     path = Path(path)
     timeout_s = check_timeout(timeout_s)
@@ -128,16 +115,14 @@ _BLOCK = 256  # rows read, checked and placed at a time
 
 
 def _blocks(reader):
-    """The reader's rows a block at a time, each with the lines its rows end on.
-
-    A csv error is raised after the rows read before it are taken, as it
-    would be one row at a time.
-    """
+    """The reader's rows a block at a time, with the lines they end on. An error in reading
+    (csv's, text that is not UTF-8, or a SchemaError from the reader's lines) is raised after
+    the rows read before it are taken, as it would be one row at a time."""
     while True:
         first, rows = reader.line_num, []
         try:
             rows.extend(islice(reader, _BLOCK))
-        except csv.Error:
+        except (csv.Error, SchemaError, UnicodeDecodeError):
             if rows:
                 yield rows, _row_lines(rows, first, None)
             raise
@@ -159,69 +144,93 @@ def _row_lines(rows: list[list[str]], first: int, last: int | None) -> Sequence[
     return list(accumulate(spans, initial=first))[1:]
 
 
+class _Cut:
+    """A block's first bad row so far, and why: the first cell rule that row fails.
+
+    A converter checks one cell rule at a time over a column, in the order a
+    row's cells are checked, and each only on the rows before the cut. So the
+    row left at the cut is the block's first bad row, and the message names
+    the first rule it fails. The rows before it go to the builder first, so
+    a refusal among them comes before the cut's RowError (raise_at). A blank
+    line has no row, but counts: its empty row goes with its line, at the width check.
+    """
+
+    def __init__(self, rows: list[list[str]], lines: Sequence[int], width: int):
+        self.at, self.why, self.lines = len(rows), None, lines
+        self.columns = list(zip(*rows))  # of the rows before the cut
+        if len(self.columns) != width or sum(map(len, rows)) != width * len(rows):
+            rows, self.lines = list(filter(None, rows)), list(compress(lines, rows))
+            self.at = len(rows)
+            widths = list(map(len, rows))
+            self.first(list(map(width.__eq__, widths)), False,
+                       f"expected {width} fields, got {{}}", widths)
+            self.columns = list(zip(*rows[:self.at])) or [()] * width
+
+    def to(self, j: int, why: str, cells: Sequence[str], at: Sequence[int] | None = None) -> None:
+        """Cut at the row of cells[j] (at[j], or j) if it is before the cut, why naming it."""
+        k = j if at is None else at[j]
+        if k < self.at:
+            self.at, self.why = k, why.format(cells[j])
+
+    def first(self, values: list, bad: object, why: str, cells: Sequence[str],
+              at: Sequence[int] | None = None) -> None:
+        """Cut at the row of the first value that is bad, if it is before the cut."""
+        if bad in values:
+            self.to(values.index(bad), why, cells, at)
+
+    def floats(self, cells: Sequence[str], why: str, at: Sequence[int] | None = None,
+               infinite: str | None = None) -> list[float]:
+        """The cells as floats, at least those of the rows before the cut; at[j] is the row of
+        cells[j] (j by default). The cut moves to the first that is no float, why naming it,
+        and then, with infinite, to the first that is not finite."""
+        values: list[float] = []
+        try:
+            values.extend(map(float, cells if self.why is None else islice(cells, self.at)))
+        except ValueError:
+            self.to(len(values), why, cells, at)
+        if infinite and not math.isfinite(sum(values)):  # each is finite, short of an overflow
+            self.first(list(map(math.isfinite, values)), False, infinite, cells, at)
+        return values
+
+    def raise_at(self) -> None:
+        if self.why is not None:
+            raise RowError(self.lines[self.at], self.why)
+
+
 def _take_runs(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple,
                rows: list[list[str]], lines: Sequence[int]) -> None:
-    """Place a block of runs rows by columns, or one row at a time from a bad cell on."""
-    block = _run_columns(width, cells, rows)
-    if block is not None:
-        _place_runs(builder, opt, lines, *block)
-        return
-    for row, line in zip(rows, lines):
-        if row:
-            _place_runs(builder, opt, (line,), *zip(_run_cells(width, cells, row, line)))
+    """Place a block of runs rows by columns up to its first bad cell, then raise that cell's
+    RowError. An instance with an obj cell goes to opt."""
+    c_inst, c_solver, c_status, c_time, c_obj = cells
+    cut = _Cut(rows, lines, width)
+    columns = cut.columns
+    iids, sids = list(map(str.strip, columns[c_inst])), list(map(str.strip, columns[c_solver]))
+    for ids in (iids, sids):
+        cut.first(ids, "", "instance_id and solver_id must be non-empty", ids)
+    statuses = list(map(_STATUS_IN.get, columns[c_status]))
+    if None in statuses:  # a status cell reads as it is stripped and lowered
+        read = list(map(str.lower, map(str.strip, columns[c_status])))
+        statuses = list(map(_STATUS_IN.get, read))
+        cut.first(statuses, None, f"unknown status {{!r}}; expected one of {sorted(_STATUS_IN)}",
+                  read)
+    times = cut.floats(columns[c_time], "unparseable time_s {!r}")
+    obj_cells = list(map(str.strip, columns[c_obj])) if c_obj is not None else ()
+    objs = [math.inf] * len(iids)  # an empty obj cell reads as +inf, the one object
+    filled = list(compress(count(), obj_cells))
+    deque(map(objs.__setitem__, filled, cut.floats(
+        list(filter(None, obj_cells)), "unparseable obj {!r}", filled)), maxlen=0)
+    _place_runs(builder, cut.lines, iids[:cut.at], sids, times, statuses, objs)
+    cut.raise_at()
+    opt.update(compress(iids, obj_cells))
 
 
-def _place_runs(builder: ScenarioBuilder, opt: set[str], lines: Sequence[int], iids, sids,
-                statuses, times, objs, obj_cells) -> None:
-    """Hand parsed runs rows to the builder; a RowError naming the first it refuses, and why."""
+def _place_runs(builder: ScenarioBuilder, lines: Sequence[int], iids: list[str], sids: list[str],
+                times, statuses, objs) -> None:
+    """Hand the runs of iids to the builder; a RowError naming the first it refuses, and why."""
     k, why = builder.runs(iids, sids, times, statuses, objs, True)  # unsolved_at_timeout
     if why is not None:
         raise RowError(lines[k], f"duplicate row for ({iids[k]}, {sids[k]})"
                        if why == SECOND_RUN else why)
-    opt.update(compress(iids, obj_cells))
-
-
-def _run_columns(width: int, cells: tuple, rows: list[list[str]]) -> tuple | None:
-    """A block of runs rows as columns (ids, solvers, statuses, times, objs, obj cells), or
-    None when a row has a cell that _run_cells must name or read."""
-    if {*map(len, rows)} - {width}:
-        return None
-    c_inst, c_solver, c_status, c_time, c_obj = cells
-    columns = list(zip(*rows))
-    iids = list(map(str.strip, columns[c_inst]))
-    sids = list(map(str.strip, columns[c_solver]))
-    statuses = list(map(_STATUS_IN.get, columns[c_status]))
-    if "" in iids or "" in sids or None in statuses:
-        return None
-    obj_cells = list(map(str.strip, columns[c_obj])) if c_obj is not None else ()
-    objs = [math.inf] * len(rows)  # an empty obj cell reads as +inf, the one object
-    filled = list(compress(count(), obj_cells))
-    try:
-        times = list(map(float, columns[c_time]))
-        deque(map(objs.__setitem__, filled, map(float, map(obj_cells.__getitem__, filled))),
-              maxlen=0)
-    except ValueError:
-        return None
-    return iids, sids, statuses, times, objs, obj_cells
-
-
-def _run_cells(width: int, cells: tuple, row: list[str], line_no: int) -> tuple:
-    """One runs row's (id, solver, status, time, obj, obj cell); a RowError naming a bad cell."""
-    if len(row) != width:
-        raise RowError(line_no, f"expected {width} fields, got {len(row)}")
-    c_inst, c_solver, c_status, c_time, c_obj = cells
-    iid, sid = row[c_inst].strip(), row[c_solver].strip()
-    if not iid or not sid:
-        raise RowError(line_no, "instance_id and solver_id must be non-empty")
-    status = _STATUS_IN.get(row[c_status]) or _STATUS_IN.get(
-        status_raw := row[c_status].strip().lower())
-    if status is None:
-        raise RowError(line_no,
-                       f"unknown status {status_raw!r}; expected one of {sorted(_STATUS_IN)}")
-    obj_cell = row[c_obj].strip() if c_obj is not None else ""
-    t = _parse_float(row[c_time], "time_s", line_no)
-    obj = _parse_float(obj_cell, "obj", line_no) if obj_cell else math.inf
-    return iid, sid, status, t, obj, obj_cell
 
 
 def _header(path: str | Path, header: list[str]) -> list[str]:
@@ -259,44 +268,21 @@ def _read_trajectories(builder: ScenarioBuilder, runs_path: Path,
 
 def _take_events(builder: ScenarioBuilder, width: int, cells: tuple, rows: list[list[str]],
                  lines: Sequence[int]) -> None:
-    """Hand a block of trajectory rows to the builder by columns, ids as read; from the first
-    row it does not take (a bad cell, or a padded id), one row at a time, ids stripped."""
-    block = _event_columns(width, cells, rows)
-    k = 0 if block is None else builder.events(*block)
-    for row, line in zip(rows[k:], lines[k:]):
-        if row:
-            iid, sid, t, v = _event_cells(builder, width, cells, row, line)
-            if not builder.events((iid,), (sid,), (t,), (v,)):
-                raise RowError(line, f"trajectory row for unknown pair {(iid, sid)!r}")
-
-
-def _event_columns(width: int, cells: tuple, rows: list[list[str]]) -> tuple | None:
-    """A block of trajectory rows as columns (ids as read), or None when a row has a cell that
-    _event_cells must name: a wrong width, no float, or a time not finite."""
-    if {*map(len, rows)} - {width}:
-        return None
-    c_inst, c_solver, c_time, c_obj = cells
-    columns = list(zip(*rows))
-    try:
-        ts, vs = list(map(float, columns[c_time])), list(map(float, columns[c_obj]))
-    except ValueError:
-        return None
-    if not math.isfinite(sum(ts)):  # finite if every time is, short of an overflow
-        return None
-    return columns[c_inst], columns[c_solver], ts, vs
-
-
-def _event_cells(builder: ScenarioBuilder, width: int, cells: tuple, row: list[str],
-                 line_no: int) -> tuple:
-    """One trajectory row's (id, solver, time, obj); a RowError naming a bad cell of a pair
-    with a run."""
-    if len(row) != width:
-        raise RowError(line_no, f"expected {width} fields, got {len(row)}")
-    c_inst, c_solver, c_time, c_obj = cells
-    iid, sid, t, v = row[c_inst].strip(), row[c_solver].strip(), None, None
-    if builder.has_run(iid, sid):  # else the builder names the pair, before its cells
-        t, v = _parse_time(row[c_time], line_no), _parse_float(row[c_obj], "obj", line_no)
-    return iid, sid, t, v
+    """Hand a block of trajectory rows to the builder by columns up to its first bad cell, then
+    raise that cell's RowError. A row's cells are judged only when its pair has a run: a row
+    of no run is named as such, before its cells."""
+    cut = _Cut(rows, lines, width)
+    iids, sids, ts, vs = (cut.columns[c] for c in cells)
+    ts = cut.floats(ts, "unparseable time_s {!r}", infinite="time_s must be finite, got {!r}")
+    vs = cut.floats(vs, "unparseable obj {!r}")
+    k = builder.events(islice(iids, cut.at), sids, ts, vs)  # ids as read: most have no space
+    if k < len(iids):  # the builder stopped, or a cell cut the block: the rest read stripped
+        iids, sids = list(map(str.strip, iids)), list(map(str.strip, sids))
+        k += builder.events(islice(iids, k, cut.at), sids[k:], ts[k:], vs[k:])
+    # The builder stops at a row of no run; the cut's row may be one too.
+    if k < len(iids) and (k < cut.at or not builder.has_run(iids[k], sids[k])):
+        raise RowError(cut.lines[k], f"trajectory row for unknown pair {(iids[k], sids[k])!r}")
+    cut.raise_at()
 
 
 def emit_scenario(
@@ -402,48 +388,23 @@ def parse_aslib_runs(
     before it that is not blank, a % comment, @relation or @attribute, is a
     SchemaError. Only repetition 1 is kept (others are ignored with a
     warning). runstatus ok maps to solved, memout and crash to error,
-    anything else to timeout. An unsolved run, and an ok run the builder
-    refuses as not before the timeout, is scored at the timeout; a negative
-    runtime is a RowError. Each data row goes to the builder as it is read.
+    anything else to timeout. An unsolved run, and an ok run not before the
+    timeout once snapped, is scored at the timeout; a negative runtime is a
+    RowError. The data lines, each read by csv on its own, then go the way
+    of a runs CSV's rows.
     """
     path = Path(path)
     timeout_s = check_timeout(timeout_s)
-    attrs: list[str] = []
-    col = None  # each required attribute's position, from the @data line on
     builder, skipped_repetitions = ScenarioBuilder(timeout_s), 0
     with _open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            low = line.lower()
-            if low.startswith("@relation"):
-                continue
-            if low.startswith("@attribute"):
-                if col is not None:
-                    raise SchemaError(f"{path}: attribute on line {line_no} follows @data")
-                parts = line.split(None, 2)
-                if len(parts) < 2:
-                    raise SchemaError(f"{path}: malformed attribute on line {line_no}")
-                attrs.append(parts[1].strip().strip("'\"").lower())
-                continue
-            if low.startswith("@data"):
-                col = col or _aslib_columns(path, attrs)
-                continue
-            if col is None:
-                raise SchemaError(f"{path}: line {line_no} comes before @data and is not "
-                                  "blank, a comment, @relation or @attribute")
-            if not _aslib_run(builder, next(csv.reader([line])), len(attrs), col, line_no):
-                skipped_repetitions += 1
+        col, header_lines = _aslib_header(path, fh)
+        for rows, lines in _blocks(csv.reader(_aslib_data(path, fh, header_lines))):
+            skipped_repetitions += _take_aslib(builder, col, rows, lines)
+            del rows, lines  # freed before _blocks reads the next block
 
-    if col is None:  # no @data line: the attributes are still checked
-        _aslib_columns(path, attrs)
     if skipped_repetitions:
-        _warnings.warn(
-            f"{path}: ignored {skipped_repetitions} row(s) with repetition != 1",
-            UserWarning,
-            stacklevel=2,
-        )
+        _warnings.warn(f"{path}: ignored {skipped_repetitions} row(s) with repetition != 1",
+                       UserWarning, stacklevel=2)
     builder.close_runs()
     return builder.scenario(scenario_id or path.stem)
 
@@ -451,8 +412,25 @@ def parse_aslib_runs(
 _ASLIB_REQUIRED = ("instance_id", "repetition", "algorithm", "runtime", "runstatus")
 
 
-def _aslib_columns(path: Path, attrs: list[str]) -> dict[str, int]:
-    """Each required attribute's position; no attribute may repeat, be missing or be another."""
+def _aslib_header(path: Path, fh) -> tuple[dict[str, int], int]:
+    """Each required attribute's position, from the lines up to the @data line (or the end);
+    and the number of lines read. No attribute may repeat, be missing or be another."""
+    attrs: list[str] = []
+    line_no = 0
+    for line_no, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        low = line.lower()
+        if not line or line.startswith("%") or low.startswith("@relation"):
+            continue
+        if low.startswith("@data"):
+            break
+        if not low.startswith("@attribute"):
+            raise SchemaError(f"{path}: line {line_no} comes before @data and is not "
+                              "blank, a comment, @relation or @attribute")
+        parts = line.split(None, 2)
+        if len(parts) < 2:
+            raise SchemaError(f"{path}: malformed attribute on line {line_no}")
+        attrs.append(parts[1].strip().strip("'\"").lower())
     _header(path, attrs)
     missing = [a for a in _ASLIB_REQUIRED if a not in attrs]
     if missing:
@@ -460,34 +438,55 @@ def _aslib_columns(path: Path, attrs: list[str]) -> dict[str, int]:
     extra = [a for a in attrs if a not in _ASLIB_REQUIRED]
     if extra:
         raise UnsupportedAttribute(f"{path}: unsupported attributes {extra}")
-    return {a: attrs.index(a) for a in _ASLIB_REQUIRED}
+    return {a: attrs.index(a) for a in _ASLIB_REQUIRED}, line_no
 
 
-def _aslib_run(builder: ScenarioBuilder, cells: list[str], width: int, col: dict[str, int],
-               line_no: int) -> bool:
-    """Hand a data row's run to the builder, at the timeout unless solved; False for a
-    repetition other than 1. An ok run it refuses, but as a second run, goes again as a
-    timeout. A negative runtime goes as it is, for the builder to refuse."""
-    if len(cells) != width:
-        raise RowError(line_no, f"expected {width} fields, got {len(cells)}")
-    cells = [c.strip().strip("'\"") for c in cells]
-    try:
-        repetition = int(float(cells[col["repetition"]]))
-    except (ValueError, OverflowError):
-        raise RowError(line_no, f"unparseable repetition {cells[col['repetition']]!r}") from None
-    if repetition != 1:
-        return False
-    run = cells[col["instance_id"]], cells[col["algorithm"]]
-    t = _parse_time(cells[col["runtime"]], line_no)
-    status = _STATUS_IN.get(cells[col["runstatus"]].lower(), RunStatus.TIMEOUT)
-    if status is RunStatus.SOLVED:
-        why = builder.runs(*zip(run), (t,), (status,), (math.inf,))[1]
-        if why is None:
-            return True
-        status = status if why == SECOND_RUN else RunStatus.TIMEOUT
-    at = t if status is RunStatus.SOLVED or t < 0 else builder.timeout_s
-    _place_runs(builder, set(), (line_no,), *zip(run), (status,), (at,), (math.inf,), ("",))
-    return True
+def _aslib_data(path: Path, fh, line_no: int):
+    """The file's lines, stripped, as csv is to read them: the line_no lines read already and
+    each line with no row (blank, a % comment, @relation or @data) as empty ones, and a line
+    with a quote re-quoted, so that an open quote is read within its line and not into the
+    next. An @attribute line is a SchemaError."""
+    yield from repeat("", line_no)
+    for line_no, raw in enumerate(fh, start=line_no + 1):
+        line = raw.strip()
+        if line.startswith(("%", "@")):
+            low = line.lower()
+            if low.startswith("@attribute"):
+                raise SchemaError(f"{path}: attribute on line {line_no} follows @data")
+            if line[0] == "%" or low.startswith(("@relation", "@data")):
+                line = ""
+        if '"' in line:
+            line = ",".join(['"' + c.replace('"', '""') + '"' for c in next(csv.reader((line,)))])
+        yield line
+
+
+def _take_aslib(builder: ScenarioBuilder, col: dict[str, int], rows: list[list[str]],
+                lines: Sequence[int]) -> int:
+    """Place a block's data rows of repetition 1 by columns up to its first bad cell, then
+    raise that cell's RowError; the number of rows of another repetition. A cell is read
+    stripped, of space and then of quotes."""
+    cut = _Cut(rows, lines, len(col))
+    cells = {a: list(map(str.strip, map(str.strip, cut.columns[c]), repeat("'\"")))
+             for a, c in col.items()}
+    why = "unparseable repetition {!r}"
+    reps = cut.floats(cells["repetition"], why, infinite=why)
+    keep = list(map((1).__eq__, map(int, reps[:cut.at])))
+    kept = list(compress(count(), keep))  # the rows of repetition 1: their runtimes are read
+    times = cut.floats(list(compress(cells["runtime"], keep)), "unparseable time_s {!r}", kept,
+                       infinite="time_s must be finite, got {!r}")
+    keep = keep[:cut.at]
+    tau, solved, timeout = builder.timeout_s, RunStatus.SOLVED, RunStatus.TIMEOUT
+    statuses = map(_STATUS_IN.get, map(str.lower, cells["runstatus"]), repeat(timeout))
+    # An ok run not before the timeout once snapped is a timeout. An unsolved run is scored at
+    # the timeout; a negative runtime goes as it is, for the builder to refuse.
+    statuses = [timeout if s is solved and t >= 0.0 and not quantize_ms(t) < tau else s
+                for s, t in zip(compress(statuses, keep), times)]
+    times = [t if s is solved or t < 0.0 else tau for s, t in zip(statuses, times)]
+    _place_runs(builder, list(compress(cut.lines, keep)),
+                list(compress(cells["instance_id"], keep)),
+                list(compress(cells["algorithm"], keep)), times, statuses, repeat(math.inf))
+    cut.raise_at()
+    return keep.count(False)
 
 
 def build_report(

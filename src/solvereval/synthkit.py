@@ -37,9 +37,6 @@ class DrawSpec:
     lo: float
     hi: float
 
-    def sample(self, u: float) -> float:
-        return self.lo + (self.hi - self.lo) * u
-
 
 def uniform(lo: float, hi: float) -> DrawSpec:
     return DrawSpec(float(lo), float(hi))

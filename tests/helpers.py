@@ -69,3 +69,38 @@ def scenario_from(
         for i in instance_ids
     ]
     return build_scenario(scenario_id, instances, solver_ids, timeout_s, cells, trajectories)
+
+
+ARFF_HEADER = (
+    "@relation runs\n"
+    "@attribute instance_id string\n"
+    "@attribute repetition numeric\n"
+    "@attribute algorithm string\n"
+    "@attribute runtime numeric\n"
+    "@attribute runstatus {ok,timeout,memout,crash}\n"
+    "@data\n"
+)
+_RUNSTATUS = {RunStatus.SOLVED: "ok", RunStatus.TIMEOUT: "timeout", RunStatus.ERROR: "crash"}
+# Lines that carry no run of repetition 1: each reader skips them ({} is the run's ids).
+_NO_RUN_LINES = ("% a comment", "", "   ", "\t", "@relation again", "@data", "@DATA",
+                 "{},2,{},junk,ok", "{},3,{},1.0,timeout")
+
+
+def aslib_runs_text(scenario: Scenario, rng=None) -> tuple[str, int]:
+    """A scenario's runs as an attribute-relation table (ASlib's algorithm_runs.arff), in
+    instance then solver order, and the number of rows of another repetition in it.
+
+    Each run is repetition 1, its runtime written with three decimals. With a
+    random.Random, lines that carry no run of repetition 1 go between the runs
+    about one time in three (_NO_RUN_LINES).
+    """
+    lines, others = [ARFF_HEADER.rstrip("\n")], 0
+    for iid in scenario.instance_ids:
+        for s in scenario.solvers:
+            run = scenario.outcome(iid, s)
+            lines.append(f"{iid},1,{s},{run.time_s:.3f},{_RUNSTATUS[run.status]}")
+            if rng is not None and rng.random() < 1 / 3:
+                line = rng.choice(_NO_RUN_LINES)
+                others += line.startswith("{}")
+                lines.append(line.format(iid, s))
+    return "\n".join(lines) + "\n", others

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import math
 import pickle
+import random
 import tempfile
 import warnings
 from pathlib import Path
@@ -29,6 +30,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from helpers import aslib_runs_text
 from test_fold_columns import generated
 from test_properties import scenarios
 
@@ -818,8 +820,27 @@ class TestBlockBoundaries:
         finally:
             csv.field_size_limit(limit)
 
+    @pytest.mark.parametrize("head,row,good", [
+        (RUNS, "i0,a,weird,1.0,", "i{:04d},a{},ok,1.0,"),
+        (ARFF, "i0,1,a,abc,ok", "i{:04d},1,a{},1.0,ok"),
+    ], ids=["runs", "arff"])
+    def test_row_error_before_text_that_is_not_utf8_later_in_its_block(self, tmp_path, block,
+                                                                       head, row, good):
+        # The bytes that do not decode come some 9 KB (past a text chunk) after the bad row.
+        good = "".join(good.format(k, "_" * 30) + "\n" for k in range(1, 250))
+        p = tmp_path / ("r.arff" if head == ARFF else "r.csv")
+        read = parse_aslib_runs if head == ARFF else parse_runs
+        p.write_bytes((head + row + "\n" + good).encode() + b"\xff\n")
+        with pytest.raises(RowError) as e:
+            read(p, 100.0)
+        assert e.value.line_no == head.count("\n") + 1
+        p.write_bytes((head + good).encode() + b"\xff\n")
+        with pytest.raises(SchemaError, match="not UTF-8 text"):
+            read(p, 100.0)
+
     def test_padded_cells_read_as_plain_ones(self, tmp_path, block):
-        # Cells with spaces around them leave the block path for the row-by-row one.
+        # Runs-file ids and statuses are read stripped; trajectory ids are read stripped from
+        # the first row whose pair the builder does not find as read.
         runs = RUNS + "o1,a,ok,3.0,5.0\no1,b,timeout,100,7.5\no2,a,timeout,100,\no2,b,ok,1,\n"
         traj = TRAJ + "o1,a,1.0,6.0\no1,a,2.5,5.0\no1,b,4.0,7.5\n"
         plain = _load(tmp_path, runs, traj=traj)
@@ -845,3 +866,60 @@ class TestBlockBoundaries:
         assert [len(u) for u in drawn] == [draws * min(size, n - k) for k in range(0, n, size)]
         stream = SplitMix64(spec.seed)
         assert [x for u in drawn for x in u] == [stream.next_float() for _ in range(draws * n)]
+
+
+class TestAslibParity:
+    """An attribute-relation table reads as the runs CSV of the same runs, past lines that carry
+    no run of repetition 1, wherever the block boundaries fall."""
+
+    def test_same_runs_as_the_runs_csv(self, tmp_path, block):
+        spec = ArchetypeSpec(
+            seed=6, n_instances=80, timeout_s=50.0, error_probability=0.2,
+            solvers=tuple(SolverSpec(0.6, uniform(0.0, 45.0), name=f"s{j}") for j in range(4)))
+        sc = generate(spec)
+        emit_scenario(sc, tmp_path / "r.csv")
+        text, others = aslib_runs_text(sc, random.Random(block))
+        (tmp_path / "r.arff").write_text(text)
+        assert others > 0 and len(sc.instance_ids) * len(sc.solvers) > solvereval.io._BLOCK
+        with pytest.warns(UserWarning, match=rf"ignored {others} row\(s\) with repetition != 1"):
+            arff = parse_aslib_runs(tmp_path / "r.arff", 50.0)
+        runs = parse_runs(tmp_path / "r.csv", 50.0)
+        assert arff.instance_ids == runs.instance_ids == sc.instance_ids
+        assert arff.solvers == runs.solvers == sc.solvers
+        assert dict(arff.outcomes.times) == dict(runs.outcomes.times)
+        assert dict(arff.outcomes.statuses) == dict(runs.outcomes.statuses)
+        assert {RunStatus.SOLVED, RunStatus.TIMEOUT, RunStatus.ERROR} <= {
+            st for column in runs.outcomes.statuses.values() for st in column}
+
+
+class TestAslibDataLines:
+    """Attribute-relation data lines as the reader takes them, at every block size. ARFF is
+    7 lines long, so the first data line is line 8."""
+
+    def test_row_error_before_an_attribute_later_in_its_block(self, tmp_path, block):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, ARFF + "i1,1,a,1.0,ok\ni1,1,b,abc,ok\n@attribute x numeric\n")
+        assert str(e.value) == "line 9: unparseable time_s 'abc'"
+
+    def test_lines_with_no_row_count(self, tmp_path, block):
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, ARFF + "i1,1,a,1.0,ok\n   \n% a note\n\t\ni1,1,b,abc,ok\n")
+        assert str(e.value) == "line 12: unparseable time_s 'abc'"
+
+    def test_other_repetition_with_a_junk_runtime_is_skipped(self, tmp_path, block):
+        p = tmp_path / "r.arff"
+        p.write_text(ARFF + "i1,1,a,1.0,ok\ni1,2,a,junk,ok\n")
+        with pytest.warns(UserWarning, match=r"ignored 1 row\(s\) with repetition != 1"):
+            sc = parse_aslib_runs(p, 100.0)
+        assert sc.outcomes == {("i1", "a"): RunOutcome(1.0, RunStatus.SOLVED)}
+
+    def test_indented_quoted_id(self, tmp_path, block):
+        assert _load(tmp_path, ARFF + '  "i,1",1,a,1.0,ok\n').instance_ids == ("i,1",)
+
+    def test_open_quote_is_read_within_its_line(self, tmp_path, block):
+        sc = _load(tmp_path, ARFF + 'i1,1,a,1.0,"ok\ni1,1,b,2.0,ok\n')
+        assert sc.outcome("i1", "a") == RunOutcome(1.0, RunStatus.SOLVED)
+        assert sc.outcome("i1", "b") == RunOutcome(2.0, RunStatus.SOLVED)
+        with pytest.raises(RowError) as e:
+            _load(tmp_path, ARFF + 'i1,1,a,"1.0,ok\ni1,1,b,2.0,ok\n')
+        assert str(e.value) == "line 8: expected 5 fields, got 4"

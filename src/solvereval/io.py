@@ -204,15 +204,13 @@ def _take_runs(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple
     c_inst, c_solver, c_status, c_time, c_obj = cells
     cut = _Cut(rows, lines, width)
     columns = cut.columns
-    iids, sids = list(map(str.strip, columns[c_inst])), list(map(str.strip, columns[c_solver]))
+    iids = list(map(str.strip, columns[c_inst]))
+    sids = list(map(str.strip, columns[c_solver]))
     for ids in (iids, sids):
         cut.first(ids, "", "instance_id and solver_id must be non-empty", ids)
-    statuses = list(map(_STATUS_IN.get, columns[c_status]))
-    if None in statuses:  # a status cell reads as it is stripped and lowered
-        read = list(map(str.lower, map(str.strip, columns[c_status])))
-        statuses = list(map(_STATUS_IN.get, read))
-        cut.first(statuses, None, f"unknown status {{!r}}; expected one of {sorted(_STATUS_IN)}",
-                  read)
+    read = list(map(str.lower, map(str.strip, columns[c_status])))  # stripped and lowered
+    statuses = list(map(_STATUS_IN.get, read))
+    cut.first(statuses, None, f"unknown status {{!r}}; expected one of {sorted(_STATUS_IN)}", read)
     times = cut.floats(columns[c_time], "unparseable time_s {!r}")
     obj_cells = list(map(str.strip, columns[c_obj])) if c_obj is not None else ()
     objs = [math.inf] * len(iids)  # an empty obj cell reads as +inf, the one object
@@ -273,12 +271,11 @@ def _take_events(builder: ScenarioBuilder, width: int, cells: tuple, rows: list[
     of no run is named as such, before its cells."""
     cut = _Cut(rows, lines, width)
     iids, sids, ts, vs = (cut.columns[c] for c in cells)
+    iids = list(map(str.strip, iids))
+    sids = list(map(str.strip, sids))
     ts = cut.floats(ts, "unparseable time_s {!r}", infinite="time_s must be finite, got {!r}")
     vs = cut.floats(vs, "unparseable obj {!r}")
-    k = builder.events(islice(iids, cut.at), sids, ts, vs)  # ids as read: most have no space
-    if k < len(iids):  # the builder stopped, or a cell cut the block: the rest read stripped
-        iids, sids = list(map(str.strip, iids)), list(map(str.strip, sids))
-        k += builder.events(islice(iids, k, cut.at), sids[k:], ts[k:], vs[k:])
+    k = builder.events(islice(iids, cut.at), sids, ts, vs)
     # The builder stops at a row of no run; the cut's row may be one too.
     if k < len(iids) and (k < cut.at or not builder.has_run(iids[k], sids[k])):
         raise RowError(cut.lines[k], f"trajectory row for unknown pair {(iids[k], sids[k])!r}")
@@ -403,8 +400,11 @@ def parse_aslib_runs(
             del rows, lines  # freed before _blocks reads the next block
 
     if skipped_repetitions:
-        _warnings.warn(f"{path}: ignored {skipped_repetitions} row(s) with repetition != 1",
-                       UserWarning, stacklevel=2)
+        _warnings.warn(
+            f"{path}: ignored {skipped_repetitions} row(s) with repetition != 1",
+            UserWarning,
+            stacklevel=2,
+        )
     builder.close_runs()
     return builder.scenario(scenario_id or path.stem)
 

@@ -12,6 +12,7 @@ from solvereval import (
     Scenario,
     build_scenario,
 )
+from solvereval.io import _STATUS_OUT
 
 TIMEOUT = 100.0
 
@@ -80,7 +81,6 @@ ARFF_HEADER = (
     "@attribute runstatus {ok,timeout,memout,crash}\n"
     "@data\n"
 )
-_RUNSTATUS = {RunStatus.SOLVED: "ok", RunStatus.TIMEOUT: "timeout", RunStatus.ERROR: "crash"}
 # Lines that carry no run of repetition 1: each reader skips them ({} is the run's ids).
 _NO_RUN_LINES = ("% a comment", "", "   ", "\t", "@relation again", "@data", "@DATA",
                  "{},2,{},junk,ok", "{},3,{},1.0,timeout")
@@ -98,7 +98,7 @@ def aslib_runs_text(scenario: Scenario, rng=None) -> tuple[str, int]:
     for iid in scenario.instance_ids:
         for s in scenario.solvers:
             run = scenario.outcome(iid, s)
-            lines.append(f"{iid},1,{s},{run.time_s:.3f},{_RUNSTATUS[run.status]}")
+            lines.append(f"{iid},1,{s},{run.time_s:.3f},{_STATUS_OUT[run.status]}")
             if rng is not None and rng.random() < 1 / 3:
                 line = rng.choice(_NO_RUN_LINES)
                 others += line.startswith("{}")

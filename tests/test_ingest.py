@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from helpers import aslib_runs_text
+from helpers import ARFF_HEADER as ARFF, aslib_runs_text
 from test_fold_columns import generated
 from test_properties import scenarios
 
@@ -64,15 +64,6 @@ from solvereval.synthkit import (
 
 RUNS = "instance_id,solver_id,status,time_s,obj\n"
 TRAJ = "instance_id,solver_id,t_s,obj\n"
-ARFF = (
-    "@relation r\n"
-    "@attribute instance_id string\n"
-    "@attribute repetition numeric\n"
-    "@attribute algorithm string\n"
-    "@attribute runtime numeric\n"
-    "@attribute runstatus {ok,timeout,memout,crash}\n"
-    "@data\n"
-)
 
 
 def _load(tmp_path, runs, timeout=100.0, traj=None):
@@ -839,14 +830,22 @@ class TestBlockBoundaries:
             read(p, 100.0)
 
     def test_padded_cells_read_as_plain_ones(self, tmp_path, block):
-        # Runs-file ids and statuses are read stripped; trajectory ids are read stripped from
-        # the first row whose pair the builder does not find as read.
+        # Ids and statuses are read stripped, statuses lowered too.
         runs = RUNS + "o1,a,ok,3.0,5.0\no1,b,timeout,100,7.5\no2,a,timeout,100,\no2,b,ok,1,\n"
         traj = TRAJ + "o1,a,1.0,6.0\no1,a,2.5,5.0\no1,b,4.0,7.5\n"
         plain = _load(tmp_path, runs, traj=traj)
         padded = _load(tmp_path, runs.replace("o1,a,ok", " o1 , a , OK "),
                        traj=traj.replace("o1,a,2.5", "o1, a ,2.5"))
         assert padded == plain
+
+    def test_padded_trajectory_ids_read_as_plain_ones(self, tmp_path, block):
+        # Both trajectory ids are read stripped, also in the message naming a pair of no run.
+        runs = RUNS + "o1,a,ok,3.0,5.0\no1,b,timeout,100,7.5\n"
+        traj = TRAJ + "o1,a,1.0,6.0\no1,a,2.5,5.0\no1,b,4.0,7.5\n"
+        plain = _load(tmp_path, runs, traj=traj)
+        assert _load(tmp_path, runs, traj=traj.replace("o1,b", " o1 ,\tb ")) == plain
+        with pytest.raises(RowError, match=r"^line 4: trajectory row for unknown pair \('o9', 'b'\)$"):
+            _load(tmp_path, runs, traj=traj.replace("o1,b", " o9 , b"))
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_generate_in_small_blocks(self, monkeypatch, size):

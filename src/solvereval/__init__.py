@@ -25,17 +25,16 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "restrict", "runtime_distribution", "validate_scenario",
     ),
     "metrics": (
-        "METRICS", "MetricInfo", "MetricParams", "base_instance_values", "closed_gap",
-        "metric_info", "mznc_pair", "mznc_score", "normalized_runtime_score", "par_score",
+        "METRICS", "MetricInfo", "MetricParams", "SbsPolicy", "base_instance_values",
+        "closed_gap", "delta_sweep", "find_flip_delta", "metric_info", "mznc_pair", "mznc_score",
+        "normalized_runtime_score", "par_score",
     ),
     "baselines": (
-        "LOW_RESOLUTION_THRESHOLD", "BaselineReport", "SbsPolicy",
-        "baseline_report", "select_sbs",
+        "LOW_RESOLUTION_THRESHOLD", "BaselineReport", "baseline_report", "select_sbs",
     ),
     "harness": (
         "DEFAULT_MERGE", "Aggregation", "EvaluationResult", "FoldCell", "FoldPlan", "RankEntry",
-        "aggregate", "delta_sweep", "evaluate", "find_flip_delta", "make_fold_plan", "rank",
-        "score_scenario",
+        "aggregate", "evaluate", "make_fold_plan", "rank", "score_scenario",
     ),
     "synthkit": (
         "ArchetypeSpec", "DrawSpec", "SolverSpec", "constant", "generate",

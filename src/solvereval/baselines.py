@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from typing import Mapping, Sequence
 
-from .metrics import Split, base_columns, read_split
+from .metrics import SbsPolicy, Split, base_columns, read_split
 from .scenario import Scenario
 
 __all__ = [
@@ -26,12 +25,6 @@ __all__ = [
 ]
 
 LOW_RESOLUTION_THRESHOLD = 0.01
-
-
-class SbsPolicy(str, Enum):
-    TRAIN_SPLIT = "train_split"
-    TEST_SPLIT = "test_split"
-    FULL_DATASET = "full_dataset"
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,16 @@ import sys
 from dataclasses import replace as _replace
 from itertools import combinations
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import __version__
 from .errors import CliUsageError, NonPositiveForGeomean, SolverEvalError, ValidationError
-from .io import (
-    build_report, emit_report, emit_scenario, json_text, parse_aslib_runs, parse_runs,
-    ranking_json,
-)
+from .io import json_text, parse_runs, ranking_json
 from .scenario import Scenario
 
 if TYPE_CHECKING:
     from .metrics import MetricParams
+    from .synthkit import SolverSpec
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -82,6 +80,8 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         if args.trajectories is not None:
             raise CliUsageError("--trajectories needs CSV input: --input-format aslib (auto's"
                                 " choice for .arff files) reads no trajectory file")
+        from .io import parse_aslib_runs
+
         return parse_aslib_runs(args.runs, args.timeout, scenario_id=args.id)
     return parse_runs(
         args.runs, args.timeout,
@@ -169,6 +169,7 @@ def _check_unfolded_policy(policy: str | None, metrics: list[str]) -> None:
 
 def cmd_score(args: argparse.Namespace) -> Output:
     from .harness import check_fold_merge, evaluate, make_fold_plan
+    from .io import build_report, emit_report
 
     metrics = args.metric or ["par"]
     agg = _AGG[args.agg] if args.agg else None
@@ -225,7 +226,7 @@ def cmd_head2head(args: argparse.Namespace) -> Output:
 
 
 def cmd_sweep_delta(args: argparse.Namespace) -> Output:
-    from .harness import delta_sweep, find_flip_delta
+    from .metrics import delta_sweep, find_flip_delta
 
     scenario = _load_scenario(args)
     flip = None
@@ -343,6 +344,7 @@ def _parse_solver_spec(text: str) -> SolverSpec:
 
 
 def cmd_gen(args: argparse.Namespace) -> Output:
+    from .io import emit_scenario
     from .synthkit import generate, thorough_vs_fast_spec
 
     base = thorough_vs_fast_spec(
@@ -375,16 +377,7 @@ def cmd_validate(args: argparse.Namespace) -> Output:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="solvereval",
-        description="Score, rank, and compare solvers over benchmark run data.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.set_defaults(output=None)  # set by score's -o; gen's -o names the runs it writes
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("score", help="score solvers under one or more metrics")
+def _score_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     _add_metric_param_args(p)
     p.add_argument("--metric", action="append", choices=_METRICS, default=None,
@@ -401,24 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how per-fold scores merge (default mean)")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("rank", help="order solvers under a single metric")
+
+def _rank_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     _add_metric_param_args(p)
     p.add_argument("--metric", choices=_METRICS, default="par")
     p.add_argument("--sbs-policy", choices=sorted(_POLICY), default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("head2head", help="count per-instance faster/slower/tied finishes")
+
+def _head2head_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     p.add_argument("--solvers", type=_two_solvers, default=None, metavar="A,B",
                    help="compare just this pair (default: all pairs)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_head2head)
 
-    p = sub.add_parser("sweep-delta", help="pairwise scores across tie thresholds")
+
+def _sweep_delta_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     p.add_argument("--deltas", type=_deltas, default=_DEFAULT_DELTAS, metavar="D1,D2,...",
                    help=f"thresholds in seconds (default {_DEFAULT_DELTAS})")
@@ -427,15 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip", type=_two_solvers, default=None, metavar="A,B",
                    help="also find the smallest threshold from which A outscores B")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_sweep_delta)
 
-    p = sub.add_parser("runtime-dist", help="ascending solved runtimes per solver")
+
+def _runtime_dist_args(p: argparse.ArgumentParser) -> None:
     _add_input_args(p)
     p.add_argument("--solver", type=_solver, default=None, help="restrict to one solver")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_runtime_dist)
 
-    p = sub.add_parser("gen", help="generate a synthetic scenario and write it as CSV")
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--timeout", type=float, default=100.0, metavar="SECONDS")
@@ -451,12 +444,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None, help="scenario id (default: synth-<seed>)")
     p.add_argument("-o", "--output", dest="runs", metavar="OUTPUT", required=True,
                    help="runs CSV path to write")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("validate", help="check a runs file against the scenario invariants")
-    _add_input_args(p)
-    p.set_defaults(func=cmd_validate)
 
+# Each command, in the order help lists them: its help line, what adds its
+# arguments to its parser, and what runs it.
+_COMMANDS = {
+    "score": ("score solvers under one or more metrics", _score_args, cmd_score),
+    "rank": ("order solvers under a single metric", _rank_args, cmd_rank),
+    "head2head": ("count per-instance faster/slower/tied finishes", _head2head_args,
+                  cmd_head2head),
+    "sweep-delta": ("pairwise scores across tie thresholds", _sweep_delta_args, cmd_sweep_delta),
+    "runtime-dist": ("ascending solved runtimes per solver", _runtime_dist_args,
+                     cmd_runtime_dist),
+    "gen": ("generate a synthetic scenario and write it as CSV", _gen_args, cmd_gen),
+    "validate": ("check a runs file against the scenario invariants", _add_input_args,
+                 cmd_validate),
+}
+
+
+def build_parser(commands: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """The command line parser. It offers every command, but adds the arguments of only
+    those named in commands, all by default: main adds those of the command it runs."""
+    parser = _Parser(
+        prog="solvereval",
+        description="Score, rank, and compare solvers over benchmark run data.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.set_defaults(output=None)  # set by score's -o; gen's -o names the runs it writes
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (text, add_args, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name in commands:
+            add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -465,8 +485,11 @@ def main(argv: list[str] | None = None) -> int:
     # so the cyclic collector only rescans it; it is paused for the command
     # and left as the caller had it.
     collecting = gc.isenabled()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # argparse runs the command its first positional names; only options, which no
+        # command name looks like, can come before it.
+        args = build_parser([a for a in argv if a in _COMMANDS][:1]).parse_args(argv)
         gc.disable()
         out = args.func(args)
         if not isinstance(out, str):

@@ -6,9 +6,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .baselines import BaselineReport, SbsPolicy, cell_baselines
 from .errors import (
     BadK,
     EmptyInput,
@@ -19,14 +18,14 @@ from .errors import (
 from .metrics import (
     Columns,
     MetricParams,
+    SbsPolicy,
     Split,
     closed_gap,
+    delta_sweep,
     find_flip_delta,
     metric_info,
-    mznc_scores,
     read_split,
 )
-from .rng import SplitMix64
 from .scenario import (
     Direction,
     HeadToHead,
@@ -36,6 +35,9 @@ from .scenario import (
     head_to_head,
     runtime_distribution,
 )
+
+if TYPE_CHECKING:  # only a closed gap loads baselines, when its cell is scored
+    from .baselines import BaselineReport
 
 __all__ = [
     "Aggregation",
@@ -113,6 +115,8 @@ def make_fold_plan(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if k < 2 or k > len(ids):
         raise BadK(f"k must satisfy 2 <= k <= number of instances, got k={k} for {len(ids)}")
+    from .rng import SplitMix64
+
     rng = SplitMix64(seed)
     n = len(ids)
     base, extra = divmod(n, k)
@@ -207,6 +211,8 @@ def score_scenario(
     solvers = scenario.solvers
 
     if info.baselines:
+        from .baselines import cell_baselines
+
         report, totals = cell_baselines(
             scenario.instance_ids, params.base_metric, policy, split, selection
         )
@@ -327,16 +333,3 @@ def rank(tables: Sequence[ScoreTable]) -> list[RankEntry]:
         RankEntry(s, v, pos + 1, counts[v] > 1)
         for pos, (s, v) in enumerate(ordered)
     ]
-
-
-def delta_sweep(
-    scenario: Scenario,
-    deltas: Sequence[float],
-    solvers: Sequence[str] | None = None,
-) -> dict[float, dict[str, float]]:
-    """Pairwise scores of the chosen solvers at each time-equivalence threshold."""
-    if list(deltas) != sorted(deltas):
-        raise ValueError("deltas must be sorted ascending")
-    chosen = tuple(dict.fromkeys(solvers)) if solvers is not None else scenario.solvers
-    scores = mznc_scores(scenario, chosen, deltas)
-    return {float(d): {s: scores[s][n] for s in chosen} for n, d in enumerate(deltas)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
@@ -33,10 +34,13 @@ __all__ = [
     "MetricInfo",
     "MetricParams",
     "METRICS",
+    "SbsPolicy",
     "Split",
     "base_columns",
     "base_instance_values",
     "closed_gap",
+    "delta_sweep",
+    "find_flip_delta",
     "instance_columns",
     "metric_info",
     "mznc_pair",
@@ -56,6 +60,14 @@ class MetricParams:
     alpha: float = 0.25
     beta: float = 0.75
     base_metric: str = "par"
+
+
+class SbsPolicy(str, Enum):
+    """Which instances pick a closed gap's single best solver (see harness.evaluate)."""
+
+    TRAIN_SPLIT = "train_split"
+    TEST_SPLIT = "test_split"
+    FULL_DATASET = "full_dataset"
 
 
 # One column per solver, indexed by instance position; see instance_columns.
@@ -250,21 +262,26 @@ def _totals(
 
     Walking the thresholds downward, a tie pair leaves the tie branch once
     its time difference exceeds the threshold. Each instance's exact sum is
-    rounded, which is its mznc column value; the total is the exact sum of
-    those rounded values, rounded once per threshold. So it is the
-    math.fsum of the column, the float that scoring mznc gives.
+    rounded, which is its mznc column value: at a threshold, once for every
+    instance a pair left from, after all its pairs that leave there. The
+    total is the exact sum of those rounded values, rounded once per
+    threshold. So it is the math.fsum of the column, the float that scoring
+    mznc gives.
     """
     sums, half = list(sums), _exact(0.5)
     rounded = [_exact(e / _EXACT_UNIT) for e in sums]
     total, pos, at = sum(rounded), 0, [0.0] * len(deltas_ms)
     for n in sorted(range(len(deltas_ms)), key=deltas_ms.__getitem__, reverse=True):
+        touched = set()
         while pos < len(ties) and ties[pos][0] > deltas_ms[n]:
             _, p, value = ties[pos]
             sums[p] += _exact(value) - half
+            touched.add(p)
+            pos += 1
+        for p in touched:
             now = _exact(sums[p] / _EXACT_UNIT)
             total += now - rounded[p]
             rounded[p] = now
-            pos += 1
         at[n] = total / _EXACT_UNIT
     return at
 
@@ -277,6 +294,19 @@ def mznc_scores(
     require_solvers(scenario, solvers)
     deltas_ms = [threshold_ms(d) for d in deltas]
     return {s: _totals(*_terms(scenario, s), deltas_ms) for s in solvers}
+
+
+def delta_sweep(
+    scenario: Scenario,
+    deltas: Sequence[float],
+    solvers: Sequence[str] | None = None,
+) -> dict[float, dict[str, float]]:
+    """Pairwise scores of the chosen solvers at each time-equivalence threshold."""
+    if list(deltas) != sorted(deltas):
+        raise ValueError("deltas must be sorted ascending")
+    chosen = tuple(dict.fromkeys(solvers)) if solvers is not None else scenario.solvers
+    scores = mznc_scores(scenario, chosen, deltas)
+    return {float(d): {s: scores[s][n] for s in chosen} for n, d in enumerate(deltas)}
 
 
 def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float | None:

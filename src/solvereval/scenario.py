@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, count, islice, repeat
@@ -19,9 +19,7 @@ from types import MappingProxyType
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    EmptyRestriction, SameSolver, UnknownInstance, UnknownSolver, ValidationError, Violation,
-)
+from .errors import SameSolver, UnknownInstance, UnknownSolver, ValidationError, Violation
 
 __all__ = [
     "Direction",
@@ -46,6 +44,20 @@ __all__ = [
     "runtime_distribution",
     "validate_scenario",
 ]
+
+# The library-only route from raw mappings to a scenario, which no command
+# takes, lives in validation; each name is read from there on first use.
+_VALIDATION = ("build_scenario", "restrict", "validate_scenario")
+
+
+def __getattr__(name: str) -> object:
+    # Bound here once read, so that a name reads the same object until rebound. Imported
+    # as an import statement imports, which -X importtime lists (import_module is not).
+    if name not in _VALIDATION:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    imported = __import__("validation", globals(), level=1, fromlist=[name])
+    value = globals()[name] = getattr(imported, name)
+    return value
 
 
 class InstanceKind(str, Enum):
@@ -284,14 +296,6 @@ class Scenario:
         return self.outcomes[(instance_id, solver_id)]
 
 
-def _coerce_instance(item: object) -> Instance:
-    if isinstance(item, Instance):
-        kind = InstanceKind(item.kind)
-        best = None if item.best_known_obj is None else float(item.best_known_obj)
-        return Instance(str(item.id), kind, best)
-    return Instance(str(item))
-
-
 def check_timeout(timeout_s: object) -> float:
     """The timeout as a float; a ValidationError naming it unless > 0 with a finite ms count."""
     try:
@@ -305,86 +309,6 @@ def check_timeout(timeout_s: object) -> float:
 
 _SOLVED, _TIMEOUT, _ERROR = RunStatus.SOLVED, RunStatus.TIMEOUT, RunStatus.ERROR
 SECOND_RUN = "a second run of its pair"  # why ScenarioBuilder.runs does not place a run
-
-
-class _NoNumber(float):
-    """A time_s or obj of no number type: NaN to the builder, shown by the value's repr."""
-
-    def __new__(cls, value: object):
-        self = super().__new__(cls, math.nan)
-        self.value = value
-        return self
-
-    def __repr__(self) -> str:
-        return repr(self.value)
-
-
-def _coerce_run(out: RunOutcome) -> tuple[object, object, object]:
-    """A recorded run's (time_s, status, obj) for ScenarioBuilder.runs: the status by its
-    value, obj None as +inf, a time_s or obj of no number type as a _NoNumber."""
-    t, obj = out.time_s, out.obj
-    try:
-        status = RunStatus(out.status)
-    except ValueError:
-        status = out.status
-    try:
-        obj = math.inf if obj is None else float(obj)
-    except (TypeError, ValueError):
-        obj = _NoNumber(obj)
-    return t if isinstance(t, (int, float)) else _NoNumber(t), status, obj
-
-
-def validate_scenario(raw: Scenario) -> Scenario:
-    """Check every model invariant and return a normalized scenario.
-
-    Normalization: ids to str, statuses and kinds to enums, solved run times
-    and trajectory times snapped to the millisecond grid, containers to
-    tuples and column stores. Raises ValidationError carrying all violations
-    found; a bad timeout skips the run and trajectory checks, which need it.
-    ScenarioBuilder judges repeated instance and solver ids, runs and trajectories.
-    """
-    violations: list[Violation] = []
-
-    def flag(code: str, message: str, where: str | None = None) -> None:
-        violations.append(Violation(code, message, where))
-
-    timeout, timeout_ok = math.nan, False
-    try:
-        timeout, timeout_ok = check_timeout(raw.timeout_s), True
-    except ValidationError as exc:
-        violations += exc.violations
-
-    instances: list[Instance] = []
-    for item in raw.instances:
-        try:
-            inst = _coerce_instance(item)
-        except (TypeError, ValueError) as exc:
-            flag("BadInstance", str(exc), where=repr(item))
-            continue
-        if inst.best_known_obj is not None:
-            if inst.kind is InstanceKind.DECISION:
-                flag("BadInstance", "decision instance cannot carry best_known_obj", inst.id)
-            elif not math.isfinite(inst.best_known_obj):
-                flag("BadInstance", "best_known_obj must be finite", inst.id)
-        instances.append(inst)
-
-    builder = ScenarioBuilder(timeout, tuple(instances), map(str, raw.solvers), violations)
-    for key, out in raw.outcomes.items():
-        i, s = str(key[0]), str(key[1])
-        where = f"({i}, {s})"
-        if i not in builder.at or s not in builder.cols:
-            flag("UnknownId", "outcome recorded for a pair outside the scenario", where)
-            continue
-        # With a bad timeout no run can be judged, and each only holds its pair's place.
-        why = builder.runs((i,), (s,), *zip(_coerce_run(out)))[1] if timeout_ok else ""
-        if why and why != SECOND_RUN:
-            flag("BadOutcome", why, where)
-        if why == SECOND_RUN or why is not None and not builder.hold(i, s):
-            flag("DuplicateId", "outcome recorded twice for this pair", where)
-    builder.close_runs()
-    for key, traj in (raw.trajectories or {}).items() if timeout_ok else ():
-        builder.trajectory(str(key[0]), str(key[1]), traj)
-    return builder.scenario(str(raw.id))
 
 
 _DECISION, _OPTIMIZATION, _INF = InstanceKind.DECISION, InstanceKind.OPTIMIZATION, math.inf
@@ -668,38 +592,6 @@ class ScenarioBuilder:
             trajs[2][s] = tuple(accumulate(map(Counter(pos).get, range(n), repeat(0)), initial=0))
         return Scenario(scenario_id, self.instances, self.solvers, self.timeout_s,
                         Runs(ids, *runs), Trajectories(ids, *trajs))
-
-
-def build_scenario(
-    scenario_id: str,
-    instances: Iterable[Instance | str],
-    solvers: Iterable[str],
-    timeout_s: float,
-    outcomes: Mapping[tuple[str, str], RunOutcome],
-    trajectories: Mapping[tuple[str, str], Trajectory] | None = None,
-) -> Scenario:
-    """Assemble and validate a scenario in one step."""
-    return validate_scenario(Scenario(scenario_id, tuple(instances), tuple(solvers), timeout_s,
-                                      dict(outcomes), dict(trajectories or {})))
-
-
-def restrict(scenario: Scenario, instance_ids: Sequence[str]) -> Scenario:
-    """Project a scenario onto a subset of its instances.
-
-    Keeps the scenario's instance order; solvers and timeout are unchanged.
-    Cross-validation copies no fold: evaluate reads each off the metric's columns.
-    """
-    kept = set(instance_ids)
-    if not kept:
-        raise EmptyRestriction("restriction needs at least one instance")
-    missing = sorted(kept.difference(scenario.position_map))
-    if missing:
-        raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
-    return validate_scenario(replace(
-        scenario, instances=tuple(inst for inst in scenario.instances if inst.id in kept),
-        outcomes={k: v for k, v in scenario.outcomes.items() if k[0] in kept},
-        trajectories={k: v for k, v in scenario.trajectories.items() if k[0] in kept},
-    ))
 
 
 # Comparisons read off the recorded runs alone: head2head and runtime-dist load

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,66 @@ class TestArgHandling:
         monkeypatch.setattr(cli, "parse_runs", boom)
         assert main(["score", str(runs_file), "--timeout", "100"]) == 2
         assert "RuntimeError" in capsys.readouterr().err
+
+
+# What main prints for each argv, at 80 columns on Python 3.11: the SHA-256 of its
+# stdout, then of its stderr, and its exit code. argparse words and lays out help
+# differently from one Python version to the next, so the digests hold on 3.11 only.
+HELP_DIGESTS = {
+    "--help": ("fbc6870e", "e3b0c442", 0),
+    "--version": ("c32d777e", "e3b0c442", 0),
+    "score --help": ("4100a67e", "e3b0c442", 0),
+    "rank --help": ("5e2523ad", "e3b0c442", 0),
+    "head2head --help": ("7a41a6fb", "e3b0c442", 0),
+    "sweep-delta --help": ("b7b36f67", "e3b0c442", 0),
+    "runtime-dist --help": ("7fa0b858", "e3b0c442", 0),
+    "gen --help": ("2c789c99", "e3b0c442", 0),
+    "validate --help": ("ab7490db", "e3b0c442", 0),
+    "": ("e3b0c442", "dd37d53f", 1),  # no command
+    "nope": ("e3b0c442", "4d58acba", 1),  # not a command
+    "nope --help": ("e3b0c442", "4d58acba", 1),
+    "rank": ("e3b0c442", "3e228293", 1),  # a command without its arguments
+    "rank runs.csv --timeout 1 --metric nope": ("e3b0c442", "43638eca", 1),
+    "gen --seed x -o a.csv": ("e3b0c442", "3c7cc186", 1),
+    "--version rank": ("c32d777e", "e3b0c442", 0),
+}
+
+
+def _printed(run, argv, capsys) -> tuple[str, str, int]:
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def _full_parser(argv: list[str]) -> int:
+    """main's printing and exit code, with every command's arguments built."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as e:
+        return int(e.code or 0)
+    except solvereval.CliUsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    raise AssertionError(f"{argv} parsed")
+
+
+class TestHelpText:
+    """Help and usage text, whichever arguments main builds."""
+
+    @pytest.mark.parametrize("argv", list(HELP_DIGESTS))
+    def test_pinned(self, argv, monkeypatch, capsys):
+        if sys.version_info[:2] != (3, 11):
+            pytest.skip("the digests are of Python 3.11's argparse")
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err, code = _printed(main, argv.split(), capsys)
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest()[:8]  # noqa: E731
+        assert (digest(out), digest(err), code) == HELP_DIGESTS[argv]
+
+    @pytest.mark.parametrize("argv", list(HELP_DIGESTS))
+    def test_same_as_with_every_command_built(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _printed(main, argv.split(), capsys) == _printed(_full_parser, argv.split(),
+                                                                 capsys)
 
 
 class TestScore:

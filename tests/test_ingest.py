@@ -128,6 +128,14 @@ ROW_ERRORS = {
                              "time_s must be >= 0, got -5.0"),
     "arff repetition": (ARFF + "i1,x,a,1.0,ok\n", None, 8,
                        "unparseable repetition 'x'"),
+    "arff empty instance id": (ARFF + "i1,1,a,1.0,ok\n,1,b,2.0,ok\n", None, 9,
+                              "instance_id and solver_id must be non-empty"),
+    "arff empty algorithm": (ARFF + "i1,1,a,1.0,ok\ni1,1,,2.0,ok\n", None, 9,
+                            "instance_id and solver_id must be non-empty"),
+    "arff quoted empty id": (ARFF + "'',1,a,1.0,ok\n", None, 8,
+                            "instance_id and solver_id must be non-empty"),
+    "arff empty id before a junk runtime": (ARFF + "i1,1,a,1.0,ok\n,1,b,junk,ok\n", None, 9,
+                                           "instance_id and solver_id must be non-empty"),
     "arff infinite repetition": (ARFF + "i1,inf,a,1.0,ok\n", None, 8,
                                 "unparseable repetition 'inf'"),
 }
@@ -890,6 +898,24 @@ class TestAslibParity:
         assert {RunStatus.SOLVED, RunStatus.TIMEOUT, RunStatus.ERROR} <= {
             st for column in runs.outcomes.statuses.values() for st in column}
 
+    @pytest.mark.parametrize("row", [("", "b"), ("i2", ""), ("", "")],
+                             ids=["instance", "solver", "both"])
+    def test_empty_id_refused_as_in_the_runs_csv(self, tmp_path, block, row):
+        # The same runs, the last with an empty id, in both formats: the same message, at
+        # the row's line (the table's header is 7 lines long, the CSV's 1).
+        good = [("i1", "a", "1.0"), ("i1", "b", "2.0"), ("i2", "a", "3.0")]
+        rows = [*good, (*row, "4.0")]
+        (tmp_path / "r.csv").write_text(
+            "instance_id,solver_id,status,time_s\n" + "".join(f"{i},{s},ok,{t}\n" for i, s, t in rows))
+        (tmp_path / "r.arff").write_text(ARFF + "".join(f"{i},1,{s},{t},ok\n" for i, s, t in rows))
+        with pytest.raises(RowError) as csv_error:
+            parse_runs(tmp_path / "r.csv", 100.0)
+        with pytest.raises(RowError) as arff_error:
+            parse_aslib_runs(tmp_path / "r.arff", 100.0)
+        assert (csv_error.value.line_no, arff_error.value.line_no) == (5, 11)
+        assert str(csv_error.value).partition(": ")[2] == str(arff_error.value).partition(": ")[2]
+        assert str(arff_error.value) == "line 11: instance_id and solver_id must be non-empty"
+
 
 class TestAslibDataLines:
     """Attribute-relation data lines as the reader takes them, at every block size. ARFF is
@@ -909,6 +935,13 @@ class TestAslibDataLines:
         p = tmp_path / "r.arff"
         p.write_text(ARFF + "i1,1,a,1.0,ok\ni1,2,a,junk,ok\n")
         with pytest.warns(UserWarning, match=r"ignored 1 row\(s\) with repetition != 1"):
+            sc = parse_aslib_runs(p, 100.0)
+        assert sc.outcomes == {("i1", "a"): RunOutcome(1.0, RunStatus.SOLVED)}
+
+    def test_other_repetition_with_an_empty_id_is_skipped(self, tmp_path, block):
+        p = tmp_path / "r.arff"
+        p.write_text(ARFF + "i1,1,a,1.0,ok\n,2,a,1.0,ok\ni1,2,,1.0,ok\n")
+        with pytest.warns(UserWarning, match=r"ignored 2 row\(s\) with repetition != 1"):
             sc = parse_aslib_runs(p, 100.0)
         assert sc.outcomes == {("i1", "a"): RunOutcome(1.0, RunStatus.SOLVED)}
 

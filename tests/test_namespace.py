@@ -115,6 +115,67 @@ class TestLazyNamespace:
         # Only a median or geometric mean of fold scores needs statistics.
         assert eval(loaded) == (["statistics"] if "--agg" in argv else [])
 
+    @staticmethod
+    def _loaded(argv: list[str]) -> set[str]:
+        """The package's modules a command loads, run in a fresh interpreter."""
+        proc = _child(
+            "import sys\n"
+            "from solvereval.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('solvereval.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        return {m.removeprefix("solvereval.") for m in eval(loaded)}
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """Two solvers on six instances, as a runs CSV and as an attribute-relation table."""
+        runs = [(f"i{k}", s, t) for k in range(6) for s, t in (("a", 1 + k), ("b", 2 + k % 3))]
+        (tmp_path / "runs.csv").write_text("instance_id,solver_id,status,time_s\n" + "".join(
+            f"{i},{s},ok,{t}\n" for i, s, t in runs))
+        (tmp_path / "runs.arff").write_text(
+            "@relation runs\n" + "".join(f"@attribute {a} string\n" for a in (
+                "instance_id", "repetition", "algorithm", "runtime", "runstatus"))
+            + "@data\n" + "".join(f"{i},1,{s},{t},ok\n" for i, s, t in runs))
+        return tmp_path
+
+    # Every command once, beside the modules only it loads: the scenario writer (gen),
+    # the report (score) and the attribute-relation reader (.arff input).
+    COMMANDS = {
+        "gen": (["gen", "--instances", "5", "--opt-fraction", "0.5", "-o", "{dir}/gen.csv"],
+                {"writer"}),
+        "score": (["score", "{dir}/runs.csv", "--timeout", "100", "--folds", "3",
+                   "--metric", "closed-gap", "--format", "json"], {"report"}),
+        "score arff": (["score", "{dir}/runs.arff", "--timeout", "100"], {"report", "aslib"}),
+        "rank": (["rank", "{dir}/runs.csv", "--timeout", "100", "--metric", "mznc"], set()),
+        "rank arff": (["rank", "{dir}/runs.arff", "--timeout", "100"], {"aslib"}),
+        "sweep-delta": (["sweep-delta", "{dir}/runs.csv", "--timeout", "100", "--flip", "a,b",
+                         "--format", "json"], set()),
+        "head2head": (["head2head", "{dir}/runs.csv", "--timeout", "100"], set()),
+        "runtime-dist": (["runtime-dist", "{dir}/runs.csv", "--timeout", "100"], set()),
+        "validate": (["validate", "{dir}/runs.csv", "--timeout", "100"], set()),
+        "validate arff": (["validate", "{dir}/runs.arff", "--timeout", "100"], {"aslib"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_writer_report_and_table_reader_load_only_for_their_command(self, name, inputs):
+        argv, own = self.COMMANDS[name]
+        loaded = self._loaded([a.format(dir=inputs) for a in argv])
+        assert loaded & {"writer", "report", "aslib"} == own
+        assert "validation" not in loaded  # the library route from raw mappings
+
+    def test_rank_mznc_loads_only_what_it_runs(self, inputs):
+        loaded = self._loaded(["rank", str(inputs / "runs.csv"), "--timeout", "100",
+                               "--metric", "mznc"])
+        assert loaded == {"cli", "errors", "scenario", "io", "metrics", "harness"}
+
+    def test_sweep_delta_loads_no_harness(self, inputs):
+        loaded = self._loaded(["sweep-delta", str(inputs / "runs.csv"), "--timeout", "100",
+                               "--flip", "a,b", "--format", "json"])
+        assert loaded == {"cli", "errors", "scenario", "io", "metrics"}
+
     def test_io_import_loads_no_scoring_module(self):
         # A lower-is-better column: the table marks the ranking's first score, the minimum.
         report = {
@@ -172,6 +233,16 @@ class TestExportTables:
 
     def test_lazy_table_names_only_real_submodules(self):
         assert set(solvereval._EXPORTS) <= set(SUBMODULES)
+
+    @pytest.mark.parametrize("module,name", [
+        *(("io", n) for n in ("build_report", "emit_report", "emit_scenario", "parse_aslib_runs")),
+        *(("scenario", n) for n in ("build_scenario", "restrict", "validate_scenario")),
+    ])
+    def test_name_defined_elsewhere_is_bound_once_read(self, module, name):
+        # The benchmark's tracer rebinds a name in the module it reads it from.
+        mod = importlib.import_module(f"solvereval.{module}")
+        value = getattr(mod, name)
+        assert vars(mod)[name] is value and value.__module__ != mod.__name__
 
     @pytest.mark.parametrize("module", SUBMODULES)
     def test_submodule_all_names_exist(self, module):

@@ -33,7 +33,7 @@ from solvereval import (
     thorough_vs_fast_spec,
     uniform,
 )
-from solvereval.metrics import _EXACT_UNIT, _exact
+from solvereval.metrics import _EXACT_UNIT, _exact, instance_columns, mznc_scores
 from solvereval.synthkit import ArchetypeSpec
 
 
@@ -135,10 +135,13 @@ def assert_kernel_matches_reference(sc, deltas):
 
 
 @st.composite
-def grid_heavy_scenarios(draw):
-    """scenarios() with every solved time snapped to a 5-value grid, so ties are common."""
+def grid_heavy_scenarios(draw, zero: bool = False):
+    """scenarios() with every solved time snapped to a 5-value grid, so ties are common;
+    with zero, one of the grid's values is 0."""
     sc = draw(scenarios())
     grid = draw(st.lists(st.integers(0, round(sc.timeout_s * 1000) - 1), min_size=5, max_size=5))
+    if zero:
+        grid[0] = 0
     outcomes = {}
     for n, (key, out) in enumerate(sorted(sc.outcomes.items())):
         if out.time_s < sc.timeout_s:
@@ -214,6 +217,20 @@ class TestOneTotal:
         assert table.per_solver["s0"] == 347.1147133259712
         assert delta_sweep(sc, [0.5]) == {0.5: table.per_solver}
         assert mznc_score(sc, "s0", 0.5) == table.per_solver["s0"]
+
+
+class TestTotalsWalk:
+    """The walk over tie pairs (metrics._totals) rounds each instance it changes once per
+    threshold, however many of the instance's pairs leave the tie branch there."""
+
+    @given(grid_heavy_scenarios(zero=True))
+    def test_each_total_is_the_fsum_of_the_mznc_column(self, sc):
+        deltas = probe_deltas(sc)
+        totals = mznc_scores(sc, sc.solvers, deltas)
+        for n, d in enumerate(deltas):
+            column = instance_columns(sc, "mznc", MetricParams(delta=d))
+            assert {s: totals[s][n] for s in sc.solvers} == {
+                s: math.fsum(column[s]) for s in sc.solvers}
 
 
 class TestExactSums:

@@ -7,13 +7,11 @@ and ships a small generator for synthetic scenarios plus CSV ingestion and
 report emission. The ``solvereval`` command exposes the same functionality
 from the shell.
 
-The names below are imported from their submodule on first access (PEP 562),
-so ``import solvereval.cli`` loads only what a command uses.
+The names below are imported from their submodule on first access (PEP 562)
+and bound here, so ``import solvereval.cli`` loads only what a command uses.
 """
 
 from __future__ import annotations
-
-from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -21,9 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "scenario": (
         "Direction", "HeadToHead", "Instance", "InstanceKind", "RunOutcome", "RunStatus",
-        "Scenario", "ScoreTable", "Trajectory", "build_scenario", "head_to_head", "quantize_ms",
-        "restrict", "runtime_distribution", "validate_scenario",
+        "Scenario", "ScoreTable", "Trajectory", "head_to_head", "quantize_ms",
+        "runtime_distribution",
     ),
+    "validation": ("build_scenario", "restrict", "validate_scenario"),
     "metrics": (
         "METRICS", "MetricInfo", "MetricParams", "SbsPolicy", "base_instance_values",
         "closed_gap", "delta_sweep", "find_flip_delta", "metric_info", "mznc_pair", "mznc_score",
@@ -41,10 +40,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "thorough_vs_fast_spec", "uniform",
     ),
     "oracle": ("oracle_score",),
-    "io": (
-        "build_report", "emit_report", "emit_scenario",
-        "parse_aslib_runs", "parse_runs", "trajectories_path_for",
-    ),
+    "io": ("parse_runs", "trajectories_path_for"),
+    "writer": ("emit_scenario",),
+    "report": ("build_report", "emit_report"),
+    "aslib": ("parse_aslib_runs",),
     "rng": ("SplitMix64",),
     "errors": (
         "BadAlphaBeta", "BadK", "BadLambda", "BadSpec", "CliUsageError",
@@ -60,12 +59,23 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = ["__version__", *_MODULE_OF]
 
 
-def __getattr__(name: str) -> object:
-    # Nothing is cached here: a name always reads its submodule's current binding.
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __name__), name)
+def _forwarder(namespace: dict[str, object], module_of: dict[str, str]):
+    """The __getattr__ (PEP 562) of the module whose globals are namespace: each name of
+    module_of is read from the module it maps to, imported as an import statement imports
+    (which -X importtime lists), and bound in namespace, so it reads the same until rebound."""
+
+    def __getattr__(name: str) -> object:
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        imported = __import__(module, namespace, level=1, fromlist=[name])
+        value = namespace[name] = getattr(imported, name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _forwarder(globals(), _MODULE_OF)
 
 
 def __dir__() -> list[str]:

@@ -29,12 +29,6 @@ __all__ = ["build_parser", "main", "run"]
 _POLICY = {"train": "train_split", "test": "test_split", "full": "full_dataset"}
 _AGG = {"sum": "sum", "mean": "arithmetic_mean", "geomean": "geometric_mean", "median": "median"}
 _DEFAULT_DELTAS = "0,0.01,0.05,0.1,0.5,1"
-# The metric names of metrics.METRICS, and those that can anchor closed-gap
-# baselines, written out: argparse needs its choices as it builds the parser,
-# and reading them off the registry would load it for every command.
-_METRICS = ("area", "bounded-reward", "closed-gap", "mznc", "normalized-runtime", "par",
-            "ratio", "runtime", "solved-count", "speedup")
-_BASE_METRICS = ("par", "runtime", "area")
 
 # What a command returns: its output, rendered, or its JSON payload and a
 # function that renders it as text; main renders only the format asked for.
@@ -60,6 +54,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_metric_param_args(p: argparse.ArgumentParser) -> None:
+    from .metrics import METRICS
+
     p.add_argument("--lambda", dest="lam", type=float, default=10.0,
                    help="penalty factor for unsolved runs in par scores (default 10)")
     p.add_argument("--delta", type=_delta, default=0.0,
@@ -68,7 +64,8 @@ def _add_metric_param_args(p: argparse.ArgumentParser) -> None:
                    help="bounded reward floor for unsolved runs with a solution")
     p.add_argument("--beta", type=float, default=0.75,
                    help="bounded reward ceiling for unsolved runs with a solution")
-    p.add_argument("--base-metric", default="par", choices=_BASE_METRICS,
+    p.add_argument("--base-metric", default="par",
+                   choices=[m for m, info in METRICS.items() if info.decomposable_base],
                    help="per-instance metric anchoring closed-gap baselines")
 
 
@@ -378,9 +375,11 @@ def cmd_validate(args: argparse.Namespace) -> Output:
 
 
 def _score_args(p: argparse.ArgumentParser) -> None:
+    from .metrics import METRICS
+
     _add_input_args(p)
     _add_metric_param_args(p)
-    p.add_argument("--metric", action="append", choices=_METRICS, default=None,
+    p.add_argument("--metric", action="append", choices=sorted(METRICS), default=None,
                    help="metric to report; repeatable (default: par)")
     p.add_argument("--sbs-policy", choices=sorted(_POLICY), default=None,
                    help="which split selects the single best solver for closed-gap")
@@ -397,9 +396,11 @@ def _score_args(p: argparse.ArgumentParser) -> None:
 
 
 def _rank_args(p: argparse.ArgumentParser) -> None:
+    from .metrics import METRICS
+
     _add_input_args(p)
     _add_metric_param_args(p)
-    p.add_argument("--metric", choices=_METRICS, default="par")
+    p.add_argument("--metric", choices=sorted(METRICS), default="par")
     p.add_argument("--sbs-policy", choices=sorted(_POLICY), default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -213,6 +213,10 @@ def score_scenario(
     if info.baselines:
         from .baselines import cell_baselines
 
+        # An empty test split has no gap to close, and an empty selection would pick the
+        # lexicographically first solver as the single best.
+        if not split.at or not any(sp.at for sp in selection):
+            raise EmptyInput(f"{metric_id} on {params.base_metric} needs optimization instances")
         report, totals = cell_baselines(
             scenario.instance_ids, params.base_metric, policy, split, selection
         )

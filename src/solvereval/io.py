@@ -24,6 +24,7 @@ from itertools import accumulate, compress, count, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from . import _forwarder
 from .errors import RowError, SchemaError
 from .scenario import SECOND_RUN, RunStatus, Scenario, ScenarioBuilder, check_timeout
 
@@ -40,19 +41,8 @@ __all__ = [
 ]
 
 # The names defined off the reading path, under the module that defines each.
-_ELSEWHERE = {"emit_scenario": "writer", "build_report": "report", "emit_report": "report",
-              "parse_aslib_runs": "aslib"}
-
-
-def __getattr__(name: str) -> object:
-    # Bound here once read, so that a name reads the same object until rebound. Imported
-    # as an import statement imports, which -X importtime lists (import_module is not).
-    module = _ELSEWHERE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    imported = __import__(module, globals(), level=1, fromlist=[name])
-    value = globals()[name] = getattr(imported, name)
-    return value
+__getattr__ = _forwarder(globals(), {"emit_scenario": "writer", "build_report": "report",
+                                     "emit_report": "report", "parse_aslib_runs": "aslib"})
 
 
 _STATUS_IN = {"ok": RunStatus.SOLVED, "timeout": RunStatus.TIMEOUT,

@@ -52,8 +52,6 @@ def _pair(sc: Scenario, i: str, s: str, s2: str, delta: float) -> float:
     within = abs(round(t * 1000) - round(t2 * 1000)) <= round(delta * 1000)
     if within and _obj(sc, i, s) == _obj(sc, i, s2):
         return 0.5
-    if t + t2 == 0:
-        return 0.5
     return t2 / (t + t2)
 
 
@@ -76,8 +74,6 @@ def _area_one(sc: Scenario, i: str, s: str, best: float, worst: float) -> float:
         if _obj(sc, i, s) == math.inf:
             return 1.0
         raise MissingTrajectory(f"area needs a trajectory for ({i}, {s}); none was recorded")
-    if not traj.events:
-        return 1.0
     # The incumbent holds until the run ends: a solved run's is proven optimal from then on.
     end = _time(sc, i, s)
     marks = sorted({0.0, end, sc.timeout_s} | {t for t, _ in traj.events})

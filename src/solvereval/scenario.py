@@ -19,6 +19,7 @@ from types import MappingProxyType
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
+from . import _forwarder
 from .errors import SameSolver, UnknownInstance, UnknownSolver, ValidationError, Violation
 
 __all__ = [
@@ -47,17 +48,8 @@ __all__ = [
 
 # The library-only route from raw mappings to a scenario, which no command
 # takes, lives in validation; each name is read from there on first use.
-_VALIDATION = ("build_scenario", "restrict", "validate_scenario")
-
-
-def __getattr__(name: str) -> object:
-    # Bound here once read, so that a name reads the same object until rebound. Imported
-    # as an import statement imports, which -X importtime lists (import_module is not).
-    if name not in _VALIDATION:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    imported = __import__("validation", globals(), level=1, fromlist=[name])
-    value = globals()[name] = getattr(imported, name)
-    return value
+__getattr__ = _forwarder(globals(), dict.fromkeys(
+    ("build_scenario", "restrict", "validate_scenario"), "validation"))
 
 
 class InstanceKind(str, Enum):

@@ -15,6 +15,7 @@ from test_fold_columns import bench_family_spec, generated
 
 from solvereval import (
     BadLambda,
+    DegenerateGap,
     MetricParams,
     MissingFoldContext,
     SbsPolicy,
@@ -160,6 +161,16 @@ class TestFullDatasetWrappers:
                 continue  # the closed gap does not score on this base metric
             assert baseline_report(sc, base_metric, lam) == report
             assert select_sbs(sc, base_metric, lam) == report.sbs_id
+
+    def test_degenerate_gap_reported_not_scored(self):
+        # a is at least as fast everywhere, so the single best is the virtual best:
+        # baseline_report reports those baselines, while the closed gap cannot be scored.
+        sc = decision_scenario({"i1": {"a": 5.0, "b": 7.0}, "i2": {"a": 3.0, "b": 3.0}})
+        report = baseline_report(sc)
+        assert report.sbs_id == "a" and report.m_sbs == report.m_vbs == 8.0
+        assert len(report.warnings) == 1 and "low resolution" in report.warnings[0]
+        with pytest.raises(DegenerateGap):
+            score_scenario(sc, "closed-gap")
 
 
 def all_fsum_pick(selection):

@@ -308,6 +308,17 @@ class TestScore:
         assert main(argv) == 0
         assert "closed-gap" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("folds", [[], ["--folds", "4"]])
+    def test_area_closed_gap_without_optimization_instances(self, tmp_path, capsys, folds):
+        # The base metric has no value anywhere: the cause is named, not a degenerate gap.
+        runs = str(tmp_path / "d.csv")
+        assert main(["gen", "--seed", "3", "--instances", "20", "-o", runs]) == 0
+        capsys.readouterr()
+        assert main(["score", runs, "--timeout", "100", "--metric", "closed-gap",
+                     "--base-metric", "area", *folds]) == 1
+        assert capsys.readouterr().err == (
+            "error: EmptyInput: closed-gap on area needs optimization instances\n")
+
     @pytest.mark.parametrize("agg, method", [
         ("sum", solvereval.Aggregation.SUM),
         ("mean", solvereval.Aggregation.ARITHMETIC_MEAN),

@@ -231,6 +231,8 @@ def ref_baseline_report(sc, base_metric, lam, policy, ctx):
     sbs = min(sc.solvers, key=lambda s: (totals[s], s))
     evaluation = ref_restrict(sc, ctx.test) if ctx is not None else sc
     values = ref_base_values(evaluation, base_metric, lam)
+    if not values or not ref_base_values(selection, base_metric, lam):
+        raise EmptyInput(f"closed-gap on {base_metric}")  # no base value to pick or measure on
     per_instance = {}
     for i in evaluation.instance_ids:
         candidates = [values[(s, i)] for s in evaluation.solvers if (s, i) in values]
@@ -476,6 +478,23 @@ class TestErrorParity:
         assert outcome(score_cell, sc, "closed-gap", None, policy, second) is DegenerateGap
         assert_same_cells(sc, "closed-gap", MetricParams(), plan, policy)
         assert outcome(evaluate, sc, "closed-gap", None, plan, policy) is DegenerateGap
+
+
+    @pytest.mark.parametrize("policy", list(SbsPolicy))
+    def test_closed_gap_cell_without_base_values(self, policy):
+        # Area has values on optimization instances only. The first cell's test fold has
+        # none; the second's training fold has none, an empty selection under train_split.
+        sc = generate(replace(thorough_vs_fast_spec(seed=3, n_instances=30), opt_fraction=0.1))
+        opt = set(sc.optimization_ids)
+        decision = tuple(i for i in sc.instance_ids if i not in opt)
+        params = MetricParams(base_metric="area")
+        cells = [TrainTest(train=tuple(opt), test=decision), TrainTest(decision, tuple(opt))]
+        for cell in cells:
+            got = outcome(score_cell, sc, "closed-gap", params, policy, cell)
+            assert got == outcome(ref_score, sc, "closed-gap", params, policy, cell)
+        assert outcome(score_cell, sc, "closed-gap", params, policy, cells[0]) is EmptyInput
+        second = outcome(score_cell, sc, "closed-gap", params, policy, cells[1])
+        assert (second is EmptyInput) == (policy is SbsPolicy.TRAIN_SPLIT)
 
 
 class TestFoldPlanPartition:

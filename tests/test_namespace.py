@@ -21,12 +21,12 @@ from solvereval.metrics import METRICS
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(solvereval.__path__))
 
 
-def _child(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports the package under test."""
+def _child(code: str, *options: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter, given options, that imports the package under test."""
     src = str(Path(solvereval.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *options, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -68,7 +68,7 @@ class TestLazyNamespace:
 
     @pytest.mark.parametrize("command", ["gen", "validate", "head2head", "runtime-dist"])
     def test_ingest_commands_load_no_scoring_module(self, command, tmp_path):
-        # The metric names the parser offers are written out in cli, not read off the
+        # Only score and rank build the metric arguments, whose choices are read off the
         # registry, so reading and writing runs files compiles no scoring module.
         runs = tmp_path / "runs.csv"
         runs.write_text("instance_id,solver_id,status,time_s\ni1,a,ok,1.5\ni1,b,timeout,10\n")
@@ -197,6 +197,14 @@ class TestLazyNamespace:
         assert {"solvereval.harness", "solvereval.baselines", "solvereval.metrics"}.isdisjoint(
             loaded)
 
+    def test_package_read_is_listed_by_importtime(self):
+        # A module loaded through the package namespace is imported as an import
+        # statement imports it, so -X importtime (the CI import check) lists it.
+        proc = _child("from solvereval import generate", "-X", "importtime")
+        listed = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert proc.returncode == 0, proc.stderr
+        assert "solvereval.synthkit" in listed
+
     def test_package_import_loads_no_submodule(self):
         proc = _child(
             "import sys, solvereval\n"
@@ -243,6 +251,14 @@ class TestExportTables:
         mod = importlib.import_module(f"solvereval.{module}")
         value = getattr(mod, name)
         assert vars(mod)[name] is value and value.__module__ != mod.__name__
+
+    def test_package_name_is_read_from_its_defining_module_and_bound(self):
+        # One hop: each name is listed under the module that defines it, not one that
+        # forwards it, and a read binds it in the package namespace.
+        for name, module in solvereval._MODULE_OF.items():
+            value = getattr(solvereval, name)
+            assert vars(solvereval)[name] is value
+            assert getattr(value, "__module__", f"solvereval.{module}") == f"solvereval.{module}"
 
     @pytest.mark.parametrize("module", SUBMODULES)
     def test_submodule_all_names_exist(self, module):

@@ -42,3 +42,11 @@ def test_batch_is_successive_draws_and_the_stream_goes_on(seed):
         assert batched.next_floats(n) == [single.next_float() for _ in range(n)]
         assert batched.next_u64() == single.next_u64()
         assert batched.next_float() == single.next_float()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_next_below_needs_a_positive_bound(n):
+    rng = SplitMix64(0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        rng.next_below(n)
+    assert rng.next_u64() == SplitMix64(0).next_u64()  # a refused bound draws nothing

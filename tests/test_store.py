@@ -192,6 +192,11 @@ class TestValueSemantics:
                 view[("o1", "a")] = None
 
     @given(with_trajectories())
+    def test_repr_shows_the_mapping(self, sc):
+        for view in (sc.outcomes, sc.trajectories):
+            assert repr(view) == f"{type(view).__name__}({dict(view.items())!r})"
+
+    @given(with_trajectories())
     def test_column_families_are_sealed(self, sc):
         families = [getattr(sc.outcomes, f) for f in ("times", "ms", "statuses", "objs")] + [
             getattr(sc.trajectories, f) for f in Trajectories.__slots__]

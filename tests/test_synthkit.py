@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 
 import pytest
-from helpers import decision_scenario
+from helpers import decision_scenario, scenario_from, solved, timed_out
 
 from solvereval import (
     ArchetypeSpec,
     BadSpec,
     InstanceKind,
+    MissingTrajectory,
     RunStatus,
     SolverSpec,
     TooLarge,
@@ -18,6 +19,7 @@ from solvereval import (
     generate,
     oracle_score,
     par_score,
+    score_scenario,
     thorough_vs_fast_spec,
     uniform,
 )
@@ -247,3 +249,27 @@ class TestOracle:
         wide = decision_scenario({"i1": {f"s{n}": 1.0 for n in range(7)}})
         with pytest.raises(TooLarge):
             oracle_score(wide, "par", "s0")
+
+    @staticmethod
+    def _optimization():
+        # A solved run with an objective but no trajectory, as a runs file read without
+        # a trajectory file gives.
+        return scenario_from(
+            {("o1", "a"): solved(3.0, obj=5.0), ("o1", "b"): timed_out()},
+            kinds={"o1": "optimization"},
+        )
+
+    def test_solution_without_trajectory(self):
+        sc = self._optimization()
+        with pytest.raises(MissingTrajectory, match=r"\(o1, a\)"):
+            oracle_score(sc, "area", "a")
+        with pytest.raises(MissingTrajectory):
+            score_scenario(sc, "area")
+
+    def test_unsupported_base_metric(self):
+        with pytest.raises(ValueError, match="unsupported base metric 'mznc'"):
+            oracle_score(self._optimization(), "closed-gap", "a", base_metric="mznc")
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError, match="unknown metric 'nope'"):
+            oracle_score(self._optimization(), "nope", "a")

@@ -96,7 +96,7 @@ def _metric_params(args: argparse.Namespace) -> MetricParams:
 
 
 def _delta(text: str) -> float:
-    """argparse type for a tie threshold in seconds: a finite number >= 0."""
+    """argparse type for a tie threshold in seconds: a finite number >= 0, with no sign."""
     from .metrics import threshold_ms
 
     try:
@@ -104,7 +104,7 @@ def _delta(text: str) -> float:
         threshold_ms(value)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
-    return value
+    return abs(value)  # -0 is the threshold 0, and prints as 0
 
 
 def _deltas(text: str) -> list[float]:
@@ -521,7 +521,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry: run main, then exit with its code."""
+    code = main()
+    # The interpreter's finalization runs full collector passes even with the
+    # collector off, and they skip only frozen objects; freezing everything
+    # left alive spares them. Flushes, atexit handlers and module teardown
+    # still run. main itself never freezes, so library callers keep theirs.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -306,10 +306,22 @@ def evaluate(
 
     merged = cells[0].table if fold_plan is None else ScoreTable(
         metric_id, cells[0].table.params,
-        {s: aggregate([c.table.per_solver[s] for c in cells], merge) for s in scenario.solvers},
+        {s: _merge_cells(cells, metric_id, s, merge) for s in scenario.solvers},
         cells[0].table.direction,
     )
     return EvaluationResult(tuple(cells), merged, fold_plan, policy, merge)
+
+
+def _merge_cells(cells: list[FoldCell], metric_id: str, solver: str, merge: Aggregation) -> float:
+    """One solver's cell scores merged; a refused geometric mean names the first bad cell."""
+    try:
+        return aggregate([c.table.per_solver[solver] for c in cells], merge)
+    except NonPositiveForGeomean as e:
+        bad = next(c for c in cells if c.table.per_solver[solver] <= 0)
+        raise NonPositiveForGeomean(
+            f"{metric_id}: {e}: solver {solver} scores {bad.table.per_solver[solver]!r}"
+            f" in repeat {bad.repeat}, fold {bad.fold}"
+        ) from None
 
 
 @dataclass(frozen=True)

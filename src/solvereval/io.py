@@ -215,9 +215,13 @@ def _take_runs(builder: ScenarioBuilder, opt: set[str], width: int, cells: tuple
     sids = list(map(str.strip, columns[c_solver]))
     for ids in (iids, sids):
         cut.first(ids, "", "instance_id and solver_id must be non-empty", ids)
-    read = list(map(str.lower, map(str.strip, columns[c_status])))  # stripped and lowered
-    statuses = list(map(_STATUS_IN.get, read))
-    cut.first(statuses, None, f"unknown status {{!r}}; expected one of {sorted(_STATUS_IN)}", read)
+    status_cells = columns[c_status]  # a block holds few distinct ones: each is read once
+    status_of = {c: _STATUS_IN.get(c.strip().lower()) for c in set(status_cells)}
+    statuses = list(map(status_of.__getitem__, status_cells))
+    if None in status_of.values():
+        read = list(map(str.lower, map(str.strip, status_cells)))  # as the message names it
+        cut.first(statuses, None, f"unknown status {{!r}}; expected one of {sorted(_STATUS_IN)}",
+                  read)
     times = cut.floats(columns[c_time], "unparseable time_s {!r}")
     obj_cells = list(map(str.strip, columns[c_obj])) if c_obj is not None else ()
     objs = [math.inf] * len(iids)  # an empty obj cell reads as +inf, the one object

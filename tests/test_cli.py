@@ -319,6 +319,28 @@ class TestScore:
         assert capsys.readouterr().err == (
             "error: EmptyInput: closed-gap on area needs optimization instances\n")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_negative_zero_delta_reads_as_zero(self, runs_file, capsys, fmt):
+        argv = ["score", str(runs_file), "--timeout", "100", "--metric", "mznc", "--format", fmt]
+        assert main([*argv, "--delta", "0"]) == 0
+        zero = capsys.readouterr().out
+        assert main([*argv, "--delta", "-0"]) == 0
+        assert capsys.readouterr().out == zero
+        assert "-0" not in zero
+
+    def test_refused_geomean_merge_names_metric_solver_and_cell(self, tmp_path, capsys):
+        # b solves only i3: the fold without it scores b at 0 under normalized-runtime.
+        runs = tmp_path / "g.csv"
+        runs.write_text("instance_id,solver_id,status,time_s\n"
+                        "i1,a,ok,1.0\ni1,b,timeout,100\ni2,a,ok,2.0\ni2,b,timeout,100\n"
+                        "i3,a,ok,3\ni3,b,ok,5\ni4,a,ok,4\ni4,b,timeout,100\n")
+        assert main(["score", str(runs), "--timeout", "100", "--folds", "2", "--agg", "geomean",
+                     "--metric", "par", "--metric", "normalized-runtime"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: NonPositiveForGeomean: normalized-runtime: geometric mean needs"
+                       " strictly positive values: solver b scores 0.0 in repeat 0, fold 1\n")
+
     @pytest.mark.parametrize("agg, method", [
         ("sum", solvereval.Aggregation.SUM),
         ("mean", solvereval.Aggregation.ARITHMETIC_MEAN),
@@ -403,6 +425,15 @@ class TestSweepDelta:
         assert main([*args, "--solvers", "a,a"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_negative_zero_delta_reads_as_zero(self, runs_file, capsys, fmt):
+        argv = ["sweep-delta", str(runs_file), "--timeout", "100", "--format", fmt]
+        assert main([*argv, "--deltas", "0"]) == 0
+        zero = capsys.readouterr().out
+        for deltas in ("-0", "-0,0", "0,-0"):
+            assert main([*argv, f"--deltas={deltas}"]) == 0
+            assert capsys.readouterr().out == zero, deltas
 
     def test_negative_delta_rejected(self, runs_file, capsys):
         assert main(["sweep-delta", str(runs_file), "--timeout", "100",
@@ -701,17 +732,56 @@ class TestCollectorPause:
         assert main(["score"]) == 1
         assert gc.isenabled() is collector
 
+    @pytest.fixture(autouse=True)
+    def no_freeze(self):
+        """main leaves the permanent generation as it found it, however it ends."""
+        frozen = gc.get_freeze_count()
+        yield
+        assert gc.get_freeze_count() == frozen
+
+
+class TestRunFreezes:
+    """The console entry freezes what is left alive once main returns, then exits."""
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_freeze_after_main(self, monkeypatch, code):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == code
+        assert calls == ["main", "freeze"]
+
+    def test_fresh_interpreter(self, runs_file):
+        # atexit still runs after the freeze, which an os._exit would skip.
+        argv = ["solvereval", "validate", str(runs_file), "--timeout", "100"]
+        program = ("import atexit, gc, sys\n"
+                   "import solvereval.cli\n"
+                   "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
+                   " file=sys.stderr))\n"
+                   f"sys.argv = {argv!r}\n"
+                   "solvereval.cli.run()\n")
+        proc = _python("-c", program)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(b"ok: ")
+        word, count = proc.stderr.split()
+        assert word == b"frozen" and int(count) > 0
+
+
+def _python(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """Run python with argv in a child that imports the package under test, wherever
+    pytest found it; env holds extra variables."""
+    src = str(Path(solvereval.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
 
 def _module_cli(*argv: str, python: tuple[str, ...] = (),
                 **env: str) -> subprocess.CompletedProcess:
-    """Run python -m solvereval.cli in a child that imports the package under test,
-    wherever pytest found it; python holds interpreter options, env extra variables."""
-    src = str(Path(solvereval.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *python, "-m", "solvereval.cli", *argv],
-        capture_output=True, env={**os.environ, "PYTHONPATH": path, **env},
-    )
+    """Run python -m solvereval.cli in such a child; python holds interpreter options."""
+    return _python(*python, "-m", "solvereval.cli", *argv, **env)
 
 
 class TestEntryPoint:

@@ -332,6 +332,22 @@ class TestEvaluate:
         for other in ("par", "runtime", "mznc"):
             evaluate(sc, other, fold_plan=plan, aggregation="geometric_mean")
 
+    def test_refused_geomean_merge_names_metric_solver_and_cell(self):
+        # b solves only i3, so a cell without i3 scores it at 0 under normalized-runtime.
+        sc = decision_scenario({"i1": {"a": 1.0, "b": None}, "i2": {"a": 2.0, "b": None},
+                                "i3": {"a": 3.0, "b": 5.0}, "i4": {"a": 4.0, "b": None}})
+        plan = make_fold_plan(sc.instance_ids, 2)
+        cells = evaluate(sc, "normalized-runtime", fold_plan=plan).cells
+        bad = next(c for c in cells if c.table.per_solver["b"] <= 0)
+        with pytest.raises(NonPositiveForGeomean) as refused:
+            evaluate(sc, "normalized-runtime", fold_plan=plan, aggregation="geometric_mean")
+        assert str(refused.value) == (
+            "normalized-runtime: geometric mean needs strictly positive values: solver b scores"
+            f" 0.0 in repeat {bad.repeat}, fold {bad.fold}")
+        with pytest.raises(NonPositiveForGeomean) as direct:  # aggregate's own message
+            aggregate([1.0, 0.0], Aggregation.GEOMETRIC_MEAN)
+        assert str(direct.value) == "geometric mean needs strictly positive values"
+
     def test_closed_gap_geomean_without_folds_still_scores(self):
         sc = generate(thorough_vs_fast_spec(seed=1, n_instances=60))
         result = evaluate(sc, "closed-gap", aggregation="geometric_mean")

@@ -128,7 +128,9 @@ def _take_aslib(builder: ScenarioBuilder, col: dict[str, int], rows: list[list[s
                        infinite="time_s must be finite, got {!r}")
     keep = keep[:cut.at]
     tau, solved, timeout = builder.timeout_s, RunStatus.SOLVED, RunStatus.TIMEOUT
-    statuses = map(_STATUS_IN.get, map(str.lower, cells["runstatus"]), repeat(timeout))
+    runstatus = cells["runstatus"]  # a block holds few distinct cells: each is read once
+    status_of = {c: _STATUS_IN.get(c.lower(), timeout) for c in set(runstatus)}
+    statuses = map(status_of.__getitem__, runstatus)
     # An ok run not before the timeout once snapped is a timeout. An unsolved run is scored at
     # the timeout; a negative runtime goes as it is, for the builder to refuse.
     statuses = [timeout if s is solved and t >= 0.0 and not quantize_ms(t) < tau else s

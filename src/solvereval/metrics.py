@@ -193,13 +193,14 @@ def _pair_rows(scenario: Scenario, solver: str) -> Iterator[list[tuple[float, in
     return map(_pair_entries, kinds, repeat(scenario.timeout_s), own, zip(*columns.values()))
 
 
-def _pair_values(entries: Sequence[tuple[float, int | None]], delta_ms: int) -> list[float]:
-    """Entry values at a tie threshold given in integer milliseconds."""
-    return [0.5 if d is not None and d <= delta_ms else v for v, d in entries]
+def _mznc_value(row: Sequence[tuple[float, int | None]], delta_ms: float) -> float:
+    """A solver's mznc value on one instance at a tie threshold in milliseconds: the
+    math.fsum of its row's entries, each tie-eligible pair within the threshold as 0.5."""
+    return math.fsum([0.5 if d is not None and d <= delta_ms else v for v, d in row])
 
 
-# Every finite double is an integer multiple of 2**-1074, so sums kept as ints
-# in that unit are exact, and int true division rounds them correctly: the
+# Every finite double is an integer multiple of 2**-1074, so a total kept as an
+# int in that unit is exact, and int true division rounds it correctly: the
 # same float math.fsum returns for the same values.
 _EXACT_UNIT = 1 << 1074
 
@@ -229,7 +230,7 @@ def mznc_pair(
     p, runs = scenario.position(instance_id), scenario.outcomes
     run, other = ((runs.times[s][p], runs.ms[s][p], runs.objs[s][p]) for s in (solver, opponent))
     decision = scenario.instances[p].kind is InstanceKind.DECISION
-    return _pair_values(_pair_entries(decision, scenario.timeout_s, run, [other]), delta_ms)[0]
+    return _mznc_value(_pair_entries(decision, scenario.timeout_s, run, [other]), delta_ms)
 
 
 def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
@@ -237,51 +238,42 @@ def mznc_score(scenario: Scenario, solver: str, delta: float = 0.0) -> float:
     return mznc_scores(scenario, (solver,), (delta,))[solver][0]
 
 
-def _terms(scenario: Scenario, solver: str) -> tuple[list[int], list[tuple[int, int, float]]]:
-    """A solver's pairwise terms: its exact sum over the opponents per instance (see
-    _EXACT_UNIT), with every tie-eligible pair counted as a tie, and those pairs as
-    (time difference, instance position, value outside the tie), largest difference first."""
-    half, sums, ties = _exact(0.5), [], []
+def _terms(scenario: Scenario, solver: str) -> tuple[list[float], dict, list[tuple[int, int]]]:
+    """A solver's pairwise terms: its mznc value per instance with every tie-eligible pair
+    tied, the rows of the instances that have such a pair, and those pairs as (time
+    difference, instance position), largest difference first."""
+    values, rows, ties = [], {}, []
     for p, row in enumerate(_pair_rows(scenario, solver)):
-        exact = 0
-        for value, diff in row:
-            if diff is None:
-                exact += _exact(value)
-            else:
-                exact += half
-                ties.append((diff, p, value))
-        sums.append(exact)
+        values.append(_mznc_value(row, math.inf))
+        diffs = [(d, p) for _, d in row if d is not None]
+        if diffs:
+            rows[p] = row
+            ties += diffs
     ties.sort(reverse=True)
-    return sums, ties
+    return values, rows, ties
 
 
-def _totals(
-    sums: list[int], ties: list[tuple[int, int, float]], deltas_ms: list[int]
-) -> list[float]:
+def _totals(values: list[float], rows: dict, ties: list, deltas_ms: list[int]) -> list[float]:
     """A solver's total pairwise score at each threshold of deltas_ms, from its _terms.
 
     Walking the thresholds downward, a tie pair leaves the tie branch once
-    its time difference exceeds the threshold. Each instance's exact sum is
-    rounded, which is its mznc column value: at a threshold, once for every
-    instance a pair left from, after all its pairs that leave there. The
-    total is the exact sum of those rounded values, rounded once per
-    threshold. So it is the math.fsum of the column, the float that scoring
-    mznc gives.
+    its time difference exceeds the threshold; each instance a pair left
+    from is re-valued (_mznc_value) at that threshold, after all its pairs
+    that leave there. The total is kept as the exact sum of the values,
+    rounded once per threshold: the math.fsum of the mznc column, the float
+    that scoring mznc gives.
     """
-    sums, half = list(sums), _exact(0.5)
-    rounded = [_exact(e / _EXACT_UNIT) for e in sums]
-    total, pos, at = sum(rounded), 0, [0.0] * len(deltas_ms)
+    values = list(values)
+    total, pos, at = sum(map(_exact, values)), 0, [0.0] * len(deltas_ms)
     for n in sorted(range(len(deltas_ms)), key=deltas_ms.__getitem__, reverse=True):
-        touched = set()
-        while pos < len(ties) and ties[pos][0] > deltas_ms[n]:
-            _, p, value = ties[pos]
-            sums[p] += _exact(value) - half
-            touched.add(p)
+        delta_ms, touched = deltas_ms[n], set()
+        while pos < len(ties) and ties[pos][0] > delta_ms:
+            touched.add(ties[pos][1])
             pos += 1
         for p in touched:
-            now = _exact(sums[p] / _EXACT_UNIT)
-            total += now - rounded[p]
-            rounded[p] = now
+            now = _mznc_value(rows[p], delta_ms)
+            total += _exact(now) - _exact(values[p])
+            values[p] = now
         at[n] = total / _EXACT_UNIT
     return at
 
@@ -318,7 +310,7 @@ def find_flip_delta(scenario: Scenario, solver_a: str, solver_b: str) -> float |
     """
     _require_pair(scenario, solver_a, solver_b)
     terms = [_terms(scenario, s) for s in (solver_a, solver_b)]
-    candidates = sorted({0, *(d for _, ties in terms for d, _, _ in ties)})
+    candidates = sorted({0, *(d for *_, ties in terms for d, _ in ties)})
     flip: float | None = None
     for d, a, b in reversed(list(zip(candidates, *[_totals(*t, candidates) for t in terms]))):
         if not a > b:
@@ -374,7 +366,7 @@ def _mznc_columns(scenario: Scenario, params: MetricParams) -> Columns:
     _require_opponents(scenario)
     delta_ms = threshold_ms(params.delta)
     return {
-        s: [math.fsum(_pair_values(row, delta_ms)) for row in _pair_rows(scenario, s)]
+        s: [_mznc_value(row, delta_ms) for row in _pair_rows(scenario, s)]
         for s in scenario.solvers
     }
 

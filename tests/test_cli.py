@@ -326,7 +326,8 @@ class TestScore:
         zero = capsys.readouterr().out
         assert main([*argv, "--delta", "-0"]) == 0
         assert capsys.readouterr().out == zero
-        assert "-0" not in zero
+        shown = '"delta": ' if fmt == "json" else "delta="  # the printed threshold
+        assert f"{shown}0" in zero and f"{shown}-0" not in zero
 
     def test_refused_geomean_merge_names_metric_solver_and_cell(self, tmp_path, capsys):
         # b solves only i3: the fold without it scores b at 0 under normalized-runtime.
@@ -425,6 +426,25 @@ class TestSweepDelta:
         assert main([*args, "--solvers", "a,a"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 2
+
+    def test_each_threshold_scores_as_score_does(self, tmp_path, capsys):
+        # A mixed scenario whose runs often lie within a second of each other, so that the
+        # tie branch moves the scores at every default threshold: the sweep's scores are the
+        # ones score gives at that threshold, bit for bit.
+        runs = str(tmp_path / "mixed.csv")
+        solvers = [f"s{j}:p={0.7 + j / 20},runtime=uniform(1,{2 + j})" for j in range(4)]
+        assert main(["gen", "-o", runs, "--instances", "60", "--seed", "4", "--opt-fraction",
+                     "0.3", *(f for s in solvers for f in ("--solver", s))]) == 0
+        capsys.readouterr()
+        argv = [runs, "--timeout", "100", "--format", "json"]
+        assert main(["sweep-delta", *argv]) == 0
+        sweep = json.loads(capsys.readouterr().out)["sweep"]
+        for row in sweep:
+            assert main(["score", *argv, "--metric", "mznc", "--delta", str(row["delta"])]) == 0
+            scores = json.loads(capsys.readouterr().out)["scores"]
+            assert [{s: v.hex() for s, v in t.items()} for t in scores] == [
+                {s: v.hex() for s, v in row["scores"].items()}], row["delta"]
+        assert len({tuple(row["scores"].values()) for row in sweep}) == len(sweep) == 6
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_negative_zero_delta_reads_as_zero(self, runs_file, capsys, fmt):

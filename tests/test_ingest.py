@@ -557,6 +557,18 @@ class TestAslibOrder:
         assert sc.solvers == ("s2", "s0", "s1")
 
 
+class TestAslibStatus:
+    def test_runstatus_maps_without_case(self, tmp_path):
+        # ok is solved, memout and crash are errors, anything else a timeout; an unsolved
+        # run is scored at the timeout. The repetition 2 row is read past.
+        rows = "i1,1,a,1.5,OK\ni1,1,b,2.0,Memout\ni1,1,c,3.0,CRASH\ni1,1,d,4.0,other\n" \
+               "i1,2,a,5.0,crash\n"
+        sc = _load(tmp_path, ARFF + rows)
+        assert [sc.outcome("i1", s) for s in "abcd"] == [
+            RunOutcome(1.5, RunStatus.SOLVED), RunOutcome(100.0, RunStatus.ERROR),
+            RunOutcome(100.0, RunStatus.ERROR), RunOutcome(100.0, RunStatus.TIMEOUT)]
+
+
 class TestRowWidth:
     """A row must have exactly as many cells as its header; extra cells are not dropped."""
 

@@ -9,10 +9,10 @@ policy: the training split, the test split, or the whole dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
+from .errors import _Value
 from .metrics import SbsPolicy, Split, base_columns, read_split
 from .scenario import Scenario
 
@@ -27,8 +27,7 @@ __all__ = [
 LOW_RESOLUTION_THRESHOLD = 0.01
 
 
-@dataclass(frozen=True)
-class BaselineReport:
+class BaselineReport(_Value):
     base_metric_id: str
     sbs_id: str
     sbs_policy: SbsPolicy

@@ -10,7 +10,6 @@ import argparse
 import gc
 import re
 import sys
-from dataclasses import replace as _replace
 from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -217,7 +216,8 @@ def cmd_head2head(args: argparse.Namespace) -> Output:
     scenario = _load_scenario(args)
     pairs = [args.solvers] if args.solvers else combinations(scenario.solvers, 2)
     results = [head_to_head(scenario, a, b) for a, b in pairs]
-    return {"scenario": scenario.id, "pairs": [vars(h) for h in results]}, lambda: "".join(
+    pairs = [dict(zip(h._fields, h._values())) for h in results]
+    return {"scenario": scenario.id, "pairs": pairs}, lambda: "".join(
         f"{h.solver_a} vs {h.solver_b}: {h.a_faster} faster, {h.b_faster} slower, {h.ties} ties\n"
         for h in results)
 
@@ -341,6 +341,8 @@ def _parse_solver_spec(text: str) -> SolverSpec:
 
 
 def cmd_gen(args: argparse.Namespace) -> Output:
+    from dataclasses import replace as _replace
+
     from .io import emit_scenario
     from .synthkit import generate, thorough_vs_fast_spec
 

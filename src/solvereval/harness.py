@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
@@ -14,6 +13,8 @@ from .errors import (
     EmptyRestriction,
     MissingFoldContext,
     NonPositiveForGeomean,
+    _set,
+    _Value,
 )
 from .metrics import (
     Columns,
@@ -84,8 +85,7 @@ def aggregate(values: Sequence[float], method: Aggregation | str) -> float:
     return statistics.median(vals)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(_Value):
     """Deterministic k-fold assignments, one partition per repeat.
 
     make_fold_plan's membership is a function of (seed, k, repeats, instance
@@ -233,17 +233,22 @@ def score_scenario(
     ), None
 
 
-@dataclass(frozen=True)
-class FoldCell:
+class FoldCell(_Value):
     repeat: int
     fold: int
     test_instances: tuple[str, ...]
     table: ScoreTable
     baseline: BaselineReport | None
 
+    def __init__(self, repeat, fold, test_instances, table, baseline):  # one per fold cell
+        _set(self, "repeat", repeat)
+        _set(self, "fold", fold)
+        _set(self, "test_instances", test_instances)
+        _set(self, "table", table)
+        _set(self, "baseline", baseline)
 
-@dataclass(frozen=True)
-class EvaluationResult:
+
+class EvaluationResult(_Value):
     cells: tuple[FoldCell, ...]
     merged: ScoreTable
     fold_plan: FoldPlan | None
@@ -324,8 +329,7 @@ def _merge_cells(cells: list[FoldCell], metric_id: str, solver: str, merge: Aggr
         ) from None
 
 
-@dataclass(frozen=True)
-class RankEntry:
+class RankEntry(_Value):
     solver_id: str
     score: float
     position: int

@@ -10,7 +10,6 @@ optimization-quality scores (ratio, area, bounded reward).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
@@ -24,6 +23,7 @@ from .errors import (
     NonDecomposableMetric,
     NonPositiveObjective,
     SingleSolverScenario,
+    _Value,
 )
 from .scenario import (
     Direction, InstanceKind, RunStatus, Scenario, _require_pair, require_solvers,
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricParams:
+class MetricParams(_Value):
     """Named parameters a metric may take; unused fields are ignored."""
 
     lam: float = 10.0
@@ -77,8 +76,7 @@ Columns = dict[str, Sequence[float | None]]
 _SOLVED = RunStatus.SOLVED
 
 
-@dataclass(frozen=True)
-class MetricInfo:
+class MetricInfo(_Value):
     """One metric: everything scoring, ranking and reporting it needs (see METRICS).
 
     columns builds the per-instance columns (instance_columns); a solver's
@@ -260,11 +258,12 @@ def _totals(values: list[float], rows: dict, ties: list, deltas_ms: list[int]) -
     its time difference exceeds the threshold; each instance a pair left
     from is re-valued (_mznc_value) at that threshold, after all its pairs
     that leave there. The total is kept as the exact sum of the values,
-    rounded once per threshold: the math.fsum of the mznc column, the float
-    that scoring mznc gives.
+    rounded where it may change: the math.fsum of the mznc column, the
+    float that scoring mznc gives.
     """
     values = list(values)
     total, pos, at = sum(map(_exact, values)), 0, [0.0] * len(deltas_ms)
+    rounded = total / _EXACT_UNIT
     for n in sorted(range(len(deltas_ms)), key=deltas_ms.__getitem__, reverse=True):
         delta_ms, touched = deltas_ms[n], set()
         while pos < len(ties) and ties[pos][0] > delta_ms:
@@ -274,7 +273,9 @@ def _totals(values: list[float], rows: dict, ties: list, deltas_ms: list[int]) -
             now = _mznc_value(rows[p], delta_ms)
             total += _exact(now) - _exact(values[p])
             values[p] = now
-        at[n] = total / _EXACT_UNIT
+        if touched:  # else no pair left at this threshold, and the total is unchanged
+            rounded = total / _EXACT_UNIT
+        at[n] = rounded
     return at
 
 
@@ -525,11 +526,11 @@ def instance_columns(
     return info.columns(scenario, params)
 
 
-@dataclass
-class Split:
+class Split(_Value):
     """A split of a metric's columns, read once: the positions where they hold a value, in
     the order given, and each solver's values there (read_split)."""
 
+    __slots__ = ("__dict__",)  # for the cached sums
     at: list[int]
     values: dict[str, list[float]]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, count, islice, repeat
@@ -20,7 +19,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from . import _forwarder
-from .errors import SameSolver, UnknownInstance, UnknownSolver, ValidationError, Violation
+from .errors import (SameSolver, UnknownInstance, UnknownSolver, ValidationError, Violation,
+                     _set, _Value)
 
 __all__ = [
     "Direction",
@@ -78,15 +78,18 @@ def quantize_ms(t: float) -> float:
     return round(ms) / 1000.0 if math.isfinite(ms) else t
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
+class Instance(_Value):
     id: str
-    kind: InstanceKind = InstanceKind.DECISION
-    best_known_obj: float | None = None
+    kind: InstanceKind
+    best_known_obj: float | None
+
+    def __init__(self, id, kind=InstanceKind.DECISION, best_known_obj=None):  # one per instance
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "best_known_obj", best_known_obj)
 
 
-@dataclass(frozen=True, slots=True)
-class RunOutcome:
+class RunOutcome(_Value):
     """One recorded run. obj is +inf when no solution was found.
 
     For decision instances obj is always +inf. For optimization instances,
@@ -98,8 +101,7 @@ class RunOutcome:
     obj: float = math.inf
 
 
-@dataclass(frozen=True, slots=True)
-class Trajectory:
+class Trajectory(_Value):
     """Incumbent objective values over time, as (time_s, obj) events.
 
     Events are strictly increasing in time and strictly decreasing in
@@ -110,8 +112,7 @@ class Trajectory:
     events: tuple[tuple[float, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(_Value):
     """Scores of one metric over one instance set.
 
     per_instance, when present, is keyed by (solver_id, instance_id) and
@@ -123,8 +124,17 @@ class ScoreTable:
     params: Mapping[str, object]
     per_solver: Mapping[str, float]
     direction: Direction
-    per_instance: Mapping[tuple[str, str], float] | None = None
-    aggregation: str | None = None
+    per_instance: Mapping[tuple[str, str], float] | None
+    aggregation: str | None
+
+    def __init__(self, metric_id, params, per_solver, direction, per_instance=None,
+                 aggregation=None):  # one per fold cell
+        _set(self, "metric_id", metric_id)
+        _set(self, "params", params)
+        _set(self, "per_solver", per_solver)
+        _set(self, "direction", direction)
+        _set(self, "per_instance", per_instance)
+        _set(self, "aggregation", aggregation)
 
 
 class InstanceValues(Mapping):
@@ -233,17 +243,17 @@ class Trajectories(_Store):
         return sum(len(set(offsets)) - 1 for offsets in self.offsets.values())
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Value):
     """Validated, it holds its runs and trajectories in the stores the kernels read, Runs
     and Trajectories; raw, as validate_scenario takes it, any mappings, dicts among them."""
 
+    __slots__ = ("__dict__",)  # for the cached reads below
     id: str
     instances: tuple[Instance, ...]
     solvers: tuple[str, ...]
     timeout_s: float
     outcomes: Mapping[tuple[str, str], RunOutcome]
-    trajectories: Mapping[tuple[str, str], Trajectory] = field(default_factory=dict)
+    trajectories: Mapping[tuple[str, str], Trajectory] = dict  # a new dict for each scenario
 
     @cached_property
     def position_map(self) -> dict[str, int]:
@@ -603,8 +613,7 @@ def _require_pair(scenario: Scenario, solver_a: str, solver_b: str) -> None:
     require_solvers(scenario, (solver_a, solver_b))
 
 
-@dataclass(frozen=True)
-class HeadToHead:
+class HeadToHead(_Value):
     solver_a: str
     solver_b: str
     a_faster: int

@@ -10,7 +10,6 @@ directly. solvereval.scenario reads these names from here on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyRestriction, UnknownInstance, ValidationError, Violation
@@ -133,8 +132,8 @@ def restrict(scenario: Scenario, instance_ids: Sequence[str]) -> Scenario:
     missing = sorted(kept.difference(scenario.position_map))
     if missing:
         raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
-    return validate_scenario(replace(
-        scenario, instances=tuple(inst for inst in scenario.instances if inst.id in kept),
+    return validate_scenario(scenario.replace(
+        instances=tuple(inst for inst in scenario.instances if inst.id in kept),
         outcomes={k: v for k, v in scenario.outcomes.items() if k[0] in kept},
         trajectories={k: v for k, v in scenario.trajectories.items() if k[0] in kept},
     ))

@@ -97,8 +97,7 @@ def ref_restrict(sc, instance_ids):
     if missing:
         raise UnknownInstance(", ".join(missing))
     kept = tuple(inst for inst in sc.instances if inst.id in wanted)
-    return replace(
-        sc,
+    return sc.replace(
         instances=kept,
         outcomes={k: v for k, v in sc.outcomes.items() if k[0] in wanted},
         trajectories={k: v for k, v in sc.trajectories.items() if k[0] in wanted},
@@ -569,7 +568,7 @@ class TestFoldPlanPartition:
             built.append(scenario.id)
             return info.columns(scenario, params)
 
-        monkeypatch.setitem(METRICS, metric_id, replace(info, columns=spy))
+        monkeypatch.setitem(METRICS, metric_id, info.replace(columns=spy))
         with pytest.raises(error, match=message):
             evaluate(sc, metric_id, None, FoldPlan(0, assignment))
         assert built == []  # no column was built

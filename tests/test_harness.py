@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 from helpers import TIMEOUT, decision_scenario, scenario_from, solved, timed_out
@@ -322,7 +321,7 @@ class TestEvaluate:
             built.append(scenario.id)
             return info.columns(scenario, params)
 
-        monkeypatch.setitem(METRICS, "closed-gap", replace(info, columns=spy))
+        monkeypatch.setitem(METRICS, "closed-gap", info.replace(columns=spy))
         for aggregation in ("geometric_mean", Aggregation.GEOMETRIC_MEAN):
             with pytest.raises(NonPositiveForGeomean, match="closed-gap"):
                 evaluate(sc, "closed-gap", fold_plan=plan, aggregation=aggregation)

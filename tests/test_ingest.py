@@ -631,8 +631,8 @@ class TestValueTypes:
         values = [sc, *sc.instances, *sc.outcomes.values(), *sc.trajectories.values()]
         for value in values:
             assert pickle.loads(pickle.dumps(value)) == value
-            assert dataclasses.replace(value) == value
-        assert dataclasses.replace(sc.outcome("o1", "a"), obj=4.0).obj == 4.0
+            assert value.replace() == value
+        assert sc.outcome("o1", "a").replace(obj=4.0).obj == 4.0
 
 
 class TestRunReuse:

@@ -176,6 +176,28 @@ class TestLazyNamespace:
                                "--flip", "a,b", "--format", "json"])
         assert loaded == {"cli", "errors", "scenario", "io", "metrics"}
 
+    # Only gen, whose generator specs are dataclasses, imports dataclasses and the inspect it
+    # imports; every other command's records are plain slotted classes.
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{dir}/runs.csv", "--timeout", "100"],
+        ["head2head", "{dir}/runs.csv", "--timeout", "100"],
+        ["runtime-dist", "{dir}/runs.csv", "--timeout", "100"],
+        ["rank", "{dir}/runs.csv", "--timeout", "100", "--metric", "mznc"],
+        ["sweep-delta", "{dir}/runs.csv", "--timeout", "100", "--flip", "a,b"],
+        ["score", "{dir}/runs.csv", "--timeout", "100", "--folds", "4", "--metric",
+         "closed-gap"],
+        ["gen", "--instances", "5", "-o", "{dir}/gen.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_only_gen_imports_dataclasses(self, argv, inputs):
+        argv = [a.format(dir=inputs) for a in argv]
+        proc = _child(f"from solvereval.cli import main\nraise SystemExit(main({argv!r}))",
+                      "-X", "importtime")
+        assert proc.returncode == 0, proc.stderr
+        listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "solvereval.cli" in listed
+        want = {"dataclasses", "inspect"} if argv[0] == "gen" else set()
+        assert listed & {"dataclasses", "inspect"} == want
+
     def test_io_import_loads_no_scoring_module(self):
         # A lower-is-better column: the table marks the ranking's first score, the minimum.
         report = {

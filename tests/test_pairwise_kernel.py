@@ -10,7 +10,6 @@ the kernel walks its own tie differences only. Every comparison is exact
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 from helpers import decision_scenario
@@ -145,7 +144,7 @@ def grid_heavy_scenarios(draw, zero: bool = False):
     outcomes = {}
     for n, (key, out) in enumerate(sorted(sc.outcomes.items())):
         if out.time_s < sc.timeout_s:
-            out = replace(out, time_s=grid[n % 5] / 1000.0)
+            out = out.replace(time_s=grid[n % 5] / 1000.0)
         outcomes[key] = out
     return build_scenario(sc.id, sc.instances, sc.solvers, sc.timeout_s, outcomes, sc.trajectories)
 

@@ -134,7 +134,7 @@ def test_the_check_sees_output_in_a_command(tmp_path):
     assert _dumps_calls([p]) == ["cli.py line 7", "cli.py line 9", "cli.py line 11"]
 
 
-FLOOR = (3, 10)  # dataclass(slots=True) needs 3.10
+FLOOR = (3, 10)  # the floor pyproject.toml declares
 
 
 def test_pyproject_declares_the_floor():

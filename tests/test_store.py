@@ -9,7 +9,6 @@ trajectory columns were once derived from the outcome and trajectory dicts.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import pickle
 import tempfile
@@ -49,8 +48,8 @@ def with_trajectories(draw):
     Some optimization runs without a solution are given an empty Trajectory(),
     which, like a file, records no trajectory for them.
     """
-    edge = edge_scenarios(drop=False).map(lambda sc: dataclasses.replace(
-        sc, instances=tuple(Instance(i.id, i.kind) for i in sc.instances)))
+    edge = edge_scenarios(drop=False).map(lambda sc: sc.replace(
+        instances=tuple(Instance(i.id, i.kind) for i in sc.instances)))
     sc = draw(st.one_of(scenarios(), generated(), edge))
     bare = [(i.id, s) for i in sc.instances if i.kind is InstanceKind.OPTIMIZATION
             for s in sc.solvers if math.isinf(sc.outcomes[(i.id, s)].obj)]
@@ -169,7 +168,7 @@ class TestValueSemantics:
     @given(with_trajectories())
     def test_pickle_equality_replace_and_length(self, sc):
         assert pickle.loads(pickle.dumps(sc)) == sc
-        assert dataclasses.replace(sc) == sc
+        assert sc.replace() == sc
         assert len(sc.outcomes) == len(sc.instance_ids) * len(sc.solvers)
         assert len(sc.trajectories) == len(list(sc.trajectories))
         assert sc.outcomes == dict(sc.outcomes.items())
@@ -234,8 +233,8 @@ def generate_mixed():
 
 def test_raw_dict_scenarios_still_validate():
     raw_runs = {("o1", "a"): RunOutcome(3, "solved", 5), ("i1", "a"): RunOutcome(1.0004, "solved")}
-    sc = validate_scenario(dataclasses.replace(
-        generate_mixed(), id="raw", instances=(Instance("o1", "optimization"), Instance("i1")),
+    sc = validate_scenario(generate_mixed().replace(
+        id="raw", instances=(Instance("o1", "optimization"), Instance("i1")),
         solvers=("a",), timeout_s=10, outcomes=raw_runs,
         trajectories={("o1", "a"): Trajectory(((1.0004, 5),))}))
     assert sc.outcome("i1", "a") == RunOutcome(1.0, RunStatus.SOLVED, math.inf)
@@ -259,8 +258,8 @@ def test_run_kind_breaches_in_the_order_recorded(tmp_path):
         ("o1", "b"): RunOutcome(3.0, RunStatus.SOLVED),
     }
     instances = (Instance("o1", "optimization"), Instance("o2", "optimization"))
-    raw = dataclasses.replace(generate_mixed(), instances=instances, solvers=("a", "b"),
-                              timeout_s=100.0, outcomes=outcomes, trajectories={})
+    raw = generate_mixed().replace(instances=instances, solvers=("a", "b"), timeout_s=100.0,
+                                   outcomes=outcomes, trajectories={})
     with pytest.raises(ValidationError) as e:
         validate_scenario(raw)
     assert [(v.code, v.where) for v in e.value.violations] == want

@@ -9,7 +9,6 @@ outcome lookup and one
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
 
 import pytest
 from helpers import decision_scenario
@@ -68,7 +67,7 @@ def snapped(sc, grid_ms):
     for key, out in sc.outcomes.items():
         if out.status is RunStatus.SOLVED:
             ms = min(time_to_ms(out.time_s) // grid_ms * grid_ms, time_to_ms(sc.timeout_s) - 1)
-            out = replace(out, time_s=ms / 1000.0)
+            out = out.replace(time_s=ms / 1000.0)
         outcomes[key] = out
     return build_scenario(sc.id, sc.instances, sc.solvers, sc.timeout_s, outcomes, sc.trajectories)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -120,7 +119,7 @@ def ref_assemble(sc, raw_trajectories):
             trajectories[key] = Trajectory(tuple(events))
     if violations:
         raise ValidationError(violations)
-    return replace(sc, trajectories=trajectories)
+    return sc.replace(trajectories=trajectories)
 
 
 def outcome(fn):
@@ -262,6 +261,6 @@ def test_validate_scenario_matches_the_old_loop(runs, trajectories, timeout):
     with tempfile.TemporaryDirectory() as d:
         runs_path, traj_path = _write(d, runs, [], range(4))
         base = parse_runs(runs_path, timeout, trajectories_path=traj_path)
-    raw = replace(base, trajectories=trajectories)
+    raw = base.replace(trajectories=trajectories)
     want = outcome(lambda: ref_assemble(base, trajectories))
     assert outcome(lambda: validate_scenario(raw)) == want
